@@ -52,8 +52,9 @@ def _as_fraction(x) -> Fraction:
 class LieAlgebra:
     """A validated nilpotent Lie algebra over the rationals.
 
-    Instances compare and hash by identity, so per-algebra derived data
-    (group law, cohomology ring) can be memoized in ordinary dicts.
+    Instances compare and hash by identity.  Derived data (group law,
+    cohomology ring) is memoized on the instance itself through
+    ``DerivedCache``, so it lives exactly as long as the algebra.
 
     ``structure`` maps ``(i, j)`` with ``i < j`` to a dict ``{k: c_ijk}``;
     missing pairs bracket to zero.  ``lcs`` lists the dimensions of the
@@ -100,6 +101,29 @@ class LieAlgebra:
 
     def __repr__(self):
         return f"LieAlgebra(dim={self.dim}, class={self.nilpotency_class})"
+
+
+class DerivedCache:
+    """Memo of one kind of derived data, kept in a per-instance slot of each
+    algebra (written with ``object.__setattr__``, as the class is frozen).
+
+    A module-level dict keyed by algebra would pin every algebra ever passed
+    in; this cache lets the algebra and its derived data be collected
+    together.  Supports ``alg in cache``, ``cache.get(alg)`` and
+    ``cache[alg] = value``.
+    """
+
+    def __init__(self, name: str):
+        self._slot = "_derived_" + name
+
+    def __contains__(self, alg: LieAlgebra) -> bool:
+        return self._slot in vars(alg)
+
+    def get(self, alg: LieAlgebra):
+        return vars(alg).get(self._slot)
+
+    def __setitem__(self, alg: LieAlgebra, value) -> None:
+        object.__setattr__(alg, self._slot, value)
 
 
 def validate_algebra(
@@ -188,7 +212,8 @@ def _lower_central_series(alg: LieAlgebra) -> tuple[list[int], list[int]]:
                 w = alg.bracket(_unit(dim, i), v)
                 if any(w):
                     nxt.append(w)
-        basis = _independent_subset(nxt)
+        span = xl.Echelon()
+        basis = [w for w in nxt if span.insert(xl.sparse(w))]
         d = len(basis)
         dims.append(d)
         if d == 0:
@@ -198,20 +223,12 @@ def _lower_central_series(alg: LieAlgebra) -> tuple[list[int], list[int]]:
             break
         depth += 1
         for i in range(dim):
-            if xl.in_span(basis, _unit(dim, i)):
+            if not span.reduce({i: Fraction(1)})[0]:
                 weights[i] = depth
         layer = basis
         if depth > dim:
             break
     return dims, weights
-
-
-def _independent_subset(vectors: list[list[Fraction]]) -> list[list[Fraction]]:
-    basis: list[list[Fraction]] = []
-    for v in vectors:
-        if not xl.in_span(basis, v):
-            basis.append(v)
-    return basis
 
 
 # -- file format -------------------------------------------------------------
@@ -314,15 +331,3 @@ def free_nilpotent_two_step(generators: int = 3) -> LieAlgebra:
             extra += 1
     return validate_algebra(structure, extra)
 
-
-NAMED_ALGEBRAS = {
-    "abelian1": lambda: abelian(1),
-    "abelian2": lambda: abelian(2),
-    "abelian3": lambda: abelian(3),
-    "abelian4": lambda: abelian(4),
-    "abelian5": lambda: abelian(5),
-    "heisenberg3": heisenberg3,
-    "heisenberg5": heisenberg5,
-    "filiform4": lambda: filiform(4),
-    "free2step3": free_nilpotent_two_step,
-}

@@ -25,7 +25,7 @@ from math import factorial
 
 import numpy as np
 
-from .algebra import LieAlgebra
+from .algebra import DerivedCache, LieAlgebra
 
 ExpKey = tuple[int, ...]
 
@@ -298,12 +298,13 @@ class GroupLaw:
         return [c * r ** w[i] for i, c in enumerate(coords)]
 
 
-_LAW_CACHE: dict[LieAlgebra, GroupLaw] = {}
+_LAW_CACHE = DerivedCache("group_law")
 
 
 def group_law(alg: LieAlgebra) -> GroupLaw:
-    if alg in _LAW_CACHE:
-        return _LAW_CACHE[alg]
+    law = _LAW_CACHE.get(alg)
+    if law is not None:
+        return law
     n = alg.dim
     product = bch_product_polys(alg)
     trans = [[product[i].diff(n + j) for j in range(n)] for i in range(n)]

@@ -1,22 +1,32 @@
 """Cohomology of the Chevalley-Eilenberg complex, with cup products.
 
-Everything is exact rational linear algebra.  Representatives are chosen
-deterministically: the nullspace of d_k is computed from the reduced row
-echelon form over the lexicographic wedge basis, and vectors are added to
-the representative set in that order whenever they are independent modulo
-coboundaries.  The per-degree projector is the rational matrix sending any
-closed form to its coordinates in the representative basis (a least-squares
-projector, so it also applies meaningfully to nearly-closed float forms).
+Everything is exact rational linear algebra.  Each degree k is eliminated
+once: d_k is assembled sparsely, straight from the structure constants, and
+its reduced row echelon form gives both ker d_k (one basis vector per free
+column, over the lexicographic wedge basis) and the pivot columns whose
+images span the coboundaries of degree k+1.  Representatives are chosen
+deterministically: an incremental echelon takes the coboundaries first, then
+the cocycles in kernel order, and a cocycle becomes a representative exactly
+when it is independent modulo what came before.
+
+Class coordinates come by reduction: each echelon row records its
+combination of the columns of A = [representatives | coboundaries], so
+reducing a closed form yields its coordinates in the representative basis
+exactly.  Two things are computed only when first asked for, then kept: the
+least-squares projector (A^T A)^{-1} A^T, which Monte Carlo averages of
+nearly-closed float forms need, and each entry of the cup table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator, Mapping
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from . import exactlinalg as xl
-from .algebra import LieAlgebra
-from .forms import KForm, basis_tuples, basis_form, ce_differential, form_from_vector, wedge
+from .algebra import DerivedCache, LieAlgebra
+from .forms import Index, KForm, basis_tuples, form_from_vector, sort_with_sign, wedge
 
 
 class DegreeOverflow(ValueError):
@@ -26,29 +36,108 @@ class DegreeOverflow(ValueError):
 @dataclass(frozen=True)
 class CohomologySpace:
     """Degree-k cohomology data: Betti number, representative forms, and the
-    projector matrix (betti x C(n,k), rational) onto class coordinates."""
+    closed subspace ker d_k, whose echelon reduces closed forms to class
+    coordinates."""
 
     degree: int
     betti: int
     representatives: tuple[KForm, ...]
-    projector: list[list[Fraction]]
     closed_basis: list[list[Fraction]]  # columns spanning ker d_k: reps then coboundaries
+    echelon: xl.Echelon = field(repr=False, compare=False)  # rows tagged by rep coordinates
 
-    def project(self, form: KForm) -> list:
-        """Class coordinates of a closed form (exact for rational input)."""
-        vec = form.vector()
-        return xl.mat_vec(self.projector, vec)
+    def project(self, form: KForm) -> list[Fraction]:
+        """Class coordinates of a closed form (exact for rational input).
+
+        Raises ValueError if the form is not a closed degree-k form."""
+        residual, coords = self.echelon.reduce(form.coeffs)
+        if form.degree != self.degree or residual:
+            raise ValueError(
+                f"form of degree {form.degree} is not a closed degree-{self.degree} form"
+            )
+        return [coords.get(i, xl.ZERO) for i in range(self.betti)]
+
+    @cached_property
+    def projector(self) -> list[list[Fraction]]:
+        """The betti x C(n,k) rational matrix onto class coordinates: first
+        `betti` rows of (A^T A)^{-1} A^T for A = [reps | coboundaries].
+
+        For closed vectors this returns exact class coordinates; for arbitrary
+        vectors it is the least-squares projection onto the closed subspace, so
+        Monte Carlo noise orthogonal to ker d is discarded rather than amplified.
+        """
+        if self.betti == 0:
+            return []
+        a = xl.transpose(self.closed_basis)  # dim_k x (betti + rank)
+        gram = xl.mat_mul(self.closed_basis, a)
+        return xl.mat_mul(xl.invert(gram), self.closed_basis)[: self.betti]
+
+    @cached_property
+    def _float_projector(self) -> list[list[float]]:
+        return [[float(p) for p in row] for row in self.projector]
 
     def project_float(self, vec) -> list[float]:
         """Projector applied numerically to a dense float coefficient vector."""
-        return [sum(float(p) * v for p, v in zip(row, vec)) for row in self.projector]
+        return [sum(p * v for p, v in zip(row, vec)) for row in self._float_projector]
+
+
+class CupTable(Mapping):
+    """Read-only cup table: ``(k, l, i, j)`` -> class coordinates of
+    rep_i^k ^ rep_j^l in degree k+l, for k + l <= n, i < b_k and j < b_l.
+
+    An entry is computed when first requested, then kept; iterating the
+    table computes every entry.  Concurrent first requests for one entry
+    compute the same value twice, which is harmless.
+    """
+
+    def __init__(self, spaces: tuple[CohomologySpace, ...]):
+        self._spaces = spaces
+        self._values: dict[tuple[int, int, int, int], list[Fraction]] = {}
+
+    def __getitem__(self, key) -> list[Fraction]:
+        value = self._values.get(key)
+        if value is None:
+            if key not in self:
+                raise KeyError(key)
+            k, l, i, j = key
+            a = self._spaces[k].representatives[i]
+            b = self._spaces[l].representatives[j]
+            value = self._values[key] = self._spaces[k + l].project(wedge(a, b))
+        return value
+
+    def __contains__(self, key) -> bool:
+        if not (isinstance(key, tuple) and len(key) == 4):
+            return False
+        k, l, i, j = key
+        return (
+            0 <= k
+            and 0 <= l
+            and k + l < len(self._spaces)
+            and 0 <= i < self._spaces[k].betti
+            and 0 <= j < self._spaces[l].betti
+        )
+
+    def __iter__(self) -> Iterator[tuple[int, int, int, int]]:
+        top = len(self._spaces)
+        for k in range(top):
+            for l in range(top - k):
+                for i in range(self._spaces[k].betti):
+                    for j in range(self._spaces[l].betti):
+                        yield (k, l, i, j)
+
+    def __len__(self) -> int:
+        top = len(self._spaces)
+        return sum(
+            self._spaces[k].betti * self._spaces[l].betti
+            for k in range(top)
+            for l in range(top - k)
+        )
 
 
 @dataclass(frozen=True)
 class CohomologyRing:
     algebra: LieAlgebra
     spaces: tuple[CohomologySpace, ...]
-    cup: dict[tuple[int, int, int, int], list[Fraction]]
+    cup: CupTable
 
     @property
     def betti(self) -> tuple[int, ...]:
@@ -58,93 +147,90 @@ class CohomologyRing:
         return self.spaces[k]
 
 
-_RING_CACHE: dict[LieAlgebra, CohomologyRing] = {}
+_RING_CACHE = DerivedCache("cohomology")
+
+
+def _differential_rows(alg: LieAlgebra, k: int) -> dict[Index, xl.Sparse]:
+    """Sparse d_k by rows: {(k+1)-tuple T: {k-tuple S: (d e_S*)(e_T)}}.
+
+    One sweep over the (k+1)-tuples: each pair a < b of T with a nonzero
+    bracket [e_{T_a}, e_{T_b}] = sum_m c_m e_m adds (-1)^(a+b) c_m, times the
+    sign that sorts (m,) + rest, at S = sorted((m,) + rest), where rest is T
+    without T_a and T_b.  Only nonzero entries and rows are kept.
+    """
+    rows: dict[Index, xl.Sparse] = {}
+    for target in basis_tuples(alg.dim, k + 1):
+        row: xl.Sparse = {}
+        for a in range(k + 1):
+            for b in range(a + 1, k + 1):
+                comps = alg.bracket_basis(target[a], target[b])
+                if not comps:
+                    continue
+                rest = target[:a] + target[a + 1 : b] + target[b + 1 :]
+                sign = (-1) ** (a + b)
+                for m, c in comps.items():
+                    ss = sort_with_sign((m,) + rest)
+                    if ss is None:
+                        continue
+                    key, perm = ss
+                    row[key] = row.get(key, xl.ZERO) + sign * perm * c
+        row = {key: c for key, c in row.items() if c}
+        if row:
+            rows[target] = row
+    return rows
 
 
 def differential_matrix(alg: LieAlgebra, k: int) -> xl.Matrix:
     """Matrix of d_k from degree k to k+1 over the lexicographic bases."""
     dom = basis_tuples(alg.dim, k)
-    cod = basis_tuples(alg.dim, k + 1)
-    cols = []
-    for t in dom:
-        df = ce_differential(basis_form(alg, t))
-        cols.append([df.coeffs.get(s, Fraction(0)) for s in cod])
-    if not cod:
-        return [[] for _ in range(0)]
-    return xl.transpose(cols) if cols else [[] for _ in cod]
+    rows = _differential_rows(alg, k)
+    return [xl.dense(rows.get(t, {}), dom) for t in basis_tuples(alg.dim, k + 1)]
 
 
 def cohomology(alg: LieAlgebra) -> CohomologyRing:
-    """Betti numbers, representatives, projectors, and the cup table."""
-    if alg in _RING_CACHE:
-        return _RING_CACHE[alg]
+    """Betti numbers, representatives, class coordinates and the cup table."""
+    ring = _RING_CACHE.get(alg)
+    if ring is not None:
+        return ring
 
     n = alg.dim
-    d_mats = [differential_matrix(alg, k) for k in range(n + 1)]
-
     spaces = []
+    coboundaries: list[xl.Sparse] = []  # images of d_{k-1}'s pivot columns
     for k in range(n + 1):
-        dim_k = len(basis_tuples(n, k))
-        if k < n:
-            cocycles = xl.nullspace(d_mats[k])
-        else:
-            cocycles = [list(col) for col in xl.identity(dim_k)]
-        if k == 0:
-            coboundaries: list[xl.Vector] = []
-        else:
-            dm = d_mats[k - 1]
-            pivot_cols = xl.column_space_pivots(dm)
-            coboundaries = [[row[c] for row in dm] for c in pivot_cols]
+        basis = basis_tuples(n, k)
+        rows = _differential_rows(alg, k)  # empty at the top degree
+        d_k = xl.Echelon()
+        for row in rows.values():
+            d_k.insert(row)
+        cocycles = d_k.kernel(basis)
+        next_coboundaries = [
+            {t: row[s] for t, row in rows.items() if s in row} for s in sorted(d_k.rows)
+        ]
 
-        reps: list[xl.Vector] = []
-        span = list(coboundaries)
+        closed = xl.Echelon()
+        for z in coboundaries:
+            closed.insert(z)
+        reps: list[xl.Sparse] = []
         for z in cocycles:
-            if not xl.in_span(span, z):
+            if closed.insert(z, {len(reps): xl.ONE}):
                 reps.append(z)
-                span.append(z)
-        betti = len(reps)
 
-        closed_cols = reps + coboundaries
-        projector = _class_projector(closed_cols, betti, dim_k)
-        rep_forms = tuple(form_from_vector(alg, k, v) for v in reps)
+        dense_reps = [xl.dense(z, basis) for z in reps]
         spaces.append(
             CohomologySpace(
                 degree=k,
-                betti=betti,
-                representatives=rep_forms,
-                projector=projector,
-                closed_basis=closed_cols,
+                betti=len(reps),
+                representatives=tuple(form_from_vector(alg, k, v) for v in dense_reps),
+                closed_basis=dense_reps + [xl.dense(z, basis) for z in coboundaries],
+                echelon=closed,
             )
         )
+        coboundaries = next_coboundaries
 
-    cup: dict[tuple[int, int, int, int], list[Fraction]] = {}
-    for k in range(n + 1):
-        for l in range(n + 1 - k):
-            for i, a in enumerate(spaces[k].representatives):
-                for j, b in enumerate(spaces[l].representatives):
-                    cup[(k, l, i, j)] = spaces[k + l].project(wedge(a, b))
-
-    ring = CohomologyRing(algebra=alg, spaces=tuple(spaces), cup=cup)
+    spaces = tuple(spaces)
+    ring = CohomologyRing(algebra=alg, spaces=spaces, cup=CupTable(spaces))
     _RING_CACHE[alg] = ring
     return ring
-
-
-def _class_projector(closed_cols: list[xl.Vector], betti: int, dim_k: int) -> xl.Matrix:
-    """First `betti` rows of (A^T A)^{-1} A^T for A = [reps | coboundaries].
-
-    For closed vectors this returns exact class coordinates; for arbitrary
-    vectors it is the least-squares projection onto the closed subspace, so
-    Monte Carlo noise orthogonal to ker d is discarded rather than amplified.
-    """
-    if betti == 0:
-        return []
-    if not closed_cols:
-        return []
-    a = xl.transpose(closed_cols)  # dim_k x (betti + rank)
-    at = closed_cols  # transpose(a)
-    gram = xl.mat_mul(at, a)
-    pinv = xl.mat_mul(xl.invert(gram), at)
-    return pinv[:betti]
 
 
 def cup_class(ring: CohomologyRing, k: int, i: int, l: int, j: int) -> list[Fraction]:
@@ -166,8 +252,14 @@ def cup_pairing_rank(ring: CohomologyRing, k: int, l: int) -> int:
     target = ring.spaces[k + l].betti
     if bk == 0 or bl == 0 or target == 0:
         return 0
-    rows = [ring.cup[(k, l, i, j)] for i in range(bk) for j in range(bl)]
-    return xl.rank(rows)
+    span = xl.Echelon()
+    rank = 0
+    for i in range(bk):
+        for j in range(bl):
+            rank += span.insert(xl.sparse(ring.cup[(k, l, i, j)]))
+            if rank == target:  # the rank cannot exceed the target Betti number
+                return rank
+    return rank
 
 
 def ring_invariants(ring: CohomologyRing) -> dict:

@@ -4,6 +4,12 @@ Matrices are lists of rows of ``fractions.Fraction``.  Everything here is
 deterministic: pivots are chosen by scanning columns left to right and rows
 top to bottom, never by magnitude, so repeated runs (and downstream
 cohomology bases) are reproducible.
+
+``Echelon`` is the elimination routine for sparse work: it keeps the reduced
+row echelon form of a growing set of sparse vectors, which makes the kernel,
+the pivot columns, span membership and coordinates over the inserted vectors
+all fall out of one elimination.  ``rank``, ``nullspace`` and ``in_span``
+run on it.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from fractions import Fraction
 
 Matrix = list[list[Fraction]]
 Vector = list[Fraction]
+Sparse = dict  # ordered key (column index, form-basis tuple) -> nonzero Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -76,7 +83,8 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
 
 
 def rank(m: Matrix) -> int:
-    return len(rref(m)[1])
+    ech = Echelon()
+    return sum(ech.insert(sparse(row)) for row in m)
 
 
 def nullspace(m: Matrix) -> list[Vector]:
@@ -84,23 +92,10 @@ def nullspace(m: Matrix) -> list[Vector]:
     if not m:
         return []
     n_cols = len(m[0])
-    r, pivots = rref(m)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(n_cols):
-        if free in pivot_set:
-            continue
-        v = [ZERO] * n_cols
-        v[free] = ONE
-        for prow, pcol in enumerate(pivots):
-            v[pcol] = -r[prow][free]
-        basis.append(v)
-    return basis
-
-
-def column_space_pivots(m: Matrix) -> list[int]:
-    """Indices of a deterministic set of columns spanning the column space."""
-    return rref(m)[1]
+    ech = Echelon()
+    for row in m:
+        ech.insert(sparse(row))
+    return [dense(v, range(n_cols)) for v in ech.kernel(range(n_cols))]
 
 
 def solve(m: Matrix, b: Vector) -> Vector | None:
@@ -130,7 +125,95 @@ def invert(m: Matrix) -> Matrix:
 
 def in_span(basis: list[Vector], v: Vector) -> bool:
     """Whether v lies in the span of the given vectors."""
-    if not basis:
-        return all(x == 0 for x in v)
-    m = transpose(basis)
-    return solve(m, v) is not None
+    ech = Echelon()
+    for b in basis:
+        ech.insert(sparse(b))
+    return not ech.reduce(sparse(v))[0]
+
+
+def sparse(v: Vector) -> Sparse:
+    """Nonzero entries of a dense vector, keyed by position."""
+    return {i: x for i, x in enumerate(v) if x}
+
+
+def dense(v: Sparse, keys) -> Vector:
+    """Entries of a sparse vector at the given keys, in their order."""
+    return [v.get(key, ZERO) for key in keys]
+
+
+class Echelon:
+    """Reduced row echelon form of a growing set of sparse rational vectors.
+
+    ``rows`` maps each pivot column to its row: the pivot is the row's
+    smallest key, with coefficient 1, and no other row has an entry in that
+    column.  That form is unique, so whatever order vectors are inserted in,
+    ``rows`` is the RREF of their span and ``kernel`` agrees with
+    ``nullspace`` of the matrix they are the rows of.
+
+    Each row also carries a *tag*: a sparse combination of the tags given to
+    the inserted vectors, equal to the row as they combine the vectors.
+    Reducing a vector of the span then yields its coordinates over the
+    tagged vectors (untagged vectors contribute no coordinate).
+    """
+
+    def __init__(self):
+        self.rows: dict = {}
+        self.tags: dict = {}
+
+    def reduce(self, v: Sparse) -> tuple[Sparse, Sparse]:
+        """(residual, tag): v minus a combination of the rows, and that
+        combination as a combination of tags.  The residual has no entry in a
+        pivot column, and it is empty exactly when v lies in the span."""
+        out = {key: x for key, x in v.items() if x}
+        tag: Sparse = {}
+        # rows vanish on each other's pivots, so v's own entries there are
+        # the coefficients, whatever the order of elimination
+        for p, c in [(p, c) for p, c in out.items() if p in self.rows]:
+            _axpy(out, -c, self.rows[p])
+            _axpy(tag, c, self.tags[p])
+        return out, tag
+
+    def insert(self, v: Sparse, tag: Sparse | None = None) -> bool:
+        """Add v (tagged ``tag``) unless it lies in the span; True if added."""
+        residual, used = self.reduce(v)
+        if not residual:
+            return False
+        row_tag = dict(tag or {})
+        _axpy(row_tag, -ONE, used)
+        pivot = min(residual)
+        scale = ONE / residual[pivot]
+        row = {key: x * scale for key, x in residual.items()}
+        row_tag = {key: x * scale for key, x in row_tag.items()}
+        for p, other in self.rows.items():
+            c = other.get(pivot)
+            if c:
+                _axpy(other, -c, row)
+                _axpy(self.tags[p], -c, row_tag)
+        self.rows[pivot] = row
+        self.tags[pivot] = row_tag
+        return True
+
+    def kernel(self, columns) -> list[Sparse]:
+        """Basis of the vectors x with row . x = 0 for every row: one per
+        non-pivot column f of ``columns``, in their order, with x[f] = 1."""
+        basis = []
+        for free in columns:
+            if free in self.rows:
+                continue
+            v = {free: ONE}
+            for p, row in self.rows.items():
+                c = row.get(free)
+                if c:
+                    v[p] = -c
+            basis.append(v)
+        return basis
+
+
+def _axpy(y: Sparse, a: Fraction, x: Sparse) -> None:
+    """y += a * x in place, dropping entries that cancel."""
+    for key, xv in x.items():
+        s = y.get(key, ZERO) + a * xv
+        if s:
+            y[key] = s
+        else:
+            y.pop(key, None)

@@ -113,3 +113,25 @@ def random_rational_form(alg, degree: int, rng, density: float = 0.6):
             if num:
                 coeffs[key] = Fraction(num, rng.randint(1, 7))
     return KForm(alg, degree, coeffs)
+
+
+def dense_twin(alg, rng):
+    """The same algebra in the basis f_i = e_i + sum_{j>i} c_ij e_j with
+    c_ij = +-1 drawn from rng: [f_a, f_b] is expanded in the e basis and
+    solved back into f coordinates by forward substitution."""
+    from nilcoh.algebra import validate_algebra
+
+    n = alg.dim
+    p = [[Fraction(int(i == j)) if j <= i else Fraction(rng.choice((-1, 1))) for j in range(n)]
+         for i in range(n)]
+    structure = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            v = alg.bracket(p[a], p[b])
+            x = []
+            for j in range(n):
+                x.append(v[j] - sum((x[i] * p[i][j] for i in range(j)), Fraction(0)))
+            comps = {k: c for k, c in enumerate(x) if c}
+            if comps:
+                structure[(a, b)] = comps
+    return validate_algebra(structure, n)

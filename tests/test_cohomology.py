@@ -1,19 +1,26 @@
+import gc
 import random
+import time
+import weakref
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from nilcoh import algebra
+from nilcoh import exactlinalg as xl
+from nilcoh.bch import group_law
 from nilcoh.cohomology import (
     DegreeOverflow,
     cohomology,
     compare_rings,
     cup_class,
     cup_pairing_rank,
+    differential_matrix,
     ring_invariants,
 )
-from nilcoh.forms import basis_tuples, ce_differential, form_from_vector, wedge
-from oracles import naive_betti, random_rational_form
+from nilcoh.forms import basis_form, basis_tuples, ce_differential, form_from_vector, wedge
+from oracles import dense_twin, naive_betti, naive_differential_matrix, random_rational_form
 
 H3 = algebra.heisenberg3()
 AB3 = algebra.abelian(3)
@@ -172,3 +179,131 @@ def test_form_from_vector_round_trip():
     vec = [Fraction(1), Fraction(0), Fraction(-2)]
     f = form_from_vector(H3, 1, vec)
     assert f.vector() == vec
+
+
+# -- closed-form oracles at dim 7-10 -------------------------------------------
+
+
+def heisenberg(k: int):
+    """H_{2k+1}: [e_{2i-1}, e_{2i}] = e_{2k+1} for i = 1..k."""
+    return algebra.validate_algebra(
+        {(2 * i, 2 * i + 1): {2 * k: Fraction(1)} for i in range(k)}, 2 * k + 1
+    )
+
+
+def test_heisenberg7_betti_closed_form():
+    # Santharoubane (1983): b_j = C(2k, j) - C(2k, j-2) for j <= k, then duality
+    betti = cohomology(heisenberg(3)).betti
+    assert betti == (1, 6, 14, 14, 14, 14, 6, 1)
+    assert all(betti[j] == comb(6, j) - (comb(6, j - 2) if j >= 2 else 0) for j in range(4))
+
+
+def test_abelian8_betti_are_binomials():
+    assert cohomology(algebra.abelian(8)).betti == tuple(comb(8, j) for j in range(9))
+
+
+def test_free_two_step4_betti():
+    # b2 = n(n^2 - 1)/3 (Sigg 1996); the whole vector agrees with naive_betti,
+    # which takes ~10 s with sympy and so is not run here
+    betti = cohomology(algebra.free_nilpotent_two_step(4)).betti
+    assert betti == (1, 4, 20, 56, 84, 90, 84, 56, 20, 4, 1)
+    assert betti[2] == 4 * (4 * 4 - 1) // 3
+
+
+def test_heisenberg7_ring_invariants_fast():
+    start = time.perf_counter()
+    inv = ring_invariants(cohomology(heisenberg(3)))
+    assert time.perf_counter() - start < 0.2
+    assert inv["betti"] == (1, 6, 14, 14, 14, 14, 6, 1)
+
+
+def test_poincare_duality_pairing_is_perfect(algebras):
+    # nilpotent algebras are unimodular, so H^k x H^{n-k} -> H^n = Q is perfect
+    cases = dict(algebras, heisenberg7=heisenberg(3), filiform7=algebra.filiform(7))
+    for name, alg in cases.items():
+        ring = cohomology(alg)
+        n = alg.dim
+        for k in range(n + 1):
+            b = ring.spaces[k].betti
+            pairing = [
+                [ring.cup[(k, n - k, i, j)][0] for j in range(ring.spaces[n - k].betti)]
+                for i in range(b)
+            ]
+            assert b == 0 or xl.rank(pairing) == b, (name, k)
+
+
+# -- contracts of the exact layer ------------------------------------------------
+
+
+def test_differential_matrix_matches_naive_oracle(algebras):
+    cases = dict(
+        algebras,
+        filiform7=algebra.filiform(7),
+        dense_free2step3=dense_twin(algebra.free_nilpotent_two_step(3), random.Random(5)),
+    )
+    for name, alg in cases.items():
+        for k in range(alg.dim + 1):
+            naive = naive_differential_matrix(alg, k)
+            mine = differential_matrix(alg, k)
+            assert len(mine) == naive.rows, (name, k)
+            assert all(
+                mine[r][c] == Fraction(int(naive[r, c].p), int(naive[r, c].q))
+                for r in range(naive.rows)
+                for c in range(naive.cols)
+            ), (name, k)
+
+
+def test_cup_table_has_the_eager_key_set(algebras):
+    for name, alg in algebras.items():
+        ring = cohomology(alg)
+        n, b = alg.dim, ring.betti
+        want = {
+            (k, l, i, j)
+            for k in range(n + 1)
+            for l in range(n + 1 - k)
+            for i in range(b[k])
+            for j in range(b[l])
+        }
+        assert set(ring.cup) == want, name
+        assert len(ring.cup) == len(want), name
+        assert all(key in ring.cup for key in want), name
+    ring = cohomology(H3)
+    for bad in [(2, 2, 0, 0), (1, 1, 2, 0), (1, 1, -1, 0), (1, 1, 0)]:
+        assert bad not in ring.cup
+        with pytest.raises(KeyError):
+            ring.cup[bad]
+    with pytest.raises(TypeError):
+        ring.cup[(1, 1, 0, 0)] = []
+
+
+def test_project_rejects_non_closed_forms():
+    ring = cohomology(H3)
+    with pytest.raises(ValueError, match="degree-1"):
+        ring.spaces[1].project(basis_form(H3, (2,)))  # d e3* = -e1* ^ e2*
+    with pytest.raises(ValueError, match="degree-2"):
+        ring.spaces[2].project(basis_form(H3, (0,)))
+
+
+def test_reduction_matches_the_projector_on_closed_forms(algebras):
+    rng = random.Random(12)
+    for name, alg in algebras.items():
+        ring = cohomology(alg)
+        for k in range(alg.dim + 1):
+            space = ring.spaces[k]
+            closed = form_from_vector(alg, k, [Fraction(0)] * comb(alg.dim, k))
+            for col in space.closed_basis:
+                closed = closed + form_from_vector(alg, k, col).scale(rng.randint(-3, 3))
+            assert space.project(closed) == xl.mat_vec(space.projector, closed.vector()), (name, k)
+
+
+def test_derived_caches_do_not_pin_the_algebra():
+    alg = algebra.free_nilpotent_two_step(3)
+    ring = cohomology(alg)
+    group_law(alg)
+    ring.cup[(1, 1, 0, 1)]
+    ring.spaces[2].project_float([0.0] * 21)
+    assert cohomology(alg) is ring and group_law(alg) is group_law(alg)
+    ref = weakref.ref(alg)
+    del alg, ring
+    gc.collect()
+    assert ref() is None

@@ -74,3 +74,40 @@ def test_in_span():
     assert xl.in_span(basis, [Fraction(5), Fraction(3)])
     assert xl.in_span([], [Fraction(0), Fraction(0)])
     assert not xl.in_span([[Fraction(1), Fraction(0)]], [Fraction(0), Fraction(1)])
+
+
+def test_echelon_rows_are_the_rref_in_any_insertion_order():
+    rng = random.Random(3)
+    for _ in range(25):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        m = random_matrix(rng, rows, cols)
+        r, pivots = xl.rref(m)
+        order = list(range(rows))
+        rng.shuffle(order)
+        ech = xl.Echelon()
+        for i in order:
+            ech.insert(xl.sparse(m[i]))
+        assert sorted(ech.rows) == pivots
+        for prow, pcol in enumerate(pivots):
+            assert xl.dense(ech.rows[pcol], range(cols)) == r[prow]
+        assert [xl.dense(v, range(cols)) for v in ech.kernel(range(cols))] == xl.nullspace(m)
+
+
+def test_echelon_tags_give_coordinates_over_the_inserted_vectors():
+    rng = random.Random(4)
+    for _ in range(25):
+        cols = rng.randint(2, 6)
+        vectors = random_matrix(rng, rng.randint(1, cols), cols)
+        ech = xl.Echelon()
+        kept = []
+        for v in vectors:
+            if ech.insert(xl.sparse(v), {len(kept): Fraction(1)}):
+                kept.append(v)
+        coeffs = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in kept]
+        combo = [sum((c * v[i] for c, v in zip(coeffs, kept)), Fraction(0)) for i in range(cols)]
+        residual, tag = ech.reduce(xl.sparse(combo))
+        assert residual == {}
+        assert [tag.get(i, 0) for i in range(len(kept))] == coeffs
+        off = [Fraction(rng.randint(-5, 5)) for _ in range(cols)]
+        residual, _ = ech.reduce(xl.sparse(off))
+        assert (residual == {}) == (to_sympy(kept + [off]).rank() == len(kept))

@@ -125,6 +125,13 @@ class Poly:
         return f"Poly({self.nvars}, {self.terms!r})"
 
 
+def _evaluator(vals: list):
+    """Polynomial evaluation at vals: exact when every value is rational."""
+    if all(isinstance(v, (int, Fraction)) for v in vals):
+        return lambda p: p.eval_exact(vals)
+    return lambda p: p.eval_float(vals)
+
+
 def _as_batch(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     return x[:, None] if x.ndim == 1 else x
@@ -235,26 +242,20 @@ class GroupLaw:
 
     def multiply(self, a, b):
         """Product of two coordinate sequences; exact on rationals."""
-        vals = list(a) + list(b)
-        if all(isinstance(v, (int, Fraction)) for v in vals):
-            return [p.eval_exact(vals) for p in self.product]
-        return [p.eval_float(vals) for p in self.product]
+        ev = _evaluator(list(a) + list(b))
+        return [ev(p) for p in self.product]
 
     def inverse(self, a):
         return [-v for v in a]
 
     def frame_at(self, a):
         """Left-invariant frame matrix at a point (columns = frame fields)."""
-        vals = list(a)
-        exact = all(isinstance(v, (int, Fraction)) for v in vals)
-        ev = (lambda p: p.eval_exact(vals)) if exact else (lambda p: p.eval_float(vals))
+        ev = _evaluator(list(a))
         return [[ev(p) for p in row] for row in self.frame]
 
     def translation_jacobian(self, a, b):
         """d(a·y)/dy at y = b, exact on rationals."""
-        vals = list(a) + list(b)
-        exact = all(isinstance(v, (int, Fraction)) for v in vals)
-        ev = (lambda p: p.eval_exact(vals)) if exact else (lambda p: p.eval_float(vals))
+        ev = _evaluator(list(a) + list(b))
         return [[ev(p) for p in row] for row in self.trans_jac]
 
     # -- vectorized paths -----------------------------------------------------

@@ -87,7 +87,8 @@ def _add_common(p, seeded=True):
     p.add_argument("--out", help="write the report to this file as well as stdout")
     if seeded:
         p.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
-        p.add_argument("--threads", type=int, default=1, help="worker threads (results identical)")
+        p.add_argument("--threads", type=int, default=1,
+                       help="accepted for compatibility; evaluation is serial")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -143,7 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outdir", default="repro-out")
     p.add_argument("--samples", type=int, default=100000)
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility; evaluation is serial")
 
     return parser
 
@@ -207,7 +209,6 @@ def cmd_average(args) -> dict:
         samples=args.samples,
         seed=args.seed,
         shape=args.ball["shape"],
-        threads=args.threads,
     )
     results = {
         "form": str(omega),
@@ -254,7 +255,7 @@ def cmd_orbit(args) -> dict:
     if basepoints:
         probe = ergodic.ergodicity_probe(
             m, observables, basepoints, args.radii, args.samples, args.seed,
-            shape=shape, threads=args.threads, tol=args.tol,
+            shape=shape, tol=args.tol,
         )
         results = {
             "mode": "ergodicity-probe",
@@ -274,7 +275,7 @@ def cmd_orbit(args) -> dict:
     else:
         rep = ergodic.convergence_report(
             m, observables, args.radii, args.samples, args.seed,
-            shape=shape, threads=args.threads, tol=args.tol,
+            shape=shape, tol=args.tol,
         )
         results = {
             "mode": "convergence",
@@ -333,7 +334,6 @@ def cmd_asymdeg(args) -> dict:
         samples=args.samples,
         seed=args.seed,
         shape=args.ball["shape"],
-        threads=args.threads,
     )
     return report.build_report(
         "asymdeg",

@@ -69,7 +69,13 @@ class CohomologySpace:
             return []
         a = xl.transpose(self.closed_basis)  # dim_k x (betti + rank)
         gram = xl.mat_mul(self.closed_basis, a)
-        return xl.mat_mul(xl.invert(gram), self.closed_basis)[: self.betti]
+        # the Gram matrix is invertible, so its RREF is the identity and the
+        # tag of pivot row i (a combination of Gram rows) is row i of its inverse
+        ech = xl.Echelon()
+        for i, row in enumerate(gram):
+            ech.insert(xl.sparse(row), {i: xl.ONE})
+        inverse = [xl.dense(ech.tags[i], range(len(gram))) for i in range(self.betti)]
+        return xl.mat_mul(inverse, self.closed_basis)
 
     @cached_property
     def _float_projector(self) -> list[list[float]]:

@@ -11,6 +11,9 @@ regular-value definition of the degree for non-regular targets.
 The determinant of the frame differential equals the coordinate Jacobian
 determinant (frames are unipotent), so orientation counts agree with the
 coordinate picture.
+
+Evaluation is serial; the public functions accept ``threads`` for
+compatibility and ignore it.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 
 from . import rng
 from .forms import volume_form
-from .group import BallSpec, box_volume, sample_ball_coords
+from .group import BallSpec, box_volume, cloud_mean, sample_ball_coords
 from .maps import SmoothMap, differential_batch, evaluate_batch, normalize_to_y0
 from .pullback import _averaged_coefficients, _check_radii
 
@@ -229,16 +232,15 @@ def area_formula_check(
 
     cloud = sample_ball_coords(m.domain, window, samples, seed, tags=("area-lhs",))
 
-    def eval_dets(start, stop):
-        _, mats = differential_batch(m, cloud[:, start:stop])
+    def dets(coords: np.ndarray) -> np.ndarray:
+        _, mats = differential_batch(m, coords)
         d = np.linalg.det(mats)
-        return [d, d * d, np.abs(d)]
+        return np.stack([d, np.abs(d)])
 
-    sum_d, sum_d2, sum_abs = rng.chunked_sums(eval_dets, samples, threads=threads)
-    mean_det, se_det = rng.mean_and_stderr(sum_d, sum_d2, samples)
+    (mean_det, mean_abs), (se_det, _) = cloud_mean(cloud, dets)
     lhs = float(mean_det) * vol_u
     lhs_se = float(se_det) * vol_u
-    unsigned = float(sum_abs) / samples * vol_u
+    unsigned = float(mean_abs) * vol_u
 
     image = evaluate_batch(m, cloud)
     lo, hi = image.min(axis=1), image.max(axis=1)
@@ -280,14 +282,7 @@ def area_formula_check(
             degs[k] = sum(1 if d > 0 else -1 for d in margins)
         return degs, valid, near
 
-    segments = [(s, min(s + chunk, samples)) for s in range(0, samples, chunk)]
-    if threads > 1 and len(segments) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda seg: degree_chunk(*seg), segments))
-    else:
-        parts = [degree_chunk(*seg) for seg in segments]
+    parts = [degree_chunk(s, min(s + chunk, samples)) for s in range(0, samples, chunk)]
     degs = np.concatenate([p[0] for p in parts])
     valid = np.concatenate([p[1] for p in parts])
     near = np.concatenate([p[2] for p in parts])
@@ -342,9 +337,7 @@ def asymptotic_degree(
     ratios, stderrs, taus, vols = [], [], [], []
     top = tuple(range(m.domain.dim))
     for r in radii:
-        (coeffs,), _deriv = _averaged_coefficients(
-            m, [omega], r, samples, seed, shape, threads, warnings
-        )
+        (coeffs,), _deriv = _averaged_coefficients(m, [omega], r, samples, seed, shape, warnings)
         mean, se = coeffs[top]
         vol = box_volume(m.domain, r)
         ratios.append(mean)

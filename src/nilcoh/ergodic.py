@@ -9,19 +9,23 @@ map coordinates at a probe point, or expressions over derivative entries.
 Ergodicity is never asserted: probes compare orbit averages started from
 several basepoints and report either 'consistent-with-ergodic' or
 'non-ergodic-evidence' against explicit thresholds.
+
+Evaluation is serial; the public functions accept ``threads`` for
+compatibility and ignore it.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dsl, rng
+from . import dsl
 from .bch import group_law
-from .group import BallSpec, sample_ball_coords
-from .maps import SmoothMap, act, differential_batch, evaluate_batch, normalize_to_y0
+from .group import BallSpec, cloud_mean, sample_ball_coords
+from .maps import SmoothMap, act, differential_batch, evaluate_batch, normalize_to_y0, warn_once
 
 DEFAULT_TOL = 1e-2
 
@@ -107,11 +111,13 @@ def parse_observable(text: str, domain_dim: int, codomain_dim: int) -> Observabl
         if j > codomain_dim or len(probe) != domain_dim:
             raise ValueError(f"observable {text!r}: index or probe dimension out of range")
         return Observable(name=text, kind="coordinate", j=j, probe=probe)
-    names = {
-        f"d{i}{j}": (i - 1) * codomain_dim + (j - 1)
-        for i in range(1, domain_dim + 1)
-        for j in range(1, codomain_dim + 1)
+    # from dimension 10 on, "dIJ" can be read two ways (d111 is d(11,1) or
+    # d(1,11)); such symbols are left out, so the parser refuses them
+    symbols = {
+        (i, j): f"d{i}{j}" for i in range(1, domain_dim + 1) for j in range(1, codomain_dim + 1)
     }
+    uses = Counter(symbols.values())
+    names = {s: (i - 1) * codomain_dim + (j - 1) for (i, j), s in symbols.items() if uses[s] == 1}
     expr = dsl.parse(text, names=names)
     return Observable(name=text, kind="expression", expr=expr)
 
@@ -129,21 +135,14 @@ def empirical_measure(
     """Monte Carlo estimate of each observable against the empirical measure
     mu_R of the orbit; returns {'name', 'mean', 'stderr'} per observable."""
     m = normalize_to_y0(m)
-    sink = warnings if warnings is not None else []
-
-    def warn(msg):
-        if msg not in sink:
-            sink.append(msg)
-
+    warn = warn_once(warnings if warnings is not None else [])
     cloud = sample_ball_coords(m.domain, BallSpec(radius, shape), samples, seed, tags=("orbit",))
 
-    def evaluate(start: int, stop: int):
-        ctx = _ChunkContext(m, cloud[:, start:stop], warn)
-        vals = np.stack([obs.evaluate_chunk(ctx) for obs in observables])
-        return [vals, vals * vals]
+    def observe(coords: np.ndarray) -> np.ndarray:
+        ctx = _ChunkContext(m, coords, warn)
+        return np.stack([obs.evaluate_chunk(ctx) for obs in observables])
 
-    total, total_sq = rng.chunked_sums(evaluate, samples, threads=threads)
-    mean, stderr = rng.mean_and_stderr(total, total_sq, samples)
+    mean, stderr = cloud_mean(cloud, observe)
     return [
         {"name": obs.name, "mean": float(mean[k]), "stderr": float(stderr[k])}
         for k, obs in enumerate(observables)
@@ -186,7 +185,7 @@ def convergence_report(
     radii = [float(r) for r in radii]
     warnings: list[str] = []
     rows = [
-        empirical_measure(m, observables, r, samples, seed, shape, threads, warnings)
+        empirical_measure(m, observables, r, samples, seed, shape, warnings=warnings)
         for r in radii
     ]
     traces = []
@@ -241,7 +240,7 @@ def ergodicity_probe(
     m = normalize_to_y0(m)
     pts = [tuple(float(c) for c in _as_coords(p, m.domain.dim)) for p in basepoints]
     reports = [
-        convergence_report(act(m, p), observables, radii, samples, seed, shape, threads, tol)
+        convergence_report(act(m, p), observables, radii, samples, seed, shape, tol=tol)
         for p in pts
     ]
     spreads: dict[str, float] = {}

@@ -5,11 +5,11 @@ deterministic: pivots are chosen by scanning columns left to right and rows
 top to bottom, never by magnitude, so repeated runs (and downstream
 cohomology bases) are reproducible.
 
-``Echelon`` is the elimination routine for sparse work: it keeps the reduced
-row echelon form of a growing set of sparse vectors, which makes the kernel,
-the pivot columns, span membership and coordinates over the inserted vectors
-all fall out of one elimination.  ``rank``, ``nullspace`` and ``in_span``
-run on it.
+``Echelon`` is the one elimination routine: it keeps the reduced row echelon
+form of a growing set of sparse vectors, which makes the kernel, the pivot
+columns, span membership and coordinates over the inserted vectors (an
+inverse, for the rows of an invertible matrix) all fall out of one
+elimination.  ``rank``, ``nullspace`` and ``in_span`` run on it.
 """
 
 from __future__ import annotations
@@ -22,21 +22,6 @@ Sparse = dict  # ordered key (column index, form-basis tuple) -> nonzero Fractio
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-def zeros(rows: int, cols: int) -> Matrix:
-    return [[ZERO] * cols for _ in range(rows)]
-
-
-def identity(n: int) -> Matrix:
-    m = zeros(n, n)
-    for i in range(n):
-        m[i][i] = ONE
-    return m
-
-
-def copy_matrix(m: Matrix) -> Matrix:
-    return [row[:] for row in m]
 
 
 def transpose(m: Matrix) -> Matrix:
@@ -56,32 +41,6 @@ def mat_vec(m: Matrix, v: Vector) -> Vector:
     return [sum((x * y for x, y in zip(row, v)), ZERO) for row in m]
 
 
-def rref(m: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (rref_matrix, pivot_columns)."""
-    r = copy_matrix(m)
-    if not r:
-        return r, []
-    n_rows, n_cols = len(r), len(r[0])
-    pivots: list[int] = []
-    piv_r = 0
-    for col in range(n_cols):
-        row = next((i for i in range(piv_r, n_rows) if r[i][col] != 0), None)
-        if row is None:
-            continue
-        r[piv_r], r[row] = r[row], r[piv_r]
-        inv = ONE / r[piv_r][col]
-        r[piv_r] = [x * inv for x in r[piv_r]]
-        for i in range(n_rows):
-            if i != piv_r and r[i][col] != 0:
-                f = r[i][col]
-                r[i] = [x - f * y for x, y in zip(r[i], r[piv_r])]
-        pivots.append(col)
-        piv_r += 1
-        if piv_r == n_rows:
-            break
-    return r, pivots
-
-
 def rank(m: Matrix) -> int:
     ech = Echelon()
     return sum(ech.insert(sparse(row)) for row in m)
@@ -96,31 +55,6 @@ def nullspace(m: Matrix) -> list[Vector]:
     for row in m:
         ech.insert(sparse(row))
     return [dense(v, range(n_cols)) for v in ech.kernel(range(n_cols))]
-
-
-def solve(m: Matrix, b: Vector) -> Vector | None:
-    """One solution of m x = b, or None if inconsistent.  Free variables are set to 0."""
-    if not m:
-        return [] if all(x == 0 for x in b) else None
-    n_cols = len(m[0])
-    aug = [row[:] + [bv] for row, bv in zip(m, b)]
-    r, pivots = rref(aug)
-    if n_cols in pivots:
-        return None
-    x = [ZERO] * n_cols
-    for prow, pcol in enumerate(pivots):
-        x[pcol] = r[prow][n_cols]
-    return x
-
-
-def invert(m: Matrix) -> Matrix:
-    """Inverse of a square invertible matrix; raises ValueError if singular."""
-    n = len(m)
-    aug = [row[:] + irow[:] for row, irow in zip(m, identity(n))]
-    r, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in r]
 
 
 def in_span(basis: list[Vector], v: Vector) -> bool:

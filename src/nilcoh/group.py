@@ -11,6 +11,7 @@ rejection from the bounding box.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import wraps
 from math import lcm
 
 import numpy as np
@@ -121,6 +122,25 @@ def sample_ball_coords(
         accepted.append(keep)
         have += keep.shape[1]
     return np.concatenate(accepted, axis=1)[:, :count]
+
+
+def cloud_mean(cloud: np.ndarray, values):
+    """Monte Carlo mean and standard error of ``values`` over a sample cloud.
+
+    ``values(coords)`` maps a (dim, n) slice of the cloud to an array whose
+    last axis is the sample axis; each leading index is its own estimate.
+    The slices are the fixed chunks of ``rng.chunked_sums``, so the result
+    depends only on the cloud and ``values``.
+    """
+
+    @wraps(values)  # chunk work is credited to the caller's module by tracers
+    def evaluate(start: int, stop: int):
+        v = values(cloud[:, start:stop])
+        return [v, v * v]
+
+    count = cloud.shape[1]
+    total, total_sq = rng.chunked_sums(evaluate, count)
+    return rng.mean_and_stderr(total, total_sq, count)
 
 
 def sample_ball(

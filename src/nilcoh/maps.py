@@ -56,6 +56,17 @@ def map_from_texts(domain: LieAlgebra, codomain: LieAlgebra, texts) -> SmoothMap
     return SmoothMap(domain, codomain, tuple(dsl.parse(t) for t in texts))
 
 
+def warn_once(sink: list[str]):
+    """A ``warn`` callback for the evaluators below that appends each
+    distinct message to ``sink`` once."""
+
+    def warn(msg: str):
+        if msg not in sink:
+            sink.append(msg)
+
+    return warn
+
+
 def _raw_batch(m: SmoothMap, coords: np.ndarray, warn=None) -> np.ndarray:
     """Components + shift on a (n, N) batch, before any action translation."""
     count = coords.shape[1]

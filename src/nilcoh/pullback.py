@@ -10,8 +10,9 @@ comparing class products against averaged products probes the ring
 homomorphism property.
 
 One point cloud is drawn per (seed, radius) and shared by every coefficient,
-so linearity of the estimator holds exactly and reruns are bit-identical
-for any thread count.
+so linearity of the estimator holds exactly; ``group.cloud_mean`` averages
+over it.  Evaluation is serial and reruns are bit-identical.  The public
+functions accept ``threads`` for compatibility and ignore it.
 """
 
 from __future__ import annotations
@@ -20,12 +21,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import rng
 from .algebra import LieAlgebra
 from .cohomology import CohomologyRing, cohomology
 from .forms import KForm, basis_tuples, ce_differential, wedge
-from .group import BallSpec, sample_ball_coords
-from .maps import SmoothMap, differential_batch, normalize_to_y0
+from .group import BallSpec, cloud_mean, sample_ball_coords
+from .maps import SmoothMap, differential_batch, normalize_to_y0, warn_once
 
 DEFAULT_RADII = tuple(4.0 * 2 ** k for k in range(6))
 
@@ -70,24 +70,34 @@ def pullback_eval(m: SmoothMap, omega: KForm, lam: tuple[int, ...], g) -> float:
         raise ValueError("frame tuple length must equal the form degree")
     coords = np.array([float(c) for c in _coords(g)], dtype=float)[:, None]
     _, mats = differential_batch(m, coords)
-    return float(_contract(mats, omega, lam)[0])
+    return float(_coefficient_rows(mats, [(omega, lam)])[0, 0])
 
 
 def _coords(g):
     return g.coords if hasattr(g, "coords") else tuple(g)
 
 
-def _contract(mats: np.ndarray, omega: KForm, lam: tuple[int, ...]) -> np.ndarray:
-    """omega evaluated on pushed-forward frame columns lam; mats is (N, m, n)."""
-    if omega.degree == 0:
-        c = float(omega.coeffs.get((), 0.0))
-        return np.full(mats.shape[0], c)
-    total = np.zeros(mats.shape[0])
-    cols = list(lam)
-    for rows, c in omega.coeffs.items():
-        minor = mats[:, list(rows), :][:, :, cols]
-        total += float(c) * np.linalg.det(minor)
-    return total
+def _coefficient_rows(mats: np.ndarray, pairs: list[tuple[KForm, tuple[int, ...]]]) -> np.ndarray:
+    """Row r is omega on the pushed-forward frame columns lam, for
+    (omega, lam) = pairs[r].
+
+    ``mats`` is (N, m, n); each k x k minor is computed once and shared by
+    every pair that needs it.
+    """
+    out = np.empty((len(pairs), mats.shape[0]))
+    minors: dict[tuple[tuple[int, ...], tuple[int, ...]], np.ndarray] = {}
+    for row, (omega, lam) in enumerate(pairs):
+        if omega.degree == 0:
+            out[row] = float(omega.coeffs.get((), 0.0))
+            continue
+        acc = np.zeros(mats.shape[0])
+        for rows_idx, c in omega.coeffs.items():
+            key = (rows_idx, lam)
+            if key not in minors:
+                minors[key] = np.linalg.det(mats[:, list(rows_idx), :][:, :, list(lam)])
+            acc += float(c) * minors[key]
+        out[row] = acc
+    return out
 
 
 def _averaged_coefficients(
@@ -97,7 +107,6 @@ def _averaged_coefficients(
     samples: int,
     seed: int,
     shape: str,
-    threads: int,
     warnings: list[str],
 ):
     """Ball-average every coefficient of every form in one pass over one cloud.
@@ -108,38 +117,16 @@ def _averaged_coefficients(
     cloud = sample_ball_coords(dom, BallSpec(radius, shape), samples, seed, tags=("avg",))
     degrees = sorted({w.degree for w in omegas})
     lambdas = {k: basis_tuples(dom.dim, k) for k in degrees}
-    pairs: list[tuple[int, tuple[int, ...]]] = [
-        (wi, lam) for wi, w in enumerate(omegas) for lam in lambdas[w.degree]
-    ]
-
-    def warn(msg: str):
-        if msg not in warnings:
-            warnings.append(msg)
-
+    pairs = [(w, lam) for w in omegas for lam in lambdas[w.degree]]
+    warn = warn_once(warnings)
     chunk_derivative_max: list[float] = []
 
-    def evaluate(start: int, stop: int):
-        _, mats = differential_batch(m, cloud[:, start:stop], warn)
+    def coefficients(coords: np.ndarray) -> np.ndarray:
+        _, mats = differential_batch(m, coords, warn)
         chunk_derivative_max.append(float(np.max(np.abs(mats))))
-        vals = np.empty((len(pairs), stop - start))
-        minors: dict[tuple[tuple[int, ...], tuple[int, ...]], np.ndarray] = {}
-        for row, (wi, lam) in enumerate(pairs):
-            w = omegas[wi]
-            if w.degree == 0:
-                vals[row] = float(w.coeffs.get((), 0.0))
-                continue
-            acc = np.zeros(stop - start)
-            for rows_idx, c in w.coeffs.items():
-                key = (rows_idx, lam)
-                if key not in minors:
-                    sub = mats[:, list(rows_idx), :][:, :, list(lam)]
-                    minors[key] = np.linalg.det(sub)
-                acc += float(c) * minors[key]
-            vals[row] = acc
-        return [vals, vals * vals]
+        return _coefficient_rows(mats, pairs)
 
-    total, total_sq = rng.chunked_sums(evaluate, samples, threads=threads)
-    mean, stderr = rng.mean_and_stderr(total, total_sq, samples)
+    mean, stderr = cloud_mean(cloud, coefficients)
 
     out = []
     row = 0
@@ -173,9 +160,7 @@ def amenable_average(
     stderrs: list[dict] = []
     deriv_bound = 0.0
     for r in radii:
-        (coeffs,), deriv = _averaged_coefficients(
-            m, [omega], r, samples, seed, shape, threads, warnings
-        )
+        (coeffs,), deriv = _averaged_coefficients(m, [omega], r, samples, seed, shape, warnings)
         deriv_bound = max(deriv_bound, deriv)
         values.append(_form_of(m.domain, omega.degree, coeffs))
         stderrs.append({lam: se for lam, (_, se) in coeffs.items()})
@@ -269,9 +254,7 @@ def induced_cohomology_map(
     per_radius = []
     deriv_bound = 0.0
     for r in radii:
-        coeffs_at_r, deriv = _averaged_coefficients(
-            m, all_forms, r, samples, seed, shape, threads, warnings
-        )
+        coeffs_at_r, deriv = _averaged_coefficients(m, all_forms, r, samples, seed, shape, warnings)
         deriv_bound = max(deriv_bound, deriv)
         per_radius.append(coeffs_at_r)
 
@@ -344,9 +327,7 @@ def homomorphism_check(
 ) -> HomomorphismReport:
     """Induced map plus multiplicativity residuals:
     class(avg(w1 ^ w2)) versus class(avg w1) cup class(avg w2)."""
-    return induced_cohomology_map(
-        m, radii, samples, seed, shape=shape, threads=threads, with_products=True
-    )
+    return induced_cohomology_map(m, radii, samples, seed, shape=shape, with_products=True)
 
 
 def _cup_combination(ring: CohomologyRing, k: int, l: int, vi, vj) -> list[float]:
@@ -389,11 +370,9 @@ def exact_homomorphism_pullback(m: SmoothMap, omega: KForm) -> KForm:
     m = normalize_to_y0(m)
     coords = np.zeros((m.domain.dim, 1))
     _, mats = differential_batch(m, coords)
-    out = {}
-    for lam in basis_tuples(m.domain.dim, omega.degree):
-        v = float(_contract(mats, omega, lam)[0])
-        if v != 0.0:
-            out[lam] = v
+    lambdas = basis_tuples(m.domain.dim, omega.degree)
+    values = _coefficient_rows(mats, [(omega, lam) for lam in lambdas])[:, 0]
+    out = {lam: float(v) for lam, v in zip(lambdas, values) if v != 0.0}
     return KForm(m.domain, omega.degree, out)
 
 
@@ -413,17 +392,15 @@ def amenable_norm(
     """
     m = normalize_to_y0(m)
     radii = _check_radii(radii)
+
+    def squares(coords: np.ndarray) -> np.ndarray:
+        vals = observable.evaluate_batch(m, coords)
+        return vals * vals
+
     out = []
     for r in radii:
         cloud = sample_ball_coords(m.domain, BallSpec(r, shape), samples, seed, tags=("avg",))
-
-        def evaluate(start: int, stop: int):
-            vals = observable.evaluate_batch(m, cloud[:, start:stop])
-            sq = vals * vals
-            return [sq, sq * sq]
-
-        total_sq, total_4 = rng.chunked_sums(evaluate, samples, threads=threads)
-        mean_sq, se_sq = rng.mean_and_stderr(total_sq, total_4, samples)
+        mean_sq, se_sq = cloud_mean(cloud, squares)
         value = float(np.sqrt(max(mean_sq, 0.0)))
         stderr = float(se_sq / (2.0 * value)) if value > 0 else float(np.sqrt(max(se_sq, 0.0)))
         out.append({"radius": r, "value": value, "stderr": stderr})

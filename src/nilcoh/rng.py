@@ -1,16 +1,15 @@
-"""Seeded, splittable randomness and thread-count-independent reductions.
+"""Seeded, splittable randomness and the chunked Monte Carlo reduction.
 
 Streams are counter-based (Philox) with keys derived from (seed, tags), so
 every consumer draws from its own independent, reproducible stream.  Monte
 Carlo sums are accumulated per fixed-size chunk and combined with Kahan
-compensation in chunk order; the result is bit-identical for any number of
-worker threads, which only changes who evaluates each chunk.
+compensation in chunk order.  Evaluation is serial: a thread pool did not
+pay on small hosts, and the fixed partition keeps sums bit-identical anyway.
 """
 
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -25,24 +24,18 @@ def stream(seed: int, *tags) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def chunked_sums(evaluate, count: int, threads: int = 1, chunk: int = CHUNK) -> list[np.ndarray]:
+def chunked_sums(evaluate, count: int, chunk: int = CHUNK) -> list[np.ndarray]:
     """Sum evaluate(start, stop) over [0, count) deterministically.
 
     ``evaluate`` returns a sequence of float arrays whose last axis is the
     sample axis; the returned list holds their sums over all samples.  The
     chunk size is fixed, so the partition (and therefore the float rounding)
-    does not depend on ``threads``.
+    depends only on ``count``.
     """
-    segments = [(s, min(s + chunk, count)) for s in range(0, count, chunk)]
-    if threads > 1 and len(segments) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(lambda seg: evaluate(*seg), segments))
-    else:
-        partials = [evaluate(*seg) for seg in segments]
-
     sums: list[np.ndarray] | None = None
     comps: list[np.ndarray] | None = None
-    for part in partials:
+    for start in range(0, count, chunk):
+        part = evaluate(start, min(start + chunk, count))
         part_sums = [np.sum(np.asarray(p, dtype=float), axis=-1) for p in part]
         if sums is None:
             sums = part_sums

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from nilcoh import algebra
+from nilcoh.dsl import UnknownSymbolError
 from nilcoh.ergodic import (
     Observable,
     convergence_report,
@@ -57,6 +58,17 @@ def test_parse_observable_forms():
     assert obs.kind == "expression"
     with pytest.raises(ValueError):
         parse_observable("d31", 1, 2)
+
+
+def test_parse_observable_refuses_ambiguous_symbols_from_dimension_ten():
+    # d111 could be d(11,1) or d(1,11): it must be refused, not read as either
+    for text in ("d111", "d111 + d12", "d112sq"):
+        with pytest.raises(UnknownSymbolError):
+            parse_observable(text, 11, 11)
+    obs = parse_observable("d110 + d1111", 11, 11)  # only d(1,10) and d(11,11)
+    assert [c.index for c in (obs.expr.left, obs.expr.right)] == [9, 10 * 11 + 10]
+    obs = parse_observable("d111", 11, 1)  # d(1,11) does not exist here
+    assert obs.expr.index == 10
 
 
 def test_expression_observable_matches_components():

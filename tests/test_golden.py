@@ -1,10 +1,13 @@
-"""Pinned ``render_stable`` bytes of the exact-layer CLI reports.
+"""Pinned ``render_stable`` bytes of CLI reports.
 
-The files under ``golden/`` were written by ``nilcoh`` before the exact
-layer switched to reduction-based class coordinates and a lazy cup table;
-representatives, cup values and invariants must not move.  The algebras are
-saved under relative names so the echoed paths do not depend on the
-machine.
+The cohomology and compare files under ``golden/`` were written by
+``nilcoh`` before the exact layer switched to reduction-based class
+coordinates and a lazy cup table; representatives, cup values and
+invariants must not move.  The degree files were written before the degree
+layer moved to one batched root finder; on abelian maps its Newton
+iterates, roots and determinants are bit-identical to the old ones.  The
+algebras and maps are saved under relative names so the echoed paths do
+not depend on the machine.
 """
 
 import json
@@ -23,6 +26,15 @@ CASES = {
     "cohomology-h3": ["cohomology", "--algebra", "h3.json"],
     "cohomology-free2step3": ["cohomology", "--algebra", "free2step3.json"],
     "compare-r3-h3": ["compare", "--algebra-a", "r3.json", "--algebra-b", "h3.json"],
+    "degree-x-plus-sin": ["degree", "--map", "x-plus-sin.map.json", "--window", "R=10",
+                          "--target", "0.5"],
+    "degree-z3": ["degree", "--map", "z3.map.json", "--window", "R=2", "--target", "0.3,0.2",
+                  "--grid", "8"],
+}
+
+MAPS = {
+    "x-plus-sin.map.json": ("r1.json", ["x1 + sin(x1)"]),
+    "z3.map.json": ("r2.json", ["x1^3 - 3*x1*x2^2 + 0.1*x1", "3*x1^2*x2 - x2^3 + 0.1*x2"]),
 }
 
 
@@ -31,6 +43,11 @@ def stable_report(argv) -> str:
     save_algebra(algebra.heisenberg3(), "h3.json")
     save_algebra(algebra.abelian(3), "r3.json")
     save_algebra(algebra.free_nilpotent_two_step(3), "free2step3.json")
+    save_algebra(algebra.abelian(1), "r1.json")
+    save_algebra(algebra.abelian(2), "r2.json")
+    for name, (alg, components) in MAPS.items():
+        with open(name, "w", encoding="utf-8") as fh:
+            json.dump({"domain": alg, "codomain": alg, "components": components}, fh)
     assert main(argv + ["--out", "report.json"], quiet=True) == 0
     with open("report.json", encoding="utf-8") as fh:
         return render_stable(json.load(fh))

@@ -12,7 +12,8 @@ with left-nested commutators of the word ``x..xy..y...``; words whose last
 two letters agree vanish and are skipped.  From the product polynomial we
 derive, also exactly: the translation Jacobian d(a.y)/dy, the left-invariant
 frame (its value at y = 0), and the inverse frame (a terminating Neumann
-series, since the frame is unipotent in the filtration grading).
+series, since the frame is unipotent in the filtration grading; a series
+that does not terminate raises ``IllConditionedFrame``).
 
 Evaluation is generic: exact on Fractions, vectorized on numpy arrays.
 """
@@ -28,6 +29,11 @@ import numpy as np
 from .algebra import DerivedCache, LieAlgebra
 
 ExpKey = tuple[int, ...]
+
+
+class IllConditionedFrame(ValueError):
+    """The frame polynomial matrix is not unipotent; valid nilpotent group
+    data always has unipotent frames (det = 1), so the algebra is corrupt."""
 
 
 class Poly:
@@ -328,6 +334,8 @@ def group_law(alg: LieAlgebra) -> GroupLaw:
             for j in range(n):
                 inv[i][j] = inv[i][j] + power[i][j].scale(sign)
         sign = -sign
+    else:
+        raise IllConditionedFrame(f"frame - I has a nonzero {n}-th power; the algebra data is corrupt")
 
     law = GroupLaw(algebra=alg, product=product, trans_jac=trans, frame=frame, inv_frame=inv)
     _LAW_CACHE[alg] = law

@@ -1,16 +1,18 @@
 """Topological degree, area-formula residuals, and asymptotic degree.
 
 The local degree at a regular target is the sign sum of Jacobian
-determinants over located preimages.  Preimages are found by damped Newton
-iteration from a regular grid of starts; capture is therefore heuristic,
-so every result carries the grid density and a repeat-with-denser-grid
-stability flag.  Near-singular targets are retried with small perturbations
-(at most three, each within 1% of the window radius), mirroring the
-regular-value definition of the degree for non-regular targets.
-
-The determinant of the frame differential equals the coordinate Jacobian
-determinant (frames are unipotent), so orientation counts agree with the
-coordinate picture.
+determinants over located preimages.  One engine serves ``local_degree``
+(one target) and ``area_formula_check`` (a batch of targets per chunk):
+damped Newton from a regular grid of starts on every (target, start)
+column, on values and the coordinate Jacobian only (frames are unipotent,
+so its determinant is that of the frame differential), then a greedy dedupe
+in start order: a converged point strictly inside the window box is kept
+unless it lies within ``DEDUPE_TOL`` (max-norm) of a root already kept.
+Capture is heuristic, so every result carries the grid density and a
+repeat-with-denser-grid stability flag.  Near-singular targets are retried
+with small perturbations (at most three, each within 1% of the window
+radius), mirroring the regular-value definition of the degree for
+non-regular targets.
 
 Evaluation is serial; the public functions accept ``threads`` for
 compatibility and ignore it.
@@ -25,7 +27,7 @@ import numpy as np
 from . import rng
 from .forms import volume_form
 from .group import BallSpec, box_volume, cloud_mean, sample_ball_coords
-from .maps import SmoothMap, differential_batch, evaluate_batch, normalize_to_y0
+from .maps import SmoothMap, differential_batch, evaluate_batch, jacobian_batch, normalize_to_y0
 from .pullback import _averaged_coefficients, _check_radii
 
 NEWTON_TOL = 1e-10
@@ -94,57 +96,82 @@ def _boundary_cloud(m: SmoothMap, window: BallSpec, seed: int, per_face: int = 2
     return evaluate_batch(m, boundary)
 
 
+def _boundary_margin(boundary_vals: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Max-norm distance from each target column (n, T) to the boundary image."""
+    return np.min(np.max(np.abs(boundary_vals[:, :, None] - targets[:, None, :]), axis=0), axis=0)
+
+
 def _newton_roots(m: SmoothMap, starts: np.ndarray, targets: np.ndarray):
     """Damped Newton on every (start, target) column pair.
 
     ``starts`` is (n, S) and ``targets`` (n, S): one target per column.
-    Returns (points, converged mask, determinant at the points).
+    Returns (points, converged mask, coordinate Jacobians at the points).
     """
     x = starts.copy()
     alive = np.ones(x.shape[1], dtype=bool)
-    for _ in range(NEWTON_MAX_ITER):
-        vals, mats = differential_batch(m, x)
+    for iteration in range(NEWTON_MAX_ITER + 1):
+        vals, jacs = jacobian_batch(m, x)
         resid = vals - targets
         rnorm = np.max(np.abs(resid), axis=0)
-        done = rnorm <= NEWTON_TOL
-        active = alive & ~done
-        if not np.any(active):
-            break
-        dets = np.linalg.det(mats[active])
-        idx = np.flatnonzero(active)
-        solvable = np.abs(dets) > 1e-300
+        idx = np.flatnonzero(alive & (rnorm > NEWTON_TOL))
+        solvable = np.abs(np.linalg.det(jacs[idx])) > 1e-300
         alive[idx[~solvable]] = False
         idx = idx[solvable]
-        if idx.size == 0:
+        if iteration == NEWTON_MAX_ITER or idx.size == 0:
             break
-        step = np.linalg.solve(mats[idx], resid[:, idx].T[:, :, None])[:, :, 0].T
-        accepted = np.zeros(idx.size, dtype=bool)
+        step = np.linalg.solve(jacs[idx], resid[:, idx].T[:, :, None])[:, :, 0].T
         for alpha in (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125):
             trial = x[:, idx] - alpha * step
-            tnorm = np.max(np.abs(evaluate_batch(m, trial) - targets[:, idx]), axis=0)
-            better = ~accepted & (tnorm < rnorm[idx])
+            better = np.max(np.abs(evaluate_batch(m, trial) - targets[:, idx]), axis=0) < rnorm[idx]
             x[:, idx[better]] = trial[:, better]
-            accepted |= better
-            if np.all(accepted):
+            idx, step = idx[~better], step[:, ~better]
+            if idx.size == 0:
                 break
-        alive[idx[~accepted]] = False
-    vals, mats = differential_batch(m, x)
-    converged = np.max(np.abs(vals - targets), axis=0) <= NEWTON_TOL
-    return x, converged, np.linalg.det(mats)
+        alive[idx] = False
+    return x, rnorm <= NEWTON_TOL, jacs
 
 
-def _collect_preimages(points: np.ndarray, converged: np.ndarray, dets: np.ndarray, scales: np.ndarray):
-    """Dedupe converged points strictly inside the open window box."""
+def _greedy_dedupe(points: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    """Keep mask of the greedy per-target dedupe of (n, T, S) points.
+
+    ``candidates`` (T, S) marks the points that may be kept.  Each round keeps
+    the first remaining candidate of every target and drops that target's
+    candidates within ``DEDUPE_TOL`` of it: a point is kept exactly when no
+    earlier kept root of its target lies that close.
+    """
+    keep = np.zeros_like(candidates)
+    pending = candidates.copy()
+    rows = np.flatnonzero(pending.any(axis=1))
+    while rows.size:
+        first = np.argmax(pending[rows], axis=1)
+        keep[rows, first] = True
+        root = points[:, rows, first]
+        pending[rows] &= np.max(np.abs(points[:, rows] - root[:, :, None]), axis=0) > DEDUPE_TOL
+        rows = rows[pending[rows].any(axis=1)]
+    return keep
+
+
+def _preimages(m: SmoothMap, targets: np.ndarray, scales: np.ndarray, grid_density: int):
+    """Preimages inside the open window box of each target column (n, T).
+
+    Returns (degrees, singular, roots, dets): per target the sign sum of the
+    Jacobian determinants and whether any is below ``SINGULAR_MARGIN``; per
+    kept root, in target-then-start order, its coordinates (n, K) and its
+    determinant.
+    """
+    starts = _grid_starts(scales, grid_density)
+    n, n_starts = starts.shape
+    count = targets.shape[1]
+    points, converged, jacs = _newton_roots(
+        m, np.tile(starts, (1, count)), np.repeat(targets, n_starts, axis=1)
+    )
     inside = converged & np.all(np.abs(points) < scales[:, None] * (1 - 1e-12), axis=0)
-    roots: list[np.ndarray] = []
-    margins: list[float] = []
-    for c in np.flatnonzero(inside):
-        p = points[:, c]
-        if any(np.max(np.abs(p - q)) <= DEDUPE_TOL for q in roots):
-            continue
-        roots.append(p)
-        margins.append(float(dets[c]))
-    return roots, margins
+    keep = _greedy_dedupe(points.reshape(n, count, n_starts), inside.reshape(count, n_starts))
+    cols = np.flatnonzero(keep)
+    owner, dets = cols // n_starts, np.linalg.det(jacs[cols])
+    degrees = np.bincount(owner, np.where(dets > 0, 1.0, -1.0), count)
+    singular = np.bincount(owner, ~(np.abs(dets) >= SINGULAR_MARGIN), count) > 0
+    return degrees, singular, points[:, cols], dets
 
 
 def local_degree(
@@ -169,28 +196,27 @@ def local_degree(
 
     target_now = np.array(requested)
     for attempt in range(4):
-        margin = float(np.min(np.max(np.abs(boundary_vals - target_now[:, None]), axis=0)))
+        column = target_now[:, None]
+        margin = float(_boundary_margin(boundary_vals, column)[0])
         if margin <= BOUNDARY_MARGIN:
             raise BoundaryTooClose(
                 f"target {tuple(target_now)} lies within {BOUNDARY_MARGIN:g} of the sampled "
                 f"boundary image (margin {margin:.3e})"
             )
-        roots, margins = _find_roots(m, window, target_now, grid_density, scales)
-        if all(abs(d) >= SINGULAR_MARGIN for d in margins):
-            roots2, margins2 = _find_roots(m, window, target_now, 2 * grid_density, scales)
-            deg = sum(1 if d > 0 else -1 for d in margins)
-            deg2 = sum(1 if d > 0 else -1 for d in margins2)
+        degree, singular, roots, dets = _preimages(m, column, scales, grid_density)
+        if not singular[0]:
+            degree2, _, roots2, _ = _preimages(m, column, scales, 2 * grid_density)
             return DegreeResult(
-                value=deg,
+                value=int(degree[0]),
                 target=tuple(float(v) for v in target_now),
                 requested_target=requested,
                 window=window,
-                preimage_count=len(roots),
-                min_jacobian_margin=min((abs(d) for d in margins), default=float("inf")),
+                preimage_count=roots.shape[1],
+                min_jacobian_margin=float(np.min(np.abs(dets), initial=np.inf)),
                 grid_density=grid_density,
-                stable_under_refinement=(deg == deg2 and len(roots) == len(roots2)),
+                stable_under_refinement=(degree[0], roots.shape[1]) == (degree2[0], roots2.shape[1]),
                 retries=attempt,
-                preimages=[tuple(float(v) for v in r) for r in roots],
+                preimages=[tuple(float(v) for v in r) for r in roots.T],
             )
         # near-singular preimage: nudge the target within the same component
         target_now = np.array(requested) + gen.uniform(-1.0, 1.0, size=len(requested)) * (
@@ -199,13 +225,6 @@ def local_degree(
     raise SingularTarget(
         f"all retries hit preimages with |det| < {SINGULAR_MARGIN:g} near target {requested}"
     )
-
-
-def _find_roots(m, window, target, grid_density, scales):
-    starts = _grid_starts(scales, grid_density)
-    targets = np.repeat(np.asarray(target, dtype=float)[:, None], starts.shape[1], axis=1)
-    points, converged, dets = _newton_roots(m, starts, targets)
-    return _collect_preimages(points, converged, dets, scales)
 
 
 def area_formula_check(
@@ -250,42 +269,14 @@ def area_formula_check(
     gen = rng.stream(seed, "area-rhs", float(window.radius))
     targets = gen.uniform(0.0, 1.0, size=(m.codomain.dim, samples)) * (hi - lo)[:, None] + lo[:, None]
 
-    starts = _grid_starts(scales, grid_density)
-    n_starts = starts.shape[1]
-    chunk = max(1, rng.CHUNK // max(1, n_starts))
-
-    def degree_chunk(start, stop):
-        t = targets[:, start:stop]
-        count = stop - start
-        near = (
-            np.min(
-                np.max(np.abs(boundary_vals[:, :, None] - t[:, None, :]), axis=0), axis=0
-            )
-            <= BOUNDARY_MARGIN
-        )
-        tiled_targets = np.repeat(t, n_starts, axis=1)
-        tiled_starts = np.tile(starts, (1, count))
-        points, converged, dets = _newton_roots(m, tiled_starts, tiled_targets)
-        degs = np.zeros(count)
-        valid = np.ones(count, dtype=bool)
-        for k in range(count):
-            if near[k]:
-                valid[k] = False
-                continue
-            sl = slice(k * n_starts, (k + 1) * n_starts)
-            roots, margins = _collect_preimages(
-                points[:, sl], converged[sl], dets[sl], scales
-            )
-            if any(abs(d) < SINGULAR_MARGIN for d in margins):
-                valid[k] = False
-                continue
-            degs[k] = sum(1 if d > 0 else -1 for d in margins)
-        return degs, valid, near
-
-    parts = [degree_chunk(s, min(s + chunk, samples)) for s in range(0, samples, chunk)]
-    degs = np.concatenate([p[0] for p in parts])
-    valid = np.concatenate([p[1] for p in parts])
-    near = np.concatenate([p[2] for p in parts])
+    chunk = max(1, rng.CHUNK // grid_density ** m.domain.dim)
+    parts = []
+    for start in range(0, samples, chunk):
+        t = targets[:, start : start + chunk]
+        degrees, singular, _, _ = _preimages(m, t, scales, grid_density)
+        parts.append((degrees, singular, _boundary_margin(boundary_vals, t) <= BOUNDARY_MARGIN))
+    degs, singular, near = (np.concatenate(p) for p in zip(*parts))
+    valid = ~near & ~singular
 
     n_valid = int(np.sum(valid))
     mean_deg = float(np.mean(degs[valid])) if n_valid else 0.0

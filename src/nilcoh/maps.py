@@ -22,7 +22,7 @@ import numpy as np
 
 from . import dsl
 from .algebra import LieAlgebra, algebra_from_dict, load_algebra
-from .bch import group_law
+from .bch import IllConditionedFrame, group_law  # IllConditionedFrame is re-exported
 from .group import GroupPoint
 from .jets import Jet
 
@@ -130,36 +130,30 @@ def evaluate(m: SmoothMap, g, warn=None) -> GroupPoint:
     return GroupPoint(m.codomain, tuple(float(v) for v in out[:, 0]))
 
 
-class IllConditionedFrame(ValueError):
-    """A sampled frame determinant collapsed; valid nilpotent group data has
-    unipotent frames (det = 1), so this indicates corrupt algebra input."""
+def jacobian_batch(m: SmoothMap, coords: np.ndarray, warn=None):
+    """Values and coordinate Jacobian d f_a / d x_b on a batch: (values (m, N),
+    jacobians (N, m, n)); its determinant is that of the frame differential."""
+    coords = np.asarray(coords, dtype=float)
+    if m.action is None:
+        return _raw_jet_batch(m, coords, warn)
+    dom_law = group_law(m.domain)
+    cod_law = group_law(m.codomain)
+    base = np.array(m.action)
+    moved = dom_law.multiply_batch(base, coords)
+    at_action = _raw_batch(m, base[:, None], warn)[:, 0]
+    inner_vals, inner_jac = _raw_jet_batch(m, moved, warn)
+    values = cod_law.multiply_batch(-at_action, inner_vals)
+    t_out = cod_law.translation_jacobian_batch(-at_action, inner_vals)
+    t_in = dom_law.translation_jacobian_batch(base, coords)
+    return values, t_out @ inner_jac @ t_in
 
 
 def differential_batch(m: SmoothMap, coords: np.ndarray, warn=None):
-    """Frame-to-frame differential on a batch: (values (m, N), matrices (N, m, n))."""
-    coords = np.asarray(coords, dtype=float)
-    dom_law = group_law(m.domain)
-    cod_law = group_law(m.codomain)
-    if m.action is None:
-        values, jac = _raw_jet_batch(m, coords, warn)
-    else:
-        base = np.array(m.action)
-        moved = dom_law.multiply_batch(base, coords)
-        at_action = _raw_batch(m, base[:, None], warn)[:, 0]
-        inner_vals, inner_jac = _raw_jet_batch(m, moved, warn)
-        values = cod_law.multiply_batch(-at_action, inner_vals)
-        t_out = cod_law.translation_jacobian_batch(-at_action, inner_vals)
-        t_in = dom_law.translation_jacobian_batch(base, coords)
-        jac = t_out @ inner_jac @ t_in
-    frames = dom_law.frame_batch(coords)
-    dets = np.abs(np.linalg.det(frames))
-    if np.any(dets < 1e-12):
-        bad = int(np.argmax(dets < 1e-12))
-        raise IllConditionedFrame(
-            f"frame determinant {dets[bad]:.3e} at sample {bad}; "
-            "nilpotent frames are unipotent, so the algebra data is corrupt"
-        )
-    inv_frames = cod_law.inv_frame_batch(values)
+    """Frame-to-frame differential on a batch: (values (m, N), matrices (N, m, n)),
+    the coordinate Jacobian between the domain frame and the inverse codomain frame."""
+    values, jac = jacobian_batch(m, coords, warn)
+    frames = group_law(m.domain).frame_batch(coords)
+    inv_frames = group_law(m.codomain).inv_frame_batch(values)
     return values, inv_frames @ jac @ frames
 
 

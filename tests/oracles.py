@@ -135,3 +135,21 @@ def dense_twin(alg, rng):
             if comps:
                 structure[(a, b)] = comps
     return validate_algebra(structure, n)
+
+
+def naive_preimages(points, converged, dets, scales, tol):
+    """Greedy dedupe of one target's Newton points, start by start: a
+    converged point strictly inside the window box is kept unless it lies
+    within ``tol`` (max-norm) of a point already kept.  Returns the kept
+    points and their determinants, in start order."""
+    import numpy as np
+
+    inside = converged & np.all(np.abs(points) < scales[:, None] * (1 - 1e-12), axis=0)
+    roots, margins = [], []
+    for c in np.flatnonzero(inside):
+        p = points[:, c]
+        if any(np.max(np.abs(p - q)) <= tol for q in roots):
+            continue
+        roots.append(p)
+        margins.append(float(dets[c]))
+    return roots, margins

@@ -164,3 +164,20 @@ def test_batch_multiply_matches_scalar():
     for i in range(5):
         single = law.multiply(list(a[:, i]), list(b[:, i]))
         assert np.allclose(batch[:, i], single)
+
+
+def test_group_law_refuses_non_unipotent_frames():
+    # unvalidated non-nilpotent structure constants: frame - I is not
+    # nilpotent, so the Neumann series for the inverse frame never ends
+    from nilcoh.algebra import LieAlgebra
+    from nilcoh.bch import IllConditionedFrame
+
+    fake = LieAlgebra(
+        dim=2,
+        basis_names=("e1", "e2"),
+        structure={(0, 1): {0: Fraction(1)}},
+        lcs=(2, 1, 0),
+        weights=(1, 1),
+    )
+    with pytest.raises(IllConditionedFrame):
+        group_law(fake)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from oracles import naive_preimages
 
-from nilcoh import algebra
+from nilcoh import algebra, degree
 from nilcoh.degree import (
+    DEDUPE_TOL,
     BoundaryTooClose,
     area_formula_check,
     asymptotic_degree,
@@ -10,7 +12,7 @@ from nilcoh.degree import (
     qi_distortion_probe,
 )
 from nilcoh.group import BallSpec
-from nilcoh.maps import map_from_texts, normalize_to_y0
+from nilcoh.maps import evaluate_batch, map_from_texts, normalize_to_y0
 
 R1 = algebra.abelian(1)
 R2 = algebra.abelian(2)
@@ -169,3 +171,74 @@ def test_degree_result_window_field():
     res = local_degree(ident, BallSpec(3.0), (0.25,))
     assert res.window.radius == 3.0
     assert res.requested_target == (0.25,)
+
+
+def test_greedy_dedupe_matches_the_start_by_start_loop():
+    # clusters of points around a few roots per target, offset along one axis
+    # by multiples of DEDUPE_TOL just inside and just outside the tolerance,
+    # so chains (a - b close, b - c close, a - c far) exercise the greedy order
+    gen = np.random.default_rng(3)
+    n, count, n_starts = 2, 60, 64
+    scales = np.array([2.0, 4.0])
+    offsets = DEDUPE_TOL * np.array([0.0, 0.5, 0.999, 1.001, 1.5, 1.9, 2.5])
+    for _ in range(5):
+        centers = gen.uniform(-1.0, 1.0, size=(n, count, 3)) * scales[:, None, None]
+        points = centers[:, np.arange(count)[:, None], gen.integers(0, 3, size=(count, n_starts))]
+        axis = gen.integers(0, n, size=(count, n_starts))
+        shift = gen.choice(offsets, size=(count, n_starts)) * gen.choice([-1.0, 1.0], size=(count, n_starts))
+        for i in range(n):
+            points[i] += np.where(axis == i, shift, 0.0)
+        points[0, :, :4] = scales[0] * np.array([1.0, -1.0, 1 - 1e-13, 0.5])  # on / near the box
+        converged = gen.random((count, n_starts)) < 0.8
+        dets = gen.normal(size=(count, n_starts))
+        inside = converged & np.all(np.abs(points) < scales[:, None, None] * (1 - 1e-12), axis=0)
+        keep = degree._greedy_dedupe(points, inside)
+        for t in range(count):
+            roots, margins = naive_preimages(points[:, t], converged[t], dets[t], scales, DEDUPE_TOL)
+            kept = np.flatnonzero(keep[t])
+            assert [list(r) for r in roots] == points[:, t, kept].T.tolist()
+            assert margins == dets[t, kept].tolist()
+
+
+def test_area_formula_degrees_match_local_degree(monkeypatch):
+    # batch independence: every target the area check counts gets the degree
+    # local_degree finds for it alone
+    m = map_from_texts(R2, R2, ["x1^3 - 3*x1*x2^2 + 0.1*x1", "3*x1^2*x2 - x2^3 + 0.1*x2"])
+    seen = []
+    engine = degree._preimages
+
+    def recording(mm, targets, scales, grid_density):
+        out = engine(mm, targets, scales, grid_density)
+        seen.append((targets, out[0], out[1]))
+        return out
+
+    monkeypatch.setattr(degree, "_preimages", recording)
+    out = area_formula_check(m, 1.0, samples=60, seed=5)
+    monkeypatch.undo()
+    batch = [c for c in seen if c[0].shape[1] == 60]
+    assert len(batch) == 1
+    targets, degrees, singular = batch[0]
+    checked = 0
+    for k in np.flatnonzero(~singular):
+        t = tuple(targets[:, k])
+        try:
+            res = local_degree(m, 1.0, t, seed=5)
+        except BoundaryTooClose:
+            continue
+        if res.retries == 0:
+            assert res.value == degrees[k]
+            checked += 1
+    assert checked >= 50
+    assert out["targets_skipped_singular"] == int(np.sum(singular))
+
+
+@pytest.mark.parametrize("texts", [["2*x1", "x2", "2*x3"], ["x1 + 0.3*sin(x2)", "x2", "x3 + 0.2*x1^2"]])
+def test_local_degree_on_heisenberg_maps(texts):
+    m = map_from_texts(H3, H3, texts)
+    target = (0.1, 0.2, 0.3)
+    res = local_degree(m, 2.0, target)
+    assert res.value == 1
+    assert res.preimage_count == 1
+    assert res.stable_under_refinement
+    image = evaluate_batch(normalize_to_y0(m), np.array(res.preimages).T)[:, 0]
+    assert np.max(np.abs(image - np.array(target))) <= 1e-9

@@ -130,17 +130,27 @@ def cloud_mean(cloud: np.ndarray, values):
     ``values(coords)`` maps a (dim, n) slice of the cloud to an array whose
     last axis is the sample axis; each leading index is its own estimate.
     The slices are the fixed chunks of ``rng.chunked_sums``, so the result
-    depends only on the cloud and ``values``.
+    depends only on the cloud and ``values``.  The variance is summed on
+    values shifted by the first chunk's mean, so a large mean does not
+    cancel it away.
     """
+    shift = None
 
     @wraps(values)  # chunk work is credited to the caller's module by tracers
     def evaluate(start: int, stop: int):
+        nonlocal shift
         v = values(cloud[:, start:stop])
-        return [v, v * v]
+        if shift is None:  # chunks run serially, in order
+            shift = np.mean(v, axis=-1, keepdims=True)
+        d = v - shift
+        # sum d now so that d can take d * d in place: no third chunk-sized array
+        sum_d = np.sum(d, axis=-1, keepdims=True)
+        return [v, sum_d, np.square(d, out=d)]
 
     count = cloud.shape[1]
-    total, total_sq = rng.chunked_sums(evaluate, count)
-    return rng.mean_and_stderr(total, total_sq, count)
+    total, total_d, total_dd = rng.chunked_sums(evaluate, count)
+    _, stderr = rng.mean_and_stderr(total_d, total_dd, count)
+    return total / count, stderr
 
 
 def sample_ball(

@@ -51,7 +51,12 @@ def chunked_sums(evaluate, count: int, chunk: int = CHUNK) -> list[np.ndarray]:
 
 
 def mean_and_stderr(total: np.ndarray, total_sq: np.ndarray, count: int):
-    """Sample mean and standard error from sums of values and squares."""
+    """Sample mean and standard error from sums of values and squares.
+
+    The standard error does not change when every value is shifted by one
+    constant; shift by an estimate of the mean, or the subtraction below
+    cancels the variance away when the mean is large against the spread.
+    """
     mean = total / count
     if count > 1:
         var = (total_sq - count * mean * mean) / (count - 1)

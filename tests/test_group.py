@@ -6,6 +6,7 @@ from nilcoh.bch import group_law
 from nilcoh.group import (
     BallSpec,
     box_volume,
+    cloud_mean,
     estimate_ball_volume,
     homogeneous_gauge_batch,
     quasi_norm_batch,
@@ -92,3 +93,17 @@ def test_ball_spec_validation():
         BallSpec(-1.0)
     with pytest.raises(ValueError):
         BallSpec(1.0, "sphere")
+
+
+def test_cloud_mean_stderr_survives_a_large_offset():
+    # a spread of ~7e-4 on a mean of 1e6: summing raw squares cancels the
+    # whole variance in float64; the answer must match a two-pass estimate
+    cloud = sample_ball_coords(algebra.abelian(1), BallSpec(10.0), 20000, seed=0)
+
+    def values(coords):
+        return 1e6 + 0.001 * np.sin(coords[0])
+
+    mean, stderr = cloud_mean(cloud, values)
+    v = values(cloud)
+    assert mean == pytest.approx(np.mean(v), rel=1e-15)
+    assert stderr == pytest.approx(np.std(v, ddof=1) / np.sqrt(v.size), rel=1e-6)

@@ -335,7 +335,7 @@ def group_law(alg: LieAlgebra) -> GroupLaw:
                 inv[i][j] = inv[i][j] + power[i][j].scale(sign)
         sign = -sign
     else:
-        raise IllConditionedFrame(f"frame - I has a nonzero {n}-th power; the algebra data is corrupt")
+        raise IllConditionedFrame(f"frame - I has a nonzero {n}-th power: corrupt algebra data")
 
     law = GroupLaw(algebra=alg, product=product, trans_jac=trans, frame=frame, inv_frame=inv)
     _LAW_CACHE[alg] = law

@@ -205,16 +205,16 @@ def local_degree(
             )
         degree, singular, roots, dets = _preimages(m, column, scales, grid_density)
         if not singular[0]:
-            degree2, _, roots2, _ = _preimages(m, column, scales, 2 * grid_density)
+            degree2, _, _, dets2 = _preimages(m, column, scales, 2 * grid_density)
             return DegreeResult(
                 value=int(degree[0]),
                 target=tuple(float(v) for v in target_now),
                 requested_target=requested,
                 window=window,
-                preimage_count=roots.shape[1],
+                preimage_count=len(dets),
                 min_jacobian_margin=float(np.min(np.abs(dets), initial=np.inf)),
                 grid_density=grid_density,
-                stable_under_refinement=(degree[0], roots.shape[1]) == (degree2[0], roots2.shape[1]),
+                stable_under_refinement=(degree[0], len(dets)) == (degree2[0], len(dets2)),
                 retries=attempt,
                 preimages=[tuple(float(v) for v in r) for r in roots.T],
             )

@@ -9,6 +9,7 @@ sympy's exact rational elimination.
 from fractions import Fraction
 from itertools import combinations, permutations
 
+import numpy as np
 import sympy
 
 
@@ -142,8 +143,6 @@ def naive_preimages(points, converged, dets, scales, tol):
     converged point strictly inside the window box is kept unless it lies
     within ``tol`` (max-norm) of a point already kept.  Returns the kept
     points and their determinants, in start order."""
-    import numpy as np
-
     inside = converged & np.all(np.abs(points) < scales[:, None] * (1 - 1e-12), axis=0)
     roots, margins = [], []
     for c in np.flatnonzero(inside):

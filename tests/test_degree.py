@@ -185,7 +185,8 @@ def test_greedy_dedupe_matches_the_start_by_start_loop():
         centers = gen.uniform(-1.0, 1.0, size=(n, count, 3)) * scales[:, None, None]
         points = centers[:, np.arange(count)[:, None], gen.integers(0, 3, size=(count, n_starts))]
         axis = gen.integers(0, n, size=(count, n_starts))
-        shift = gen.choice(offsets, size=(count, n_starts)) * gen.choice([-1.0, 1.0], size=(count, n_starts))
+        sign = gen.choice([-1.0, 1.0], size=(count, n_starts))
+        shift = gen.choice(offsets, size=(count, n_starts)) * sign
         for i in range(n):
             points[i] += np.where(axis == i, shift, 0.0)
         points[0, :, :4] = scales[0] * np.array([1.0, -1.0, 1 - 1e-13, 0.5])  # on / near the box
@@ -232,7 +233,9 @@ def test_area_formula_degrees_match_local_degree(monkeypatch):
     assert out["targets_skipped_singular"] == int(np.sum(singular))
 
 
-@pytest.mark.parametrize("texts", [["2*x1", "x2", "2*x3"], ["x1 + 0.3*sin(x2)", "x2", "x3 + 0.2*x1^2"]])
+@pytest.mark.parametrize(
+    "texts", [["2*x1", "x2", "2*x3"], ["x1 + 0.3*sin(x2)", "x2", "x3 + 0.2*x1^2"]]
+)
 def test_local_degree_on_heisenberg_maps(texts):
     m = map_from_texts(H3, H3, texts)
     target = (0.1, 0.2, 0.3)

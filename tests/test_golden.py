@@ -6,6 +6,9 @@ coordinates and a lazy cup table; representatives, cup values and
 invariants must not move.  The degree files were written before the degree
 layer moved to one batched root finder; on abelian maps its Newton
 iterates, roots and determinants are bit-identical to the old ones.  The
+orbit and average files were written before acted and normalized maps
+shared one evaluator; the orbit case runs translated maps (one per
+basepoint) and the average case a non-abelian map with F(0) != 0.  The
 algebras and maps are saved under relative names so the echoed paths do
 not depend on the machine.
 """
@@ -30,11 +33,19 @@ CASES = {
                           "--target", "0.5"],
     "degree-z3": ["degree", "--map", "z3.map.json", "--window", "R=2", "--target", "0.3,0.2",
                   "--grid", "8"],
+    "orbit-f1": ["orbit", "--map", "f1.map.json", "--observables", "d12,d12sq,coord2@0.5",
+                 "--radii", "4,8,16", "--basepoints=0,1,3", "--samples", "2000"],
+    "average-h3-shifted": ["average", "--map", "h3-shifted.map.json", "--form", "e1^e3 - e2^e3",
+                           "--radii", "4,8,16", "--samples", "2000"],
 }
 
 MAPS = {
-    "x-plus-sin.map.json": ("r1.json", ["x1 + sin(x1)"]),
-    "z3.map.json": ("r2.json", ["x1^3 - 3*x1*x2^2 + 0.1*x1", "3*x1^2*x2 - x2^3 + 0.1*x2"]),
+    "x-plus-sin.map.json": ("r1.json", "r1.json", ["x1 + sin(x1)"]),
+    "z3.map.json": ("r2.json", "r2.json",
+                    ["x1^3 - 3*x1*x2^2 + 0.1*x1", "3*x1^2*x2 - x2^3 + 0.1*x2"]),
+    "f1.map.json": ("r1.json", "r2.json", ["x1", "sin(x1)"]),
+    "h3-shifted.map.json": ("h3.json", "h3.json",
+                            ["x1 + 0.3*sin(x2) + 1", "x2 - 0.5", "x3 + 0.2*x1^2 + 2"]),
 }
 
 
@@ -45,9 +56,9 @@ def stable_report(argv) -> str:
     save_algebra(algebra.free_nilpotent_two_step(3), "free2step3.json")
     save_algebra(algebra.abelian(1), "r1.json")
     save_algebra(algebra.abelian(2), "r2.json")
-    for name, (alg, components) in MAPS.items():
+    for name, (domain, codomain, components) in MAPS.items():
         with open(name, "w", encoding="utf-8") as fh:
-            json.dump({"domain": alg, "codomain": alg, "components": components}, fh)
+            json.dump({"domain": domain, "codomain": codomain, "components": components}, fh)
     assert main(argv + ["--out", "report.json"], quiet=True) == 0
     with open("report.json", encoding="utf-8") as fh:
         return render_stable(json.load(fh))

@@ -1,10 +1,10 @@
 """Cohomology of the Chevalley-Eilenberg complex, with cup products.
 
 Everything is exact rational linear algebra.  Each degree k is eliminated
-once: d_k is assembled sparsely, straight from the structure constants, and
-its reduced row echelon form gives both ker d_k (one basis vector per free
-column, over the lexicographic wedge basis) and the pivot columns whose
-images span the coboundaries of degree k+1.  Representatives are chosen
+once: d_k comes as sparse rows from ``forms`` (the rows ``ce_differential``
+applies), and its reduced row echelon form gives both ker d_k (one basis
+vector per free column, over the lexicographic wedge basis) and the pivot
+columns whose images span the coboundaries of degree k+1.  Representatives are chosen
 deterministically: an incremental echelon takes the coboundaries first, then
 the cocycles in kernel order, and a cocycle becomes a representative exactly
 when it is independent modulo what came before.
@@ -26,7 +26,7 @@ from functools import cached_property
 
 from . import exactlinalg as xl
 from .algebra import DerivedCache, LieAlgebra
-from .forms import Index, KForm, basis_tuples, form_from_vector, sort_with_sign, wedge
+from .forms import KForm, _differential_rows, basis_tuples, form_from_vector, wedge
 
 
 class DegreeOverflow(ValueError):
@@ -154,36 +154,6 @@ class CohomologyRing:
 
 
 _RING_CACHE = DerivedCache("cohomology")
-
-
-def _differential_rows(alg: LieAlgebra, k: int) -> dict[Index, xl.Sparse]:
-    """Sparse d_k by rows: {(k+1)-tuple T: {k-tuple S: (d e_S*)(e_T)}}.
-
-    One sweep over the (k+1)-tuples: each pair a < b of T with a nonzero
-    bracket [e_{T_a}, e_{T_b}] = sum_m c_m e_m adds (-1)^(a+b) c_m, times the
-    sign that sorts (m,) + rest, at S = sorted((m,) + rest), where rest is T
-    without T_a and T_b.  Only nonzero entries and rows are kept.
-    """
-    rows: dict[Index, xl.Sparse] = {}
-    for target in basis_tuples(alg.dim, k + 1):
-        row: xl.Sparse = {}
-        for a in range(k + 1):
-            for b in range(a + 1, k + 1):
-                comps = alg.bracket_basis(target[a], target[b])
-                if not comps:
-                    continue
-                rest = target[:a] + target[a + 1 : b] + target[b + 1 :]
-                sign = (-1) ** (a + b)
-                for m, c in comps.items():
-                    ss = sort_with_sign((m,) + rest)
-                    if ss is None:
-                        continue
-                    key, perm = ss
-                    row[key] = row.get(key, xl.ZERO) + sign * perm * c
-        row = {key: c for key, c in row.items() if c}
-        if row:
-            rows[target] = row
-    return rows
 
 
 def differential_matrix(alg: LieAlgebra, k: int) -> xl.Matrix:

@@ -7,6 +7,10 @@ projector times the (m+n)!/(m!n!) factor collapses to a shuffle sign).
 
 Coefficients may be exact ``Fraction``s (all algebraic paths) or floats
 (Monte Carlo averages); the operations are generic over both.
+
+The differential d_k is built in one place, as sparse rows straight from
+the structure constants: ``ce_differential`` applies them to a form's
+coefficients, and ``cohomology`` eliminates them.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+from . import exactlinalg as xl
 from .algebra import LieAlgebra
 
 Index = tuple[int, ...]
@@ -36,14 +41,6 @@ def sort_with_sign(indices: tuple[int, ...]) -> tuple[Index, int] | None:
         if a == b:
             return None
     return tuple(idx), sign
-
-
-def shuffle_sign(left: Index, right: Index) -> int:
-    """Sign of merging two disjoint increasing tuples into increasing order."""
-    sign = 1
-    for a in left:
-        sign *= (-1) ** sum(1 for b in right if b < a)
-    return sign
 
 
 def basis_tuples(dim: int, degree: int) -> list[Index]:
@@ -256,20 +253,17 @@ def parse_form(text: str, alg: LieAlgebra) -> KForm:
     return result
 
 
-def ce_differential(f: KForm) -> KForm:
-    """Chevalley-Eilenberg differential with trivial coefficients:
+def _differential_rows(alg: LieAlgebra, k: int) -> dict[Index, xl.Sparse]:
+    """Sparse d_k by rows: {(k+1)-tuple T: {k-tuple S: (d e_S*)(e_T)}}.
 
-        df(X_1, ..., X_{k+1}) = sum_{a<b} (-1)^{a+b} f([X_a, X_b], ..., ^a, ..., ^b, ...)
-
-    Exact for rational forms; applied coefficient-wise to float forms.
+    One sweep over the (k+1)-tuples: each pair a < b of T with a nonzero
+    bracket [e_{T_a}, e_{T_b}] = sum_m c_m e_m adds (-1)^(a+b) c_m, times the
+    sign that sorts (m,) + rest, at S = sorted((m,) + rest), where rest is T
+    without T_a and T_b.  Only nonzero entries and rows are kept.
     """
-    alg = f.algebra
-    k = f.degree
-    if k >= alg.dim:
-        return KForm(alg, k + 1, {})
-    out: dict[Index, object] = {}
+    rows: dict[Index, xl.Sparse] = {}
     for target in basis_tuples(alg.dim, k + 1):
-        total = 0
+        row: xl.Sparse = {}
         for a in range(k + 1):
             for b in range(a + 1, k + 1):
                 comps = alg.bracket_basis(target[a], target[b])
@@ -278,9 +272,32 @@ def ce_differential(f: KForm) -> KForm:
                 rest = target[:a] + target[a + 1 : b] + target[b + 1 :]
                 sign = (-1) ** (a + b)
                 for m, c in comps.items():
-                    val = f((m,) + rest)
-                    if val:
-                        total = total + sign * c * val
+                    ss = sort_with_sign((m,) + rest)
+                    if ss is None:
+                        continue
+                    key, perm = ss
+                    row[key] = row.get(key, xl.ZERO) + sign * perm * c
+        row = {key: c for key, c in row.items() if c}
+        if row:
+            rows[target] = row
+    return rows
+
+
+def ce_differential(f: KForm) -> KForm:
+    """Chevalley-Eilenberg differential with trivial coefficients:
+
+        df(X_1, ..., X_{k+1}) = sum_{a<b} (-1)^{a+b} f([X_a, X_b], ..., ^a, ..., ^b, ...)
+
+    The rows of d_k applied to the coefficients: exact for rational forms,
+    applied coefficient-wise to float forms.
+    """
+    out: dict[Index, object] = {}
+    for target, row in _differential_rows(f.algebra, f.degree).items():
+        total = 0
+        for key, c in row.items():
+            val = f.coeffs.get(key)
+            if val:
+                total = total + c * val
         if total:
             out[target] = total
-    return KForm(alg, k + 1, out)
+    return KForm(f.algebra, f.degree + 1, out)

@@ -1,9 +1,14 @@
 """Smooth maps between groups, given componentwise in exponential coordinates.
 
-A map is a tuple of expressions, optionally left-translated by a constant
-``shift`` in the codomain (used to send the origin to the origin) and
-optionally precomposed/postcomposed by the right action: ``action = g``
-stores the translated map ``x -> F(g)^-1 . F(g . x)`` lazily, so orbit
+A map is a tuple of expressions F plus two optional constant points: a
+``shift`` in the codomain and an ``action`` point in the domain.  Every
+evaluation computes the one formula
+
+    x -> shift . F(action . x)
+
+with the group law on each side.  ``normalize_to_y0`` sets shift = F(0)^-1,
+so the origin maps to the origin; ``act(m, g)`` sets action = g and
+shift = F(g)^-1, the right-translated map x -> F(g)^-1 . F(g . x), so orbit
 points cost one extra group multiplication per evaluation instead of a
 symbolic rewrite.
 
@@ -67,29 +72,21 @@ def warn_once(sink: list[str]):
     return warn
 
 
-def _raw_batch(m: SmoothMap, coords: np.ndarray, warn=None) -> np.ndarray:
-    """Components + shift on a (n, N) batch, before any action translation."""
-    count = coords.shape[1]
-    env = list(coords)
-    vals = np.empty((m.codomain.dim, count))
-    for a, comp in enumerate(m.components):
-        vals[a] = np.broadcast_to(dsl.evaluate(comp, env, warn), (count,))
-    if m.shift is not None:
-        vals = group_law(m.codomain).multiply_batch(np.array(m.shift), vals)
-    return vals
+def _evaluate(m: SmoothMap, coords: np.ndarray, warn=None, jets: bool = False):
+    """x -> shift . F(action . x) on a (n, N) batch: the values (m, N), and with
+    ``jets`` also the coordinate Jacobian (N, m, n), else None.
 
-
-def _raw_jet_batch(m: SmoothMap, coords: np.ndarray, warn=None):
-    """Values and coordinate Jacobian of components + shift at a batch.
-
-    Returns (values (m, N), jacobian (N, m, n)); derivatives are taken with
-    respect to the given coordinates (for action maps: the translated point).
+    The Jacobian is (T_shift @ J_F) @ T_action, where T_shift and T_action
+    are the left-translation Jacobians of the group law and J_F comes from
+    jets seeded at the translated points.
     """
-    n = m.domain.dim
-    count = coords.shape[1]
-    env = [Jet.seed(coords[i], i, n) for i in range(n)]
+    moved = coords
+    if m.action is not None:
+        moved = group_law(m.domain).multiply_batch(np.array(m.action), coords)
+    n, count = moved.shape
     values = np.empty((m.codomain.dim, count))
-    jac = np.empty((count, m.codomain.dim, n))
+    jac = np.empty((count, m.codomain.dim, n)) if jets else None
+    env = [Jet.seed(moved[i], i, n) for i in range(n)] if jets else list(moved)
     for a, comp in enumerate(m.components):
         out = dsl.evaluate(comp, env, warn)
         if isinstance(out, Jet):
@@ -97,27 +94,22 @@ def _raw_jet_batch(m: SmoothMap, coords: np.ndarray, warn=None):
             jac[:, a, :] = np.broadcast_to(out.partials, (n, count)).T
         else:
             values[a] = np.broadcast_to(out, (count,))
-            jac[:, a, :] = 0.0
+            if jets:
+                jac[:, a, :] = 0.0
     if m.shift is not None:
         law = group_law(m.codomain)
-        shifted = law.multiply_batch(np.array(m.shift), values)
-        t = law.translation_jacobian_batch(np.array(m.shift), values)
-        jac = t @ jac
-        values = shifted
+        shift = np.array(m.shift)
+        if jets:
+            jac = law.translation_jacobian_batch(shift, values) @ jac
+        values = law.multiply_batch(shift, values)
+    if jets and m.action is not None:
+        jac = jac @ group_law(m.domain).translation_jacobian_batch(np.array(m.action), coords)
     return values, jac
 
 
 def evaluate_batch(m: SmoothMap, coords: np.ndarray, warn=None) -> np.ndarray:
     """Map values on a (n, N) coordinate batch; returns (m, N)."""
-    coords = np.asarray(coords, dtype=float)
-    if m.action is None:
-        return _raw_batch(m, coords, warn)
-    law = group_law(m.domain)
-    base = np.array(m.action)
-    moved = law.multiply_batch(base, coords)
-    at_action = _raw_batch(m, base[:, None], warn)[:, 0]
-    vals = _raw_batch(m, moved, warn)
-    return group_law(m.codomain).multiply_batch(-at_action, vals)
+    return _evaluate(m, np.asarray(coords, dtype=float), warn)[0]
 
 
 def evaluate(m: SmoothMap, g, warn=None) -> GroupPoint:
@@ -133,19 +125,7 @@ def evaluate(m: SmoothMap, g, warn=None) -> GroupPoint:
 def jacobian_batch(m: SmoothMap, coords: np.ndarray, warn=None):
     """Values and coordinate Jacobian d f_a / d x_b on a batch: (values (m, N),
     jacobians (N, m, n)); its determinant is that of the frame differential."""
-    coords = np.asarray(coords, dtype=float)
-    if m.action is None:
-        return _raw_jet_batch(m, coords, warn)
-    dom_law = group_law(m.domain)
-    cod_law = group_law(m.codomain)
-    base = np.array(m.action)
-    moved = dom_law.multiply_batch(base, coords)
-    at_action = _raw_batch(m, base[:, None], warn)[:, 0]
-    inner_vals, inner_jac = _raw_jet_batch(m, moved, warn)
-    values = cod_law.multiply_batch(-at_action, inner_vals)
-    t_out = cod_law.translation_jacobian_batch(-at_action, inner_vals)
-    t_in = dom_law.translation_jacobian_batch(base, coords)
-    return values, t_out @ inner_jac @ t_in
+    return _evaluate(m, np.asarray(coords, dtype=float), warn, jets=True)
 
 
 def differential_batch(m: SmoothMap, coords: np.ndarray, warn=None):
@@ -171,26 +151,25 @@ def normalize_to_y0(m: SmoothMap) -> SmoothMap:
     if m.action is not None:
         return m
     bare = replace(m, shift=None)
-    at_origin = _raw_batch(bare, np.zeros((m.domain.dim, 1)))[:, 0]
+    at_origin = evaluate_batch(bare, np.zeros((m.domain.dim, 1)))[:, 0]
     if not np.any(at_origin):
         return bare
     return replace(m, shift=tuple(-v for v in at_origin))
 
 
 def act(m: SmoothMap, g) -> SmoothMap:
-    """Right action by a group element: the translated map x -> F(g)^-1 F(g x).
+    """Right action by a group element: the translated map x -> F(g)^-1 F(g x),
+    stored as ``action = g`` and ``shift = F(g)^-1`` (F without any shift).
 
     Repeated actions collapse through the group law, so
     act(act(m, g1), g2) == act(m, g1 * g2) by construction.
     """
     coords = [float(c) for c in _coords_of(g)]
-    if m.action is None:
-        new_action = tuple(coords)
-    else:
-        new_action = tuple(
-            float(v) for v in group_law(m.domain).multiply(list(m.action), coords)
-        )
-    return SmoothMap(m.domain, m.codomain, m.components, shift=None, action=new_action)
+    if m.action is not None:
+        coords = [float(v) for v in group_law(m.domain).multiply(list(m.action), coords)]
+    bare = SmoothMap(m.domain, m.codomain, m.components)
+    at_g = evaluate_batch(bare, np.array(coords)[:, None])[:, 0]
+    return replace(bare, shift=tuple(float(-v) for v in at_g), action=tuple(coords))
 
 
 def is_group_homomorphism(m: SmoothMap, seed: int = 0, trials: int = 8, tol: float = 1e-9) -> bool:

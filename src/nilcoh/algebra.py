@@ -95,10 +95,6 @@ class LieAlgebra:
     def homogeneous_dimension(self) -> int:
         return sum(self.weights)
 
-    @property
-    def is_abelian(self) -> bool:
-        return not self.structure
-
     def __repr__(self):
         return f"LieAlgebra(dim={self.dim}, class={self.nilpotency_class})"
 

@@ -251,9 +251,6 @@ class GroupLaw:
         ev = _evaluator(list(a) + list(b))
         return [ev(p) for p in self.product]
 
-    def inverse(self, a):
-        return [-v for v in a]
-
     def frame_at(self, a):
         """Left-invariant frame matrix at a point (columns = frame fields)."""
         ev = _evaluator(list(a))

@@ -10,7 +10,6 @@ error, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -23,7 +22,7 @@ from .algebra import AlgebraError, load_algebra, save_algebra, heisenberg3, abel
 from .cohomology import cohomology, compare_rings, ring_invariants
 from .forms import parse_form
 from .group import BallSpec
-from .maps import load_map, normalize_to_y0
+from .maps import load_map, map_from_texts, normalize_to_y0, save_map
 
 
 def _radii_arg(text: str) -> list[float]:
@@ -356,20 +355,19 @@ def cmd_repro(args) -> int:
     outdir = args.outdir
     os.makedirs(outdir, exist_ok=True)
 
-    save_algebra(heisenberg3(), os.path.join(outdir, "heisenberg3.json"))
-    save_algebra(abelian(3), os.path.join(outdir, "abelian3.json"))
-    save_algebra(abelian(1), os.path.join(outdir, "abelian1.json"))
-    save_algebra(abelian(2), os.path.join(outdir, "abelian2.json"))
+    algebras = {
+        "heisenberg3.json": heisenberg3(),
+        "abelian3.json": abelian(3),
+        "abelian1.json": abelian(1),
+        "abelian2.json": abelian(2),
+    }
+    for name, alg in algebras.items():
+        save_algebra(alg, os.path.join(outdir, name))
 
     def write_map(name, domain_ref, codomain_ref, components):
         path = os.path.join(outdir, name)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(
-                {"domain": domain_ref, "codomain": codomain_ref, "components": components},
-                fh,
-                indent=2,
-            )
-            fh.write("\n")
+        m = map_from_texts(algebras[domain_ref], algebras[codomain_ref], components)
+        save_map(m, path, domain_ref, codomain_ref)
         return path
 
     f1 = write_map("f1.map.json", "abelian1.json", "abelian2.json", ["x1", "sin(x1)"])

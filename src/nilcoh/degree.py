@@ -26,9 +26,9 @@ import numpy as np
 
 from . import rng
 from .forms import volume_form
-from .group import BallSpec, box_volume, cloud_mean, sample_ball_coords
+from .group import BallSpec, box_volume, check_radii, cloud_mean, sample_ball_coords
 from .maps import SmoothMap, differential_batch, evaluate_batch, jacobian_batch, normalize_to_y0
-from .pullback import _averaged_coefficients, _check_radii
+from .pullback import _averaged_coefficients
 
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 60
@@ -79,6 +79,11 @@ def _grid_starts(scales: np.ndarray, density: int) -> np.ndarray:
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([g.ravel() for g in mesh])
     return pts * scales[:, None]
+
+
+def _check_grid_density(grid_density: int) -> None:
+    if grid_density < 1:
+        raise ValueError(f"grid density must be at least 1, got {grid_density}")
 
 
 def _boundary_cloud(m: SmoothMap, window: BallSpec, seed: int, per_face: int = 256) -> np.ndarray:
@@ -182,6 +187,7 @@ def local_degree(
     seed: int = 0,
 ) -> DegreeResult:
     """Signed preimage count of a regular target over the window box."""
+    _check_grid_density(grid_density)
     m = normalize_to_y0(m)
     if m.domain.dim != m.codomain.dim:
         raise ValueError("degree needs equal domain and codomain dimensions")
@@ -242,6 +248,7 @@ def area_formula_check(
     Targets too close to the sampled boundary image, or landing on
     near-singular preimages, are skipped and counted.
     """
+    _check_grid_density(grid_density)
     m = normalize_to_y0(m)
     if m.domain.dim != m.codomain.dim:
         raise ValueError("area formula needs equal dimensions")
@@ -323,7 +330,7 @@ def asymptotic_degree(
         omega = volume_form(m.codomain)
     if omega.degree != m.codomain.dim:
         raise ValueError("omega must be a top-degree form on the codomain")
-    radii = _check_radii(radii)
+    radii = check_radii(radii)
     warnings: list[str] = []
     ratios, stderrs, taus, vols = [], [], [], []
     top = tuple(range(m.domain.dim))

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import dsl
 from .bch import group_law
-from .group import BallSpec, cloud_mean, sample_ball_coords
+from .group import BallSpec, check_radii, cloud_mean, sample_ball_coords
 from .maps import SmoothMap, act, differential_batch, evaluate_batch, normalize_to_y0, warn_once
 
 DEFAULT_TOL = 1e-2
@@ -182,7 +182,7 @@ def convergence_report(
 ) -> ConvergenceReport:
     """Per-observable running means over the schedule with a stability verdict:
     'stable' when the last two increments sit below max(3 stderr, tol)."""
-    radii = [float(r) for r in radii]
+    radii = check_radii(radii)
     warnings: list[str] = []
     rows = [
         empirical_measure(m, observables, r, samples, seed, shape, warnings=warnings)

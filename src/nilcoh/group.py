@@ -95,6 +95,15 @@ def homogeneous_gauge_batch(alg: LieAlgebra, coords: np.ndarray) -> np.ndarray:
     return np.sum(np.abs(coords) ** (2.0 * m / w[:, None]), axis=0) ** (1.0 / (2 * m))
 
 
+def check_radii(radii) -> list[float]:
+    """A radius schedule as floats; refused unless positive and strictly
+    increasing."""
+    radii = [float(r) for r in radii]
+    if not radii or any(b <= a for a, b in zip(radii, radii[1:])) or radii[0] <= 0:
+        raise ValueError("radius schedule must be positive and strictly increasing")
+    return radii
+
+
 def box_volume(alg: LieAlgebra, radius: float) -> float:
     """Exact Haar volume of the weighted box: 2^n R^Q."""
     return 2.0 ** alg.dim * float(radius) ** alg.homogeneous_dimension

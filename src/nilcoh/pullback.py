@@ -24,7 +24,7 @@ import numpy as np
 from .algebra import LieAlgebra
 from .cohomology import CohomologyRing, cohomology
 from .forms import KForm, basis_tuples, ce_differential, wedge
-from .group import BallSpec, cloud_mean, sample_ball_coords
+from .group import BallSpec, check_radii, cloud_mean, sample_ball_coords
 from .maps import SmoothMap, differential_batch, normalize_to_y0, warn_once
 
 DEFAULT_RADII = tuple(4.0 * 2 ** k for k in range(6))
@@ -42,9 +42,6 @@ class AverageEstimate:
     nonconvergent: bool
     derivative_bound: float = 0.0  # sampled sup of |frame differential| on the largest ball
     warnings: list[str] = field(default_factory=list)
-
-    def max_stderr(self, i: int) -> float:
-        return max(self.mc_stderr[i].values(), default=0.0)
 
 
 @dataclass
@@ -154,7 +151,7 @@ def amenable_average(
 ) -> AverageEstimate:
     """Ball averages of psi* omega over the radius schedule."""
     m = normalize_to_y0(m)
-    radii = _check_radii(radii)
+    radii = check_radii(radii)
     warnings: list[str] = []
     values: list[KForm] = []
     stderrs: list[dict] = []
@@ -178,13 +175,6 @@ def amenable_average(
         derivative_bound=deriv_bound,
         warnings=warnings,
     )
-
-
-def _check_radii(radii):
-    radii = [float(r) for r in radii]
-    if not radii or any(b <= a for a, b in zip(radii, radii[1:])) or radii[0] <= 0:
-        raise ValueError("radius schedule must be positive and strictly increasing")
-    return radii
 
 
 def _increments(values: list[KForm]) -> list[float]:
@@ -226,7 +216,7 @@ def induced_cohomology_map(
     ``homomorphism_check`` are included.
     """
     m = normalize_to_y0(m)
-    radii = _check_radii(radii)
+    radii = check_radii(radii)
     ring_dom = cohomology(m.domain)
     ring_cod = cohomology(m.codomain)
     n_dom, n_cod = m.domain.dim, m.codomain.dim
@@ -391,7 +381,7 @@ def amenable_norm(
     see ergodic.Observable.  Returns one record per radius.
     """
     m = normalize_to_y0(m)
-    radii = _check_radii(radii)
+    radii = check_radii(radii)
 
     def squares(coords: np.ndarray) -> np.ndarray:
         vals = observable.evaluate_batch(m, coords)

@@ -131,6 +131,25 @@ def test_exit_code_on_validation_error(files, capsys):
     assert code == 1
 
 
+def test_exit_code_on_refused_grid_and_radii(files, capsys):
+    xsin = {"domain": "r1.json", "codomain": "r1.json", "components": ["x1 + sin(x1)"]}
+    (files / "xsin.map.json").write_text(json.dumps(xsin))
+    code, _, err = run(
+        ["degree", "--map", str(files / "xsin.map.json"), "--window", "R=10",
+         "--target", "0.5", "--grid", "0"],
+        capsys,
+    )
+    assert code == 1
+    assert "got 0" in err
+
+    code, _, err = run(
+        ["orbit", "--map", str(files / "f1.map.json"), "--radii", "8,4,2", "--samples", "200"],
+        capsys,
+    )
+    assert code == 1
+    assert "strictly increasing" in err
+
+
 def test_exit_code_on_usage_error(files):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -75,6 +75,16 @@ def test_boundary_too_close():
         local_degree(ident, 2.0, (2.0,))
 
 
+def test_grid_density_below_one_refused():
+    # a zero grid has no Newton starts: it read degree 0, "stable", for x + sin(x)
+    m = map_from_texts(R1, R1, ["x1 + sin(x1)"])
+    for density in (0, -1):
+        with pytest.raises(ValueError, match=f"got {density}"):
+            local_degree(m, 10.0, (0.5,), grid_density=density)
+        with pytest.raises(ValueError, match=f"got {density}"):
+            area_formula_check(m, 2.0, samples=50, grid_density=density)
+
+
 def test_homotopy_invariance_small_perturbation():
     # straight-line homotopy between the identity and a 0.1-perturbation
     for t in np.linspace(0.0, 1.0, 5):

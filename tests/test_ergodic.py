@@ -99,6 +99,15 @@ def test_convergence_report_f1():
     assert rep.traces[1].limit == pytest.approx(0.5, abs=1e-2)
 
 
+def test_convergence_report_refuses_bad_radius_schedules():
+    obs = [derivative_entry(1, 2)]
+    for radii in ([8.0, 4.0, 2.0], [], [0.0, 1.0], [2.0, 2.0]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            convergence_report(f1(), obs, radii, samples=200, seed=0)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        ergodicity_probe(f1(), obs, [0.0, 1.0], [4.0, 2.0], samples=200, seed=0)
+
+
 def test_convergence_report_identity_trivial():
     ident = map_from_texts(H3, H3, ["x1", "x2", "x3"])
     rep = convergence_report(ident, [derivative_entry(1, 1)], [2.0, 4.0, 8.0], 1000, seed=1)

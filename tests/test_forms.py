@@ -17,7 +17,7 @@ from nilcoh.forms import (
     volume_form,
     wedge,
 )
-from oracles import alternation_wedge_eval, random_rational_form
+from oracles import alternation_wedge_eval, dense_twin, naive_differential_matrix, random_rational_form
 
 H3 = algebra.heisenberg3()
 AB3 = algebra.abelian(3)
@@ -99,6 +99,22 @@ def test_leibniz_rule_free_two_step(a, b):
 @given(f=form_strategy(FREE, 2))
 def test_d_squared_zero_free_two_step(f):
     assert ce_differential(ce_differential(f)).is_zero()
+
+
+def test_ce_differential_matches_naive_oracle(algebras):
+    rng = random.Random(13)
+    cases = dict(algebras, dense_heisenberg5=dense_twin(algebra.heisenberg5(), random.Random(2)))
+    for name, alg in cases.items():
+        for k in range(alg.dim + 1):
+            f = random_rational_form(alg, k, rng)
+            naive = naive_differential_matrix(alg, k)
+            vec = f.vector()
+            want = [
+                sum((Fraction(int(naive[r, c].p), int(naive[r, c].q)) * vec[c]
+                     for c in range(naive.cols)), Fraction(0))
+                for r in range(naive.rows)
+            ]
+            assert ce_differential(f).vector() == want, (name, k)
 
 
 def test_wedge_matches_alternation_definition():

@@ -71,26 +71,27 @@ def test_differential_examples():
 
 def test_jet_differential_matches_finite_differences_through_group_ops():
     m = map_from_texts(H3, H3, ["x1 + sin(x2)", "x2", "x3 + x1*x2/4"])
-    m = act(normalize_to_y0(m), [0.3, -0.2, 0.5])
-    x0 = np.array([0.4, 0.9, -1.1])
-    _, mats = differential_batch(m, x0[:, None])
-    got = mats[0]
-
+    # raw F(0) != 0: act stores a nonzero shift F(g)^-1 on a map never normalized
+    shifted = map_from_texts(H3, H3, ["x1 + 0.3*sin(x2) + 1", "x2 - 0.5", "x3 + 0.2*x1^2 + 2"])
     law = group_law(H3)
+    x0 = np.array([0.4, 0.9, -1.1])
     frame = np.array(law.frame_batch(x0[:, None]))[0]
     h = 1e-6
-    cols = []
-    for j in range(3):
-        xp = x0 + h * frame[:, j]
-        xm = x0 - h * frame[:, j]
-        fp = evaluate_batch(m, xp[:, None])[:, 0]
-        fm = evaluate_batch(m, xm[:, None])[:, 0]
-        cols.append((fp - fm) / (2 * h))
-    # finite-difference pushforward expressed in the codomain frame
-    val = evaluate_batch(m, x0[:, None])[:, 0]
-    inv_frame = np.array(law.inv_frame_batch(val[:, None]))[0]
-    fd = inv_frame @ np.stack(cols, axis=1)
-    assert np.allclose(got, fd, rtol=1e-5, atol=1e-6)
+    for m in (act(normalize_to_y0(m), [0.3, -0.2, 0.5]), act(shifted, [0.3, -0.2, 0.5])):
+        _, mats = differential_batch(m, x0[:, None])
+        got = mats[0]
+        cols = []
+        for j in range(3):
+            xp = x0 + h * frame[:, j]
+            xm = x0 - h * frame[:, j]
+            fp = evaluate_batch(m, xp[:, None])[:, 0]
+            fm = evaluate_batch(m, xm[:, None])[:, 0]
+            cols.append((fp - fm) / (2 * h))
+        # finite-difference pushforward expressed in the codomain frame
+        val = evaluate_batch(m, x0[:, None])[:, 0]
+        inv_frame = np.array(law.inv_frame_batch(val[:, None]))[0]
+        fd = inv_frame @ np.stack(cols, axis=1)
+        assert np.allclose(got, fd, rtol=1e-5, atol=1e-6)
 
 
 def test_normalize_examples():

@@ -9,7 +9,10 @@ iterates, roots and determinants are bit-identical to the old ones.  The
 orbit and average files were written before acted and normalized maps
 shared one evaluator; the orbit case runs translated maps (one per
 basepoint) and the average case a non-abelian map with F(0) != 0.  The
-algebras and maps are saved under relative names so the echoed paths do
+asymdeg file and the H5 average were written before the group law was
+built by Varadarajan's recursion instead of the Dynkin word sum; the H5
+map is shifted too, so its product runs through the six-term central
+coordinate.  The algebras and maps are saved under relative names so the echoed paths do
 not depend on the machine.
 """
 
@@ -37,6 +40,11 @@ CASES = {
                  "--radii", "4,8,16", "--basepoints=0,1,3", "--samples", "2000"],
     "average-h3-shifted": ["average", "--map", "h3-shifted.map.json", "--form", "e1^e3 - e2^e3",
                            "--radii", "4,8,16", "--samples", "2000"],
+    "average-h5-shifted": ["average", "--map", "h5-shifted.map.json",
+                           "--form", "e1^e2^e5 - e3^e4^e5", "--radii", "4,8,16",
+                           "--samples", "2000"],
+    "asymdeg-h3-doubling": ["asymdeg", "--map", "h3-doubling.map.json", "--radii", "4:2:5",
+                            "--samples", "2000"],
 }
 
 MAPS = {
@@ -46,12 +54,17 @@ MAPS = {
     "f1.map.json": ("r1.json", "r2.json", ["x1", "sin(x1)"]),
     "h3-shifted.map.json": ("h3.json", "h3.json",
                             ["x1 + 0.3*sin(x2) + 1", "x2 - 0.5", "x3 + 0.2*x1^2 + 2"]),
+    "h5-shifted.map.json": ("h5.json", "h5.json",
+                            ["x1 + 0.3*sin(x2) + 1", "x2 - 0.5", "x3 + 0.2*x4^2",
+                             "x4 + 0.1*sin(x1) + 0.5", "x5 + 0.2*x1*x3 + 2"]),
+    "h3-doubling.map.json": ("h3.json", "h3.json", ["2*x1", "x2", "2*x3"]),
 }
 
 
 def stable_report(argv) -> str:
     """Run one subcommand in the current directory; its render_stable text."""
     save_algebra(algebra.heisenberg3(), "h3.json")
+    save_algebra(algebra.heisenberg5(), "h5.json")
     save_algebra(algebra.abelian(3), "r3.json")
     save_algebra(algebra.free_nilpotent_two_step(3), "free2step3.json")
     save_algebra(algebra.abelian(1), "r1.json")

@@ -3,17 +3,21 @@
 For a nilpotent algebra the Baker-Campbell-Hausdorff series truncates at
 the nilpotency class, so the product ``log(exp x . exp y)`` is a polynomial
 in the coordinates with rational coefficients.  We compute it once per
-algebra via the Dynkin expansion
+algebra by Varadarajan's recursion for its homogeneous parts Z_m
+(GTM 102, 1984, section 2.15), which costs a number of brackets polynomial
+in the class:
 
-    z = sum_{m>=1} (-1)^{m-1}/m  sum  [x^{r_1} y^{s_1} ... x^{r_m} y^{s_m}]
-                                      / ((sum_i r_i + s_i) prod_i r_i! s_i!)
+    Z_1 = x + y
+    (m+1) Z_{m+1} = 1/2 [x - y, Z_m]
+                    + sum_{p>=1, 2p<=m} B_{2p}/(2p)!  T_{2p}(m)
 
-with left-nested commutators of the word ``x..xy..y...``; words whose last
-two letters agree vanish and are skipped.  From the product polynomial we
-derive, also exactly: the translation Jacobian d(a.y)/dy, the left-invariant
-frame (its value at y = 0), and the inverse frame (a terminating Neumann
-series, since the frame is unipotent in the filtration grading; a series
-that does not terminate raises ``IllConditionedFrame``).
+where B_{2p} are the Bernoulli numbers and T_j(k) sums the nested brackets
+[Z_{k_1}, [..., [Z_{k_j}, x + y]...]] over k_1 + ... + k_j = k; it is kept
+as a table, T_j(k) = sum_a [Z_a, T_{j-1}(k - a)].  From the product
+polynomial we derive, also exactly: the translation Jacobian d(a.y)/dy, the
+left-invariant frame (its value at y = 0), and the inverse frame (a
+terminating Neumann series, since the frame is unipotent in the filtration
+grading; a series that does not terminate raises ``IllConditionedFrame``).
 
 Evaluation is generic: exact on Fractions, vectorized on numpy arrays.
 """
@@ -22,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import numpy as np
 
@@ -90,18 +94,6 @@ class Poly:
                 terms[key] = terms.get(key, Fraction(0)) + v * e
         return Poly(self.nvars, terms)
 
-    def subs_zero(self, indices: set[int]) -> "Poly":
-        """Set the given variables to zero."""
-        terms = {k: v for k, v in self.terms.items() if all(k[i] == 0 for i in indices)}
-        return Poly(self.nvars, terms)
-
-    def drop_vars(self, keep: list[int]) -> "Poly":
-        """Reindex onto the kept variables (all dropped exponents must be 0)."""
-        terms = {}
-        for k, v in self.terms.items():
-            terms[tuple(k[i] for i in keep)] = v
-        return Poly(len(keep), terms)
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -155,64 +147,47 @@ def _poly_vec_bracket(alg: LieAlgebra, u: list[Poly], v: list[Poly]) -> list[Pol
     return out
 
 
-def _dynkin_words(max_weight: int):
-    """Yield (coefficient, word) pairs; word entries are 0 for x, 1 for y.
-
-    Words ending in a repeated letter are skipped (their nested bracket is 0).
-    """
-
-    def blocks(remaining: int):
-        # all (r, s) with r + s >= 1, r + s <= remaining
-        for w in range(1, remaining + 1):
-            for r in range(w + 1):
-                yield r, w - r
-
-    def rec(seq: list[tuple[int, int]], weight: int):
-        if seq:
-            yield list(seq), weight
-        for r, s in blocks(max_weight - weight):
-            seq.append((r, s))
-            yield from rec(seq, weight + r + s)
-            seq.pop()
-
-    for seq, weight in rec([], 0):
-        m = len(seq)
-        word: list[int] = []
-        denom = weight
-        for r, s in seq:
-            word.extend([0] * r + [1] * s)
-            denom *= factorial(r) * factorial(s)
-        if len(word) >= 2 and word[-1] == word[-2]:
-            continue
-        coeff = Fraction((-1) ** (m - 1), m) / denom
-        yield coeff, tuple(word)
+def _bernoulli(count: int) -> list[Fraction]:
+    """B_0 .. B_count, exact (B_1 = -1/2)."""
+    b = [Fraction(1)]
+    for m in range(1, count + 1):
+        b.append(-sum((comb(m + 1, k) * b[k] for k in range(m)), Fraction(0)) / (m + 1))
+    return b
 
 
 def bch_product_polys(alg: LieAlgebra) -> list[Poly]:
     """Coordinates of x·y as polynomials in (x_1..x_n, y_1..y_n)."""
     n = alg.dim
     nvars = 2 * n
-    x = [[Poly.variable(nvars, i) for i in range(n)],
-         [Poly.variable(nvars, n + i) for i in range(n)]]
+    x = [Poly.variable(nvars, i) for i in range(n)]
+    y = [Poly.variable(nvars, n + i) for i in range(n)]
+    cls = alg.nilpotency_class
+    bern = _bernoulli(cls)
 
-    bracket_cache: dict[tuple[int, ...], list[Poly]] = {}
+    def add(u: list[Poly], v: list[Poly]) -> list[Poly]:
+        return [a + b for a, b in zip(u, v)]
 
-    def nested(word: tuple[int, ...]) -> list[Poly]:
-        if word in bracket_cache:
-            return bracket_cache[word]
-        if len(word) == 1:
-            vec = x[word[0]]
-        else:
-            vec = _poly_vec_bracket(alg, x[word[0]], nested(word[1:]))
-        bracket_cache[word] = vec
-        return vec
+    def scale(u: list[Poly], c) -> list[Poly]:
+        return [a.scale(c) for a in u]
 
-    out = [Poly(nvars) for _ in range(n)]
-    for coeff, word in _dynkin_words(alg.nilpotency_class):
-        vec = nested(word)
-        for i in range(n):
-            if not vec[i].is_zero():
-                out[i] = out[i] + vec[i].scale(coeff)
+    half_diff = scale([a - b for a, b in zip(x, y)], Fraction(1, 2))
+    z = {1: add(x, y)}                      # z[m] = Z_m
+    t = {(0, 0): z[1]}                      # t[j, k] = T_j(k)
+    for m in range(1, cls):
+        for j in range(1, m + 1):
+            acc = [Poly(nvars) for _ in range(n)]
+            for a in range(1, m + 1):
+                if (j - 1, m - a) in t:
+                    acc = add(acc, _poly_vec_bracket(alg, z[a], t[j - 1, m - a]))
+            t[j, m] = acc
+        nxt = _poly_vec_bracket(alg, half_diff, z[m])
+        for p in range(2, m + 1, 2):
+            nxt = add(nxt, scale(t[p, m], bern[p] / factorial(p)))
+        z[m + 1] = scale(nxt, Fraction(1, m + 1))
+
+    out = z[1]
+    for m in range(2, cls + 1):
+        out = add(out, z[m])
     return out
 
 
@@ -312,9 +287,9 @@ def group_law(alg: LieAlgebra) -> GroupLaw:
     n = alg.dim
     product = bch_product_polys(alg)
     trans = [[product[i].diff(n + j) for j in range(n)] for i in range(n)]
-    y_vars = set(range(n, 2 * n))
-    keep = list(range(n))
-    frame = [[trans[i][j].subs_zero(y_vars).drop_vars(keep) for j in range(n)] for i in range(n)]
+    # frame: the y-free terms of trans_jac, as polynomials in x alone
+    frame = [[Poly(n, {k[:n]: v for k, v in p.terms.items() if not any(k[n:])}) for p in row]
+             for row in trans]
 
     # frame = I + N with N nilpotent (entries only flow low weight -> high),
     # so the inverse is the finite alternating Neumann series.

@@ -375,6 +375,10 @@ def qi_distortion_probe(
     fy = evaluate_batch(m, ys)
     d_cod = quasi_norm_batch(m.codomain, cod_law.multiply_batch(-fx, fy))
     keep = d_dom > 0.1
+    if not keep.any():
+        raise ValueError(
+            f"no sampled pair is more than 0.1 apart at radius {radius} with {pairs} pairs"
+        )
     ratio = d_cod[keep] / d_dom[keep]
     qs = np.quantile(ratio, [0.0, 0.05, 0.5, 0.95, 1.0])
     return {

@@ -141,7 +141,7 @@ def cloud_mean(cloud: np.ndarray, values):
     The slices are the fixed chunks of ``rng.chunked_sums``, so the result
     depends only on the cloud and ``values``.  The variance is summed on
     values shifted by the first chunk's mean, so a large mean does not
-    cancel it away.
+    cancel it away.  A cloud of fewer than 2 samples raises ``ValueError``.
     """
     shift = None
 

@@ -56,12 +56,10 @@ def mean_and_stderr(total: np.ndarray, total_sq: np.ndarray, count: int):
     The standard error does not change when every value is shifted by one
     constant; shift by an estimate of the mean, or the subtraction below
     cancels the variance away when the mean is large against the spread.
+    Fewer than 2 samples are refused: one sample has no spread to estimate.
     """
+    if count < 2:
+        raise ValueError(f"a standard error needs at least 2 samples, got {count}")
     mean = total / count
-    if count > 1:
-        var = (total_sq - count * mean * mean) / (count - 1)
-        var = np.maximum(var, 0.0)
-        stderr = np.sqrt(var / count)
-    else:
-        stderr = np.zeros_like(mean)
-    return mean, stderr
+    var = np.maximum((total_sq - count * mean * mean) / (count - 1), 0.0)
+    return mean, np.sqrt(var / count)

@@ -8,6 +8,7 @@ sympy's exact rational elimination.
 
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import factorial
 
 import numpy as np
 import sympy
@@ -136,6 +137,68 @@ def dense_twin(alg, rng):
             if comps:
                 structure[(a, b)] = comps
     return validate_algebra(structure, n)
+
+
+def _dynkin_words(max_weight: int):
+    """Yield (coefficient, word) pairs of the Dynkin expansion of
+    log(exp x exp y) up to max_weight; word entries are 0 for x, 1 for y.
+
+        z = sum_{m>=1} (-1)^{m-1}/m  sum  [x^{r_1} y^{s_1} ... x^{r_m} y^{s_m}]
+                                          / ((sum_i r_i + s_i) prod_i r_i! s_i!)
+
+    with left-nested commutators of the word; words whose last two letters
+    agree have a zero bracket and are skipped.
+    """
+
+    def rec(seq: list, weight: int):
+        if seq:
+            yield list(seq), weight
+        for w in range(1, max_weight - weight + 1):
+            for r in range(w + 1):
+                seq.append((r, w - r))
+                yield from rec(seq, weight + w)
+                seq.pop()
+
+    for seq, weight in rec([], 0):
+        word: list[int] = []
+        denom = weight
+        for r, s in seq:
+            word.extend([0] * r + [1] * s)
+            denom *= factorial(r) * factorial(s)
+        if len(word) >= 2 and word[-1] == word[-2]:
+            continue
+        yield Fraction((-1) ** (len(seq) - 1), len(seq)) / denom, tuple(word)
+
+
+def dynkin_product_polys(alg) -> list:
+    """Coordinates of x·y as ``Poly`` objects in (x_1..x_n, y_1..y_n), summed
+    word by word over the Dynkin expansion; the bracket of two polynomial
+    vectors runs over every ordered basis pair."""
+    from nilcoh.bch import Poly
+
+    n = alg.dim
+    nvars = 2 * n
+    letters = [[Poly.variable(nvars, i) for i in range(n)],
+               [Poly.variable(nvars, n + i) for i in range(n)]]
+
+    def bracket(u, v):
+        out = [Poly(nvars) for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                coeffs = bracket_coeffs(alg, i, j)
+                if coeffs:
+                    prod = u[i] * v[j]
+                    for k, c in coeffs.items():
+                        out[k] = out[k] + prod.scale(c)
+        return out
+
+    nested = {}
+    for word in sorted({w for _, w in _dynkin_words(alg.nilpotency_class)}, key=len):
+        nested[word] = letters[word[0]] if len(word) == 1 else bracket(letters[word[0]], nested[word[1:]])
+    out = [Poly(nvars) for _ in range(n)]
+    for coeff, word in _dynkin_words(alg.nilpotency_class):
+        out = [o + p.scale(coeff) for o, p in zip(out, nested[word])]
+    return out
 
 
 def naive_preimages(points, converged, dets, scales, tol):

@@ -1,11 +1,14 @@
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import corpus
+from oracles import dense_twin, dynkin_product_polys
 
 from nilcoh import algebra
-from nilcoh.bch import group_law
+from nilcoh.bch import bch_product_polys, group_law
 from nilcoh.group import (
     GroupPoint,
     bch_multiply,
@@ -181,3 +184,28 @@ def test_group_law_refuses_non_unipotent_frames():
     )
     with pytest.raises(IllConditionedFrame):
         group_law(fake)
+
+
+PARITY = corpus()
+PARITY.update({f"filiform{n}": algebra.filiform(n) for n in (7, 8, 9)})
+PARITY.update({f"dense_{name}": dense_twin(alg, random.Random(11)) for name, alg in [
+    ("heisenberg3", algebra.heisenberg3()), ("heisenberg5", algebra.heisenberg5()),
+    ("filiform6", algebra.filiform(6)), ("free2step3", algebra.free_nilpotent_two_step(3)),
+    ("filiform7", algebra.filiform(7))]})
+
+
+@pytest.mark.parametrize("name", sorted(PARITY))
+def test_product_polys_match_the_dynkin_sum(name):
+    # the BCH polynomial is unique, so the recursion must give the same
+    # exact coefficients as the Dynkin word sum, term for term
+    new = bch_product_polys(PARITY[name])
+    ref = dynkin_product_polys(PARITY[name])
+    assert [p.terms for p in new] == [p.terms for p in ref]
+
+
+def test_group_law_build_is_polynomial_in_the_class():
+    # the Dynkin word sum needs 76,097 words (7.3 s) at class 10
+    alg = algebra.filiform(11)
+    t0 = time.perf_counter()
+    group_law(alg)
+    assert time.perf_counter() - t0 < 2.0

@@ -150,6 +150,25 @@ def test_exit_code_on_refused_grid_and_radii(files, capsys):
     assert "strictly increasing" in err
 
 
+def test_exit_code_on_one_sample(files, capsys):
+    # one sample has no spread: its stderr used to read 0.0 and asymdeg
+    # called a degree positive from it
+    code, out, err = run(
+        ["average", "--map", str(files / "f1.map.json"), "--form", "e2",
+         "--radii", "4,8", "--samples", "1"],
+        capsys,
+    )
+    assert (code, out) == (1, "")
+    assert "at least 2 samples, got 1" in err
+
+    code, out, err = run(
+        ["asymdeg", "--map", str(files / "auto.map.json"), "--radii", "2,4", "--samples", "1"],
+        capsys,
+    )
+    assert (code, out) == (1, "")
+    assert "at least 2 samples, got 1" in err
+
+
 def test_exit_code_on_usage_error(files):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -176,6 +176,23 @@ def test_qi_distortion_probe_identity():
     assert out["ratio_max"] == pytest.approx(1.0, abs=1e-9)
 
 
+def test_qi_distortion_probe_refuses_a_radius_without_separated_pairs():
+    ident = map_from_texts(H3, H3, ["x1", "x2", "x3"])
+    with pytest.raises(ValueError, match="radius 0.01 with 50 pairs"):
+        qi_distortion_probe(ident, radius=0.01, pairs=50, seed=0)
+
+
+def test_asymptotic_degree_refuses_one_sample():
+    m = map_from_texts(H3, H3, ["2*x1", "x2", "2*x3"])
+    with pytest.raises(ValueError, match="at least 2 samples, got 1"):
+        asymptotic_degree(m, radii=[2.0, 4.0], samples=1, seed=0)
+
+
+def test_area_formula_refuses_one_sample():
+    with pytest.raises(ValueError, match="at least 2 samples, got 1"):
+        area_formula_check(map_from_texts(R1, R1, ["x1^3"]), 1.0, samples=1, seed=0)
+
+
 def test_degree_result_window_field():
     ident = map_from_texts(R1, R1, ["x1"])
     res = local_degree(ident, BallSpec(3.0), (0.25,))

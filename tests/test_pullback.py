@@ -185,6 +185,11 @@ def test_amenable_norm_closed_forms():
     assert rows[0]["value"] == 0.0
 
 
+def test_amenable_norm_refuses_one_sample():
+    with pytest.raises(ValueError, match="at least 2 samples, got 1"):
+        amenable_norm(f1(), derivative_entry(1, 2), radii=[4.0, 8.0], samples=1, seed=0)
+
+
 def test_form_on_wrong_algebra_rejected():
     with pytest.raises(ValueError):
         pullback_eval(f1(), basis_covector(R1, 0), (0,), [0.0])

@@ -77,8 +77,58 @@ def stable_report(argv) -> str:
         return render_stable(json.load(fh))
 
 
+def _leaves(obj, path=()):
+    """(path, value) for every leaf of a JSON value; empty containers are leaves."""
+    if isinstance(obj, dict) and obj:
+        for k, v in obj.items():
+            yield from _leaves(v, path + (k,))
+    elif isinstance(obj, list) and obj:
+        for i, v in enumerate(obj):
+            yield from _leaves(v, path + (i,))
+    else:
+        yield path, obj
+
+
+def leaf_diff(old_text: str, new_text: str) -> str:
+    """Each moved JSON leaf as old -> new with its relative change, then the
+    added and removed leaves."""
+    old, new = dict(_leaves(json.loads(old_text))), dict(_leaves(json.loads(new_text)))
+
+    def name(path):
+        return "/".join(str(p) for p in path)
+
+    lines = []
+    for path, a in old.items():
+        if path not in new or json.dumps(a) == json.dumps(new[path]):
+            continue
+        b = new[path]
+        numeric = all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (a, b))
+        rel = f" (relative {abs(b - a) / abs(a):.2e})" if numeric and a != 0 else ""
+        lines.append(f"moved {name(path)}: {a!r} -> {b!r}{rel}")
+    lines += [f"added {name(p)}: {v!r}" for p, v in new.items() if p not in old]
+    lines += [f"removed {name(p)}: {v!r}" for p, v in old.items() if p not in new]
+    return "\n".join(lines) or "no leaf moved; the bytes differ in formatting only"
+
+
+def test_leaf_diff_names_moved_added_and_removed_leaves():
+    old = json.dumps({"a": {"x": 2.0, "y": [1, 2]}, "s": "same", "gone": 0.5})
+    new = json.dumps({"a": {"x": 2.5, "y": [1]}, "s": "same", "new": {}})
+    assert leaf_diff(old, new).splitlines() == [
+        "moved a/x: 2.0 -> 2.5 (relative 2.50e-01)",
+        "added new: {}",
+        "removed a/y/1: 2",
+        "removed gone: 0.5",
+    ]
+    assert leaf_diff(old, old.replace(" ", "")) == (
+        "no leaf moved; the bytes differ in formatting only")
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_render_stable_bytes_pinned(name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     with open(os.path.join(GOLDEN, f"{name}.json"), encoding="utf-8") as fh:
-        assert stable_report(CASES[name]) == fh.read()
+        want = fh.read()
+    got = stable_report(CASES[name])
+    if got != want:
+        pytest.fail(f"render_stable bytes of {name} moved:\n{leaf_diff(want, got)}",
+                    pytrace=False)

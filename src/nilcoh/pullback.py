@@ -23,11 +23,14 @@ import numpy as np
 
 from .algebra import LieAlgebra
 from .cohomology import CohomologyRing, cohomology
-from .forms import KForm, basis_tuples, ce_differential, wedge
+from .forms import KForm, basis_tuples, ce_differential, sort_with_sign, wedge
 from .group import BallSpec, check_radii, cloud_mean, sample_ball_coords
 from .maps import SmoothMap, differential_batch, normalize_to_y0, warn_once
 
 DEFAULT_RADII = tuple(4.0 * 2 ** k for k in range(6))
+# floats per work array of _coefficient_rows: samples are taken in blocks that keep
+# the arrays of one block (four of them) inside a core's cache
+_WORK_ITEMS = 2 ** 15
 
 
 @dataclass
@@ -65,6 +68,9 @@ def pullback_eval(m: SmoothMap, omega: KForm, lam: tuple[int, ...], g) -> float:
         raise ValueError("form must live on the codomain algebra")
     if len(lam) != omega.degree:
         raise ValueError("frame tuple length must equal the form degree")
+    n = m.domain.dim
+    if not all(isinstance(i, (int, np.integer)) and 0 <= i < n for i in lam):
+        raise ValueError(f"frame indices must be integers in 0 .. {n - 1}, got {tuple(lam)}")
     coords = np.array([float(c) for c in _coords(g)], dtype=float)[:, None]
     _, mats = differential_batch(m, coords)
     return float(_coefficient_rows(mats, [(omega, lam)])[0, 0])
@@ -76,25 +82,108 @@ def _coords(g):
 
 def _coefficient_rows(mats: np.ndarray, pairs: list[tuple[KForm, tuple[int, ...]]]) -> np.ndarray:
     """Row r is omega on the pushed-forward frame columns lam, for
-    (omega, lam) = pairs[r].
+    (omega, lam) = pairs[r]; ``mats`` is (N, m, n) and the result (len(pairs), N).
 
-    ``mats`` is (N, m, n); each k x k minor is computed once and shared by
-    every pair that needs it.
+    One-shot form of ``_plan_coefficient_rows``.
     """
-    out = np.empty((len(pairs), mats.shape[0]))
-    minors: dict[tuple[tuple[int, ...], tuple[int, ...]], np.ndarray] = {}
+    return _plan_coefficient_rows(pairs, mats.shape[2])(mats)
+
+
+def _plan_coefficient_rows(pairs: list[tuple[KForm, tuple[int, ...]]], n: int):
+    """Plan ``_coefficient_rows`` for these pairs on (N, m, n) frame differentials
+    D once; the returned ``rows(mats)`` applies the plan to one batch.
+
+    Row r is sum_R c_R sign * det D[R, C] over the coefficients c_R of omega,
+    where C is lam sorted and sign its permutation sign; a repeated frame index
+    gives 0.  Those minors are entries of the compound matrices of D, and each
+    degree-d minor expands along its first row,
+
+        det D[R, C] = sum_j (-1)^j D[R_0, C_j] det D[R_1.., C without C_j],
+
+    so from the top degree down the plan lists only the minors some pair
+    needs, directly or through a higher degree.  ``rows`` then builds them
+    from degree 1 (the entries of D) upward, vectorized over the N samples,
+    keeping two adjacent degrees alive, and adds each pair's terms in the
+    order of ``omega.coeffs``.
+    """
+    top = max((omega.degree for omega, _ in pairs), default=0)
+    need: list[dict] = [{} for _ in range(top + 1)]  # degree -> (R, C) -> index
+
+    def index(degree: int, rows_idx: tuple, cols: tuple) -> int:
+        if degree == 1:  # an entry of D, a row of the (m * n, N) entry array
+            return rows_idx[0] * n + cols[0]
+        return need[degree].setdefault((rows_idx, cols), len(need[degree]))
+
+    constants = []
+    terms: list[list] = [[] for _ in range(top + 1)]  # degree -> [(row, [(c, index)])]
     for row, (omega, lam) in enumerate(pairs):
         if omega.degree == 0:
-            out[row] = float(omega.coeffs.get((), 0.0))
+            constants.append((row, float(omega.coeffs.get((), 0.0))))
             continue
-        acc = np.zeros(mats.shape[0])
-        for rows_idx, c in omega.coeffs.items():
-            key = (rows_idx, lam)
-            if key not in minors:
-                minors[key] = np.linalg.det(mats[:, list(rows_idx), :][:, :, list(lam)])
-            acc += float(c) * minors[key]
-        out[row] = acc
-    return out
+        sorted_lam = sort_with_sign(lam)
+        if sorted_lam is None or not omega.coeffs:
+            continue
+        cols, sign = sorted_lam
+        terms[omega.degree].append((row, [(sign * float(c), index(omega.degree, r, cols))
+                                          for r, c in omega.coeffs.items()]))
+
+    expansions = {}  # degree -> (first-row entries, complementary minors), each (d, K)
+    for d in range(top, 1, -1):
+        keys = list(need[d])
+        expansions[d] = (
+            np.array([[r[0] * n + c[j] for r, c in keys] for j in range(d)], dtype=np.intp),
+            np.array([[index(d - 1, r[1:], c[:j] + c[j + 1:]) for r, c in keys]
+                      for j in range(d)], dtype=np.intp),
+        )
+
+    rounds = {}  # degree -> t -> (pair rows, coefficients, minor indices) of t-th terms
+    for d in range(1, top + 1):
+        rounds[d] = []
+        for t in range(max((len(p) for _, p in terms[d]), default=0)):
+            row, coeff, idx = zip(*((r, *p[t]) for r, p in terms[d] if len(p) > t))
+            rounds[d].append((np.array(row, dtype=np.intp), np.array(coeff)[:, None],
+                              np.array(idx, dtype=np.intp)))
+    width = max([e[0].shape[1] for e in expansions.values()]
+                + [len(r[0]) for rs in rounds.values() for r in rs], default=1)
+    block = max(1, _WORK_ITEMS // width)
+
+    def rows(mats: np.ndarray) -> np.ndarray:
+        count = mats.shape[0]
+        out = np.zeros((len(pairs), count))
+        for row, value in constants:
+            out[row] = value
+        entries = np.ascontiguousarray(mats.transpose(1, 2, 0)).reshape(-1, count)
+        work = np.empty((4, width * min(block, count)))
+
+        def buffer(i: int, k: int, size: int) -> np.ndarray:
+            return work[i, :k * size].reshape(k, size)
+
+        for start in range(0, count, block):
+            stop = min(start + block, count)
+            size = stop - start
+            level = entries[:, start:stop]
+            for d in range(1, top + 1):
+                if d > 1:
+                    first, sub = expansions[d]
+                    k = first.shape[1]
+                    prev, level = level, buffer(d % 2, k, size)
+                    a, b = buffer(2, k, size), buffer(3, k, size)
+                    np.take(entries[:, start:stop], first[0], axis=0, out=level, mode="clip")
+                    level *= np.take(prev, sub[0], axis=0, out=b, mode="clip")
+                    for j in range(1, d):
+                        np.take(entries[:, start:stop], first[j], axis=0, out=a, mode="clip")
+                        a *= np.take(prev, sub[j], axis=0, out=b, mode="clip")
+                        if j % 2:
+                            level -= a
+                        else:
+                            level += a
+                for row, coeff, idx in rounds[d]:
+                    a = np.take(level, idx, axis=0, out=buffer(2, len(idx), size), mode="clip")
+                    a *= coeff
+                    out[row, start:stop] += a
+        return out
+
+    return rows
 
 
 def _averaged_coefficients(
@@ -115,13 +204,14 @@ def _averaged_coefficients(
     degrees = sorted({w.degree for w in omegas})
     lambdas = {k: basis_tuples(dom.dim, k) for k in degrees}
     pairs = [(w, lam) for w in omegas for lam in lambdas[w.degree]]
+    rows = _plan_coefficient_rows(pairs, dom.dim)
     warn = warn_once(warnings)
     chunk_derivative_max: list[float] = []
 
     def coefficients(coords: np.ndarray) -> np.ndarray:
         _, mats = differential_batch(m, coords, warn)
         chunk_derivative_max.append(float(np.max(np.abs(mats))))
-        return _coefficient_rows(mats, pairs)
+        return rows(mats)
 
     mean, stderr = cloud_mean(cloud, coefficients)
 

@@ -87,6 +87,26 @@ def naive_betti(alg) -> tuple:
     return tuple(out)
 
 
+def exact_det(rows) -> Fraction:
+    """Determinant of a square matrix by Gaussian elimination on Fractions."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    n = len(a)
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            det = -det
+        det *= a[col][col]
+        for r in range(col + 1, n):
+            f = a[r][col] / a[col][col]
+            for c in range(col + 1, n):
+                a[r][c] -= f * a[col][c]
+    return det
+
+
 def alternation_wedge_eval(a_coeffs: dict, m: int, b_coeffs: dict, n: int, indices) -> Fraction:
     """(a ^ b)(indices) from the alternation definition:
     (m+n)!/(m!n!) * A(a x b), with A the signed average over permutations."""

@@ -1,12 +1,17 @@
+import time
+from itertools import combinations
+
 import numpy as np
+import oracles
 import pytest
 
 from nilcoh import algebra
 from nilcoh.degree import area_formula_check
 from nilcoh.ergodic import derivative_entry, empirical_measure, parse_observable
 from nilcoh.forms import basis_covector, basis_form, unit_form, volume_form, wedge
-from nilcoh.maps import map_from_texts, normalize_to_y0
+from nilcoh.maps import differential, map_from_texts, normalize_to_y0
 from nilcoh.pullback import (
+    _coefficient_rows,
     amenable_average,
     amenable_norm,
     exact_homomorphism_pullback,
@@ -45,6 +50,55 @@ def test_pullback_eval_antisymmetric_in_lambda():
     ident = map_from_texts(H3, H3, ["x1", "x2", "x3"])
     w = basis_form(H3, (0, 1))
     assert pullback_eval(ident, w, (1, 0), [0.3, 0.1, 0.0]) == pytest.approx(-1.0)
+
+
+@pytest.mark.parametrize("lam", [(-1,), (3,), (1.0,), (0, -1), (-3, 2), (0, 3)])
+def test_pullback_eval_refuses_frame_indices_outside_the_domain(lam):
+    # negative indices used to wrap around: (-1,) answered for (2,), (0, -1) for (0, 2)
+    ident = map_from_texts(H3, H3, ["x1", "x2", "x3"])
+    w = basis_covector(H3, 2) if len(lam) == 1 else basis_form(H3, (0, 2))
+    with pytest.raises(ValueError, match=r"integers in 0 \.\. 2"):
+        pullback_eval(ident, w, lam, [0.5, 0.0, 1.0])
+
+
+@pytest.mark.parametrize("shape", [(2, 1), (3, 3), (5, 5), (7, 7)])
+def test_coefficient_rows_are_exact_minors_of_integer_matrices(shape):
+    # every product in a Laplace expansion of small integers is exact; a
+    # determinant read back through log|det| misreads even 1 x 1 minors
+    m_rows, n_cols = shape
+    rng = np.random.default_rng(10 * m_rows + n_cols)
+    ints = rng.integers(-9, 10, size=(2, m_rows, n_cols))
+    mats = ints.astype(float)
+    cod = algebra.abelian(m_rows)
+    pairs = []
+    for k in range(1, min(shape) + 1):
+        for rows in combinations(range(m_rows), k):
+            for lam in combinations(range(n_cols), k):
+                # every other frame tuple reversed, so permutation signs are exercised too
+                pairs.append((basis_form(cod, rows), lam[::(-1) ** len(pairs)]))
+    got = _coefficient_rows(mats, pairs)
+    for (omega, lam), row in zip(pairs, got):
+        (rows,) = omega.coeffs
+        want = [oracles.exact_det(mat[np.ix_(rows, lam)].tolist()) for mat in ints]
+        assert row.tolist() == want, (rows, lam)
+
+
+def test_degree_one_pullback_is_the_differential_entry():
+    m = map_from_texts(H3, H3, ["x1 + 0.3*sin(x2) + 1", "x2 - 0.5*x1^2", "x3 + 0.2*x1*x2"])
+    for g in ([0.3, -1.2, 2.0], [2.5, 0.7, -4.0]):
+        d = differential(m, g)
+        for i in range(3):
+            for j in range(3):
+                assert pullback_eval(m, basis_covector(H3, i), (j,), g) == d[i][j]
+
+
+def test_filiform7_homomorphism_check_is_fast():
+    # one LAPACK determinant per minor took 6.8 s on a 2-core host
+    f7 = algebra.filiform(7)
+    m = map_from_texts(f7, f7, ["x1 + 0.3*sin(x2)"] + [f"x{i}" for i in range(2, 8)])
+    t0 = time.perf_counter()
+    homomorphism_check(m, radii=(2.0, 4.0), samples=4000, seed=0)
+    assert time.perf_counter() - t0 < 3.0
 
 
 def test_identity_average_has_zero_variance():

@@ -9,6 +9,13 @@ rational projector applied numerically) assembles the induced map, and
 comparing class products against averaged products probes the ring
 homomorphism property.
 
+Every coefficient of every form is a sum of k x k minors of the frame
+differential D, that is of entries of its compound matrices (Cauchy-Binet;
+Horn-Johnson, Matrix Analysis, 2nd ed., 0.8).  ``_plan_coefficient_rows``
+decides once per set of coefficients which minors each degree needs and
+builds them from degree 1 upward by Laplace expansion along the first row,
+vectorized over the samples; on small integer matrices every minor is exact.
+
 One point cloud is drawn per (seed, radius) and shared by every coefficient,
 so linearity of the estimator holds exactly; ``group.cloud_mean`` averages
 over it.  Evaluation is serial and reruns are bit-identical.  The public
@@ -101,10 +108,11 @@ def _plan_coefficient_rows(pairs: list[tuple[KForm, tuple[int, ...]]], n: int):
         det D[R, C] = sum_j (-1)^j D[R_0, C_j] det D[R_1.., C without C_j],
 
     so from the top degree down the plan lists only the minors some pair
-    needs, directly or through a higher degree.  ``rows`` then builds them
-    from degree 1 (the entries of D) upward, vectorized over the N samples,
-    keeping two adjacent degrees alive, and adds each pair's terms in the
-    order of ``omega.coeffs``.
+    needs, directly or through a higher degree.  ``rows`` transposes D once
+    so that each entry is one contiguous N-vector, then builds the minors
+    from degree 1 (the entries themselves) upward, vectorized over blocks of
+    samples, keeping two adjacent degrees alive, and adds each pair's terms
+    in the order of ``omega.coeffs``.
     """
     top = max((omega.degree for omega, _ in pairs), default=0)
     need: list[dict] = [{} for _ in range(top + 1)]  # degree -> (R, C) -> index
@@ -158,20 +166,21 @@ def _plan_coefficient_rows(pairs: list[tuple[KForm, tuple[int, ...]]], n: int):
         def buffer(i: int, k: int, size: int) -> np.ndarray:
             return work[i, :k * size].reshape(k, size)
 
+        # every index is in range by construction; mode="clip" lets np.take
+        # write straight into its out= buffer instead of through a copy
         for start in range(0, count, block):
-            stop = min(start + block, count)
-            size = stop - start
-            level = entries[:, start:stop]
+            level = ents = entries[:, start:start + block]
+            size = ents.shape[1]
             for d in range(1, top + 1):
                 if d > 1:
                     first, sub = expansions[d]
                     k = first.shape[1]
                     prev, level = level, buffer(d % 2, k, size)
                     a, b = buffer(2, k, size), buffer(3, k, size)
-                    np.take(entries[:, start:stop], first[0], axis=0, out=level, mode="clip")
+                    np.take(ents, first[0], axis=0, out=level, mode="clip")
                     level *= np.take(prev, sub[0], axis=0, out=b, mode="clip")
                     for j in range(1, d):
-                        np.take(entries[:, start:stop], first[j], axis=0, out=a, mode="clip")
+                        np.take(ents, first[j], axis=0, out=a, mode="clip")
                         a *= np.take(prev, sub[j], axis=0, out=b, mode="clip")
                         if j % 2:
                             level -= a
@@ -180,7 +189,7 @@ def _plan_coefficient_rows(pairs: list[tuple[KForm, tuple[int, ...]]], n: int):
                 for row, coeff, idx in rounds[d]:
                     a = np.take(level, idx, axis=0, out=buffer(2, len(idx), size), mode="clip")
                     a *= coeff
-                    out[row, start:stop] += a
+                    out[row, start:start + size] += a
         return out
 
     return rows

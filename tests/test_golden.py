@@ -12,8 +12,13 @@ basepoint) and the average case a non-abelian map with F(0) != 0.  The
 asymdeg file and the H5 average were written before the group law was
 built by Varadarajan's recursion instead of the Dynkin word sum; the H5
 map is shifted too, so its product runs through the six-term central
-coordinate.  The algebras and maps are saved under relative names so the echoed paths do
-not depend on the machine.
+coordinate.  Both average files were rewritten when the pullback minors
+moved from one LU determinant per minor to Laplace expansion: 5 of 44 and
+24 of 91 leaves moved, each value by at most 2.4e-15 relative, and standard
+errors and values that were LU noise (at most 3.3e-18) became exact zeros,
+so two H5 coefficients drop out.  A failing case lists every moved, added
+and removed leaf.  The algebras and maps are saved under relative names so
+the echoed paths do not depend on the machine.
 """
 
 import json

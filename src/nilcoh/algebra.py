@@ -3,7 +3,10 @@
 A ``LieAlgebra`` stores the bracket table ``[e_i, e_j] = sum_k c[i,j,k] e_k``
 for ``i < j`` (antisymmetry is implicit) and is validated on construction:
 the Jacobi identity is checked exactly and the lower central series must
-reach zero.  Indices are 0-based internally; the file format is 1-based.
+reach zero.  Both run on the one exact bracket, ``LieAlgebra.bracket``, which
+takes and returns sparse vectors ``{basis index: Fraction}`` and is built
+from the table through ``bracket_basis``.  Indices are 0-based internally;
+the file format is 1-based.
 """
 
 from __future__ import annotations
@@ -77,15 +80,15 @@ class LieAlgebra:
             return self.structure.get((i, j), {})
         return {k: -c for k, c in self.structure.get((j, i), {}).items()}
 
-    def bracket(self, u: list[Fraction], v: list[Fraction]) -> list[Fraction]:
-        """Bracket of two coefficient vectors, exactly."""
-        out = [Fraction(0)] * self.dim
-        for (i, j), comps in self.structure.items():
-            w = u[i] * v[j] - u[j] * v[i]
-            if w:
-                for k, c in comps.items():
-                    out[k] += c * w
-        return out
+    def bracket(self, u: dict[int, Fraction], v: dict[int, Fraction]) -> dict[int, Fraction]:
+        """Bracket of two sparse vectors ``{basis index: coefficient}``,
+        exactly; coefficients that cancel are dropped."""
+        out: dict[int, Fraction] = {}
+        for i, a in u.items():
+            for j, b in v.items():
+                for k, c in self.bracket_basis(i, j).items():
+                    out[k] = out.get(k, xl.ZERO) + a * b * c
+        return {k: x for k, x in out.items() if x}
 
     @property
     def nilpotency_class(self) -> int:
@@ -158,16 +161,12 @@ def validate_algebra(
     for i in range(dim):
         for j in range(i + 1, dim):
             for k in range(j + 1, dim):
-                ei = _unit(dim, i)
-                ej = _unit(dim, j)
-                ek = _unit(dim, k)
-                res = _vec_add(
-                    alg.bracket(alg.bracket(ei, ej), ek),
-                    alg.bracket(alg.bracket(ej, ek), ei),
-                    alg.bracket(alg.bracket(ek, ei), ej),
-                )
-                if any(res):
-                    raise JacobiViolation((i, j, k), res)
+                res: dict[int, Fraction] = {}
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    for m, x in alg.bracket(alg.bracket_basis(a, b), {c: xl.ONE}).items():
+                        res[m] = res.get(m, xl.ZERO) + x
+                if any(res.values()):
+                    raise JacobiViolation((i, j, k), [res.get(m, xl.ZERO) for m in range(dim)])
 
     lcs, weights = _lower_central_series(alg)
     if lcs[-1] != 0:
@@ -176,16 +175,6 @@ def validate_algebra(
     object.__setattr__(alg, "lcs", tuple(lcs))
     object.__setattr__(alg, "weights", tuple(weights))
     return alg
-
-
-def _unit(dim: int, i: int) -> list[Fraction]:
-    v = [Fraction(0)] * dim
-    v[i] = Fraction(1)
-    return v
-
-
-def _vec_add(*vs):
-    return [sum(col, Fraction(0)) for col in zip(*vs)]
 
 
 def _lower_central_series(alg: LieAlgebra) -> tuple[list[int], list[int]]:
@@ -197,19 +186,14 @@ def _lower_central_series(alg: LieAlgebra) -> tuple[list[int], list[int]]:
     first layer, etc.).
     """
     dim = alg.dim
-    layer = [_unit(dim, i) for i in range(dim)]
+    layer = [{i: xl.ONE} for i in range(dim)]
     dims = [dim]
     weights = [1] * dim
     depth = 1
     while True:
-        nxt = []
-        for i in range(dim):
-            for v in layer:
-                w = alg.bracket(_unit(dim, i), v)
-                if any(w):
-                    nxt.append(w)
+        nxt = [w for i in range(dim) for v in layer if (w := alg.bracket({i: xl.ONE}, v))]
         span = xl.Echelon()
-        basis = [w for w in nxt if span.insert(xl.sparse(w))]
+        basis = [w for w in nxt if span.insert(w)]
         d = len(basis)
         dims.append(d)
         if d == 0:
@@ -219,7 +203,7 @@ def _lower_central_series(alg: LieAlgebra) -> tuple[list[int], list[int]]:
             break
         depth += 1
         for i in range(dim):
-            if not span.reduce({i: Fraction(1)})[0]:
+            if not span.reduce({i: xl.ONE})[0]:
                 weights[i] = depth
         layer = basis
         if depth > dim:

@@ -6,10 +6,11 @@ top to bottom, never by magnitude, so repeated runs (and downstream
 cohomology bases) are reproducible.
 
 ``Echelon`` is the one elimination routine: it keeps the reduced row echelon
-form of a growing set of sparse vectors, which makes the kernel, the pivot
-columns, span membership and coordinates over the inserted vectors (an
-inverse, for the rows of an invertible matrix) all fall out of one
-elimination.  ``rank``, ``nullspace`` and ``in_span`` run on it.
+form of a growing set of sparse vectors, which makes the rank, the kernel,
+the pivot columns, span membership and coordinates over the inserted vectors
+(an inverse, for the rows of an invertible matrix) all fall out of one
+elimination.  Callers use it directly; the dense helpers left are
+``transpose`` and ``mat_mul`` for the class projector.
 """
 
 from __future__ import annotations
@@ -37,34 +38,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return [[sum((x * y for x, y in zip(row, col)), ZERO) for col in bt] for row in a]
 
 
-def mat_vec(m: Matrix, v: Vector) -> Vector:
-    return [sum((x * y for x, y in zip(row, v)), ZERO) for row in m]
-
-
-def rank(m: Matrix) -> int:
-    ech = Echelon()
-    return sum(ech.insert(sparse(row)) for row in m)
-
-
-def nullspace(m: Matrix) -> list[Vector]:
-    """Basis of the right nullspace, one vector per free column, in column order."""
-    if not m:
-        return []
-    n_cols = len(m[0])
-    ech = Echelon()
-    for row in m:
-        ech.insert(sparse(row))
-    return [dense(v, range(n_cols)) for v in ech.kernel(range(n_cols))]
-
-
-def in_span(basis: list[Vector], v: Vector) -> bool:
-    """Whether v lies in the span of the given vectors."""
-    ech = Echelon()
-    for b in basis:
-        ech.insert(sparse(b))
-    return not ech.reduce(sparse(v))[0]
-
-
 def sparse(v: Vector) -> Sparse:
     """Nonzero entries of a dense vector, keyed by position."""
     return {i: x for i, x in enumerate(v) if x}
@@ -81,8 +54,9 @@ class Echelon:
     ``rows`` maps each pivot column to its row: the pivot is the row's
     smallest key, with coefficient 1, and no other row has an entry in that
     column.  That form is unique, so whatever order vectors are inserted in,
-    ``rows`` is the RREF of their span and ``kernel`` agrees with
-    ``nullspace`` of the matrix they are the rows of.
+    ``rows`` is the RREF of their span, ``len(rows)`` its rank, and
+    ``kernel`` the right nullspace of the matrix they are the rows of, one
+    vector per free column as in the usual RREF construction.
 
     Each row also carries a *tag*: a sparse combination of the tags given to
     the inserted vectors, equal to the row as they combine the vectors.

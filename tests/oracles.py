@@ -52,6 +52,41 @@ def bracket_coeffs(alg, i: int, j: int) -> dict:
     return {k: -c for k, c in alg.structure.get((j, i), {}).items()}
 
 
+def naive_lower_central_series(alg) -> tuple:
+    """(lcs, weights) from the definition g^1 = g, g^{m+1} = [g, g^m]: each
+    g^{m+1} is spanned by the brackets [e_i, b] over the basis vectors e_i
+    and a spanning set b of g^m, with independent vectors picked by sympy's
+    row reduction.  weights[i] is the largest m with e_i in g^m, by rank."""
+    n = alg.dim
+
+    def span_basis(vectors):
+        if not vectors:
+            return []
+        _, pivots = sympy.Matrix(vectors).T.rref()
+        return [vectors[p] for p in pivots]
+
+    def bracket_with_basis(i, b):
+        out = [sympy.Integer(0)] * n
+        for j, bj in enumerate(b):
+            for k, c in bracket_coeffs(alg, i, j).items():
+                out[k] += bj * sympy.Rational(c.numerator, c.denominator)
+        return out
+
+    unit = [[sympy.Integer(int(i == j)) for j in range(n)] for i in range(n)]
+    layers = [unit]
+    while layers[-1]:
+        nxt = span_basis([bracket_with_basis(i, b) for i in range(n) for b in layers[-1]])
+        assert len(nxt) < len(layers[-1]), "the series stopped shrinking: not nilpotent"
+        layers.append(nxt)
+    lcs = tuple(len(layer) for layer in layers)
+    weights = tuple(
+        max(m + 1 for m, layer in enumerate(layers)
+            if layer and sympy.Matrix(layer + [unit[i]]).rank() == len(layer))
+        for i in range(n)
+    )
+    return lcs, weights
+
+
 def naive_differential_matrix(alg, k: int):
     """Matrix of the trivial-coefficient differential in degree k, assembled
     entry by entry from the alternating-sum definition."""
@@ -149,7 +184,11 @@ def dense_twin(alg, rng):
     structure = {}
     for a in range(n):
         for b in range(a + 1, n):
-            v = alg.bracket(p[a], p[b])
+            v = [Fraction(0)] * n
+            for i in range(n):
+                for j in range(n):
+                    for k, c in bracket_coeffs(alg, i, j).items():
+                        v[k] += p[a][i] * p[b][j] * c
             x = []
             for j in range(n):
                 x.append(v[j] - sum((x[i] * p[i][j] for i in range(j)), Fraction(0)))

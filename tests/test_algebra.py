@@ -1,6 +1,9 @@
+import random
+import time
 from fractions import Fraction
 
 import pytest
+from oracles import dense_twin, naive_lower_central_series
 
 from nilcoh import algebra
 from nilcoh.algebra import (
@@ -43,7 +46,8 @@ def test_jacobi_violation_reports_triple_and_residual():
     with pytest.raises(JacobiViolation) as exc:
         validate_algebra(structure, 4)
     assert exc.value.triple == (0, 1, 2)
-    assert any(exc.value.residual)
+    assert exc.value.residual == [0, 0, -1, 0]
+    assert str(exc.value) == "Jacobi identity fails on basis triple (1, 2, 3): residual (0, 0, -1, 0)"
 
 
 def test_bad_indices_rejected():
@@ -59,6 +63,38 @@ def test_bracket_antisymmetry():
     alg = algebra.heisenberg3()
     assert alg.bracket_basis(1, 0) == {2: Fraction(-1)}
     assert alg.bracket_basis(2, 2) == {}
+
+
+def test_bracket_is_bilinear_on_sparse_vectors_and_drops_zeros():
+    alg = algebra.heisenberg5()
+    u = {0: Fraction(2), 2: Fraction(1, 3)}
+    v = {1: Fraction(3), 3: Fraction(-6), 4: Fraction(7)}
+    # [2 e1 + e3/3, 3 e2 - 6 e4 + 7 e5] = 6 e5 - 2 e5
+    assert alg.bracket(u, v) == {4: Fraction(4)}
+    assert alg.bracket(v, u) == {4: Fraction(-4)}
+    # the two e5 terms cancel: nothing is left, not a zero entry
+    assert alg.bracket({0: Fraction(1), 2: Fraction(1)}, {1: Fraction(1), 3: Fraction(-1)}) == {}
+    assert alg.bracket({}, v) == {}
+
+
+def test_series_and_weights_match_the_definition(algebras):
+    cases = dict(algebras)
+    cases.update({f"filiform{n}": algebra.filiform(n) for n in range(7, 13)})
+    cases.update({f"free2step{g}": algebra.free_nilpotent_two_step(g) for g in (4, 5)})
+    rng = random.Random(8)
+    for name in ("heisenberg3", "heisenberg5", "filiform4", "free2step3", "filiform7",
+                 "free2step4"):
+        cases[f"dense_{name}"] = dense_twin(cases[name], rng)
+    for name, alg in cases.items():
+        assert (alg.lcs, alg.weights) == naive_lower_central_series(alg), name
+
+
+def test_validation_is_fast():
+    # the dense bracket took about 2.7 s for these two on a 2-core host
+    start = time.perf_counter()
+    algebra.free_nilpotent_two_step(6)
+    algebra.filiform(20)
+    assert time.perf_counter() - start < 0.3
 
 
 def test_filiform_series():

@@ -6,9 +6,9 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+import sympy
 
 from nilcoh import algebra
-from nilcoh import exactlinalg as xl
 from nilcoh.bch import group_law
 from nilcoh.cohomology import (
     DegreeOverflow,
@@ -229,7 +229,7 @@ def test_poincare_duality_pairing_is_perfect(algebras):
                 [ring.cup[(k, n - k, i, j)][0] for j in range(ring.spaces[n - k].betti)]
                 for i in range(b)
             ]
-            assert b == 0 or xl.rank(pairing) == b, (name, k)
+            assert b == 0 or sympy.Matrix(pairing).rank() == b, (name, k)
 
 
 # -- contracts of the exact layer ------------------------------------------------
@@ -293,7 +293,11 @@ def test_reduction_matches_the_projector_on_closed_forms(algebras):
             closed = form_from_vector(alg, k, [Fraction(0)] * comb(alg.dim, k))
             for col in space.closed_basis:
                 closed = closed + form_from_vector(alg, k, col).scale(rng.randint(-3, 3))
-            assert space.project(closed) == xl.mat_vec(space.projector, closed.vector()), (name, k)
+            vec = closed.vector()
+            via_projector = [
+                sum((p * x for p, x in zip(row, vec)), Fraction(0)) for row in space.projector
+            ]
+            assert space.project(closed) == via_projector, (name, k)
 
 
 def test_derived_caches_do_not_pin_the_algebra():

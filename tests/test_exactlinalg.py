@@ -19,32 +19,51 @@ def to_sympy(m):
     )
 
 
-def test_rank_matches_sympy_on_random_matrices():
+def from_sympy(v):
+    return [Fraction(int(x.p), int(x.q)) for x in v]
+
+
+def echelon_of(m):
+    ech = xl.Echelon()
+    inserted = sum(ech.insert(xl.sparse(row)) for row in m)
+    return ech, inserted
+
+
+def test_echelon_rank_matches_sympy_on_random_matrices():
     rng = random.Random(0)
     for _ in range(25):
         rows, cols = rng.randint(1, 6), rng.randint(1, 6)
         m = random_matrix(rng, rows, cols)
-        assert xl.rank(m) == to_sympy(m).rank()
+        ech, inserted = echelon_of(m)
+        assert inserted == len(ech.rows) == to_sympy(m).rank()
 
 
-def test_nullspace_vectors_are_in_kernel_and_complete():
+def test_echelon_kernel_equals_sympy_nullspace():
     rng = random.Random(1)
-    for _ in range(25):
+    for _ in range(200):
         rows, cols = rng.randint(1, 6), rng.randint(1, 6)
         m = random_matrix(rng, rows, cols)
-        basis = xl.nullspace(m)
-        for v in basis:
-            assert all(x == 0 for x in xl.mat_vec(m, v))
-        assert len(basis) == cols - xl.rank(m)
-        if basis:
-            assert xl.rank(basis) == len(basis)
+        if rng.random() < 0.3:  # repeated and scaled rows give rank-deficient cases
+            m.append([2 * x for x in m[rng.randrange(rows)]])
+        ech, _ = echelon_of(m)
+        kernel = [xl.dense(v, range(cols)) for v in ech.kernel(range(cols))]
+        assert kernel == [from_sympy(v) for v in to_sympy(m).nullspace()]
 
 
-def test_in_span():
-    basis = [[Fraction(1), Fraction(0)], [Fraction(1), Fraction(1)]]
-    assert xl.in_span(basis, [Fraction(5), Fraction(3)])
-    assert xl.in_span([], [Fraction(0), Fraction(0)])
-    assert not xl.in_span([[Fraction(1), Fraction(0)]], [Fraction(0), Fraction(1)])
+def test_echelon_reduce_decides_span_membership():
+    ech, _ = echelon_of([[Fraction(1), Fraction(0)], [Fraction(1), Fraction(1)]])
+    assert ech.reduce({0: Fraction(5), 1: Fraction(3)})[0] == {}
+    assert xl.Echelon().reduce({})[0] == {}
+    ech, _ = echelon_of([[Fraction(1), Fraction(0)]])
+    assert ech.reduce({1: Fraction(1)})[0] == {1: Fraction(1)}
+    rng = random.Random(2)
+    for _ in range(25):
+        cols = rng.randint(1, 6)
+        basis = random_matrix(rng, rng.randint(0, 4), cols)
+        v = random_matrix(rng, 1, cols)[0]
+        ech, _ = echelon_of(basis)
+        in_span = to_sympy(basis + [v]).rank() == (to_sympy(basis).rank() if basis else 0)
+        assert (ech.reduce(xl.sparse(v))[0] == {}) == in_span
 
 
 def test_echelon_rows_are_the_rref_in_any_insertion_order():
@@ -60,9 +79,10 @@ def test_echelon_rows_are_the_rref_in_any_insertion_order():
             ech.insert(xl.sparse(m[i]))
         assert sorted(ech.rows) == list(pivots)
         for prow, pcol in enumerate(pivots):
-            want = [Fraction(int(x.p), int(x.q)) for x in r.row(prow)]
+            want = from_sympy(r.row(prow))
             assert xl.dense(ech.rows[pcol], range(cols)) == want
-        assert [xl.dense(v, range(cols)) for v in ech.kernel(range(cols))] == xl.nullspace(m)
+        nullspace = [from_sympy(v) for v in to_sympy(m).nullspace()]
+        assert [xl.dense(v, range(cols)) for v in ech.kernel(range(cols))] == nullspace
 
 
 def test_echelon_tags_give_coordinates_over_the_inserted_vectors():

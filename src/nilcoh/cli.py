@@ -42,7 +42,7 @@ def _radii_arg(text: str) -> list[float]:
 
 
 def _ball_arg(text: str) -> dict:
-    """Parse 'shape=box[,R=<float>]'."""
+    """Parse 'shape=box' or 'shape=quasiball'; the radii come from --radii."""
     out: dict = {}
     for piece in text.split(","):
         if not piece:
@@ -54,8 +54,6 @@ def _ball_arg(text: str) -> dict:
             if value not in ("box", "quasiball"):
                 raise argparse.ArgumentTypeError(f"unknown ball shape {value!r}")
             out["shape"] = value
-        elif key == "R":
-            out["radius"] = float(value)
         else:
             raise argparse.ArgumentTypeError(f"unknown ball spec field {key!r}")
     out.setdefault("shape", "box")

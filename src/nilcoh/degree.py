@@ -246,7 +246,8 @@ def area_formula_check(
     Left side: Monte Carlo of det(Df) over the window.  Right side: Monte
     Carlo of local_degree over the sampled bounding box of the image.
     Targets too close to the sampled boundary image, or landing on
-    near-singular preimages, are skipped and counted.
+    near-singular preimages, are skipped and counted; fewer than 2 counted
+    targets are refused (ValueError), as one has no spread to estimate.
     """
     _check_grid_density(grid_density)
     m = normalize_to_y0(m)
@@ -286,10 +287,14 @@ def area_formula_check(
     valid = ~near & ~singular
 
     n_valid = int(np.sum(valid))
-    mean_deg = float(np.mean(degs[valid])) if n_valid else 0.0
-    se_deg = (
-        float(np.std(degs[valid], ddof=1) / np.sqrt(n_valid)) if n_valid > 1 else 0.0
-    )
+    if n_valid < 2:
+        raise ValueError(
+            f"the degree integral needs at least 2 counted targets, got {n_valid} "
+            f"({int(np.sum(near))} skipped at the boundary, "
+            f"{int(np.sum(~valid & ~near))} singular, of {samples})"
+        )
+    mean_deg = float(np.mean(degs[valid]))
+    se_deg = float(np.std(degs[valid], ddof=1) / np.sqrt(n_valid))
     rhs = mean_deg * vol_box
     rhs_se = se_deg * vol_box
 

@@ -97,12 +97,9 @@ class KForm:
             return KForm(self.algebra, self.degree, {})
         return KForm(self.algebra, self.degree, {k: a * c for k, c in self.coeffs.items()})
 
-    def vector(self, as_float: bool = False) -> list:
+    def vector(self) -> list:
         """Dense coefficient vector over the lexicographic tuple basis."""
-        tuples = basis_tuples(self.algebra.dim, self.degree)
-        if as_float:
-            return [float(self.coeffs.get(t, 0.0)) for t in tuples]
-        return [self.coeffs.get(t, Fraction(0)) for t in tuples]
+        return [self.coeffs.get(t, Fraction(0)) for t in basis_tuples(self.algebra.dim, self.degree)]
 
     def max_abs(self) -> float:
         return max((abs(float(c)) for c in self.coeffs.values()), default=0.0)

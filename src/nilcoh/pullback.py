@@ -50,7 +50,7 @@ class AverageEstimate:
     extrapolated: KForm            # the last value; no model extrapolation
     mc_stderr: list[dict]          # per-radius: lambda tuple -> standard error
     nonconvergent: bool
-    derivative_bound: float = 0.0  # sampled sup of |frame differential| on the largest ball
+    derivative_bound: float = 0.0  # max sampled |frame differential| entry over all radii
     warnings: list[str] = field(default_factory=list)
 
 
@@ -65,7 +65,7 @@ class HomomorphismReport:
     mult_residuals: dict[tuple[int, int, int, int], float]
     stderrs: dict[int, float]                       # degree -> max per-coefficient stderr
     thresholds: dict[str, float]
-    derivative_bound: float = 0.0
+    derivative_bound: float = 0.0                   # max sampled |frame differential| entry over all radii
     warnings: list[str] = field(default_factory=list)
 
 
@@ -366,7 +366,6 @@ def induced_cohomology_map(
         matrices[k] = [[0.0] * len(cols) for _ in range(b_dom)]
         stderrs[k] = 0.0
     for (k, i), coeff in zip(owners, final[: len(reps)]):
-        avg = _form_of(m.domain, k, coeff)
         se = max((s for (_v, s) in coeff.values()), default=0.0)
         stderrs[k] = max(stderrs[k], se)
         vec = [float(v) for v, _s in (coeff.get(t, (0.0, 0.0)) for t in basis_tuples(n_dom, k))]

@@ -178,6 +178,21 @@ def test_exit_code_on_usage_error(files):
     assert exc.value.code == 2
 
 
+def test_ball_radius_field_is_a_usage_error(files, capsys):
+    # R= in --ball was parsed and then read by nothing, so the run answered
+    # for the --radii schedule as if the field were not there
+    argv = ["average", "--map", str(files / "f1.map.json"), "--form", "e2",
+            "--radii", "4,8", "--samples", "200"]
+    for ball in ("shape=box,R=1000", "R=1000"):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--ball", ball])
+        assert exc.value.code == 2
+        assert "unknown ball spec field 'R'" in capsys.readouterr().err
+    code, out, _ = run(argv + ["--ball", "shape=quasiball"], capsys)
+    assert code == 0
+    assert json.loads(out)["params"]["shape"] == "quasiball"
+
+
 def test_reports_bit_identical_across_runs_and_threads(files, capsys):
     argv = [
         "average", "--map", str(files / "f1.map.json"), "--form", "e1 + e2",

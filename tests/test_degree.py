@@ -193,6 +193,21 @@ def test_area_formula_refuses_one_sample():
         area_formula_check(map_from_texts(R1, R1, ["x1^3"]), 1.0, samples=1, seed=0)
 
 
+def test_area_formula_refuses_fewer_than_two_counted_targets(monkeypatch):
+    # a constant map puts every target on the boundary image: the check used
+    # to answer degree_integral 0.0 +- 0.0 from no counted target at all
+    with pytest.raises(ValueError, match=r"got 0 \(50 skipped at the boundary, 0 singular, of 50\)"):
+        area_formula_check(map_from_texts(R1, R1, ["0*x1 + 1"]), 2.0, samples=50, seed=1)
+
+    # one counted target has no spread: its stderr used to read 0.0
+    def first_only(boundary_vals, targets):
+        return np.where(np.arange(targets.shape[1]) == 0, np.inf, 0.0)
+
+    monkeypatch.setattr(degree, "_boundary_margin", first_only)
+    with pytest.raises(ValueError, match=r"got 1 \(49 skipped at the boundary"):
+        area_formula_check(map_from_texts(R1, R1, ["x1"]), 1.5, samples=50, seed=1)
+
+
 def test_degree_result_window_field():
     ident = map_from_texts(R1, R1, ["x1"])
     res = local_degree(ident, BallSpec(3.0), (0.25,))

@@ -99,7 +99,8 @@ class KForm:
 
     def vector(self) -> list:
         """Dense coefficient vector over the lexicographic tuple basis."""
-        return [self.coeffs.get(t, Fraction(0)) for t in basis_tuples(self.algebra.dim, self.degree)]
+        tuples = basis_tuples(self.algebra.dim, self.degree)
+        return [self.coeffs.get(t, Fraction(0)) for t in tuples]
 
     def max_abs(self) -> float:
         return max((abs(float(c)) for c in self.coeffs.values()), default=0.0)

@@ -90,7 +90,9 @@ def test_series_and_weights_match_the_definition(algebras):
 
 
 def test_validation_is_fast():
-    # the dense bracket took about 2.7 s for these two on a 2-core host
+    # dims 21 and 20: about 0.02 s on a 2-core host, so 0.3 s leaves room
+    # for a loaded one, while a dense bracket that loops over every structure
+    # constant (over 2 s) fails
     start = time.perf_counter()
     algebra.free_nilpotent_two_step(6)
     algebra.filiform(20)

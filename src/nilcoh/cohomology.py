@@ -1,20 +1,22 @@
 """Cohomology of the Chevalley-Eilenberg complex, with cup products.
 
-Everything is exact rational linear algebra.  Each degree k is eliminated
-once: d_k comes as sparse rows from ``forms`` (the rows ``ce_differential``
-applies), and its reduced row echelon form gives both ker d_k (one basis
-vector per free column, over the lexicographic wedge basis) and the pivot
-columns whose images span the coboundaries of degree k+1.  Representatives are chosen
-deterministically: an incremental echelon takes the coboundaries first, then
-the cocycles in kernel order, and a cocycle becomes a representative exactly
-when it is independent modulo what came before.
+Everything but the float projection is exact rational linear algebra.
+Each degree k is eliminated once: d_k comes as sparse rows from ``forms``
+(the rows ``ce_differential`` applies), and its reduced row echelon form
+gives both ker d_k (one basis vector per free column, over the lexicographic
+wedge basis) and the pivot columns whose images span the coboundaries of
+degree k+1.  Representatives are chosen deterministically: an incremental
+echelon takes the coboundaries first, then the cocycles in kernel order, and
+a cocycle becomes a representative exactly when it is independent modulo
+what came before.
 
 Class coordinates come by reduction: each echelon row records its
 combination of the columns of A = [representatives | coboundaries], so
 reducing a closed form yields its coordinates in the representative basis
-exactly.  Two things are computed only when first asked for, then kept: the
-least-squares projector (A^T A)^{-1} A^T, which Monte Carlo averages of
-nearly-closed float forms need, and each entry of the cup table.
+exactly.  Two things are computed only when first asked for, then kept: A in
+floats with its pseudo-inverse, the one least-squares operator that Monte
+Carlo averages of nearly-closed float forms need, and each entry of the cup
+table.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+
+import numpy as np
 
 from . import exactlinalg as xl
 from .algebra import DerivedCache, LieAlgebra
@@ -57,33 +61,37 @@ class CohomologySpace:
         return [coords.get(i, xl.ZERO) for i in range(self.betti)]
 
     @cached_property
-    def projector(self) -> list[list[Fraction]]:
-        """The betti x C(n,k) rational matrix onto class coordinates: first
-        `betti` rows of (A^T A)^{-1} A^T for A = [reps | coboundaries].
+    def _least_squares(self) -> tuple[np.ndarray, np.ndarray]:
+        """A = [reps | coboundaries] as a C(n,k) x dim ker d_k float matrix, and
+        its pseudo-inverse.  A has full column rank, so A^+ = (A^T A)^{-1} A^T
+        and A^+ v holds the coordinates of the closed vector nearest to v
+        (Golub-Van Loan, Matrix Computations, 4th ed., 5.5).  ker d_k is never
+        0 (b_k >= 1 for nilpotent algebras), so A has at least one column."""
+        a = np.array(self.closed_basis, dtype=float).T
+        return a, np.linalg.pinv(a)
 
-        For closed vectors this returns exact class coordinates; for arbitrary
-        vectors it is the least-squares projection onto the closed subspace, so
-        Monte Carlo noise orthogonal to ker d is discarded rather than amplified.
-        """
-        if self.betti == 0:
-            return []
-        a = xl.transpose(self.closed_basis)  # dim_k x (betti + rank)
-        gram = xl.mat_mul(self.closed_basis, a)
-        # the Gram matrix is invertible, so its RREF is the identity and the
-        # tag of pivot row i (a combination of Gram rows) is row i of its inverse
-        ech = xl.Echelon()
-        for i, row in enumerate(gram):
-            ech.insert(xl.sparse(row), {i: xl.ONE})
-        inverse = [xl.dense(ech.tags[i], range(len(gram))) for i in range(self.betti)]
-        return xl.mat_mul(inverse, self.closed_basis)
-
-    @cached_property
-    def _float_projector(self) -> list[list[float]]:
-        return [[float(p) for p in row] for row in self.projector]
+    def _fit(self, vec) -> tuple[np.ndarray, np.ndarray]:
+        """(v, A^+ v) for a dense float coefficient vector v of degree k."""
+        a, pinv = self._least_squares
+        v = np.asarray(vec, dtype=float)
+        if v.shape != (a.shape[0],):
+            raise ValueError(
+                f"a degree-{self.degree} coefficient vector has C(n, {self.degree}) = "
+                f"{a.shape[0]} entries, got shape {v.shape}"
+            )
+        return v, pinv @ v
 
     def project_float(self, vec) -> list[float]:
-        """Projector applied numerically to a dense float coefficient vector."""
-        return [sum(p * v for p, v in zip(row, vec)) for row in self._float_projector]
+        """Class coordinates of the closed form nearest to a dense float
+        coefficient vector: exact coordinates (up to rounding) for closed
+        vectors, and Monte Carlo noise off ker d is discarded, not amplified."""
+        _, coords = self._fit(vec)
+        return coords[: self.betti].tolist()
+
+    def closed_residual(self, vec) -> float:
+        """max |v - A A^+ v|: the size of the part of v off ker d_k."""
+        v, coords = self._fit(vec)
+        return float(np.max(np.abs(v - self._least_squares[0] @ coords)))
 
 
 class CupTable(Mapping):

@@ -35,6 +35,7 @@ NEWTON_MAX_ITER = 60
 DEDUPE_TOL = 1e-6
 BOUNDARY_MARGIN = 1e-6
 SINGULAR_MARGIN = 1e-8
+BOUNDARY_PER_FACE = 256  # boundary samples on each face of the window box
 
 
 class BoundaryTooClose(ValueError):
@@ -86,16 +87,16 @@ def _check_grid_density(grid_density: int) -> None:
         raise ValueError(f"grid density must be at least 1, got {grid_density}")
 
 
-def _boundary_cloud(m: SmoothMap, window: BallSpec, seed: int, per_face: int = 256) -> np.ndarray:
+def _boundary_cloud(m: SmoothMap, window: BallSpec, seed: int) -> np.ndarray:
     """Deterministic samples on the faces of the window box, mapped forward."""
     scales = _window_scales(m, window)
     n = m.domain.dim
     gen = rng.stream(seed, "degree-boundary", float(window.radius))
     faces = []
     for i in range(n):
-        pts = gen.uniform(-1.0, 1.0, size=(n, 2 * per_face)) * scales[:, None]
-        pts[i, :per_face] = scales[i]
-        pts[i, per_face:] = -scales[i]
+        pts = gen.uniform(-1.0, 1.0, size=(n, 2 * BOUNDARY_PER_FACE)) * scales[:, None]
+        pts[i, :BOUNDARY_PER_FACE] = scales[i]
+        pts[i, BOUNDARY_PER_FACE:] = -scales[i]
         faces.append(pts)
     boundary = np.concatenate(faces, axis=1)
     return evaluate_batch(m, boundary)
@@ -192,7 +193,7 @@ def local_degree(
     if m.domain.dim != m.codomain.dim:
         raise ValueError("degree needs equal domain and codomain dimensions")
     window = window if isinstance(window, BallSpec) else BallSpec(float(window))
-    requested = tuple(float(c) for c in (target.coords if hasattr(target, "coords") else target))
+    requested = tuple(float(c) for c in target)
     if len(requested) != m.codomain.dim:
         raise ValueError("target dimension mismatch")
 

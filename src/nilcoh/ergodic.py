@@ -269,7 +269,7 @@ def _as_coords(p, dim: int):
         if dim != 1:
             raise ValueError("scalar basepoint only valid for 1-dimensional groups")
         return (float(p),)
-    coords = tuple(float(c) for c in (p.coords if hasattr(p, "coords") else p))
+    coords = tuple(float(c) for c in p)
     if len(coords) != dim:
         raise ValueError("basepoint dimension mismatch")
     return coords

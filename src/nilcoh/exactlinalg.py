@@ -9,8 +9,8 @@ cohomology bases) are reproducible.
 form of a growing set of sparse vectors, which makes the rank, the kernel,
 the pivot columns, span membership and coordinates over the inserted vectors
 (an inverse, for the rows of an invertible matrix) all fall out of one
-elimination.  Callers use it directly; the dense helpers left are
-``transpose`` and ``mat_mul`` for the class projector.
+elimination.  Callers use it directly; ``sparse`` and ``dense`` convert
+vectors between its sparse form and dense rows.
 """
 
 from __future__ import annotations
@@ -23,19 +23,6 @@ Sparse = dict  # ordered key (column index, form-basis tuple) -> nonzero Fractio
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-def transpose(m: Matrix) -> Matrix:
-    if not m:
-        return []
-    return [list(col) for col in zip(*m)]
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if not a or not b:
-        return []
-    bt = transpose(b)
-    return [[sum((x * y for x, y in zip(row, col)), ZERO) for col in bt] for row in a]
 
 
 def sparse(v: Vector) -> Sparse:

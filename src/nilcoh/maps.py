@@ -114,11 +114,11 @@ def evaluate_batch(m: SmoothMap, coords: np.ndarray, warn=None) -> np.ndarray:
 
 def evaluate(m: SmoothMap, g, warn=None) -> GroupPoint:
     """Map value at a single point (GroupPoint or coordinate sequence)."""
-    coords = np.array(_coords_of(g), dtype=float)[:, None]
+    coords = np.array(tuple(g), dtype=float)[:, None]
     try:
         out = evaluate_batch(m, coords, warn)
     except dsl.DomainError as e:
-        raise dsl.DomainError(e.base_message, coords=_coords_of(g)) from None
+        raise dsl.DomainError(e.base_message, coords=tuple(g)) from None
     return GroupPoint(m.codomain, tuple(float(v) for v in out[:, 0]))
 
 
@@ -138,11 +138,11 @@ def differential_batch(m: SmoothMap, coords: np.ndarray, warn=None):
 
 
 def differential(m: SmoothMap, g, warn=None) -> list[list[float]]:
-    coords = np.array(_coords_of(g), dtype=float)[:, None]
+    coords = np.array(tuple(g), dtype=float)[:, None]
     try:
         _, mats = differential_batch(m, coords, warn)
     except dsl.DomainError as e:
-        raise dsl.DomainError(e.base_message, coords=_coords_of(g)) from None
+        raise dsl.DomainError(e.base_message, coords=tuple(g)) from None
     return [[float(x) for x in row] for row in mats[0]]
 
 
@@ -164,7 +164,7 @@ def act(m: SmoothMap, g) -> SmoothMap:
     Repeated actions collapse through the group law, so
     act(act(m, g1), g2) == act(m, g1 * g2) by construction.
     """
-    coords = [float(c) for c in _coords_of(g)]
+    coords = [float(c) for c in g]
     if m.action is not None:
         coords = [float(v) for v in group_law(m.domain).multiply(list(m.action), coords)]
     bare = SmoothMap(m.domain, m.codomain, m.components)
@@ -191,12 +191,6 @@ def is_group_homomorphism(m: SmoothMap, seed: int = 0, trials: int = 8, tol: flo
         if np.max(np.abs(lhs - rhs)) > tol:
             return False
     return True
-
-
-def _coords_of(g):
-    if isinstance(g, GroupPoint):
-        return g.coords
-    return tuple(g)
 
 
 # -- map files ----------------------------------------------------------------

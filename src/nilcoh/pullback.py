@@ -4,8 +4,8 @@ For a map psi and a left-invariant k-form omega on the codomain, the
 pullback coefficient at a point g and a frame k-tuple lambda is the k x k
 minor of the frame differential contracted with omega.  Averaging those
 coefficients over growing Følner boxes estimates the limiting left-invariant
-form; projecting the estimate onto cohomology classes (with the exact
-rational projector applied numerically) assembles the induced map, and
+form; projecting the estimate onto cohomology classes (a float least-squares
+fit onto the closed forms) assembles the induced map, and
 comparing class products against averaged products probes the ring
 homomorphism property.
 
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import LieAlgebra
-from .cohomology import CohomologyRing, cohomology
+from .cohomology import CohomologyRing, CohomologySpace, cohomology
 from .forms import KForm, basis_tuples, ce_differential, sort_with_sign, wedge
 from .group import BallSpec, check_radii, cloud_mean, sample_ball_coords
 from .maps import SmoothMap, differential_batch, normalize_to_y0, warn_once
@@ -71,20 +71,22 @@ class HomomorphismReport:
 
 def pullback_eval(m: SmoothMap, omega: KForm, lam: tuple[int, ...], g) -> float:
     """Pullback coefficient (psi* omega)(V_lam) at one point."""
-    if omega.algebra is not m.codomain:
-        raise ValueError("form must live on the codomain algebra")
+    _check_on_codomain(m, [omega])
     if len(lam) != omega.degree:
         raise ValueError("frame tuple length must equal the form degree")
     n = m.domain.dim
     if not all(isinstance(i, (int, np.integer)) and 0 <= i < n for i in lam):
         raise ValueError(f"frame indices must be integers in 0 .. {n - 1}, got {tuple(lam)}")
-    coords = np.array([float(c) for c in _coords(g)], dtype=float)[:, None]
+    coords = np.array([float(c) for c in g], dtype=float)[:, None]
     _, mats = differential_batch(m, coords)
     return float(_coefficient_rows(mats, [(omega, lam)])[0, 0])
 
 
-def _coords(g):
-    return g.coords if hasattr(g, "coords") else tuple(g)
+def _check_on_codomain(m: SmoothMap, omegas) -> None:
+    """Refuse forms of another algebra: their coefficient keys would index
+    rows of the frame differential that do not exist."""
+    if any(w.algebra is not m.codomain for w in omegas):
+        raise ValueError("form must live on the codomain algebra")
 
 
 def _coefficient_rows(mats: np.ndarray, pairs: list[tuple[KForm, tuple[int, ...]]]) -> np.ndarray:
@@ -166,7 +168,8 @@ def _plan_coefficient_rows(pairs: list[tuple[KForm, tuple[int, ...]]], n: int):
         def buffer(i: int, k: int, size: int) -> np.ndarray:
             return work[i, :k * size].reshape(k, size)
 
-        # every index is in range by construction; mode="clip" lets np.take
+        # every index is in range by construction (the forms live on the
+        # codomain, see _check_on_codomain); mode="clip" lets np.take
         # write straight into its out= buffer instead of through a copy
         for start in range(0, count, block):
             level = ents = entries[:, start:start + block]
@@ -208,6 +211,7 @@ def _averaged_coefficients(
 
     Returns, per input form, a dict lambda -> (mean, stderr).
     """
+    _check_on_codomain(m, omegas)
     dom = m.domain
     cloud = sample_ball_coords(dom, BallSpec(radius, shape), samples, seed, tags=("avg",))
     degrees = sorted({w.degree for w in omegas})
@@ -371,7 +375,7 @@ def induced_cohomology_map(
         vec = [float(v) for v, _s in (coeff.get(t, (0.0, 0.0)) for t in basis_tuples(n_dom, k))]
         coords = ring_dom.spaces[k].project_float(vec)
         class_vectors[(k, i)] = coords
-        _projection_warning(ring_dom, k, vec, se, warnings)
+        _projection_warning(ring_dom.spaces[k], vec, se, warnings)
         for a, c in enumerate(coords):
             matrices[k][a][i] = c
 
@@ -433,18 +437,11 @@ def _cup_combination(ring: CohomologyRing, k: int, l: int, vi, vj) -> list[float
     return out
 
 
-def _projection_warning(ring_dom: CohomologyRing, k: int, vec, se: float, warnings: list[str]):
-    space = ring_dom.spaces[k]
-    if not space.closed_basis:
-        resid = max((abs(v) for v in vec), default=0.0)
-    else:
-        a = np.array([[float(x) for x in col] for col in space.closed_basis], dtype=float).T
-        v = np.array(vec, dtype=float)
-        sol, *_ = np.linalg.lstsq(a, v, rcond=None)
-        resid = float(np.max(np.abs(v - a @ sol))) if v.size else 0.0
+def _projection_warning(space: CohomologySpace, vec, se: float, warnings: list[str]):
+    resid = space.closed_residual(vec)
     if resid > 10.0 * se and resid > 1e-12:
         warnings.append(
-            f"projection warning: degree-{k} average has non-closed component "
+            f"projection warning: degree-{space.degree} average has non-closed component "
             f"{resid:.3e} exceeding 10 x stderr ({se:.3e})"
         )
 
@@ -455,6 +452,7 @@ def exact_homomorphism_pullback(m: SmoothMap, omega: KForm) -> KForm:
     Valid when the map is a group homomorphism (the differential in
     left-invariant frames is then constant), giving a noise-free reference.
     """
+    _check_on_codomain(m, [omega])
     m = normalize_to_y0(m)
     coords = np.zeros((m.domain.dim, 1))
     _, mats = differential_batch(m, coords)

@@ -24,18 +24,18 @@ def stream(seed: int, *tags) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def chunked_sums(evaluate, count: int, chunk: int = CHUNK) -> list[np.ndarray]:
+def chunked_sums(evaluate, count: int) -> list[np.ndarray]:
     """Sum evaluate(start, stop) over [0, count) deterministically.
 
     ``evaluate`` returns a sequence of float arrays whose last axis is the
     sample axis; the returned list holds their sums over all samples.  The
-    chunk size is fixed, so the partition (and therefore the float rounding)
-    depends only on ``count``.
+    chunk size is the constant ``CHUNK``, so the partition (and therefore the
+    float rounding) depends only on ``count``.
     """
     sums: list[np.ndarray] | None = None
     comps: list[np.ndarray] | None = None
-    for start in range(0, count, chunk):
-        part = evaluate(start, min(start + chunk, count))
+    for start in range(0, count, CHUNK):
+        part = evaluate(start, min(start + CHUNK, count))
         part_sums = [np.sum(np.asarray(p, dtype=float), axis=-1) for p in part]
         if sums is None:
             sums = part_sums

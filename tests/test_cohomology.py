@@ -284,7 +284,7 @@ def test_project_rejects_non_closed_forms():
         ring.spaces[2].project(basis_form(H3, (0,)))
 
 
-def test_reduction_matches_the_projector_on_closed_forms(algebras):
+def test_project_float_matches_reduction_on_closed_forms(algebras):
     rng = random.Random(12)
     for name, alg in algebras.items():
         ring = cohomology(alg)
@@ -293,11 +293,30 @@ def test_reduction_matches_the_projector_on_closed_forms(algebras):
             closed = form_from_vector(alg, k, [Fraction(0)] * comb(alg.dim, k))
             for col in space.closed_basis:
                 closed = closed + form_from_vector(alg, k, col).scale(rng.randint(-3, 3))
-            vec = closed.vector()
-            via_projector = [
-                sum((p * x for p, x in zip(row, vec)), Fraction(0)) for row in space.projector
-            ]
-            assert space.project(closed) == via_projector, (name, k)
+            floats = space.project_float([float(x) for x in closed.vector()])
+            exact = space.project(closed)
+            assert len(floats) == len(exact) == space.betti, (name, k)
+            assert all(abs(f - float(e)) <= 1e-12 for f, e in zip(floats, exact)), (name, k)
+
+
+def test_project_float_refuses_vectors_of_the_wrong_length():
+    space = cohomology(H3).spaces[1]
+    for bad in ([1.0], [], [0.0] * 4, [[1.0, 0.0, 0.0]]):
+        with pytest.raises(ValueError, match=r"C\(n, 1\) = 3 entries"):
+            space.project_float(bad)
+        with pytest.raises(ValueError, match=r"C\(n, 1\) = 3 entries"):
+            space.closed_residual(bad)
+    assert space.project_float([1.0, -2.0, 0.0]) == [1.0, -2.0]
+
+
+def test_first_float_projection_is_fast():
+    # the least-squares operator is a float pseudo-inverse: about 1 s for all
+    # eleven degrees of free2step4 (dim 10) on a 2-core host
+    ring = cohomology(algebra.free_nilpotent_two_step(4))
+    start = time.perf_counter()
+    for space in ring.spaces:
+        assert len(space.project_float([0.0] * len(space.closed_basis[0]))) == space.betti
+    assert time.perf_counter() - start < 5.0
 
 
 def test_derived_caches_do_not_pin_the_algebra():
@@ -305,7 +324,7 @@ def test_derived_caches_do_not_pin_the_algebra():
     ring = cohomology(alg)
     group_law(alg)
     ring.cup[(1, 1, 0, 1)]
-    ring.spaces[2].project_float([0.0] * 21)
+    ring.spaces[2].project_float([0.0] * comb(6, 2))
     assert cohomology(alg) is ring and group_law(alg) is group_law(alg)
     ref = weakref.ref(alg)
     del alg, ring

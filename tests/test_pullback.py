@@ -6,12 +6,14 @@ import oracles
 import pytest
 
 from nilcoh import algebra
-from nilcoh.degree import area_formula_check
+from nilcoh.cohomology import cohomology
+from nilcoh.degree import area_formula_check, asymptotic_degree
 from nilcoh.ergodic import derivative_entry, empirical_measure, parse_observable
 from nilcoh.forms import basis_covector, basis_form, unit_form, volume_form, wedge
 from nilcoh.maps import differential, map_from_texts, normalize_to_y0
 from nilcoh.pullback import (
     _coefficient_rows,
+    _projection_warning,
     amenable_average,
     amenable_norm,
     exact_homomorphism_pullback,
@@ -247,6 +249,30 @@ def test_amenable_norm_refuses_one_sample():
 def test_form_on_wrong_algebra_rejected():
     with pytest.raises(ValueError):
         pullback_eval(f1(), basis_covector(R1, 0), (0,), [0.0])
+    # e5* of R^5 has a coefficient key beyond H3's three frame rows
+    m, w = h3_doubling(), basis_covector(algebra.abelian(5), 4)
+    calls = [
+        lambda: exact_homomorphism_pullback(m, w),
+        lambda: amenable_average(m, w, radii=[2.0, 4.0], samples=100),
+        lambda: asymptotic_degree(m, volume_form(algebra.abelian(3)), radii=[2.0, 4.0], samples=100),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="form must live on the codomain algebra"):
+            call()
+
+
+def test_projection_warning_reads_the_non_closed_residual():
+    # on H3, ker d_1 is spanned by e1*, e2* (d e3* = -e1* ^ e2*)
+    space = cohomology(H3).spaces[1]
+    assert space.closed_residual([0.0, 0.0, 1.0]) == 1.0
+    assert space.closed_residual([1.0, -2.0, 0.0]) == 0.0
+    warnings = []
+    _projection_warning(space, [0.0, 0.0, 1.0], 0.01, warnings)
+    assert warnings == ["projection warning: degree-1 average has non-closed component "
+                        "1.000e+00 exceeding 10 x stderr (1.000e-02)"]
+    _projection_warning(space, [1.0, -2.0, 0.0], 0.01, warnings)
+    _projection_warning(space, [0.0, 0.0, 1.0], 0.2, warnings)
+    assert len(warnings) == 1
 
 
 def test_schedule_must_increase():

@@ -9,10 +9,13 @@ so its determinant is that of the frame differential), then a greedy dedupe
 in start order: a converged point strictly inside the window box is kept
 unless it lies within ``DEDUPE_TOL`` (max-norm) of a root already kept.
 Capture is heuristic, so every result carries the grid density and a
-repeat-with-denser-grid stability flag.  Near-singular targets are retried
-with small perturbations (at most three, each within 1% of the window
-radius), mirroring the regular-value definition of the degree for
-non-regular targets.
+repeat-with-denser-grid stability flag; ``local_degree`` runs both grids
+in one Newton batch, as columns never interact.  In 1-D the Newton step is
+a division and the boundary margin a search in the sorted boundary image,
+with the same bits as the general batched solve and minimum.  Near-singular
+targets are retried with small perturbations (at most three, each within
+1% of the window radius), mirroring the regular-value definition of the
+degree for non-regular targets.
 
 Evaluation is serial; the public functions accept ``threads`` for
 compatibility and ignore it.
@@ -103,7 +106,19 @@ def _boundary_cloud(m: SmoothMap, window: BallSpec, seed: int) -> np.ndarray:
 
 
 def _boundary_margin(boundary_vals: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Max-norm distance from each target column (n, T) to the boundary image."""
+    """Max-norm distance from each target column (n, T) to the boundary image.
+
+    In 1-D the nearest boundary values are the neighbours of each target in
+    the sorted image, so no (1, B, T) difference array is built; a NaN in
+    the image makes every margin NaN, as the minimum over all of them would.
+    """
+    if len(boundary_vals) == 1:
+        edge, t = np.sort(boundary_vals[0]), targets[0]
+        pos = np.searchsorted(edge, t)
+        below = edge[np.maximum(pos - 1, 0)]
+        above = edge[np.minimum(pos, edge.size - 1)]
+        margin = np.minimum(np.abs(below - t), np.abs(above - t))
+        return np.where(np.isnan(edge[-1]), np.nan, margin)
     return np.min(np.max(np.abs(boundary_vals[:, :, None] - targets[:, None, :]), axis=0), axis=0)
 
 
@@ -112,6 +127,8 @@ def _newton_roots(m: SmoothMap, starts: np.ndarray, targets: np.ndarray):
 
     ``starts`` is (n, S) and ``targets`` (n, S): one target per column.
     Returns (points, converged mask, coordinate Jacobians at the points).
+    Each column's iterates depend on that column alone.  In 1-D the step is
+    the residual over the derivative, which is what LU does on a 1x1 system.
     """
     x = starts.copy()
     alive = np.ones(x.shape[1], dtype=bool)
@@ -120,12 +137,16 @@ def _newton_roots(m: SmoothMap, starts: np.ndarray, targets: np.ndarray):
         resid = vals - targets
         rnorm = np.max(np.abs(resid), axis=0)
         idx = np.flatnonzero(alive & (rnorm > NEWTON_TOL))
-        solvable = np.abs(np.linalg.det(jacs[idx])) > 1e-300
+        pivots = jacs[idx, 0, 0] if len(x) == 1 else np.linalg.det(jacs[idx])
+        solvable = np.abs(pivots) > 1e-300
         alive[idx[~solvable]] = False
         idx = idx[solvable]
         if iteration == NEWTON_MAX_ITER or idx.size == 0:
             break
-        step = np.linalg.solve(jacs[idx], resid[:, idx].T[:, :, None])[:, :, 0].T
+        if len(x) == 1:
+            step = resid[:, idx] / pivots[solvable]
+        else:
+            step = np.linalg.solve(jacs[idx], resid[:, idx].T[:, :, None])[:, :, 0].T
         for alpha in (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125):
             trial = x[:, idx] - alpha * step
             better = np.max(np.abs(evaluate_batch(m, trial) - targets[:, idx]), axis=0) < rnorm[idx]
@@ -157,27 +178,39 @@ def _greedy_dedupe(points: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     return keep
 
 
-def _preimages(m: SmoothMap, targets: np.ndarray, scales: np.ndarray, grid_density: int):
-    """Preimages inside the open window box of each target column (n, T).
+def _preimages(m: SmoothMap, targets: np.ndarray, scales: np.ndarray, densities: tuple):
+    """Preimages inside the open window box of each target column (n, T),
+    from the start grid of each density in ``densities``.
 
-    Returns (degrees, singular, roots, dets): per target the sign sum of the
-    Jacobian determinants and whether any is below ``SINGULAR_MARGIN``; per
-    kept root, in target-then-start order, its coordinates (n, K) and its
-    determinant.
+    Newton runs once on the start columns of all densities together; each
+    density is then deduped and counted on its own, exactly as if it had
+    run alone.  Returns per density (degrees, singular, roots, dets): per
+    target the sign sum of the Jacobian determinants and whether any is
+    below ``SINGULAR_MARGIN``; per kept root, in target-then-start order,
+    its coordinates (n, K) and its determinant.
     """
-    starts = _grid_starts(scales, grid_density)
-    n, n_starts = starts.shape
     count = targets.shape[1]
+    grids = [_grid_starts(scales, d) for d in densities]
     points, converged, jacs = _newton_roots(
-        m, np.tile(starts, (1, count)), np.repeat(targets, n_starts, axis=1)
+        m,
+        np.concatenate([np.tile(g, (1, count)) for g in grids], axis=1),
+        np.concatenate([np.repeat(targets, g.shape[1], axis=1) for g in grids], axis=1),
     )
     inside = converged & np.all(np.abs(points) < scales[:, None] * (1 - 1e-12), axis=0)
-    keep = _greedy_dedupe(points.reshape(n, count, n_starts), inside.reshape(count, n_starts))
-    cols = np.flatnonzero(keep)
-    owner, dets = cols // n_starts, np.linalg.det(jacs[cols])
-    degrees = np.bincount(owner, np.where(dets > 0, 1.0, -1.0), count)
-    singular = np.bincount(owner, ~(np.abs(dets) >= SINGULAR_MARGIN), count) > 0
-    return degrees, singular, points[:, cols], dets
+    out, stop = [], 0
+    for grid in grids:
+        n, n_starts = grid.shape
+        part = slice(stop, stop + count * n_starts)
+        stop = part.stop
+        keep = _greedy_dedupe(
+            points[:, part].reshape(n, count, n_starts), inside[part].reshape(count, n_starts)
+        )
+        cols = np.flatnonzero(keep)
+        owner, dets = cols // n_starts, np.linalg.det(jacs[part][cols])
+        degrees = np.bincount(owner, np.where(dets > 0, 1.0, -1.0), count)
+        singular = np.bincount(owner, ~(np.abs(dets) >= SINGULAR_MARGIN), count) > 0
+        out.append((degrees, singular, points[:, part][:, cols], dets))
+    return out
 
 
 def local_degree(
@@ -210,9 +243,10 @@ def local_degree(
                 f"target {tuple(target_now)} lies within {BOUNDARY_MARGIN:g} of the sampled "
                 f"boundary image (margin {margin:.3e})"
             )
-        degree, singular, roots, dets = _preimages(m, column, scales, grid_density)
+        (degree, singular, roots, dets), (degree2, _, _, dets2) = _preimages(
+            m, column, scales, (grid_density, 2 * grid_density)
+        )
         if not singular[0]:
-            degree2, _, _, dets2 = _preimages(m, column, scales, 2 * grid_density)
             return DegreeResult(
                 value=int(degree[0]),
                 target=tuple(float(v) for v in target_now),
@@ -282,7 +316,7 @@ def area_formula_check(
     parts = []
     for start in range(0, samples, chunk):
         t = targets[:, start : start + chunk]
-        degrees, singular, _, _ = _preimages(m, t, scales, grid_density)
+        ((degrees, singular, _, _),) = _preimages(m, t, scales, (grid_density,))
         parts.append((degrees, singular, _boundary_margin(boundary_vals, t) <= BOUNDARY_MARGIN))
     degs, singular, near = (np.concatenate(p) for p in zip(*parts))
     valid = ~near & ~singular

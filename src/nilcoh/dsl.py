@@ -10,9 +10,15 @@ Grammar (precedence climbing, loosest to tightest):
 
 Coordinates are ``x1 .. xn``; functions are sin, cos, exp, log, sqrt, abs,
 tanh.  Positions in error messages are 1-based; end of input counts as one
-past the last character.  Evaluation is generic over floats, numpy arrays,
-and jets, and raises DomainError on log of a nonpositive value, division by
-zero, square root of a negative, or 0 to a negative power.
+past the last character.
+
+Expressions are compiled once (``compile``) into a flat ``Tape`` that
+computes structurally equal subtrees once and frees each register after its
+last use.  ``evaluate`` runs a tape on floats or numpy arrays, or in forward
+mode on jets (Griewank-Walther, *Evaluating Derivatives*, ch. 3) with the
+same ops, and raises DomainError on log of a nonpositive value, division by
+zero, square root of a negative, or 0 to a negative power, in the order a
+walk of the trees would meet them.
 """
 
 from __future__ import annotations
@@ -316,64 +322,156 @@ def _first_bad(mask) -> int | None:
     return int(np.argmax(mask))
 
 
-def evaluate(expr, env: list, warn=None):
-    """Evaluate over an environment of floats, arrays, or jets.
+def _load(index: int, name: str):
+    def load(env, warn):
+        if index >= len(env):
+            raise DomainError(f"coordinate {name} exceeds domain dimension {len(env)}")
+        return env[index]
 
-    ``warn``, if given, is called with a message for soft diagnostics
-    (currently: abs evaluated within 1e-9 of its kink).
-    """
-    if isinstance(expr, Num):
-        return expr.value
-    if isinstance(expr, PiConst):
-        return np.pi
-    if isinstance(expr, Coord):
-        if expr.index >= len(env):
-            raise DomainError(f"coordinate {expr.name} exceeds domain dimension {len(env)}")
-        return env[expr.index]
-    if isinstance(expr, Neg):
-        return -evaluate(expr.arg, env, warn)
-    if isinstance(expr, Bin):
-        left = evaluate(expr.left, env, warn)
-        right = evaluate(expr.right, env, warn)
-        if expr.op == "+":
-            return left + right
-        if expr.op == "-":
-            return left - right
-        if expr.op == "*":
-            return left * right
-        raw = value_of(right)
-        bad = np.equal(raw, 0.0)
-        if np.any(bad):
-            raise DomainError("division by zero", _first_bad(bad))
-        return left / right
-    if isinstance(expr, Pow):
-        base = evaluate(expr.base, env, warn)
-        if expr.exponent < 0:
+    return load
+
+
+def _div(env, warn, a, b):
+    bad = np.equal(value_of(b), 0.0)
+    if np.any(bad):
+        raise DomainError("division by zero", _first_bad(bad))
+    return a / b
+
+
+_BINARY = {
+    "+": lambda env, warn, a, b: a + b,
+    "-": lambda env, warn, a, b: a - b,
+    "*": lambda env, warn, a, b: a * b,
+    "/": _div,
+}
+
+
+def _power(k: int):
+    def power(env, warn, base):
+        if k < 0:
             bad = np.equal(value_of(base), 0.0)
             if np.any(bad):
                 raise DomainError("zero raised to a negative power", _first_bad(bad))
-        return base ** expr.exponent
-    if isinstance(expr, Call):
-        arg = evaluate(expr.arg, env, warn)
+        return base ** k
+
+    return power
+
+
+def _call(fn: str):
+    f, df = _UNARY[fn]
+
+    def call(env, warn, arg):
         raw = value_of(arg)
-        if expr.fn == "log":
+        if fn == "log":
             bad = np.less_equal(raw, 0.0)
             if np.any(bad):
                 raise DomainError("log of a nonpositive value", _first_bad(bad))
-        elif expr.fn == "sqrt":
+        elif fn == "sqrt":
             bad = np.less(raw, 0.0)
             if np.any(bad):
                 raise DomainError("sqrt of a negative value", _first_bad(bad))
-        elif expr.fn == "abs" and warn is not None:
+        elif fn == "abs" and warn is not None:
             near = np.less_equal(np.abs(raw), KINK_TOLERANCE)
             if np.any(near):
                 count = int(np.sum(near)) if np.asarray(near).ndim else 1
                 warn(f"abs evaluated within {KINK_TOLERANCE:g} of its kink ({count} sample(s))")
-        f, df = _UNARY[expr.fn]
         if isinstance(arg, Jet):
             return arg.unary(f, df)
         return f(arg)
-    raise TypeError(f"not an expression node: {expr!r}")
+
+    return call
+
+
+@dataclass(frozen=True, eq=False)
+class Tape:
+    """Expressions compiled into one flat op list: ``steps[r]`` is
+    (op, argument registers, components emitted, registers freed), and
+    register r holds the result of step r."""
+
+    components: tuple
+    steps: tuple
+
+
+def compile(exprs) -> Tape:
+    """Compile expressions once into a shared ``Tape``.
+
+    Ops are in post-order of first occurrence, so they run in the order a
+    walk of the trees would, and structurally equal subtrees (across all
+    the expressions) become one op.  Nothing is evaluated here: constants
+    and domain checks run with the tape.
+    """
+    exprs = tuple(exprs)
+    steps: list = []
+    registers: dict = {}
+
+    def add(key, op, args=()):
+        if key not in registers:
+            registers[key] = len(steps)
+            steps.append((op, args))
+        return registers[key]
+
+    def node(expr) -> int:
+        if isinstance(expr, Num):  # repr keeps 0.0 and -0.0 apart
+            return add(("num", repr(expr.value)), lambda env, warn, v=expr.value: v)
+        if isinstance(expr, PiConst):
+            return add(("pi",), lambda env, warn: np.pi)
+        if isinstance(expr, Coord):
+            return add(("x", expr.index, expr.name), _load(expr.index, expr.name))
+        if isinstance(expr, Neg):
+            arg = node(expr.arg)
+            return add(("neg", arg), lambda env, warn, a: -a, (arg,))
+        if isinstance(expr, Bin):
+            args = (node(expr.left), node(expr.right))
+            return add((expr.op, *args), _BINARY[expr.op], args)
+        if isinstance(expr, Pow):
+            base = node(expr.base)
+            return add(("^", expr.exponent, base), _power(expr.exponent), (base,))
+        if isinstance(expr, Call):
+            arg = node(expr.arg)
+            return add((expr.fn, arg), _call(expr.fn), (arg,))
+        raise TypeError(f"not an expression node: {expr!r}")
+
+    outputs = [node(e) for e in exprs]
+    last = list(range(len(steps)))
+    for r, (_, args) in enumerate(steps):
+        for i in args:
+            last[i] = r
+    emits = [[] for _ in steps]
+    for a, r in enumerate(outputs):
+        emits[r].append(a)
+    freed = [[] for _ in steps]
+    for i, r in enumerate(last):
+        freed[r].append(i)
+    return Tape(
+        exprs,
+        tuple((op, args, tuple(emits[r]), tuple(freed[r])) for r, (op, args) in enumerate(steps)),
+    )
+
+
+def evaluate(tape: Tape, env: list, values: np.ndarray, warn=None, jac: np.ndarray | None = None):
+    """Run a tape over an environment of floats or arrays.
+
+    ``values[a]`` receives output a.  With ``jac`` (N, m, n), the run is in
+    forward mode on jets seeded at the n coordinates, and ``jac[:, a, :]``
+    receives output a's partials (zero for a constant output).  ``warn``,
+    if given, is called with a message for soft diagnostics (currently: an
+    abs op evaluated within 1e-9 of its kink).
+    """
+    if jac is not None:
+        env = [Jet.seed(v, i, len(env)) for i, v in enumerate(env)]
+    regs = [None] * len(tape.steps)
+    for r, (op, args, emits, freed) in enumerate(tape.steps):
+        out = regs[r] = op(env, warn, *[regs[i] for i in args])
+        for a in emits:
+            if isinstance(out, Jet):
+                values[a] = out.value
+                jac[:, a, :] = out.partials.T
+            else:
+                values[a] = out
+                if jac is not None:
+                    jac[:, a, :] = 0.0
+        for i in freed:
+            regs[i] = None
 
 
 # -- printing -----------------------------------------------------------------

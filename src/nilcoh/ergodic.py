@@ -62,6 +62,12 @@ class Observable:
     power: int = 1
     probe: tuple = ()
     expr: object = None
+    tape: dsl.Tape | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        stale = self.tape is None or self.tape.components[0] is not self.expr
+        if self.expr is not None and stale:
+            object.__setattr__(self, "tape", dsl.compile([self.expr]))
 
     def evaluate_chunk(self, ctx: _ChunkContext) -> np.ndarray:
         if self.kind == "derivative":
@@ -83,7 +89,9 @@ class Observable:
             for i in range(n_dom)
             for j in range(ctx.map.codomain.dim)
         ]
-        return np.broadcast_to(dsl.evaluate(self.expr, env, ctx.warn), (ctx.coords.shape[1],))
+        values = np.empty((1, ctx.coords.shape[1]))
+        dsl.evaluate(self.tape, env, values, ctx.warn)
+        return values[0]
 
     def evaluate_batch(self, m: SmoothMap, coords: np.ndarray, warn=None) -> np.ndarray:
         return self.evaluate_chunk(_ChunkContext(m, coords, warn))

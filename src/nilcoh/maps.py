@@ -10,7 +10,8 @@ with the group law on each side.  ``normalize_to_y0`` sets shift = F(0)^-1,
 so the origin maps to the origin; ``act(m, g)`` sets action = g and
 shift = F(g)^-1, the right-translated map x -> F(g)^-1 . F(g . x), so orbit
 points cost one extra group multiplication per evaluation instead of a
-symbolic rewrite.
+symbolic rewrite.  The components compile once into one ``dsl.Tape`` that
+the map carries; both constructions keep their parent's tape.
 
 ``differential`` returns the matrix of the derivative in the left-invariant
 frames of both sides: column b holds the coefficients of the image of the
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -29,7 +30,6 @@ from . import dsl
 from .algebra import LieAlgebra, algebra_from_dict, load_algebra
 from .bch import IllConditionedFrame, group_law  # IllConditionedFrame is re-exported
 from .group import GroupPoint
-from .jets import Jet
 
 
 @dataclass(frozen=True)
@@ -39,6 +39,7 @@ class SmoothMap:
     components: tuple
     shift: tuple | None = None
     action: tuple | None = None
+    tape: dsl.Tape | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.components) != self.codomain.dim:
@@ -55,6 +56,8 @@ class SmoothMap:
             raise ValueError("shift length does not match codomain dimension")
         if self.action is not None and len(self.action) != self.domain.dim:
             raise ValueError("action point length does not match domain dimension")
+        if self.tape is None or self.tape.components is not self.components:
+            object.__setattr__(self, "tape", dsl.compile(self.components))
 
 
 def map_from_texts(domain: LieAlgebra, codomain: LieAlgebra, texts) -> SmoothMap:
@@ -76,26 +79,22 @@ def _evaluate(m: SmoothMap, coords: np.ndarray, warn=None, jets: bool = False):
     """x -> shift . F(action . x) on a (n, N) batch: the values (m, N), and with
     ``jets`` also the coordinate Jacobian (N, m, n), else None.
 
-    The Jacobian is (T_shift @ J_F) @ T_action, where T_shift and T_action
-    are the left-translation Jacobians of the group law and J_F comes from
-    jets seeded at the translated points.
+    F runs on the map's tape.  The Jacobian is (T_shift @ J_F) @ T_action,
+    where T_shift and T_action are the left-translation Jacobians of the
+    group law and J_F comes from the tape in forward mode at the translated
+    points.
     """
+    if len(coords) != m.domain.dim:
+        raise ValueError(
+            f"points have {len(coords)} coordinates, the domain has dimension {m.domain.dim}"
+        )
     moved = coords
     if m.action is not None:
         moved = group_law(m.domain).multiply_batch(np.array(m.action), coords)
     n, count = moved.shape
     values = np.empty((m.codomain.dim, count))
     jac = np.empty((count, m.codomain.dim, n)) if jets else None
-    env = [Jet.seed(moved[i], i, n) for i in range(n)] if jets else list(moved)
-    for a, comp in enumerate(m.components):
-        out = dsl.evaluate(comp, env, warn)
-        if isinstance(out, Jet):
-            values[a] = np.broadcast_to(out.value, (count,))
-            jac[:, a, :] = np.broadcast_to(out.partials, (n, count)).T
-        else:
-            values[a] = np.broadcast_to(out, (count,))
-            if jets:
-                jac[:, a, :] = 0.0
+    dsl.evaluate(m.tape, list(moved), values, warn, jac)
     if m.shift is not None:
         law = group_law(m.codomain)
         shift = np.array(m.shift)
@@ -167,7 +166,7 @@ def act(m: SmoothMap, g) -> SmoothMap:
     coords = [float(c) for c in g]
     if m.action is not None:
         coords = [float(v) for v in group_law(m.domain).multiply(list(m.action), coords)]
-    bare = SmoothMap(m.domain, m.codomain, m.components)
+    bare = replace(m, shift=None, action=None)
     at_g = evaluate_batch(bare, np.array(coords)[:, None])[:, 0]
     return replace(bare, shift=tuple(float(-v) for v in at_g), action=tuple(coords))
 

@@ -274,3 +274,109 @@ def naive_preimages(points, converged, dets, scales, tol):
         roots.append(p)
         margins.append(float(dets[c]))
     return roots, margins
+
+
+WALK_UNARY = {
+    "sin": (np.sin, np.cos),
+    "cos": (np.cos, lambda v: -np.sin(v)),
+    "exp": (np.exp, np.exp),
+    "log": (np.log, lambda v: 1.0 / v),
+    "sqrt": (np.sqrt, lambda v: 0.5 / np.sqrt(v)),
+    "abs": (np.abs, np.sign),
+    "tanh": (np.tanh, lambda v: 1.0 - np.tanh(v) ** 2),
+}
+
+
+def walk(expr, env: list, warn=None):
+    """Reference evaluator for DSL tapes: a recursive walk of one tree over
+    floats, numpy arrays or ``Jet``s, with each node's domain check or kink
+    warning right after its arguments are evaluated."""
+    from nilcoh.dsl import KINK_TOLERANCE, Bin, Call, Coord, DomainError, Neg, Num, PiConst, Pow
+    from nilcoh.jets import Jet, value_of
+
+    def first_bad(mask):
+        mask = np.asarray(mask)
+        return None if mask.ndim == 0 else int(np.argmax(mask))
+
+    if isinstance(expr, Num):
+        return expr.value
+    if isinstance(expr, PiConst):
+        return np.pi
+    if isinstance(expr, Coord):
+        if expr.index >= len(env):
+            raise DomainError(f"coordinate {expr.name} exceeds domain dimension {len(env)}")
+        return env[expr.index]
+    if isinstance(expr, Neg):
+        return -walk(expr.arg, env, warn)
+    if isinstance(expr, Bin):
+        left = walk(expr.left, env, warn)
+        right = walk(expr.right, env, warn)
+        if expr.op == "+":
+            return left + right
+        if expr.op == "-":
+            return left - right
+        if expr.op == "*":
+            return left * right
+        bad = np.equal(value_of(right), 0.0)
+        if np.any(bad):
+            raise DomainError("division by zero", first_bad(bad))
+        return left / right
+    if isinstance(expr, Pow):
+        base = walk(expr.base, env, warn)
+        if expr.exponent < 0:
+            bad = np.equal(value_of(base), 0.0)
+            if np.any(bad):
+                raise DomainError("zero raised to a negative power", first_bad(bad))
+        return base ** expr.exponent
+    if isinstance(expr, Call):
+        arg = walk(expr.arg, env, warn)
+        raw = value_of(arg)
+        if expr.fn == "log":
+            bad = np.less_equal(raw, 0.0)
+            if np.any(bad):
+                raise DomainError("log of a nonpositive value", first_bad(bad))
+        elif expr.fn == "sqrt":
+            bad = np.less(raw, 0.0)
+            if np.any(bad):
+                raise DomainError("sqrt of a negative value", first_bad(bad))
+        elif expr.fn == "abs" and warn is not None:
+            near = np.less_equal(np.abs(raw), KINK_TOLERANCE)
+            if np.any(near):
+                count = int(np.sum(near)) if np.asarray(near).ndim else 1
+                warn(f"abs evaluated within {KINK_TOLERANCE:g} of its kink ({count} sample(s))")
+        f, df = WALK_UNARY[expr.fn]
+        if isinstance(arg, Jet):
+            return arg.unary(f, df)
+        return f(arg)
+    raise TypeError(f"not an expression node: {expr!r}")
+
+
+def dense_newton_roots(m, starts, targets):
+    """Damped Newton on the general batched forms in every dimension: the
+    solvability guard on ``np.linalg.det`` and the step from
+    ``np.linalg.solve``.  Returns (points, converged mask, Jacobians)."""
+    from nilcoh.degree import NEWTON_MAX_ITER, NEWTON_TOL
+    from nilcoh.maps import evaluate_batch, jacobian_batch
+
+    x = starts.copy()
+    alive = np.ones(x.shape[1], dtype=bool)
+    for iteration in range(NEWTON_MAX_ITER + 1):
+        vals, jacs = jacobian_batch(m, x)
+        resid = vals - targets
+        rnorm = np.max(np.abs(resid), axis=0)
+        idx = np.flatnonzero(alive & (rnorm > NEWTON_TOL))
+        solvable = np.abs(np.linalg.det(jacs[idx])) > 1e-300
+        alive[idx[~solvable]] = False
+        idx = idx[solvable]
+        if iteration == NEWTON_MAX_ITER or idx.size == 0:
+            break
+        step = np.linalg.solve(jacs[idx], resid[:, idx].T[:, :, None])[:, :, 0].T
+        for alpha in (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125):
+            trial = x[:, idx] - alpha * step
+            better = np.max(np.abs(evaluate_batch(m, trial) - targets[:, idx]), axis=0) < rnorm[idx]
+            x[:, idx[better]] = trial[:, better]
+            idx, step = idx[~better], step[:, ~better]
+            if idx.size == 0:
+                break
+        alive[idx] = False
+    return x, rnorm <= NEWTON_TOL, jacs

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracles import naive_preimages
+from oracles import dense_newton_roots, naive_preimages
 
 from nilcoh import algebra, degree
 from nilcoh.degree import (
@@ -250,9 +250,10 @@ def test_area_formula_degrees_match_local_degree(monkeypatch):
     seen = []
     engine = degree._preimages
 
-    def recording(mm, targets, scales, grid_density):
-        out = engine(mm, targets, scales, grid_density)
-        seen.append((targets, out[0], out[1]))
+    def recording(mm, targets, scales, densities):
+        out = engine(mm, targets, scales, densities)
+        ((degrees, singular, _, _),) = out
+        seen.append((targets, degrees, singular))
         return out
 
     monkeypatch.setattr(degree, "_preimages", recording)
@@ -287,3 +288,68 @@ def test_local_degree_on_heisenberg_maps(texts):
     assert res.stable_under_refinement
     image = evaluate_batch(normalize_to_y0(m), np.array(res.preimages).T)[:, 0]
     assert np.max(np.abs(image - np.array(target))) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "alg, texts, window, densities, targets",
+    [
+        (R1, ["x1^3 - 0.9*x1"], 2.0, (8, 16), [[0.1, -0.3, 0.05, 2.5, 0.0]]),
+        (R2, ["x1^3 - 3*x1*x2^2 + 0.1*x1", "3*x1^2*x2 - x2^3 + 0.1*x2"], 2.0, (8, 16),
+         [[0.3, -0.2, 0.0], [0.2, 0.4, 0.0]]),
+        (H3, ["x1 + 0.3*sin(x2)", "x2", "x3 + 0.2*x1^2"], 2.0, (3, 6),
+         [[0.1, -0.5], [0.2, 0.1], [0.3, 0.0]]),
+    ],
+)
+def test_one_newton_batch_over_densities_equals_one_run_per_density(
+    alg, texts, window, densities, targets
+):
+    m = normalize_to_y0(map_from_texts(alg, alg, texts))
+    scales = degree._window_scales(m, BallSpec(window))
+    targets = np.array(targets)
+    fused = degree._preimages(m, targets, scales, densities)
+    assert len(fused) == len(densities)
+    for density, got in zip(densities, fused):
+        (alone,) = degree._preimages(m, targets, scales, (density,))
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in alone]
+
+
+def dense_margin(boundary_vals, targets):
+    return np.min(np.max(np.abs(boundary_vals[:, :, None] - targets[:, None, :]), axis=0), axis=0)
+
+
+def test_one_dimensional_boundary_margin_equals_the_dense_minimum():
+    gen = np.random.default_rng(8)
+    for _ in range(200):
+        cloud = gen.normal(size=(1, 512)) * 10.0 ** gen.uniform(-3, 3)
+        cloud[0, :40] = cloud[0, 40:80]  # ties
+        lo, hi = cloud.min(), cloud.max()
+        targets = np.concatenate([
+            gen.uniform(lo, hi, 30),
+            cloud[0, :5],  # on the image
+            [lo - 5.0, hi + 7.0, lo, hi, -0.0, 0.0],  # outside it and on its ends
+        ])[None, :]
+        got = degree._boundary_margin(cloud, targets)
+        assert got.tobytes() == dense_margin(cloud, targets).tobytes()
+    with np.errstate(invalid="ignore"):
+        nan_target = np.array([[0.5, np.nan, np.inf]])
+        got = degree._boundary_margin(cloud, nan_target)
+        assert np.array_equal(got, dense_margin(cloud, nan_target), equal_nan=True)
+        cloud[0, 7] = np.nan
+        assert np.isnan(dense_margin(cloud, targets)).all()
+        assert np.isnan(degree._boundary_margin(cloud, targets)).all()
+
+
+def test_one_dimensional_newton_equals_the_batched_solve_form():
+    gen = np.random.default_rng(9)
+    a = gen.standard_normal(100000) * 10.0 ** gen.uniform(-8, 8, 100000)
+    b = gen.standard_normal(100000) * 10.0 ** gen.uniform(-8, 8, 100000)
+    solved = np.linalg.solve(a[:, None, None], b[:, None, None])[:, 0, 0]
+    assert (b / a).tobytes() == solved.tobytes()
+    for texts in (["x1^3 - 0.9*x1"], ["x1 + sin(x1)"], ["sin(x1)"], ["x1^2"]):
+        m = map_from_texts(R1, R1, texts)
+        starts = gen.uniform(-3.0, 3.0, size=(1, 300))
+        starts[0, :3] = 0.0  # a zero derivative for x1^2
+        targets = gen.uniform(-1.0, 1.0, size=(1, 300))
+        got = degree._newton_roots(m, starts, targets)
+        want = dense_newton_roots(m, starts, targets)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]

@@ -1,8 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import walk
+from test_golden import MAPS
 
-from nilcoh import dsl
+from nilcoh import algebra, dsl
 from nilcoh.dsl import (
     ArityError,
     Bin,
@@ -20,10 +24,21 @@ from nilcoh.dsl import (
     pretty,
 )
 from nilcoh.jets import Jet
+from nilcoh.maps import act, jacobian_batch, map_from_texts, normalize_to_y0
+
+
+def run(exprs, env, warn=None, jets=False):
+    """Values (m, N) of a tape run, and with ``jets`` the Jacobian (N, m, n)."""
+    tape = dsl.compile(exprs)
+    count = len(env[0]) if env else 1
+    values = np.empty((len(tape.components), count))
+    jac = np.empty((count, len(tape.components), len(env))) if jets else None
+    evaluate(tape, env, values, warn, jac)
+    return values, jac
 
 
 def ev(text, *vals):
-    return evaluate(parse(text), list(vals))
+    return float(run([parse(text)], [np.array([v]) for v in vals])[0][0, 0])
 
 
 def test_arithmetic_spec_examples():
@@ -89,19 +104,19 @@ def test_domain_errors():
 def test_domain_error_reports_sample_index():
     arr = np.array([1.0, 2.0, -3.0, 4.0])
     with pytest.raises(DomainError) as exc:
-        evaluate(parse("log(x1)"), [arr])
+        run([parse("log(x1)")], [arr])
     assert exc.value.sample_index == 2
 
 
 def test_abs_kink_warning():
     notes = []
-    evaluate(parse("abs(x1)"), [np.array([1.0, 1e-12, 3.0])], warn=notes.append)
+    run([parse("abs(x1)")], [np.array([1.0, 1e-12, 3.0])], warn=notes.append)
     assert notes and "kink" in notes[0]
 
 
 def test_vectorized_evaluation():
     xs = np.linspace(-2, 2, 11)
-    out = evaluate(parse("x1^2 + 1"), [xs])
+    out = run([parse("x1^2 + 1")], [xs])[0][0]
     assert np.allclose(out, xs ** 2 + 1)
 
 
@@ -117,23 +132,19 @@ def test_jet_derivatives_match_finite_differences():
         expr = parse(text)
         for _ in range(5):
             x = rng.uniform(-1.5, 1.5, size=2)
-            jets = [Jet.seed(np.array([x[i]]), i, 2) for i in range(2)]
-            out = evaluate(expr, jets)
+            _, jac = run([expr], [x[i : i + 1] for i in range(2)], jets=True)
             h = 1e-6
             for i in range(2):
                 xp, xm = x.copy(), x.copy()
                 xp[i] += h
                 xm[i] -= h
-                fd = (evaluate(expr, list(xp)) - evaluate(expr, list(xm))) / (2 * h)
-                got = float(out.partials[i][0])
-                assert got == pytest.approx(fd, rel=1e-6, abs=1e-6)
+                fd = (ev(text, *xp) - ev(text, *xm)) / (2 * h)
+                assert jac[0, 0, i] == pytest.approx(fd, rel=1e-6, abs=1e-6)
 
 
 def test_abs_jet_uses_sign_zero_at_kink():
-    expr = parse("abs(x1)")
-    jet = Jet.seed(np.array([0.0]), 0, 1)
-    out = evaluate(expr, [jet])
-    assert float(out.partials[0][0]) == 0.0
+    _, jac = run([parse("abs(x1)")], [np.array([0.0])], jets=True)
+    assert jac[0, 0, 0] == 0.0
 
 
 num_strategy = st.one_of(
@@ -174,3 +185,131 @@ def test_pretty_parse_round_trip_is_fixed_point(expr):
     once = pretty(parse(text))
     twice = pretty(parse(once))
     assert once == twice
+
+
+# -- the tape against the tree walk it replaced -----------------------------------
+
+
+def oracle(exprs, env, warn=None, jets=False):
+    """``run`` through ``oracles.walk`` (on ``Jet``s in forward mode), with
+    the store of the old map evaluator."""
+    count, n = len(env[0]), len(env)
+    values = np.empty((len(exprs), count))
+    jac = np.empty((count, len(exprs), n)) if jets else None
+    seeded = [Jet.seed(v, i, n) for i, v in enumerate(env)] if jets else env
+    for a, expr in enumerate(exprs):
+        out = walk(expr, seeded, warn)
+        if isinstance(out, Jet):
+            values[a] = np.broadcast_to(out.value, (count,))
+            jac[:, a, :] = np.broadcast_to(out.partials, (n, count)).T
+        else:
+            values[a] = np.broadcast_to(out, (count,))
+            if jets:
+                jac[:, a, :] = 0.0
+    return values, jac
+
+
+def outcome(evaluator, exprs, env, jets):
+    """Output bytes, or the DomainError's message and sample index, plus the
+    distinct warnings in order (what every ``warn_once`` sink records)."""
+    notes = []
+
+    def warn(msg):
+        if msg not in notes:
+            notes.append(msg)
+
+    try:
+        values, jac = evaluator(exprs, env, warn, jets)
+    except DomainError as e:
+        return ("error", str(e), e.sample_index, notes)
+    except (ArithmeticError, ValueError) as e:
+        return ("raised", type(e).__name__, str(e), notes)
+    return (values.tobytes(), None if jac is None else jac.tobytes(), notes)
+
+
+def assert_tape_matches_walk(exprs, env):
+    with np.errstate(all="ignore"):
+        for jets in (False, True):
+            assert outcome(run, exprs, env, jets) == outcome(oracle, exprs, env, jets)
+
+
+ENVS = (
+    [np.array([0.0, 1.5, -2.0, 1e-12, 0.25, 3.0, -0.5, 1.0]),
+     np.array([1.0, -0.75, 0.0, 2.0, -1e-10, 0.5, 4.0, -3.0])],
+    [np.array([0.3, 1.5, 2.0, 0.7]), np.array([1.1, 0.75, 2.5, 0.2])],  # away from the checks
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(exprs=st.lists(expr_strategy(), min_size=1, max_size=3))
+def test_tape_matches_tree_walk_bytes_errors_and_warnings(exprs):
+    for env in ENVS:
+        assert_tape_matches_walk(exprs, env)
+
+
+BENCH_TEXTS = [
+    ["x1^3 - 0.9123*x1"],
+    ["x1^3 - 3*x1*x2^2 + 0.1234*x1", "3*x1^2*x2 - x2^3 + 0.1234*x2"],
+    ["x1 + 0.3141*sin(x2)", "x2", "x3 + 0.2718*x1^2"],
+    ["x1 + 0.3141*sin(x2)", "x2", "x3 + 0.1414*x4^2", "x4", "x5 + 0.1732*x1*x3"],
+    ["x1", "abs(x1)"],
+]
+
+
+@pytest.mark.parametrize("texts", BENCH_TEXTS + [texts for _, _, texts in MAPS.values()])
+def test_tape_matches_tree_walk_on_bench_and_golden_maps(texts):
+    gen = np.random.default_rng(5)
+    exprs = [parse(t) for t in texts]
+    dim = 1 + max(max(dsl.coordinate_indices(e), default=0) for e in exprs)
+    env = list(gen.uniform(-4.0, 4.0, size=(dim, 257)))
+    env[0][:3] = (0.0, 1e-12, -1e-10)  # abs kinks
+    assert_tape_matches_walk(exprs, env)
+
+
+def test_tape_merges_equal_subtrees_and_frees_every_register():
+    tape = dsl.compile([parse("sin(x1)^2 + x2"), parse("sin(x1)^2 * sin(x1)"), parse("x2")])
+    # x1, sin, ^2, x2, +, *: each distinct subtree is one op
+    assert len(tape.steps) == 6
+    assert [e for _, _, emits, _ in tape.steps for e in emits] == [2, 0, 1]
+    freed = sorted(i for *_, dead in tape.steps for i in dead)
+    assert freed == list(range(6))
+    # 0.0 == -0.0, but the constants stay apart: 0, x1, *, -0, *
+    assert len(dsl.compile([parse("0*x1"), Bin("*", Num(-0.0), Coord(0, "x1"))]).steps) == 5
+
+
+def test_domain_error_is_raised_at_evaluation_not_compile_time():
+    r1 = algebra.abelian(1)
+    m = map_from_texts(r1, r1, ["x1 + log(0)"])
+    with pytest.raises(DomainError, match="log of a nonpositive value"):
+        jacobian_batch(m, np.array([[1.0, 2.0]]))
+    tape = dsl.compile([parse("2^2000")])  # Python float overflow, also only when run
+    with pytest.raises(OverflowError):
+        evaluate(tape, [], np.empty((1, 1)))
+
+
+def test_constant_component_has_a_zero_jacobian_row():
+    r2 = algebra.abelian(2)
+    m = map_from_texts(r2, r2, ["2", "x1*x2"])
+    values, jac = jacobian_batch(m, np.array([[1.0, 3.0], [2.0, 5.0]]))
+    assert values[0].tolist() == [2.0, 2.0]
+    assert jac[:, 0, :].tolist() == [[0.0, 0.0], [0.0, 0.0]]
+    assert jac[:, 1, :].tolist() == [[2.0, 1.0], [5.0, 3.0]]
+
+
+def test_zero_power_under_jets_matches_the_jet_rule():
+    env = [np.array([0.0, 2.0, -3.0])]
+    values, jac = run([parse("x1^0"), parse("(x1 - x1)^0")], env, jets=True)
+    assert values.tolist() == [[1.0, 1.0, 1.0]] * 2
+    assert not jac.any()
+    assert_tape_matches_walk([parse("x1^0"), parse("x1^0 * x1"), parse("(0*x1)^0")], env)
+
+
+def test_translated_maps_reuse_their_parents_tape():
+    h3 = algebra.heisenberg3()
+    m = map_from_texts(h3, h3, ["x1 + 1", "x2", "x3 + x1^2"])
+    moved = act(m, (0.5, -1.0, 2.0))
+    assert normalize_to_y0(m).tape is m.tape
+    assert moved.tape is m.tape
+    assert act(moved, (1.0, 0.0, 0.0)).tape is m.tape
+    other = map_from_texts(h3, h3, ["x1", "x2", "x3"])
+    assert replace(m, components=other.components).tape is not m.tape

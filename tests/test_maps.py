@@ -47,6 +47,28 @@ def test_component_count_and_coordinate_range_validated():
         map_from_texts(R1, R2, ["x1", "x2"])  # x2 beyond domain dim 1
 
 
+def test_points_of_the_wrong_length_are_refused():
+    # a 4th coordinate was dropped silently, a missing one raised a DomainError
+    # about the map's coordinates, and differential failed inside numpy
+    from nilcoh.forms import basis_covector
+    from nilcoh.pullback import pullback_eval
+
+    ident = map_from_texts(H3, H3, ["x1", "x2", "x3"])
+    moved = act(ident, (1.0, 0.0, 0.0))
+    for point in ([1.0, 2.0, 3.0, 4.0], [1.0, 2.0]):
+        message = f"points have {len(point)} coordinates, the domain has dimension 3"
+        for m in (ident, moved):
+            with pytest.raises(ValueError, match=message) as exc:
+                evaluate(m, point)
+            assert not isinstance(exc.value, DomainError)
+            with pytest.raises(ValueError, match=message):
+                differential(m, point)
+            with pytest.raises(ValueError, match=message):
+                pullback_eval(m, basis_covector(H3, 0), (0,), point)
+            with pytest.raises(ValueError, match=message):
+                differential_batch(m, np.zeros((len(point), 5)))
+
+
 def test_domain_error_carries_point():
     m = map_from_texts(R1, R1, ["log(x1)"])
     with pytest.raises(DomainError) as exc:

@@ -10,12 +10,14 @@ in start order: a converged point strictly inside the window box is kept
 unless it lies within ``DEDUPE_TOL`` (max-norm) of a root already kept.
 Capture is heuristic, so every result carries the grid density and a
 repeat-with-denser-grid stability flag; ``local_degree`` runs both grids
-in one Newton batch, as columns never interact.  In 1-D the Newton step is
+in one Newton batch, as columns never interact, and solves them in turn
+only when an iterate leaves the map's domain.  In 1-D the Newton step is
 a division and the boundary margin a search in the sorted boundary image,
-with the same bits as the general batched solve and minimum.  Near-singular
-targets are retried with small perturbations (at most three, each within
-1% of the window radius), mirroring the regular-value definition of the
-degree for non-regular targets.
+with the same bits as the general minimum and, on LAPACK builds whose 1x1
+solve divides, as the batched solve.  Near-singular targets are retried
+with small perturbations (at most three, each within 1% of the window
+radius), mirroring the regular-value definition of the degree for
+non-regular targets.
 
 Evaluation is serial; the public functions accept ``threads`` for
 compatibility and ignore it.
@@ -28,6 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
+from .dsl import DomainError
 from .forms import volume_form
 from .group import BallSpec, box_volume, check_radii, cloud_mean, sample_ball_coords
 from .maps import SmoothMap, differential_batch, evaluate_batch, jacobian_batch, normalize_to_y0
@@ -128,7 +131,8 @@ def _newton_roots(m: SmoothMap, starts: np.ndarray, targets: np.ndarray):
     ``starts`` is (n, S) and ``targets`` (n, S): one target per column.
     Returns (points, converged mask, coordinate Jacobians at the points).
     Each column's iterates depend on that column alone.  In 1-D the step is
-    the residual over the derivative, which is what LU does on a 1x1 system.
+    the residual over the derivative, which is what LU does on a 1x1 system
+    unless its triangular solve multiplies by a reciprocal.
     """
     x = starts.copy()
     alive = np.ones(x.shape[1], dtype=bool)
@@ -243,10 +247,18 @@ def local_degree(
                 f"target {tuple(target_now)} lies within {BOUNDARY_MARGIN:g} of the sampled "
                 f"boundary image (margin {margin:.3e})"
             )
-        (degree, singular, roots, dets), (degree2, _, _, dets2) = _preimages(
-            m, column, scales, (grid_density, 2 * grid_density)
-        )
+        try:
+            first, refined = _preimages(m, column, scales, (grid_density, 2 * grid_density))
+        except DomainError:
+            # an iterate left the map's domain: solve the grids in turn, as
+            # the denser one only runs, and so may only raise, when the
+            # first finds no near-singular preimage
+            (first,), refined = _preimages(m, column, scales, (grid_density,)), None
+        degree, singular, roots, dets = first
         if not singular[0]:
+            if refined is None:
+                (refined,) = _preimages(m, column, scales, (2 * grid_density,))
+            degree2, _, _, dets2 = refined
             return DegreeResult(
                 value=int(degree[0]),
                 target=tuple(float(v) for v in target_now),

@@ -12,13 +12,13 @@ Coordinates are ``x1 .. xn``; functions are sin, cos, exp, log, sqrt, abs,
 tanh.  Positions in error messages are 1-based; end of input counts as one
 past the last character.
 
-Expressions are compiled once (``compile``) into a flat ``Tape`` that
-computes structurally equal subtrees once and frees each register after its
-last use.  ``evaluate`` runs a tape on floats or numpy arrays, or in forward
-mode on jets (Griewank-Walther, *Evaluating Derivatives*, ch. 3) with the
-same ops, and raises DomainError on log of a nonpositive value, division by
-zero, square root of a negative, or 0 to a negative power, in the order a
-walk of the trees would meet them.
+Expressions are compiled once (``compile``) into a flat post-order
+``Tape`` that drops each intermediate right after its use.  ``evaluate``
+runs a tape on floats or numpy arrays, or in forward mode on jets
+(Griewank-Walther, *Evaluating Derivatives*, ch. 3) with the same ops, and
+raises DomainError on log of a nonpositive value, division by zero, square
+root of a negative, or 0 to a negative power, in the order a walk of the
+trees would meet them.
 """
 
 from __future__ import annotations
@@ -384,68 +384,52 @@ def _call(fn: str):
 
 @dataclass(frozen=True, eq=False)
 class Tape:
-    """Expressions compiled into one flat op list: ``steps[r]`` is
-    (op, argument registers, components emitted, registers freed), and
-    register r holds the result of step r."""
+    """Expressions compiled into one flat op list in post-order.
+
+    ``steps`` holds (op, arity, output): the op pops its ``arity``
+    arguments off a stack, so each intermediate is dropped right after its
+    one use, and its result is stored as component ``output`` or, when that
+    is None, pushed.
+    """
 
     components: tuple
     steps: tuple
 
 
 def compile(exprs) -> Tape:
-    """Compile expressions once into a shared ``Tape``.
-
-    Ops are in post-order of first occurrence, so they run in the order a
-    walk of the trees would, and structurally equal subtrees (across all
-    the expressions) become one op.  Nothing is evaluated here: constants
-    and domain checks run with the tape.
-    """
+    """Compile expressions once into a ``Tape``: one op per node, in the
+    order a walk of the trees would evaluate them.  Nothing is evaluated
+    here: constants and domain checks run with the tape."""
     exprs = tuple(exprs)
     steps: list = []
-    registers: dict = {}
 
-    def add(key, op, args=()):
-        if key not in registers:
-            registers[key] = len(steps)
-            steps.append((op, args))
-        return registers[key]
+    def node(expr) -> None:
+        if isinstance(expr, Num):
+            steps.append((lambda env, warn, v=expr.value: v, 0, None))
+        elif isinstance(expr, PiConst):
+            steps.append((lambda env, warn: np.pi, 0, None))
+        elif isinstance(expr, Coord):
+            steps.append((_load(expr.index, expr.name), 0, None))
+        elif isinstance(expr, Neg):
+            node(expr.arg)
+            steps.append((lambda env, warn, a: -a, 1, None))
+        elif isinstance(expr, Bin):
+            node(expr.left)
+            node(expr.right)
+            steps.append((_BINARY[expr.op], 2, None))
+        elif isinstance(expr, Pow):
+            node(expr.base)
+            steps.append((_power(expr.exponent), 1, None))
+        elif isinstance(expr, Call):
+            node(expr.arg)
+            steps.append((_call(expr.fn), 1, None))
+        else:
+            raise TypeError(f"not an expression node: {expr!r}")
 
-    def node(expr) -> int:
-        if isinstance(expr, Num):  # repr keeps 0.0 and -0.0 apart
-            return add(("num", repr(expr.value)), lambda env, warn, v=expr.value: v)
-        if isinstance(expr, PiConst):
-            return add(("pi",), lambda env, warn: np.pi)
-        if isinstance(expr, Coord):
-            return add(("x", expr.index, expr.name), _load(expr.index, expr.name))
-        if isinstance(expr, Neg):
-            arg = node(expr.arg)
-            return add(("neg", arg), lambda env, warn, a: -a, (arg,))
-        if isinstance(expr, Bin):
-            args = (node(expr.left), node(expr.right))
-            return add((expr.op, *args), _BINARY[expr.op], args)
-        if isinstance(expr, Pow):
-            base = node(expr.base)
-            return add(("^", expr.exponent, base), _power(expr.exponent), (base,))
-        if isinstance(expr, Call):
-            arg = node(expr.arg)
-            return add((expr.fn, arg), _call(expr.fn), (arg,))
-        raise TypeError(f"not an expression node: {expr!r}")
-
-    outputs = [node(e) for e in exprs]
-    last = list(range(len(steps)))
-    for r, (_, args) in enumerate(steps):
-        for i in args:
-            last[i] = r
-    emits = [[] for _ in steps]
-    for a, r in enumerate(outputs):
-        emits[r].append(a)
-    freed = [[] for _ in steps]
-    for i, r in enumerate(last):
-        freed[r].append(i)
-    return Tape(
-        exprs,
-        tuple((op, args, tuple(emits[r]), tuple(freed[r])) for r, (op, args) in enumerate(steps)),
-    )
+    for a, expr in enumerate(exprs):
+        node(expr)
+        steps[-1] = (*steps[-1][:2], a)
+    return Tape(exprs, tuple(steps))
 
 
 def evaluate(tape: Tape, env: list, values: np.ndarray, warn=None, jac: np.ndarray | None = None):
@@ -459,19 +443,24 @@ def evaluate(tape: Tape, env: list, values: np.ndarray, warn=None, jac: np.ndarr
     """
     if jac is not None:
         env = [Jet.seed(v, i, len(env)) for i, v in enumerate(env)]
-    regs = [None] * len(tape.steps)
-    for r, (op, args, emits, freed) in enumerate(tape.steps):
-        out = regs[r] = op(env, warn, *[regs[i] for i in args])
-        for a in emits:
-            if isinstance(out, Jet):
-                values[a] = out.value
-                jac[:, a, :] = out.partials.T
-            else:
-                values[a] = out
-                if jac is not None:
-                    jac[:, a, :] = 0.0
-        for i in freed:
-            regs[i] = None
+    stack: list = []
+    for op, arity, a in tape.steps:
+        if arity == 0:
+            out = op(env, warn)
+        elif arity == 1:
+            out = op(env, warn, stack.pop())
+        else:
+            right = stack.pop()
+            out = op(env, warn, stack.pop(), right)
+        if a is None:
+            stack.append(out)
+        elif isinstance(out, Jet):
+            values[a] = out.value
+            jac[:, a, :] = out.partials.T
+        else:
+            values[a] = out
+            if jac is not None:
+                jac[:, a, :] = 0.0
 
 
 # -- printing -----------------------------------------------------------------

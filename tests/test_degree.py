@@ -3,6 +3,7 @@ import pytest
 from oracles import dense_newton_roots, naive_preimages
 
 from nilcoh import algebra, degree
+from nilcoh.dsl import DomainError
 from nilcoh.degree import (
     DEDUPE_TOL,
     BoundaryTooClose,
@@ -313,6 +314,27 @@ def test_one_newton_batch_over_densities_equals_one_run_per_density(
         assert [a.tobytes() for a in got] == [a.tobytes() for a in alone]
 
 
+def test_a_domain_error_of_the_denser_grid_does_not_stop_a_singular_retry():
+    # plateau of height 0 on [-b, b] (b = 29/32), slope 1 outside it; the
+    # log leaves its domain at x1 = b, where Newton from the doubled grid's
+    # start 15/16 lands exactly, while every start of the 8-grid lies on
+    # the plateau, so target 0 has only singular preimages there
+    m = map_from_texts(
+        R1, R1, ["x1 - (abs(x1 + 0.90625) - abs(x1 - 0.90625))/2 + 0*log(abs(x1 - 0.90625))"]
+    )
+    scales, column = np.array([1.0]), np.zeros((1, 1))
+    with pytest.raises(DomainError):
+        degree._preimages(m, column, scales, (8, 16))
+    ((_, singular, _, _),) = degree._preimages(m, column, scales, (8,))
+    assert singular[0]
+    # as when the grids run in turn: retry at a nudged target, where the
+    # 8-grid finds no preimage and the doubled grid finds the one at b + t
+    res = local_degree(m, 1.0, (0.0,), grid_density=8, seed=0)
+    assert (res.value, res.preimage_count, res.retries) == (0, 0, 1)
+    assert not res.stable_under_refinement
+    assert res.target != (0.0,)
+
+
 def dense_margin(boundary_vals, targets):
     return np.min(np.max(np.abs(boundary_vals[:, :, None] - targets[:, None, :]), axis=0), axis=0)
 
@@ -340,6 +362,10 @@ def test_one_dimensional_boundary_margin_equals_the_dense_minimum():
 
 
 def test_one_dimensional_newton_equals_the_batched_solve_form():
+    """The 1-D step ``resid / J`` against the general det/solve loop.  That
+    b/a has the bytes of numpy's 1x1 ``solve`` is a property of the LAPACK
+    build numpy links against (a triangular solve that multiplies by a
+    reciprocal would differ), so this checks the installed build only."""
     gen = np.random.default_rng(9)
     a = gen.standard_normal(100000) * 10.0 ** gen.uniform(-8, 8, 100000)
     b = gen.standard_normal(100000) * 10.0 ** gen.uniform(-8, 8, 100000)

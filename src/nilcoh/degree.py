@@ -34,7 +34,7 @@ from .dsl import DomainError
 from .forms import volume_form
 from .group import BallSpec, box_volume, check_radii, cloud_mean, sample_ball_coords
 from .maps import SmoothMap, differential_batch, evaluate_batch, jacobian_batch, normalize_to_y0
-from .pullback import _averaged_coefficients
+from .pullback import _ball_averages
 
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 60
@@ -386,8 +386,8 @@ def asymptotic_degree(
     warnings: list[str] = []
     ratios, stderrs, taus, vols = [], [], [], []
     top = tuple(range(m.domain.dim))
-    for r in radii:
-        (coeffs,), _deriv = _averaged_coefficients(m, [omega], r, samples, seed, shape, warnings)
+    per_radius, _deriv = _ball_averages(m, [omega], radii, samples, seed, shape, warnings)
+    for r, (coeffs,) in zip(radii, per_radius):
         mean, se = coeffs[top]
         vol = box_volume(m.domain, r)
         ratios.append(mean)

@@ -17,8 +17,8 @@ Expressions are compiled once (``compile``) into a flat post-order
 runs a tape on floats or numpy arrays, or in forward mode on jets
 (Griewank-Walther, *Evaluating Derivatives*, ch. 3) with the same ops, and
 raises DomainError on log of a nonpositive value, division by zero, square
-root of a negative, or 0 to a negative power, in the order a walk of the
-trees would meet them.
+root of a negative, 0 to a negative power, or a constant power too large
+for a float, in the order a walk of the trees would meet them.
 """
 
 from __future__ import annotations
@@ -352,7 +352,10 @@ def _power(k: int):
             bad = np.equal(value_of(base), 0.0)
             if np.any(bad):
                 raise DomainError("zero raised to a negative power", _first_bad(bad))
-        return base ** k
+        try:
+            return base ** k
+        except OverflowError:  # a constant base is a Python float: numpy gives inf
+            raise DomainError(f"constant power {base!r}^{k} overflows a float") from None
 
     return power
 

@@ -137,24 +137,36 @@ def cloud_mean(cloud: np.ndarray, values):
     """Monte Carlo mean and standard error of ``values`` over a sample cloud.
 
     ``values(coords)`` maps a (dim, n) slice of the cloud to an array whose
-    last axis is the sample axis; each leading index is its own estimate.
+    last axis is the sample axis, each leading index its own estimate, or to
+    an iterable of such arrays: row blocks, the same blocks in the same order
+    for every slice, whose estimates are concatenated along the first axis.
+    Each block is reduced before the next one is drawn, so a block may reuse
+    the memory of the one before it; an array is the one-block case.
+
     The slices are the fixed chunks of ``rng.chunked_sums``, so the result
     depends only on the cloud and ``values``.  The variance is summed on
     values shifted by the first chunk's mean, so a large mean does not
     cancel it away.  A cloud of fewer than 2 samples raises ``ValueError``.
     """
-    shift = None
+    shifts: list[np.ndarray] = []  # per block, its mean over the first chunk
+    deviation = np.empty(0)
 
     @wraps(values)  # chunk work is credited to the caller's module by tracers
     def evaluate(start: int, stop: int):
-        nonlocal shift
-        v = values(cloud[:, start:stop])
-        if shift is None:  # chunks run serially, in order
-            shift = np.mean(v, axis=-1, keepdims=True)
-        d = v - shift
-        # sum d now so that d can take d * d in place: no third chunk-sized array
-        sum_d = np.sum(d, axis=-1, keepdims=True)
-        return [v, sum_d, np.square(d, out=d)]
+        nonlocal deviation
+        blocks = values(cloud[:, start:stop])
+        sums = []
+        for b, v in enumerate([blocks] if isinstance(blocks, np.ndarray) else blocks):
+            if b == len(shifts):  # chunks run serially, in order
+                shifts.append(np.mean(v, axis=-1, keepdims=True))
+            if deviation.size < v.size:
+                deviation = np.empty(v.size)
+            d = np.subtract(v, shifts[b], out=deviation[:v.size].reshape(v.shape))
+            # per-block sums with keepdims: rng.chunked_sums adds them up over a
+            # length-1 sample axis, which leaves each one as it is
+            sums.append((np.sum(v, axis=-1, keepdims=True), np.sum(d, axis=-1, keepdims=True),
+                         np.sum(np.square(d, out=d), axis=-1, keepdims=True)))
+        return [np.concatenate(s) for s in zip(*sums)]
 
     count = cloud.shape[1]
     total, total_d, total_dd = rng.chunked_sums(evaluate, count)

@@ -18,8 +18,14 @@ vectorized over the samples; on small integer matrices every minor is exact.
 
 One point cloud is drawn per (seed, radius) and shared by every coefficient,
 so linearity of the estimator holds exactly; ``group.cloud_mean`` averages
-over it.  Evaluation is serial and reruns are bit-identical.  The public
-functions accept ``threads`` for compatibility and ignore it.
+over it.  ``_ball_averages`` sorts the (form, lambda) pairs of one call by
+(degree, lambda) and cuts them into blocks of at most ``_BLOCK_ITEMS``
+floats per chunk of samples; each block is planned once per call and
+reused at every radius and chunk, and ``cloud_mean`` reduces a block before
+the next one is built, so memory is bounded whatever the number of pairs.
+Every row keeps its own per-chunk sums, so the blocks move no bit.
+Evaluation is serial and reruns are bit-identical.  The public functions
+accept ``threads`` for compatibility and ignore it.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import rng
 from .algebra import LieAlgebra
 from .cohomology import CohomologyRing, CohomologySpace, cohomology
 from .forms import KForm, basis_tuples, ce_differential, sort_with_sign, wedge
@@ -38,6 +45,9 @@ DEFAULT_RADII = tuple(4.0 * 2 ** k for k in range(6))
 # floats per work array of _coefficient_rows: samples are taken in blocks that keep
 # the arrays of one block (four of them) inside a core's cache
 _WORK_ITEMS = 2 ** 15
+# floats per row block of _ball_averages (pairs x chunk samples): bounds the
+# memory of a ball average whatever the number of (form, lambda) pairs
+_BLOCK_ITEMS = 2 ** 20
 
 
 @dataclass
@@ -95,26 +105,36 @@ def _coefficient_rows(mats: np.ndarray, pairs: list[tuple[KForm, tuple[int, ...]
 
     One-shot form of ``_plan_coefficient_rows``.
     """
-    return _plan_coefficient_rows(pairs, mats.shape[2])(mats)
+    out = np.empty((len(pairs), mats.shape[0]))
+    _plan_coefficient_rows(pairs, mats.shape[2])(_entries(mats), out)
+    return out
+
+
+def _entries(mats: np.ndarray) -> np.ndarray:
+    """The (m * n, N) array whose row i * n + j holds D[i, j] of the (N, m, n)
+    frame differentials D, each entry one contiguous N-vector."""
+    return np.ascontiguousarray(mats.transpose(1, 2, 0)).reshape(-1, mats.shape[0])
 
 
 def _plan_coefficient_rows(pairs: list[tuple[KForm, tuple[int, ...]]], n: int):
     """Plan ``_coefficient_rows`` for these pairs on (N, m, n) frame differentials
-    D once; the returned ``rows(mats)`` applies the plan to one batch.
+    D once; the returned ``rows(entries, out)`` applies the plan to the
+    ``_entries`` of one batch, writing the (len(pairs), N) rows into ``out``.
 
     Row r is sum_R c_R sign * det D[R, C] over the coefficients c_R of omega,
     where C is lam sorted and sign its permutation sign; a repeated frame index
-    gives 0.  Those minors are entries of the compound matrices of D, and each
-    degree-d minor expands along its first row,
+    or a zero form gives 0.  Those minors are entries of the compound matrices
+    of D, and each degree-d minor expands along its first row,
 
         det D[R, C] = sum_j (-1)^j D[R_0, C_j] det D[R_1.., C without C_j],
 
     so from the top degree down the plan lists only the minors some pair
-    needs, directly or through a higher degree.  ``rows`` transposes D once
-    so that each entry is one contiguous N-vector, then builds the minors
-    from degree 1 (the entries themselves) upward, vectorized over blocks of
+    needs, directly or through a higher degree.  ``rows`` builds them from
+    degree 1 (the entries themselves) upward, vectorized over blocks of
     samples, keeping two adjacent degrees alive, and adds each pair's terms
-    in the order of ``omega.coeffs``.
+    in the order of ``omega.coeffs``.  A minor's value does not depend on
+    which other minors the plan holds, so any split of the pairs gives the
+    same rows.
     """
     top = max((omega.degree for omega, _ in pairs), default=0)
     need: list[dict] = [{} for _ in range(top + 1)]  # degree -> (R, C) -> index
@@ -136,6 +156,9 @@ def _plan_coefficient_rows(pairs: list[tuple[KForm, tuple[int, ...]]], n: int):
         cols, sign = sorted_lam
         terms[omega.degree].append((row, [(sign * float(c), index(omega.degree, r, cols))
                                           for r, c in omega.coeffs.items()]))
+    # zero forms and repeated frame indices need no minor: a degree above
+    # every term would plan an empty expansion, of work width 0
+    top = max((d for d, t in enumerate(terms) if t), default=0)
 
     expansions = {}  # degree -> (first-row entries, complementary minors), each (d, K)
     for d in range(top, 1, -1):
@@ -157,19 +180,18 @@ def _plan_coefficient_rows(pairs: list[tuple[KForm, tuple[int, ...]]], n: int):
                 + [len(r[0]) for rs in rounds.values() for r in rs], default=1)
     block = max(1, _WORK_ITEMS // width)
 
-    def rows(mats: np.ndarray) -> np.ndarray:
-        count = mats.shape[0]
-        out = np.zeros((len(pairs), count))
+    def rows(entries: np.ndarray, out: np.ndarray) -> None:
+        count = entries.shape[1]
+        out.fill(0.0)
         for row, value in constants:
             out[row] = value
-        entries = np.ascontiguousarray(mats.transpose(1, 2, 0)).reshape(-1, count)
         work = np.empty((4, width * min(block, count)))
 
         def buffer(i: int, k: int, size: int) -> np.ndarray:
             return work[i, :k * size].reshape(k, size)
 
         # every index is in range by construction (the forms live on the
-        # codomain, see _check_on_codomain); mode="clip" lets np.take
+        # codomain, see _check_on_codomain); mode="clip" lets take
         # write straight into its out= buffer instead of through a copy
         for start in range(0, count, block):
             level = ents = entries[:, start:start + block]
@@ -180,63 +202,73 @@ def _plan_coefficient_rows(pairs: list[tuple[KForm, tuple[int, ...]]], n: int):
                     k = first.shape[1]
                     prev, level = level, buffer(d % 2, k, size)
                     a, b = buffer(2, k, size), buffer(3, k, size)
-                    np.take(ents, first[0], axis=0, out=level, mode="clip")
-                    level *= np.take(prev, sub[0], axis=0, out=b, mode="clip")
+                    ents.take(first[0], axis=0, out=level, mode="clip")
+                    level *= prev.take(sub[0], axis=0, out=b, mode="clip")
                     for j in range(1, d):
-                        np.take(ents, first[j], axis=0, out=a, mode="clip")
-                        a *= np.take(prev, sub[j], axis=0, out=b, mode="clip")
+                        ents.take(first[j], axis=0, out=a, mode="clip")
+                        a *= prev.take(sub[j], axis=0, out=b, mode="clip")
                         if j % 2:
                             level -= a
                         else:
                             level += a
                 for row, coeff, idx in rounds[d]:
-                    a = np.take(level, idx, axis=0, out=buffer(2, len(idx), size), mode="clip")
+                    a = level.take(idx, axis=0, out=buffer(2, len(idx), size), mode="clip")
                     a *= coeff
                     out[row, start:start + size] += a
-        return out
 
     return rows
 
 
-def _averaged_coefficients(
+def _ball_averages(
     m: SmoothMap,
     omegas: list[KForm],
-    radius: float,
+    radii: list[float],
     samples: int,
     seed: int,
     shape: str,
     warnings: list[str],
 ):
-    """Ball-average every coefficient of every form in one pass over one cloud.
+    """Ball-average every coefficient of every form at every radius, in one
+    pass over one cloud per radius, the pairs in blocks (module docstring).
 
-    Returns, per input form, a dict lambda -> (mean, stderr).
+    Returns, per radius and per input form, a dict lambda -> (mean, stderr),
+    and the largest sampled |frame differential| entry over all radii.
     """
     _check_on_codomain(m, omegas)
     dom = m.domain
-    cloud = sample_ball_coords(dom, BallSpec(radius, shape), samples, seed, tags=("avg",))
-    degrees = sorted({w.degree for w in omegas})
-    lambdas = {k: basis_tuples(dom.dim, k) for k in degrees}
-    pairs = [(w, lam) for w in omegas for lam in lambdas[w.degree]]
-    rows = _plan_coefficient_rows(pairs, dom.dim)
+    lambdas = {w.degree: basis_tuples(dom.dim, w.degree) for w in omegas}
+    owners = [(f, lam) for f, w in enumerate(omegas) for lam in lambdas[w.degree]]
+    owners.sort(key=lambda o: (omegas[o[0]].degree, o[1]))  # pairs sharing minors side by side
+    chunk = max(1, min(samples, rng.CHUNK))
+    size = max(1, _BLOCK_ITEMS // chunk)
+    blocks = [owners[i:i + size] for i in range(0, len(owners) or 1, size)]
+    plans = [_plan_coefficient_rows([(omegas[f], lam) for f, lam in b], dom.dim) for b in blocks]
+    row_buffer = np.empty(min(size, len(owners)) * chunk)
     warn = warn_once(warnings)
     chunk_derivative_max: list[float] = []
 
-    def coefficients(coords: np.ndarray) -> np.ndarray:
+    def coefficients(coords: np.ndarray):
         _, mats = differential_batch(m, coords, warn)
         chunk_derivative_max.append(float(np.max(np.abs(mats))))
-        return rows(mats)
+        entries = _entries(mats)
+        count = entries.shape[1]
+        for b, rows in zip(blocks, plans):
+            out = row_buffer[:len(b) * count].reshape(len(b), count)
+            rows(entries, out)
+            yield out
 
-    mean, stderr = cloud_mean(cloud, coefficients)
-
-    out = []
-    row = 0
-    for w in omegas:
-        entry = {}
-        for lam in lambdas[w.degree]:
-            entry[lam] = (float(mean[row]), float(stderr[row]))
-            row += 1
-        out.append(entry)
-    return out, max(chunk_derivative_max, default=0.0)
+    per_radius = []
+    deriv_bound = 0.0
+    for r in radii:
+        cloud = sample_ball_coords(dom, BallSpec(r, shape), samples, seed, tags=("avg",))
+        chunk_derivative_max.clear()
+        mean, stderr = cloud_mean(cloud, coefficients)
+        deriv_bound = max(deriv_bound, max(chunk_derivative_max, default=0.0))
+        coeffs = [dict.fromkeys(lambdas[w.degree]) for w in omegas]
+        for i, (f, lam) in enumerate(owners):
+            coeffs[f][lam] = (float(mean[i]), float(stderr[i]))
+        per_radius.append(coeffs)
+    return per_radius, deriv_bound
 
 
 def _form_of(dom: LieAlgebra, degree: int, coeff_map: dict) -> KForm:
@@ -258,10 +290,8 @@ def amenable_average(
     warnings: list[str] = []
     values: list[KForm] = []
     stderrs: list[dict] = []
-    deriv_bound = 0.0
-    for r in radii:
-        (coeffs,), deriv = _averaged_coefficients(m, [omega], r, samples, seed, shape, warnings)
-        deriv_bound = max(deriv_bound, deriv)
+    per_radius, deriv_bound = _ball_averages(m, [omega], radii, samples, seed, shape, warnings)
+    for (coeffs,) in per_radius:
         values.append(_form_of(m.domain, omega.degree, coeffs))
         stderrs.append({lam: se for lam, (_, se) in coeffs.items()})
     increments = _increments(values)
@@ -344,12 +374,7 @@ def induced_cohomology_map(
                     product_keys.append((k, i, l, j))
 
     all_forms = reps + products
-    per_radius = []
-    deriv_bound = 0.0
-    for r in radii:
-        coeffs_at_r, deriv = _averaged_coefficients(m, all_forms, r, samples, seed, shape, warnings)
-        deriv_bound = max(deriv_bound, deriv)
-        per_radius.append(coeffs_at_r)
+    per_radius, deriv_bound = _ball_averages(m, all_forms, radii, samples, seed, shape, warnings)
 
     chain_trace: dict[int, list[float]] = {k: [] for k in range(n_dom + 1)}
     for coeffs_at_r in per_radius:

@@ -380,3 +380,38 @@ def dense_newton_roots(m, starts, targets):
                 break
         alive[idx] = False
     return x, rnorm <= NEWTON_TOL, jacs
+
+
+def whole_array_averages(m, omegas, radius, samples, seed, shape):
+    """Ball averages with every (form, lambda) row of a chunk held at once:
+    the coefficient rows, v - shift and its square as whole (pairs x chunk)
+    arrays.  The parity oracle of the blocked ``pullback._ball_averages``;
+    returns, per form, a dict lambda -> (mean, stderr)."""
+    from nilcoh import rng
+    from nilcoh.forms import basis_tuples
+    from nilcoh.group import BallSpec, sample_ball_coords
+    from nilcoh.maps import differential_batch
+    from nilcoh.pullback import _coefficient_rows
+
+    cloud = sample_ball_coords(m.domain, BallSpec(radius, shape), samples, seed, tags=("avg",))
+    lambdas = {w.degree: basis_tuples(m.domain.dim, w.degree) for w in omegas}
+    pairs = [(w, lam) for w in omegas for lam in lambdas[w.degree]]
+    shift = None
+
+    def evaluate(start, stop):
+        nonlocal shift
+        _, mats = differential_batch(m, cloud[:, start:stop])
+        v = _coefficient_rows(mats, pairs)
+        if shift is None:
+            shift = np.mean(v, axis=-1, keepdims=True)
+        d = v - shift
+        sum_d = np.sum(d, axis=-1, keepdims=True)
+        return [v, sum_d, np.square(d, out=d)]
+
+    count = cloud.shape[1]
+    total, total_d, total_dd = rng.chunked_sums(evaluate, count)
+    _, stderr = rng.mean_and_stderr(total_d, total_dd, count)
+    mean = total / count
+    rows = iter(range(len(pairs)))
+    return [{lam: (float(mean[r]), float(stderr[r])) for lam, r in zip(lambdas[w.degree], rows)}
+            for w in omegas]

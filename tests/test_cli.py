@@ -150,6 +150,18 @@ def test_exit_code_on_refused_grid_and_radii(files, capsys):
     assert "strictly increasing" in err
 
 
+def test_exit_code_on_overflowing_constant_power(files, capsys):
+    # constant subtrees run on Python floats, whose ** raised a raw OverflowError
+    huge = {"domain": "r1.json", "codomain": "r1.json", "components": ["x1 + 10^400"]}
+    (files / "huge.map.json").write_text(json.dumps(huge))
+    code, out, err = run(
+        ["degree", "--map", str(files / "huge.map.json"), "--window", "R=2", "--target", "0.5"],
+        capsys,
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: constant power 10.0^400 overflows a float\n"
+
+
 def test_exit_code_on_one_sample(files, capsys):
     # one sample has no spread: its stderr used to read 0.0 and asymdeg
     # called a degree positive from it

@@ -107,3 +107,25 @@ def test_cloud_mean_stderr_survives_a_large_offset():
     v = values(cloud)
     assert mean == pytest.approx(np.mean(v), rel=1e-15)
     assert stderr == pytest.approx(np.std(v, ddof=1) / np.sqrt(v.size), rel=1e-6)
+
+
+def test_cloud_mean_of_row_blocks_equals_one_array():
+    # blocks reuse one buffer: cloud_mean must reduce each before the next
+    cloud = sample_ball_coords(H3, BallSpec(3.0), 20000, seed=4)  # 3 chunks, the last ragged
+
+    def rows(coords):
+        return np.stack([np.sin(k * coords[0]) + coords[1] * k + 1e3 * (k % 3) for k in range(7)])
+
+    def blocks(coords):
+        whole = rows(coords)
+        buffer = np.empty(3 * coords.shape[1])
+        for start in range(0, 7, 3):
+            part = whole[start:start + 3]
+            out = buffer[:part.size].reshape(part.shape)
+            out[...] = part
+            yield out
+
+    want = cloud_mean(cloud, rows)
+    got = cloud_mean(cloud, blocks)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    assert got[0].shape == (7,)

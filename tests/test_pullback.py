@@ -1,15 +1,16 @@
 import time
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
 import oracles
 import pytest
 
-from nilcoh import algebra
+from nilcoh import algebra, pullback, rng
 from nilcoh.cohomology import cohomology
 from nilcoh.degree import area_formula_check, asymptotic_degree
 from nilcoh.ergodic import derivative_entry, empirical_measure, parse_observable
-from nilcoh.forms import basis_covector, basis_form, unit_form, volume_form, wedge
+from nilcoh.forms import KForm, basis_covector, basis_form, unit_form, volume_form, wedge
 from nilcoh.maps import differential, map_from_texts, normalize_to_y0
 from nilcoh.pullback import (
     _coefficient_rows,
@@ -25,6 +26,9 @@ from nilcoh.pullback import (
 R1 = algebra.abelian(1)
 R2 = algebra.abelian(2)
 H3 = algebra.heisenberg3()
+H5 = algebra.heisenberg5()
+H3_MAP = ["x1 + 0.3*sin(x2)", "x2", "x3 + 0.2*x1^2"]
+H5_MAP = ["x1 + 0.3*sin(x2)", "x2", "x3 + 0.1*x4^2", "x4", "x5 + 0.2*x1*x3"]
 
 
 def f1():
@@ -293,3 +297,90 @@ def test_threads_keyword_is_accepted_and_changes_nothing():
     ]
     for call in calls:
         assert repr(call(4)) == repr(call(1))
+
+
+def test_zero_forms_and_repeated_frame_indices_give_zero():
+    # a plan in which no pair needs a minor of some degree divided by a zero
+    # work width: ZeroDivisionError instead of the promised 0
+    ident = map_from_texts(H3, H3, ["x1", "x2", "x3"])
+    zero2 = KForm(H3, 2, {})
+    point = [0.3, -1.0, 2.0]
+    assert pullback_eval(ident, zero2, (0, 1), point) == 0.0
+    assert pullback_eval(ident, basis_form(H3, (0, 1)), (1, 1), point) == 0.0
+    assert exact_homomorphism_pullback(h3_doubling(), zero2).coeffs == {}
+    est = amenable_average(ident, zero2, radii=[2.0, 4.0], samples=300, seed=1)
+    assert [v.coeffs for v in est.values] == [{}, {}]
+    assert all(set(se.values()) == {0.0} for se in est.mc_stderr)
+
+
+def test_coefficient_rows_do_not_depend_on_how_the_pairs_are_split():
+    mats = np.random.default_rng(5).normal(size=(300, 5, 5))
+    forms = [w for k in range(6) for w in cohomology(H5).spaces[k].representatives]
+    pairs = [(w, lam) for w in forms for lam in combinations(range(5), w.degree)]
+    pairs += [(KForm(H5, 2, {}), (0, 1)), (basis_form(H5, (1, 3)), (2, 2)),
+              (basis_form(H5, (0, 1, 2)), (4, 0, 4)), (unit_form(H5).scale(-2.5), ())]
+    whole = _coefficient_rows(mats, pairs)
+    assert not whole[-4:-1].any() and set(whole[-1]) == {-2.5}
+    for size in (1, 3, 17):
+        parts = [_coefficient_rows(mats, pairs[i:i + size]) for i in range(0, len(pairs), size)]
+        assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+
+def _average_forms(alg):
+    """What homomorphism_check averages, plus a scaled constant and a zero form."""
+    reps = [w for k in range(alg.dim + 1) for w in cohomology(alg).spaces[k].representatives]
+    products = [wedge(a, b) for a in reps for b in reps
+                if a.degree <= b.degree and a.degree + b.degree <= alg.dim]
+    return reps + products + [unit_form(alg).scale(-2.5), KForm(alg, 2, {})]
+
+
+@pytest.mark.parametrize("alg, texts, samples, shape", [
+    (H3, H3_MAP, 2 * rng.CHUNK + 1000, "box"),
+    (H5, H5_MAP, rng.CHUNK + 500, "quasiball"),
+])
+@pytest.mark.parametrize("rows_per_block", [1, 7])
+def test_blocked_averages_equal_whole_array_averages(monkeypatch, alg, texts, samples, shape,
+                                                     rows_per_block):
+    # the ragged last chunk is the one the blocks must not move
+    m = normalize_to_y0(map_from_texts(alg, alg, texts))
+    omegas = _average_forms(alg)
+    monkeypatch.setattr(pullback, "_BLOCK_ITEMS", rows_per_block * rng.CHUNK)
+    radii = [2.0, 4.0]
+    got, _ = pullback._ball_averages(m, omegas, radii, samples, 3, shape, [])
+    for radius, coeffs in zip(radii, got):
+        want = oracles.whole_array_averages(m, omegas, radius, samples, 3, shape)
+        assert repr(coeffs) == repr(want)
+
+
+def test_blocks_are_planned_once_per_call(monkeypatch):
+    # rebuilding the plans at every radius cost about a tenth of an H5 check
+    sizes = []
+    plan = pullback._plan_coefficient_rows
+
+    def counting(pairs, n):
+        sizes.append(len(pairs))
+        return plan(pairs, n)
+
+    monkeypatch.setattr(pullback, "_plan_coefficient_rows", counting)
+    monkeypatch.setattr(pullback, "_BLOCK_ITEMS", 5 * 1000)
+    m = map_from_texts(H3, H3, H3_MAP)
+    homomorphism_check(m, radii=[2.0], samples=1000, seed=0)
+    blocks = len(sizes)
+    sizes.clear()
+    homomorphism_check(m, radii=[2.0, 4.0, 8.0], samples=1000, seed=0)
+    assert len(sizes) == blocks > 1
+    assert max(sizes) == 5
+
+
+def test_h5_homomorphism_check_memory_is_bounded():
+    # (pairs x chunk) arrays of all 910 (form, lambda) pairs peaked at 56 MB
+    m = map_from_texts(H5, H5, H5_MAP)
+    kw = dict(radii=(2.0, 4.0), samples=4000, seed=0, shape="quasiball")
+    homomorphism_check(m, **kw)  # warm the cohomology and group-law caches
+    tracemalloc.start()
+    try:
+        homomorphism_check(m, **kw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 35 * 2 ** 20

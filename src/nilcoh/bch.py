@@ -20,11 +20,19 @@ terminating Neumann series, since the frame is unipotent in the filtration
 grading; a series that does not terminate raises ``IllConditionedFrame``).
 
 Evaluation is generic: exact on Fractions, vectorized on numpy arrays.
+The matrices are sparse: H3's frame has 5 nonzero entries of 9, most of
+them the constant 1, and every matrix of an abelian group is the identity.
+So each law records once, from the polynomials, where the nonzero entries
+and the constant 1s of its translation Jacobian, frame and inverse frame
+lie (``SparsePattern``), and the numeric layer never evaluates them into
+dense stacks: ``GroupLaw._product`` multiplies a sample-last stack of
+matrices (a, b, N) by one of them, on either side, adding each entry's
+terms in k order, skipping the zeros and the multiplications by 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial
 
@@ -205,6 +213,29 @@ def _poly_mat_mul(a: list[list[Poly]], b: list[list[Poly]]) -> list[list[Poly]]:
     return out
 
 
+@dataclass(frozen=True)
+class SparsePattern:
+    """The nonzero entries of a square polynomial matrix P, read off its
+    polynomials: ``rows[i]`` lists (k, p) for every nonzero P[i, k] and
+    ``cols[j]`` every nonzero P[k, j], both in k order, with p None where the
+    entry is the constant 1."""
+
+    rows: tuple
+    cols: tuple
+    identity: bool
+
+    @classmethod
+    def of(cls, polys: list[list[Poly]]) -> "SparsePattern":
+        one = {(0,) * polys[0][0].nvars: Fraction(1)}
+        entry = [[None if p.terms == one else p for p in row] for row in polys]
+        n = len(polys)
+        rows = tuple(tuple((k, entry[i][k]) for k in range(n) if not polys[i][k].is_zero())
+                     for i in range(n))
+        cols = tuple(tuple((k, entry[k][j]) for k in range(n) if not polys[k][j].is_zero())
+                     for j in range(n))
+        return cls(rows, cols, all(r == ((i, None),) for i, r in enumerate(rows)))
+
+
 @dataclass(frozen=True, eq=False)
 class GroupLaw:
     """Cached polynomial data for one algebra's simply connected group."""
@@ -214,6 +245,14 @@ class GroupLaw:
     trans_jac: list[list[Poly]]      # 2n vars: d(x·y)_i / d y_j
     frame: list[list[Poly]]          # n vars:  trans_jac at y = 0
     inv_frame: list[list[Poly]]      # n vars:  exact inverse of frame
+    trans_pattern: SparsePattern = field(init=False, repr=False)
+    frame_pattern: SparsePattern = field(init=False, repr=False)
+    inv_frame_pattern: SparsePattern = field(init=False, repr=False)
+
+    def __post_init__(self):  # the sparsity of each matrix, read once per law
+        object.__setattr__(self, "trans_pattern", SparsePattern.of(self.trans_jac))
+        object.__setattr__(self, "frame_pattern", SparsePattern.of(self.frame))
+        object.__setattr__(self, "inv_frame_pattern", SparsePattern.of(self.inv_frame))
 
     @property
     def dim(self) -> int:
@@ -249,27 +288,50 @@ class GroupLaw:
             out[i] = p.eval_float(vals)
         return out
 
-    def _eval_poly_matrix(self, polys, vals, count: int) -> np.ndarray:
-        n = self.dim
-        out = np.empty((count, n, n), dtype=float)
-        for i in range(n):
-            for j in range(n):
-                out[:, i, j] = polys[i][j].eval_float(vals)
+    def _product(self, pattern: "SparsePattern", vals: list, stack: np.ndarray, left: bool):
+        """P(vals) @ stack (``left``) or stack @ P(vals) for the polynomial matrix
+        P of ``pattern`` and a sample-last stack (a, b, N) of matrices.
+
+        Each entry of the result adds its terms in k order, skipping the
+        structural zeros of P and the multiplications by its constant 1s; each
+        nonzero entry of P is evaluated once, and an identity P returns
+        ``stack`` itself.  A new result is C-contiguous.
+        """
+        if pattern.identity:
+            return stack
+        lines = pattern.rows if left else pattern.cols
+        a, b, count = stack.shape
+        out = np.empty((len(lines), b, count) if left else (a, len(lines), count))
+        for i, terms in enumerate(lines):
+            target = out[i] if left else out[:, i]
+            if not terms:
+                target.fill(0.0)
+            for t, (k, p) in enumerate(terms):
+                s = stack[k] if left else stack[:, k]
+                if t == 0:
+                    if p is None:
+                        target[...] = s
+                    else:
+                        np.multiply(s, p.eval_float(vals), out=target)
+                else:
+                    target += s if p is None else s * p.eval_float(vals)
         return out
 
-    def frame_batch(self, coords: np.ndarray) -> np.ndarray:
-        """Frames at a coordinate batch (n, N) -> (N, n, n)."""
-        coords = np.atleast_2d(np.asarray(coords, dtype=float))
-        return self._eval_poly_matrix(self.frame, list(coords), coords.shape[1])
+    def frame_batch(self, coords: np.ndarray, stack: np.ndarray) -> np.ndarray:
+        """stack @ F(x) for the frames F at a coordinate batch (n, N) and a
+        sample-last stack (a, n, N); see ``_product``."""
+        return self._product(self.frame_pattern, list(_as_batch(coords)), stack, left=False)
 
-    def inv_frame_batch(self, coords: np.ndarray) -> np.ndarray:
-        coords = np.atleast_2d(np.asarray(coords, dtype=float))
-        return self._eval_poly_matrix(self.inv_frame, list(coords), coords.shape[1])
+    def inv_frame_batch(self, coords: np.ndarray, stack: np.ndarray) -> np.ndarray:
+        """F(x)^-1 @ stack for the inverse frames at a coordinate batch (n, N)
+        and a sample-last stack (n, b, N); see ``_product``."""
+        return self._product(self.inv_frame_pattern, list(_as_batch(coords)), stack, left=True)
 
-    def translation_jacobian_batch(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def translation_jacobian_batch(self, a, b, stack: np.ndarray, left: bool = True) -> np.ndarray:
+        """d(a·y)/dy at y = b times a sample-last stack, on the left or on the
+        right; (n,) points broadcast against (n, N) batches.  See ``_product``."""
         a, b = np.broadcast_arrays(_as_batch(a), _as_batch(b))
-        vals = list(a) + list(b)
-        return self._eval_poly_matrix(self.trans_jac, vals, a.shape[1])
+        return self._product(self.trans_pattern, list(a) + list(b), stack, left)
 
     def dilate(self, r, coords):
         """Homogeneous dilation: coordinate i scales by r**weight_i."""

@@ -32,7 +32,7 @@ import numpy as np
 from . import rng
 from .dsl import DomainError
 from .forms import volume_form
-from .group import BallSpec, box_volume, check_radii, cloud_mean, sample_ball_coords
+from .group import BallSpec, box_volume, check_adapted, check_radii, cloud_mean, sample_ball_coords
 from .maps import SmoothMap, differential_batch, evaluate_batch, jacobian_batch, normalize_to_y0
 from .pullback import _ball_averages
 
@@ -77,7 +77,7 @@ class AsymptoticDegreeTrace:
 
 
 def _window_scales(m: SmoothMap, window: BallSpec) -> np.ndarray:
-    return np.array([float(window.radius) ** w for w in m.domain.weights])
+    return np.array([float(window.radius) ** w for w in check_adapted(m.domain).weights])
 
 
 def _grid_starts(scales: np.ndarray, density: int) -> np.ndarray:

@@ -438,11 +438,11 @@ def compile(exprs) -> Tape:
 def evaluate(tape: Tape, env: list, values: np.ndarray, warn=None, jac: np.ndarray | None = None):
     """Run a tape over an environment of floats or arrays.
 
-    ``values[a]`` receives output a.  With ``jac`` (N, m, n), the run is in
-    forward mode on jets seeded at the n coordinates, and ``jac[:, a, :]``
-    receives output a's partials (zero for a constant output).  ``warn``,
-    if given, is called with a message for soft diagnostics (currently: an
-    abs op evaluated within 1e-9 of its kink).
+    ``values[a]`` receives output a.  With ``jac`` (m, n, N), sample-last,
+    the run is in forward mode on jets seeded at the n coordinates, and
+    ``jac[a]`` receives output a's (n, N) partials (zero for a constant
+    output).  ``warn``, if given, is called with a message for soft
+    diagnostics (currently: an abs op evaluated within 1e-9 of its kink).
     """
     if jac is not None:
         env = [Jet.seed(v, i, len(env)) for i, v in enumerate(env)]
@@ -459,11 +459,11 @@ def evaluate(tape: Tape, env: list, values: np.ndarray, warn=None, jac: np.ndarr
             stack.append(out)
         elif isinstance(out, Jet):
             values[a] = out.value
-            jac[:, a, :] = out.partials.T
+            jac[a] = out.partials
         else:
             values[a] = out
             if jac is not None:
-                jac[:, a, :] = 0.0
+                jac[a] = 0.0
 
 
 # -- printing -----------------------------------------------------------------

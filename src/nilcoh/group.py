@@ -17,7 +17,7 @@ from math import lcm
 import numpy as np
 
 from . import rng
-from .algebra import LieAlgebra
+from .algebra import AlgebraError, LieAlgebra
 from .bch import group_law
 
 
@@ -104,8 +104,31 @@ def check_radii(radii) -> list[float]:
     return radii
 
 
+def check_adapted(alg: LieAlgebra) -> LieAlgebra:
+    """The algebra, refused unless its basis is adapted to the lower central
+    series: for every m, as many basis vectors of weight >= m as dim g^m.
+
+    The weights scale the Følner boxes and the degree windows.  In a basis
+    where some g^m is not spanned by basis vectors (H3 in the basis
+    e1, e2, e3 + e1 gets weights 1, 1, 1) the boxes are not Følner: left
+    translation by (1, 0, 0) moves about a quarter of a box's samples out of
+    it at R = 4, 16 and 64 alike, and every estimate on them would be
+    silently wrong.
+    """
+    for m, dim in enumerate(alg.lcs, start=1):
+        count = sum(w >= m for w in alg.weights)
+        if count != dim:
+            raise AlgebraError(
+                f"basis is not adapted to the lower central series: {count} basis vector(s) "
+                f"have weight >= {m} but dim g^{m} = {dim}; the numeric layer needs the number "
+                f"of basis vectors of weight >= m to equal dim g^m for every m"
+            )
+    return alg
+
+
 def box_volume(alg: LieAlgebra, radius: float) -> float:
     """Exact Haar volume of the weighted box: 2^n R^Q."""
+    check_adapted(alg)
     return 2.0 ** alg.dim * float(radius) ** alg.homogeneous_dimension
 
 
@@ -119,6 +142,7 @@ def sample_ball_coords(
     """
     if count <= 0:
         raise ValueError("sample count must be positive")
+    check_adapted(alg)
     gen = rng.stream(seed, "ball", spec.shape, float(spec.radius), tags)
     scale = np.array([float(spec.radius) ** w for w in alg.weights])[:, None]
     if spec.shape == "box":

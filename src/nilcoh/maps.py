@@ -16,6 +16,12 @@ the map carries; both constructions keep their parent's tape.
 ``differential`` returns the matrix of the derivative in the left-invariant
 frames of both sides: column b holds the coefficients of the image of the
 b-th domain frame field in the codomain frame.
+
+Batches of matrices are stored sample-last, (m, n, N): the tape writes the
+Jacobian that way, the frames and translation Jacobians multiply it through
+the group law's sparse products (structural zeros skipped, abelian sides
+free), and ``jacobian_batch`` and ``differential_batch`` return it as an
+(N, m, n) view whose entries are contiguous N-vectors.
 """
 
 from __future__ import annotations
@@ -77,12 +83,13 @@ def warn_once(sink: list[str]):
 
 def _evaluate(m: SmoothMap, coords: np.ndarray, warn=None, jets: bool = False):
     """x -> shift . F(action . x) on a (n, N) batch: the values (m, N), and with
-    ``jets`` also the coordinate Jacobian (N, m, n), else None.
+    ``jets`` also the coordinate Jacobian, sample-last (m, n, N), else None.
 
     F runs on the map's tape.  The Jacobian is (T_shift @ J_F) @ T_action,
     where T_shift and T_action are the left-translation Jacobians of the
     group law and J_F comes from the tape in forward mode at the translated
-    points.
+    points; the products are the law's sparse ones, so an abelian side costs
+    nothing.
     """
     if len(coords) != m.domain.dim:
         raise ValueError(
@@ -93,16 +100,17 @@ def _evaluate(m: SmoothMap, coords: np.ndarray, warn=None, jets: bool = False):
         moved = group_law(m.domain).multiply_batch(np.array(m.action), coords)
     n, count = moved.shape
     values = np.empty((m.codomain.dim, count))
-    jac = np.empty((count, m.codomain.dim, n)) if jets else None
+    jac = np.empty((m.codomain.dim, n, count)) if jets else None
     dsl.evaluate(m.tape, list(moved), values, warn, jac)
     if m.shift is not None:
         law = group_law(m.codomain)
         shift = np.array(m.shift)
         if jets:
-            jac = law.translation_jacobian_batch(shift, values) @ jac
+            jac = law.translation_jacobian_batch(shift, values, jac)
         values = law.multiply_batch(shift, values)
     if jets and m.action is not None:
-        jac = jac @ group_law(m.domain).translation_jacobian_batch(np.array(m.action), coords)
+        jac = group_law(m.domain).translation_jacobian_batch(np.array(m.action), coords, jac,
+                                                             left=False)
     return values, jac
 
 
@@ -123,17 +131,29 @@ def evaluate(m: SmoothMap, g, warn=None) -> GroupPoint:
 
 def jacobian_batch(m: SmoothMap, coords: np.ndarray, warn=None):
     """Values and coordinate Jacobian d f_a / d x_b on a batch: (values (m, N),
-    jacobians (N, m, n)); its determinant is that of the frame differential."""
-    return _evaluate(m, np.asarray(coords, dtype=float), warn, jets=True)
+    jacobians (N, m, n)); its determinant is that of the frame differential.
+    The jacobians are a transposed view of a C-contiguous (m, n, N) array, so
+    ``jacobians[:, a, b]`` is one contiguous N-vector."""
+    values, jac = _evaluate(m, np.asarray(coords, dtype=float), warn, jets=True)
+    return values, jac.transpose(2, 0, 1)
 
 
 def differential_batch(m: SmoothMap, coords: np.ndarray, warn=None):
     """Frame-to-frame differential on a batch: (values (m, N), matrices (N, m, n)),
-    the coordinate Jacobian between the domain frame and the inverse codomain frame."""
-    values, jac = jacobian_batch(m, coords, warn)
-    frames = group_law(m.domain).frame_batch(coords)
-    inv_frames = group_law(m.codomain).inv_frame_batch(values)
-    return values, inv_frames @ jac @ frames
+    the coordinate Jacobian between the domain frame and the inverse codomain
+    frame, F_cod(f(x))^-1 @ J @ F_dom(x), as a transposed view of a
+    C-contiguous (m, n, N) array like ``jacobian_batch``.
+
+    The frame products are the group laws' sparse ones (``GroupLaw._product``):
+    they skip the structural zeros of the frames and translation Jacobians,
+    so an infinite Jacobian entry spreads only into the entries it enters,
+    not as NaN (0 * inf) into the other entries of its row and column.
+    """
+    coords = np.asarray(coords, dtype=float)
+    values, jac = _evaluate(m, coords, warn, jets=True)
+    mats = group_law(m.codomain).inv_frame_batch(values, jac)
+    mats = group_law(m.domain).frame_batch(coords, mats)
+    return values, mats.transpose(2, 0, 1)
 
 
 def differential(m: SmoothMap, g, warn=None) -> list[list[float]]:

@@ -112,8 +112,10 @@ def _coefficient_rows(mats: np.ndarray, pairs: list[tuple[KForm, tuple[int, ...]
 
 def _entries(mats: np.ndarray) -> np.ndarray:
     """The (m * n, N) array whose row i * n + j holds D[i, j] of the (N, m, n)
-    frame differentials D, each entry one contiguous N-vector."""
-    return np.ascontiguousarray(mats.transpose(1, 2, 0)).reshape(-1, mats.shape[0])
+    frame differentials D, each entry one contiguous N-vector: a view of the
+    sample-last array behind ``differential_batch``'s matrices (a copy only
+    for matrices stored sample-first)."""
+    return mats.transpose(1, 2, 0).reshape(-1, mats.shape[0])
 
 
 def _plan_coefficient_rows(pairs: list[tuple[KForm, tuple[int, ...]]], n: int):

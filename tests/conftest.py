@@ -23,6 +23,15 @@ def corpus() -> dict:
     }
 
 
+def skewed_heisenberg3():
+    """H3 in the basis f1 = e1, f2 = e2, f3 = e3 + e1, which is not adapted to
+    the lower central series: [f1, f2] = f3 - f1 and [f2, f3] = f1 - f3, so
+    g^2 is spanned by f3 - f1 and no basis vector lies in it."""
+    return algebra.algebra_from_dict(
+        {"dim": 3, "brackets": [[1, 2, [[3, 1], [1, -1]]], [2, 3, [[1, 1], [3, -1]]]]}
+    )
+
+
 @pytest.fixture(scope="session")
 def algebras() -> dict:
     return corpus()

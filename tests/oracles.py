@@ -415,3 +415,47 @@ def whole_array_averages(m, omegas, radius, samples, seed, shape):
     rows = iter(range(len(pairs)))
     return [{lam: (float(mean[r]), float(stderr[r])) for lam, r in zip(lambdas[w.degree], rows)}
             for w in omegas]
+
+
+def dense_poly_matrix(polys, vals, count: int) -> np.ndarray:
+    """Every entry of a polynomial matrix evaluated at vals into a dense
+    (count, n, n) stack, zeros and ones included."""
+    n = len(polys)
+    out = np.empty((count, n, n), dtype=float)
+    for i in range(n):
+        for j in range(n):
+            out[:, i, j] = polys[i][j].eval_float(vals)
+    return out
+
+
+def stacked_differential(m, coords):
+    """Values (m, N), coordinate Jacobians (N, m, n) and frame differentials
+    (N, m, n) the dense way: the tape's Jacobian copied sample-first, the
+    frames and translation Jacobians as dense stacks of every entry, and the
+    products as stacked ``@``, (T_shift @ J) @ T_action and
+    (F_cod^-1 @ J) @ F_dom.  The parity oracle of the sparse frame products
+    in ``maps``."""
+    from nilcoh import dsl
+    from nilcoh.bch import group_law
+
+    coords = np.asarray(coords, dtype=float)
+    dom, cod = group_law(m.domain), group_law(m.codomain)
+    count = coords.shape[1]
+
+    def translation(law, a, b):
+        a, b = np.broadcast_arrays(np.asarray(a, dtype=float)[:, None], b)
+        return dense_poly_matrix(law.trans_jac, list(a) + list(b), count)
+
+    moved = coords if m.action is None else dom.multiply_batch(np.array(m.action), coords)
+    values = np.empty((m.codomain.dim, count))
+    sample_last = np.empty((m.codomain.dim, m.domain.dim, count))
+    dsl.evaluate(m.tape, list(moved), values, None, sample_last)
+    jac = np.ascontiguousarray(sample_last.transpose(2, 0, 1))
+    if m.shift is not None:
+        jac = translation(cod, m.shift, values) @ jac
+        values = cod.multiply_batch(np.array(m.shift), values)
+    if m.action is not None:
+        jac = jac @ translation(dom, m.action, coords)
+    frames = dense_poly_matrix(dom.frame, list(coords), count)
+    inv_frames = dense_poly_matrix(cod.inv_frame, list(values), count)
+    return values, jac, inv_frames @ jac @ frames

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import corpus
-from oracles import dense_twin, dynkin_product_polys
+from conftest import corpus, skewed_heisenberg3
+from oracles import dense_poly_matrix, dense_twin, dynkin_product_polys
 
 from nilcoh import algebra
 from nilcoh.bch import bch_product_polys, group_law
@@ -118,11 +118,62 @@ def test_frame_determinant_is_one():
     for alg in [algebra.heisenberg3(), algebra.filiform(5)]:
         law = group_law(alg)
         coords = np.array([[rng.uniform(-5, 5) for _ in range(6)] for _ in range(alg.dim)])
-        mats = law.frame_batch(coords)
+        mats = dense_poly_matrix(law.frame, list(coords), 6)
         assert np.allclose(np.linalg.det(mats), 1.0, atol=1e-12)
-        inv = law.inv_frame_batch(coords)
+        inv = dense_poly_matrix(law.inv_frame, list(coords), 6)
         prod = inv @ mats
         assert np.allclose(prod, np.eye(alg.dim)[None], atol=1e-12)
+
+
+def test_sparsity_patterns_are_read_from_the_polynomials():
+    def entries(pattern):
+        return {(i, k): p is None for i, row in enumerate(pattern.rows) for k, p in row}
+
+    frame = entries(group_law(algebra.heisenberg3()).frame_pattern)
+    assert len(frame) == 5 and all(frame[i, i] for i in range(3))
+    assert sum(entries(group_law(algebra.heisenberg5()).frame_pattern).values()) == 5
+    assert len(entries(group_law(algebra.heisenberg5()).frame_pattern)) == 9
+    for name in ("trans_pattern", "frame_pattern", "inv_frame_pattern"):
+        assert getattr(group_law(algebra.abelian(3)), name).identity
+        assert not getattr(group_law(algebra.heisenberg3()), name).identity
+    # in the skewed basis the frame diagonal holds 1 + x2/2, not the constant 1
+    skew = group_law(skewed_heisenberg3())
+    frame = entries(skew.frame_pattern)
+    assert frame[0, 0] is False and frame[1, 1] is True and (0, 1) in frame
+    for pattern in (skew.trans_pattern, skew.frame_pattern, skew.inv_frame_pattern):
+        cols = {(i, k): p for k, col in enumerate(pattern.cols) for i, p in col}
+        assert cols == {(i, k): p for i, row in enumerate(pattern.rows) for k, p in row}
+
+
+@pytest.mark.parametrize("alg", [algebra.heisenberg5(), algebra.filiform(7), skewed_heisenberg3()],
+                         ids=["h5", "filiform7", "skewed-h3"])
+def test_frame_products_add_their_terms_in_k_order(alg):
+    # against sum_k P[i, k] * S[k, j] over every k, zeros and ones included:
+    # adding 0 * y or multiplying by 1 moves no finite value
+    n, count = alg.dim, 40
+    law = group_law(alg)
+    gen = np.random.default_rng(8)
+    x, y = gen.uniform(-2.0, 2.0, size=(2, n, count))
+    stack = gen.uniform(-1.0, 1.0, size=(n, n, count))
+
+    def k_order(polys, vals, left):
+        p = dense_poly_matrix(polys, vals, count).transpose(1, 2, 0)
+        out = np.zeros_like(stack)
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    out[i, j] += p[i, k] * stack[k, j] if left else stack[i, k] * p[k, j]
+        return out
+
+    xy = list(x) + list(y)
+    cases = [
+        (law.frame_batch(x, stack), k_order(law.frame, list(x), False)),
+        (law.inv_frame_batch(x, stack), k_order(law.inv_frame, list(x), True)),
+        (law.translation_jacobian_batch(x, y, stack), k_order(law.trans_jac, xy, True)),
+        (law.translation_jacobian_batch(x, y, stack, left=False), k_order(law.trans_jac, xy, False)),
+    ]
+    for got, want in cases:
+        assert got.flags.c_contiguous and np.array_equal(got, want)
 
 
 def test_quasi_norm_examples():

@@ -2,6 +2,7 @@ import json
 import os
 
 import pytest
+from conftest import skewed_heisenberg3
 
 from nilcoh import algebra
 from nilcoh.algebra import save_algebra
@@ -160,6 +161,24 @@ def test_exit_code_on_overflowing_constant_power(files, capsys):
     )
     assert (code, out) == (1, "")
     assert err == "error: constant power 10.0^400 overflows a float\n"
+
+
+def test_exit_code_on_a_basis_not_adapted_to_the_lower_central_series(files, capsys):
+    # the skewed H3 has Betti numbers, but its weighted boxes are not Følner
+    # sets: its averages used to come out on them, silently wrong
+    save_algebra(skewed_heisenberg3(), str(files / "skew.json"))
+    ident = {"domain": "skew.json", "codomain": "skew.json", "components": ["x1", "x2", "x3"]}
+    (files / "skew.map.json").write_text(json.dumps(ident))
+    code, out, _ = run(["cohomology", "--algebra", str(files / "skew.json")], capsys)
+    assert code == 0
+    assert json.loads(out)["results"]["betti"] == [1, 2, 2, 1]
+    code, out, err = run(
+        ["average", "--map", str(files / "skew.map.json"), "--form", "e3",
+         "--radii", "2,4", "--samples", "100"],
+        capsys,
+    )
+    assert (code, out) == (1, "")
+    assert "weight >= 2 but dim g^2 = 1" in err
 
 
 def test_exit_code_on_one_sample(files, capsys):

@@ -28,11 +28,11 @@ from nilcoh.maps import act, jacobian_batch, map_from_texts, normalize_to_y0
 
 
 def run(exprs, env, warn=None, jets=False):
-    """Values (m, N) of a tape run, and with ``jets`` the Jacobian (N, m, n)."""
+    """Values (m, N) of a tape run, and with ``jets`` the Jacobian (m, n, N)."""
     tape = dsl.compile(exprs)
     count = len(env[0]) if env else 1
     values = np.empty((len(tape.components), count))
-    jac = np.empty((count, len(tape.components), len(env))) if jets else None
+    jac = np.empty((len(tape.components), len(env), count)) if jets else None
     evaluate(tape, env, values, warn, jac)
     return values, jac
 
@@ -139,7 +139,7 @@ def test_jet_derivatives_match_finite_differences():
                 xp[i] += h
                 xm[i] -= h
                 fd = (ev(text, *xp) - ev(text, *xm)) / (2 * h)
-                assert jac[0, 0, i] == pytest.approx(fd, rel=1e-6, abs=1e-6)
+                assert jac[0, i, 0] == pytest.approx(fd, rel=1e-6, abs=1e-6)
 
 
 def test_abs_jet_uses_sign_zero_at_kink():
@@ -195,17 +195,17 @@ def oracle(exprs, env, warn=None, jets=False):
     the store of the old map evaluator."""
     count, n = len(env[0]), len(env)
     values = np.empty((len(exprs), count))
-    jac = np.empty((count, len(exprs), n)) if jets else None
+    jac = np.empty((len(exprs), n, count)) if jets else None
     seeded = [Jet.seed(v, i, n) for i, v in enumerate(env)] if jets else env
     for a, expr in enumerate(exprs):
         out = walk(expr, seeded, warn)
         if isinstance(out, Jet):
             values[a] = np.broadcast_to(out.value, (count,))
-            jac[:, a, :] = np.broadcast_to(out.partials, (n, count)).T
+            jac[a] = np.broadcast_to(out.partials, (n, count))
         else:
             values[a] = np.broadcast_to(out, (count,))
             if jets:
-                jac[:, a, :] = 0.0
+                jac[a] = 0.0
     return values, jac
 
 

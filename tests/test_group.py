@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+from conftest import corpus, skewed_heisenberg3
 
 from nilcoh import algebra
+from nilcoh.algebra import AlgebraError
 from nilcoh.bch import group_law
+from nilcoh.cohomology import cohomology
+from nilcoh.degree import area_formula_check, local_degree
 from nilcoh.group import (
     BallSpec,
     box_volume,
+    check_adapted,
     cloud_mean,
     estimate_ball_volume,
     homogeneous_gauge_batch,
@@ -13,6 +18,9 @@ from nilcoh.group import (
     sample_ball,
     sample_ball_coords,
 )
+from nilcoh.forms import basis_covector
+from nilcoh.maps import map_from_texts
+from nilcoh.pullback import amenable_average
 
 H3 = algebra.heisenberg3()
 
@@ -129,3 +137,28 @@ def test_cloud_mean_of_row_blocks_equals_one_array():
     got = cloud_mean(cloud, blocks)
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
     assert got[0].shape == (7,)
+
+
+def test_a_basis_not_adapted_to_the_lower_central_series_is_refused():
+    # the skewed H3 validated with weights (1, 1, 1) although dim g^2 = 1, and
+    # the numeric layer averaged over boxes that are not Følner sets
+    skew = skewed_heisenberg3()
+    assert (skew.lcs, skew.weights) == ((3, 1, 0), (1, 1, 1))
+    assert cohomology(skew).betti == (1, 2, 2, 1)  # the exact layer needs no adapted basis
+    message = r"0 basis vector\(s\) have weight >= 2 but dim g\^2 = 1"
+    ident = map_from_texts(skew, skew, ["x1", "x2", "x3"])
+    refused = [
+        lambda: check_adapted(skew),
+        lambda: sample_ball_coords(skew, BallSpec(4.0), 10, seed=0),
+        lambda: sample_ball_coords(skew, BallSpec(4.0, "quasiball"), 10, seed=0),
+        lambda: box_volume(skew, 4.0),
+        lambda: estimate_ball_volume(skew, BallSpec(2.0, "quasiball"), 100),
+        lambda: local_degree(ident, 2.0, (0.1, 0.2, 0.3), grid_density=2),
+        lambda: area_formula_check(ident, 2.0, samples=10),
+        lambda: amenable_average(ident, basis_covector(skew, 0), radii=(2.0, 4.0), samples=10),
+    ]
+    for call in refused:
+        with pytest.raises(AlgebraError, match=message):
+            call()
+    for alg in corpus().values():
+        assert check_adapted(alg) is alg

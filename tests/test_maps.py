@@ -2,9 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from conftest import skewed_heisenberg3
+from oracles import dense_poly_matrix, stacked_differential
 
-from nilcoh import algebra
-from nilcoh.bch import group_law
+from nilcoh import algebra, pullback
+from nilcoh.bch import Poly, group_law
 from nilcoh.dsl import DomainError
 from nilcoh.maps import (
     SmoothMap,
@@ -14,6 +16,7 @@ from nilcoh.maps import (
     evaluate,
     evaluate_batch,
     is_group_homomorphism,
+    jacobian_batch,
     load_map,
     map_from_texts,
     normalize_to_y0,
@@ -97,7 +100,7 @@ def test_jet_differential_matches_finite_differences_through_group_ops():
     shifted = map_from_texts(H3, H3, ["x1 + 0.3*sin(x2) + 1", "x2 - 0.5", "x3 + 0.2*x1^2 + 2"])
     law = group_law(H3)
     x0 = np.array([0.4, 0.9, -1.1])
-    frame = np.array(law.frame_batch(x0[:, None]))[0]
+    frame = dense_poly_matrix(law.frame, list(x0[:, None]), 1)[0]
     h = 1e-6
     for m in (act(normalize_to_y0(m), [0.3, -0.2, 0.5]), act(shifted, [0.3, -0.2, 0.5])):
         _, mats = differential_batch(m, x0[:, None])
@@ -111,7 +114,7 @@ def test_jet_differential_matches_finite_differences_through_group_ops():
             cols.append((fp - fm) / (2 * h))
         # finite-difference pushforward expressed in the codomain frame
         val = evaluate_batch(m, x0[:, None])[:, 0]
-        inv_frame = np.array(law.inv_frame_batch(val[:, None]))[0]
+        inv_frame = dense_poly_matrix(law.inv_frame, list(val[:, None]), 1)[0]
         fd = inv_frame @ np.stack(cols, axis=1)
         assert np.allclose(got, fd, rtol=1e-5, atol=1e-6)
 
@@ -239,3 +242,94 @@ def test_map_file_errors(tmp_path):
     path.write_text(json.dumps({"domain": {"dim": 1}, "codomain": {"dim": 1}}))
     with pytest.raises(ValueError, match="components"):
         load_map(str(path))
+
+
+# -- sparse frame products against the dense stacked ones ----------------------
+
+
+def _nonlinear(alg, constants: bool):
+    """x1 + 0.3 sin(x2), x2 + 0.1 x1^2, ..., xn + 0.2 x1 x2, with constant
+    terms (F(0) != 0) when asked."""
+    n = alg.dim
+    texts = [f"x{i + 1}" for i in range(n)]
+    texts[0] = "x1 + 0.3*sin(x2)" + (" + 1" if constants else "")
+    texts[1] = "x2 + 0.1*x1^2" + (" - 0.5" if constants else "")
+    texts[-1] += " + 0.2*x1*x2" + (" + 2" if constants else "")
+    return map_from_texts(alg, alg, texts)
+
+
+def _maps_of(alg, seed: int):
+    g = np.random.default_rng(seed).uniform(-1.0, 1.0, size=alg.dim)
+    yield "bare", _nonlinear(alg, False)
+    yield "shifted", normalize_to_y0(_nonlinear(alg, True))
+    yield "acted", act(_nonlinear(alg, True), g)
+
+
+def test_sparse_frame_products_are_bitwise_the_dense_ones_on_abelian_maps():
+    x_plus_sin = map_from_texts(R1, R1, ["x1 + sin(x1)"])
+    z3 = map_from_texts(R2, R2, ["x1^3 - 3*x1*x2^2 + 0.1*x1", "3*x1^2*x2 - x2^3 + 0.1*x2"])
+    cases = [act(f1(), [t]) for t in (0.0, 1.0, np.pi)]
+    cases += [x_plus_sin, normalize_to_y0(x_plus_sin), z3, act(z3, [0.5, -1.0])]
+    gen = np.random.default_rng(2)
+    for m in cases:
+        x = gen.uniform(-3.0, 3.0, size=(m.domain.dim, 64))
+        values, jac, mats = stacked_differential(m, x)
+        got_values, got_mats = differential_batch(m, x)
+        _, got_jac = jacobian_batch(m, x)
+        assert got_values.tobytes() == values.tobytes()
+        assert np.ascontiguousarray(got_jac).tobytes() == jac.tobytes()
+        assert np.ascontiguousarray(got_mats).tobytes() == mats.tobytes()
+
+
+@pytest.mark.parametrize("alg", [H3, algebra.heisenberg5(), algebra.filiform(7),
+                                 algebra.free_nilpotent_two_step(3), skewed_heisenberg3()],
+                         ids=["h3", "h5", "filiform7", "free2step3", "skewed-h3"])
+def test_sparse_frame_products_match_the_dense_ones_on_nonabelian_maps(alg):
+    # the stacked @ does not add its terms in plain k order, so entries move
+    # by about an ulp of the matrix
+    gen = np.random.default_rng(3)
+    for kind, m in _maps_of(alg, 4):
+        x = gen.uniform(-3.0, 3.0, size=(alg.dim, 200))
+        values, jac, mats = stacked_differential(m, x)
+        got_values, got_mats = differential_batch(m, x)
+        _, got_jac = jacobian_batch(m, x)
+        assert got_values.tobytes() == values.tobytes(), kind
+        for got, want in ((got_jac, jac), (got_mats, mats)):
+            scale = np.max(np.abs(want), axis=(1, 2), keepdims=True)
+            assert np.all(np.abs(got - want) <= 1e-14 * scale), kind
+
+
+def test_differentials_are_views_of_sample_last_arrays():
+    m = act(_nonlinear(H3, True), [0.3, -0.2, 0.5])
+    x = np.random.default_rng(5).uniform(-2.0, 2.0, size=(3, 50))
+    for mats in (differential_batch(m, x)[1], jacobian_batch(m, x)[1]):
+        assert mats.shape == (50, 3, 3)
+        assert mats.transpose(1, 2, 0).flags.c_contiguous
+        assert np.shares_memory(pullback._entries(mats), mats)
+
+
+def test_frame_products_on_an_abelian_law_evaluate_no_polynomial(monkeypatch):
+    calls = []
+    eval_float = Poly.eval_float
+    monkeypatch.setattr(Poly, "eval_float", lambda p, vals: calls.append(p) or eval_float(p, vals))
+    r3 = algebra.abelian(3)
+    law = group_law(r3)
+    x = np.random.default_rng(6).uniform(-2.0, 2.0, size=(3, 20))
+    stack = np.random.default_rng(7).uniform(-1.0, 1.0, size=(3, 3, 20))
+    assert law.frame_batch(x, stack) is stack
+    assert law.inv_frame_batch(x, stack) is stack
+    assert law.translation_jacobian_batch(x[:, 0], x, stack) is stack
+    assert law.translation_jacobian_batch(x[:, 0], x, stack, left=False) is stack
+    m = map_from_texts(r3, r3, ["x1 + sin(x2)", "x2*x3", "x3"])
+    _, mats = differential_batch(m, x)
+    assert not calls
+    assert np.array_equal(mats, jacobian_batch(m, x)[1])
+
+
+def test_an_infinite_jacobian_entry_does_not_spread_through_structural_zeros():
+    # the dense stacked products multiplied it by the zeros of the identity
+    # frames, and 0 * inf made NaN of the whole row and column
+    m = map_from_texts(R1, R2, ["x1", "sqrt(x1)"])
+    with np.errstate(divide="ignore"):
+        _, mats = differential_batch(m, np.array([[0.0, 4.0]]))
+    assert mats.tolist() == [[[1.0], [np.inf]], [[1.0], [0.25]]]

@@ -308,13 +308,11 @@ class GroupLaw:
                 target.fill(0.0)
             for t, (k, p) in enumerate(terms):
                 s = stack[k] if left else stack[:, k]
-                if t == 0:
-                    if p is None:
-                        target[...] = s
-                    else:
-                        np.multiply(s, p.eval_float(vals), out=target)
+                term = s if p is None else s * p.eval_float(vals)
+                if t:
+                    target += term
                 else:
-                    target += s if p is None else s * p.eval_float(vals)
+                    target[...] = term
         return out
 
     def frame_batch(self, coords: np.ndarray, stack: np.ndarray) -> np.ndarray:

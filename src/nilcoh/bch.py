@@ -32,8 +32,9 @@ terms in k order, skipping the zeros and the multiplications by 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb, factorial
 
 import numpy as np
@@ -245,14 +246,19 @@ class GroupLaw:
     trans_jac: list[list[Poly]]      # 2n vars: d(x·y)_i / d y_j
     frame: list[list[Poly]]          # n vars:  trans_jac at y = 0
     inv_frame: list[list[Poly]]      # n vars:  exact inverse of frame
-    trans_pattern: SparsePattern = field(init=False, repr=False)
-    frame_pattern: SparsePattern = field(init=False, repr=False)
-    inv_frame_pattern: SparsePattern = field(init=False, repr=False)
 
-    def __post_init__(self):  # the sparsity of each matrix, read once per law
-        object.__setattr__(self, "trans_pattern", SparsePattern.of(self.trans_jac))
-        object.__setattr__(self, "frame_pattern", SparsePattern.of(self.frame))
-        object.__setattr__(self, "inv_frame_pattern", SparsePattern.of(self.inv_frame))
+    # the sparsity of each matrix, read once per law on first numeric use
+    @cached_property
+    def trans_pattern(self) -> SparsePattern:
+        return SparsePattern.of(self.trans_jac)
+
+    @cached_property
+    def frame_pattern(self) -> SparsePattern:
+        return SparsePattern.of(self.frame)
+
+    @cached_property
+    def inv_frame_pattern(self) -> SparsePattern:
+        return SparsePattern.of(self.inv_frame)
 
     @property
     def dim(self) -> int:
@@ -288,7 +294,7 @@ class GroupLaw:
             out[i] = p.eval_float(vals)
         return out
 
-    def _product(self, pattern: "SparsePattern", vals: list, stack: np.ndarray, left: bool):
+    def _product(self, pattern: SparsePattern, vals: list, stack: np.ndarray, left: bool):
         """P(vals) @ stack (``left``) or stack @ P(vals) for the polynomial matrix
         P of ``pattern`` and a sample-last stack (a, b, N) of matrices.
 

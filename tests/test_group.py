@@ -7,6 +7,7 @@ from nilcoh.algebra import AlgebraError
 from nilcoh.bch import group_law
 from nilcoh.cohomology import cohomology
 from nilcoh.degree import area_formula_check, local_degree
+from nilcoh.forms import basis_covector
 from nilcoh.group import (
     BallSpec,
     box_volume,
@@ -18,7 +19,6 @@ from nilcoh.group import (
     sample_ball,
     sample_ball_coords,
 )
-from nilcoh.forms import basis_covector
 from nilcoh.maps import map_from_texts
 from nilcoh.pullback import amenable_average
 

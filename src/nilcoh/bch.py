@@ -236,6 +236,13 @@ class SparsePattern:
                      for j in range(n))
         return cls(rows, cols, all(r == ((i, None),) for i, r in enumerate(rows)))
 
+    def mask(self) -> np.ndarray:
+        """The boolean (n, n) matrix of the nonzero entries."""
+        out = np.zeros((len(self.rows),) * 2, dtype=bool)
+        for i, terms in enumerate(self.rows):
+            out[i, [k for k, _ in terms]] = True
+        return out
+
 
 @dataclass(frozen=True, eq=False)
 class GroupLaw:

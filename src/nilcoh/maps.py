@@ -22,6 +22,11 @@ Jacobian that way, the frames and translation Jacobians multiply it through
 the group law's sparse products (structural zeros skipped, abelian sides
 free), and ``jacobian_batch`` and ``differential_batch`` return it as an
 (N, m, n) view whose entries are contiguous N-vectors.
+
+``differential_pattern`` runs the same products on booleans: starting from
+the coordinates each component reads, it gives the entries of the frame
+differential that can be nonzero, so that ``pullback`` plans only the minors
+that are not zero at every point.
 """
 
 from __future__ import annotations
@@ -154,6 +159,30 @@ def differential_batch(m: SmoothMap, coords: np.ndarray, warn=None):
     mats = group_law(m.codomain).inv_frame_batch(values, jac)
     mats = group_law(m.domain).frame_batch(coords, mats)
     return values, mats.transpose(2, 0, 1)
+
+
+def differential_pattern(m: SmoothMap) -> np.ndarray:
+    """The (m, n) boolean pattern of the entries of the frame differential
+    that can be nonzero: the coordinates each component reads, carried
+    through the same products as ``_evaluate`` and ``differential_batch``
+    (the shift's translation Jacobian on the left, the action's on the right,
+    then the inverse codomain frame and the domain frame).
+
+    Every product skips the structural zeros of its polynomial matrix, so an
+    entry outside the pattern is exactly 0.0 (or -0.0) at every point, unless
+    an infinite or NaN value enters it as 0 * inf: dense jets give NaN
+    partials at coordinates a component does not read when its value
+    overflows.
+    """
+    dom, cod = group_law(m.domain), group_law(m.codomain)
+    pattern = np.zeros((m.codomain.dim, m.domain.dim), dtype=bool)
+    for a, comp in enumerate(m.components):
+        pattern[a, sorted(dsl.coordinate_indices(comp))] = True
+    if m.shift is not None:
+        pattern = cod.trans_pattern.mask() @ pattern
+    if m.action is not None:
+        pattern = pattern @ dom.trans_pattern.mask()
+    return cod.inv_frame_pattern.mask() @ pattern @ dom.frame_pattern.mask()
 
 
 def differential(m: SmoothMap, g, warn=None) -> list[list[float]]:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 from conftest import skewed_heisenberg3
-from oracles import dense_poly_matrix, stacked_differential
+from oracles import dense_poly_matrix, dense_twin, stacked_differential
 
 from nilcoh import algebra, pullback
 from nilcoh.bch import Poly, group_law
@@ -13,6 +13,7 @@ from nilcoh.maps import (
     act,
     differential,
     differential_batch,
+    differential_pattern,
     evaluate,
     evaluate_batch,
     is_group_homomorphism,
@@ -333,3 +334,31 @@ def test_an_infinite_jacobian_entry_does_not_spread_through_structural_zeros():
     with np.errstate(divide="ignore"):
         _, mats = differential_batch(m, np.array([[0.0, 4.0]]))
     assert mats.tolist() == [[[1.0], [np.inf]], [[1.0], [0.25]]]
+
+
+# -- the sparsity pattern of the frame differential ----------------------------
+
+
+@pytest.mark.parametrize("alg", [H3, algebra.heisenberg5(), algebra.filiform(7),
+                                 algebra.free_nilpotent_two_step(3),
+                                 dense_twin(algebra.heisenberg5(), np.random.default_rng(1))],
+                         ids=["h3", "h5", "filiform7", "free2step3", "h5-dense-twin"])
+def test_differential_is_zero_outside_its_pattern(alg):
+    gen = np.random.default_rng(8)
+    for kind, m in _maps_of(alg, 9):
+        pattern = differential_pattern(m)
+        assert pattern.shape == (alg.dim, alg.dim) and pattern.dtype == bool, kind
+        assert 0 < pattern.sum() < pattern.size, kind
+        x = gen.uniform(-3.0, 3.0, size=(alg.dim, 200))
+        _, mats = differential_batch(m, x)
+        assert not mats[:, ~pattern].any(), kind
+
+
+def test_differential_pattern_between_abelian_groups():
+    for m in (f1(), act(f1(), [0.7]), map_from_texts(R1, R2, ["3", "x1^2"])):
+        pattern = differential_pattern(m)
+        x = np.random.default_rng(9).uniform(-3.0, 3.0, size=(1, 200))
+        _, mats = differential_batch(m, x)
+        assert not mats[:, ~pattern].any()
+    assert differential_pattern(f1()).tolist() == [[True], [True]]
+    assert differential_pattern(map_from_texts(R1, R2, ["3", "x1^2"])).tolist() == [[False], [True]]

@@ -10,8 +10,10 @@ from nilcoh import algebra, pullback, rng
 from nilcoh.cohomology import cohomology
 from nilcoh.degree import area_formula_check, asymptotic_degree
 from nilcoh.ergodic import derivative_entry, empirical_measure, parse_observable
-from nilcoh.forms import KForm, basis_covector, basis_form, unit_form, volume_form, wedge
-from nilcoh.maps import differential, map_from_texts, normalize_to_y0
+from nilcoh.forms import (KForm, basis_covector, basis_form, basis_tuples, unit_form,
+                          volume_form, wedge)
+from nilcoh.maps import (differential, differential_batch, differential_pattern,
+                         map_from_texts, normalize_to_y0)
 from nilcoh.pullback import (
     _coefficient_rows,
     _projection_warning,
@@ -102,6 +104,16 @@ def test_filiform7_homomorphism_check_is_fast():
     # one LAPACK determinant per minor took 6.8 s on a 2-core host
     f7 = algebra.filiform(7)
     m = map_from_texts(f7, f7, ["x1 + 0.3*sin(x2)"] + [f"x{i}" for i in range(2, 8)])
+    t0 = time.perf_counter()
+    homomorphism_check(m, radii=(2.0, 4.0), samples=4000, seed=0)
+    assert time.perf_counter() - t0 < 3.0
+
+
+def test_filiform8_homomorphism_check_is_fast():
+    # planning and evaluating all 13924 (form, lambda) rows, 3063 of them
+    # not structurally zero, took 5.5 s on a 2-core host
+    f8 = algebra.filiform(8)
+    m = map_from_texts(f8, f8, ["x1 + 0.3*sin(x2)"] + [f"x{i}" for i in range(2, 9)])
     t0 = time.perf_counter()
     homomorphism_check(m, radii=(2.0, 4.0), samples=4000, seed=0)
     assert time.perf_counter() - t0 < 3.0
@@ -337,14 +349,19 @@ def _average_forms(alg):
 @pytest.mark.parametrize("alg, texts, samples, shape", [
     (H3, H3_MAP, 2 * rng.CHUNK + 1000, "box"),
     (H5, H5_MAP, rng.CHUNK + 500, "quasiball"),
+    (H5, ["x1", "sin(x2)", "x3 + x1*x2", "0.5", "x5 + x4^2"], rng.CHUNK + 500, "box"),
+    (H3, ["1", "2", "-0.5"], 3000, "box"),
 ])
-@pytest.mark.parametrize("rows_per_block", [1, 7])
+@pytest.mark.parametrize("rows_per_block", [1, 7, None])
 def test_blocked_averages_equal_whole_array_averages(monkeypatch, alg, texts, samples, shape,
                                                      rows_per_block):
-    # the ragged last chunk is the one the blocks must not move
+    # the ragged last chunk is the one the blocks must not move; the oracle
+    # evaluates the structurally zero rows that the blocks skip, and the
+    # constant map leaves no row of degree >= 1 to evaluate
     m = normalize_to_y0(map_from_texts(alg, alg, texts))
     omegas = _average_forms(alg)
-    monkeypatch.setattr(pullback, "_BLOCK_ITEMS", rows_per_block * rng.CHUNK)
+    if rows_per_block is not None:
+        monkeypatch.setattr(pullback, "_BLOCK_ITEMS", rows_per_block * rng.CHUNK)
     radii = [2.0, 4.0]
     got, _ = pullback._ball_averages(m, omegas, radii, samples, 3, shape, [])
     for radius, coeffs in zip(radii, got):
@@ -357,9 +374,9 @@ def test_blocks_are_planned_once_per_call(monkeypatch):
     sizes = []
     plan = pullback._plan_coefficient_rows
 
-    def counting(pairs, n):
+    def counting(pairs, pattern):
         sizes.append(len(pairs))
-        return plan(pairs, n)
+        return plan(pairs, pattern)
 
     monkeypatch.setattr(pullback, "_plan_coefficient_rows", counting)
     monkeypatch.setattr(pullback, "_BLOCK_ITEMS", 5 * 1000)
@@ -370,6 +387,74 @@ def test_blocks_are_planned_once_per_call(monkeypatch):
     homomorphism_check(m, radii=[2.0, 4.0, 8.0], samples=1000, seed=0)
     assert len(sizes) == blocks > 1
     assert max(sizes) == 5
+
+
+def test_h5_average_map_plans_only_rows_that_can_be_nonzero(monkeypatch):
+    # H5_MAP has the sparsity of the benchmark's seeded H5 maps: 720 of the
+    # 910 (form, lambda) rows of its check are zero at every point
+    sizes, pairs = [], []
+    plan, averages = pullback._plan_coefficient_rows, pullback._ball_averages
+
+    def counting(block, pattern):
+        sizes.append(len(block))
+        return plan(block, pattern)
+
+    def recording(m, omegas, *args):
+        pairs.append(sum(len(basis_tuples(m.domain.dim, w.degree)) for w in omegas))
+        return averages(m, omegas, *args)
+
+    monkeypatch.setattr(pullback, "_plan_coefficient_rows", counting)
+    monkeypatch.setattr(pullback, "_ball_averages", recording)
+    m = map_from_texts(H5, H5, H5_MAP)
+    homomorphism_check(m, radii=(2.0, 4.0), samples=4000, seed=0, shape="quasiball")
+    assert pairs == [910]
+    assert sizes == [190]
+
+
+def test_constant_map_has_no_row_to_evaluate():
+    m = map_from_texts(H3, H3, ["1", "2", "-0.5"])
+    rep = homomorphism_check(m, radii=[2.0, 4.0], samples=500, seed=1)
+    assert rep.matrices[0] == [[1.0]]
+    assert all(v == 0.0 for k in (1, 2, 3) for row in rep.matrices[k] for v in row)
+    assert set(rep.stderrs.values()) == {0.0} and rep.derivative_bound == 0.0
+    est = amenable_average(m, basis_form(H3, (0, 1)), radii=[2.0, 4.0], samples=500, seed=1)
+    assert [v.coeffs for v in est.values] == [{}, {}]
+    assert all(set(se.values()) == {0.0} for se in est.mc_stderr)
+
+
+def test_nan_at_a_structural_zero_no_longer_reaches_dead_rows():
+    # exp(800*x2) overflows for x2 > 0.89; dense jets then give the partial
+    # d/dx3 of the first component as inf * 0 = NaN, and the inverse frame
+    # carries it to D[0, 2], an entry outside the pattern.  The full
+    # expansion (_coefficient_rows) lets it into every row that reads that
+    # entry; the plan keeps it out of the rows with no live term, which read
+    # 0 there, and leaves every other row as it was, NaN included
+    m = map_from_texts(H3, H3, ["x1 + exp(800*x2)", "x2", "x3 + 0.2*x1^2"])
+    pattern = differential_pattern(m)
+    assert pattern.tolist() == [[True, True, False], [False, True, False], [True, True, True]]
+    omegas = _average_forms(H3)
+    pairs = [(w, lam) for w in omegas for lam in basis_tuples(3, w.degree)]
+    x = np.random.default_rng(4).uniform(-2.0, 2.0, size=(3, 64))
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, mats = differential_batch(m, x)
+        full = _coefficient_rows(mats, pairs)
+        pruned = np.empty_like(full)
+        pullback._plan_coefficient_rows(pairs, pattern)(pullback._entries(mats), pruned)
+    overflow = x[1] > 800 ** -1 * np.log(np.finfo(float).max)
+    assert 0 < overflow.sum() < 64
+    assert np.isnan(mats[overflow, 0, 2]).all() and not mats[~overflow, 0, 2].any()
+    moved = {(tuple(w.coeffs), lam) for (w, lam), a, b in zip(pairs, full, pruned)
+             if not np.array_equal(a, b, equal_nan=True)}
+    assert moved == {(((0,),), (2,)), (((1, 2),), (0, 2)), (((0, 1),), (0, 2)),
+                     (((0, 1),), (1, 2))}
+    for (w, lam), a, b in zip(pairs, full, pruned):
+        if (tuple(w.coeffs), lam) in moved:
+            assert np.isnan(a[overflow]).all() and not b.any()
+    live = pullback._live_minors(pattern)
+    live_nan = [b for (w, lam), b in zip(pairs, pruned)
+                if any(live(r, lam) for r in w.coeffs if r) and np.isnan(b).any()]
+    assert len(live_nan) == 20
+    assert all(np.isnan(b[overflow]).all() for b in live_nan)
 
 
 def test_h5_homomorphism_check_memory_is_bounded():

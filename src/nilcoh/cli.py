@@ -10,6 +10,7 @@ error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -436,9 +437,16 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser: ``repro`` calls ``main`` once per step.  No
+    command changes a parsed default in place (``--radii``, ``--ball``), so
+    the parses may share them."""
+    return build_parser()
+
+
 def main(argv=None, quiet: bool = False) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.command == "repro":
         return cmd_repro(args)
     try:

@@ -22,14 +22,22 @@ with it every term that reads it.
 
 One point cloud is drawn per (seed, radius) and shared by every coefficient,
 so linearity of the estimator holds exactly; ``group.cloud_mean`` averages
-over it.  ``_ball_averages`` drops the (form, lambda) pairs with no live
-term, whose rows are zero (on the benchmark's H5 map 720 of 910), and
+over it.  ``_ball_averages`` builds each (form, lambda) pair's row recipe
+once per call (``_recipe``: its terms on live minors), drops the pairs with
+none, whose rows are zero (on the benchmark's H5 map 720 of 910), and
 reports them as mean 0.0 with stderr 0.0, what summing their zero rows
-gave.  It sorts the other pairs of one call by (degree, lambda) and cuts
-them into blocks of at most ``_BLOCK_ITEMS`` floats per chunk of samples;
-each block is planned once per call and reused at every radius and chunk,
-and ``cloud_mean`` reduces a block before the next one is built, so memory
-is bounded whatever the number of pairs.  Every row keeps its own per-chunk
+gave.  It keys the other recipes up to sign, negating every coefficient
+when the first is negative, and evaluates one row per key: graded
+commutativity (1 ^ w = w, w_j ^ w_i = +-w_i ^ w_j) leaves 63 distinct rows
+of the 190 live H5 pairs.  A pair with the key's recipe reads the key's
+(mean, stderr), a negated one (0.0 - mean, stderr): rows start from +0.0
+and rounding is symmetric in sign, so the negated row's sums are the
+negated sums, an exact zero stays +0.0 (where -mean would give -0.0), and
+its stderr is the same.  The keys are sorted by (degree, lambda) and cut
+into blocks of at most ``_BLOCK_ITEMS`` floats per chunk of samples; each
+block is planned once per call and reused at every radius and chunk, and
+``cloud_mean`` reduces a block before the next one is built, so memory is
+bounded whatever the number of pairs.  Every row keeps its own per-chunk
 sums, so the blocks move no bit.
 Evaluation is serial and reruns are bit-identical.  The public functions
 accept ``threads`` for compatibility and ignore it.
@@ -115,7 +123,11 @@ def _coefficient_rows(mats: np.ndarray, pairs: list[tuple[KForm, tuple[int, ...]
     it knows no map, so it prunes nothing.
     """
     out = np.empty((len(pairs), mats.shape[0]))
-    _plan_coefficient_rows(pairs, np.ones(mats.shape[1:], dtype=bool))(_entries(mats), out)
+    pattern = np.ones(mats.shape[1:], dtype=bool)
+    live = _live_minors(pattern)
+    sorted_lams = [sort_with_sign(lam) for _, lam in pairs]  # None for a repeated index
+    recipes = [s and _recipe(omega, *s, live) for (omega, _), s in zip(pairs, sorted_lams)]
+    _plan_coefficient_rows(recipes, pattern)(_entries(mats), out)
     return out
 
 
@@ -150,52 +162,59 @@ def _live_minors(pattern: np.ndarray):
     return live
 
 
-def _plan_coefficient_rows(pairs: list[tuple[KForm, tuple[int, ...]]], pattern: np.ndarray):
-    """Plan ``_coefficient_rows`` for these pairs on (N, m, n) frame differentials
+def _recipe(omega: KForm, cols: tuple[int, ...], sign: int, live):
+    """The recipe of the row of omega on the frame columns C = ``cols``
+    (increasing), times ``sign``: ``(C, kept)`` with ``kept`` the terms
+    ``(sign * c_R, R)`` of omega, in ``omega.coeffs`` order, whose minor
+    det D[R, C] is live under ``live`` (``_live_minors``); the constant of
+    a 0-form (R = C = ()) is always kept.  None for a row of zeros: a zero
+    form or no live term."""
+    kept = tuple((sign * float(c), r) for r, c in omega.coeffs.items() if not r or live(r, cols))
+    return (cols, kept) if kept else None
+
+
+def _plan_coefficient_rows(recipes: list, pattern: np.ndarray):
+    """Plan the rows of these ``_recipe``s on (N, m, n) frame differentials
     D whose entries outside the (m, n) boolean ``pattern`` are zero, once;
     the returned ``rows(entries, out)`` applies the plan to the ``_entries``
-    of one batch, writing the (len(pairs), N) rows into ``out``.
+    of one batch, writing the (len(recipes), N) rows into ``out``.
 
-    Row r is sum_R c_R sign * det D[R, C] over the coefficients c_R of omega,
-    where C is lam sorted and sign its permutation sign; a repeated frame index
-    or a zero form gives 0.  Those minors are entries of the compound matrices
+    The row of (omega, lam) is sum_R c_R sign * det D[R, C] over the
+    coefficients c_R of omega, where C is lam sorted and sign its
+    permutation sign.  Those minors are entries of the compound matrices
     of D, and each degree-d minor expands along its first row,
 
         det D[R, C] = sum_j (-1)^j D[R_0, C_j] det D[R_1.., C without C_j],
 
     so from the top degree down the plan lists only the live minors
-    (``_live_minors``) some pair needs, directly or through a live term of a
-    higher degree; a pair keeps only its terms on live minors, a minor only
-    its live terms, and a pair with none is a row of zeros.  ``rows`` builds
+    (``_live_minors``) some recipe needs, directly or through a live term of
+    a higher degree; a recipe keeps only its terms on live minors, a minor
+    only its live terms, and a None recipe is a row of zeros.  ``rows`` builds
     the minors from degree 1 (the entries themselves) upward, vectorized over
     blocks of samples, keeping two adjacent degrees alive: the minors of a
     degree are sorted by their number of live terms, so the t-th terms of
     all minors that have one are a prefix, and a term of odd j reads its
-    entry negated, so that every term is added.  Each pair's terms are added
-    in the order of ``omega.coeffs``.  The dropped terms are zeros, which
-    move no sum but its sign of zero, and a row starts from +0.0, so the
-    rows are those of the full expansion bit for bit, except where a NaN
-    (0 * inf) sits at a dead entry and now stays out.  A minor's value does
-    not depend on which other minors the plan holds, so any split of the
-    pairs gives the same rows.
+    entry negated, so that every term is added.  Each recipe's terms are
+    added in their order, that of ``omega.coeffs``.  The dropped terms are
+    zeros, which move no sum but its sign of zero, and a row starts from
+    +0.0, so the rows are those of the full expansion bit for bit, except
+    where a NaN (0 * inf) sits at a dead entry and now stays out.  A minor's
+    value does not depend on which other minors the plan holds, so any split
+    of the recipes gives the same rows.
     """
     m, n = pattern.shape
     live = _live_minors(pattern)
     constants = []
     terms: list[list] = []  # degree -> [(row, cols, [(coefficient, R)])]
-    for row, (omega, lam) in enumerate(pairs):
-        sorted_lam = sort_with_sign(lam)
-        if sorted_lam is None:
+    for row, recipe in enumerate(recipes):
+        if recipe is None:
             continue
-        cols, sign = sorted_lam
-        kept = [(sign * float(c), r) for r, c in omega.coeffs.items() if not r or live(r, cols)]
-        if not kept:
-            continue
-        if omega.degree == 0:  # the constant of a 0-form, () its key
+        cols, kept = recipe
+        if not cols:  # the constant of a 0-form, () its key
             constants.append((row, kept[0][0]))
             continue
-        terms += [[] for _ in range(omega.degree + 1 - len(terms))]
-        terms[omega.degree].append((row, cols, kept))
+        terms += [[] for _ in range(len(cols) + 1 - len(terms))]
+        terms[len(cols)].append((row, cols, kept))
     top = len(terms) - 1
 
     # degree -> (R, C) -> live terms, from the top down: pairs' minors first,
@@ -292,9 +311,12 @@ def _ball_averages(
     warnings: list[str],
 ):
     """Ball-average every coefficient of every form at every radius, in one
-    pass over one cloud per radius, the pairs in blocks (module docstring).
+    pass over one cloud per radius, the rows in blocks (module docstring).
     A pair with no term on a live minor of the map's ``differential_pattern``
-    is a row of zeros and is not evaluated: it reads (0.0, 0.0).
+    is a row of zeros and is not evaluated: it reads (0.0, 0.0).  The other
+    pairs are keyed by their ``_recipe`` up to sign, and one row per key is
+    evaluated: a pair whose recipe is the key's reads its (mean, stderr), a
+    negated one (0.0 - mean, stderr).
 
     Returns, per radius and per input form, a dict lambda -> (mean, stderr),
     and the largest sampled |frame differential| entry over all radii.
@@ -303,16 +325,27 @@ def _ball_averages(
     dom = m.domain
     pattern = differential_pattern(m)
     live = _live_minors(pattern)
-    lambdas = {w.degree: basis_tuples(dom.dim, w.degree) for w in omegas}
-    # the pairs the plans keep a term of (basis tuples are sorted)
-    owners = [(f, lam) for f, w in enumerate(omegas) for lam in lambdas[w.degree]
-              if any(not r or live(r, lam) for r in w.coeffs)]
-    owners.sort(key=lambda o: (omegas[o[0]].degree, o[1]))  # pairs sharing minors side by side
+    lambdas = {k: basis_tuples(dom.dim, k) for k in {w.degree for w in omegas}}
+    owners = []  # (form, lambda, recipe up to sign, negated) of the pairs with a live term
+    for f, w in enumerate(omegas):
+        for lam in lambdas[w.degree] if w.coeffs else ():  # a zero form has no term
+            recipe = _recipe(w, lam, 1, live)  # basis tuples are increasing
+            if recipe is None:
+                continue
+            cols, kept = recipe
+            negated = kept[0][0] < 0
+            if negated:
+                recipe = cols, tuple((-c, r) for c, r in kept)
+            owners.append((f, lam, recipe, negated))
+    recipes = sorted(dict.fromkeys(key for _, _, key, _ in owners),
+                     key=lambda k: (len(k[0]), k[0]))  # rows sharing minors side by side
+    slot = {k: i for i, k in enumerate(recipes)}
+    owners = [(f, lam, slot[key], negated) for f, lam, key, negated in owners]
     chunk = max(1, min(samples, rng.CHUNK))
     size = max(1, _BLOCK_ITEMS // chunk)
-    blocks = [owners[i:i + size] for i in range(0, len(owners) or 1, size)]
-    plans = [_plan_coefficient_rows([(omegas[f], lam) for f, lam in b], pattern) for b in blocks]
-    row_buffer = np.empty(min(size, len(owners)) * chunk)
+    blocks = [recipes[i:i + size] for i in range(0, len(recipes) or 1, size)]
+    plans = [_plan_coefficient_rows(b, pattern) for b in blocks]
+    row_buffer = np.empty(min(size, len(recipes)) * chunk)
     warn = warn_once(warnings)
     chunk_derivative_max: list[float] = []
 
@@ -333,9 +366,11 @@ def _ball_averages(
         chunk_derivative_max.clear()
         mean, stderr = cloud_mean(cloud, coefficients)
         deriv_bound = max(deriv_bound, max(chunk_derivative_max, default=0.0))
+        mean, stderr = mean.tolist(), stderr.tolist()
         coeffs = [dict.fromkeys(lambdas[w.degree], (0.0, 0.0)) for w in omegas]
-        for i, (f, lam) in enumerate(owners):
-            coeffs[f][lam] = (float(mean[i]), float(stderr[i]))
+        for f, lam, i, negated in owners:
+            # 0.0 - mean is what the negated row averages to, +0.0 for a zero mean
+            coeffs[f][lam] = (0.0 - mean[i] if negated else mean[i], stderr[i])
         per_radius.append(coeffs)
     return per_radius, deriv_bound
 

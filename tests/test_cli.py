@@ -4,7 +4,7 @@ import os
 import pytest
 from conftest import skewed_heisenberg3
 
-from nilcoh import algebra
+from nilcoh import algebra, cli
 from nilcoh.algebra import save_algebra
 from nilcoh.cli import main
 from nilcoh.report import render_stable
@@ -246,3 +246,27 @@ def test_repro_subcommand(tmp_path, capsys, monkeypatch):
     assert os.path.exists(tmp_path / "out" / "asymdeg-h3-doubling.report.json")
     listed = capsys.readouterr().out
     assert "orbit-f2: ok" in listed
+
+
+def test_repro_builds_the_parser_once_and_repeats_its_bytes(tmp_path, capsys, monkeypatch):
+    # a parser per step cost about 1.8 ms each; the one shared parser also
+    # shares the parsed --radii and --ball defaults between steps and runs
+    builds = []
+    build = cli.build_parser
+
+    def counting():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    stable = []
+    for run_dir in (tmp_path / "a", tmp_path / "b"):
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        assert main(["repro", "--outdir", "out", "--samples", "2000", "--seed", "7"]) == 0
+        stable.append({name: render_stable(json.loads((run_dir / "out" / name).read_text()))
+                       for name in sorted(os.listdir(run_dir / "out"))
+                       if name.endswith(".report.json")})
+    assert len(builds) == 1
+    assert len(stable[0]) == 7 and stable[0] == stable[1]

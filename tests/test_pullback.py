@@ -351,15 +351,20 @@ def _average_forms(alg):
     (H5, H5_MAP, rng.CHUNK + 500, "quasiball"),
     (H5, ["x1", "sin(x2)", "x3 + x1*x2", "0.5", "x5 + x4^2"], rng.CHUNK + 500, "box"),
     (H3, ["1", "2", "-0.5"], 3000, "box"),
+    (H3, ["x1 + 0.3*sin(x2)", "x1 + 0.3*sin(x2)", "x3"], 3000, "box"),
 ])
 @pytest.mark.parametrize("rows_per_block", [1, 7, None])
 def test_blocked_averages_equal_whole_array_averages(monkeypatch, alg, texts, samples, shape,
                                                      rows_per_block):
     # the ragged last chunk is the one the blocks must not move; the oracle
     # evaluates the structurally zero rows that the blocks skip, and the
-    # constant map leaves no row of degree >= 1 to evaluate
+    # constant map leaves no row of degree >= 1 to evaluate.  A negated copy,
+    # a duplicate and a negated product read their twin's row; with two equal
+    # components e2 ^ e1 averages to an exact zero, which must read +0.0
+    # (negating the twin's mean gave -0.0)
     m = normalize_to_y0(map_from_texts(alg, alg, texts))
-    omegas = _average_forms(alg)
+    a, b = cohomology(alg).spaces[1].representatives[:2]
+    omegas = _average_forms(alg) + [a.scale(-1), a, wedge(b, a)]
     if rows_per_block is not None:
         monkeypatch.setattr(pullback, "_BLOCK_ITEMS", rows_per_block * rng.CHUNK)
     radii = [2.0, 4.0]
@@ -389,11 +394,12 @@ def test_blocks_are_planned_once_per_call(monkeypatch):
     assert max(sizes) == 5
 
 
-def test_h5_average_map_plans_only_rows_that_can_be_nonzero(monkeypatch):
-    # H5_MAP has the sparsity of the benchmark's seeded H5 maps: 720 of the
-    # 910 (form, lambda) rows of its check are zero at every point
-    sizes, pairs = [], []
-    plan, averages = pullback._plan_coefficient_rows, pullback._ball_averages
+def _planned_rows(monkeypatch, alg, texts, shape):
+    """(form, lambda) pairs, pairs with a live term and rows planned by one
+    homomorphism_check on this map."""
+    sizes, pairs, live = [], [], []
+    plan, averages, recipe = (pullback._plan_coefficient_rows, pullback._ball_averages,
+                              pullback._recipe)
 
     def counting(block, pattern):
         sizes.append(len(block))
@@ -403,12 +409,30 @@ def test_h5_average_map_plans_only_rows_that_can_be_nonzero(monkeypatch):
         pairs.append(sum(len(basis_tuples(m.domain.dim, w.degree)) for w in omegas))
         return averages(m, omegas, *args)
 
+    def keeping(*args):
+        got = recipe(*args)
+        live.append(got is not None)
+        return got
+
     monkeypatch.setattr(pullback, "_plan_coefficient_rows", counting)
     monkeypatch.setattr(pullback, "_ball_averages", recording)
-    m = map_from_texts(H5, H5, H5_MAP)
-    homomorphism_check(m, radii=(2.0, 4.0), samples=4000, seed=0, shape="quasiball")
-    assert pairs == [910]
-    assert sizes == [190]
+    monkeypatch.setattr(pullback, "_recipe", keeping)
+    homomorphism_check(map_from_texts(alg, alg, texts), radii=(2.0, 4.0), samples=4000, seed=0,
+                       shape=shape)
+    return pairs, sum(live), sizes
+
+
+def test_h5_average_map_plans_only_rows_that_can_be_nonzero(monkeypatch):
+    # H5_MAP has the sparsity of the benchmark's seeded H5 maps: 720 of the
+    # 910 (form, lambda) rows of its check are zero at every point, and
+    # graded commutativity (1 ^ w = w, w_j ^ w_i = -w_i ^ w_j) leaves 63 of
+    # the other 190 distinct up to sign
+    assert _planned_rows(monkeypatch, H5, H5_MAP, "quasiball") == ([910], 190, [63])
+
+
+def test_h3_average_map_plans_only_distinct_rows(monkeypatch):
+    # the benchmark's H3 maps: 24 of the 44 rows can be nonzero, 11 of them distinct up to sign
+    assert _planned_rows(monkeypatch, H3, H3_MAP, "box") == ([44], 24, [11])
 
 
 def test_constant_map_has_no_row_to_evaluate():
@@ -434,12 +458,14 @@ def test_nan_at_a_structural_zero_no_longer_reaches_dead_rows():
     assert pattern.tolist() == [[True, True, False], [False, True, False], [True, True, True]]
     omegas = _average_forms(H3)
     pairs = [(w, lam) for w in omegas for lam in basis_tuples(3, w.degree)]
+    live = pullback._live_minors(pattern)
     x = np.random.default_rng(4).uniform(-2.0, 2.0, size=(3, 64))
     with np.errstate(over="ignore", invalid="ignore"):
         _, mats = differential_batch(m, x)
         full = _coefficient_rows(mats, pairs)
         pruned = np.empty_like(full)
-        pullback._plan_coefficient_rows(pairs, pattern)(pullback._entries(mats), pruned)
+        recipes = [pullback._recipe(w, lam, 1, live) for w, lam in pairs]
+        pullback._plan_coefficient_rows(recipes, pattern)(pullback._entries(mats), pruned)
     overflow = x[1] > 800 ** -1 * np.log(np.finfo(float).max)
     assert 0 < overflow.sum() < 64
     assert np.isnan(mats[overflow, 0, 2]).all() and not mats[~overflow, 0, 2].any()
@@ -450,7 +476,6 @@ def test_nan_at_a_structural_zero_no_longer_reaches_dead_rows():
     for (w, lam), a, b in zip(pairs, full, pruned):
         if (tuple(w.coeffs), lam) in moved:
             assert np.isnan(a[overflow]).all() and not b.any()
-    live = pullback._live_minors(pattern)
     live_nan = [b for (w, lam), b in zip(pairs, pruned)
                 if any(live(r, lam) for r in w.coeffs if r) and np.isnan(b).any()]
     assert len(live_nan) == 20

@@ -11,10 +11,11 @@ unless it lies within ``DEDUPE_TOL`` (max-norm) of a root already kept.
 Capture is heuristic, so every result carries the grid density and a
 repeat-with-denser-grid stability flag; ``local_degree`` runs both grids
 in one Newton batch, as columns never interact, and solves them in turn
-only when an iterate leaves the map's domain.  In 1-D the Newton step is
-a division and the boundary margin a search in the sorted boundary image,
-with the same bits as the general minimum and, on LAPACK builds whose 1x1
-solve divides, as the batched solve.  Near-singular targets are retried
+only when an iterate leaves the map's domain.  For n <= 2 the Newton step
+is the closed form adj(J)·r / det J (a division in 1-D); larger systems
+go to LAPACK, as do the reported determinants of the kept roots.  In 1-D
+the boundary margin is a search in the sorted boundary image, with the
+same bits as the general minimum.  Near-singular targets are retried
 with small perturbations (at most three, each within 1% of the window
 radius), mirroring the regular-value definition of the degree for
 non-regular targets.
@@ -114,6 +115,9 @@ def _boundary_margin(boundary_vals: np.ndarray, targets: np.ndarray) -> np.ndarr
     In 1-D the nearest boundary values are the neighbours of each target in
     the sorted image, so no (1, B, T) difference array is built; a NaN in
     the image makes every margin NaN, as the minimum over all of them would.
+    Otherwise a running maximum over the coordinates fills one (B, T) array
+    (max and min are exact and ``np.maximum`` keeps a NaN, so the bits are
+    those of the maximum over an (n, B, T) stack).
     """
     if len(boundary_vals) == 1:
         edge, t = np.sort(boundary_vals[0]), targets[0]
@@ -122,7 +126,10 @@ def _boundary_margin(boundary_vals: np.ndarray, targets: np.ndarray) -> np.ndarr
         above = edge[np.minimum(pos, edge.size - 1)]
         margin = np.minimum(np.abs(below - t), np.abs(above - t))
         return np.where(np.isnan(edge[-1]), np.nan, margin)
-    return np.min(np.max(np.abs(boundary_vals[:, :, None] - targets[:, None, :]), axis=0), axis=0)
+    dist = np.abs(boundary_vals[0][:, None] - targets[0])
+    for edge, t in zip(boundary_vals[1:], targets[1:]):
+        np.maximum(dist, np.abs(edge[:, None] - t), out=dist)
+    return np.min(dist, axis=0)
 
 
 def _newton_roots(m: SmoothMap, starts: np.ndarray, targets: np.ndarray):
@@ -130,10 +137,13 @@ def _newton_roots(m: SmoothMap, starts: np.ndarray, targets: np.ndarray):
 
     ``starts`` is (n, S) and ``targets`` (n, S): one target per column.
     Returns (points, converged mask, coordinate Jacobians at the points).
-    Each column's iterates depend on that column alone.  In 1-D the step is
-    the residual over the derivative, which is what LU does on a 1x1 system
-    unless its triangular solve multiplies by a reciprocal.
+    Each column's iterates depend on that column alone.  For n <= 2 the
+    step is adj(J)·r / det J in closed form, with det J = ad - bc in 2-D
+    (Cramer's rule is forward stable for n = 2; Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2002) and the residual over the
+    derivative in 1-D; larger systems go to LAPACK.
     """
+    n = len(starts)
     x = starts.copy()
     alive = np.ones(x.shape[1], dtype=bool)
     for iteration in range(NEWTON_MAX_ITER + 1):
@@ -141,16 +151,24 @@ def _newton_roots(m: SmoothMap, starts: np.ndarray, targets: np.ndarray):
         resid = vals - targets
         rnorm = np.max(np.abs(resid), axis=0)
         idx = np.flatnonzero(alive & (rnorm > NEWTON_TOL))
-        pivots = jacs[idx, 0, 0] if len(x) == 1 else np.linalg.det(jacs[idx])
-        solvable = np.abs(pivots) > 1e-300
+        if n <= 2:
+            j = jacs[idx].transpose(1, 2, 0)
+            dets = j[0, 0] if n == 1 else j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0]
+        else:
+            dets = np.linalg.det(jacs[idx])
+        solvable = np.abs(dets) > 1e-300
         alive[idx[~solvable]] = False
         idx = idx[solvable]
         if iteration == NEWTON_MAX_ITER or idx.size == 0:
             break
-        if len(x) == 1:
-            step = resid[:, idx] / pivots[solvable]
+        r = resid[:, idx]
+        if n == 1:
+            step = r / dets[solvable]
+        elif n == 2:
+            (a, b), (c, d) = j[:, :, solvable]
+            step = np.stack([d * r[0] - b * r[1], a * r[1] - c * r[0]]) / dets[solvable]
         else:
-            step = np.linalg.solve(jacs[idx], resid[:, idx].T[:, :, None])[:, :, 0].T
+            step = np.linalg.solve(jacs[idx], r.T[:, :, None])[:, :, 0].T
         for alpha in (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125):
             trial = x[:, idx] - alpha * step
             better = np.max(np.abs(evaluate_batch(m, trial) - targets[:, idx]), axis=0) < rnorm[idx]

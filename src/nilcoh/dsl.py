@@ -18,7 +18,10 @@ runs a tape on floats or numpy arrays, or in forward mode on jets
 (Griewank-Walther, *Evaluating Derivatives*, ch. 3) with the same ops, and
 raises DomainError on log of a nonpositive value, division by zero, square
 root of a negative, 0 to a negative power, or a constant power too large
-for a float, in the order a walk of the trees would meet them.
+for a float, in the order a walk of the trees would meet them.  Integer
+powers k >= 2 of arrays and jets are products (``jets.powers``), within a
+relative γ_{k-1} of the exact power and the same bits as ``**`` for k = 2;
+constant (Python float) bases and exponents below 2 keep ``**``.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import Jet, value_of
+from .jets import Jet, powers, value_of
 
 ADD, MUL, UNARY, POW = 1, 2, 3, 4
 
@@ -347,11 +350,16 @@ _BINARY = {
 
 
 def _power(k: int):
+    """Raise to the integer k: arrays by products for k >= 2, as jets do
+    (``jets.powers``); Python-float constants, k < 2 and jets go to ``**``."""
+
     def power(env, warn, base):
         if k < 0:
             bad = np.equal(value_of(base), 0.0)
             if np.any(bad):
                 raise DomainError("zero raised to a negative power", _first_bad(bad))
+        if k >= 2 and isinstance(base, np.ndarray):
+            return powers(base, k)[1]
         try:
             return base ** k
         except OverflowError:  # a constant base is a Python float: numpy gives inf

@@ -287,10 +287,23 @@ WALK_UNARY = {
 }
 
 
+def product_power(x, j: int):
+    """x^j for j >= 1 as the tape builds it: x^j = (x^(j/2))^2 for even j
+    and x^(j-1)·x for odd j (binary powering from the leading bit)."""
+    if j == 1:
+        return x
+    if j % 2:
+        return product_power(x, j - 1) * x
+    half = product_power(x, j // 2)
+    return half * half
+
+
 def walk(expr, env: list, warn=None):
     """Reference evaluator for DSL tapes: a recursive walk of one tree over
     floats, numpy arrays or ``Jet``s, with each node's domain check or kink
-    warning right after its arguments are evaluated."""
+    warning right after its arguments are evaluated.  An array raised to
+    k >= 2 is x^(k-1)·x by ``product_power``, as on the tape; constants and
+    jets use ``**``."""
     from nilcoh.dsl import KINK_TOLERANCE, Bin, Call, Coord, DomainError, Neg, Num, PiConst, Pow
     from nilcoh.jets import Jet, value_of
 
@@ -327,6 +340,8 @@ def walk(expr, env: list, warn=None):
             bad = np.equal(value_of(base), 0.0)
             if np.any(bad):
                 raise DomainError("zero raised to a negative power", first_bad(bad))
+        if isinstance(base, np.ndarray) and expr.exponent >= 2:
+            return product_power(base, expr.exponent - 1) * base
         return base ** expr.exponent
     if isinstance(expr, Call):
         arg = walk(expr.arg, env, warn)

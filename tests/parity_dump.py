@@ -6,8 +6,10 @@ The digests cover the 9 golden CLI cases (``test_golden.CASES``), the 7
 ``nilcoh repro`` reports at ``--samples 20000`` and at the default (the
 temporary output directory replaced by ``OUTDIR``), the reprs of
 ``homomorphism_check`` on the ``average`` benchmark maps for seeds 1-4 and
-on filiform7 and filiform8, and ``amenable_average``, ``asymptotic_degree``
-and ``area_formula_check`` reprs.  The package is imported from
+on filiform7 and filiform8, ``amenable_average``, ``asymptotic_degree``
+and ``area_formula_check`` reprs, and the reprs of the first cycle of the
+``degree`` benchmark for seeds 1 and 2 (its seeded x^3 - b·x area check and
+z3 ``local_degree`` at 8 seeded targets).  The package is imported from
 ``PYTHONPATH``, so the same script dumps any checkout:
 
     PYTHONPATH=src python tests/parity_dump.py new.json
@@ -31,7 +33,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path[:0] = [HERE, os.path.join(HERE, "..")]
 
 import nilcoh  # noqa: E402
-from bench.workloads import REPRO_STEPS, Average  # noqa: E402
+from bench.workloads import REPRO_STEPS, Average, Degree  # noqa: E402
 from nilcoh import algebra, cli  # noqa: E402
 from nilcoh.forms import basis_form, wedge  # noqa: E402
 from nilcoh.report import render_stable  # noqa: E402
@@ -103,12 +105,20 @@ def library_calls() -> dict:
     }
 
 
+def degree_cycles() -> dict:
+    out = {}
+    for seed in (1, 2):
+        for i, op in enumerate(Degree(seed).cycle()):
+            out[f"degree-bench/seed{seed}-{i}-{op.kind}"] = digest(repr(op.call()))
+    return out
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
         return 2
     dump = {**golden_cases(), **repro_reports(20000), **repro_reports(None),
-            **homomorphism_checks(), **library_calls()}
+            **homomorphism_checks(), **library_calls(), **degree_cycles()}
     with open(argv[0], "w", encoding="utf-8") as fh:
         json.dump(dump, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -379,3 +379,51 @@ def test_one_dimensional_newton_equals_the_batched_solve_form():
         got = degree._newton_roots(m, starts, targets)
         want = dense_newton_roots(m, starts, targets)
         assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
+def test_boundary_margin_in_two_and_three_dimensions_equals_the_dense_minimum():
+    """The running maximum over coordinates has the bits of the maximum over
+    the (n, B, T) stack, NaN included."""
+    gen = np.random.default_rng(10)
+    for n in (2, 3):
+        cloud = gen.normal(size=(n, 512 * n)) * 10.0 ** gen.uniform(-3, 3)
+        targets = np.concatenate([gen.uniform(-2.0, 2.0, (n, 40)), cloud[:, :5], np.zeros((n, 1))],
+                                 axis=1)
+        got = degree._boundary_margin(cloud, targets)
+        assert got.tobytes() == dense_margin(cloud, targets).tobytes()
+        with np.errstate(invalid="ignore"):
+            targets[-1, 3] = np.nan
+            cloud[0, 7] = np.nan
+            got = degree._boundary_margin(cloud, targets)
+            assert np.array_equal(got, dense_margin(cloud, targets), equal_nan=True)
+            assert np.isnan(got).all()
+
+
+Z3_TEXTS = ["x1^3 - 3*x1*x2^2 + 0.1234*x1", "3*x1^2*x2 - x2^3 + 0.1234*x2"]
+
+
+def test_two_dimensional_closed_form_newton_matches_the_batched_solve(monkeypatch):
+    """The 2-D Cramer step against LAPACK's solve: the same degrees,
+    preimage counts and stability flags, preimages within 1e-12."""
+    m = map_from_texts(R2, R2, Z3_TEXTS)
+    gen = np.random.default_rng(11)
+    targets = [tuple(t) for t in gen.uniform(-0.5, 0.5, size=(6, 2))]
+    closed = [local_degree(m, 2.0, t, grid_density=8, seed=3) for t in targets]
+    monkeypatch.setattr(degree, "_newton_roots", dense_newton_roots)
+    dense = [local_degree(m, 2.0, t, grid_density=8, seed=3) for t in targets]
+    for a, b in zip(closed, dense):
+        assert (a.value, a.preimage_count, a.stable_under_refinement, a.retries) == (
+            b.value, b.preimage_count, b.stable_under_refinement, b.retries)
+        assert a.value == 3
+        assert np.max(np.abs(np.array(a.preimages) - np.array(b.preimages))) <= 1e-12
+        assert a.min_jacobian_margin == pytest.approx(b.min_jacobian_margin, rel=1e-12)
+
+
+def test_three_dimensional_newton_keeps_the_batched_solve():
+    m = map_from_texts(H3, H3, ["x1 + 0.3*sin(x2)", "x2 + 0.1*x3^3", "x3 + 0.2*x1^2"])
+    gen = np.random.default_rng(12)
+    starts = gen.uniform(-2.0, 2.0, size=(3, 200))
+    targets = gen.uniform(-0.5, 0.5, size=(3, 200))
+    got = degree._newton_roots(m, starts, targets)
+    want = dense_newton_roots(m, starts, targets)
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]

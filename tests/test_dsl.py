@@ -1,9 +1,10 @@
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import walk
+from oracles import product_power, walk
 from test_golden import MAPS
 
 from nilcoh import algebra, dsl
@@ -293,6 +294,32 @@ def test_zero_power_under_jets_matches_the_jet_rule():
     assert values.tolist() == [[1.0, 1.0, 1.0]] * 2
     assert not jac.any()
     assert_tape_matches_walk([parse("x1^0"), parse("x1^0 * x1"), parse("(0*x1)^0")], env)
+
+
+def test_integer_powers_are_products_within_gamma_of_pow():
+    """Array and jet powers k >= 2 are x^(k-1)·x with x^(k-1) by binary
+    powering, and the jet partials k·x^(k-1): x^2 keeps numpy's bits (x**2
+    is x*x), x^3 and x^5 are the products, not numpy's ``pow``, and k - 1
+    roundings put x^k within γ_{k-1} = (k-1)u / (1 - (k-1)u) of ``pow`` and
+    of the exact power."""
+    x = np.random.default_rng(12).uniform(-4.0, 4.0, 4096)
+    x2 = x * x
+    assert (x ** 3 != x2 * x).any() and (x ** 5 != x2 * x2 * x).any()
+    # (x^k, x^(k-1)) written out; other k take the oracle's binary powering
+    products = {2: (x ** 2, x), 3: (x2 * x, x2), 5: (x2 * x2 * x, x2 * x2)}
+    u = np.finfo(float).eps / 2
+    exact = [Fraction(float(v)) for v in x[:256]]
+    for k in range(2, 10):
+        values, _ = run([parse(f"x1^{k}")], [x])
+        jet_values, jac = run([parse(f"x1^{k}")], [x], jets=True)
+        below = product_power(x, k - 1)
+        value, below = products.get(k, (below * x, below))
+        assert values[0].tobytes() == jet_values[0].tobytes() == value.tobytes()
+        assert jac[0, 0].tobytes() == (k * below).tobytes()
+        gamma = (k - 1) * u / (1 - (k - 1) * u)
+        assert np.all(np.abs(values[0] - x ** k) <= gamma * np.abs(x ** k))
+        for v, e in zip(values[0], exact):
+            assert abs(Fraction(float(v)) - e ** k) <= Fraction(gamma) * abs(e ** k)
 
 
 def test_translated_maps_reuse_their_parents_tape():

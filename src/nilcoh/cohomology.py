@@ -1,22 +1,23 @@
 """Cohomology of the Chevalley-Eilenberg complex, with cup products.
 
-Everything but the float projection is exact rational linear algebra.
-Each degree k is eliminated once: d_k comes as sparse rows from ``forms``
-(the rows ``ce_differential`` applies), and its reduced row echelon form
-gives both ker d_k (one basis vector per free column, over the lexicographic
-wedge basis) and the pivot columns whose images span the coboundaries of
-degree k+1.  Representatives are chosen deterministically: an incremental
-echelon takes the coboundaries first, then the cocycles in kernel order, and
-a cocycle becomes a representative exactly when it is independent modulo
-what came before.
+Everything but the float projection is exact rational linear algebra on one
+vector format, sparse ``{key: Fraction}`` dicts.  Each degree k is eliminated
+once: d_k comes as sparse rows from ``forms`` (the rows ``ce_differential``
+applies), and its reduced row echelon form gives both ker d_k (one basis
+vector per free column, over the lexicographic wedge basis) and the pivot
+columns whose images span the coboundaries of degree k+1.  Representatives
+are chosen deterministically: an incremental echelon takes the coboundaries
+first, then the cocycles in kernel order, and a cocycle becomes a
+representative exactly when it is independent modulo what came before.  Its
+terms are kept in basis order, the order pullback sums them in.
 
 Class coordinates come by reduction: each echelon row records its
 combination of the columns of A = [representatives | coboundaries], so
-reducing a closed form yields its coordinates in the representative basis
-exactly.  Two things are computed only when first asked for, then kept: A in
-floats with its pseudo-inverse, the one least-squares operator that Monte
-Carlo averages of nearly-closed float forms need, and each entry of the cup
-table.
+reducing a closed form yields its sparse coordinates in the representative
+basis exactly; dense lists are built only where they are handed out.  Two
+things are computed only when first asked for, then kept: A in floats with
+its pseudo-inverse, the one least-squares operator that Monte Carlo averages
+of nearly-closed float forms need, and each entry of the cup table.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import exactlinalg as xl
 from .algebra import DerivedCache, LieAlgebra
-from .forms import KForm, _differential_rows, basis_tuples, form_from_vector, wedge
+from .forms import KForm, _differential_rows, basis_tuples, wedge
 
 
 class DegreeOverflow(ValueError):
@@ -39,26 +40,34 @@ class DegreeOverflow(ValueError):
 
 @dataclass(frozen=True)
 class CohomologySpace:
-    """Degree-k cohomology data: Betti number, representative forms, and the
-    closed subspace ker d_k, whose echelon reduces closed forms to class
-    coordinates."""
+    """Degree-k cohomology data of ``algebra``: Betti number, representative
+    forms, and the closed subspace ker d_k, whose echelon reduces closed
+    forms to class coordinates."""
 
+    algebra: LieAlgebra = field(repr=False)
     degree: int
     betti: int
     representatives: tuple[KForm, ...]
-    closed_basis: list[list[Fraction]]  # columns spanning ker d_k: reps then coboundaries
+    closed_basis: list[xl.Sparse]  # sparse columns spanning ker d_k: reps then coboundaries
     echelon: xl.Echelon = field(repr=False, compare=False)  # rows tagged by rep coordinates
+
+    def _coordinates(self, form: KForm) -> xl.Sparse:
+        """Sparse class coordinates {representative index: Fraction} of a closed form."""
+        if form.algebra is not self.algebra:
+            raise ValueError(f"form lives on another algebra than this degree-{self.degree} space")
+        residual, coords = self.echelon.reduce(form.coeffs)
+        if form.degree != self.degree or residual:
+            raise ValueError(f"form of degree {form.degree} is not a closed degree-{self.degree} form")
+        return coords
+
+    def _dense(self, coords: xl.Sparse) -> list[Fraction]:
+        return [coords.get(i, xl.ZERO) for i in range(self.betti)]
 
     def project(self, form: KForm) -> list[Fraction]:
         """Class coordinates of a closed form (exact for rational input).
 
-        Raises ValueError if the form is not a closed degree-k form."""
-        residual, coords = self.echelon.reduce(form.coeffs)
-        if form.degree != self.degree or residual:
-            raise ValueError(
-                f"form of degree {form.degree} is not a closed degree-{self.degree} form"
-            )
-        return [coords.get(i, xl.ZERO) for i in range(self.betti)]
+        Raises ValueError unless it is a closed degree-k form of this algebra."""
+        return self._dense(self._coordinates(form))
 
     @cached_property
     def _least_squares(self) -> tuple[np.ndarray, np.ndarray]:
@@ -67,7 +76,8 @@ class CohomologySpace:
         and A^+ v holds the coordinates of the closed vector nearest to v
         (Golub-Van Loan, Matrix Computations, 4th ed., 5.5).  ker d_k is never
         0 (b_k >= 1 for nilpotent algebras), so A has at least one column."""
-        a = np.array(self.closed_basis, dtype=float).T
+        basis = basis_tuples(self.algebra.dim, self.degree)
+        a = np.array([[float(col.get(t, 0)) for t in basis] for col in self.closed_basis]).T
         return a, np.linalg.pinv(a)
 
     def _fit(self, vec) -> tuple[np.ndarray, np.ndarray]:
@@ -105,9 +115,10 @@ class CupTable(Mapping):
 
     def __init__(self, spaces: tuple[CohomologySpace, ...]):
         self._spaces = spaces
-        self._values: dict[tuple[int, int, int, int], list[Fraction]] = {}
+        self._values: dict[tuple[int, int, int, int], xl.Sparse] = {}
 
-    def __getitem__(self, key) -> list[Fraction]:
+    def _coordinates(self, key) -> xl.Sparse:
+        """Sparse class coordinates of the entry at ``key``, kept once computed."""
         value = self._values.get(key)
         if value is None:
             if key not in self:
@@ -115,8 +126,12 @@ class CupTable(Mapping):
             k, l, i, j = key
             a = self._spaces[k].representatives[i]
             b = self._spaces[l].representatives[j]
-            value = self._values[key] = self._spaces[k + l].project(wedge(a, b))
+            value = self._values[key] = self._spaces[k + l]._coordinates(wedge(a, b))
         return value
+
+    def __getitem__(self, key) -> list[Fraction]:
+        coords = self._coordinates(key)  # first, so a bad key raises KeyError
+        return self._spaces[key[0] + key[1]]._dense(coords)
 
     def __contains__(self, key) -> bool:
         if not (isinstance(key, tuple) and len(key) == 4):
@@ -164,13 +179,6 @@ class CohomologyRing:
 _RING_CACHE = DerivedCache("cohomology")
 
 
-def differential_matrix(alg: LieAlgebra, k: int) -> xl.Matrix:
-    """Matrix of d_k from degree k to k+1 over the lexicographic bases."""
-    dom = basis_tuples(alg.dim, k)
-    rows = _differential_rows(alg, k)
-    return [xl.dense(rows.get(t, {}), dom) for t in basis_tuples(alg.dim, k + 1)]
-
-
 def cohomology(alg: LieAlgebra) -> CohomologyRing:
     """Betti numbers, representatives, class coordinates and the cup table."""
     ring = _RING_CACHE.get(alg)
@@ -187,29 +195,31 @@ def cohomology(alg: LieAlgebra) -> CohomologyRing:
         for row in rows.values():
             d_k.insert(row)
         cocycles = d_k.kernel(basis)
-        next_coboundaries = [
-            {t: row[s] for t, row in rows.items() if s in row} for s in sorted(d_k.rows)
-        ]
+        next_coboundaries: dict = {s: {} for s in sorted(d_k.rows)}  # in rows order
+        for t, row in rows.items():
+            for s, c in row.items():
+                if s in next_coboundaries:
+                    next_coboundaries[s][t] = c
 
         closed = xl.Echelon()
         for z in coboundaries:
             closed.insert(z)
-        reps: list[xl.Sparse] = []
+        reps: list[KForm] = []
         for z in cocycles:
             if closed.insert(z, {len(reps): xl.ONE}):
-                reps.append(z)
+                reps.append(KForm(alg, k, {t: z[t] for t in sorted(z)}))
 
-        dense_reps = [xl.dense(z, basis) for z in reps]
         spaces.append(
             CohomologySpace(
+                algebra=alg,
                 degree=k,
                 betti=len(reps),
-                representatives=tuple(form_from_vector(alg, k, v) for v in dense_reps),
-                closed_basis=dense_reps + [xl.dense(z, basis) for z in coboundaries],
+                representatives=tuple(reps),
+                closed_basis=[rep.coeffs for rep in reps] + coboundaries,
                 echelon=closed,
             )
         )
-        coboundaries = next_coboundaries
+        coboundaries = list(next_coboundaries.values())
 
     spaces = tuple(spaces)
     ring = CohomologyRing(algebra=alg, spaces=spaces, cup=CupTable(spaces))
@@ -217,8 +227,14 @@ def cohomology(alg: LieAlgebra) -> CohomologyRing:
     return ring
 
 
+def _check_degrees(k: int, l: int) -> None:
+    if min(k, l) < 0:
+        raise ValueError(f"cohomology degree must be >= 0, got {min(k, l)}")
+
+
 def cup_class(ring: CohomologyRing, k: int, i: int, l: int, j: int) -> list[Fraction]:
     """Coordinates of [rep_i^k ^ rep_j^l] in degree k+l."""
+    _check_degrees(k, l)
     n = ring.algebra.dim
     if k + l > n:
         raise DegreeOverflow(f"degree {k}+{l} exceeds top degree {n}")
@@ -229,6 +245,7 @@ def cup_class(ring: CohomologyRing, k: int, i: int, l: int, j: int) -> list[Frac
 
 def cup_pairing_rank(ring: CohomologyRing, k: int, l: int) -> int:
     """Rank of the bilinear cup pairing H^k x H^l -> H^{k+l}."""
+    _check_degrees(k, l)
     n = ring.algebra.dim
     if k + l > n:
         return 0
@@ -240,7 +257,7 @@ def cup_pairing_rank(ring: CohomologyRing, k: int, l: int) -> int:
     rank = 0
     for i in range(bk):
         for j in range(bl):
-            rank += span.insert(xl.sparse(ring.cup[(k, l, i, j)]))
+            rank += span.insert(ring.cup._coordinates((k, l, i, j)))
             if rank == target:  # the rank cannot exceed the target Betti number
                 return rank
     return rank

@@ -1,38 +1,25 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of rows of ``fractions.Fraction``.  Everything here is
-deterministic: pivots are chosen by scanning columns left to right and rows
-top to bottom, never by magnitude, so repeated runs (and downstream
-cohomology bases) are reproducible.
+Vectors are sparse dicts from a key (a column index or a form-basis tuple)
+to a nonzero ``fractions.Fraction``, the exact layer's one vector format.
+Everything here is deterministic: a row's pivot is its smallest key, never
+chosen by magnitude, so repeated runs (and cohomology bases) reproduce.
 
 ``Echelon`` is the one elimination routine: it keeps the reduced row echelon
 form of a growing set of sparse vectors, which makes the rank, the kernel,
 the pivot columns, span membership and coordinates over the inserted vectors
 (an inverse, for the rows of an invertible matrix) all fall out of one
-elimination.  Callers use it directly; ``sparse`` and ``dense`` convert
-vectors between its sparse form and dense rows.
+elimination.  Callers use it directly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-Matrix = list[list[Fraction]]
-Vector = list[Fraction]
 Sparse = dict  # ordered key (column index, form-basis tuple) -> nonzero Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-def sparse(v: Vector) -> Sparse:
-    """Nonzero entries of a dense vector, keyed by position."""
-    return {i: x for i, x in enumerate(v) if x}
-
-
-def dense(v: Sparse, keys) -> Vector:
-    """Entries of a sparse vector at the given keys, in their order."""
-    return [v.get(key, ZERO) for key in keys]
 
 
 class Echelon:

@@ -141,11 +141,6 @@ def volume_form(alg: LieAlgebra) -> KForm:
     return basis_form(alg, tuple(range(alg.dim)))
 
 
-def form_from_vector(alg: LieAlgebra, degree: int, vec) -> KForm:
-    tuples = basis_tuples(alg.dim, degree)
-    return KForm(alg, degree, _drop_zeros(dict(zip(tuples, vec))))
-
-
 def wedge(a: KForm, b: KForm) -> KForm:
     """Exterior product; graded commutative, determinant-normalized."""
     if a.algebra is not b.algebra:

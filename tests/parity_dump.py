@@ -9,7 +9,11 @@ temporary output directory replaced by ``OUTDIR``), the reprs of
 on filiform7 and filiform8, ``amenable_average``, ``asymptotic_degree``
 and ``area_formula_check`` reprs, and the reprs of the first cycle of the
 ``degree`` benchmark for seeds 1 and 2 (its seeded x^3 - b·x area check and
-z3 ``local_degree`` at 8 seeded targets).  The package is imported from
+z3 ``local_degree`` at 8 seeded targets).  Exact-layer digests cover the
+``cli._ring_results`` reprs (representatives, cup table, cup ranks) of
+filiform7, free2step4, H9 and seeded dense twins of H5 and filiform6, and
+``project_float`` of one seeded vector per degree on each of them.  The
+package is imported from
 ``PYTHONPATH``, so the same script dumps any checkout:
 
     PYTHONPATH=src python tests/parity_dump.py new.json
@@ -17,7 +21,7 @@ z3 ``local_degree`` at 8 seeded targets).  The package is imported from
     diff old.json new.json
 
 The file is keyed and sorted, so ``diff`` lists exactly the cases that
-moved.  The name keeps pytest from collecting it; a run takes 3-8 s on a
+moved.  The name keeps pytest from collecting it; a run takes 8-13 s on a
 2-core host.
 """
 
@@ -25,15 +29,20 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
+import random
 import sys
 import tempfile
+
+import numpy as np
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path[:0] = [HERE, os.path.join(HERE, "..")]
 
 import nilcoh  # noqa: E402
-from bench.workloads import REPRO_STEPS, Average, Degree  # noqa: E402
+from bench.workloads import (  # noqa: E402
+    BUILDERS, REPRO_STEPS, Average, Degree, dense_twin, heisenberg)
 from nilcoh import algebra, cli  # noqa: E402
 from nilcoh.forms import basis_form, wedge  # noqa: E402
 from nilcoh.report import render_stable  # noqa: E402
@@ -113,12 +122,30 @@ def degree_cycles() -> dict:
     return out
 
 
+def exact_layer() -> dict:
+    algebras = {"filiform7": algebra.filiform(7), "free2step4": algebra.free_nilpotent_two_step(4),
+                "H9": nilcoh.validate_algebra(*heisenberg(4)[:2])}
+    for seed, (name, family, size) in enumerate((("H5", "heisenberg", 2),
+                                                  ("filiform6", "filiform", 6))):
+        structure, dim = BUILDERS[family](size)[:2]
+        twin = dense_twin(structure, dim, random.Random(seed))
+        algebras[f"dense-{name}"] = nilcoh.validate_algebra(twin, dim)
+    out = {}
+    rng = np.random.default_rng(3)
+    for name, alg in algebras.items():
+        out[f"exact/ring-{name}"] = digest(repr(cli._ring_results(alg)))
+        coords = [space.project_float(rng.standard_normal(math.comb(alg.dim, k)))
+                  for k, space in enumerate(nilcoh.cohomology(alg).spaces)]
+        out[f"exact/project_float-{name}"] = digest(repr(coords))
+    return out
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
         return 2
     dump = {**golden_cases(), **repro_reports(20000), **repro_reports(None),
-            **homomorphism_checks(), **library_calls(), **degree_cycles()}
+            **homomorphism_checks(), **library_calls(), **degree_cycles(), **exact_layer()}
     with open(argv[0], "w", encoding="utf-8") as fh:
         json.dump(dump, fh, indent=1, sort_keys=True)
         fh.write("\n")

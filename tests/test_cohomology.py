@@ -16,10 +16,9 @@ from nilcoh.cohomology import (
     compare_rings,
     cup_class,
     cup_pairing_rank,
-    differential_matrix,
     ring_invariants,
 )
-from nilcoh.forms import basis_form, basis_tuples, ce_differential, form_from_vector, wedge
+from nilcoh.forms import KForm, _differential_rows, basis_form, basis_tuples, ce_differential, wedge
 from oracles import dense_twin, naive_betti, naive_differential_matrix, random_rational_form
 
 H3 = algebra.heisenberg3()
@@ -109,6 +108,17 @@ def test_cup_degree_overflow():
         cup_class(ring, 1, 5, 1, 0)
 
 
+def test_cup_refuses_negative_degrees():
+    # negative indexing of ring.spaces once let these through to a bare KeyError
+    ring = cohomology(H3)
+    with pytest.raises(ValueError, match="got -1"):
+        cup_pairing_rank(ring, -1, 1)
+    with pytest.raises(ValueError, match="got -2"):
+        cup_class(ring, 1, 0, -2, 0)
+    with pytest.raises(ValueError, match="got -1"):
+        cup_class(ring, -1, 0, 1, 0)
+
+
 def test_cup_table_graded_commutative(algebras):
     for name, alg in algebras.items():
         ring = cohomology(alg)
@@ -175,12 +185,6 @@ def test_project_float_matches_exact():
     assert coords[1] == pytest.approx(0.0, abs=1e-15)
 
 
-def test_form_from_vector_round_trip():
-    vec = [Fraction(1), Fraction(0), Fraction(-2)]
-    f = form_from_vector(H3, 1, vec)
-    assert f.vector() == vec
-
-
 # -- closed-form oracles at dim 7-10 -------------------------------------------
 
 
@@ -208,6 +212,27 @@ def test_free_two_step4_betti():
     betti = cohomology(algebra.free_nilpotent_two_step(4)).betti
     assert betti == (1, 4, 20, 56, 84, 90, 84, 56, 20, 4, 1)
     assert betti[2] == 4 * (4 * 4 - 1) // 3
+
+
+def test_heisenberg_betti_closed_form_in_dims_9_to_13():
+    # Santharoubane (Proc. AMS 87, 1983): b_k(H_{2n+1}) = C(2n, k) - C(2n, k-2)
+    # for k <= n, and b_k = b_{2n+1-k} above
+    for n in (4, 5, 6):
+        betti = cohomology(heisenberg(n)).betti
+        want = [comb(2 * n, k) - (comb(2 * n, k - 2) if k >= 2 else 0) for k in range(n + 1)]
+        assert list(betti[: n + 1]) == want, n
+        assert betti == betti[::-1], n
+
+
+def test_heisenberg11_ring_invariants_fast():
+    # 1.6-1.9 s on a 2-core host; 4.8-6.3 s when the cup table kept dense
+    # coordinates and the pairing re-sparsified every entry
+    ring = cohomology(heisenberg(5))
+    start = time.perf_counter()
+    inv = ring_invariants(ring)
+    assert time.perf_counter() - start < 4.0
+    assert inv["betti"] == (1, 10, 44, 110, 165, 132, 132, 165, 110, 44, 10, 1)
+    assert inv["cup_ranks"][(1, 1)] == 44  # every e_i* ^ e_j* but the symplectic form
 
 
 def test_heisenberg7_ring_invariants_fast():
@@ -244,7 +269,9 @@ def test_differential_matrix_matches_naive_oracle(algebras):
     for name, alg in cases.items():
         for k in range(alg.dim + 1):
             naive = naive_differential_matrix(alg, k)
-            mine = differential_matrix(alg, k)
+            rows = _differential_rows(alg, k)
+            mine = [[rows.get(t, {}).get(s, 0) for s in basis_tuples(alg.dim, k)]
+                    for t in basis_tuples(alg.dim, k + 1)]
             assert len(mine) == naive.rows, (name, k)
             assert all(
                 mine[r][c] == Fraction(int(naive[r, c].p), int(naive[r, c].q))
@@ -276,6 +303,26 @@ def test_cup_table_has_the_eager_key_set(algebras):
         ring.cup[(1, 1, 0, 0)] = []
 
 
+def test_representative_coefficients_are_in_lexicographic_basis_order(algebras):
+    # pullback sums a form's terms in coefficient order, so this order fixes its bits
+    cases = dict(algebras)
+    cases.update({f"dense_{name}": dense_twin(alg, random.Random(3)) for name, alg in algebras.items()})
+    for name, alg in cases.items():
+        for space in cohomology(alg).spaces:
+            for rep in space.representatives:
+                lex = [t for t in basis_tuples(alg.dim, space.degree) if t in rep.coeffs]
+                assert list(rep.coeffs) == lex, (name, space.degree)
+
+
+def test_project_refuses_forms_of_another_algebra():
+    # a form of H3 once read [1, 0, 0] in H^2 of R^3; algebras match by identity
+    space = cohomology(AB3).spaces[2]
+    for other in (H3, algebra.abelian(3)):
+        with pytest.raises(ValueError, match="another algebra"):
+            space.project(basis_form(other, (0, 1)))
+    assert space.project(basis_form(AB3, (0, 1))) == [1, 0, 0]
+
+
 def test_project_rejects_non_closed_forms():
     ring = cohomology(H3)
     with pytest.raises(ValueError, match="degree-1"):
@@ -290,9 +337,9 @@ def test_project_float_matches_reduction_on_closed_forms(algebras):
         ring = cohomology(alg)
         for k in range(alg.dim + 1):
             space = ring.spaces[k]
-            closed = form_from_vector(alg, k, [Fraction(0)] * comb(alg.dim, k))
+            closed = KForm(alg, k, {})
             for col in space.closed_basis:
-                closed = closed + form_from_vector(alg, k, col).scale(rng.randint(-3, 3))
+                closed = closed + KForm(alg, k, col).scale(rng.randint(-3, 3))
             floats = space.project_float([float(x) for x in closed.vector()])
             exact = space.project(closed)
             assert len(floats) == len(exact) == space.betti, (name, k)
@@ -315,7 +362,7 @@ def test_first_float_projection_is_fast():
     ring = cohomology(algebra.free_nilpotent_two_step(4))
     start = time.perf_counter()
     for space in ring.spaces:
-        assert len(space.project_float([0.0] * len(space.closed_basis[0]))) == space.betti
+        assert len(space.project_float([0.0] * comb(10, space.degree))) == space.betti
     assert time.perf_counter() - start < 5.0
 
 

@@ -23,9 +23,13 @@ def from_sympy(v):
     return [Fraction(int(x.p), int(x.q)) for x in v]
 
 
+def dense(v, cols):
+    return [v.get(i, Fraction(0)) for i in cols]
+
+
 def echelon_of(m):
     ech = xl.Echelon()
-    inserted = sum(ech.insert(xl.sparse(row)) for row in m)
+    inserted = sum(ech.insert(dict(enumerate(row))) for row in m)
     return ech, inserted
 
 
@@ -46,7 +50,7 @@ def test_echelon_kernel_equals_sympy_nullspace():
         if rng.random() < 0.3:  # repeated and scaled rows give rank-deficient cases
             m.append([2 * x for x in m[rng.randrange(rows)]])
         ech, _ = echelon_of(m)
-        kernel = [xl.dense(v, range(cols)) for v in ech.kernel(range(cols))]
+        kernel = [dense(v, range(cols)) for v in ech.kernel(range(cols))]
         assert kernel == [from_sympy(v) for v in to_sympy(m).nullspace()]
 
 
@@ -63,7 +67,7 @@ def test_echelon_reduce_decides_span_membership():
         v = random_matrix(rng, 1, cols)[0]
         ech, _ = echelon_of(basis)
         in_span = to_sympy(basis + [v]).rank() == (to_sympy(basis).rank() if basis else 0)
-        assert (ech.reduce(xl.sparse(v))[0] == {}) == in_span
+        assert (ech.reduce(dict(enumerate(v)))[0] == {}) == in_span
 
 
 def test_echelon_rows_are_the_rref_in_any_insertion_order():
@@ -76,13 +80,13 @@ def test_echelon_rows_are_the_rref_in_any_insertion_order():
         rng.shuffle(order)
         ech = xl.Echelon()
         for i in order:
-            ech.insert(xl.sparse(m[i]))
+            ech.insert(dict(enumerate(m[i])))
         assert sorted(ech.rows) == list(pivots)
         for prow, pcol in enumerate(pivots):
             want = from_sympy(r.row(prow))
-            assert xl.dense(ech.rows[pcol], range(cols)) == want
+            assert dense(ech.rows[pcol], range(cols)) == want
         nullspace = [from_sympy(v) for v in to_sympy(m).nullspace()]
-        assert [xl.dense(v, range(cols)) for v in ech.kernel(range(cols))] == nullspace
+        assert [dense(v, range(cols)) for v in ech.kernel(range(cols))] == nullspace
 
 
 def test_echelon_tags_give_coordinates_over_the_inserted_vectors():
@@ -93,13 +97,13 @@ def test_echelon_tags_give_coordinates_over_the_inserted_vectors():
         ech = xl.Echelon()
         kept = []
         for v in vectors:
-            if ech.insert(xl.sparse(v), {len(kept): Fraction(1)}):
+            if ech.insert(dict(enumerate(v)), {len(kept): Fraction(1)}):
                 kept.append(v)
         coeffs = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in kept]
         combo = [sum((c * v[i] for c, v in zip(coeffs, kept)), Fraction(0)) for i in range(cols)]
-        residual, tag = ech.reduce(xl.sparse(combo))
+        residual, tag = ech.reduce(dict(enumerate(combo)))
         assert residual == {}
         assert [tag.get(i, 0) for i in range(len(kept))] == coeffs
         off = [Fraction(rng.randint(-5, 5)) for _ in range(cols)]
-        residual, _ = ech.reduce(xl.sparse(off))
+        residual, _ = ech.reduce(dict(enumerate(off)))
         assert (residual == {}) == (to_sympy(kept + [off]).rank() == len(kept))

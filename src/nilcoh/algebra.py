@@ -108,8 +108,8 @@ class DerivedCache:
 
     A module-level dict keyed by algebra would pin every algebra ever passed
     in; this cache lets the algebra and its derived data be collected
-    together.  Supports ``alg in cache``, ``cache.get(alg)`` and
-    ``cache[alg] = value``.
+    together.  Supports ``alg in cache``, ``cache.get(alg)``,
+    ``cache[alg] = value`` and ``cache.setdefault(alg, value)``.
     """
 
     def __init__(self, name: str):
@@ -123,6 +123,11 @@ class DerivedCache:
 
     def __setitem__(self, alg: LieAlgebra, value) -> None:
         object.__setattr__(alg, self._slot, value)
+
+    def setdefault(self, alg: LieAlgebra, value):
+        """The value in ``alg``'s slot, storing ``value`` there first if the
+        slot is empty."""
+        return vars(alg).setdefault(self._slot, value)
 
 
 def validate_algebra(

@@ -173,6 +173,10 @@ class CohomologyRing:
         return tuple(s.betti for s in self.spaces)
 
     def space(self, k: int) -> CohomologySpace:
+        """The degree-k space; ValueError for a degree outside 0 .. dim."""
+        if not 0 <= k < len(self.spaces):
+            raise ValueError(
+                f"cohomology degree must be in 0 .. {len(self.spaces) - 1}, got {k}")
         return self.spaces[k]
 
 

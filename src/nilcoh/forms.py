@@ -9,8 +9,8 @@ Coefficients may be exact ``Fraction``s (all algebraic paths) or floats
 (Monte Carlo averages); the operations are generic over both.
 
 The differential d_k is built in one place, as sparse rows straight from
-the structure constants: ``ce_differential`` applies them to a form's
-coefficients, and ``cohomology`` eliminates them.
+the structure constants, once per algebra and degree: ``ce_differential``
+applies them to a form's coefficients, and ``cohomology`` eliminates them.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import exactlinalg as xl
-from .algebra import LieAlgebra
+from .algebra import DerivedCache, LieAlgebra
 
 Index = tuple[int, ...]
 
@@ -246,10 +246,25 @@ def parse_form(text: str, alg: LieAlgebra) -> KForm:
     return result
 
 
+_ROWS_CACHE = DerivedCache("differential_rows")
+
+
 def _differential_rows(alg: LieAlgebra, k: int) -> dict[Index, xl.Sparse]:
     """Sparse d_k by rows: {(k+1)-tuple T: {k-tuple S: (d e_S*)(e_T)}}.
 
-    One sweep over the (k+1)-tuples: each pair a < b of T with a nonzero
+    Built on first request and kept per algebra and degree; callers share
+    the dicts and must not mutate them.
+    """
+    by_degree = _ROWS_CACHE.setdefault(alg, {})
+    rows = by_degree.get(k)
+    if rows is None:
+        rows = by_degree[k] = _build_differential_rows(alg, k)
+    return rows
+
+
+def _build_differential_rows(alg: LieAlgebra, k: int) -> dict[Index, xl.Sparse]:
+    """The rows of ``_differential_rows`` in one sweep over the
+    (k+1)-tuples: each pair a < b of T with a nonzero
     bracket [e_{T_a}, e_{T_b}] = sum_m c_m e_m adds (-1)^(a+b) c_m, times the
     sign that sorts (m,) + rest, at S = sorted((m,) + rest), where rest is T
     without T_a and T_b.  Only nonzero entries and rows are kept.
@@ -282,7 +297,9 @@ def ce_differential(f: KForm) -> KForm:
         df(X_1, ..., X_{k+1}) = sum_{a<b} (-1)^{a+b} f([X_a, X_b], ..., ^a, ..., ^b, ...)
 
     The rows of d_k applied to the coefficients: exact for rational forms,
-    applied coefficient-wise to float forms.
+    applied coefficient-wise to float forms.  The rows are built once per
+    algebra and degree (``_differential_rows``) and shared with
+    ``cohomology``.
     """
     out: dict[Index, object] = {}
     for target, row in _differential_rows(f.algebra, f.degree).items():

@@ -22,8 +22,8 @@ with it every term that reads it.
 
 One point cloud is drawn per (seed, radius) and shared by every coefficient,
 so linearity of the estimator holds exactly; ``group.cloud_mean`` averages
-over it.  ``_ball_averages`` builds each (form, lambda) pair's row recipe
-once per call (``_recipe``: its terms on live minors), drops the pairs with
+over it.  ``_average_plan`` builds each (form, lambda) pair's row recipe
+(``_recipe``: its terms on live minors), drops the pairs with
 none, whose rows are zero (on the benchmark's H5 map 720 of 910), and
 reports them as mean 0.0 with stderr 0.0, what summing their zero rows
 gave.  It keys the other recipes up to sign, negating every coefficient
@@ -34,23 +34,35 @@ of the 190 live H5 pairs.  A pair with the key's recipe reads the key's
 and rounding is symmetric in sign, so the negated row's sums are the
 negated sums, an exact zero stays +0.0 (where -mean would give -0.0), and
 its stderr is the same.  The keys are sorted by (degree, lambda) and cut
-into blocks of at most ``_BLOCK_ITEMS`` floats per chunk of samples; each
-block is planned once per call and reused at every radius and chunk, and
-``cloud_mean`` reduces a block before the next one is built, so memory is
-bounded whatever the number of pairs.  Every row keeps its own per-chunk
-sums, so the blocks move no bit.
+into blocks of at most ``_BLOCK_ITEMS`` floats per chunk of samples, each
+planned by ``_plan_coefficient_rows``; ``_ball_averages`` reuses the plan at
+every radius and chunk, and ``cloud_mean`` reduces a block before the next
+one is evaluated, so memory is bounded whatever the number of pairs.  Every
+row keeps its own per-chunk sums, so the blocks move no bit.
+
+``amenable_average`` and ``asymptotic_degree`` average their caller's forms
+and plan on every call.  ``induced_cohomology_map`` averages the codomain
+ring's representatives and their products, so everything it builds before
+sampling (those forms, the wedge products and the plan) depends only on the
+codomain algebra, the domain's dimension, the map's differential pattern
+and the chunk size: ``_induced_setup`` builds it once per such key and
+keeps it with the codomain algebra (``algebra.DerivedCache``), and a warm
+call only samples, evaluates and projects.  The plans hold no state
+between calls, so a warm call gives the bytes of a cold one.
+
 Evaluation is serial and reruns are bit-identical.  The public functions
 accept ``threads`` for compatibility and ignore it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import rng
-from .algebra import LieAlgebra
+from .algebra import DerivedCache, LieAlgebra
 from .cohomology import CohomologyRing, CohomologySpace, cohomology
 from .forms import KForm, basis_tuples, ce_differential, sort_with_sign, wedge
 from .group import BallSpec, check_radii, cloud_mean, sample_ball_coords
@@ -301,31 +313,30 @@ def _plan_coefficient_rows(recipes: list, pattern: np.ndarray):
     return rows
 
 
-def _ball_averages(
-    m: SmoothMap,
-    omegas: list[KForm],
-    radii: list[float],
-    samples: int,
-    seed: int,
-    shape: str,
-    warnings: list[str],
-):
-    """Ball-average every coefficient of every form at every radius, in one
-    pass over one cloud per radius, the rows in blocks (module docstring).
-    A pair with no term on a live minor of the map's ``differential_pattern``
-    is a row of zeros and is not evaluated: it reads (0.0, 0.0).  The other
-    pairs are keyed by their ``_recipe`` up to sign, and one row per key is
-    evaluated: a pair whose recipe is the key's reads its (mean, stderr), a
-    negated one (0.0 - mean, stderr).
+@dataclass(frozen=True)
+class _AveragePlan:
+    """The call-invariant half of ``_ball_averages``: what it evaluates for
+    one list of forms on one differential pattern and chunk size."""
 
-    Returns, per radius and per input form, a dict lambda -> (mean, stderr),
-    and the largest sampled |frame differential| entry over all radii.
-    """
-    _check_on_codomain(m, omegas)
-    dom = m.domain
-    pattern = differential_pattern(m)
+    lambdas: list[list[tuple[int, ...]]]  # per form: its frame tuples
+    owners: list[tuple[int, tuple[int, ...], int, bool]]  # (form, lambda, row, negated)
+    blocks: list[tuple[int, Callable]]  # (rows, their _plan_coefficient_rows) per block
+    width: int  # rows of the largest block
+
+
+def _chunk(samples: int) -> int:
+    """Samples per chunk of a ``samples``-point ball average (``rng.CHUNK`` at most)."""
+    return max(1, min(samples, rng.CHUNK))
+
+
+def _average_plan(omegas: list[KForm], pattern: np.ndarray, chunk: int) -> _AveragePlan:
+    """Plan ``_ball_averages`` of every coefficient of these codomain forms
+    on maps with the (m, n) differential ``pattern``: the pairs with a live
+    term, keyed by ``_recipe`` up to sign, the distinct rows sorted by
+    (degree, lambda) and cut into blocks of at most ``_BLOCK_ITEMS`` floats
+    per ``chunk`` of samples, each block planned by ``_plan_coefficient_rows``."""
     live = _live_minors(pattern)
-    lambdas = {k: basis_tuples(dom.dim, k) for k in {w.degree for w in omegas}}
+    lambdas = {k: basis_tuples(pattern.shape[1], k) for k in {w.degree for w in omegas}}
     owners = []  # (form, lambda, recipe up to sign, negated) of the pairs with a live term
     for f, w in enumerate(omegas):
         for lam in lambdas[w.degree] if w.coeffs else ():  # a zero form has no term
@@ -340,12 +351,44 @@ def _ball_averages(
     recipes = sorted(dict.fromkeys(key for _, _, key, _ in owners),
                      key=lambda k: (len(k[0]), k[0]))  # rows sharing minors side by side
     slot = {k: i for i, k in enumerate(recipes)}
-    owners = [(f, lam, slot[key], negated) for f, lam, key, negated in owners]
-    chunk = max(1, min(samples, rng.CHUNK))
     size = max(1, _BLOCK_ITEMS // chunk)
     blocks = [recipes[i:i + size] for i in range(0, len(recipes) or 1, size)]
-    plans = [_plan_coefficient_rows(b, pattern) for b in blocks]
-    row_buffer = np.empty(min(size, len(recipes)) * chunk)
+    return _AveragePlan(
+        lambdas=[lambdas[w.degree] for w in omegas],
+        owners=[(f, lam, slot[key], negated) for f, lam, key, negated in owners],
+        blocks=[(len(b), _plan_coefficient_rows(b, pattern)) for b in blocks],
+        width=min(size, len(recipes)),
+    )
+
+
+def _ball_averages(
+    m: SmoothMap,
+    omegas: list[KForm],
+    radii: list[float],
+    samples: int,
+    seed: int,
+    shape: str,
+    warnings: list[str],
+    plan: _AveragePlan | None = None,
+):
+    """Ball-average every coefficient of every form at every radius, in one
+    pass over one cloud per radius, the rows in blocks (module docstring).
+    ``plan`` is ``_average_plan`` of these forms on the map's
+    ``differential_pattern`` and ``_chunk(samples)``, built here when not
+    given.  A pair with no term on a live minor of the pattern is a row of
+    zeros and is not evaluated: it reads (0.0, 0.0).  The other pairs are
+    keyed by their ``_recipe`` up to sign, and one row per key is
+    evaluated: a pair whose recipe is the key's reads its (mean, stderr), a
+    negated one (0.0 - mean, stderr).
+
+    Returns, per radius and per input form, a dict lambda -> (mean, stderr),
+    and the largest sampled |frame differential| entry over all radii.
+    """
+    _check_on_codomain(m, omegas)
+    chunk = _chunk(samples)
+    if plan is None:
+        plan = _average_plan(omegas, differential_pattern(m), chunk)
+    row_buffer = np.empty(plan.width * chunk)
     warn = warn_once(warnings)
     chunk_derivative_max: list[float] = []
 
@@ -354,21 +397,21 @@ def _ball_averages(
         chunk_derivative_max.append(float(np.max(np.abs(mats))))
         entries = _entries(mats)
         count = entries.shape[1]
-        for b, rows in zip(blocks, plans):
-            out = row_buffer[:len(b) * count].reshape(len(b), count)
+        for size, rows in plan.blocks:
+            out = row_buffer[:size * count].reshape(size, count)
             rows(entries, out)
             yield out
 
     per_radius = []
     deriv_bound = 0.0
     for r in radii:
-        cloud = sample_ball_coords(dom, BallSpec(r, shape), samples, seed, tags=("avg",))
+        cloud = sample_ball_coords(m.domain, BallSpec(r, shape), samples, seed, tags=("avg",))
         chunk_derivative_max.clear()
         mean, stderr = cloud_mean(cloud, coefficients)
         deriv_bound = max(deriv_bound, max(chunk_derivative_max, default=0.0))
         mean, stderr = mean.tolist(), stderr.tolist()
-        coeffs = [dict.fromkeys(lambdas[w.degree], (0.0, 0.0)) for w in omegas]
-        for f, lam, i, negated in owners:
+        coeffs = [dict.fromkeys(lams, (0.0, 0.0)) for lams in plan.lambdas]
+        for f, lam, i, negated in plan.owners:
             # 0.0 - mean is what the negated row averages to, +0.0 for a zero mean
             coeffs[f][lam] = (0.0 - mean[i] if negated else mean[i], stderr[i])
         per_radius.append(coeffs)
@@ -435,6 +478,47 @@ def _nonconvergent(increments: list[float], max_se: list[float]) -> bool:
     return False
 
 
+_SETUP_CACHE = DerivedCache("induced_setup")  # per codomain algebra: key -> _induced_setup
+
+
+def _induced_setup(m: SmoothMap, with_products: bool, chunk: int):
+    """The call-invariant part of ``induced_cohomology_map``, computed once
+    per codomain algebra and key, then shared: ``(owners, product_keys,
+    forms, plan)`` with ``owners`` the (degree, index) of each codomain
+    representative of degree at most the domain's dimension, ``product_keys``
+    the (k, i, l, j) of each wedge product of two of them (with
+    ``with_products``), ``forms`` the representatives then the products, and
+    ``plan`` their ``_average_plan``.  All of it depends only on the
+    codomain's ring, the domain's dimension and the map's
+    ``differential_pattern``, and the plan on the chunk size and
+    ``_BLOCK_ITEMS``, which is why the key holds those and nothing else."""
+    pattern = differential_pattern(m)
+    n_dom = m.domain.dim
+    key = (n_dom, with_products, pattern.tobytes(), pattern.shape, chunk, _BLOCK_ITEMS // chunk)
+    setups = _SETUP_CACHE.setdefault(m.codomain, {})
+    setup = setups.get(key)
+    if setup is None:
+        ring_cod = cohomology(m.codomain)
+        reps: list[KForm] = []
+        owners: list[tuple[int, int]] = []  # (degree, index within degree)
+        for k in range(min(n_dom, m.codomain.dim) + 1):
+            for i, w in enumerate(ring_cod.spaces[k].representatives):
+                reps.append(w)
+                owners.append((k, i))
+        products: list[KForm] = []
+        product_keys: list[tuple[int, int, int, int]] = []
+        if with_products:
+            for (k, i) in owners:
+                for (l, j) in owners:
+                    if k + l <= min(n_dom, m.codomain.dim) and k <= l:
+                        products.append(wedge(ring_cod.spaces[k].representatives[i],
+                                              ring_cod.spaces[l].representatives[j]))
+                        product_keys.append((k, i, l, j))
+        forms = reps + products
+        setup = setups[key] = (owners, product_keys, forms, _average_plan(forms, pattern, chunk))
+    return setup
+
+
 def induced_cohomology_map(
     m: SmoothMap,
     radii=DEFAULT_RADII,
@@ -455,35 +539,16 @@ def induced_cohomology_map(
     m = normalize_to_y0(m)
     radii = check_radii(radii)
     ring_dom = cohomology(m.domain)
-    ring_cod = cohomology(m.codomain)
-    n_dom, n_cod = m.domain.dim, m.codomain.dim
+    n_dom = m.domain.dim
     warnings: list[str] = []
-
-    reps: list[KForm] = []
-    owners: list[tuple[int, int]] = []  # (degree, index within degree)
-    for k in range(n_cod + 1):
-        for i, w in enumerate(ring_cod.spaces[k].representatives):
-            if k <= n_dom:
-                reps.append(w)
-                owners.append((k, i))
-
-    products: list[KForm] = []
-    product_keys: list[tuple[int, int, int, int]] = []
-    if with_products:
-        for (k, i) in owners:
-            for (l, j) in owners:
-                if k + l <= min(n_dom, n_cod) and k <= l:
-                    products.append(wedge(ring_cod.spaces[k].representatives[i],
-                                          ring_cod.spaces[l].representatives[j]))
-                    product_keys.append((k, i, l, j))
-
-    all_forms = reps + products
-    per_radius, deriv_bound = _ball_averages(m, all_forms, radii, samples, seed, shape, warnings)
+    owners, product_keys, all_forms, plan = _induced_setup(m, with_products, _chunk(samples))
+    per_radius, deriv_bound = _ball_averages(m, all_forms, radii, samples, seed, shape, warnings,
+                                             plan)
 
     chain_trace: dict[int, list[float]] = {k: [] for k in range(n_dom + 1)}
     for coeffs_at_r in per_radius:
         worst: dict[int, float] = {k: 0.0 for k in range(n_dom + 1)}
-        for (k, _i), coeff in zip(owners, coeffs_at_r[: len(reps)]):
+        for (k, _i), coeff in zip(owners, coeffs_at_r[: len(owners)]):
             avg = _form_of(m.domain, k, coeff)
             worst[k] = max(worst[k], ce_differential(avg).max_abs())
         for k, v in worst.items():
@@ -498,7 +563,7 @@ def induced_cohomology_map(
         cols = [i for (kk, i) in owners if kk == k]
         matrices[k] = [[0.0] * len(cols) for _ in range(b_dom)]
         stderrs[k] = 0.0
-    for (k, i), coeff in zip(owners, final[: len(reps)]):
+    for (k, i), coeff in zip(owners, final[: len(owners)]):
         se = max((s for (_v, s) in coeff.values()), default=0.0)
         stderrs[k] = max(stderrs[k], se)
         vec = [float(v) for v, _s in (coeff.get(t, (0.0, 0.0)) for t in basis_tuples(n_dom, k))]
@@ -510,7 +575,7 @@ def induced_cohomology_map(
 
     mult_residuals: dict[tuple[int, int, int, int], float] = {}
     if with_products:
-        for key, coeff in zip(product_keys, final[len(reps):]):
+        for key, coeff in zip(product_keys, final[len(owners):]):
             k, i, l, j = key
             degree = k + l
             vec = [
@@ -552,16 +617,20 @@ def homomorphism_check(
 
 
 def _cup_combination(ring: CohomologyRing, k: int, l: int, vi, vj) -> list[float]:
-    degree = k + l
-    target = ring.spaces[degree].betti
-    out = [0.0] * target
+    """Class coordinates of (sum_a vi[a] rep_a^k) cup (sum_b vj[b] rep_b^l),
+    summed over the cup table's sparse entries.  Skipping its zero
+    coefficients moves no bit: out[c] starts at +0.0, so no sum makes it
+    -0.0, and adding +-0.0 leaves any other value as it is.  The one
+    exception is a non-finite vi[a] * vj[b]: its product with a zero
+    coefficient, a NaN, is no longer added."""
+    out = [0.0] * ring.spaces[k + l].betti
     for a, va in enumerate(vi):
         if va == 0.0:
             continue
         for b, vb in enumerate(vj):
             if vb == 0.0:
                 continue
-            for c, coeff in enumerate(ring.cup[(k, l, a, b)]):
+            for c, coeff in ring.cup._coordinates((k, l, a, b)).items():
                 out[c] += va * vb * float(coeff)
     return out
 

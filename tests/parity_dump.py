@@ -6,7 +6,10 @@ The digests cover the 9 golden CLI cases (``test_golden.CASES``), the 7
 ``nilcoh repro`` reports at ``--samples 20000`` and at the default (the
 temporary output directory replaced by ``OUTDIR``), the reprs of
 ``homomorphism_check`` on the ``average`` benchmark maps for seeds 1-4 and
-on filiform7 and filiform8, ``amenable_average``, ``asymptotic_degree``
+on filiform7 and filiform8, three warm repeats of each ``average`` map's
+``homomorphism_check`` in one process (a new seed at the 2nd and 3rd
+call, so a cache filled by one call shows if it moves the next),
+``amenable_average``, ``asymptotic_degree``
 and ``area_formula_check`` reprs, and the reprs of the first cycle of the
 ``degree`` benchmark for seeds 1 and 2 (its seeded x^3 - b·x area check and
 z3 ``local_degree`` at 8 seeded targets).  Exact-layer digests cover the
@@ -97,6 +100,17 @@ def homomorphism_checks() -> dict:
     return out
 
 
+def warm_repeats() -> dict:
+    out = {}
+    work = Average(5)
+    for name, m, (radii, samples, shape) in (("H3", work.m3, work.h3), ("H5", work.m5, work.h5)):
+        for call in range(3):
+            rep = nilcoh.homomorphism_check(m, radii=radii, samples=samples,
+                                            seed=work.mc_seed + call, shape=shape)
+            out[f"homomorphism_check-warm/average-{name}-call{call}"] = digest(repr(rep))
+    return out
+
+
 def library_calls() -> dict:
     h3, h5, r1 = algebra.heisenberg3(), algebra.heisenberg5(), algebra.abelian(1)
     m5 = nilcoh.map_from_texts(h5, h5, ["x1 + 0.3*sin(x2) + 1", "x2 - 0.5", "x3 + 0.2*x4^2",
@@ -145,7 +159,7 @@ def main(argv: list[str]) -> int:
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
         return 2
     dump = {**golden_cases(), **repro_reports(20000), **repro_reports(None),
-            **homomorphism_checks(), **library_calls(), **degree_cycles(), **exact_layer()}
+            **homomorphism_checks(), **warm_repeats(), **library_calls(), **degree_cycles(), **exact_layer()}
     with open(argv[0], "w", encoding="utf-8") as fh:
         json.dump(dump, fh, indent=1, sort_keys=True)
         fh.write("\n")

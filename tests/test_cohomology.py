@@ -280,6 +280,33 @@ def test_differential_matrix_matches_naive_oracle(algebras):
             ), (name, k)
 
 
+def test_ce_differential_matches_naive_oracle_after_cohomology_read_the_rows():
+    # cohomology() and ce_differential share one memo of the rows of d_k per
+    # algebra: eliminating them must leave them as ce_differential needs them
+    gen = random.Random(11)
+    cases = [algebra.filiform(6), dense_twin(algebra.free_nilpotent_two_step(3), random.Random(5))]
+    for alg in cases:
+        cohomology(alg)
+        for k in range(alg.dim + 1):
+            assert _differential_rows(alg, k) is _differential_rows(alg, k)
+            naive = naive_differential_matrix(alg, k)
+            for _ in range(3):
+                f = random_rational_form(alg, k, gen)
+                got = ce_differential(f).vector()
+                want = naive * sympy.Matrix([sympy.Rational(c.numerator, c.denominator)
+                                             for c in f.vector()])
+                assert got == [Fraction(int(x.p), int(x.q)) for x in want], (alg, k)
+
+
+def test_space_refuses_a_degree_outside_the_ring():
+    # negative indexing answered space(-1) with the top degree's space
+    ring = cohomology(H3)
+    assert [ring.space(k).degree for k in range(4)] == [0, 1, 2, 3]
+    for k in (-1, -4, 4):
+        with pytest.raises(ValueError, match=f"got {k}"):
+            ring.space(k)
+
+
 def test_cup_table_has_the_eager_key_set(algebras):
     for name, alg in algebras.items():
         ring = cohomology(alg)

@@ -1,5 +1,7 @@
+import gc
 import time
 import tracemalloc
+import weakref
 from itertools import combinations
 
 import numpy as np
@@ -375,7 +377,9 @@ def test_blocked_averages_equal_whole_array_averages(monkeypatch, alg, texts, sa
 
 
 def test_blocks_are_planned_once_per_call(monkeypatch):
-    # rebuilding the plans at every radius cost about a tenth of an H5 check
+    # rebuilding the plans at every radius cost about a tenth of an H5 check,
+    # and at every call on the same map a quarter of a warm one: the plans
+    # are kept per codomain algebra, keyed by what they are built from
     sizes = []
     plan = pullback._plan_coefficient_rows
 
@@ -383,20 +387,97 @@ def test_blocks_are_planned_once_per_call(monkeypatch):
         sizes.append(len(pairs))
         return plan(pairs, pattern)
 
+    def planned(m, samples=1000, seed=0, radii=(2.0,)):
+        sizes.clear()
+        homomorphism_check(m, radii=radii, samples=samples, seed=seed)
+        return list(sizes)
+
     monkeypatch.setattr(pullback, "_plan_coefficient_rows", counting)
     monkeypatch.setattr(pullback, "_BLOCK_ITEMS", 5 * 1000)
-    m = map_from_texts(H3, H3, H3_MAP)
-    homomorphism_check(m, radii=[2.0], samples=1000, seed=0)
-    blocks = len(sizes)
-    sizes.clear()
-    homomorphism_check(m, radii=[2.0, 4.0, 8.0], samples=1000, seed=0)
-    assert len(sizes) == blocks > 1
-    assert max(sizes) == 5
+    h3 = algebra.heisenberg3()  # no other test has filled its caches
+    m = map_from_texts(h3, h3, H3_MAP)
+    first = planned(m)
+    assert len(first) > 1 and max(first) == 5
+    assert planned(m, seed=1, radii=(2.0, 4.0, 8.0)) == []
+    assert planned(map_from_texts(h3, h3, H3_MAP), seed=2) == []  # same pattern, new map
+    other = map_from_texts(h3, h3, ["x1", "x2", "x3 + 0.2*x1^2"])
+    assert not np.array_equal(differential_pattern(other), differential_pattern(m))
+    assert planned(other)
+    assert max(planned(m, samples=500)) == 10  # another chunk: 5000 // 500 rows per block
+    monkeypatch.setattr(pullback, "_BLOCK_ITEMS", 4 * 1000)
+    assert max(planned(m)) == 4
+
+
+@pytest.mark.parametrize("name", ["H3", "H5", "filiform7"])
+def test_warm_checks_give_the_bytes_of_cold_ones(name):
+    # the benchmark's H3 and H5 sizes; filiform7 has many products per call
+    alg, texts, kw = {
+        "H3": (algebra.heisenberg3(), H3_MAP, dict(radii=(2.0, 4.0, 8.0), samples=20000)),
+        "H5": (algebra.heisenberg5(), H5_MAP,
+               dict(radii=(2.0, 4.0), samples=4000, shape="quasiball")),
+        "filiform7": (algebra.filiform(7), ["x1 + 0.3*sin(x2)"] + [f"x{i}" for i in range(2, 8)],
+                      dict(radii=(2.0, 4.0), samples=4000)),
+    }[name]
+    m = map_from_texts(alg, alg, texts)
+    cold = repr(homomorphism_check(m, seed=5, **kw))
+    for seed in (6, 7):
+        homomorphism_check(m, seed=seed, **kw)
+    assert repr(homomorphism_check(m, seed=5, **kw)) == cold
+    assert repr(homomorphism_check(map_from_texts(alg, alg, texts), seed=5, **kw)) == cold
+
+
+def test_induced_map_caches_do_not_pin_the_algebra():
+    alg = algebra.heisenberg3()
+    m = map_from_texts(alg, alg, H3_MAP)
+    homomorphism_check(m, radii=[2.0], samples=500, seed=0)
+    assert {name for name in vars(alg) if name.startswith("_derived_")} == {
+        "_derived_cohomology", "_derived_group_law", "_derived_differential_rows",
+        "_derived_induced_setup"}
+    ref = weakref.ref(alg)
+    del alg, m
+    gc.collect()
+    assert ref() is None
+
+
+def _dense_cup_combination(ring, k, l, vi, vj):
+    """The dense loop over the cup table's Fraction lists that
+    ``pullback._cup_combination`` replaced."""
+    out = [0.0] * ring.spaces[k + l].betti
+    for a, va in enumerate(vi):
+        if va == 0.0:
+            continue
+        for b, vb in enumerate(vj):
+            if vb == 0.0:
+                continue
+            for c, coeff in enumerate(ring.cup[(k, l, a, b)]):
+                out[c] += va * vb * float(coeff)
+    return out
+
+
+def test_sparse_cup_combination_equals_the_dense_loop(algebras):
+    # zeros, signed zeros and products that underflow to -0.0 included
+    gen = np.random.default_rng(9)
+    specials = [0.0, -0.0, 1e-200, -1e-200]
+    for name, alg in algebras.items():
+        ring = cohomology(alg)
+        n, b = alg.dim, ring.betti
+        for k in range(n + 1):
+            for l in range(n + 1 - k):
+                for _ in range(3):
+                    vi = [float(x) for x in gen.standard_normal(b[k])]
+                    vj = [float(x) for x in gen.standard_normal(b[l])]
+                    for v in (vi, vj):
+                        for i in gen.choice(len(v), size=len(v) // 2, replace=False):
+                            v[i] = specials[gen.integers(len(specials))]
+                    got = pullback._cup_combination(ring, k, l, vi, vj)
+                    want = _dense_cup_combination(ring, k, l, vi, vj)
+                    assert [x.hex() for x in got] == [x.hex() for x in want], (name, k, l)
 
 
 def _planned_rows(monkeypatch, alg, texts, shape):
     """(form, lambda) pairs, pairs with a live term and rows planned by one
-    homomorphism_check on this map."""
+    homomorphism_check on this map; ``alg`` must be fresh, as the plans are
+    kept per algebra."""
     sizes, pairs, live = [], [], []
     plan, averages, recipe = (pullback._plan_coefficient_rows, pullback._ball_averages,
                               pullback._recipe)
@@ -427,12 +508,13 @@ def test_h5_average_map_plans_only_rows_that_can_be_nonzero(monkeypatch):
     # 910 (form, lambda) rows of its check are zero at every point, and
     # graded commutativity (1 ^ w = w, w_j ^ w_i = -w_i ^ w_j) leaves 63 of
     # the other 190 distinct up to sign
-    assert _planned_rows(monkeypatch, H5, H5_MAP, "quasiball") == ([910], 190, [63])
+    assert _planned_rows(monkeypatch, algebra.heisenberg5(), H5_MAP,
+                         "quasiball") == ([910], 190, [63])
 
 
 def test_h3_average_map_plans_only_distinct_rows(monkeypatch):
     # the benchmark's H3 maps: 24 of the 44 rows can be nonzero, 11 of them distinct up to sign
-    assert _planned_rows(monkeypatch, H3, H3_MAP, "box") == ([44], 24, [11])
+    assert _planned_rows(monkeypatch, algebra.heisenberg3(), H3_MAP, "box") == ([44], 24, [11])
 
 
 def test_constant_map_has_no_row_to_evaluate():

@@ -118,7 +118,7 @@ class Poly:
         return total
 
     def eval_float(self, vals):
-        """Evaluation on floats, numpy arrays, or jets (anything with ring ops)."""
+        """Evaluation on floats or numpy arrays."""
         total = 0.0
         for k, c in self.terms.items():
             term = float(c)

@@ -23,7 +23,7 @@ from .algebra import AlgebraError, load_algebra, save_algebra, heisenberg3, abel
 from .cohomology import cohomology, compare_rings, ring_invariants
 from .forms import parse_form
 from .group import BallSpec
-from .maps import load_map, map_from_texts, normalize_to_y0, save_map
+from .maps import load_map, map_from_texts, save_map
 
 
 def _radii_arg(text: str) -> list[float]:
@@ -198,7 +198,7 @@ def cmd_compare(args) -> dict:
 
 def cmd_average(args) -> dict:
     t0 = time.perf_counter()
-    m = normalize_to_y0(load_map(args.map_file))
+    m = load_map(args.map_file)
     omega = parse_form(args.form, m.codomain)
     est = pullback.amenable_average(
         m,
@@ -240,7 +240,7 @@ def cmd_average(args) -> dict:
 
 def cmd_orbit(args) -> dict:
     t0 = time.perf_counter()
-    m = normalize_to_y0(load_map(args.map_file))
+    m = load_map(args.map_file)
     observables = [
         ergodic.parse_observable(text, m.domain.dim, m.codomain.dim)
         for text in args.observables.split(",")
@@ -303,7 +303,7 @@ def cmd_orbit(args) -> dict:
 
 def cmd_degree(args) -> dict:
     t0 = time.perf_counter()
-    m = normalize_to_y0(load_map(args.map_file))
+    m = load_map(args.map_file)
     target = tuple(float(x) for x in args.target.split(","))
     result = degree_mod.local_degree(
         m, BallSpec(args.window), target, grid_density=args.grid, seed=args.seed
@@ -325,7 +325,7 @@ def cmd_degree(args) -> dict:
 
 def cmd_asymdeg(args) -> dict:
     t0 = time.perf_counter()
-    m = normalize_to_y0(load_map(args.map_file))
+    m = load_map(args.map_file)
     trace = degree_mod.asymptotic_degree(
         m,
         radii=args.radii,

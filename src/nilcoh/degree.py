@@ -33,9 +33,9 @@ import numpy as np
 from . import rng
 from .dsl import DomainError
 from .forms import volume_form
-from .group import BallSpec, box_volume, check_adapted, check_radii, cloud_mean, sample_ball_coords
+from .group import BallSpec, box_volume, check_adapted, cloud_mean, sample_ball_coords
 from .maps import SmoothMap, differential_batch, evaluate_batch, jacobian_batch, normalize_to_y0
-from .pullback import _ball_averages
+from .pullback import amenable_average
 
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 60
@@ -391,7 +391,8 @@ def asymptotic_degree(
     """Per-radius signed average of the pulled-back volume form.
 
     The ratio tau(R)/|B_R| is the plain ball average of the top pullback
-    coefficient, using the same Følner boxes as the cohomology averages.
+    coefficient, read from ``amenable_average`` of omega, so on the same
+    Følner boxes as the cohomology averages.
     """
     m = normalize_to_y0(m)
     if m.domain.dim != m.codomain.dim:
@@ -400,21 +401,15 @@ def asymptotic_degree(
         omega = volume_form(m.codomain)
     if omega.degree != m.codomain.dim:
         raise ValueError("omega must be a top-degree form on the codomain")
-    radii = check_radii(radii)
-    warnings: list[str] = []
-    ratios, stderrs, taus, vols = [], [], [], []
+    est = amenable_average(m, omega, radii, samples, seed, shape)
     top = tuple(range(m.domain.dim))
-    per_radius, _deriv = _ball_averages(m, [omega], radii, samples, seed, shape, warnings)
-    for r, (coeffs,) in zip(radii, per_radius):
-        mean, se = coeffs[top]
-        vol = box_volume(m.domain, r)
-        ratios.append(mean)
-        stderrs.append(se)
-        taus.append(mean * vol)
-        vols.append(vol)
-    positive = all(ratios[i] - 3.0 * stderrs[i] > 0.0 for i in (-2, -1)) if len(radii) >= 2 else False
+    ratios = [value.coeffs.get(top, 0.0) for value in est.values]
+    stderrs = [se[top] for se in est.mc_stderr]
+    vols = [box_volume(m.domain, r) for r in est.radii]
+    taus = [mean * vol for mean, vol in zip(ratios, vols)]
+    positive = len(ratios) >= 2 and all(ratios[i] - 3.0 * stderrs[i] > 0.0 for i in (-2, -1))
     return AsymptoticDegreeTrace(
-        radii=list(radii),
+        radii=est.radii,
         tau=taus,
         ball_volumes=vols,
         ratios=ratios,

@@ -155,7 +155,7 @@ class _Parser:
         self.text = text
         self.tokens = tokenize(text)
         self.i = 0
-        self.names = names or {}
+        self.names = names
 
     def peek(self) -> _Token | None:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -257,7 +257,7 @@ class _Parser:
 
     def identifier(self, tok: _Token):
         name = tok.text
-        if name in self.names:
+        if self.names is not None and name in self.names:
             return Coord(self.names[name], name)
         if name == "pi":
             return PiConst()
@@ -274,15 +274,16 @@ class _Parser:
                 raise ArityError(f"function {name!r} takes exactly one argument", sep.pos)
             self.expect_op(")")
             return Call(name, arg)
-        m = re.fullmatch(r"x([1-9][0-9]*)", name)
+        m = re.fullmatch(r"x([1-9][0-9]*)", name) if self.names is None else None
         if m:
             return Coord(int(m.group(1)) - 1, name)
         raise UnknownSymbolError(f"unknown symbol {name!r}", tok.pos)
 
 
 def parse(text: str, names: dict[str, int] | None = None):
-    """Parse an expression; ``names`` optionally maps extra symbols to
-    environment slots (used for observables over derivative entries)."""
+    """Parse an expression over the coordinates x1, x2, ...; ``names``, when
+    given, maps symbols to environment slots and is then the only set of
+    variables, xN included (used for observables over derivative entries)."""
     return _Parser(text, names).parse()
 
 

@@ -4,7 +4,8 @@ A ``Jet`` carries a value and its partials with respect to a fixed list of
 input coordinates.  Values may be scalars or numpy sample batches; partials
 have shape ``(n_inputs,) + value.shape``.  Arithmetic implements the exact
 differentiation rules, so jets can flow through expression trees and the
-polynomial group law alike.
+polynomial group law alike.  A quotient's value is a/b, bit for bit the
+float evaluation; its partials are built from 1/b.
 
 Integer powers k >= 2, of jets and of numpy arrays alike, are products
 (``powers``), because numpy's ``pow`` is far slower than the
@@ -33,11 +34,6 @@ class Jet:
         partials = np.zeros((count,) + values.shape)
         partials[index] = 1.0
         return cls(values, partials)
-
-    @classmethod
-    def constant(cls, values, count: int) -> "Jet":
-        values = np.asarray(values, dtype=float)
-        return cls(values, np.zeros((count,) + values.shape))
 
     def __add__(self, other):
         if isinstance(other, Jet):
@@ -71,14 +67,14 @@ class Jet:
         if isinstance(other, Jet):
             inv = 1.0 / other.value
             return Jet(
-                self.value * inv,
+                self.value / other.value,
                 (self.partials - other.partials * (self.value * inv)) * inv,
             )
         return Jet(self.value / other, self.partials / other)
 
     def __rtruediv__(self, other):
         inv = 1.0 / self.value
-        return Jet(other * inv, -self.partials * (other * inv * inv))
+        return Jet(other / self.value, -self.partials * (other * inv * inv))
 
     def __pow__(self, k):
         if not isinstance(k, int):

@@ -25,30 +25,37 @@ so linearity of the estimator holds exactly; ``group.cloud_mean`` averages
 over it.  ``_average_plan`` builds each (form, lambda) pair's row recipe
 (``_recipe``: its terms on live minors), drops the pairs with
 none, whose rows are zero (on the benchmark's H5 map 720 of 910), and
-reports them as mean 0.0 with stderr 0.0, what summing their zero rows
-gave.  It keys the other recipes up to sign, negating every coefficient
-when the first is negative, and evaluates one row per key: graded
-commutativity (1 ^ w = w, w_j ^ w_i = +-w_i ^ w_j) leaves 63 distinct rows
-of the 190 live H5 pairs.  A pair with the key's recipe reads the key's
-(mean, stderr), a negated one (0.0 - mean, stderr): rows start from +0.0
-and rounding is symmetric in sign, so the negated row's sums are the
-negated sums, an exact zero stays +0.0 (where -mean would give -0.0), and
-its stderr is the same.  The keys are sorted by (degree, lambda) and cut
-into blocks of at most ``_BLOCK_ITEMS`` floats per chunk of samples, each
-planned by ``_plan_coefficient_rows``; ``_ball_averages`` reuses the plan at
-every radius and chunk, and ``cloud_mean`` reduces a block before the next
-one is evaluated, so memory is bounded whatever the number of pairs.  Every
-row keeps its own per-chunk sums, so the blocks move no bit.
+points them at one zero slot after the last row, which reads mean 0.0 with
+stderr 0.0, what summing their zero rows gave.  It keys the other recipes
+up to sign, negating every coefficient when the first is negative, and
+evaluates one row per key: graded commutativity (1 ^ w = w,
+w_j ^ w_i = +-w_i ^ w_j) leaves 63 distinct rows of the 190 live H5 pairs.
+A pair with the key's recipe reads the key's (mean, stderr), a negated one
+(0.0 - mean, stderr): rows start from +0.0 and rounding is symmetric in
+sign, so the negated row's sums are the negated sums, an exact zero stays
++0.0 (where -mean would give -0.0), and its stderr is the same.  Those
+reads are two gathers over the pairs, one for the means and one for the
+stderrs, and a masked subtraction, so the averages stay in one format: per
+form, a dense float64 mean and stderr vector over ``basis_tuples``, which
+``induced_cohomology_map`` projects as they are and ``amenable_average``
+turns into ``KForm``s and dicts only where it returns them.  The keys are
+sorted by (degree, lambda) and cut into blocks of at most ``_BLOCK_ITEMS``
+floats per chunk of samples, each planned by ``_plan_coefficient_rows``;
+``_ball_averages`` reuses the plan at every radius and chunk, and
+``cloud_mean`` reduces a block before the next one is evaluated, so memory
+is bounded whatever the number of pairs.  Every row keeps its own
+per-chunk sums, so the blocks move no bit.
 
-``amenable_average`` and ``asymptotic_degree`` average their caller's forms
-and plan on every call.  ``induced_cohomology_map`` averages the codomain
-ring's representatives and their products, so everything it builds before
-sampling (those forms, the wedge products and the plan) depends only on the
-codomain algebra, the domain's dimension, the map's differential pattern
-and the chunk size: ``_induced_setup`` builds it once per such key and
-keeps it with the codomain algebra (``algebra.DerivedCache``), and a warm
-call only samples, evaluates and projects.  The plans hold no state
-between calls, so a warm call gives the bytes of a cold one.
+``amenable_average`` (and through it ``degree.asymptotic_degree``) averages
+its caller's form and plans on every call.  ``induced_cohomology_map``
+averages the codomain ring's representatives and their products, so
+everything it builds before sampling (those forms, the wedge products and
+the plan) depends only on the codomain algebra, the domain's dimension,
+the map's differential pattern and the chunk size: ``_induced_setup``
+builds it once per such key and keeps it with the codomain algebra
+(``algebra.DerivedCache``), and a warm call only samples, evaluates and
+projects.  The plans hold no state between calls, so a warm call gives
+the bytes of a cold one.
 
 Evaluation is serial and reruns are bit-identical.  The public functions
 accept ``threads`` for compatibility and ignore it.
@@ -318,8 +325,9 @@ class _AveragePlan:
     """The call-invariant half of ``_ball_averages``: what it evaluates for
     one list of forms on one differential pattern and chunk size."""
 
-    lambdas: list[list[tuple[int, ...]]]  # per form: its frame tuples
-    owners: list[tuple[int, tuple[int, ...], int, bool]]  # (form, lambda, row, negated)
+    rows: np.ndarray  # per (form, lambda) pair: its distinct row, or the zero slot after the last
+    negated: np.ndarray  # per pair: whether it reads its row's mean negated
+    forms: list[slice]  # per form: its pairs, lambdas in basis_tuples order
     blocks: list[tuple[int, Callable]]  # (rows, their _plan_coefficient_rows) per block
     width: int  # rows of the largest block
 
@@ -336,26 +344,27 @@ def _average_plan(omegas: list[KForm], pattern: np.ndarray, chunk: int) -> _Aver
     (degree, lambda) and cut into blocks of at most ``_BLOCK_ITEMS`` floats
     per ``chunk`` of samples, each block planned by ``_plan_coefficient_rows``."""
     live = _live_minors(pattern)
-    lambdas = {k: basis_tuples(pattern.shape[1], k) for k in {w.degree for w in omegas}}
-    owners = []  # (form, lambda, recipe up to sign, negated) of the pairs with a live term
-    for f, w in enumerate(omegas):
-        for lam in lambdas[w.degree] if w.coeffs else ():  # a zero form has no term
+    keys, negated, forms = [], [], []  # per pair: recipe up to sign (None for a zero row), sign
+    for w in omegas:
+        start = len(keys)
+        for lam in basis_tuples(pattern.shape[1], w.degree):
             recipe = _recipe(w, lam, 1, live)  # basis tuples are increasing
-            if recipe is None:
-                continue
-            cols, kept = recipe
-            negated = kept[0][0] < 0
-            if negated:
+            negate = recipe is not None and recipe[1][0][0] < 0
+            if negate:
+                cols, kept = recipe
                 recipe = cols, tuple((-c, r) for c, r in kept)
-            owners.append((f, lam, recipe, negated))
-    recipes = sorted(dict.fromkeys(key for _, _, key, _ in owners),
+            keys.append(recipe)
+            negated.append(negate)
+        forms.append(slice(start, len(keys)))
+    recipes = sorted(dict.fromkeys(k for k in keys if k is not None),
                      key=lambda k: (len(k[0]), k[0]))  # rows sharing minors side by side
     slot = {k: i for i, k in enumerate(recipes)}
     size = max(1, _BLOCK_ITEMS // chunk)
     blocks = [recipes[i:i + size] for i in range(0, len(recipes) or 1, size)]
     return _AveragePlan(
-        lambdas=[lambdas[w.degree] for w in omegas],
-        owners=[(f, lam, slot[key], negated) for f, lam, key, negated in owners],
+        rows=np.array([slot.get(k, len(recipes)) for k in keys], dtype=np.intp),
+        negated=np.array(negated, dtype=bool),
+        forms=forms,
         blocks=[(len(b), _plan_coefficient_rows(b, pattern)) for b in blocks],
         width=min(size, len(recipes)),
     )
@@ -376,13 +385,14 @@ def _ball_averages(
     ``plan`` is ``_average_plan`` of these forms on the map's
     ``differential_pattern`` and ``_chunk(samples)``, built here when not
     given.  A pair with no term on a live minor of the pattern is a row of
-    zeros and is not evaluated: it reads (0.0, 0.0).  The other pairs are
-    keyed by their ``_recipe`` up to sign, and one row per key is
-    evaluated: a pair whose recipe is the key's reads its (mean, stderr), a
-    negated one (0.0 - mean, stderr).
+    zeros and is not evaluated: it reads the zero slot, (0.0, 0.0).  The
+    other pairs are keyed by their ``_recipe`` up to sign, and one row per
+    key is evaluated: a pair whose recipe is the key's reads its
+    (mean, stderr), a negated one (0.0 - mean, stderr).
 
-    Returns, per radius and per input form, a dict lambda -> (mean, stderr),
-    and the largest sampled |frame differential| entry over all radii.
+    Returns, per radius and per input form, a (mean, stderr) pair of float64
+    arrays over ``basis_tuples(n_dom, degree)``, and the largest sampled
+    |frame differential| entry over all radii.
     """
     _check_on_codomain(m, omegas)
     chunk = _chunk(samples)
@@ -409,17 +419,18 @@ def _ball_averages(
         chunk_derivative_max.clear()
         mean, stderr = cloud_mean(cloud, coefficients)
         deriv_bound = max(deriv_bound, max(chunk_derivative_max, default=0.0))
-        mean, stderr = mean.tolist(), stderr.tolist()
-        coeffs = [dict.fromkeys(lams, (0.0, 0.0)) for lams in plan.lambdas]
-        for f, lam, i, negated in plan.owners:
-            # 0.0 - mean is what the negated row averages to, +0.0 for a zero mean
-            coeffs[f][lam] = (0.0 - mean[i] if negated else mean[i], stderr[i])
-        per_radius.append(coeffs)
+        mean = np.append(mean, 0.0)[plan.rows]
+        # 0.0 - mean is what the negated row averages to, +0.0 for a zero mean
+        np.subtract(0.0, mean, out=mean, where=plan.negated)
+        stderr = np.append(stderr, 0.0)[plan.rows]
+        per_radius.append([(mean[s], stderr[s]) for s in plan.forms])
     return per_radius, deriv_bound
 
 
-def _form_of(dom: LieAlgebra, degree: int, coeff_map: dict) -> KForm:
-    return KForm(dom, degree, {lam: v for lam, (v, _) in coeff_map.items() if v != 0.0})
+def _form_of(dom: LieAlgebra, degree: int, mean: np.ndarray) -> KForm:
+    """The form with these coefficients over ``basis_tuples``, zeros left out."""
+    lambdas = basis_tuples(dom.dim, degree)
+    return KForm(dom, degree, {lam: v for lam, v in zip(lambdas, mean.tolist()) if v != 0.0})
 
 
 def amenable_average(
@@ -435,12 +446,10 @@ def amenable_average(
     m = normalize_to_y0(m)
     radii = check_radii(radii)
     warnings: list[str] = []
-    values: list[KForm] = []
-    stderrs: list[dict] = []
     per_radius, deriv_bound = _ball_averages(m, [omega], radii, samples, seed, shape, warnings)
-    for (coeffs,) in per_radius:
-        values.append(_form_of(m.domain, omega.degree, coeffs))
-        stderrs.append({lam: se for lam, (_, se) in coeffs.items()})
+    lambdas = basis_tuples(m.domain.dim, omega.degree)
+    values = [_form_of(m.domain, omega.degree, mean) for ((mean, _),) in per_radius]
+    stderrs = [dict(zip(lambdas, se.tolist())) for ((_, se),) in per_radius]
     increments = _increments(values)
     nonconv = _nonconvergent(increments, [max(s.values(), default=0.0) for s in stderrs])
     if nonconv:
@@ -546,10 +555,10 @@ def induced_cohomology_map(
                                              plan)
 
     chain_trace: dict[int, list[float]] = {k: [] for k in range(n_dom + 1)}
-    for coeffs_at_r in per_radius:
+    for averages in per_radius:
         worst: dict[int, float] = {k: 0.0 for k in range(n_dom + 1)}
-        for (k, _i), coeff in zip(owners, coeffs_at_r[: len(owners)]):
-            avg = _form_of(m.domain, k, coeff)
+        for (k, _i), (mean, _se) in zip(owners, averages):
+            avg = _form_of(m.domain, k, mean)
             worst[k] = max(worst[k], ce_differential(avg).max_abs())
         for k, v in worst.items():
             chain_trace[k].append(v)
@@ -563,26 +572,21 @@ def induced_cohomology_map(
         cols = [i for (kk, i) in owners if kk == k]
         matrices[k] = [[0.0] * len(cols) for _ in range(b_dom)]
         stderrs[k] = 0.0
-    for (k, i), coeff in zip(owners, final[: len(owners)]):
-        se = max((s for (_v, s) in coeff.values()), default=0.0)
+    for (k, i), (mean, se) in zip(owners, final):
+        se = max(se.tolist(), default=0.0)  # Python's max: a NaN reads as it did
         stderrs[k] = max(stderrs[k], se)
-        vec = [float(v) for v, _s in (coeff.get(t, (0.0, 0.0)) for t in basis_tuples(n_dom, k))]
-        coords = ring_dom.spaces[k].project_float(vec)
+        coords = ring_dom.spaces[k].project_float(mean)
         class_vectors[(k, i)] = coords
-        _projection_warning(ring_dom.spaces[k], vec, se, warnings)
+        _projection_warning(ring_dom.spaces[k], mean, se, warnings)
         for a, c in enumerate(coords):
             matrices[k][a][i] = c
 
     mult_residuals: dict[tuple[int, int, int, int], float] = {}
     if with_products:
-        for key, coeff in zip(product_keys, final[len(owners):]):
+        for key, (mean, _se) in zip(product_keys, final[len(owners):]):
             k, i, l, j = key
             degree = k + l
-            vec = [
-                float(v)
-                for v, _s in (coeff.get(t, (0.0, 0.0)) for t in basis_tuples(n_dom, degree))
-            ]
-            lhs = ring_dom.spaces[degree].project_float(vec)
+            lhs = ring_dom.spaces[degree].project_float(mean)
             rhs = _cup_combination(ring_dom, k, l, class_vectors[(k, i)], class_vectors[(l, j)])
             if ring_dom.spaces[degree].betti == 0:
                 mult_residuals[key] = 0.0

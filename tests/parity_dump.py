@@ -9,10 +9,12 @@ temporary output directory replaced by ``OUTDIR``), the reprs of
 on filiform7 and filiform8, three warm repeats of each ``average`` map's
 ``homomorphism_check`` in one process (a new seed at the 2nd and 3rd
 call, so a cache filled by one call shows if it moves the next),
-``amenable_average``, ``asymptotic_degree``
-and ``area_formula_check`` reprs, and the reprs of the first cycle of the
-``degree`` benchmark for seeds 1 and 2 (its seeded x^3 - b·x area check and
-z3 ``local_degree`` at 8 seeded targets).  Exact-layer digests cover the
+``amenable_average`` and ``area_formula_check`` reprs, ``asymptotic_degree``
+reprs on three maps (a doubling, a box average of -vol/2 whose top
+coefficient is negated and whose determinant varies, and a quasiball
+one), and the reprs of the first cycle of the ``degree`` benchmark for
+seeds 1 and 2 (its seeded x^3 - b·x area check and z3 ``local_degree`` at
+8 seeded targets).  Exact-layer digests cover the
 ``cli._ring_results`` reprs (representatives, cup table, cup ranks) of
 filiform7, free2step4, H9 and seeded dense twins of H5 and filiform6, and
 ``project_float`` of one seeded vector per degree on each of them.  The
@@ -47,7 +49,7 @@ import nilcoh  # noqa: E402
 from bench.workloads import (  # noqa: E402
     BUILDERS, REPRO_STEPS, Average, Degree, dense_twin, heisenberg)
 from nilcoh import algebra, cli  # noqa: E402
-from nilcoh.forms import basis_form, wedge  # noqa: E402
+from nilcoh.forms import basis_form, volume_form, wedge  # noqa: E402
 from nilcoh.report import render_stable  # noqa: E402
 from test_golden import CASES, stable_report  # noqa: E402
 
@@ -118,11 +120,18 @@ def library_calls() -> dict:
     omega = wedge(basis_form(h5, (0, 1)), basis_form(h5, (4,)))
     doubling = nilcoh.map_from_texts(h3, h3, ["2*x1", "x2", "2*x3"])
     cubic = nilcoh.map_from_texts(r1, r1, ["x1^3 - x1"])
+    bent = nilcoh.map_from_texts(h3, h3, ["2*x1 + 0.3*sin(x2)", "x2 + 0.25*x1^2", "2*x3 + x1*x2"])
+    wobble = nilcoh.map_from_texts(h5, h5, ["x1 + 0.3*sin(x1)", "x2", "x3 + 0.2*x4^2", "x4",
+                                            "x5 + 0.2*x1*x3"])
     return {
         "amenable_average/h5-shifted": digest(repr(nilcoh.amenable_average(
             m5, omega, radii=(4.0, 8.0), samples=3000, seed=2))),
         "asymptotic_degree/h3-doubling": digest(repr(nilcoh.asymptotic_degree(
             doubling, radii=(4.0, 8.0), samples=3000, seed=2))),
+        "asymptotic_degree/h3-box-negated": digest(repr(nilcoh.asymptotic_degree(
+            bent, volume_form(h3).scale(-0.5), radii=(2.0, 4.0, 8.0), samples=3000, seed=3))),
+        "asymptotic_degree/h5-quasiball": digest(repr(nilcoh.asymptotic_degree(
+            wobble, radii=(2.0, 4.0), samples=3000, seed=4, shape="quasiball"))),
         "area_formula_check/cubic": digest(repr(nilcoh.area_formula_check(
             cubic, 2.0, samples=2000, seed=2))),
     }

@@ -95,6 +95,17 @@ def test_orbit_command_probe(files, capsys):
     assert rep["results"]["spreads"]["d12"] >= 1.5
 
 
+def test_exit_code_on_a_coordinate_observable(files, capsys):
+    # observables are expressions over the dIJ symbols: x2 was read as d12
+    code, out, err = run(
+        ["orbit", "--map", str(files / "f1.map.json"), "--observables", "x2",
+         "--radii", "2,4", "--samples", "200"],
+        capsys,
+    )
+    assert (code, out) == (1, "")
+    assert "unknown symbol 'x2'" in err
+
+
 def test_degree_command(files, capsys):
     xsin = {"domain": "r1.json", "codomain": "r1.json", "components": ["x1 + sin(x1)"]}
     (files / "xsin.map.json").write_text(json.dumps(xsin))

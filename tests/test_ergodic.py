@@ -58,6 +58,8 @@ def test_parse_observable_forms():
     assert obs.kind == "expression"
     with pytest.raises(ValueError):
         parse_observable("d31", 1, 2)
+    with pytest.raises(UnknownSymbolError):  # xN read the N-th dIJ slot (x1: d11)
+        parse_observable("x1", 1, 2)
 
 
 def test_parse_observable_refuses_ambiguous_symbols_from_dimension_ten():

@@ -371,8 +371,13 @@ def test_blocked_averages_equal_whole_array_averages(monkeypatch, alg, texts, sa
         monkeypatch.setattr(pullback, "_BLOCK_ITEMS", rows_per_block * rng.CHUNK)
     radii = [2.0, 4.0]
     got, _ = pullback._ball_averages(m, omegas, radii, samples, 3, shape, [])
-    for radius, coeffs in zip(radii, got):
+    for radius, averages in zip(radii, got):
         want = oracles.whole_array_averages(m, omegas, radius, samples, 3, shape)
+        lambdas = [basis_tuples(alg.dim, w.degree) for w in omegas]
+        assert [(mean.dtype, se.dtype, mean.shape, se.shape) for mean, se in averages] == [
+            (np.float64, np.float64, (len(lams),), (len(lams),)) for lams in lambdas]
+        coeffs = [dict(zip(lams, zip(mean.tolist(), se.tolist())))
+                  for lams, (mean, se) in zip(lambdas, averages)]
         assert repr(coeffs) == repr(want)
 
 

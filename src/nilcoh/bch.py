@@ -28,6 +28,19 @@ lie (``SparsePattern``), and the numeric layer never evaluates them into
 dense stacks: ``GroupLaw._product`` multiplies a sample-last stack of
 matrices (a, b, N) by one of them, on either side, adding each entry's
 terms in k order, skipping the zeros and the multiplications by 1.
+
+Term order is the float summation order: ``Poly.eval_float`` adds a
+polynomial's terms in dict order, so the order in which the exact kernels
+build ``terms`` fixes the bits of every numeric group-law evaluation, and it
+must not change.  A sum (``+``, ``-``, and the accumulations of the bracket
+and of the Neumann series, all through ``exactlinalg._axpy``) keeps the left
+operand's terms in place, appends new keys in the right operand's order and
+drops a term the moment it cancels.  A product keeps each key where it first
+appears and drops the terms that cancel only at the end, so a term that is
+zero on the way and comes back keeps its first position.  ``scale`` and
+``diff`` map terms one to one, in order.  No kernel spends Fraction work the
+values do not need: a coefficient of +-1 adds or subtracts instead of
+multiplying, and ``scale(1)`` returns the polynomial itself.
 """
 
 from __future__ import annotations
@@ -36,10 +49,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb, factorial
+from operator import add
 
 import numpy as np
 
 from .algebra import DerivedCache, LieAlgebra
+from .exactlinalg import ONE, _axpy, _scaled
 
 ExpKey = tuple[int, ...]
 
@@ -50,13 +65,26 @@ class IllConditionedFrame(ValueError):
 
 
 class Poly:
-    """Sparse multivariate polynomial with Fraction coefficients."""
+    """Sparse multivariate polynomial with Fraction coefficients.
+
+    A Poly is a value: no operation mutates ``terms``, so ``scale(1)`` may
+    hand back the polynomial itself.  ``terms`` never holds a zero; each
+    operation builds its dict in the order stated in the module docstring.
+    """
 
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: dict[ExpKey, Fraction] | None = None):
         self.nvars = nvars
         self.terms = {k: v for k, v in (terms or {}).items() if v}
+
+    @classmethod
+    def _of(cls, nvars: int, terms: dict[ExpKey, Fraction]) -> "Poly":
+        """A Poly on a dict that holds no zero, taken as it is."""
+        p = cls.__new__(cls)
+        p.nvars = nvars
+        p.terms = terms
+        return p
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "Poly":
@@ -70,38 +98,54 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         terms = dict(self.terms)
-        for k, v in other.terms.items():
-            terms[k] = terms.get(k, Fraction(0)) + v
-        return Poly(self.nvars, terms)
+        _axpy(terms, ONE, other.terms)
+        return Poly._of(self.nvars, terms)
 
     def __sub__(self, other: "Poly") -> "Poly":
         terms = dict(self.terms)
-        for k, v in other.terms.items():
-            terms[k] = terms.get(k, Fraction(0)) - v
-        return Poly(self.nvars, terms)
+        _axpy(terms, -ONE, other.terms)
+        return Poly._of(self.nvars, terms)
 
     def __mul__(self, other: "Poly") -> "Poly":
         terms: dict[ExpKey, Fraction] = {}
+        get = terms.get
+        summed = False
+        right = list(other.terms.items())
         for ka, va in self.terms.items():
-            for kb, vb in other.terms.items():
-                key = tuple(a + b for a, b in zip(ka, kb))
-                terms[key] = terms.get(key, Fraction(0)) + va * vb
-        return Poly(self.nvars, terms)
+            if va == 1:
+                products = [(tuple(map(add, ka, kb)), vb) for kb, vb in right]
+            elif va == -1:
+                products = [(tuple(map(add, ka, kb)), -vb) for kb, vb in right]
+            else:
+                products = [(tuple(map(add, ka, kb)), va * vb) for kb, vb in right]
+            for key, term in products:
+                s = get(key)
+                if s is None:
+                    terms[key] = term
+                else:
+                    terms[key] = s + term
+                    summed = True
+        if summed:  # only a sum can be zero; it kept its first position until here
+            terms = {k: v for k, v in terms.items() if v}
+        return Poly._of(self.nvars, terms)
 
     def scale(self, c) -> "Poly":
-        c = Fraction(c)
+        if not isinstance(c, Fraction):
+            c = Fraction(c)
         if not c:
             return Poly(self.nvars)
-        return Poly(self.nvars, {k: c * v for k, v in self.terms.items()})
+        if c == 1:
+            return self
+        return Poly._of(self.nvars, _scaled(self.terms, c))
 
     def diff(self, index: int) -> "Poly":
+        # k -> k - e_index is one to one, so no two terms meet
         terms = {}
         for k, v in self.terms.items():
             e = k[index]
             if e:
-                key = k[:index] + (e - 1,) + k[index + 1 :]
-                terms[key] = terms.get(key, Fraction(0)) + v * e
-        return Poly(self.nvars, terms)
+                terms[k[:index] + (e - 1,) + k[index + 1 :]] = v if e == 1 else v * e
+        return Poly._of(self.nvars, terms)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -145,15 +189,14 @@ def _as_batch(x) -> np.ndarray:
 
 
 def _poly_vec_bracket(alg: LieAlgebra, u: list[Poly], v: list[Poly]) -> list[Poly]:
-    nvars = u[0].nvars
-    out = [Poly(nvars) for _ in range(alg.dim)]
+    out: list[dict[ExpKey, Fraction]] = [{} for _ in range(alg.dim)]
     for (i, j), comps in alg.structure.items():
-        w = u[i] * v[j] - u[j] * v[i]
-        if w.is_zero():
-            continue
-        for k, c in comps.items():
-            out[k] = out[k] + w.scale(c)
-    return out
+        w = (u[i] * v[j] - u[j] * v[i]).terms
+        if w:
+            for k, c in comps.items():
+                _axpy(out[k], c, w)
+    nvars = u[0].nvars
+    return [Poly._of(nvars, terms) for terms in out]
 
 
 def _bernoulli(count: int) -> list[Fraction]:
@@ -201,16 +244,19 @@ def bch_product_polys(alg: LieAlgebra) -> list[Poly]:
 
 
 def _poly_mat_mul(a: list[list[Poly]], b: list[list[Poly]]) -> list[list[Poly]]:
+    """a @ b; each entry adds its nonzero products a[i][k] * b[k][j] in k order."""
     n = len(a)
     nvars = a[0][0].nvars
-    out = [[Poly(nvars) for _ in range(n)] for _ in range(n)]
-    for i in range(n):
+    out = []
+    for row in a:
+        out_row = []
         for j in range(n):
-            acc = Poly(nvars)
+            acc: dict[ExpKey, Fraction] = {}
             for k in range(n):
-                if not a[i][k].is_zero() and not b[k][j].is_zero():
-                    acc = acc + a[i][k] * b[k][j]
-            out[i][j] = acc
+                if row[k].terms and b[k][j].terms:
+                    _axpy(acc, ONE, (row[k] * b[k][j]).terms)
+            out_row.append(Poly._of(nvars, acc))
+        out.append(out_row)
     return out
 
 
@@ -271,21 +317,34 @@ class GroupLaw:
     def dim(self) -> int:
         return self.algebra.dim
 
+    def _check_length(self, length: int) -> None:
+        if length != self.algebra.dim:
+            raise ValueError(f"a point of a dim-{self.algebra.dim} group has "
+                             f"{self.algebra.dim} coordinates, got {length}")
+
     # -- exact paths --------------------------------------------------------
 
     def multiply(self, a, b):
         """Product of two coordinate sequences; exact on rationals."""
-        ev = _evaluator(list(a) + list(b))
+        a, b = list(a), list(b)
+        self._check_length(len(a))
+        self._check_length(len(b))
+        ev = _evaluator(a + b)
         return [ev(p) for p in self.product]
 
     def frame_at(self, a):
         """Left-invariant frame matrix at a point (columns = frame fields)."""
-        ev = _evaluator(list(a))
+        a = list(a)
+        self._check_length(len(a))
+        ev = _evaluator(a)
         return [[ev(p) for p in row] for row in self.frame]
 
     def translation_jacobian(self, a, b):
         """d(a·y)/dy at y = b, exact on rationals."""
-        ev = _evaluator(list(a) + list(b))
+        a, b = list(a), list(b)
+        self._check_length(len(a))
+        self._check_length(len(b))
+        ev = _evaluator(a + b)
         return [[ev(p) for p in row] for row in self.trans_jac]
 
     # -- vectorized paths -----------------------------------------------------
@@ -294,6 +353,8 @@ class GroupLaw:
         """Product of coordinate batches shaped (n, N); (n,) inputs broadcast."""
         a = _as_batch(a)
         b = _as_batch(b)
+        self._check_length(a.shape[0])
+        self._check_length(b.shape[0])
         a, b = np.broadcast_arrays(a, b)
         vals = list(a) + list(b)
         out = np.empty(a.shape, dtype=float)
@@ -361,7 +422,7 @@ def group_law(alg: LieAlgebra) -> GroupLaw:
     product = bch_product_polys(alg)
     trans = [[product[i].diff(n + j) for j in range(n)] for i in range(n)]
     # frame: the y-free terms of trans_jac, as polynomials in x alone
-    frame = [[Poly(n, {k[:n]: v for k, v in p.terms.items() if not any(k[n:])}) for p in row]
+    frame = [[Poly._of(n, {k[:n]: v for k, v in p.terms.items() if not any(k[n:])}) for p in row]
              for row in trans]
 
     # frame = I + N with N nilpotent (entries only flow low weight -> high),
@@ -377,7 +438,7 @@ def group_law(alg: LieAlgebra) -> GroupLaw:
             break
         for i in range(n):
             for j in range(n):
-                inv[i][j] = inv[i][j] + power[i][j].scale(sign)
+                inv[i][j] = inv[i][j] + power[i][j] if sign > 0 else inv[i][j] - power[i][j]
         sign = -sign
     else:
         raise IllConditionedFrame(f"frame - I has a nonzero {n}-th power: corrupt algebra data")

@@ -10,6 +10,15 @@ form of a growing set of sparse vectors, which makes the rank, the kernel,
 the pivot columns, span membership and coordinates over the inserted vectors
 (an inverse, for the rows of an invertible matrix) all fall out of one
 elimination.  Callers use it directly.
+
+Dict order is part of the result: the rows, tags and residuals are the same
+dicts, in the same order, on every run.  Every accumulation goes through
+``_axpy``, which drops an entry the moment it cancels and appends new keys
+in the order of the vector it adds, so a key that cancels and comes back
+goes to the end.  ``bch.Poly`` sums its terms with the same kernel, and
+there the order is the float summation order of the group law.  A
+coefficient of +-1 (most pivots and bracket constants) adds or subtracts
+without a multiplication, and a pivot of 1 is not rescaled.
 """
 
 from __future__ import annotations
@@ -48,11 +57,12 @@ class Echelon:
         pivot column, and it is empty exactly when v lies in the span."""
         out = {key: x for key, x in v.items() if x}
         tag: Sparse = {}
+        rows, tags = self.rows, self.tags
         # rows vanish on each other's pivots, so v's own entries there are
         # the coefficients, whatever the order of elimination
-        for p, c in [(p, c) for p, c in out.items() if p in self.rows]:
-            _axpy(out, -c, self.rows[p])
-            _axpy(tag, c, self.tags[p])
+        for p, c in [(p, c) for p, c in out.items() if p in rows]:
+            _axpy(out, -c, rows[p])
+            _axpy(tag, c, tags[p])
         return out, tag
 
     def insert(self, v: Sparse, tag: Sparse | None = None) -> bool:
@@ -63,14 +73,15 @@ class Echelon:
         row_tag = dict(tag or {})
         _axpy(row_tag, -ONE, used)
         pivot = min(residual)
-        scale = ONE / residual[pivot]
-        row = {key: x * scale for key, x in residual.items()}
-        row_tag = {key: x * scale for key, x in row_tag.items()}
-        for p, other in self.rows.items():
-            c = other.get(pivot)
-            if c:
-                _axpy(other, -c, row)
-                _axpy(self.tags[p], -c, row_tag)
+        row = residual
+        if residual[pivot] != 1:
+            scale = ONE / residual[pivot]
+            row, row_tag = _scaled(residual, scale), _scaled(row_tag, scale)
+        tags = self.tags
+        for p, other in [(p, other) for p, other in self.rows.items() if pivot in other]:
+            c = -other[pivot]
+            _axpy(other, c, row)
+            _axpy(tags[p], c, row_tag)
         self.rows[pivot] = row
         self.tags[pivot] = row_tag
         return True
@@ -84,18 +95,51 @@ class Echelon:
                 continue
             v = {free: ONE}
             for p, row in self.rows.items():
-                c = row.get(free)
-                if c:
-                    v[p] = -c
+                if free in row:
+                    v[p] = -row[free]
             basis.append(v)
         return basis
 
 
 def _axpy(y: Sparse, a: Fraction, x: Sparse) -> None:
-    """y += a * x in place, dropping entries that cancel."""
-    for key, xv in x.items():
-        s = y.get(key, ZERO) + a * xv
-        if s:
-            y[key] = s
-        else:
-            y.pop(key, None)
+    """y += a * x in place, for a nonzero a and an x that holds no zero.
+
+    An entry that cancels is deleted at once; a new key goes to the end of
+    y, in x's order.  a = 1 and a = -1 add and subtract x's values as they
+    are, without a multiplication.
+    """
+    get = y.get
+    if a == 1:
+        for key, xv in x.items():
+            s = get(key)
+            if s is None:
+                y[key] = xv
+            elif s := s + xv:
+                y[key] = s
+            else:
+                del y[key]
+    elif a == -1:
+        for key, xv in x.items():
+            s = get(key)
+            if s is None:
+                y[key] = -xv
+            elif s := s - xv:
+                y[key] = s
+            else:
+                del y[key]
+    else:
+        for key, xv in x.items():
+            s = get(key)
+            if s is None:
+                y[key] = a * xv
+            elif s := s + a * xv:
+                y[key] = s
+            else:
+                del y[key]
+
+
+def _scaled(x: Sparse, a: Fraction) -> Sparse:
+    """a * x as a new dict in x's order, for a nonzero a."""
+    if a == -1:
+        return {key: -xv for key, xv in x.items()}
+    return {key: a * xv for key, xv in x.items()}

@@ -15,6 +15,7 @@ applies them to a form's coefficients, and ``cohomology`` eliminates them.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -142,20 +143,26 @@ def volume_form(alg: LieAlgebra) -> KForm:
 
 
 def wedge(a: KForm, b: KForm) -> KForm:
-    """Exterior product; graded commutative, determinant-normalized."""
+    """Exterior product; graded commutative, determinant-normalized.
+
+    Keys appear in the order of their first term; a coefficient that cancels
+    keeps its place until the zeros are dropped at the end."""
     if a.algebra is not b.algebra:
         raise ValueError("wedge requires forms on the same algebra")
     degree = a.degree + b.degree
     if degree > a.algebra.dim:
         return KForm(a.algebra, degree, {})
     out: dict[Index, object] = {}
+    get = out.get
     for left, ca in a.coeffs.items():
         lset = set(left)
         for right, cb in b.coeffs.items():
-            if lset.intersection(right):
+            if not lset.isdisjoint(right):
                 continue
             key, sign = sort_with_sign(left + right)
-            out[key] = out.get(key, 0) + sign * (ca * cb)
+            term = ca * cb if sign > 0 else -(ca * cb)
+            s = get(key)
+            out[key] = term if s is None else s + term
     return KForm(a.algebra, degree, _drop_zeros(out))
 
 
@@ -267,24 +274,30 @@ def _build_differential_rows(alg: LieAlgebra, k: int) -> dict[Index, xl.Sparse]:
     (k+1)-tuples: each pair a < b of T with a nonzero
     bracket [e_{T_a}, e_{T_b}] = sum_m c_m e_m adds (-1)^(a+b) c_m, times the
     sign that sorts (m,) + rest, at S = sorted((m,) + rest), where rest is T
-    without T_a and T_b.  Only nonzero entries and rows are kept.
+    without T_a and T_b.  Only nonzero entries and rows are kept; as in
+    ``wedge``, an entry that cancels keeps its place until the zeros of its
+    row are dropped.
     """
     rows: dict[Index, xl.Sparse] = {}
     for target in basis_tuples(alg.dim, k + 1):
         row: xl.Sparse = {}
+        get = row.get
         for a in range(k + 1):
             for b in range(a + 1, k + 1):
                 comps = alg.bracket_basis(target[a], target[b])
                 if not comps:
                     continue
                 rest = target[:a] + target[a + 1 : b] + target[b + 1 :]
-                sign = (-1) ** (a + b)
+                odd = (a + b) & 1
                 for m, c in comps.items():
-                    ss = sort_with_sign((m,) + rest)
-                    if ss is None:
+                    # (m,) + rest sorts by moving m past the i entries below it
+                    i = bisect_left(rest, m)
+                    if i < len(rest) and rest[i] == m:
                         continue
-                    key, perm = ss
-                    row[key] = row.get(key, xl.ZERO) + sign * perm * c
+                    key = rest[:i] + (m,) + rest[i:]
+                    term = -c if (i + odd) & 1 else c
+                    s = get(key)
+                    row[key] = term if s is None else s + term
         row = {key: c for key, c in row.items() if c}
         if row:
             rows[target] = row

@@ -1,11 +1,19 @@
 import os
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 sys.path.insert(0, os.path.dirname(__file__))
 
 from nilcoh import algebra
+
+
+# nonzero rationals with +-1 drawn often, for the exact kernels' unit and
+# general paths
+COEFFS = st.one_of(st.sampled_from([Fraction(1), Fraction(-1)]),
+                   st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3)))
 
 
 def corpus() -> dict:

@@ -474,3 +474,256 @@ def stacked_differential(m, coords):
     frames = dense_poly_matrix(dom.frame, list(coords), count)
     inv_frames = dense_poly_matrix(cod.inv_frame, list(values), count)
     return values, jac, inv_frames @ jac @ frames
+
+
+# -- reference exact kernels -------------------------------------------------
+#
+# The exact kernels as first written: every term accumulates through
+# ``dict.get(key, Fraction(0)) + ...``, and zeros are dropped where the
+# original code dropped them.  The kernels in ``nilcoh`` must return the same
+# dicts, item for item: the same keys, values and types, in the same order
+# (``Poly.eval_float`` sums terms in dict order).  Terms are plain dicts here;
+# ``naive_poly_*`` end with ``Poly.__init__``'s zero filter.
+
+
+def ordered_items(d: dict) -> list:
+    """(key, type, value) of each item, in dict order."""
+    return [(k, type(v), v) for k, v in d.items()]
+
+
+def _naive_poly(terms: dict) -> dict:
+    return {k: v for k, v in terms.items() if v}
+
+
+def naive_poly_add(a: dict, b: dict) -> dict:
+    terms = dict(a)
+    for k, v in b.items():
+        terms[k] = terms.get(k, Fraction(0)) + v
+    return _naive_poly(terms)
+
+
+def naive_poly_sub(a: dict, b: dict) -> dict:
+    terms = dict(a)
+    for k, v in b.items():
+        terms[k] = terms.get(k, Fraction(0)) - v
+    return _naive_poly(terms)
+
+
+def naive_poly_mul(a: dict, b: dict) -> dict:
+    terms = {}
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            key = tuple(x + y for x, y in zip(ka, kb))
+            terms[key] = terms.get(key, Fraction(0)) + va * vb
+    return _naive_poly(terms)
+
+
+def naive_poly_scale(a: dict, c) -> dict:
+    c = Fraction(c)
+    if not c:
+        return {}
+    return _naive_poly({k: c * v for k, v in a.items()})
+
+
+def naive_poly_diff(a: dict, index: int) -> dict:
+    terms = {}
+    for k, v in a.items():
+        e = k[index]
+        if e:
+            key = k[:index] + (e - 1,) + k[index + 1:]
+            terms[key] = terms.get(key, Fraction(0)) + v * e
+    return _naive_poly(terms)
+
+
+def naive_axpy(y: dict, a, x: dict) -> None:
+    """y += a * x in place, dropping entries that cancel."""
+    for key, xv in x.items():
+        s = y.get(key, Fraction(0)) + a * xv
+        if s:
+            y[key] = s
+        else:
+            y.pop(key, None)
+
+
+def _naive_sort_with_sign(indices):
+    idx = list(indices)
+    sign = 1
+    for i in range(1, len(idx)):
+        j = i
+        while j > 0 and idx[j - 1] > idx[j]:
+            idx[j - 1], idx[j] = idx[j], idx[j - 1]
+            sign = -sign
+            j -= 1
+    for a, b in zip(idx, idx[1:]):
+        if a == b:
+            return None
+    return tuple(idx), sign
+
+
+def naive_wedge_coeffs(a: dict, b: dict) -> dict:
+    """The coefficients of a ^ b for forms given by their coefficient dicts
+    (the degree check against the algebra's dimension left to the caller)."""
+    out = {}
+    for left, ca in a.items():
+        lset = set(left)
+        for right, cb in b.items():
+            if lset.intersection(right):
+                continue
+            key, sign = _naive_sort_with_sign(left + right)
+            out[key] = out.get(key, 0) + sign * (ca * cb)
+    return {k: c for k, c in out.items() if c}
+
+
+def naive_differential_rows(alg, k: int) -> dict:
+    """d_k by rows, {(k+1)-tuple: {k-tuple: coefficient}}."""
+    rows = {}
+    for target in combinations(range(alg.dim), k + 1):
+        row = {}
+        for a in range(k + 1):
+            for b in range(a + 1, k + 1):
+                comps = alg.bracket_basis(target[a], target[b])
+                if not comps:
+                    continue
+                rest = target[:a] + target[a + 1:b] + target[b + 1:]
+                sign = (-1) ** (a + b)
+                for m, c in comps.items():
+                    ss = _naive_sort_with_sign((m,) + rest)
+                    if ss is None:
+                        continue
+                    key, perm = ss
+                    row[key] = row.get(key, Fraction(0)) + sign * perm * c
+        row = {key: c for key, c in row.items() if c}
+        if row:
+            rows[target] = row
+    return rows
+
+
+class NaiveEchelon:
+    """``exactlinalg.Echelon``'s reduce, insert and kernel on ``naive_axpy``."""
+
+    def __init__(self):
+        self.rows = {}
+        self.tags = {}
+
+    def reduce(self, v: dict):
+        out = {key: x for key, x in v.items() if x}
+        tag = {}
+        for p, c in [(p, c) for p, c in out.items() if p in self.rows]:
+            naive_axpy(out, -c, self.rows[p])
+            naive_axpy(tag, c, self.tags[p])
+        return out, tag
+
+    def insert(self, v: dict, tag=None) -> bool:
+        residual, used = self.reduce(v)
+        if not residual:
+            return False
+        row_tag = dict(tag or {})
+        naive_axpy(row_tag, -Fraction(1), used)
+        pivot = min(residual)
+        scale = Fraction(1) / residual[pivot]
+        row = {key: x * scale for key, x in residual.items()}
+        row_tag = {key: x * scale for key, x in row_tag.items()}
+        for p, other in self.rows.items():
+            c = other.get(pivot)
+            if c:
+                naive_axpy(other, -c, row)
+                naive_axpy(self.tags[p], -c, row_tag)
+        self.rows[pivot] = row
+        self.tags[pivot] = row_tag
+        return True
+
+    def kernel(self, columns) -> list:
+        basis = []
+        for free in columns:
+            if free in self.rows:
+                continue
+            v = {free: Fraction(1)}
+            for p, row in self.rows.items():
+                c = row.get(free)
+                if c:
+                    v[p] = -c
+            basis.append(v)
+        return basis
+
+
+def naive_group_law_terms(alg) -> tuple:
+    """(product, trans_jac, frame, inv_frame) of ``bch.group_law`` as term
+    dicts, built by the same sequence of polynomial operations (Varadarajan's
+    recursion, then the Neumann series) on the reference kernels above."""
+    from math import comb
+
+    n = alg.dim
+    nvars = 2 * n
+    one = Fraction(1)
+
+    def variable(i, count):
+        return {tuple(int(j == i) for j in range(count)): one}
+
+    def add(u, v):
+        return [naive_poly_add(a, b) for a, b in zip(u, v)]
+
+    def scale(u, c):
+        return [naive_poly_scale(a, c) for a in u]
+
+    def bracket(u, v):
+        out = [{} for _ in range(n)]
+        for (i, j), comps in alg.structure.items():
+            w = naive_poly_sub(naive_poly_mul(u[i], v[j]), naive_poly_mul(u[j], v[i]))
+            if not w:
+                continue
+            for k, c in comps.items():
+                out[k] = naive_poly_add(out[k], naive_poly_scale(w, c))
+        return out
+
+    cls = alg.nilpotency_class
+    bern = [one]
+    for m in range(1, cls + 1):
+        bern.append(-sum((comb(m + 1, k) * bern[k] for k in range(m)), Fraction(0)) / (m + 1))
+    x = [variable(i, nvars) for i in range(n)]
+    y = [variable(n + i, nvars) for i in range(n)]
+    half_diff = scale([naive_poly_sub(a, b) for a, b in zip(x, y)], Fraction(1, 2))
+    z = {1: add(x, y)}
+    t = {(0, 0): z[1]}
+    for m in range(1, cls):
+        for j in range(1, m + 1):
+            acc = [{} for _ in range(n)]
+            for a in range(1, m + 1):
+                if (j - 1, m - a) in t:
+                    acc = add(acc, bracket(z[a], t[j - 1, m - a]))
+            t[j, m] = acc
+        nxt = bracket(half_diff, z[m])
+        for p in range(2, m + 1, 2):
+            nxt = add(nxt, scale(t[p, m], bern[p] / factorial(p)))
+        z[m + 1] = scale(nxt, Fraction(1, m + 1))
+    product = z[1]
+    for m in range(2, cls + 1):
+        product = add(product, z[m])
+
+    trans = [[naive_poly_diff(product[i], n + j) for j in range(n)] for i in range(n)]
+    frame = [[_naive_poly({k[:n]: v for k, v in p.items() if not any(k[n:])}) for p in row]
+             for row in trans]
+
+    def mat_mul(a, b):
+        out = [[{} for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                acc = {}
+                for k in range(n):
+                    if a[i][k] and b[k][j]:
+                        acc = naive_poly_add(acc, naive_poly_mul(a[i][k], b[k][j]))
+                out[i][j] = acc
+        return out
+
+    ident = [[{(0,) * n: one} if i == j else {} for j in range(n)] for i in range(n)]
+    nil = [[naive_poly_sub(frame[i][j], ident[i][j]) for j in range(n)] for i in range(n)]
+    inv = [row[:] for row in ident]
+    power = [row[:] for row in ident]
+    sign = -1
+    for _ in range(n):
+        power = mat_mul(power, nil)
+        if not any(p for row in power for p in row):
+            break
+        inv = [[naive_poly_add(inv[i][j], naive_poly_scale(power[i][j], sign)) for j in range(n)]
+               for i in range(n)]
+        sign = -sign
+    return product, trans, frame, inv

@@ -16,9 +16,12 @@ one), and the reprs of the first cycle of the ``degree`` benchmark for
 seeds 1 and 2 (its seeded x^3 - b·x area check and z3 ``local_degree`` at
 8 seeded targets).  Exact-layer digests cover the
 ``cli._ring_results`` reprs (representatives, cup table, cup ranks) of
-filiform7, free2step4, H9 and seeded dense twins of H5 and filiform6, and
-``project_float`` of one seeded vector per degree on each of them.  The
-package is imported from
+filiform7, filiform8, free2step4, H9 and seeded dense twins of H5 and
+filiform6, ``project_float`` of one seeded vector per degree on each of
+them, and, in dict order, the terms of the group law's ``product``,
+``trans_jac``, ``frame`` and ``inv_frame`` (the float summation order of
+every numeric group-law evaluation) and the ``rows`` and ``tags`` of each
+cohomology space's echelon.  The package is imported from
 ``PYTHONPATH``, so the same script dumps any checkout:
 
     PYTHONPATH=src python tests/parity_dump.py new.json
@@ -48,7 +51,7 @@ sys.path[:0] = [HERE, os.path.join(HERE, "..")]
 import nilcoh  # noqa: E402
 from bench.workloads import (  # noqa: E402
     BUILDERS, REPRO_STEPS, Average, Degree, dense_twin, heisenberg)
-from nilcoh import algebra, cli  # noqa: E402
+from nilcoh import algebra, bch, cli  # noqa: E402
 from nilcoh.forms import basis_form, volume_form, wedge  # noqa: E402
 from nilcoh.report import render_stable  # noqa: E402
 from test_golden import CASES, stable_report  # noqa: E402
@@ -146,7 +149,8 @@ def degree_cycles() -> dict:
 
 
 def exact_layer() -> dict:
-    algebras = {"filiform7": algebra.filiform(7), "free2step4": algebra.free_nilpotent_two_step(4),
+    algebras = {"filiform7": algebra.filiform(7), "filiform8": algebra.filiform(8),
+                "free2step4": algebra.free_nilpotent_two_step(4),
                 "H9": nilcoh.validate_algebra(*heisenberg(4)[:2])}
     for seed, (name, family, size) in enumerate((("H5", "heisenberg", 2),
                                                   ("filiform6", "filiform", 6))):
@@ -160,6 +164,16 @@ def exact_layer() -> dict:
         coords = [space.project_float(rng.standard_normal(math.comb(alg.dim, k)))
                   for k, space in enumerate(nilcoh.cohomology(alg).spaces)]
         out[f"exact/project_float-{name}"] = digest(repr(coords))
+        law = bch.group_law(alg)
+        for field in ("product", "trans_jac", "frame", "inv_frame"):
+            polys = getattr(law, field)
+            terms = ([list(p.terms.items()) for p in polys] if field == "product"
+                     else [[list(p.terms.items()) for p in row] for row in polys])
+            out[f"exact/group_law-{field}-{name}"] = digest(repr(terms))
+        echelons = [[(p, list(row.items()), list(space.echelon.tags[p].items()))
+                     for p, row in space.echelon.rows.items()]
+                    for space in nilcoh.cohomology(alg).spaces]
+        out[f"exact/echelon-{name}"] = digest(repr(echelons))
     return out
 
 

@@ -4,11 +4,23 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import corpus, skewed_heisenberg3
-from oracles import dense_poly_matrix, dense_twin, dynkin_product_polys
+from conftest import COEFFS, corpus, skewed_heisenberg3
+from hypothesis import example, given, settings, strategies as st
+from oracles import (
+    dense_poly_matrix,
+    dense_twin,
+    dynkin_product_polys,
+    naive_group_law_terms,
+    naive_poly_add,
+    naive_poly_diff,
+    naive_poly_mul,
+    naive_poly_scale,
+    naive_poly_sub,
+    ordered_items,
+)
 
 from nilcoh import algebra
-from nilcoh.bch import bch_product_polys, group_law
+from nilcoh.bch import Poly, _poly_mat_mul, bch_product_polys, group_law
 from nilcoh.group import (
     GroupPoint,
     bch_multiply,
@@ -237,6 +249,20 @@ def test_group_law_refuses_non_unipotent_frames():
         group_law(fake)
 
 
+@pytest.mark.parametrize("bad", [[1, 2, 3, 4], [1, 2]])
+def test_group_law_refuses_points_of_the_wrong_length(bad):
+    law = group_law(algebra.heisenberg3())
+    good = [1, 2, 3]
+    calls = [lambda: law.multiply(good, bad), lambda: law.multiply(bad, good),
+             lambda: law.frame_at(bad),
+             lambda: law.translation_jacobian(good, bad), lambda: law.translation_jacobian(bad, good),
+             lambda: law.multiply_batch(np.zeros((len(bad), 5)), np.zeros((3, 5))),
+             lambda: law.multiply_batch(np.zeros(3), np.zeros((len(bad), 5)))]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"dim-3 group has 3 coordinates, got {len(bad)}"):
+            call()
+
+
 PARITY = corpus()
 PARITY.update({f"filiform{n}": algebra.filiform(n) for n in (7, 8, 9)})
 PARITY.update({f"dense_{name}": dense_twin(alg, random.Random(11)) for name, alg in [
@@ -260,3 +286,67 @@ def test_group_law_build_is_polynomial_in_the_class():
     t0 = time.perf_counter()
     group_law(alg)
     assert time.perf_counter() - t0 < 2.0
+
+
+# -- the polynomial kernels, item for item --------------------------------
+
+# two variables of degree <= 2: few keys, so products meet and cancel often
+TERMS = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), COEFFS, max_size=6)
+SCALES = st.one_of(COEFFS, st.sampled_from([0, 1, -1, 2, Fraction(0), 0.5, -0.25]))
+
+# x^2 meets 1 - 1 + 1 (zero on the way, then back) and x^3 -1 + 1
+RETURNING = ({(1, 0): Fraction(1), (0, 0): Fraction(1), (2, 0): Fraction(1)},
+             {(1, 0): Fraction(1), (2, 0): Fraction(-1), (0, 0): Fraction(1)})
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=TERMS, b=TERMS, c=SCALES, index=st.integers(0, 1))
+@example(a=RETURNING[0], b=RETURNING[1], c=Fraction(1), index=0)
+def test_poly_kernels_match_the_reference_item_for_item(a, b, c, index):
+    pa, pb = Poly(2, a), Poly(2, b)
+    ta, tb = dict(pa.terms), dict(pb.terms)
+    assert ordered_items((pa + pb).terms) == ordered_items(naive_poly_add(ta, tb))
+    assert ordered_items((pa - pb).terms) == ordered_items(naive_poly_sub(ta, tb))
+    assert ordered_items((pa * pb).terms) == ordered_items(naive_poly_mul(ta, tb))
+    assert ordered_items(pa.scale(c).terms) == ordered_items(naive_poly_scale(ta, c))
+    assert ordered_items(pa.diff(index).terms) == ordered_items(naive_poly_diff(ta, index))
+    assert ordered_items(pa.terms) == ordered_items(ta)  # no operation mutates its inputs
+    assert ordered_items(pb.terms) == ordered_items(tb)
+
+
+def test_a_product_term_that_cancels_and_returns_keeps_its_first_position():
+    product = (Poly(2, RETURNING[0]) * Poly(2, RETURNING[1])).terms
+    assert list(product.items()) == [((2, 0), 1), ((1, 0), 2), ((0, 0), 1), ((4, 0), -1)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(TERMS, min_size=3, max_size=3), min_size=6, max_size=6))
+def test_poly_matrix_product_adds_its_products_in_k_order(entries):
+    a = [[Poly(2, t) for t in row] for row in entries[:3]]
+    b = [[Poly(2, t) for t in row] for row in entries[3:]]
+    out = _poly_mat_mul(a, b)
+    for i in range(3):
+        for j in range(3):
+            want = {}
+            for k in range(3):
+                if a[i][k].terms and b[k][j].terms:
+                    want = naive_poly_add(want, naive_poly_mul(a[i][k].terms, b[k][j].terms))
+            assert ordered_items(out[i][j].terms) == ordered_items(want)
+
+
+LAWS = dict(corpus())
+LAWS.update({"filiform6": algebra.filiform(6), "skewed_heisenberg3": skewed_heisenberg3()})
+LAWS.update({f"dense_{name}": dense_twin(alg, random.Random(5)) for name, alg in [
+    ("heisenberg5", algebra.heisenberg5()), ("filiform5", algebra.filiform(5))]})
+
+
+@pytest.mark.parametrize("name", sorted(LAWS))
+def test_group_law_terms_keep_the_reference_order(name):
+    # Poly.eval_float sums terms in dict order, so this pins the float bits
+    # of every numeric group-law evaluation
+    law = group_law(LAWS[name])
+    product, trans, frame, inv = naive_group_law_terms(LAWS[name])
+    assert [ordered_items(p.terms) for p in law.product] == [ordered_items(p) for p in product]
+    for got, want in ((law.trans_jac, trans), (law.frame, frame), (law.inv_frame, inv)):
+        assert ([[ordered_items(p.terms) for p in row] for row in got]
+                == [[ordered_items(p) for p in row] for row in want])

@@ -2,6 +2,9 @@ import random
 from fractions import Fraction
 
 import sympy
+from conftest import COEFFS
+from hypothesis import example, given, settings, strategies as st
+from oracles import NaiveEchelon, naive_axpy, ordered_items
 
 from nilcoh import exactlinalg as xl
 
@@ -107,3 +110,41 @@ def test_echelon_tags_give_coordinates_over_the_inserted_vectors():
         off = [Fraction(rng.randint(-5, 5)) for _ in range(cols)]
         residual, _ = ech.reduce(dict(enumerate(off)))
         assert (residual == {}) == (to_sympy(kept + [off]).rank() == len(kept))
+
+
+# -- the elimination kernels, item for item --------------------------------
+
+SPARSE = st.dictionaries(st.integers(0, 5), COEFFS, max_size=5)
+WITH_ZEROS = st.dictionaries(st.integers(0, 5), st.one_of(COEFFS, st.just(Fraction(0))), max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(y=SPARSE, steps=st.lists(st.tuples(COEFFS, SPARSE), max_size=6))
+@example(y={0: Fraction(1), 1: Fraction(2)},
+         steps=[(Fraction(-1), {0: Fraction(1)}), (Fraction(1), {2: Fraction(1), 0: Fraction(3)})])
+def test_axpy_matches_the_reference_item_for_item(y, steps):
+    # a key that cancels leaves y at once, and comes back at the end
+    ref = dict(y)
+    for a, x in steps:
+        xl._axpy(y, a, x)
+        naive_axpy(ref, a, x)
+        assert ordered_items(y) == ordered_items(ref)
+
+
+@settings(max_examples=200, deadline=None)
+@given(vectors=st.lists(st.tuples(WITH_ZEROS, st.one_of(st.none(), SPARSE)), max_size=8),
+       probes=st.lists(SPARSE, max_size=3))
+def test_echelon_matches_the_reference_item_for_item(vectors, probes):
+    ech, ref = xl.Echelon(), NaiveEchelon()
+    for v, tag in vectors:
+        assert ech.insert(dict(v), tag and dict(tag)) == ref.insert(dict(v), tag and dict(tag))
+        assert list(ech.rows) == list(ref.rows)
+        for p in ref.rows:
+            assert ordered_items(ech.rows[p]) == ordered_items(ref.rows[p])
+            assert ordered_items(ech.tags[p]) == ordered_items(ref.tags[p])
+    for v in probes:
+        (res, tag), (want_res, want_tag) = ech.reduce(v), ref.reduce(v)
+        assert ordered_items(res) == ordered_items(want_res)
+        assert ordered_items(tag) == ordered_items(want_tag)
+    kernel = ech.kernel(range(6))
+    assert [ordered_items(v) for v in kernel] == [ordered_items(v) for v in ref.kernel(range(6))]

@@ -2,10 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from conftest import COEFFS
+from hypothesis import example, given, settings, strategies as st
 
 from nilcoh import algebra
+from nilcoh.algebra import LieAlgebra
 from nilcoh.forms import (
+    _build_differential_rows,
     KForm,
     basis_covector,
     basis_form,
@@ -17,7 +20,15 @@ from nilcoh.forms import (
     volume_form,
     wedge,
 )
-from oracles import alternation_wedge_eval, dense_twin, naive_differential_matrix, random_rational_form
+from oracles import (
+    alternation_wedge_eval,
+    dense_twin,
+    naive_differential_matrix,
+    naive_differential_rows,
+    naive_wedge_coeffs,
+    ordered_items,
+    random_rational_form,
+)
 
 H3 = algebra.heisenberg3()
 AB3 = algebra.abelian(3)
@@ -160,3 +171,73 @@ def test_float_coefficient_forms_flow_through_differential():
     f = KForm(H3, 1, {(2,): 2.0})
     d = ce_differential(f)
     assert d.coeffs == {(0, 1): -2.0}
+
+
+# -- the form kernels, item for item ----------------------------------------
+
+AB5 = algebra.abelian(5)
+FLOATS = st.floats(-1e3, 1e3)  # zeros of both signs and subnormals included
+
+
+def _coeffs(values):
+    return st.integers(0, 3).flatmap(lambda k: st.dictionaries(
+        st.sampled_from(basis_tuples(5, k)), values, max_size=6).map(lambda d: (k, d)))
+
+
+# (e0 + e1 + e2) ^ (e1^e2 + e0^e2 + e0^e1): e0^e1^e2 meets 1 - 1 + 1
+RETURNING = ((1, {(0,): Fraction(1), (1,): Fraction(1), (2,): Fraction(1)}),
+             (2, {(1, 2): Fraction(1), (0, 2): Fraction(1), (0, 1): Fraction(1)}))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.tuples(_coeffs(COEFFS), _coeffs(COEFFS)),
+                 st.tuples(_coeffs(FLOATS), _coeffs(FLOATS))))
+@example(RETURNING)
+def test_wedge_matches_the_reference_item_for_item(pair):
+    (k, a), (l, b) = pair
+    out = wedge(KForm(AB5, k, a), KForm(AB5, l, b)).coeffs
+    assert ordered_items(out) == ordered_items(naive_wedge_coeffs(a, b))
+
+
+def test_a_wedge_term_that_cancels_and_returns_keeps_its_first_position():
+    (k, a), (l, b) = RETURNING
+    assert wedge(KForm(AB5, k, a), KForm(AB5, l, b)).coeffs == {(0, 1, 2): Fraction(1)}
+    # with e3 before e2, e0^e1^e2 is zero while e0^e1^e3 first appears
+    a = {(0,): Fraction(1), (1,): Fraction(1), (3,): Fraction(1), (2,): Fraction(1)}
+    b = {(1, 2): Fraction(1), (0, 2): Fraction(1), (2, 3): Fraction(1), (0, 1): Fraction(1)}
+    assert list(wedge(KForm(AB5, 1, a), KForm(AB5, 2, b)).coeffs.items()) == [
+        ((0, 1, 2), 1), ((0, 2, 3), 2), ((1, 2, 3), 2), ((0, 1, 3), 1)]
+
+
+@st.composite
+def _structures(draw):
+    """Unvalidated structure constants: the row build reads only brackets."""
+    n = draw(st.integers(2, 5))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    structure = draw(st.dictionaries(st.sampled_from(pairs), st.dictionaries(
+        st.integers(0, n - 1), COEFFS, min_size=1, max_size=3), max_size=6))
+    return LieAlgebra(dim=n, basis_names=tuple(f"e{i + 1}" for i in range(n)), structure=structure)
+
+
+# row (0,1,2,3) of d_3 meets (0,1,2) as -1, then +1 (zero), then, after
+# (0,1,3) first appears, -1 again: {(0,1,2): -1, (0,1,3): -1} in that order
+RETURNING_ROW = LieAlgebra(dim=4, basis_names=("e1", "e2", "e3", "e4"), structure={
+    (0, 3): {0: Fraction(1)}, (1, 3): {1: Fraction(-1)}, (2, 3): {3: Fraction(1), 2: Fraction(1)}})
+
+
+@settings(max_examples=200, deadline=None)
+@given(_structures())
+@example(RETURNING_ROW)
+@example(algebra.filiform(6))
+@example(algebra.free_nilpotent_two_step(3))
+@example(dense_twin(algebra.heisenberg5(), random.Random(2)))
+def test_differential_rows_match_the_reference_item_for_item(alg):
+    for k in range(alg.dim + 1):
+        rows, want = _build_differential_rows(alg, k), naive_differential_rows(alg, k)
+        assert [(t, ordered_items(r)) for t, r in rows.items()] == [
+            (t, ordered_items(r)) for t, r in want.items()]
+
+
+def test_a_row_entry_that_cancels_and_returns_keeps_its_first_position():
+    row = _build_differential_rows(RETURNING_ROW, 3)[(0, 1, 2, 3)]
+    assert list(row.items()) == [((0, 1, 2), -1), ((0, 1, 3), -1)]

@@ -180,6 +180,15 @@ def test_action_property_against_manual_nesting():
         assert np.allclose(lhs, manual, atol=1e-10)
 
 
+def test_a_repeated_action_refuses_a_point_of_the_wrong_length():
+    # the second action multiplies through the group law, which read the
+    # first 3 of 4 coordinates and raised a bare IndexError on 2
+    m = act(map_from_texts(H3, H3, ["x1", "x2", "x3"]), [1, 2, 3])
+    for bad in ([1, 2, 3, 4], [1, 2]):
+        with pytest.raises(ValueError, match=f"3 coordinates, got {len(bad)}"):
+            act(m, bad)
+
+
 def test_act_result_fixes_origin():
     m = normalize_to_y0(map_from_texts(H3, H3, ["x1 + sin(x2)", "x2", "x3"]))
     moved = act(m, [2.0, -1.0, 0.3])

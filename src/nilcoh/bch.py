@@ -38,9 +38,9 @@ operand's terms in place, appends new keys in the right operand's order and
 drops a term the moment it cancels.  A product keeps each key where it first
 appears and drops the terms that cancel only at the end, so a term that is
 zero on the way and comes back keeps its first position.  ``scale`` and
-``diff`` map terms one to one, in order.  No kernel spends Fraction work the
-values do not need: a coefficient of +-1 adds or subtracts instead of
-multiplying, and ``scale(1)`` returns the polynomial itself.
+``diff`` map terms one to one, in order.  No kernel builds a zero Fraction
+per term, and a sum with a coefficient of +-1 adds or subtracts without a
+multiplication.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from operator import add
 import numpy as np
 
 from .algebra import DerivedCache, LieAlgebra
-from .exactlinalg import ONE, _axpy, _scaled
+from .exactlinalg import ONE, _axpy
 
 ExpKey = tuple[int, ...]
 
@@ -67,9 +67,8 @@ class IllConditionedFrame(ValueError):
 class Poly:
     """Sparse multivariate polynomial with Fraction coefficients.
 
-    A Poly is a value: no operation mutates ``terms``, so ``scale(1)`` may
-    hand back the polynomial itself.  ``terms`` never holds a zero; each
-    operation builds its dict in the order stated in the module docstring.
+    ``terms`` never holds a zero; each operation builds a new dict, in the
+    order stated in the module docstring.
     """
 
     __slots__ = ("nvars", "terms")
@@ -112,31 +111,23 @@ class Poly:
         summed = False
         right = list(other.terms.items())
         for ka, va in self.terms.items():
-            if va == 1:
-                products = [(tuple(map(add, ka, kb)), vb) for kb, vb in right]
-            elif va == -1:
-                products = [(tuple(map(add, ka, kb)), -vb) for kb, vb in right]
-            else:
-                products = [(tuple(map(add, ka, kb)), va * vb) for kb, vb in right]
-            for key, term in products:
+            for kb, vb in right:
+                key = tuple(map(add, ka, kb))
                 s = get(key)
                 if s is None:
-                    terms[key] = term
+                    terms[key] = va * vb
                 else:
-                    terms[key] = s + term
+                    terms[key] = s + va * vb
                     summed = True
         if summed:  # only a sum can be zero; it kept its first position until here
             terms = {k: v for k, v in terms.items() if v}
         return Poly._of(self.nvars, terms)
 
     def scale(self, c) -> "Poly":
-        if not isinstance(c, Fraction):
-            c = Fraction(c)
+        c = Fraction(c)
         if not c:
             return Poly(self.nvars)
-        if c == 1:
-            return self
-        return Poly._of(self.nvars, _scaled(self.terms, c))
+        return Poly._of(self.nvars, {k: c * v for k, v in self.terms.items()})
 
     def diff(self, index: int) -> "Poly":
         # k -> k - e_index is one to one, so no two terms meet

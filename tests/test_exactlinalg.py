@@ -116,14 +116,22 @@ def test_echelon_tags_give_coordinates_over_the_inserted_vectors():
 
 SPARSE = st.dictionaries(st.integers(0, 5), COEFFS, max_size=5)
 WITH_ZEROS = st.dictionaries(st.integers(0, 5), st.one_of(COEFFS, st.just(Fraction(0))), max_size=5)
+# reduce also takes float and int vectors (CohomologySpace.project of a float
+# form), so its coefficients reach _axpy as floats and ints, 1.0 and -1 included
+PLAIN = st.sampled_from([1.0, -1.0, 2.5, -0.5, 1, -1, 3])
+MIXED = st.dictionaries(st.integers(0, 5), st.one_of(COEFFS, PLAIN), max_size=5)
+FLOATY = st.dictionaries(st.integers(0, 5), st.one_of(COEFFS, st.sampled_from([1.0, -1.0, 2.5, -0.5])),
+                         max_size=5)
 
 
 @settings(max_examples=300, deadline=None)
-@given(y=SPARSE, steps=st.lists(st.tuples(COEFFS, SPARSE), max_size=6))
+@given(y=SPARSE, steps=st.lists(st.tuples(st.one_of(COEFFS, PLAIN), SPARSE), max_size=6))
 @example(y={0: Fraction(1), 1: Fraction(2)},
          steps=[(Fraction(-1), {0: Fraction(1)}), (Fraction(1), {2: Fraction(1), 0: Fraction(3)})])
+@example(y={0: Fraction(1)}, steps=[(1.0, {1: Fraction(1)}), (-1.0, {2: Fraction(1), 0: Fraction(1)})])
 def test_axpy_matches_the_reference_item_for_item(y, steps):
-    # a key that cancels leaves y at once, and comes back at the end
+    # a key that cancels leaves y at once, and comes back at the end; a float
+    # coefficient of +-1.0 still multiplies, so the new entries are floats
     ref = dict(y)
     for a, x in steps:
         xl._axpy(y, a, x)
@@ -132,8 +140,11 @@ def test_axpy_matches_the_reference_item_for_item(y, steps):
 
 
 @settings(max_examples=200, deadline=None)
-@given(vectors=st.lists(st.tuples(WITH_ZEROS, st.one_of(st.none(), SPARSE)), max_size=8),
-       probes=st.lists(SPARSE, max_size=3))
+@given(vectors=st.lists(st.tuples(st.one_of(WITH_ZEROS, FLOATY), st.one_of(st.none(), SPARSE)), max_size=8),
+       probes=st.lists(MIXED, max_size=3))
+@example(vectors=[({0: Fraction(1)}, None), ({1: Fraction(1)}, {0: Fraction(1)})],
+         probes=[{0: 1.0, 1: 2.0}, {0: -1, 1: 1.0}])
+@example(vectors=[({0: 1.0, 1: Fraction(1, 2)}, {0: Fraction(1)})], probes=[])
 def test_echelon_matches_the_reference_item_for_item(vectors, probes):
     ech, ref = xl.Echelon(), NaiveEchelon()
     for v, tag in vectors:

@@ -82,13 +82,15 @@ class LieAlgebra:
 
     def bracket(self, u: dict[int, Fraction], v: dict[int, Fraction]) -> dict[int, Fraction]:
         """Bracket of two sparse vectors ``{basis index: coefficient}``,
-        exactly; coefficients that cancel are dropped."""
+        exactly, accumulated by ``exactlinalg._axpy``: coefficients that
+        cancel are dropped, and a zero input coefficient adds nothing."""
         out: dict[int, Fraction] = {}
         for i, a in u.items():
             for j, b in v.items():
-                for k, c in self.bracket_basis(i, j).items():
-                    out[k] = out.get(k, xl.ZERO) + a * b * c
-        return {k: x for k, x in out.items() if x}
+                w = self.bracket_basis(i, j)
+                if w and (ab := a * b):
+                    xl._axpy(out, ab, w)
+        return out
 
     @property
     def nilpotency_class(self) -> int:
@@ -168,9 +170,8 @@ def validate_algebra(
             for k in range(j + 1, dim):
                 res: dict[int, Fraction] = {}
                 for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                    for m, x in alg.bracket(alg.bracket_basis(a, b), {c: xl.ONE}).items():
-                        res[m] = res.get(m, xl.ZERO) + x
-                if any(res.values()):
+                    xl._axpy(res, xl.ONE, alg.bracket(alg.bracket_basis(a, b), {c: xl.ONE}))
+                if res:
                     raise JacobiViolation((i, j, k), [res.get(m, xl.ZERO) for m in range(dim)])
 
     lcs, weights = _lower_central_series(alg)

@@ -333,6 +333,8 @@ def cmd_asymdeg(args) -> dict:
         seed=args.seed,
         shape=args.ball["shape"],
     )
+    results = report.to_jsonable(trace)
+    warnings = results.pop("warnings")
     return report.build_report(
         "asymdeg",
         params={
@@ -342,9 +344,10 @@ def cmd_asymdeg(args) -> dict:
             "shape": args.ball["shape"],
             "threads": args.threads,
         },
-        results=trace,
+        results=results,
         inputs={"map": args.map_file},
         seed=args.seed,
+        warnings=warnings,
         wall_time_s=time.perf_counter() - t0,
     )
 

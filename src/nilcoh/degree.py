@@ -75,6 +75,7 @@ class AsymptoticDegreeTrace:
     ratios: list[float]
     stderrs: list[float]
     verdict: str  # 'positive-asymptotic-degree' | 'inconclusive'
+    warnings: list[str] = field(default_factory=list)
 
 
 def _window_scales(m: SmoothMap, window: BallSpec) -> np.ndarray:
@@ -392,9 +393,8 @@ def asymptotic_degree(
 
     The ratio tau(R)/|B_R| is the plain ball average of the top pullback
     coefficient, read from ``amenable_average`` of omega, so on the same
-    Følner boxes as the cohomology averages.
+    Følner boxes as the cohomology averages, and with its warnings.
     """
-    m = normalize_to_y0(m)
     if m.domain.dim != m.codomain.dim:
         raise ValueError("asymptotic degree needs equal dimensions")
     if omega is None:
@@ -415,6 +415,7 @@ def asymptotic_degree(
         ratios=ratios,
         stderrs=stderrs,
         verdict="positive-asymptotic-degree" if positive else "inconclusive",
+        warnings=est.warnings,
     )
 
 

@@ -2,9 +2,11 @@
 
 The empirical measure at radius R integrates an observable A over the orbit
 slice {map . g : g in B_R}.  Observables are either frame-derivative entries
-at the identity (for the translated map these equal the entry of the base
-map's differential at g, so whole clouds evaluate in one vectorized pass),
-map coordinates at a probe point, or expressions over derivative entries.
+at the identity, map coordinates at a probe point, or expressions over
+derivative entries.  For the translated map, a derivative entry at the
+identity equals the entry of the base map's differential at g, bit for bit:
+``maps.differential_batch`` reads the differential at the moved point and
+never sees the shift.  So whole clouds evaluate in one vectorized pass.
 
 Ergodicity is never asserted: probes compare orbit averages started from
 several basepoints and report either 'consistent-with-ergodic' or
@@ -245,7 +247,6 @@ def ergodicity_probe(
     a spread beyond max(3 sqrt(2) stderr, tol) is reported as evidence
     against ergodicity (never as a proof either way).
     """
-    m = normalize_to_y0(m)
     pts = [tuple(float(c) for c in _as_coords(p, m.domain.dim)) for p in basepoints]
     reports = [
         convergence_report(act(m, p), observables, radii, samples, seed, shape, tol=tol)

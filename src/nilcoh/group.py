@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import wraps
-from math import lcm
+from math import isfinite, lcm
 
 import numpy as np
 
@@ -82,6 +82,8 @@ class BallSpec:
     shape: str = "box"
 
     def __post_init__(self):
+        if not isfinite(self.radius):
+            raise ValueError(f"ball radius must be finite, got {self.radius}")
         if self.radius <= 0:
             raise ValueError("ball radius must be positive")
         if self.shape not in ("box", "quasiball"):
@@ -96,9 +98,12 @@ def homogeneous_gauge_batch(alg: LieAlgebra, coords: np.ndarray) -> np.ndarray:
 
 
 def check_radii(radii) -> list[float]:
-    """A radius schedule as floats; refused unless positive and strictly
-    increasing."""
+    """A radius schedule as floats; refused unless finite, positive and
+    strictly increasing."""
     radii = [float(r) for r in radii]
+    for r in radii:
+        if not isfinite(r):
+            raise ValueError(f"radii must be finite, got {r}")
     if not radii or any(b <= a for a, b in zip(radii, radii[1:])) or radii[0] <= 0:
         raise ValueError("radius schedule must be positive and strictly increasing")
     return radii

@@ -1,21 +1,35 @@
 """Smooth maps between groups, given componentwise in exponential coordinates.
 
 A map is a tuple of expressions F plus two optional constant points: a
-``shift`` in the codomain and an ``action`` point in the domain.  Every
-evaluation computes the one formula
+``shift`` s in the codomain and an ``action`` point g in the domain.  The
+map is
 
-    x -> shift . F(action . x)
+    x -> s . F(g . x)
 
-with the group law on each side.  ``normalize_to_y0`` sets shift = F(0)^-1,
+with the group law on each side.  ``normalize_to_y0`` sets s = F(0)^-1,
 so the origin maps to the origin; ``act(m, g)`` sets action = g and
-shift = F(g)^-1, the right-translated map x -> F(g)^-1 . F(g . x), so orbit
+s = F(g)^-1, the right-translated map x -> F(g)^-1 . F(g . x), so orbit
 points cost one extra group multiplication per evaluation instead of a
 symbolic rewrite.  The components compile once into one ``dsl.Tape`` that
 the map carries; both constructions keep their parent's tape.
+``_evaluate`` runs the tape at the moved points y = g . x.
 
 ``differential`` returns the matrix of the derivative in the left-invariant
 frames of both sides: column b holds the coefficients of the image of the
-b-th domain frame field in the codomain frame.
+b-th domain frame field in the codomain frame.  Left translations preserve
+those frames, so the shift never reaches it and the action only moves the
+point where it is read:
+
+    D(x) = F_cod(F(y))^-1 @ J_F(y) @ F_dom(y),    y = g . x,
+
+with J_F the tape's coordinate Jacobian.  ``differential_batch`` computes
+exactly this, so the differential of ``normalize_to_y0(m)`` is that of m,
+and the differential of ``act(m, g)`` at x is that of m at g . x, bit for
+bit.  The shift is applied only where values are read: by
+``evaluate_batch`` and ``jacobian_batch``, and to the values that
+``differential_batch`` returns.  ``jacobian_batch`` also multiplies in the
+translation Jacobians of the shift and the action, as Newton needs the
+coordinate Jacobian of the map itself.
 
 Batches of matrices are stored sample-last, (m, n, N): the tape writes the
 Jacobian that way, the frames and translation Jacobians multiply it through
@@ -23,7 +37,7 @@ the group law's sparse products (structural zeros skipped, abelian sides
 free), and ``jacobian_batch`` and ``differential_batch`` return it as an
 (N, m, n) view whose entries are contiguous N-vectors.
 
-``differential_pattern`` runs the same products on booleans: starting from
+``differential_pattern`` runs the frame products on booleans: starting from
 the coordinates each component reads, it gives the entries of the frame
 differential that can be nonzero, so that ``pullback`` plans only the minors
 that are not zero at every point.
@@ -87,15 +101,9 @@ def warn_once(sink: list[str]):
 
 
 def _evaluate(m: SmoothMap, coords: np.ndarray, warn=None, jets: bool = False):
-    """x -> shift . F(action . x) on a (n, N) batch: the values (m, N), and with
-    ``jets`` also the coordinate Jacobian, sample-last (m, n, N), else None.
-
-    F runs on the map's tape.  The Jacobian is (T_shift @ J_F) @ T_action,
-    where T_shift and T_action are the left-translation Jacobians of the
-    group law and J_F comes from the tape in forward mode at the translated
-    points; the products are the law's sparse ones, so an abelian side costs
-    nothing.
-    """
+    """F at the moved points y = action . x of a (n, N) batch: y (n, N), the
+    values F(y) (m, N) before the shift, and with ``jets`` the tape's
+    Jacobian J_F(y) in forward mode, sample-last (m, n, N), else None."""
     if len(coords) != m.domain.dim:
         raise ValueError(
             f"points have {len(coords)} coordinates, the domain has dimension {m.domain.dim}"
@@ -107,21 +115,19 @@ def _evaluate(m: SmoothMap, coords: np.ndarray, warn=None, jets: bool = False):
     values = np.empty((m.codomain.dim, count))
     jac = np.empty((m.codomain.dim, n, count)) if jets else None
     dsl.evaluate(m.tape, list(moved), values, warn, jac)
-    if m.shift is not None:
-        law = group_law(m.codomain)
-        shift = np.array(m.shift)
-        if jets:
-            jac = law.translation_jacobian_batch(shift, values, jac)
-        values = law.multiply_batch(shift, values)
-    if jets and m.action is not None:
-        jac = group_law(m.domain).translation_jacobian_batch(np.array(m.action), coords, jac,
-                                                             left=False)
-    return values, jac
+    return moved, values, jac
+
+
+def _shifted(m: SmoothMap, values: np.ndarray) -> np.ndarray:
+    """shift . values, or the values themselves for a map without a shift."""
+    if m.shift is None:
+        return values
+    return group_law(m.codomain).multiply_batch(np.array(m.shift), values)
 
 
 def evaluate_batch(m: SmoothMap, coords: np.ndarray, warn=None) -> np.ndarray:
     """Map values on a (n, N) coordinate batch; returns (m, N)."""
-    return _evaluate(m, np.asarray(coords, dtype=float), warn)[0]
+    return _shifted(m, _evaluate(m, np.asarray(coords, dtype=float), warn)[1])
 
 
 def evaluate(m: SmoothMap, g, warn=None) -> GroupPoint:
@@ -137,36 +143,45 @@ def evaluate(m: SmoothMap, g, warn=None) -> GroupPoint:
 def jacobian_batch(m: SmoothMap, coords: np.ndarray, warn=None):
     """Values and coordinate Jacobian d f_a / d x_b on a batch: (values (m, N),
     jacobians (N, m, n)); its determinant is that of the frame differential.
+
+    The Jacobian is (T_shift @ J_F) @ T_action, with T_shift and T_action the
+    left-translation Jacobians of the group laws at F(y) and x, multiplied
+    through the laws' sparse products, so an abelian side costs nothing.
     The jacobians are a transposed view of a C-contiguous (m, n, N) array, so
     ``jacobians[:, a, b]`` is one contiguous N-vector."""
-    values, jac = _evaluate(m, np.asarray(coords, dtype=float), warn, jets=True)
-    return values, jac.transpose(2, 0, 1)
+    coords = np.asarray(coords, dtype=float)
+    _, values, jac = _evaluate(m, coords, warn, jets=True)
+    if m.shift is not None:
+        jac = group_law(m.codomain).translation_jacobian_batch(np.array(m.shift), values, jac)
+    if m.action is not None:
+        jac = group_law(m.domain).translation_jacobian_batch(np.array(m.action), coords, jac,
+                                                             left=False)
+    return _shifted(m, values), jac.transpose(2, 0, 1)
 
 
 def differential_batch(m: SmoothMap, coords: np.ndarray, warn=None):
     """Frame-to-frame differential on a batch: (values (m, N), matrices (N, m, n)),
-    the coordinate Jacobian between the domain frame and the inverse codomain
-    frame, F_cod(f(x))^-1 @ J @ F_dom(x), as a transposed view of a
-    C-contiguous (m, n, N) array like ``jacobian_batch``.
+    F_cod(F(y))^-1 @ J_F(y) @ F_dom(y) at the moved points y = action . x
+    (module docstring), as a transposed view of a C-contiguous (m, n, N)
+    array like ``jacobian_batch``; the shift reaches only the values.
 
     The frame products are the group laws' sparse ones (``GroupLaw._product``):
-    they skip the structural zeros of the frames and translation Jacobians,
-    so an infinite Jacobian entry spreads only into the entries it enters,
-    not as NaN (0 * inf) into the other entries of its row and column.
+    they skip the structural zeros of the frames, so an infinite Jacobian
+    entry spreads only into the entries it enters, not as NaN (0 * inf) into
+    the other entries of its row and column.
     """
-    coords = np.asarray(coords, dtype=float)
-    values, jac = _evaluate(m, coords, warn, jets=True)
+    moved, values, jac = _evaluate(m, np.asarray(coords, dtype=float), warn, jets=True)
     mats = group_law(m.codomain).inv_frame_batch(values, jac)
-    mats = group_law(m.domain).frame_batch(coords, mats)
-    return values, mats.transpose(2, 0, 1)
+    mats = group_law(m.domain).frame_batch(moved, mats)
+    return _shifted(m, values), mats.transpose(2, 0, 1)
 
 
 def differential_pattern(m: SmoothMap) -> np.ndarray:
     """The (m, n) boolean pattern of the entries of the frame differential
     that can be nonzero: the coordinates each component reads, carried
-    through the same products as ``_evaluate`` and ``differential_batch``
-    (the shift's translation Jacobian on the left, the action's on the right,
-    then the inverse codomain frame and the domain frame).
+    through the same products as ``differential_batch`` (the inverse
+    codomain frame on the left, the domain frame on the right).  Neither
+    the shift nor the action enters it.
 
     Every product skips the structural zeros of its polynomial matrix, so an
     entry outside the pattern is exactly 0.0 (or -0.0) at every point, unless
@@ -174,15 +189,11 @@ def differential_pattern(m: SmoothMap) -> np.ndarray:
     partials at coordinates a component does not read when its value
     overflows.
     """
-    dom, cod = group_law(m.domain), group_law(m.codomain)
     pattern = np.zeros((m.codomain.dim, m.domain.dim), dtype=bool)
     for a, comp in enumerate(m.components):
         pattern[a, sorted(dsl.coordinate_indices(comp))] = True
-    if m.shift is not None:
-        pattern = cod.trans_pattern.mask() @ pattern
-    if m.action is not None:
-        pattern = pattern @ dom.trans_pattern.mask()
-    return cod.inv_frame_pattern.mask() @ pattern @ dom.frame_pattern.mask()
+    return (group_law(m.codomain).inv_frame_pattern.mask() @ pattern
+            @ group_law(m.domain).frame_pattern.mask())
 
 
 def differential(m: SmoothMap, g, warn=None) -> list[list[float]]:

@@ -9,6 +9,13 @@ fit onto the closed forms) assembles the induced map, and
 comparing class products against averaged products probes the ring
 homomorphism property.
 
+A left translation of the codomain changes no pullback, (L_s o psi)* omega
+= psi* L_s* omega = psi* omega, and ``maps.differential_batch`` computes the
+frame differential as F_cod(F(y))^-1 J_F(y) F_dom(y) at the moved point
+y = action . x, without the shift.  So the averages here take the map as it
+is and never normalize it.  Only ``amenable_norm`` does: its observable may
+read the map's values, and the shift is applied to those.
+
 Every coefficient of every form is a sum of k x k minors of the frame
 differential D, that is of entries of its compound matrices (Cauchy-Binet;
 Horn-Johnson, Matrix Analysis, 2nd ed., 0.8).  ``_plan_coefficient_rows``
@@ -443,7 +450,6 @@ def amenable_average(
     threads: int = 1,
 ) -> AverageEstimate:
     """Ball averages of psi* omega over the radius schedule."""
-    m = normalize_to_y0(m)
     radii = check_radii(radii)
     warnings: list[str] = []
     per_radius, deriv_bound = _ball_averages(m, [omega], radii, samples, seed, shape, warnings)
@@ -545,7 +551,6 @@ def induced_cohomology_map(
     With ``with_products`` the multiplicativity residuals of
     ``homomorphism_check`` are included.
     """
-    m = normalize_to_y0(m)
     radii = check_radii(radii)
     ring_dom = cohomology(m.domain)
     n_dom = m.domain.dim
@@ -655,7 +660,6 @@ def exact_homomorphism_pullback(m: SmoothMap, omega: KForm) -> KForm:
     left-invariant frames is then constant), giving a noise-free reference.
     """
     _check_on_codomain(m, [omega])
-    m = normalize_to_y0(m)
     coords = np.zeros((m.domain.dim, 1))
     _, mats = differential_batch(m, coords)
     lambdas = basis_tuples(m.domain.dim, omega.degree)

@@ -5,8 +5,10 @@
 The digests cover the 9 golden CLI cases (``test_golden.CASES``), the 7
 ``nilcoh repro`` reports at ``--samples 20000`` and at the default (the
 temporary output directory replaced by ``OUTDIR``), the reprs of
-``homomorphism_check`` on the ``average`` benchmark maps for seeds 1-4 and
-on filiform7 and filiform8, three warm repeats of each ``average`` map's
+``homomorphism_check`` on the ``average`` benchmark maps for seeds 1-4, on
+filiform7 and filiform8, on the seed-1 H5 map acted on by a point and on
+the filiform7 map plus constants (F(0) != 0), whose frame differentials
+are read at moved points or next to a shift, three warm repeats of each ``average`` map's
 ``homomorphism_check`` in one process (a new seed at the 2nd and 3rd
 call, so a cache filled by one call shows if it moves the next),
 ``amenable_average`` and ``area_formula_check`` reprs, ``asymptotic_degree``
@@ -102,6 +104,17 @@ def homomorphism_checks() -> dict:
         m = nilcoh.map_from_texts(alg, alg, texts)
         rep = nilcoh.homomorphism_check(m, radii=(2.0, 4.0), samples=4000, seed=0)
         out[f"homomorphism_check/filiform{dim}"] = digest(repr(rep))
+        if dim == 7:  # F(0) != 0: the parent's normalization gave it a shift
+            shifted = nilcoh.map_from_texts(alg, alg, [t + c for t, c in zip(texts, (
+                " + 1", " - 0.5", " + 0.25", " + 2", " - 0.75", " + 1.5", " - 3"))])
+            rep = nilcoh.homomorphism_check(shifted, radii=(2.0, 4.0), samples=4000, seed=0)
+            out["homomorphism_check/filiform7-shifted"] = digest(repr(rep))
+    work = Average(1)
+    radii, samples, shape = work.h5
+    acted = nilcoh.act(work.m5, (0.5, -1.0, 0.25, 2.0, -0.75))
+    rep = nilcoh.homomorphism_check(acted, radii=radii, samples=samples, seed=work.mc_seed,
+                                    shape=shape)
+    out["homomorphism_check/average-H5-acted"] = digest(repr(rep))
     return out
 
 

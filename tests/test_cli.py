@@ -162,6 +162,32 @@ def test_exit_code_on_refused_grid_and_radii(files, capsys):
     assert "strictly increasing" in err
 
 
+@pytest.mark.parametrize("argv, value", [
+    (["degree", "--map", "xsin.map.json", "--window", "R=nan", "--target", "0.5"], "nan"),
+    (["average", "--map", "f1.map.json", "--form", "e2", "--radii", "4,inf"], "inf"),
+    (["orbit", "--map", "f1.map.json", "--observables", "d12", "--radii", "nan,4"], "nan"),
+])
+def test_exit_code_on_non_finite_radii_and_windows(files, capsys, argv, value):
+    # each exited 0: degree 0 called "stable", a NaN average, a "stable" NaN trace
+    xsin = {"domain": "r1.json", "codomain": "r1.json", "components": ["x1 + sin(x1)"]}
+    (files / "xsin.map.json").write_text(json.dumps(xsin))
+    argv = [str(files / a) if a.endswith(".map.json") else a for a in argv]
+    code, out, err = run(argv + ["--samples", "200"] * (argv[0] != "degree"), capsys)
+    assert (code, out) == (1, "")
+    assert f"must be finite, got {value}" in err
+
+
+def test_asymdeg_warnings_go_to_the_top_level(files, capsys):
+    kink = {"domain": "r1.json", "codomain": "r1.json", "components": ["x1 + abs(x1 - x1)"]}
+    (files / "kink.map.json").write_text(json.dumps(kink))
+    code, out, _ = run(["asymdeg", "--map", str(files / "kink.map.json"), "--radii", "2,4",
+                        "--samples", "500"], capsys)
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["warnings"] == ["abs evaluated within 1e-09 of its kink (500 sample(s))"]
+    assert "warnings" not in rep["results"]
+
+
 def test_exit_code_on_overflowing_constant_power(files, capsys):
     # constant subtrees run on Python floats, whose ** raised a raw OverflowError
     huge = {"domain": "r1.json", "codomain": "r1.json", "components": ["x1 + 10^400"]}

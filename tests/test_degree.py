@@ -4,6 +4,7 @@ from oracles import dense_newton_roots, naive_preimages
 
 from nilcoh import algebra, degree
 from nilcoh.dsl import DomainError
+from nilcoh.forms import volume_form
 from nilcoh.degree import (
     DEDUPE_TOL,
     BoundaryTooClose,
@@ -14,6 +15,7 @@ from nilcoh.degree import (
 )
 from nilcoh.group import BallSpec
 from nilcoh.maps import evaluate_batch, map_from_texts, normalize_to_y0
+from nilcoh.pullback import amenable_average
 
 R1 = algebra.abelian(1)
 R2 = algebra.abelian(2)
@@ -162,6 +164,16 @@ def test_asymptotic_degree_sine_vanishes():
     want = np.sin(64.0) / 64.0
     assert tr.ratios[-1] == pytest.approx(want, abs=4 * tr.stderrs[-1])
     assert abs(tr.ratios[-1]) <= 0.05
+
+
+def test_asymptotic_degree_keeps_the_warnings_of_its_averages():
+    # x1 - x1 is exactly 0, so abs sits on its kink at every sample: the
+    # average warns, and the trace used to drop the warning
+    m = map_from_texts(R1, R1, ["x1 + abs(x1 - x1)"])
+    tr = asymptotic_degree(m, radii=(2.0, 4.0), samples=500, seed=0)
+    assert tr.warnings == ["abs evaluated within 1e-09 of its kink (500 sample(s))"]
+    assert tr.warnings == amenable_average(m, volume_form(R1), radii=(2.0, 4.0), samples=500,
+                                           seed=0).warnings
 
 
 def test_asymptotic_degree_requires_equal_dims():

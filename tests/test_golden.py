@@ -16,7 +16,10 @@ coordinate.  Both average files were rewritten when the pullback minors
 moved from one LU determinant per minor to Laplace expansion: 5 of 44 and
 24 of 91 leaves moved, each value by at most 2.4e-15 relative, and standard
 errors and values that were LU noise (at most 3.3e-18) became exact zeros,
-so two H5 coefficients drop out.  A failing case lists every moved, added
+so two H5 coefficients drop out.  The H5 average was rewritten again when
+the frame differential stopped multiplying in the shift's translation
+Jacobian: 5 of its leaves moved, by 1 or 2 ulp (at most 2.3e-16
+relative).  A failing case lists every moved, added
 and removed leaf.  The algebras and maps are saved under relative names so
 the echoed paths do not depend on the machine.
 """

@@ -12,6 +12,7 @@ from nilcoh.group import (
     BallSpec,
     box_volume,
     check_adapted,
+    check_radii,
     cloud_mean,
     estimate_ball_volume,
     homogeneous_gauge_batch,
@@ -101,6 +102,20 @@ def test_ball_spec_validation():
         BallSpec(-1.0)
     with pytest.raises(ValueError):
         BallSpec(1.0, "sphere")
+
+
+@pytest.mark.parametrize("radius", [float("nan"), float("inf")])
+def test_non_finite_ball_radius_refused(radius):
+    # a NaN radius passed the `radius <= 0` check and sampled a NaN cloud
+    with pytest.raises(ValueError, match=f"finite, got {radius}"):
+        BallSpec(radius)
+
+
+@pytest.mark.parametrize("radii", [[4.0, float("inf")], [float("nan"), 4.0]])
+def test_non_finite_radius_schedule_refused(radii):
+    # NaN compares false, so [nan, 4] passed as increasing; inf was accepted
+    with pytest.raises(ValueError, match="radii must be finite"):
+        check_radii(radii)
 
 
 def test_cloud_mean_stderr_survives_a_large_offset():

@@ -6,7 +6,7 @@ from conftest import skewed_heisenberg3
 from oracles import dense_poly_matrix, dense_twin, stacked_differential
 
 from nilcoh import algebra, pullback
-from nilcoh.bch import Poly, group_law
+from nilcoh.bch import GroupLaw, Poly, group_law
 from nilcoh.dsl import DomainError
 from nilcoh.maps import (
     SmoothMap,
@@ -307,6 +307,63 @@ def test_sparse_frame_products_match_the_dense_ones_on_nonabelian_maps(alg):
         for got, want in ((got_jac, jac), (got_mats, mats)):
             scale = np.max(np.abs(want), axis=(1, 2), keepdims=True)
             assert np.all(np.abs(got - want) <= 1e-14 * scale), kind
+
+
+NONABELIAN = pytest.mark.parametrize(
+    "alg", [H3, algebra.heisenberg5(), algebra.filiform(7), algebra.free_nilpotent_two_step(3),
+            skewed_heisenberg3()],
+    ids=["h3", "h5", "filiform7", "free2step3", "skewed-h3"])
+
+
+@NONABELIAN
+def test_differential_is_bitwise_invariant_under_shifts_and_actions(alg):
+    # left translations preserve the frames: D of s . F(g . x) is D of F at
+    # g . x, which the translation Jacobians of the shift and the action
+    # reproduced only up to rounding (8.9e-16 relative on filiform7)
+    gen = np.random.default_rng(12)
+    m = _nonlinear(alg, True)  # F(0) != 0
+    x = gen.uniform(-3.0, 3.0, size=(alg.dim, 200))
+    s = tuple(gen.uniform(-2.0, 2.0, size=alg.dim))
+    g = tuple(gen.uniform(-1.0, 1.0, size=alg.dim))
+    _, want = differential_batch(m, x)
+    for shifted in (normalize_to_y0(m), SmoothMap(alg, alg, m.components, shift=s)):
+        got_values, got = differential_batch(shifted, x)
+        assert got.tobytes() == want.tobytes()
+        assert got_values.tobytes() == evaluate_batch(shifted, x).tobytes()
+    moved = group_law(alg).multiply_batch(np.array(g), x)
+    _, want = differential_batch(m, moved)
+    for acted in (act(m, g), SmoothMap(alg, alg, m.components, shift=s, action=g)):
+        got_values, got = differential_batch(acted, x)
+        assert got.tobytes() == want.tobytes()
+        assert got_values.tobytes() == evaluate_batch(acted, x).tobytes()
+
+
+@NONABELIAN
+def test_differential_pattern_ignores_shifts_and_actions(alg):
+    # the translation Jacobians entered the pattern: on filiform7 the
+    # action's added an entry to that of a map that never reads x2
+    texts = [f"x{i + 1}" for i in range(alg.dim)]
+    texts[1] = f"x{alg.dim - 2} + 0.5"
+    for m in (_nonlinear(alg, True), map_from_texts(alg, alg, texts)):
+        want = differential_pattern(m)
+        for other in (normalize_to_y0(m), act(m, np.full(alg.dim, 0.5))):
+            assert np.array_equal(differential_pattern(other), want)
+
+
+def test_differential_of_an_acted_shifted_map_uses_no_translation_jacobian(monkeypatch):
+    calls = []
+    jac = GroupLaw.translation_jacobian_batch
+    monkeypatch.setattr(GroupLaw, "translation_jacobian_batch",
+                        lambda *a, **k: calls.append(1) or jac(*a, **k))
+    h5 = algebra.heisenberg5()
+    m = act(_nonlinear(h5, True), [0.3, -0.2, 0.5, 1.0, -1.5])
+    assert m.shift is not None and m.action is not None
+    x = np.random.default_rng(13).uniform(-2.0, 2.0, size=(5, 40))
+    differential_batch(m, x)
+    differential(m, x[:, 0])
+    assert not calls
+    jacobian_batch(m, x)  # Newton's coordinate Jacobian does need them
+    assert len(calls) == 2
 
 
 def test_differentials_are_views_of_sample_last_arrays():

@@ -2,6 +2,7 @@ import gc
 import time
 import tracemalloc
 import weakref
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -14,7 +15,7 @@ from nilcoh.degree import area_formula_check, asymptotic_degree
 from nilcoh.ergodic import derivative_entry, empirical_measure, parse_observable
 from nilcoh.forms import (KForm, basis_covector, basis_form, basis_tuples, unit_form,
                           volume_form, wedge)
-from nilcoh.maps import (differential, differential_batch, differential_pattern,
+from nilcoh.maps import (act, differential, differential_batch, differential_pattern,
                          map_from_texts, normalize_to_y0)
 from nilcoh.pullback import (
     _coefficient_rows,
@@ -379,6 +380,35 @@ def test_blocked_averages_equal_whole_array_averages(monkeypatch, alg, texts, sa
         coeffs = [dict(zip(lams, zip(mean.tolist(), se.tolist())))
                   for lams, (mean, se) in zip(lambdas, averages)]
         assert repr(coeffs) == repr(want)
+
+
+def test_homomorphism_check_does_not_see_a_shift():
+    # the shift cannot reach a pullback of a left-invariant form: a map with
+    # F(0) != 0, its normalization and the map with another shift agree bit
+    # for bit, and so do x -> F(g . x) (F(g) != 0 at the origin) and its
+    # normalization act(m, g), which were computed with and without the
+    # shift's translation Jacobian
+    m = map_from_texts(H5, H5, ["x1 + 0.3*sin(x2) + 1", "x2 + 0.1*x1^2 - 0.5", "x3 + 0.5",
+                                "x4 - 0.25*x3^2", "x5 + 0.2*x1*x3 + 2"])
+    g = (0.5, -1.0, 0.25, 2.0, -0.75)
+
+    def check(mm):
+        return repr(homomorphism_check(mm, radii=(2.0, 4.0), samples=2000, seed=3))
+
+    want = check(m)
+    assert check(normalize_to_y0(m)) == want
+    assert check(replace(m, shift=(1.0, 2.0, -1.0, 0.5, 3.0))) == want
+    assert check(act(m, g)) == check(replace(m, action=g))
+
+
+def test_averages_accept_a_map_undefined_only_at_the_origin():
+    # normalizing evaluated the map at 0, so 1/x1 was refused although the
+    # samples never hit the origin; it is now a singularity like any other
+    m = map_from_texts(R1, R2, ["x1", "1/x1"])
+    est = amenable_average(m, basis_form(R2, (0,)), radii=(2.0, 4.0), samples=500, seed=0)
+    assert [v.coeffs for v in est.values] == [{(0,): 1.0}] * 2
+    rep = homomorphism_check(m, radii=(2.0, 4.0), samples=500, seed=0)
+    assert rep.matrices[1][0][0] == 1.0
 
 
 def test_blocks_are_planned_once_per_call(monkeypatch):

@@ -100,6 +100,16 @@ class LieAlgebra:
     def homogeneous_dimension(self) -> int:
         return sum(self.weights)
 
+    @property
+    def is_graded(self) -> bool:
+        """True when the basis grades the algebra by ``weights``: c_ij^k != 0
+        only where w_k = w_i + w_j.  The canonical bases of the Heisenberg,
+        filiform and free 2-step algebras are graded; a generic change of
+        basis is not."""
+        w = self.weights
+        return len(w) == self.dim and all(
+            w[k] == w[i] + w[j] for (i, j), comps in self.structure.items() for k in comps)
+
     def __repr__(self):
         return f"LieAlgebra(dim={self.dim}, class={self.nilpotency_class})"
 

@@ -15,9 +15,14 @@ where B_{2p} are the Bernoulli numbers and T_j(k) sums the nested brackets
 [Z_{k_1}, [..., [Z_{k_j}, x + y]...]] over k_1 + ... + k_j = k; it is kept
 as a table, T_j(k) = sum_a [Z_a, T_{j-1}(k - a)].  From the product
 polynomial we derive, also exactly: the translation Jacobian d(a.y)/dy, the
-left-invariant frame (its value at y = 0), and the inverse frame (a
-terminating Neumann series, since the frame is unipotent in the filtration
-grading; a series that does not terminate raises ``IllConditionedFrame``).
+left-invariant frame F(x) (its value at y = 0), and the inverse frame by
+substitution.  L_{x^-1} undoes L_x and x^-1 = -x in exponential
+coordinates, so F(x)^-1 = d(L_{x^-1})_x is the translation Jacobian at
+(a, y) = (-x, x): each term c a^alpha y^beta becomes
+(-1)^|alpha| c x^(alpha+beta).  One exact product then checks that the
+inverse frame times the frame is the identity; corrupt data, whose
+truncated series is no group law, fails it and raises
+``IllConditionedFrame``.
 
 Evaluation is generic: exact on Fractions, vectorized on numpy arrays.
 The matrices are sparse: H3's frame has 5 nonzero entries of 9, most of
@@ -32,13 +37,15 @@ terms in k order, skipping the zeros and the multiplications by 1.
 Term order is the float summation order: ``Poly.eval_float`` adds a
 polynomial's terms in dict order, so the order in which the exact kernels
 build ``terms`` fixes the bits of every numeric group-law evaluation, and it
-must not change.  A sum (``+``, ``-``, and the accumulations of the bracket
-and of the Neumann series, all through ``exactlinalg._axpy``) keeps the left
-operand's terms in place, appends new keys in the right operand's order and
-drops a term the moment it cancels.  A product keeps each key where it first
-appears and drops the terms that cancel only at the end, so a term that is
-zero on the way and comes back keeps its first position.  ``scale`` and
-``diff`` map terms one to one, in order.  No kernel builds a zero Fraction
+must not change.  A sum (``+``, ``-`` and the accumulation of the bracket,
+all through ``exactlinalg._axpy``) keeps the left operand's terms in place,
+appends new keys in the right operand's order and drops a term the moment
+it cancels.  A product, and the inverse frame's substitution, keep each key
+where it first appears and drop the terms that cancel only at the end, so a
+term that is zero on the way and comes back keeps its first position.
+``scale`` and ``diff`` map terms one to one, in order.  Each term is
+evaluated as its coefficient times its coordinates in index order, a power
+x^e with e >= 2 by products (``jets.powers``).  No kernel builds a zero Fraction
 per term, and a sum with a coefficient of +-1 adds or subtracts without a
 multiplication.
 """
@@ -55,13 +62,15 @@ import numpy as np
 
 from .algebra import DerivedCache, LieAlgebra
 from .exactlinalg import ONE, _axpy
+from .jets import powers
 
 ExpKey = tuple[int, ...]
 
 
 class IllConditionedFrame(ValueError):
-    """The frame polynomial matrix is not unipotent; valid nilpotent group
-    data always has unipotent frames (det = 1), so the algebra is corrupt."""
+    """The inverse frame read off the product polynomial does not invert the
+    frame; valid nilpotent group data always passes, so the algebra is
+    corrupt."""
 
 
 class Poly:
@@ -89,11 +98,6 @@ class Poly:
     def variable(cls, nvars: int, index: int) -> "Poly":
         key = tuple(1 if i == index else 0 for i in range(nvars))
         return cls(nvars, {key: Fraction(1)})
-
-    @classmethod
-    def constant(cls, nvars: int, c) -> "Poly":
-        c = Fraction(c)
-        return cls(nvars, {(0,) * nvars: c} if c else {})
 
     def __add__(self, other: "Poly") -> "Poly":
         terms = dict(self.terms)
@@ -158,8 +162,10 @@ class Poly:
         for k, c in self.terms.items():
             term = float(c)
             for i, e in enumerate(k):
-                if e:
-                    term = term * vals[i] ** e
+                if e == 1:
+                    term = term * vals[i]
+                elif e:
+                    term = term * powers(vals[i], e)[1]
             total = total + term
         return total
 
@@ -249,6 +255,27 @@ def _poly_mat_mul(a: list[list[Poly]], b: list[list[Poly]]) -> list[list[Poly]]:
             out_row.append(Poly._of(nvars, acc))
         out.append(out_row)
     return out
+
+
+def _inverse_substitution(p: Poly, n: int) -> Poly:
+    """p(a, y) at (a, y) = (-x, x), a polynomial in x: c a^alpha y^beta goes
+    to (-1)^|alpha| c x^(alpha+beta).  Terms that meet are summed where the
+    first of them appeared, and the zeros are dropped at the end."""
+    terms: dict[ExpKey, Fraction] = {}
+    get = terms.get
+    summed = False
+    for k, v in p.terms.items():
+        key = tuple(map(add, k[:n], k[n:]))
+        c = -v if sum(k[:n]) & 1 else v
+        s = get(key)
+        if s is None:
+            terms[key] = c
+        else:
+            terms[key] = s + c
+            summed = True
+    if summed:
+        terms = {k: v for k, v in terms.items() if v}
+    return Poly._of(n, terms)
 
 
 @dataclass(frozen=True)
@@ -416,23 +443,14 @@ def group_law(alg: LieAlgebra) -> GroupLaw:
     frame = [[Poly._of(n, {k[:n]: v for k, v in p.terms.items() if not any(k[n:])}) for p in row]
              for row in trans]
 
-    # frame = I + N with N nilpotent (entries only flow low weight -> high),
-    # so the inverse is the finite alternating Neumann series.
-    ident = [[Poly.constant(n, 1 if i == j else 0) for j in range(n)] for i in range(n)]
-    nil = [[frame[i][j] - ident[i][j] for j in range(n)] for i in range(n)]
-    inv = [row[:] for row in ident]
-    power = [row[:] for row in ident]
-    sign = -1
-    for _ in range(n):
-        power = _poly_mat_mul(power, nil)
-        if all(p.is_zero() for row in power for p in row):
-            break
-        for i in range(n):
-            for j in range(n):
-                inv[i][j] = inv[i][j] + power[i][j] if sign > 0 else inv[i][j] - power[i][j]
-        sign = -sign
-    else:
-        raise IllConditionedFrame(f"frame - I has a nonzero {n}-th power: corrupt algebra data")
+    inv = [[_inverse_substitution(p, n) for p in row] for row in trans]
+    one = {(0,) * n: ONE}
+    for i, row in enumerate(_poly_mat_mul(inv, frame)):
+        for j, p in enumerate(row):
+            if p.terms != (one if i == j else {}):
+                raise IllConditionedFrame(
+                    f"inverse frame times frame is not the identity at ({i + 1}, {j + 1}): "
+                    "corrupt algebra data")
 
     law = GroupLaw(algebra=alg, product=product, trans_jac=trans, frame=frame, inv_frame=inv)
     _LAW_CACHE[alg] = law

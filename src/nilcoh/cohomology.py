@@ -17,11 +17,24 @@ reducing a closed form yields its sparse coordinates in the representative
 basis exactly; dense lists are built only where they are handed out.  Two
 things are computed only when first asked for, then kept: A in floats with
 its pseudo-inverse, the one least-squares operator that Monte Carlo averages
-of nearly-closed float forms need, and each entry of the cup table.
+of nearly-closed float forms need, and each entry of the cup table, which
+reduces the coefficient dict of the wedge of two representatives with no
+form built.
+
+Cup pairing ranks use the weights when the basis is graded (c_ij^k != 0
+only where w_k = w_i + w_j, ``LieAlgebra.is_graded``).  Then d_k preserves
+weight, each representative lies in one weight, and a cup product's class
+lies in the sum of its factors' weights.  So the pairing H^k x H^l ->
+H^{k+l} splits into one block per target weight: pairs whose target
+weight holds no class are zero and skipped, each block stops at the number
+of classes of its weight, and the rank is the sum of the block ranks.  On
+a basis that is not graded every class has weight 0, and all pairs go
+through one echelon.
 """
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -31,7 +44,7 @@ import numpy as np
 
 from . import exactlinalg as xl
 from .algebra import DerivedCache, LieAlgebra
-from .forms import KForm, _differential_rows, basis_tuples, wedge
+from .forms import KForm, _differential_rows, _wedge_coeffs, basis_tuples
 
 
 class DegreeOverflow(ValueError):
@@ -55,9 +68,16 @@ class CohomologySpace:
         """Sparse class coordinates {representative index: Fraction} of a closed form."""
         if form.algebra is not self.algebra:
             raise ValueError(f"form lives on another algebra than this degree-{self.degree} space")
-        residual, coords = self.echelon.reduce(form.coeffs)
-        if form.degree != self.degree or residual:
+        if form.degree != self.degree:
             raise ValueError(f"form of degree {form.degree} is not a closed degree-{self.degree} form")
+        return self._reduce(form.coeffs)
+
+    def _reduce(self, coeffs: xl.Sparse) -> xl.Sparse:
+        """Sparse class coordinates of a closed form of this degree given by
+        its coefficients."""
+        residual, coords = self.echelon.reduce(coeffs)
+        if residual:
+            raise ValueError(f"form of degree {self.degree} is not a closed degree-{self.degree} form")
         return coords
 
     def _dense(self, coords: xl.Sparse) -> list[Fraction]:
@@ -126,7 +146,8 @@ class CupTable(Mapping):
             k, l, i, j = key
             a = self._spaces[k].representatives[i]
             b = self._spaces[l].representatives[j]
-            value = self._values[key] = self._spaces[k + l]._coordinates(wedge(a, b))
+            value = self._values[key] = self._spaces[k + l]._reduce(
+                _wedge_coeffs(a.coeffs, b.coeffs))
         return value
 
     def __getitem__(self, key) -> list[Fraction]:
@@ -171,6 +192,18 @@ class CohomologyRing:
     @property
     def betti(self) -> tuple[int, ...]:
         return tuple(s.betti for s in self.spaces)
+
+    @cached_property
+    def _weights(self) -> tuple[tuple[int, ...], ...]:
+        """Per degree, the weight of each representative.  On a graded basis
+        d_k preserves weight, so its echelon rows, kernel vectors and so the
+        representatives each lie in one weight, the sum of the weights of
+        any of its keys.  On any other basis every class gets weight 0."""
+        if not self.algebra.is_graded:
+            return tuple((0,) * space.betti for space in self.spaces)
+        w = self.algebra.weights
+        return tuple(tuple(sum(w[i] for i in next(iter(rep.coeffs))) for rep in space.representatives)
+                     for space in self.spaces)
 
     def space(self, k: int) -> CohomologySpace:
         """The degree-k space; ValueError for a degree outside 0 .. dim."""
@@ -248,7 +281,17 @@ def cup_class(ring: CohomologyRing, k: int, i: int, l: int, j: int) -> list[Frac
 
 
 def cup_pairing_rank(ring: CohomologyRing, k: int, l: int) -> int:
-    """Rank of the bilinear cup pairing H^k x H^l -> H^{k+l}."""
+    """Rank of the bilinear cup pairing H^k x H^l -> H^{k+l}.
+
+    The unit class pairs H^l onto itself, so k = 0 gives b_l and l = 0
+    gives b_k.  On a graded basis the pairing splits into one block per
+    target weight (the wedge adds weights, and a class of weight w reduces
+    to representatives of weight w): a pair whose target weight holds no
+    class of degree k+l is zero, each block is eliminated on its own and
+    stops once it has the rank of its weight's classes, and the rank is the
+    sum of the block ranks.  On any other basis every class has weight 0,
+    so all pairs form one block.
+    """
     _check_degrees(k, l)
     n = ring.algebra.dim
     if k + l > n:
@@ -257,13 +300,23 @@ def cup_pairing_rank(ring: CohomologyRing, k: int, l: int) -> int:
     target = ring.spaces[k + l].betti
     if bk == 0 or bl == 0 or target == 0:
         return 0
-    span = xl.Echelon()
+    if k == 0 or l == 0:  # 1 ^ rep_j = rep_j
+        return bl if k == 0 else bk
+    weights = ring._weights
+    classes = Counter(weights[k + l])
+    blocks: defaultdict[int, xl.Echelon] = defaultdict(xl.Echelon)
+    filled: Counter[int] = Counter()
     rank = 0
-    for i in range(bk):
-        for j in range(bl):
-            rank += span.insert(ring.cup._coordinates((k, l, i, j)))
-            if rank == target:  # the rank cannot exceed the target Betti number
-                return rank
+    for i, wi in enumerate(weights[k]):
+        for j, wj in enumerate(weights[l]):
+            w = wi + wj
+            if filled[w] == classes[w]:  # no class of weight w, or its block is full
+                continue
+            if blocks[w].insert(ring.cup._coordinates((k, l, i, j))):
+                filled[w] += 1
+                rank += 1
+                if rank == target:  # the rank cannot exceed the target Betti number
+                    return rank
     return rank
 
 

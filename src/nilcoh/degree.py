@@ -27,6 +27,7 @@ compatibility and ignore it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isfinite
 
 import numpy as np
 
@@ -243,7 +244,10 @@ def local_degree(
     grid_density: int = 8,
     seed: int = 0,
 ) -> DegreeResult:
-    """Signed preimage count of a regular target over the window box."""
+    """Signed preimage count of a regular target over the window box.
+
+    A target with a NaN or infinite coordinate is refused: no preimage
+    search can find it, and degree 0 would read as "stable"."""
     _check_grid_density(grid_density)
     m = normalize_to_y0(m)
     if m.domain.dim != m.codomain.dim:
@@ -252,6 +256,9 @@ def local_degree(
     requested = tuple(float(c) for c in target)
     if len(requested) != m.codomain.dim:
         raise ValueError("target dimension mismatch")
+    for c in requested:
+        if not isfinite(c):
+            raise ValueError(f"target coordinates must be finite, got {c}")
 
     boundary_vals = _boundary_cloud(m, window, seed)
     scales = _window_scales(m, window)

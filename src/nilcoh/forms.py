@@ -143,27 +143,32 @@ def volume_form(alg: LieAlgebra) -> KForm:
 
 
 def wedge(a: KForm, b: KForm) -> KForm:
-    """Exterior product; graded commutative, determinant-normalized.
-
-    Keys appear in the order of their first term; a coefficient that cancels
-    keeps its place until the zeros are dropped at the end."""
+    """Exterior product; graded commutative, determinant-normalized."""
     if a.algebra is not b.algebra:
         raise ValueError("wedge requires forms on the same algebra")
     degree = a.degree + b.degree
     if degree > a.algebra.dim:
         return KForm(a.algebra, degree, {})
+    return KForm(a.algebra, degree, _wedge_coeffs(a.coeffs, b.coeffs))
+
+
+def _wedge_coeffs(a: dict, b: dict) -> dict:
+    """The coefficients of a ^ b from those of a and b, no zero kept.
+
+    Keys appear in the order of their first term; a coefficient that cancels
+    keeps its place until the zeros are dropped at the end."""
     out: dict[Index, object] = {}
     get = out.get
-    for left, ca in a.coeffs.items():
+    for left, ca in a.items():
         lset = set(left)
-        for right, cb in b.coeffs.items():
+        for right, cb in b.items():
             if not lset.isdisjoint(right):
                 continue
             key, sign = sort_with_sign(left + right)
             term = ca * cb if sign > 0 else -(ca * cb)
             s = get(key)
             out[key] = term if s is None else s + term
-    return KForm(a.algebra, degree, _drop_zeros(out))
+    return _drop_zeros(out)
 
 
 def parse_form(text: str, alg: LieAlgebra) -> KForm:

@@ -122,6 +122,29 @@ def naive_betti(alg) -> tuple:
     return tuple(out)
 
 
+def cup_pairing_rank(ring, k: int, l: int) -> int:
+    """``cohomology.cup_pairing_rank`` as it was before the pairing split by
+    weight: every pair (i, j) in order through one echelon, stopping only
+    at the target Betti number, with no unit or weight shortcut."""
+    from nilcoh.exactlinalg import Echelon
+
+    n = ring.algebra.dim
+    if k + l > n:
+        return 0
+    bk, bl = ring.spaces[k].betti, ring.spaces[l].betti
+    target = ring.spaces[k + l].betti
+    if bk == 0 or bl == 0 or target == 0:
+        return 0
+    span = Echelon()
+    rank = 0
+    for i in range(bk):
+        for j in range(bl):
+            rank += span.insert(ring.cup._coordinates((k, l, i, j)))
+            if rank == target:
+                return rank
+    return rank
+
+
 def exact_det(rows) -> Fraction:
     """Determinant of a square matrix by Gaussian elimination on Fractions."""
     a = [[Fraction(x) for x in row] for row in rows]
@@ -649,7 +672,8 @@ class NaiveEchelon:
 def naive_group_law_terms(alg) -> tuple:
     """(product, trans_jac, frame, inv_frame) of ``bch.group_law`` as term
     dicts, built by the same sequence of polynomial operations (Varadarajan's
-    recursion, then the Neumann series) on the reference kernels above."""
+    recursion, then the substitution (a, y) = (-x, x) into trans_jac) on the
+    reference kernels above."""
     from math import comb
 
     n = alg.dim
@@ -703,6 +727,25 @@ def naive_group_law_terms(alg) -> tuple:
     frame = [[_naive_poly({k[:n]: v for k, v in p.items() if not any(k[n:])}) for p in row]
              for row in trans]
 
+    def substitute(p):
+        terms = {}
+        for k, v in p.items():
+            key = tuple(a + b for a, b in zip(k[:n], k[n:]))
+            terms[key] = terms.get(key, Fraction(0)) + (-1) ** sum(k[:n]) * v
+        return _naive_poly(terms)
+
+    inv = [[substitute(p) for p in row] for row in trans]
+    return product, trans, frame, inv
+
+
+def neumann_inverse_frame(frame: list) -> list:
+    """The inverse of a unipotent frame given by term dicts, as the
+    alternating Neumann series I - N + N^2 - ... of N = frame - I, which
+    terminates because N is nilpotent: the value reference for the inverse
+    frame, whose term order it does not fix."""
+    n = len(frame)
+    one = Fraction(1)
+
     def mat_mul(a, b):
         out = [[{} for _ in range(n)] for _ in range(n)]
         for i in range(n):
@@ -722,8 +765,8 @@ def naive_group_law_terms(alg) -> tuple:
     for _ in range(n):
         power = mat_mul(power, nil)
         if not any(p for row in power for p in row):
-            break
+            return inv
         inv = [[naive_poly_add(inv[i][j], naive_poly_scale(power[i][j], sign)) for j in range(n)]
                for i in range(n)]
         sign = -sign
-    return product, trans, frame, inv
+    raise ValueError("frame - I is not nilpotent")

@@ -23,8 +23,17 @@ filiform6, ``project_float`` of one seeded vector per degree on each of
 them, and, in dict order, the terms of the group law's ``product``,
 ``trans_jac``, ``frame`` and ``inv_frame`` (the float summation order of
 every numeric group-law evaluation) and the ``rows`` and ``tags`` of each
-cohomology space's echelon.  The package is imported from
-``PYTHONPATH``, so the same script dumps any checkout:
+cohomology space's echelon.  The inverse frame is built by substitution;
+a checkout that builds it by a Neumann series has the same terms in the
+same order for class <= 2 only.  Against such a checkout the ``inv_frame``
+digests of filiform7, filiform8 and the dense filiform6 differ, and so, by
+float rounding, do the filiform7, filiform8 and filiform7-shifted
+``homomorphism_check`` ones.  Last, ``ring_invariants`` (Betti numbers and
+cup ranks) of the five ``ring`` benchmark algebras, H3, H5, free2step3,
+filiform6 and filiform7, on the canonical basis and on one seeded dense
+twin each: the canonical bases and the 2-step twins split the cup pairing
+into weight blocks, the filiform twins keep it in one block.  The package
+is imported from ``PYTHONPATH``, so the same script dumps any checkout:
 
     PYTHONPATH=src python tests/parity_dump.py new.json
     PYTHONPATH=../old/src python tests/parity_dump.py old.json
@@ -52,7 +61,7 @@ sys.path[:0] = [HERE, os.path.join(HERE, "..")]
 
 import nilcoh  # noqa: E402
 from bench.workloads import (  # noqa: E402
-    BUILDERS, REPRO_STEPS, Average, Degree, dense_twin, heisenberg)
+    BUILDERS, REPRO_STEPS, RING_ALGEBRAS, Average, Degree, dense_twin, heisenberg)
 from nilcoh import algebra, bch, cli  # noqa: E402
 from nilcoh.forms import basis_form, volume_form, wedge  # noqa: E402
 from nilcoh.report import render_stable  # noqa: E402
@@ -190,12 +199,24 @@ def exact_layer() -> dict:
     return out
 
 
+def ring_invariants() -> dict:
+    out = {}
+    for seed, (name, (family, size)) in enumerate(sorted(RING_ALGEBRAS.items())):
+        structure, dim = BUILDERS[family](size)[:2]
+        twin = dense_twin(structure, dim, random.Random(seed))
+        for basis, s in (("canonical", structure), ("dense", twin)):
+            ring = nilcoh.cohomology(nilcoh.validate_algebra(s, dim))
+            out[f"ring_invariants/{name}-{basis}"] = digest(repr(nilcoh.ring_invariants(ring)))
+    return out
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
         return 2
     dump = {**golden_cases(), **repro_reports(20000), **repro_reports(None),
-            **homomorphism_checks(), **warm_repeats(), **library_calls(), **degree_cycles(), **exact_layer()}
+            **homomorphism_checks(), **warm_repeats(), **library_calls(), **degree_cycles(),
+            **exact_layer(), **ring_invariants()}
     with open(argv[0], "w", encoding="utf-8") as fh:
         json.dump(dump, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -16,6 +16,7 @@ from oracles import (
     naive_poly_mul,
     naive_poly_scale,
     naive_poly_sub,
+    neumann_inverse_frame,
     ordered_items,
 )
 
@@ -31,6 +32,7 @@ from nilcoh.group import (
     point,
     quasi_norm,
 )
+from nilcoh.jets import powers
 
 
 def rand_coords(rng, n):
@@ -233,8 +235,8 @@ def test_batch_multiply_matches_scalar():
 
 
 def test_group_law_refuses_non_unipotent_frames():
-    # unvalidated non-nilpotent structure constants: frame - I is not
-    # nilpotent, so the Neumann series for the inverse frame never ends
+    # unvalidated non-nilpotent structure constants: the truncated series is
+    # no group law, so the inverse frame read off it does not invert the frame
     from nilcoh.algebra import LieAlgebra
     from nilcoh.bch import IllConditionedFrame
 
@@ -314,6 +316,16 @@ def test_poly_kernels_match_the_reference_item_for_item(a, b, c, index):
     assert ordered_items(pb.terms) == ordered_items(tb)
 
 
+def test_eval_float_raises_coordinates_by_products():
+    # x^e for e >= 2 is jets.powers' product, as in the DSL, not numpy's pow;
+    # each term is its coefficient times its coordinates in index order
+    x = list(np.random.default_rng(0).uniform(-3.0, 3.0, (2, 257)))
+    p = Poly(2, {(3, 1): Fraction(-5, 7), (1, 0): Fraction(2), (0, 5): Fraction(1, 3)})
+    want = (-5 / 7 * powers(x[0], 3)[1] * x[1] + 2.0 * x[0]) + 1 / 3 * powers(x[1], 5)[1]
+    assert np.array_equal(p.eval_float(x), want)
+    assert p.eval_float([0.5, -2.0]) == -5 / 7 * 0.125 * -2.0 + 2.0 * 0.5 + 1 / 3 * -32.0
+
+
 def test_a_product_term_that_cancels_and_returns_keeps_its_first_position():
     product = (Poly(2, RETURNING[0]) * Poly(2, RETURNING[1])).terms
     assert list(product.items()) == [((2, 0), 1), ((1, 0), 2), ((0, 0), 1), ((4, 0), -1)]
@@ -350,3 +362,6 @@ def test_group_law_terms_keep_the_reference_order(name):
     for got, want in ((law.trans_jac, trans), (law.frame, frame), (law.inv_frame, inv)):
         assert ([[ordered_items(p.terms) for p in row] for row in got]
                 == [[ordered_items(p) for p in row] for row in want])
+    # the substitution's value is the inverse, which the Neumann series gives
+    # in another term order for class >= 3
+    assert [[p.terms for p in row] for row in law.inv_frame] == neumann_inverse_frame(frame)

@@ -166,9 +166,11 @@ def test_exit_code_on_refused_grid_and_radii(files, capsys):
     (["degree", "--map", "xsin.map.json", "--window", "R=nan", "--target", "0.5"], "nan"),
     (["average", "--map", "f1.map.json", "--form", "e2", "--radii", "4,inf"], "inf"),
     (["orbit", "--map", "f1.map.json", "--observables", "d12", "--radii", "nan,4"], "nan"),
+    (["degree", "--map", "xsin.map.json", "--window", "R=10", "--target", "nan"], "nan"),
 ])
 def test_exit_code_on_non_finite_radii_and_windows(files, capsys, argv, value):
-    # each exited 0: degree 0 called "stable", a NaN average, a "stable" NaN trace
+    # each exited 0: degree 0 called "stable", a NaN average, a "stable" NaN
+    # trace, degree 0 at a NaN target called "stable"
     xsin = {"domain": "r1.json", "codomain": "r1.json", "components": ["x1 + sin(x1)"]}
     (files / "xsin.map.json").write_text(json.dumps(xsin))
     argv = [str(files / a) if a.endswith(".map.json") else a for a in argv]

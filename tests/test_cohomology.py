@@ -19,7 +19,9 @@ from nilcoh.cohomology import (
     ring_invariants,
 )
 from nilcoh.forms import KForm, _differential_rows, basis_form, basis_tuples, ce_differential, wedge
-from oracles import dense_twin, naive_betti, naive_differential_matrix, random_rational_form
+from conftest import corpus, skewed_heisenberg3
+from oracles import cup_pairing_rank as reference_pairing_rank, dense_twin, naive_betti
+from oracles import naive_differential_matrix, random_rational_form
 
 H3 = algebra.heisenberg3()
 AB3 = algebra.abelian(3)
@@ -234,8 +236,9 @@ def test_heisenberg_betti_closed_form_in_dims_9_to_13():
 
 
 def test_heisenberg11_ring_invariants_fast():
-    # 1.6-1.9 s on a 2-core host; 4.8-6.3 s when the cup table kept dense
-    # coordinates and the pairing re-sparsified every entry
+    # 0.5 s on a 2-core host; 1.6-1.9 s before the pairing split by weight,
+    # 4.8-6.3 s when the cup table kept dense coordinates and the pairing
+    # re-sparsified every entry
     ring = cohomology(heisenberg(5))
     start = time.perf_counter()
     inv = ring_invariants(ring)
@@ -413,3 +416,57 @@ def test_derived_caches_do_not_pin_the_algebra():
     del alg, ring
     gc.collect()
     assert ref() is None
+
+
+PAIRINGS = dict(corpus(), filiform6=algebra.filiform(6), skewed_heisenberg3=skewed_heisenberg3())
+PAIRINGS.update({f"dense_{name}": dense_twin(alg, random.Random(seed)) for seed, (name, alg) in
+                 enumerate([("heisenberg3", H3), ("heisenberg5", algebra.heisenberg5()),
+                            ("filiform5", algebra.filiform(5)), ("filiform6", algebra.filiform(6)),
+                            ("free2step3", algebra.free_nilpotent_two_step(3))])})
+
+
+@pytest.mark.parametrize("name", sorted(PAIRINGS))
+def test_cup_pairing_ranks_match_the_single_echelon_reference(name):
+    # graded bases take the weight blocks, the others one block
+    alg = PAIRINGS[name]
+    ring = cohomology(alg)
+    n = alg.dim
+    for k in range(n + 1):
+        for l in range(n + 1):
+            assert cup_pairing_rank(ring, k, l) == reference_pairing_rank(ring, k, l), (k, l)
+
+
+def test_canonical_bases_are_graded_and_dense_twins_are_not():
+    graded = dict(corpus(), filiform6=algebra.filiform(6), heisenberg11=heisenberg(5),
+                  free2step4=algebra.free_nilpotent_two_step(4))
+    assert all(alg.is_graded for alg in graded.values())
+    assert not skewed_heisenberg3().is_graded
+    for seed in range(6):
+        # filiform twins mix weights 2..5 in each bracket
+        assert not dense_twin(algebra.filiform(6), random.Random(seed)).is_graded
+        assert not dense_twin(algebra.filiform(5), random.Random(seed)).is_graded
+        # a 2-step twin's brackets lie in g^2, the span of its weight-2 vectors
+        assert dense_twin(algebra.heisenberg5(), random.Random(seed)).is_graded
+        assert dense_twin(algebra.free_nilpotent_two_step(3), random.Random(seed)).is_graded
+
+
+@pytest.mark.parametrize("name", ["heisenberg5", "filiform6", "free2step3", "dense_heisenberg5"])
+def test_on_a_graded_basis_classes_have_one_weight_and_cups_add_weights(name):
+    # what the weight blocks of cup_pairing_rank rest on
+    ring = cohomology(PAIRINGS[name])
+    w = ring.algebra.weights
+    weights = ring._weights
+    for space, rep_weights in zip(ring.spaces, weights):
+        for rep, weight in zip(space.representatives, rep_weights):
+            assert {sum(w[i] for i in key) for key in rep.coeffs} == {weight}
+    for k, l, i, j in ring.cup:
+        support = {weights[k + l][c] for c in ring.cup._coordinates((k, l, i, j))}
+        assert support <= {weights[k][i] + weights[l][j]}
+
+
+def test_the_unit_class_pairs_each_degree_onto_itself():
+    for alg in (H3, algebra.filiform(6), dense_twin(algebra.heisenberg5(), random.Random(2))):
+        ring = cohomology(alg)
+        assert ring.spaces[0].representatives[0].coeffs == {(): 1}
+        for k, b in enumerate(ring.betti):
+            assert cup_pairing_rank(ring, 0, k) == cup_pairing_rank(ring, k, 0) == b

@@ -88,6 +88,14 @@ def test_grid_density_below_one_refused():
             area_formula_check(m, 2.0, samples=50, grid_density=density)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_target_refused(bad):
+    # a NaN target found no preimage: degree 0, "stable"
+    m = map_from_texts(R1, R1, ["x1 + sin(x1)"])
+    with pytest.raises(ValueError, match=f"target coordinates must be finite, got {bad}"):
+        local_degree(m, 10.0, (bad,))
+
+
 def test_homotopy_invariance_small_perturbation():
     # straight-line homotopy between the identity and a 0.1-perturbation
     for t in np.linspace(0.0, 1.0, 5):

@@ -13,7 +13,8 @@ in the class:
 
 where B_{2p} are the Bernoulli numbers and T_j(k) sums the nested brackets
 [Z_{k_1}, [..., [Z_{k_j}, x + y]...]] over k_1 + ... + k_j = k; it is kept
-as a table, T_j(k) = sum_a [Z_a, T_{j-1}(k - a)].  From the product
+as a table, T_j(k) = sum_a [Z_a, T_{j-1}(k - a)].  No Z reads T_j(c - 1) for
+odd j, so those entries are not built.  From the product
 polynomial we derive, also exactly: the translation Jacobian d(a.y)/dy, the
 left-invariant frame F(x) (its value at y = 0), and the inverse frame by
 substitution.  L_{x^-1} undoes L_x and x^-1 = -x in exponential
@@ -23,6 +24,12 @@ coordinates, so F(x)^-1 = d(L_{x^-1})_x is the translation Jacobian at
 inverse frame times the frame is the identity; corrupt data, whose
 truncated series is no group law, fails it and raises
 ``IllConditionedFrame``.
+
+All of this runs in integers: a polynomial under construction is a dict
+from a packed monomial (variable i's exponent in bits [i w, (i + 1) w) of
+one int, w set by the class) to an int numerator, over one denominator,
+reduced by their gcd after every operation.  Only the finished law becomes
+``Poly`` objects, exponent tuples to Fractions.
 
 Evaluation is generic: exact on Fractions, vectorized on numpy arrays.
 The matrices are sparse: H3's frame has 5 nonzero entries of 9, most of
@@ -35,19 +42,17 @@ matrices (a, b, N) by one of them, on either side, adding each entry's
 terms in k order, skipping the zeros and the multiplications by 1.
 
 Term order is the float summation order: ``Poly.eval_float`` adds a
-polynomial's terms in dict order, so the order in which the exact kernels
-build ``terms`` fixes the bits of every numeric group-law evaluation, and it
-must not change.  A sum (``+``, ``-`` and the accumulation of the bracket,
-all through ``exactlinalg._axpy``) keeps the left operand's terms in place,
-appends new keys in the right operand's order and drops a term the moment
-it cancels.  A product, and the inverse frame's substitution, keep each key
-where it first appears and drop the terms that cancel only at the end, so a
-term that is zero on the way and comes back keeps its first position.
-``scale`` and ``diff`` map terms one to one, in order.  Each term is
-evaluated as its coefficient times its coordinates in index order, a power
-x^e with e >= 2 by products (``jets.powers``).  No kernel builds a zero Fraction
-per term, and a sum with a coefficient of +-1 adds or subtracts without a
-multiplication.
+polynomial's terms in dict order, so the kernels' term order fixes the bits
+of every numeric group-law evaluation.  A sum (``_add``) keeps the left
+operand's terms in place, appends new keys in the right operand's order and
+drops a term the moment it cancels.  A product and the substitution
+(``_collect``) keep each key where it first appears and drop the zeros at
+the end, so a term that is zero on the way and comes back keeps its first
+position.  Scaling (``_add`` to zero) and ``_diff`` map terms one to one,
+in order.  A numerator is zero exactly when its Fraction is, so every dict
+is that of Fraction arithmetic, item for item.  Each term is evaluated as
+its coefficient times its coordinates in index order, a power x^e with
+e >= 2 by products (``jets.powers``).
 """
 
 from __future__ import annotations
@@ -55,16 +60,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb, factorial
-from operator import add
+from math import comb, factorial, gcd, lcm
 
 import numpy as np
 
 from .algebra import DerivedCache, LieAlgebra
-from .exactlinalg import ONE, _axpy
 from .jets import powers
-
-ExpKey = tuple[int, ...]
 
 
 class IllConditionedFrame(ValueError):
@@ -74,76 +75,22 @@ class IllConditionedFrame(ValueError):
 
 
 class Poly:
-    """Sparse multivariate polynomial with Fraction coefficients.
-
-    ``terms`` never holds a zero; each operation builds a new dict, in the
-    order stated in the module docstring.
-    """
+    """Sparse multivariate polynomial: ``terms`` maps an exponent tuple to a
+    nonzero Fraction, in the order stated in the module docstring."""
 
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: dict[ExpKey, Fraction] | None = None):
+    def __init__(self, nvars: int, terms: dict[tuple, Fraction] | None = None):
         self.nvars = nvars
         self.terms = {k: v for k, v in (terms or {}).items() if v}
 
     @classmethod
-    def _of(cls, nvars: int, terms: dict[ExpKey, Fraction]) -> "Poly":
+    def _of(cls, nvars: int, terms: dict[tuple, Fraction]) -> "Poly":
         """A Poly on a dict that holds no zero, taken as it is."""
         p = cls.__new__(cls)
         p.nvars = nvars
         p.terms = terms
         return p
-
-    @classmethod
-    def variable(cls, nvars: int, index: int) -> "Poly":
-        key = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls(nvars, {key: Fraction(1)})
-
-    def __add__(self, other: "Poly") -> "Poly":
-        terms = dict(self.terms)
-        _axpy(terms, ONE, other.terms)
-        return Poly._of(self.nvars, terms)
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        terms = dict(self.terms)
-        _axpy(terms, -ONE, other.terms)
-        return Poly._of(self.nvars, terms)
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        terms: dict[ExpKey, Fraction] = {}
-        get = terms.get
-        summed = False
-        right = list(other.terms.items())
-        for ka, va in self.terms.items():
-            for kb, vb in right:
-                key = tuple(map(add, ka, kb))
-                s = get(key)
-                if s is None:
-                    terms[key] = va * vb
-                else:
-                    terms[key] = s + va * vb
-                    summed = True
-        if summed:  # only a sum can be zero; it kept its first position until here
-            terms = {k: v for k, v in terms.items() if v}
-        return Poly._of(self.nvars, terms)
-
-    def scale(self, c) -> "Poly":
-        c = Fraction(c)
-        if not c:
-            return Poly(self.nvars)
-        return Poly._of(self.nvars, {k: c * v for k, v in self.terms.items()})
-
-    def diff(self, index: int) -> "Poly":
-        # k -> k - e_index is one to one, so no two terms meet
-        terms = {}
-        for k, v in self.terms.items():
-            e = k[index]
-            if e:
-                terms[k[:index] + (e - 1,) + k[index + 1 :]] = v if e == 1 else v * e
-        return Poly._of(self.nvars, terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def eval_exact(self, vals):
         """Exact evaluation; vals may be Fractions or ints."""
@@ -169,9 +116,6 @@ class Poly:
             total = total + term
         return total
 
-    def __repr__(self):
-        return f"Poly({self.nvars}, {self.terms!r})"
-
 
 def _evaluator(vals: list):
     """Polynomial evaluation at vals: exact when every value is rational."""
@@ -185,15 +129,119 @@ def _as_batch(x) -> np.ndarray:
     return x[:, None] if x.ndim == 1 else x
 
 
-def _poly_vec_bracket(alg: LieAlgebra, u: list[Poly], v: list[Poly]) -> list[Poly]:
-    out: list[dict[ExpKey, Fraction]] = [{} for _ in range(alg.dim)]
+# -- the integer kernel: (terms, den) pairs, see the module docstring --------
+
+_ZERO = ({}, 1)
+
+
+def _reduced(terms: dict, den: int) -> tuple:
+    g = 1 if den == 1 else gcd(den, *terms.values())
+    return (terms, den) if g == 1 else ({k: v // g for k, v in terms.items()}, den // g)
+
+
+def _add(p: tuple, c, q: tuple) -> tuple:
+    """p + c q for a rational c; on p = _ZERO it scales q term by term."""
+    (a, da), (b, db) = p, q
+    if not b or not c:
+        return p
+    den = lcm(da, db * c.denominator)
+    fa, fb = den // da, c.numerator * (den // (db * c.denominator))
+    terms = dict(a) if fa == 1 else {k: v * fa for k, v in a.items()}
+    get = terms.get
+    for k, v in b.items():
+        s = get(k)
+        if s is None:
+            terms[k] = v * fb
+        elif s := s + v * fb:
+            terms[k] = s
+        else:
+            del terms[k]
+    return _reduced(terms, den)
+
+
+def _collect(pairs, den: int) -> tuple:
+    """(key, numerator) pairs over den, summed where each key first appears."""
+    terms: dict = {}
+    get = terms.get
+    summed = False
+    for key, v in pairs:
+        s = get(key)
+        if s is None:
+            terms[key] = v
+        else:
+            terms[key] = s + v
+            summed = True
+    if summed:  # only a sum can be zero; it kept its first position until here
+        terms = {k: v for k, v in terms.items() if v}
+    return _reduced(terms, den)
+
+
+def _mul(p: tuple, q: tuple) -> tuple:
+    right = q[0].items()
+    return _collect(((ka + kb, va * vb) for ka, va in p[0].items() for kb, vb in right),
+                    p[1] * q[1])
+
+
+def _diff(p: tuple, shift: int, mask: int) -> tuple:
+    """d/dv for the variable v at bit ``shift``; k -> k - e_v is one to one."""
+    unit = 1 << shift
+    return _reduced({k - unit: v * e for k, v in p[0].items() if (e := (k >> shift) & mask)}, p[1])
+
+
+def _substitute(p: tuple, n: int, width: int) -> tuple:
+    """p(a, y) at (a, y) = (-x, x): c a^alpha y^beta -> (-1)^|alpha| c x^(alpha+beta)."""
+    bits = n * width
+    low = (1 << bits) - 1
+    odd = low // ((1 << width) - 1)  # the low bit of each of a's exponents
+    return _collect((((k & low) + (k >> bits), -v if (k & odd).bit_count() & 1 else v)
+                     for k, v in p[0].items()), p[1])
+
+
+def _bracket(alg: LieAlgebra, u: list, v: list) -> list:
+    out = [_ZERO] * alg.dim
     for (i, j), comps in alg.structure.items():
-        w = (u[i] * v[j] - u[j] * v[i]).terms
-        if w:
+        w = _add(_mul(u[i], v[j]), -1, _mul(u[j], v[i]))
+        if w[0]:
             for k, c in comps.items():
-                _axpy(out[k], c, w)
-    nvars = u[0].nvars
-    return [Poly._of(nvars, terms) for terms in out]
+                out[k] = _add(out[k], c, w)
+    return out
+
+
+def _mat_mul(a: list, b: list) -> list:
+    """a @ b; each entry adds its nonzero products a[i][k] b[k][j] in k order."""
+    out = [[_ZERO] * len(b[0]) for _ in a]
+    for i, row in enumerate(a):
+        for k, entry in enumerate(row):
+            for j, other in enumerate(b[k]):
+                if entry[0] and other[0]:
+                    out[i][j] = _add(out[i][j], 1, _mul(entry, other))
+    return out
+
+
+def _converter(width: int):
+    """convert(polys, nvars): the Polys of kernel polynomials in nvars
+    variables, each exponent tuple and Fraction built once per converter."""
+    mask = (1 << width) - 1
+    keys: dict = {}     # nvars -> packed monomial -> exponent tuple
+    values: dict = {}   # den -> numerator -> Fraction
+
+    def convert(polys: list, nvars: int) -> list[Poly]:
+        shifts = range(0, nvars * width, width)
+        tuples = keys.setdefault(nvars, {})
+        out = []
+        for terms, den in polys:
+            fractions = values.setdefault(den, {})
+            mapped = {}
+            for k, v in terms.items():
+                if (key := tuples.get(k)) is None:
+                    key = tuples[k] = tuple([(k >> s) & mask for s in shifts])
+                if (c := fractions.get(v)) is None:
+                    c = fractions[v] = Fraction(v, den)
+                mapped[key] = c
+            out.append(Poly._of(nvars, mapped))
+        return out
+
+    return convert
 
 
 def _bernoulli(count: int) -> list[Fraction]:
@@ -204,78 +252,34 @@ def _bernoulli(count: int) -> list[Fraction]:
     return b
 
 
-def bch_product_polys(alg: LieAlgebra) -> list[Poly]:
-    """Coordinates of x·y as polynomials in (x_1..x_n, y_1..y_n)."""
+def _product(alg: LieAlgebra, width: int) -> list:
+    """Coordinates of x·y as kernel polynomials in (x_1..x_n, y_1..y_n)."""
     n = alg.dim
-    nvars = 2 * n
-    x = [Poly.variable(nvars, i) for i in range(n)]
-    y = [Poly.variable(nvars, n + i) for i in range(n)]
     cls = alg.nilpotency_class
     bern = _bernoulli(cls)
+    xy = [({1 << (width * i): 1}, 1) for i in range(2 * n)]
+    x, y = xy[:n], xy[n:]
 
-    def add(u: list[Poly], v: list[Poly]) -> list[Poly]:
-        return [a + b for a, b in zip(u, v)]
-
-    def scale(u: list[Poly], c) -> list[Poly]:
-        return [a.scale(c) for a in u]
-
-    half_diff = scale([a - b for a, b in zip(x, y)], Fraction(1, 2))
-    z = {1: add(x, y)}                      # z[m] = Z_m
-    t = {(0, 0): z[1]}                      # t[j, k] = T_j(k)
+    half_diff = [_add(_add(_ZERO, Fraction(1, 2), a), Fraction(-1, 2), b) for a, b in zip(x, y)]
+    z = {1: [_add(a, 1, b) for a, b in zip(x, y)]}   # z[m] = Z_m
+    t = {(0, 0): z[1]}                               # t[j, m] = T_j(m)
     for m in range(1, cls):
-        for j in range(1, m + 1):
-            acc = [Poly(nvars) for _ in range(n)]
+        for j in range(1, m + 1) if m < cls - 1 else range(2, m + 1, 2):  # odd T_j(c - 1): unread
+            acc = [_ZERO] * n
             for a in range(1, m + 1):
                 if (j - 1, m - a) in t:
-                    acc = add(acc, _poly_vec_bracket(alg, z[a], t[j - 1, m - a]))
+                    br = _bracket(alg, z[a], t[j - 1, m - a])
+                    acc = [_add(u, 1, v) for u, v in zip(acc, br)]
             t[j, m] = acc
-        nxt = _poly_vec_bracket(alg, half_diff, z[m])
+        nxt = _bracket(alg, half_diff, z[m])
         for p in range(2, m + 1, 2):
-            nxt = add(nxt, scale(t[p, m], bern[p] / factorial(p)))
-        z[m + 1] = scale(nxt, Fraction(1, m + 1))
+            nxt = [_add(u, bern[p] / factorial(p), v) for u, v in zip(nxt, t[p, m])]
+        z[m + 1] = [_add(_ZERO, Fraction(1, m + 1), u) for u in nxt]
 
     out = z[1]
     for m in range(2, cls + 1):
-        out = add(out, z[m])
+        out = [_add(u, 1, v) for u, v in zip(out, z[m])]
     return out
-
-
-def _poly_mat_mul(a: list[list[Poly]], b: list[list[Poly]]) -> list[list[Poly]]:
-    """a @ b; each entry adds its nonzero products a[i][k] * b[k][j] in k order."""
-    n = len(a)
-    nvars = a[0][0].nvars
-    out = []
-    for row in a:
-        out_row = []
-        for j in range(n):
-            acc: dict[ExpKey, Fraction] = {}
-            for k in range(n):
-                if row[k].terms and b[k][j].terms:
-                    _axpy(acc, ONE, (row[k] * b[k][j]).terms)
-            out_row.append(Poly._of(nvars, acc))
-        out.append(out_row)
-    return out
-
-
-def _inverse_substitution(p: Poly, n: int) -> Poly:
-    """p(a, y) at (a, y) = (-x, x), a polynomial in x: c a^alpha y^beta goes
-    to (-1)^|alpha| c x^(alpha+beta).  Terms that meet are summed where the
-    first of them appeared, and the zeros are dropped at the end."""
-    terms: dict[ExpKey, Fraction] = {}
-    get = terms.get
-    summed = False
-    for k, v in p.terms.items():
-        key = tuple(map(add, k[:n], k[n:]))
-        c = -v if sum(k[:n]) & 1 else v
-        s = get(key)
-        if s is None:
-            terms[key] = c
-        else:
-            terms[key] = s + c
-            summed = True
-    if summed:
-        terms = {k: v for k, v in terms.items() if v}
-    return Poly._of(n, terms)
 
 
 @dataclass(frozen=True)
@@ -294,9 +298,9 @@ class SparsePattern:
         one = {(0,) * polys[0][0].nvars: Fraction(1)}
         entry = [[None if p.terms == one else p for p in row] for row in polys]
         n = len(polys)
-        rows = tuple(tuple((k, entry[i][k]) for k in range(n) if not polys[i][k].is_zero())
+        rows = tuple(tuple((k, entry[i][k]) for k in range(n) if polys[i][k].terms)
                      for i in range(n))
-        cols = tuple(tuple((k, entry[k][j]) for k in range(n) if not polys[k][j].is_zero())
+        cols = tuple(tuple((k, entry[k][j]) for k in range(n) if polys[k][j].terms)
                      for j in range(n))
         return cls(rows, cols, all(r == ((i, None),) for i, r in enumerate(rows)))
 
@@ -330,10 +334,6 @@ class GroupLaw:
     @cached_property
     def inv_frame_pattern(self) -> SparsePattern:
         return SparsePattern.of(self.inv_frame)
-
-    @property
-    def dim(self) -> int:
-        return self.algebra.dim
 
     def _check_length(self, length: int) -> None:
         if length != self.algebra.dim:
@@ -437,21 +437,27 @@ def group_law(alg: LieAlgebra) -> GroupLaw:
     if law is not None:
         return law
     n = alg.dim
-    product = bch_product_polys(alg)
-    trans = [[product[i].diff(n + j) for j in range(n)] for i in range(n)]
-    # frame: the y-free terms of trans_jac, as polynomials in x alone
-    frame = [[Poly._of(n, {k[:n]: v for k, v in p.terms.items() if not any(k[n:])}) for p in row]
-             for row in trans]
+    # the product has degree <= c and inv @ frame <= 2c - 2: exponents stay below 2c
+    width = (2 * alg.nilpotency_class).bit_length()
+    mask = (1 << width) - 1
+    product = _product(alg, width)
+    trans = [[_diff(p, width * (n + j), mask) for j in range(n)] for p in product]
+    # frame: the y-free terms of trans_jac, whose keys are those of x alone
+    frame = [[_reduced({k: v for k, v in p[0].items() if not k >> (width * n)}, p[1])
+              for p in row] for row in trans]
 
-    inv = [[_inverse_substitution(p, n) for p in row] for row in trans]
-    one = {(0,) * n: ONE}
-    for i, row in enumerate(_poly_mat_mul(inv, frame)):
+    inv = [[_substitute(p, n, width) for p in row] for row in trans]
+    for i, row in enumerate(_mat_mul(inv, frame)):
         for j, p in enumerate(row):
-            if p.terms != (one if i == j else {}):
+            if p != (({0: 1}, 1) if i == j else _ZERO):
                 raise IllConditionedFrame(
                     f"inverse frame times frame is not the identity at ({i + 1}, {j + 1}): "
                     "corrupt algebra data")
 
-    law = GroupLaw(algebra=alg, product=product, trans_jac=trans, frame=frame, inv_frame=inv)
+    convert = _converter(width)
+    law = GroupLaw(algebra=alg, product=convert(product, 2 * n),
+                   trans_jac=[convert(row, 2 * n) for row in trans],
+                   frame=[convert(row, n) for row in frame],
+                   inv_frame=[convert(row, n) for row in inv])
     _LAW_CACHE[alg] = law
     return law

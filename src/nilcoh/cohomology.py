@@ -19,7 +19,7 @@ things are computed only when first asked for, then kept: A in floats with
 its pseudo-inverse, the one least-squares operator that Monte Carlo averages
 of nearly-closed float forms need, and each entry of the cup table, which
 reduces the coefficient dict of the wedge of two representatives with no
-form built.
+form built (a zero wedge, most entries on larger algebras, is not reduced).
 
 Cup pairing ranks use the weights when the basis is graded (c_ij^k != 0
 only where w_k = w_i + w_j, ``LieAlgebra.is_graded``).  Then d_k preserves
@@ -146,8 +146,9 @@ class CupTable(Mapping):
             k, l, i, j = key
             a = self._spaces[k].representatives[i]
             b = self._spaces[l].representatives[j]
-            value = self._values[key] = self._spaces[k + l]._reduce(
-                _wedge_coeffs(a.coeffs, b.coeffs))
+            wedge = _wedge_coeffs(a.coeffs, b.coeffs)
+            # a zero wedge has no coordinates: nothing to reduce
+            value = self._values[key] = self._spaces[k + l]._reduce(wedge) if wedge else {}
         return value
 
     def __getitem__(self, key) -> list[Fraction]:
@@ -312,7 +313,8 @@ def cup_pairing_rank(ring: CohomologyRing, k: int, l: int) -> int:
             w = wi + wj
             if filled[w] == classes[w]:  # no class of weight w, or its block is full
                 continue
-            if blocks[w].insert(ring.cup._coordinates((k, l, i, j))):
+            coords = ring.cup._coordinates((k, l, i, j))
+            if coords and blocks[w].insert(coords):  # a zero class adds no rank
                 filled[w] += 1
                 rank += 1
                 if rank == target:  # the rank cannot exceed the target Betti number

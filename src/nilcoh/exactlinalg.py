@@ -15,12 +15,12 @@ Dict order is part of the result: the rows, tags and residuals are the same
 dicts, in the same order, on every run.  Every accumulation goes through
 ``_axpy``, which drops an entry the moment it cancels and appends new keys
 in the order of the vector it adds, so a key that cancels and comes back
-goes to the end.  ``bch.Poly`` sums its terms with the same kernel, and
-there the order is the float summation order of the group law.  A
-coefficient of +-1 adds or subtracts without a multiplication, and a pivot
-of 1 is not rescaled: on the ``ring`` benchmark's pipelines, 99% of the
-entries ``_axpy`` adds on canonical bases, and 76% on their dense twins,
-come with a coefficient of +-1, and 55% of the new rows have a pivot of 1.
+goes to the end; the group law's integer kernel (``bch._add``) sums by the
+same rule.  A coefficient of +-1 adds or subtracts without a
+multiplication, and a pivot of 1 is not rescaled: on the ``ring``
+benchmark's pipelines, 99% of the entries ``_axpy`` adds on canonical
+bases, and 76% on their dense twins, come with a coefficient of +-1, and
+55% of the new rows have a pivot of 1.
 """
 
 from __future__ import annotations

@@ -221,13 +221,17 @@ def act(m: SmoothMap, g) -> SmoothMap:
     stored as ``action = g`` and ``shift = F(g)^-1`` (F without any shift).
 
     Repeated actions collapse through the group law, so
-    act(act(m, g1), g2) == act(m, g1 * g2) by construction.
+    act(act(m, g1), g2) == act(m, g1 * g2) by construction.  Where F is
+    undefined at the acting point, the ``DomainError`` names that point.
     """
     coords = [float(c) for c in g]
     if m.action is not None:
         coords = [float(v) for v in group_law(m.domain).multiply(list(m.action), coords)]
     bare = replace(m, shift=None, action=None)
-    at_g = evaluate_batch(bare, np.array(coords)[:, None])[:, 0]
+    try:
+        at_g = evaluate_batch(bare, np.array(coords)[:, None])[:, 0]
+    except dsl.DomainError as e:
+        raise dsl.DomainError(e.base_message, coords=tuple(coords)) from None
     return replace(bare, shift=tuple(float(-v) for v in at_g), action=tuple(coords))
 
 

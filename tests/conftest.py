@@ -40,6 +40,14 @@ def skewed_heisenberg3():
     )
 
 
+def rational_filiform5():
+    """filiform5 in a rescaled basis: [f1, f2] = 3/4 f3, [f1, f3] = -2/3 f4,
+    [f1, f4] = 5/2 f5, so the group law's coefficients mix the Bernoulli
+    denominators with those of the structure constants."""
+    return algebra.validate_algebra(
+        {(0, 1): {2: Fraction(3, 4)}, (0, 2): {3: Fraction(-2, 3)}, (0, 3): {4: Fraction(5, 2)}}, 5)
+
+
 @pytest.fixture(scope="session")
 def algebras() -> dict:
     return corpus()

@@ -253,33 +253,31 @@ def _dynkin_words(max_weight: int):
 
 
 def dynkin_product_polys(alg) -> list:
-    """Coordinates of x·y as ``Poly`` objects in (x_1..x_n, y_1..y_n), summed
-    word by word over the Dynkin expansion; the bracket of two polynomial
-    vectors runs over every ordered basis pair."""
-    from nilcoh.bch import Poly
-
+    """Coordinates of x·y as term dicts in (x_1..x_n, y_1..y_n), summed word
+    by word over the Dynkin expansion on the ``naive_poly_*`` kernels; the
+    bracket of two polynomial vectors runs over every ordered basis pair."""
     n = alg.dim
     nvars = 2 * n
-    letters = [[Poly.variable(nvars, i) for i in range(n)],
-               [Poly.variable(nvars, n + i) for i in range(n)]]
+    letters = [[{tuple(int(j == i + n * side) for j in range(nvars)): Fraction(1)}
+                for i in range(n)] for side in (0, 1)]
 
     def bracket(u, v):
-        out = [Poly(nvars) for _ in range(n)]
+        out = [{} for _ in range(n)]
         for i in range(n):
             for j in range(n):
                 coeffs = bracket_coeffs(alg, i, j)
                 if coeffs:
-                    prod = u[i] * v[j]
+                    prod = naive_poly_mul(u[i], v[j])
                     for k, c in coeffs.items():
-                        out[k] = out[k] + prod.scale(c)
+                        out[k] = naive_poly_add(out[k], naive_poly_scale(prod, c))
         return out
 
     nested = {}
     for word in sorted({w for _, w in _dynkin_words(alg.nilpotency_class)}, key=len):
         nested[word] = letters[word[0]] if len(word) == 1 else bracket(letters[word[0]], nested[word[1:]])
-    out = [Poly(nvars) for _ in range(n)]
+    out = [{} for _ in range(n)]
     for coeff, word in _dynkin_words(alg.nilpotency_class):
-        out = [o + p.scale(coeff) for o, p in zip(out, nested[word])]
+        out = [naive_poly_add(o, naive_poly_scale(p, coeff)) for o, p in zip(out, nested[word])]
     return out
 
 

@@ -23,9 +23,13 @@ filiform6, ``project_float`` of one seeded vector per degree on each of
 them, and, in dict order, the terms of the group law's ``product``,
 ``trans_jac``, ``frame`` and ``inv_frame`` (the float summation order of
 every numeric group-law evaluation) and the ``rows`` and ``tags`` of each
-cohomology space's echelon.  The inverse frame is built by substitution;
-a checkout that builds it by a Neumann series has the same terms in the
-same order for class <= 2 only.  Against such a checkout the ``inv_frame``
+cohomology space's echelon.  The same four group-law digests cover two
+laws more: filiform5 with the non-integral structure constants 3/4, -2/3
+and 5/2 (``conftest.rational_filiform5``), whose coefficients mix those
+denominators with the Bernoulli ones, and a seeded dense twin of
+filiform7, the class-6 law of the ``ring`` benchmark's dense bases.  The
+inverse frame is built by substitution; a checkout that builds it by a
+Neumann series has the same terms in the same order for class <= 2 only.  Against such a checkout the ``inv_frame``
 digests of filiform7, filiform8 and the dense filiform6 differ, and so, by
 float rounding, do the filiform7, filiform8 and filiform7-shifted
 ``homomorphism_check`` ones.  Last, ``ring_invariants`` (Betti numbers and
@@ -65,6 +69,7 @@ from bench.workloads import (  # noqa: E402
 from nilcoh import algebra, bch, cli  # noqa: E402
 from nilcoh.forms import basis_form, volume_form, wedge  # noqa: E402
 from nilcoh.report import render_stable  # noqa: E402
+from conftest import rational_filiform5  # noqa: E402
 from test_golden import CASES, stable_report  # noqa: E402
 
 def digest(text: str) -> str:
@@ -170,6 +175,17 @@ def degree_cycles() -> dict:
     return out
 
 
+def group_law_terms(name: str, alg) -> dict:
+    out = {}
+    law = bch.group_law(alg)
+    for field in ("product", "trans_jac", "frame", "inv_frame"):
+        polys = getattr(law, field)
+        terms = ([list(p.terms.items()) for p in polys] if field == "product"
+                 else [[list(p.terms.items()) for p in row] for row in polys])
+        out[f"exact/group_law-{field}-{name}"] = digest(repr(terms))
+    return out
+
+
 def exact_layer() -> dict:
     algebras = {"filiform7": algebra.filiform(7), "filiform8": algebra.filiform(8),
                 "free2step4": algebra.free_nilpotent_two_step(4),
@@ -186,16 +202,15 @@ def exact_layer() -> dict:
         coords = [space.project_float(rng.standard_normal(math.comb(alg.dim, k)))
                   for k, space in enumerate(nilcoh.cohomology(alg).spaces)]
         out[f"exact/project_float-{name}"] = digest(repr(coords))
-        law = bch.group_law(alg)
-        for field in ("product", "trans_jac", "frame", "inv_frame"):
-            polys = getattr(law, field)
-            terms = ([list(p.terms.items()) for p in polys] if field == "product"
-                     else [[list(p.terms.items()) for p in row] for row in polys])
-            out[f"exact/group_law-{field}-{name}"] = digest(repr(terms))
+        out.update(group_law_terms(name, alg))
         echelons = [[(p, list(row.items()), list(space.echelon.tags[p].items()))
                      for p, row in space.echelon.rows.items()]
                     for space in nilcoh.cohomology(alg).spaces]
         out[f"exact/echelon-{name}"] = digest(repr(echelons))
+    structure, dim = BUILDERS["filiform"](7)[:2]
+    twin = nilcoh.validate_algebra(dense_twin(structure, dim, random.Random(2)), dim)
+    for name, alg in (("rational-filiform5", rational_filiform5()), ("dense-filiform7", twin)):
+        out.update(group_law_terms(name, alg))
     return out
 
 

@@ -1,10 +1,11 @@
 import random
 import time
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
-from conftest import COEFFS, corpus, skewed_heisenberg3
+from conftest import COEFFS, corpus, rational_filiform5, skewed_heisenberg3
 from hypothesis import example, given, settings, strategies as st
 from oracles import (
     dense_poly_matrix,
@@ -21,7 +22,16 @@ from oracles import (
 )
 
 from nilcoh import algebra
-from nilcoh.bch import Poly, _poly_mat_mul, bch_product_polys, group_law
+from nilcoh.bch import (
+    Poly,
+    _ZERO,
+    _add,
+    _converter,
+    _diff,
+    _mat_mul,
+    _mul,
+    group_law,
+)
 from nilcoh.group import (
     GroupPoint,
     bch_multiply,
@@ -267,6 +277,9 @@ def test_group_law_refuses_points_of_the_wrong_length(bad):
 
 PARITY = corpus()
 PARITY.update({f"filiform{n}": algebra.filiform(n) for n in (7, 8, 9)})
+PARITY.update({"heisenberg7": algebra.validate_algebra(
+    {(2 * i, 2 * i + 1): {6: Fraction(1)} for i in range(3)}, 7),
+    "rational_filiform5": rational_filiform5()})
 PARITY.update({f"dense_{name}": dense_twin(alg, random.Random(11)) for name, alg in [
     ("heisenberg3", algebra.heisenberg3()), ("heisenberg5", algebra.heisenberg5()),
     ("filiform6", algebra.filiform(6)), ("free2step3", algebra.free_nilpotent_two_step(3)),
@@ -277,9 +290,8 @@ PARITY.update({f"dense_{name}": dense_twin(alg, random.Random(11)) for name, alg
 def test_product_polys_match_the_dynkin_sum(name):
     # the BCH polynomial is unique, so the recursion must give the same
     # exact coefficients as the Dynkin word sum, term for term
-    new = bch_product_polys(PARITY[name])
-    ref = dynkin_product_polys(PARITY[name])
-    assert [p.terms for p in new] == [p.terms for p in ref]
+    new = group_law(PARITY[name]).product
+    assert [p.terms for p in new] == dynkin_product_polys(PARITY[name])
 
 
 def test_group_law_build_is_polynomial_in_the_class():
@@ -300,20 +312,36 @@ SCALES = st.one_of(COEFFS, st.sampled_from([0, 1, -1, 2, Fraction(0), 0.5, -0.25
 RETURNING = ({(1, 0): Fraction(1), (0, 0): Fraction(1), (2, 0): Fraction(1)},
              {(1, 0): Fraction(1), (2, 0): Fraction(-1), (0, 0): Fraction(1)})
 
+# 3 bits per exponent: degree <= 2 in, <= 4 after a product
+WIDTH = 3
+
+
+def packed(terms: dict) -> tuple:
+    """The integer kernel's (terms, den) of a dict of 2-variable terms."""
+    den = lcm(*(v.denominator for v in terms.values())) if terms else 1
+    return {a + (b << WIDTH): int(v * den) for (a, b), v in terms.items()}, den
+
+
+def unpacked(p: tuple) -> dict:
+    return _converter(WIDTH)([p], 2)[0].terms
+
 
 @settings(max_examples=300, deadline=None)
 @given(a=TERMS, b=TERMS, c=SCALES, index=st.integers(0, 1))
 @example(a=RETURNING[0], b=RETURNING[1], c=Fraction(1), index=0)
 def test_poly_kernels_match_the_reference_item_for_item(a, b, c, index):
-    pa, pb = Poly(2, a), Poly(2, b)
-    ta, tb = dict(pa.terms), dict(pb.terms)
-    assert ordered_items((pa + pb).terms) == ordered_items(naive_poly_add(ta, tb))
-    assert ordered_items((pa - pb).terms) == ordered_items(naive_poly_sub(ta, tb))
-    assert ordered_items((pa * pb).terms) == ordered_items(naive_poly_mul(ta, tb))
-    assert ordered_items(pa.scale(c).terms) == ordered_items(naive_poly_scale(ta, c))
-    assert ordered_items(pa.diff(index).terms) == ordered_items(naive_poly_diff(ta, index))
-    assert ordered_items(pa.terms) == ordered_items(ta)  # no operation mutates its inputs
-    assert ordered_items(pb.terms) == ordered_items(tb)
+    ta, tb = Poly(2, a).terms, Poly(2, b).terms
+    pa, pb = packed(ta), packed(tb)
+    assert ordered_items(unpacked(_add(pa, 1, pb))) == ordered_items(naive_poly_add(ta, tb))
+    assert ordered_items(unpacked(_add(pa, -1, pb))) == ordered_items(naive_poly_sub(ta, tb))
+    assert ordered_items(unpacked(_mul(pa, pb))) == ordered_items(naive_poly_mul(ta, tb))
+    assert (ordered_items(unpacked(_add(_ZERO, Fraction(c), pa)))  # a scale is a sum onto zero
+            == ordered_items(naive_poly_scale(ta, c)))
+    assert (ordered_items(unpacked(_diff(pa, WIDTH * index, 2 ** WIDTH - 1)))
+            == ordered_items(naive_poly_diff(ta, index)))
+    for got, terms in ((pa, ta), (pb, tb)):  # no operation mutates its inputs
+        want = packed(terms)
+        assert ordered_items(got[0]) == ordered_items(want[0]) and got[1] == want[1]
 
 
 def test_eval_float_raises_coordinates_by_products():
@@ -327,29 +355,31 @@ def test_eval_float_raises_coordinates_by_products():
 
 
 def test_a_product_term_that_cancels_and_returns_keeps_its_first_position():
-    product = (Poly(2, RETURNING[0]) * Poly(2, RETURNING[1])).terms
+    product = unpacked(_mul(packed(RETURNING[0]), packed(RETURNING[1])))
     assert list(product.items()) == [((2, 0), 1), ((1, 0), 2), ((0, 0), 1), ((4, 0), -1)]
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.lists(TERMS, min_size=3, max_size=3), min_size=6, max_size=6))
 def test_poly_matrix_product_adds_its_products_in_k_order(entries):
-    a = [[Poly(2, t) for t in row] for row in entries[:3]]
-    b = [[Poly(2, t) for t in row] for row in entries[3:]]
-    out = _poly_mat_mul(a, b)
+    a = [[Poly(2, t).terms for t in row] for row in entries[:3]]
+    b = [[Poly(2, t).terms for t in row] for row in entries[3:]]
+    out = _mat_mul([[packed(t) for t in row] for row in a], [[packed(t) for t in row] for row in b])
     for i in range(3):
         for j in range(3):
             want = {}
             for k in range(3):
-                if a[i][k].terms and b[k][j].terms:
-                    want = naive_poly_add(want, naive_poly_mul(a[i][k].terms, b[k][j].terms))
-            assert ordered_items(out[i][j].terms) == ordered_items(want)
+                if a[i][k] and b[k][j]:
+                    want = naive_poly_add(want, naive_poly_mul(a[i][k], b[k][j]))
+            assert ordered_items(unpacked(out[i][j])) == ordered_items(want)
 
 
 LAWS = dict(corpus())
 LAWS.update({"filiform6": algebra.filiform(6), "skewed_heisenberg3": skewed_heisenberg3()})
 LAWS.update({f"dense_{name}": dense_twin(alg, random.Random(5)) for name, alg in [
-    ("heisenberg5", algebra.heisenberg5()), ("filiform5", algebra.filiform(5))]})
+    ("heisenberg5", algebra.heisenberg5()), ("filiform5", algebra.filiform(5)),
+    ("filiform7", algebra.filiform(7)), ("rational_filiform5", rational_filiform5())]})
+LAWS.update({name: PARITY[name] for name in ("heisenberg7", "filiform8", "rational_filiform5")})
 
 
 @pytest.mark.parametrize("name", sorted(LAWS))
@@ -358,6 +388,7 @@ def test_group_law_terms_keep_the_reference_order(name):
     # of every numeric group-law evaluation
     law = group_law(LAWS[name])
     product, trans, frame, inv = naive_group_law_terms(LAWS[name])
+    assert [p.terms for p in law.product] == dynkin_product_polys(LAWS[name])
     assert [ordered_items(p.terms) for p in law.product] == [ordered_items(p) for p in product]
     for got, want in ((law.trans_jac, trans), (law.frame, frame), (law.inv_frame, inv)):
         assert ([[ordered_items(p.terms) for p in row] for row in got]

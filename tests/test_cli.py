@@ -162,6 +162,19 @@ def test_exit_code_on_refused_grid_and_radii(files, capsys):
     assert "strictly increasing" in err
 
 
+def test_orbit_names_the_basepoint_where_the_map_is_undefined(files, capsys):
+    # exited 1 with "error: division by zero" and no point
+    inv = {"domain": "r1.json", "codomain": "r2.json", "components": ["x1", "1/x1"]}
+    (files / "inv.map.json").write_text(json.dumps(inv))
+    code, out, err = run(
+        ["orbit", "--map", str(files / "inv.map.json"), "--observables", "d11",
+         "--radii", "2,4", "--basepoints=0,1", "--samples", "200"],
+        capsys,
+    )
+    assert (code, out) == (1, "")
+    assert "error: division by zero at point (0.0)" in err
+
+
 @pytest.mark.parametrize("argv, value", [
     (["degree", "--map", "xsin.map.json", "--window", "R=nan", "--target", "0.5"], "nan"),
     (["average", "--map", "f1.map.json", "--form", "e2", "--radii", "4,inf"], "inf"),

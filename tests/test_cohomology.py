@@ -9,6 +9,7 @@ import pytest
 import sympy
 
 from nilcoh import algebra
+from nilcoh import exactlinalg as xl
 from nilcoh.bch import group_law
 from nilcoh.cohomology import (
     DegreeOverflow,
@@ -18,7 +19,8 @@ from nilcoh.cohomology import (
     cup_pairing_rank,
     ring_invariants,
 )
-from nilcoh.forms import KForm, _differential_rows, basis_form, basis_tuples, ce_differential, wedge
+from nilcoh.forms import (
+    KForm, _differential_rows, _wedge_coeffs, basis_form, basis_tuples, ce_differential, wedge)
 from conftest import corpus, skewed_heisenberg3
 from oracles import cup_pairing_rank as reference_pairing_rank, dense_twin, naive_betti
 from oracles import naive_differential_matrix, random_rational_form
@@ -434,6 +436,35 @@ def test_cup_pairing_ranks_match_the_single_echelon_reference(name):
     for k in range(n + 1):
         for l in range(n + 1):
             assert cup_pairing_rank(ring, k, l) == reference_pairing_rank(ring, k, l), (k, l)
+
+
+# built here, not taken from PAIRINGS, so no earlier test has filled the cup table
+COLD = {"heisenberg5": algebra.heisenberg5, "filiform6": lambda: algebra.filiform(6),
+        "dense_filiform6": lambda: dense_twin(algebra.filiform(6), random.Random(3))}
+
+
+@pytest.mark.parametrize("name", sorted(COLD))
+def test_zero_wedges_reach_no_echelon(name, monkeypatch):
+    # a zero wedge was reduced by the target space's echelon, then inserted
+    # into the pairing's block, which reduced it again
+    alg = COLD[name]()
+    ring = cohomology(alg)
+    assert not ring.cup._values
+    reduced = []
+    reduce = xl.Echelon.reduce
+    monkeypatch.setattr(xl.Echelon, "reduce",
+                        lambda self, v: reduced.append(dict(v)) or reduce(self, v))
+    degrees = range(alg.dim + 1)
+    ranks = {(k, l): cup_pairing_rank(ring, k, l) for k in degrees for l in degrees}
+    zero = 0
+    for k, l, i, j in ring.cup:
+        a, b = ring.spaces[k].representatives[i], ring.spaces[l].representatives[j]
+        if not _wedge_coeffs(a.coeffs, b.coeffs):
+            zero += 1
+            assert ring.cup._coordinates((k, l, i, j)) == {}
+    assert zero and reduced and all(reduced)
+    monkeypatch.undo()
+    assert ranks == {key: reference_pairing_rank(ring, *key) for key in ranks}
 
 
 def test_canonical_bases_are_graded_and_dense_twins_are_not():

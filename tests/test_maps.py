@@ -80,6 +80,20 @@ def test_domain_error_carries_point():
     assert "-1.0" in str(exc.value)
 
 
+def test_act_names_the_point_where_the_map_is_undefined():
+    # act evaluates F at the acting point for its shift; a DomainError there
+    # named no point
+    m = map_from_texts(R1, R2, ["x1", "1/x1"])
+    with pytest.raises(DomainError) as exc:
+        act(m, [0.0])
+    assert exc.value.coords == (0.0,)
+    assert str(exc.value) == "division by zero at point (0.0)"
+    # an acted map acts again at its action times g
+    with pytest.raises(DomainError) as exc:
+        act(act(m, [1.0]), [-1.0])
+    assert exc.value.coords == (0.0,)
+
+
 def test_differential_examples():
     ident = map_from_texts(H3, H3, ["x1", "x2", "x3"])
     for pt in ([0.0, 0.0, 0.0], [0.7, -1.3, 2.0]):

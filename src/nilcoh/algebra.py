@@ -42,12 +42,17 @@ class NotNilpotent(AlgebraError):
 
 
 def _as_fraction(x) -> Fraction:
+    """An exact rational from a Fraction, an int or a string such as "-2/3";
+    AlgebraError for anything else, a bool, "1/0", "nan" or "inf" included."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise AlgebraError(f"structure constant {x!r} is not an exact rational")
 
 
@@ -219,7 +224,7 @@ def _lower_central_series(alg: LieAlgebra) -> tuple[list[int], list[int]]:
             break
         depth += 1
         for i in range(dim):
-            if not span.reduce({i: xl.ONE})[0]:
+            if not span._reduce({i: 1}, 1)[0][0]:  # e_i lies in g^depth
                 weights[i] = depth
         layer = basis
         if depth > dim:
@@ -260,7 +265,12 @@ def algebra_from_dict(data: dict) -> LieAlgebra:
         for k, c in comps:
             if not isinstance(k, int) or not 1 <= k <= dim:
                 raise AlgebraError(f"bracket target index {k} out of range in pair ({i}, {j})")
-            target[k - 1] = _as_fraction(c)
+            if k - 1 in target:
+                raise AlgebraError(f"duplicate bracket target index {k} in pair ({i}, {j})")
+            try:
+                target[k - 1] = _as_fraction(c)
+            except AlgebraError as e:
+                raise AlgebraError(f"{e}, in pair ({i}, {j})") from None
         structure[(i - 1, j - 1)] = target
     return validate_algebra(structure, dim, names)
 

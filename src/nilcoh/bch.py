@@ -28,8 +28,9 @@ truncated series is no group law, fails it and raises
 All of this runs in integers: a polynomial under construction is a dict
 from a packed monomial (variable i's exponent in bits [i w, (i + 1) w) of
 one int, w set by the class) to an int numerator, over one denominator,
-reduced by their gcd after every operation.  Only the finished law becomes
-``Poly`` objects, exponent tuples to Fractions.
+reduced by their gcd after every operation (``exactlinalg._reduced``, as
+the echelon's rows are).  Only the finished law becomes ``Poly`` objects,
+exponent tuples to Fractions.
 
 Evaluation is generic: exact on Fractions, vectorized on numpy arrays.
 The matrices are sparse: H3's frame has 5 nonzero entries of 9, most of
@@ -60,11 +61,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, lcm
 
 import numpy as np
 
 from .algebra import DerivedCache, LieAlgebra
+from .exactlinalg import _reduced
 from .jets import powers
 
 
@@ -132,11 +134,6 @@ def _as_batch(x) -> np.ndarray:
 # -- the integer kernel: (terms, den) pairs, see the module docstring --------
 
 _ZERO = ({}, 1)
-
-
-def _reduced(terms: dict, den: int) -> tuple:
-    g = 1 if den == 1 else gcd(den, *terms.values())
-    return (terms, den) if g == 1 else ({k: v // g for k, v in terms.items()}, den // g)
 
 
 def _add(p: tuple, c, q: tuple) -> tuple:

@@ -1,15 +1,18 @@
 """Cohomology of the Chevalley-Eilenberg complex, with cup products.
 
-Everything but the float projection is exact rational linear algebra on one
-vector format, sparse ``{key: Fraction}`` dicts.  Each degree k is eliminated
-once: d_k comes as sparse rows from ``forms`` (the rows ``ce_differential``
-applies), and its reduced row echelon form gives both ker d_k (one basis
-vector per free column, over the lexicographic wedge basis) and the pivot
-columns whose images span the coboundaries of degree k+1.  Representatives
-are chosen deterministically: an incremental echelon takes the coboundaries
-first, then the cocycles in kernel order, and a cocycle becomes a
-representative exactly when it is independent modulo what came before.  Its
-terms are kept in basis order, the order pullback sums them in.
+Everything but the float projection is exact rational linear algebra.  It
+runs on ``exactlinalg``'s integer pairs (a dict of int numerators over one
+denominator) and hands out sparse ``{key: Fraction}`` dicts: the
+representatives, the closed basis and the cup entries.  Each degree k is
+eliminated once: d_k comes as integer rows from ``forms`` (the rows
+``ce_differential`` applies, as Fractions), and its reduced row echelon form
+gives both ker d_k (one basis vector per free column, over the
+lexicographic wedge basis) and the pivot columns whose images span the
+coboundaries of degree k+1.  Representatives are chosen deterministically:
+an incremental echelon takes the coboundaries first, then the cocycles in
+kernel order, and a cocycle becomes a representative exactly when it is
+independent modulo what came before.  Its terms are kept in basis order,
+the order pullback sums them in.
 
 Class coordinates come by reduction: each echelon row records its
 combination of the columns of A = [representatives | coboundaries], so
@@ -18,8 +21,10 @@ basis exactly; dense lists are built only where they are handed out.  Two
 things are computed only when first asked for, then kept: A in floats with
 its pseudo-inverse, the one least-squares operator that Monte Carlo averages
 of nearly-closed float forms need, and each entry of the cup table, which
-reduces the coefficient dict of the wedge of two representatives with no
-form built (a zero wedge, most entries on larger algebras, is not reduced).
+reduces the wedge of two representatives' integer pairs with no form built
+(a zero wedge, most entries on larger algebras, is not reduced) and is kept
+as a pair: the cup pairings insert it as it is, and ``pullback`` reads its
+coefficients as floats.
 
 Cup pairing ranks use the weights when the basis is graded (c_ij^k != 0
 only where w_k = w_i + w_j, ``LieAlgebra.is_graded``).  Then d_k preserves
@@ -44,7 +49,7 @@ import numpy as np
 
 from . import exactlinalg as xl
 from .algebra import DerivedCache, LieAlgebra
-from .forms import KForm, _differential_rows, _wedge_coeffs, basis_tuples
+from .forms import KForm, _integer_differential_rows, _wedge_coeffs, basis_tuples
 
 
 class DegreeOverflow(ValueError):
@@ -65,20 +70,32 @@ class CohomologySpace:
     echelon: xl.Echelon = field(repr=False, compare=False)  # rows tagged by rep coordinates
 
     def _coordinates(self, form: KForm) -> xl.Sparse:
-        """Sparse class coordinates {representative index: Fraction} of a closed form."""
+        """Sparse class coordinates {representative index: Fraction} of a
+        closed form (floats for a float form)."""
         if form.algebra is not self.algebra:
             raise ValueError(f"form lives on another algebra than this degree-{self.degree} space")
         if form.degree != self.degree:
-            raise ValueError(f"form of degree {form.degree} is not a closed degree-{self.degree} form")
-        return self._reduce(form.coeffs)
-
-    def _reduce(self, coeffs: xl.Sparse) -> xl.Sparse:
-        """Sparse class coordinates of a closed form of this degree given by
-        its coefficients."""
-        residual, coords = self.echelon.reduce(coeffs)
+            self._not_closed(form.degree)
+        residual, coords = self.echelon.reduce(form.coeffs)
         if residual:
-            raise ValueError(f"form of degree {self.degree} is not a closed degree-{self.degree} form")
+            self._not_closed(form.degree)
         return coords
+
+    def _reduce(self, terms: dict, den: int) -> xl.Pair:
+        """Class coordinates, as a pair, of the closed form of this degree
+        with coefficients terms / den."""
+        residual, coords = self.echelon._reduce(terms, den)
+        if residual[0]:
+            self._not_closed(self.degree)
+        return coords
+
+    def _not_closed(self, degree: int):
+        raise ValueError(f"form of degree {degree} is not a closed degree-{self.degree} form")
+
+    @cached_property
+    def _rep_pairs(self) -> tuple[xl.Pair, ...]:
+        """The representatives' coefficients as (terms, den) pairs."""
+        return tuple(xl._ints(rep.coeffs) for rep in self.representatives)
 
     def _dense(self, coords: xl.Sparse) -> list[Fraction]:
         return [coords.get(i, xl.ZERO) for i in range(self.betti)]
@@ -135,21 +152,28 @@ class CupTable(Mapping):
 
     def __init__(self, spaces: tuple[CohomologySpace, ...]):
         self._spaces = spaces
-        self._values: dict[tuple[int, int, int, int], xl.Sparse] = {}
+        self._values: dict[tuple[int, int, int, int], xl.Pair] = {}
 
-    def _coordinates(self, key) -> xl.Sparse:
-        """Sparse class coordinates of the entry at ``key``, kept once computed."""
+    def _pair(self, key) -> xl.Pair:
+        """Class coordinates of the entry at ``key`` as a (terms, den) pair,
+        kept once computed."""
         value = self._values.get(key)
         if value is None:
             if key not in self:
                 raise KeyError(key)
             k, l, i, j = key
-            a = self._spaces[k].representatives[i]
-            b = self._spaces[l].representatives[j]
-            wedge = _wedge_coeffs(a.coeffs, b.coeffs)
+            a, da = self._spaces[k]._rep_pairs[i]
+            b, db = self._spaces[l]._rep_pairs[j]
+            wedge = _wedge_coeffs(a, b)
             # a zero wedge has no coordinates: nothing to reduce
-            value = self._values[key] = self._spaces[k + l]._reduce(wedge) if wedge else {}
+            value = self._spaces[k + l]._reduce(wedge, da * db) if wedge else ({}, 1)
+            self._values[key] = value
         return value
+
+    def _coordinates(self, key) -> xl.Sparse:
+        """Sparse class coordinates {representative index: Fraction} of the
+        entry at ``key``."""
+        return xl._fractions(*self._pair(key))
 
     def __getitem__(self, key) -> list[Fraction]:
         coords = self._coordinates(key)  # first, so a bad key raises KeyError
@@ -225,15 +249,15 @@ def cohomology(alg: LieAlgebra) -> CohomologyRing:
 
     n = alg.dim
     spaces = []
-    coboundaries: list[xl.Sparse] = []  # images of d_{k-1}'s pivot columns
+    coboundaries: list[dict] = []  # images of d_{k-1}'s pivot columns, over den
     for k in range(n + 1):
         basis = basis_tuples(n, k)
-        rows = _differential_rows(alg, k)  # empty at the top degree
+        rows, den = _integer_differential_rows(alg, k)  # empty at the top degree
         d_k = xl.Echelon()
         for row in rows.values():
-            d_k.insert(row)
-        cocycles = d_k.kernel(basis)
-        next_coboundaries: dict = {s: {} for s in sorted(d_k.rows)}  # in rows order
+            d_k._insert(row, den)
+        cocycles = d_k._kernel(basis)
+        next_coboundaries: dict = {s: {} for s in sorted(d_k._rows)}  # in rows order
         for t, row in rows.items():
             for s, c in row.items():
                 if s in next_coboundaries:
@@ -241,11 +265,11 @@ def cohomology(alg: LieAlgebra) -> CohomologyRing:
 
         closed = xl.Echelon()
         for z in coboundaries:
-            closed.insert(z)
+            closed._insert(z, den)
         reps: list[KForm] = []
-        for z in cocycles:
-            if closed.insert(z, {len(reps): xl.ONE}):
-                reps.append(KForm(alg, k, {t: z[t] for t in sorted(z)}))
+        for z, dz in cocycles:
+            if closed._insert(z, dz, ({len(reps): 1}, 1)):
+                reps.append(KForm(alg, k, xl._fractions({t: z[t] for t in sorted(z)}, dz)))
 
         spaces.append(
             CohomologySpace(
@@ -253,7 +277,8 @@ def cohomology(alg: LieAlgebra) -> CohomologyRing:
                 degree=k,
                 betti=len(reps),
                 representatives=tuple(reps),
-                closed_basis=[rep.coeffs for rep in reps] + coboundaries,
+                closed_basis=[rep.coeffs for rep in reps]
+                + [xl._fractions(z, den) for z in coboundaries],
                 echelon=closed,
             )
         )
@@ -313,8 +338,8 @@ def cup_pairing_rank(ring: CohomologyRing, k: int, l: int) -> int:
             w = wi + wj
             if filled[w] == classes[w]:  # no class of weight w, or its block is full
                 continue
-            coords = ring.cup._coordinates((k, l, i, j))
-            if coords and blocks[w].insert(coords):  # a zero class adds no rank
+            coords, den = ring.cup._pair((k, l, i, j))
+            if coords and blocks[w]._insert(coords, den):  # a zero class adds no rank
                 filled[w] += 1
                 rank += 1
                 if rank == target:  # the rank cannot exceed the target Betti number

@@ -1,7 +1,8 @@
 """Exact linear algebra over the rationals.
 
-Vectors are sparse dicts from a key (a column index or a form-basis tuple)
-to a nonzero ``fractions.Fraction``, the exact layer's one vector format.
+Vectors handed in and out are sparse dicts from a key (a column index or a
+form-basis tuple) to a nonzero ``fractions.Fraction``, the exact layer's one
+vector format.
 Everything here is deterministic: a row's pivot is its smallest key, never
 chosen by magnitude, so repeated runs (and cohomology bases) reproduce.
 
@@ -11,24 +12,45 @@ the pivot columns, span membership and coordinates over the inserted vectors
 (an inverse, for the rows of an invertible matrix) all fall out of one
 elimination.  Callers use it directly.
 
+Inside ``Echelon`` a vector is a pair (terms, den): a dict from the same
+keys to nonzero int numerators over one positive int denominator, reduced
+by a single ``math.gcd`` over the vector after each operation (``_reduced``,
+shared with the group law's kernel in ``bch``), so an elimination runs
+without a gcd per entry (cf. Bareiss, Math. Comp. 22, 1968).  Every row,
+tag, residual and kernel vector is such a pair, and Fractions are built
+only where a result is handed out: ``reduce``'s residual and tag,
+``kernel``'s vectors and the read-only ``rows`` and ``tags`` views.  The
+library's own callers pass pairs straight through the pair methods
+``_reduce``, ``_insert`` and ``_kernel``: ``cohomology`` eliminates d_k's
+integer rows and builds Fractions only for representatives, the closed
+basis and cup entries handed out; the cup pairings insert the cup table's
+pairs, ``pullback`` reads them as floats, and the lower central series
+probes its span with them.  ``insert`` takes only Fraction entries;
+``reduce`` also takes float and int probes (``CohomologySpace.project`` of
+a float form), which it combines with the rows as Fractions, as ``_axpy``
+does, so they come out as they always have.  An echelon that has never
+been given a tag holds only empty tags and skips their arithmetic.
+
 Dict order is part of the result: the rows, tags and residuals are the same
-dicts, in the same order, on every run.  Every accumulation goes through
-``_axpy``, which drops an entry the moment it cancels and appends new keys
-in the order of the vector it adds, so a key that cancels and comes back
-goes to the end; the group law's integer kernel (``bch._add``) sums by the
-same rule.  A coefficient of +-1 adds or subtracts without a
-multiplication, and a pivot of 1 is not rescaled: on the ``ring``
-benchmark's pipelines, 99% of the entries ``_axpy`` adds on canonical
-bases, and 76% on their dense twins, come with a coefficient of +-1, and
-55% of the new rows have a pivot of 1.
+dicts, in the same order, on every run.  Every accumulation drops an entry
+the moment it cancels and appends new keys in the order of the vector it
+adds, so a key that cancels and comes back goes to the end: ``_axpy`` on
+Fractions and ``_addmul`` on numerators, and the group law's integer kernel
+(``bch._add``) sums by the same rule.  Bringing two numerator dicts to one
+denominator scales values in place and moves no key, and a numerator is
+zero exactly when its Fraction is, so every pair holds the keys of Fraction
+arithmetic, in the same order.  A pivot of 1 is not rescaled.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
+from math import gcd, lcm
 from operator import add, sub
 
 Sparse = dict  # ordered key (column index, form-basis tuple) -> nonzero Fraction
+Pair = tuple   # (ordered key -> nonzero int, positive int denominator), reduced
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -48,66 +70,212 @@ class Echelon:
     the inserted vectors, equal to the row as they combine the vectors.
     Reducing a vector of the span then yields its coordinates over the
     tagged vectors (untagged vectors contribute no coordinate).
+
+    ``rows`` and ``tags`` are read-only views that build each Fraction dict
+    when it is read; the pairs behind them are kept in ``_rows`` and ``_tags``.
     """
 
     def __init__(self):
-        self.rows: dict = {}
-        self.tags: dict = {}
+        self._rows: dict = {}  # pivot -> (terms, den), terms[pivot] == den
+        self._tags: dict = {}  # pivot -> (terms, den)
+        self._tagged = False  # until a tag is given, every tag is empty
+        self.rows = _Fractions(self._rows)
+        self.tags = _Fractions(self._tags)
 
     def reduce(self, v: Sparse) -> tuple[Sparse, Sparse]:
         """(residual, tag): v minus a combination of the rows, and that
         combination as a combination of tags.  The residual has no entry in a
-        pivot column, and it is empty exactly when v lies in the span."""
-        out = {key: x for key, x in v.items() if x}
-        tag: Sparse = {}
-        rows, tags = self.rows, self.tags
-        # rows vanish on each other's pivots, so v's own entries there are
-        # the coefficients, whatever the order of elimination
-        for p, c in [(p, c) for p, c in out.items() if p in rows]:
-            _axpy(out, -c, rows[p])
-            _axpy(tag, c, tags[p])
-        return out, tag
+        pivot column, and it is empty exactly when v lies in the span.  A v
+        with a float or int entry is reduced on the rows as Fractions."""
+        pair = _ints(v)
+        if pair is None:  # a float or int entry
+            return self._reduce_plain(v)
+        residual, tag = self._reduce(*pair)
+        return _fractions(*residual), _fractions(*tag)
 
     def insert(self, v: Sparse, tag: Sparse | None = None) -> bool:
         """Add v (tagged ``tag``) unless it lies in the span; True if added.
 
-        A row whose pivot entry is the Fraction 1 is stored unscaled, which
-        leaves its Fraction and float entries exactly as scaling would; an
-        int entry, outside the vector format, stays an int."""
-        residual, used = self.reduce(v)
-        if not residual:
-            return False
-        row_tag = dict(tag or {})
-        _axpy(row_tag, -ONE, used)
-        pivot = min(residual)
-        row = residual
-        lead = residual[pivot]
-        if type(lead) is not Fraction or lead != 1:
-            scale = ONE / lead
-            row = {key: x * scale for key, x in residual.items()}
-            row_tag = {key: x * scale for key, x in row_tag.items()}
-        tags = self.tags
-        for p, other in [(p, other) for p, other in self.rows.items() if pivot in other]:
-            c = -other[pivot]
-            _axpy(other, c, row)
-            _axpy(tags[p], c, row_tag)
-        self.rows[pivot] = row
-        self.tags[pivot] = row_tag
-        return True
+        Both take Fraction entries only; TypeError names the first other."""
+        return self._insert(*_exact(v, "vector"), _exact(tag, "tag") if tag else None)
 
     def kernel(self, columns) -> list[Sparse]:
         """Basis of the vectors x with row . x = 0 for every row: one per
         non-pivot column f of ``columns``, in their order, with x[f] = 1."""
+        return [_fractions(*pair) for pair in self._kernel(columns)]
+
+    # -- the same on (terms, den) pairs --------------------------------------
+
+    def _reduce(self, terms: dict, den: int) -> tuple[Pair, Pair]:
+        """``reduce`` of the pair (terms, den), left as it is; the residual
+        and the tag come as pairs."""
+        rows = self._rows
+        # rows vanish on each other's pivots, so v's own entries there are
+        # the coefficients, whatever the order of elimination
+        hits = [(p, c) for p, c in terms.items() if p in rows]
+        out = dict(terms)
+        if not hits:
+            return _reduced(out, den), ({}, 1)
+        # v - sum (c/den) row/d over den * lcm(d), and the tag likewise
+        m = lcm(*[rows[p][1] for p, _ in hits])
+        if m != 1:
+            for key in out:
+                out[key] *= m
+        for p, c in hits:
+            row, d = rows[p]
+            _addmul(out, -c * (m // d), row)
+        if not self._tagged:
+            return _reduced(out, den * m), ({}, 1)
+        tags = self._tags
+        m_tag = lcm(*[tags[p][1] for p, _ in hits])
+        tag: dict = {}
+        for p, c in hits:
+            t, dt = tags[p]
+            _addmul(tag, c * (m_tag // dt), t)
+        return _reduced(out, den * m), _reduced(tag, den * m_tag)
+
+    def _insert(self, terms: dict, den: int, tag: Pair | None = None) -> bool:
+        """``insert`` of the pair (terms, den), tagged by the pair ``tag``."""
+        (row, d), (used, du) = self._reduce(terms, den)
+        if not row:
+            return False
+        # the row's tag: tag - used
+        if tag is None:
+            row_tag, dt = {key: -x for key, x in used.items()}, du
+        else:
+            self._tagged = True
+            given, dg = tag
+            dt = lcm(dg, du)
+            row_tag = {key: x * (dt // dg) for key, x in given.items()}
+            _addmul(row_tag, -(dt // du), used)
+        pivot = min(row)
+        lead = row[pivot]
+        if lead != d:  # scale the row and its tag by d / lead, so the pivot is 1
+            if lead < 0:
+                row = {key: -x for key, x in row.items()}
+                lead, d = -lead, -d
+            row_tag = {key: x * d for key, x in row_tag.items()}
+            row, d = _reduced(row, lead)
+            dt *= lead
+        row_tag, dt = _reduced(row_tag, dt)
+        rows, tags = self._rows, self._tags
+        for p, (other, do) in [(p, pair) for p, pair in rows.items() if pivot in pair[0]]:
+            # other/do - (c/do) row/d = (d other - c row) / (do d)
+            c = other[pivot]
+            if d != 1:
+                for key in other:
+                    other[key] *= d
+            _addmul(other, -c, row)
+            rows[p] = _reduced(other, do * d)
+            if row_tag:
+                # t/dto - (c/do) row_tag/dt over lcm(dto, do dt)
+                t, dto = tags[p]
+                common = lcm(dto, do * dt)
+                if common != dto:
+                    for key in t:
+                        t[key] *= common // dto
+                _addmul(t, -c * (common // (do * dt)), row_tag)
+                tags[p] = _reduced(t, common)
+        rows[pivot] = (row, d)
+        tags[pivot] = (row_tag, dt)
+        return True
+
+    def _kernel(self, columns) -> list[Pair]:
+        """``kernel`` as pairs."""
         basis = []
+        rows = self._rows
         for free in columns:
-            if free in self.rows:
+            if free in rows:
                 continue
-            v = {free: ONE}
-            for p, row in self.rows.items():
-                if free in row:
-                    v[p] = -row[free]
-            basis.append(v)
+            hits = [(p, row[free], d) for p, (row, d) in rows.items() if free in row]
+            den = lcm(*[d for _, _, d in hits])
+            v = {free: den}
+            for p, c, d in hits:
+                v[p] = -c * (den // d)
+            basis.append(_reduced(v, den))
         return basis
+
+    def _reduce_plain(self, v: dict) -> tuple[dict, dict]:
+        """``reduce`` of a vector with a float or int entry, on the rows and
+        tags as Fractions: floats and ints combine with them by ``_axpy``."""
+        out = {key: x for key, x in v.items() if x}
+        tag: dict = {}
+        for p, c in [(p, c) for p, c in out.items() if p in self._rows]:
+            _axpy(out, -c, self.rows[p])
+            _axpy(tag, c, self.tags[p])
+        return out, tag
+
+
+class _Fractions(Mapping):
+    """Read-only view of a dict of pairs, each read as a Fraction dict."""
+
+    __slots__ = ("_pairs",)
+
+    def __init__(self, pairs: dict):
+        self._pairs = pairs
+
+    def __getitem__(self, key) -> Sparse:
+        return _fractions(*self._pairs[key])
+
+    def __contains__(self, key) -> bool:
+        return key in self._pairs
+
+    def __iter__(self):
+        return iter(self._pairs)
+
+    def __len__(self) -> int:
+        return len(self._pairs)
+
+
+def _reduced(terms: dict, den: int) -> Pair:
+    """(terms, den) divided by the gcd of den and every numerator."""
+    g = 1 if den == 1 else gcd(den, *terms.values())
+    return (terms, den) if g == 1 else ({k: v // g for k, v in terms.items()}, den // g)
+
+
+def _ints(v: Sparse) -> Pair | None:
+    """The pair of a {key: Fraction} vector, zeros dropped, in its order;
+    None if an entry is not a Fraction."""
+    den = 1
+    for x in v.values():
+        if type(x) is not Fraction:
+            return None
+        if (d := x.denominator) != 1:
+            den = lcm(den, d)
+    if den == 1:
+        return {key: x.numerator for key, x in v.items() if x}, 1
+    return {key: x.numerator * (den // x.denominator) for key, x in v.items() if x}, den
+
+
+def _exact(v: Sparse, what: str) -> Pair:
+    """``_ints(v)``, or TypeError naming the first entry that is not a Fraction."""
+    pair = _ints(v)
+    if pair is None:
+        key, x = next((key, x) for key, x in v.items() if type(x) is not Fraction)
+        raise TypeError(f"Echelon.insert takes Fraction entries: {what} entry {key!r} is "
+                        f"{type(x).__name__} {x!r}")
+    return pair
+
+
+def _fractions(terms: dict, den: int) -> Sparse:
+    """The Fraction dict of a pair, in its order."""
+    if den == 1:
+        return {key: Fraction(x) for key, x in terms.items()}
+    return {key: Fraction(x, den) for key, x in terms.items()}
+
+
+def _addmul(y: dict, a: int, x: dict) -> None:
+    """y += a * x in place, for numerator dicts over one denominator and a
+    nonzero int a: ``_axpy``'s order rules."""
+    get = y.get
+    for key, xv in x.items():
+        s = get(key)
+        if s is None:
+            y[key] = a * xv
+        elif s := s + a * xv:
+            y[key] = s
+        else:
+            del y[key]
 
 
 def _axpy(y: Sparse, a, x: Sparse) -> None:

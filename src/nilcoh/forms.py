@@ -19,6 +19,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from . import exactlinalg as xl
 from .algebra import DerivedCache, LieAlgebra
@@ -275,21 +276,32 @@ def _differential_rows(alg: LieAlgebra, k: int) -> dict[Index, xl.Sparse]:
 
 
 def _build_differential_rows(alg: LieAlgebra, k: int) -> dict[Index, xl.Sparse]:
-    """The rows of ``_differential_rows`` in one sweep over the
-    (k+1)-tuples: each pair a < b of T with a nonzero
-    bracket [e_{T_a}, e_{T_b}] = sum_m c_m e_m adds (-1)^(a+b) c_m, times the
-    sign that sorts (m,) + rest, at S = sorted((m,) + rest), where rest is T
-    without T_a and T_b.  Only nonzero entries and rows are kept; as in
-    ``wedge``, an entry that cancels keeps its place until the zeros of its
-    row are dropped.
+    """The rows of ``_differential_rows``: those of
+    ``_integer_differential_rows`` as Fractions, item for item."""
+    rows, den = _integer_differential_rows(alg, k)
+    return {target: xl._fractions(row, den) for target, row in rows.items()}
+
+
+def _integer_differential_rows(alg: LieAlgebra, k: int) -> tuple[dict[Index, dict], int]:
+    """d_k by rows as int numerators over one denominator, the lcm of those
+    of the structure constants, in one sweep over the (k+1)-tuples: each
+    pair a < b of T with a nonzero bracket [e_{T_a}, e_{T_b}] = sum_m c_m e_m
+    adds (-1)^(a+b) c_m, times the sign that sorts (m,) + rest, at
+    S = sorted((m,) + rest), where rest is T without T_a and T_b.  Only
+    nonzero entries and rows are kept; as in ``wedge``, an entry that
+    cancels keeps its place until the zeros of its row are dropped.
+    ``cohomology`` eliminates these rows; each call builds them anew.
     """
-    rows: dict[Index, xl.Sparse] = {}
+    den = lcm(*[c.denominator for comps in alg.structure.values() for c in comps.values()])
+    structure = {pair: {m: c.numerator * (den // c.denominator) for m, c in comps.items()}
+                 for pair, comps in alg.structure.items()}
+    rows: dict[Index, dict] = {}
     for target in basis_tuples(alg.dim, k + 1):
-        row: xl.Sparse = {}
+        row: dict = {}
         get = row.get
         for a in range(k + 1):
             for b in range(a + 1, k + 1):
-                comps = alg.bracket_basis(target[a], target[b])
+                comps = structure.get((target[a], target[b]))
                 if not comps:
                     continue
                 rest = target[:a] + target[a + 1 : b] + target[b + 1 :]
@@ -306,7 +318,7 @@ def _build_differential_rows(alg: LieAlgebra, k: int) -> dict[Index, xl.Sparse]:
         row = {key: c for key, c in row.items() if c}
         if row:
             rows[target] = row
-    return rows
+    return rows, den
 
 
 def ce_differential(f: KForm) -> KForm:

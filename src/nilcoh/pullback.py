@@ -631,7 +631,9 @@ def _cup_combination(ring: CohomologyRing, k: int, l: int, vi, vj) -> list[float
     coefficients moves no bit: out[c] starts at +0.0, so no sum makes it
     -0.0, and adding +-0.0 leaves any other value as it is.  The one
     exception is a non-finite vi[a] * vj[b]: its product with a zero
-    coefficient, a NaN, is no longer added."""
+    coefficient, a NaN, is no longer added.  Each coefficient is read from
+    the entry's (terms, den) pair as num / den, the correctly rounded
+    quotient, which is float(Fraction(num, den)) bit for bit."""
     out = [0.0] * ring.spaces[k + l].betti
     for a, va in enumerate(vi):
         if va == 0.0:
@@ -639,8 +641,9 @@ def _cup_combination(ring: CohomologyRing, k: int, l: int, vi, vj) -> list[float
         for b, vb in enumerate(vj):
             if vb == 0.0:
                 continue
-            for c, coeff in ring.cup._coordinates((k, l, a, b)).items():
-                out[c] += va * vb * float(coeff)
+            terms, den = ring.cup._pair((k, l, a, b))
+            for c, num in terms.items():
+                out[c] += va * vb * (num / den)
     return out
 
 

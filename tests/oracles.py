@@ -667,6 +667,42 @@ class NaiveEchelon:
         return basis
 
 
+def naive_cohomology(alg) -> list:
+    """Per degree, (representatives' coefficient dicts, closed echelon,
+    closed basis) as ``cohomology.cohomology`` builds them, on
+    ``naive_differential_rows`` and ``NaiveEchelon``: d_k's kernel in basis
+    order, the closed echelon fed d_{k-1}'s pivot columns, then the cocycles
+    tagged by their index among the representatives."""
+    n = alg.dim
+    out = []
+    coboundaries = []
+    for k in range(n + 1):
+        rows = naive_differential_rows(alg, k)
+        d_k = NaiveEchelon()
+        for row in rows.values():
+            d_k.insert(dict(row))
+        columns = {s: {t: row[s] for t, row in rows.items() if s in row} for s in sorted(d_k.rows)}
+        closed = NaiveEchelon()
+        for z in coboundaries:
+            closed.insert(dict(z))
+        reps = []
+        for z in d_k.kernel(list(combinations(range(n), k))):
+            if closed.insert(z, {len(reps): Fraction(1)}):
+                reps.append({t: z[t] for t in sorted(z)})
+        out.append((reps, closed, reps + coboundaries))
+        coboundaries = list(columns.values())
+    return out
+
+
+def naive_cup_entry(spaces, k: int, l: int, i: int, j: int) -> list:
+    """Dense class coordinates of rep_i^k ^ rep_j^l over ``naive_cohomology``'s spaces."""
+    (left, *_), (right, *_), (reps, closed, _) = spaces[k], spaces[l], spaces[k + l]
+    wedge = naive_wedge_coeffs(left[i], right[j])
+    residual, coords = closed.reduce(wedge)
+    assert not residual
+    return [coords.get(c, Fraction(0)) for c in range(len(reps))]
+
+
 def naive_group_law_terms(alg) -> tuple:
     """(product, trans_jac, frame, inv_frame) of ``bch.group_law`` as term
     dicts, built by the same sequence of polynomial operations (Varadarajan's

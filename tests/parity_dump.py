@@ -28,8 +28,11 @@ laws more: filiform5 with the non-integral structure constants 3/4, -2/3
 and 5/2 (``conftest.rational_filiform5``), whose coefficients mix those
 denominators with the Bernoulli ones, and a seeded dense twin of
 filiform7, the class-6 law of the ``ring`` benchmark's dense bases.  The
-inverse frame is built by substitution; a checkout that builds it by a
-Neumann series has the same terms in the same order for class <= 2 only.  Against such a checkout the ``inv_frame``
+ring, ``project_float`` and echelon digests cover that filiform5 and a
+seeded dense twin of it too, so non-integral structure constants pass
+through the elimination.  The inverse frame is built by substitution; a
+checkout that builds it by a Neumann series has the same terms in the same
+order for class <= 2 only.  Against such a checkout the ``inv_frame``
 digests of filiform7, filiform8 and the dense filiform6 differ, and so, by
 float rounding, do the filiform7, filiform8 and filiform7-shifted
 ``homomorphism_check`` ones.  Last, ``ring_invariants`` (Betti numbers and
@@ -43,8 +46,8 @@ is imported from ``PYTHONPATH``, so the same script dumps any checkout:
     PYTHONPATH=../old/src python tests/parity_dump.py old.json
     diff old.json new.json
 
-The file is keyed and sorted, so ``diff`` lists exactly the cases that
-moved.  The name keeps pytest from collecting it; a run takes 8-13 s on a
+The file holds 130 digests, keyed and sorted, so ``diff`` lists exactly
+the cases that moved.  The name keeps pytest from collecting it; a run takes 8-13 s on a
 2-core host.
 """
 
@@ -186,6 +189,19 @@ def group_law_terms(name: str, alg) -> dict:
     return out
 
 
+def ring_terms(name: str, alg, rng) -> dict:
+    """The ring, a seeded ``project_float`` per degree and the echelons."""
+    out = {f"exact/ring-{name}": digest(repr(cli._ring_results(alg)))}
+    coords = [space.project_float(rng.standard_normal(math.comb(alg.dim, k)))
+              for k, space in enumerate(nilcoh.cohomology(alg).spaces)]
+    out[f"exact/project_float-{name}"] = digest(repr(coords))
+    echelons = [[(p, list(row.items()), list(space.echelon.tags[p].items()))
+                 for p, row in space.echelon.rows.items()]
+                for space in nilcoh.cohomology(alg).spaces]
+    out[f"exact/echelon-{name}"] = digest(repr(echelons))
+    return out
+
+
 def exact_layer() -> dict:
     algebras = {"filiform7": algebra.filiform(7), "filiform8": algebra.filiform(8),
                 "free2step4": algebra.free_nilpotent_two_step(4),
@@ -198,19 +214,17 @@ def exact_layer() -> dict:
     out = {}
     rng = np.random.default_rng(3)
     for name, alg in algebras.items():
-        out[f"exact/ring-{name}"] = digest(repr(cli._ring_results(alg)))
-        coords = [space.project_float(rng.standard_normal(math.comb(alg.dim, k)))
-                  for k, space in enumerate(nilcoh.cohomology(alg).spaces)]
-        out[f"exact/project_float-{name}"] = digest(repr(coords))
+        out.update(ring_terms(name, alg, rng))
         out.update(group_law_terms(name, alg))
-        echelons = [[(p, list(row.items()), list(space.echelon.tags[p].items()))
-                     for p, row in space.echelon.rows.items()]
-                    for space in nilcoh.cohomology(alg).spaces]
-        out[f"exact/echelon-{name}"] = digest(repr(echelons))
     structure, dim = BUILDERS["filiform"](7)[:2]
     twin = nilcoh.validate_algebra(dense_twin(structure, dim, random.Random(2)), dim)
-    for name, alg in (("rational-filiform5", rational_filiform5()), ("dense-filiform7", twin)):
+    rational = rational_filiform5()
+    for name, alg in (("rational-filiform5", rational), ("dense-filiform7", twin)):
         out.update(group_law_terms(name, alg))
+    rational_twin = nilcoh.validate_algebra(dense_twin(rational.structure, 5, random.Random(3)), 5)
+    for name, alg in (("rational-filiform5", rational),
+                      ("dense-rational-filiform5", rational_twin)):
+        out.update(ring_terms(name, alg, rng))
     return out
 
 

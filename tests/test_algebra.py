@@ -142,6 +142,23 @@ def test_file_format_rejects_duplicates_and_bad_indices(tmp_path):
         load_algebra(str(path))
 
 
+def test_file_format_rejects_a_repeated_target_index():
+    # kept only the last entry: [e1, e2] = -e3, with H3's Betti numbers
+    record = {"dim": 3, "brackets": [[1, 2, [[3, 1], [3, -1]]]]}
+    with pytest.raises(AlgebraError, match=r"duplicate bracket target index 3 in pair \(1, 2\)"):
+        algebra_from_dict(record)
+
+
+@pytest.mark.parametrize("constant", ["1/0", "nan", "inf", "x", True, 0.5, None])
+def test_file_format_refuses_a_constant_that_is_not_an_exact_rational(constant):
+    # "1/0" raised ZeroDivisionError, "nan", "inf" and "x" a bare ValueError
+    # naming no pair, and true was read as 1
+    record = {"dim": 3, "brackets": [[1, 2, [[3, constant]]]]}
+    with pytest.raises(AlgebraError) as exc:
+        algebra_from_dict(record)
+    assert str(exc.value) == f"structure constant {constant!r} is not an exact rational, in pair (1, 2)"
+
+
 def test_rational_strings_parsed_exactly():
     record = {"dim": 3, "brackets": [[1, 2, [[3, "2/3"]]]]}
     alg = algebra_from_dict(record)

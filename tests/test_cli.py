@@ -143,6 +143,19 @@ def test_exit_code_on_validation_error(files, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("comps, message", [
+    # kept the last entry and printed H3's Betti numbers for a zero bracket
+    ([[3, 1], [3, -1]], "duplicate bracket target index 3 in pair (1, 2)"),
+    # a ZeroDivisionError traceback
+    ([[3, "1/0"]], "structure constant '1/0' is not an exact rational, in pair (1, 2)"),
+])
+def test_exit_code_on_malformed_bracket_components(files, capsys, comps, message):
+    (files / "bad.json").write_text(json.dumps({"dim": 3, "brackets": [[1, 2, comps]]}))
+    code, out, err = run(["cohomology", "--algebra", str(files / "bad.json")], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: {files / 'bad.json'}: {message}\n"
+
+
 def test_exit_code_on_refused_grid_and_radii(files, capsys):
     xsin = {"domain": "r1.json", "codomain": "r1.json", "components": ["x1 + sin(x1)"]}
     (files / "xsin.map.json").write_text(json.dumps(xsin))

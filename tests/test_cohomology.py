@@ -21,9 +21,10 @@ from nilcoh.cohomology import (
 )
 from nilcoh.forms import (
     KForm, _differential_rows, _wedge_coeffs, basis_form, basis_tuples, ce_differential, wedge)
-from conftest import corpus, skewed_heisenberg3
+from conftest import corpus, rational_filiform5, skewed_heisenberg3
 from oracles import cup_pairing_rank as reference_pairing_rank, dense_twin, naive_betti
-from oracles import naive_differential_matrix, random_rational_form
+from oracles import (
+    naive_cohomology, naive_cup_entry, naive_differential_matrix, ordered_items, random_rational_form)
 
 H3 = algebra.heisenberg3()
 AB3 = algebra.abelian(3)
@@ -187,6 +188,39 @@ def test_project_float_matches_exact():
     coords = space.project_float(vec)
     assert coords[0] == pytest.approx(1.0, abs=1e-15)
     assert coords[1] == pytest.approx(0.0, abs=1e-15)
+
+
+RATIONAL = {"rational_filiform5": rational_filiform5(),
+            "dense_rational_filiform5": dense_twin(rational_filiform5(), random.Random(4))}
+
+
+@pytest.mark.parametrize("name", sorted(RATIONAL))
+def test_non_integral_constants_match_the_naive_echelon_item_for_item(name):
+    # structure constants 3/4, -2/3 and 5/2 give d_k, its kernel, the rows
+    # and tags of the closed echelons and the cup entries denominators of
+    # their own; every dict and list matches the reference, value types too
+    alg = RATIONAL[name]
+    ring = cohomology(alg)
+    ref = naive_cohomology(alg)
+    dens = set()
+    for space, (reps, closed, basis) in zip(ring.spaces, ref):
+        assert [ordered_items(c) for c in space.closed_basis] == [ordered_items(c) for c in basis]
+        assert list(space.echelon.rows) == list(closed.rows)
+        for p, row in closed.rows.items():
+            assert ordered_items(space.echelon.rows[p]) == ordered_items(row)
+            assert ordered_items(space.echelon.tags[p]) == ordered_items(closed.tags[p])
+            dens |= {c.denominator for c in (*row.values(), *closed.tags[p].values())}
+        assert [ordered_items(rep.coeffs) for rep in space.representatives] == [
+            ordered_items(rep) for rep in reps]
+        # project of a float form reduces on the same rows as Fractions
+        for rep in reps:
+            floats = {t: float(c) for t, c in rep.items()}
+            for got, want in zip(space.echelon.reduce(floats), closed.reduce(floats)):
+                assert ordered_items(got) == ordered_items(want)
+    assert dens - {1}
+    for k, l, i, j in ring.cup:
+        want = naive_cup_entry(ref, k, l, i, j)
+        assert [(type(c), c) for c in ring.cup[(k, l, i, j)]] == [(type(c), c) for c in want]
 
 
 def test_project_of_a_float_form_gives_floats():
@@ -451,9 +485,9 @@ def test_zero_wedges_reach_no_echelon(name, monkeypatch):
     ring = cohomology(alg)
     assert not ring.cup._values
     reduced = []
-    reduce = xl.Echelon.reduce
-    monkeypatch.setattr(xl.Echelon, "reduce",
-                        lambda self, v: reduced.append(dict(v)) or reduce(self, v))
+    reduce = xl.Echelon._reduce  # what reduce, insert and the cup entries run on
+    monkeypatch.setattr(xl.Echelon, "_reduce", lambda self, terms, den: (
+        reduced.append(dict(terms)) or reduce(self, terms, den)))
     degrees = range(alg.dim + 1)
     ranks = {(k, l): cup_pairing_rank(ring, k, l) for k in degrees for l in degrees}
     zero = 0

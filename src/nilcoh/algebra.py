@@ -239,6 +239,11 @@ def _lower_central_series(alg: LieAlgebra) -> tuple[list[int], list[int]]:
 # with 1-based indices, i < j, and rationals given as strings.
 
 
+def _is_index(x) -> bool:
+    """A JSON integer: an int, and not a bool (JSON true is not 1 here)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def algebra_from_dict(data: dict) -> LieAlgebra:
     if not isinstance(data, dict):
         raise AlgebraError("algebra record must be a mapping")
@@ -251,19 +256,33 @@ def algebra_from_dict(data: dict) -> LieAlgebra:
         names = tuple(str(x) for x in names)
     structure: dict[tuple[int, int], dict[int, Fraction]] = {}
     seen = set()
-    for entry in data.get("brackets", []):
+    brackets = data.get("brackets", [])
+    if not isinstance(brackets, (list, tuple)):
+        raise AlgebraError(f"'brackets' must be a list of [i, j, components], got {brackets!r}")
+    for entry in brackets:
         try:
             i, j, comps = entry
         except (TypeError, ValueError):
             raise AlgebraError(f"malformed bracket entry {entry!r}") from None
+        if not (_is_index(i) and _is_index(j)):
+            raise AlgebraError(f"bracket pair ({i!r}, {j!r}) needs integer indices")
+        if not 1 <= i < j <= dim:
+            raise AlgebraError(f"bracket pair ({i}, {j}) out of range or not i < j")
         if (i, j) in seen:
             raise AlgebraError(f"duplicate bracket entry for pair ({i}, {j})")
         seen.add((i, j))
-        if not (isinstance(i, int) and isinstance(j, int)) or not (1 <= i < j <= dim):
-            raise AlgebraError(f"bracket pair ({i}, {j}) out of range or not i < j")
+        if not isinstance(comps, (list, tuple)):
+            raise AlgebraError(
+                f"bracket components {comps!r} of pair ({i}, {j}) must be a list of [k, c]")
         target = {}
-        for k, c in comps:
-            if not isinstance(k, int) or not 1 <= k <= dim:
+        for comp in comps:
+            if not (isinstance(comp, (list, tuple)) and len(comp) == 2):
+                raise AlgebraError(f"malformed bracket component {comp!r} in pair ({i}, {j})")
+            k, c = comp
+            if not _is_index(k):
+                raise AlgebraError(
+                    f"bracket target index {k!r} is not an integer, in pair ({i}, {j})")
+            if not 1 <= k <= dim:
                 raise AlgebraError(f"bracket target index {k} out of range in pair ({i}, {j})")
             if k - 1 in target:
                 raise AlgebraError(f"duplicate bracket target index {k} in pair ({i}, {j})")

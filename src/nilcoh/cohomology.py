@@ -329,18 +329,17 @@ def cup_pairing_rank(ring: CohomologyRing, k: int, l: int) -> int:
     if k == 0 or l == 0:  # 1 ^ rep_j = rep_j
         return bl if k == 0 else bk
     weights = ring._weights
-    classes = Counter(weights[k + l])
+    room = dict(Counter(weights[k + l]))  # per weight, the rank its block can still gain
     blocks: defaultdict[int, xl.Echelon] = defaultdict(xl.Echelon)
-    filled: Counter[int] = Counter()
     rank = 0
     for i, wi in enumerate(weights[k]):
         for j, wj in enumerate(weights[l]):
             w = wi + wj
-            if filled[w] == classes[w]:  # no class of weight w, or its block is full
+            if not room.get(w):  # no class of weight w, or its block is full
                 continue
             coords, den = ring.cup._pair((k, l, i, j))
             if coords and blocks[w]._insert(coords, den):  # a zero class adds no rank
-                filled[w] += 1
+                room[w] -= 1
                 rank += 1
                 if rank == target:  # the rank cannot exceed the target Betti number
                     return rank

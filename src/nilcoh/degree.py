@@ -20,6 +20,12 @@ with small perturbations (at most three, each within 1% of the window
 radius), mirroring the regular-value definition of the degree for
 non-regular targets.
 
+The engine gathers columns with ``take`` or ``compress`` on index arrays
+and scatters them one row at a time, never with 2-D boolean masks: on
+numpy 2.4 at 8192 columns ``a[:, mask]`` takes 82-130 µs against about
+7 µs for ``a.take(idx, axis=1)``, and in the area check's Newton that
+bookkeeping had outgrown the line search's own map evaluations.
+
 Evaluation is serial; the public functions accept ``threads`` for
 compatibility and ignore it.
 """
@@ -144,6 +150,16 @@ def _newton_roots(m: SmoothMap, starts: np.ndarray, targets: np.ndarray):
     (Cramer's rule is forward stable for n = 2; Higham, *Accuracy and
     Stability of Numerical Algorithms*, 2002) and the residual over the
     derivative in 1-D; larger systems go to LAPACK.
+
+    Every gather is ``take`` on an index array and every scatter one 1-D
+    assignment per row: at 8192 columns on numpy 2.4, ``a[:, mask]`` took
+    82-130 µs against about 7 µs for ``a.take(idx, axis=1)``, and
+    ``a[:, idx] = v`` 18-89 µs against 11-33 µs for n row scatters.  The
+    line search (``_line_search``) steps compact copies of the stepped
+    columns and shrinks them with ``take``, so the full step gathers
+    nothing, and they are freed before the next Jacobian.  Columns, step
+    lengths and evaluated batches are those of a loop on boolean masks, and
+    so are the output bytes, ``DomainError`` messages and sample indices.
     """
     n = len(starts)
     x = starts.copy()
@@ -153,33 +169,54 @@ def _newton_roots(m: SmoothMap, starts: np.ndarray, targets: np.ndarray):
         resid = vals - targets
         rnorm = np.max(np.abs(resid), axis=0)
         idx = np.flatnonzero(alive & (rnorm > NEWTON_TOL))
-        if n <= 2:
-            j = jacs[idx].transpose(1, 2, 0)
+        if n <= 2:  # j is (n, n, k): jacs is a view of a C-contiguous (n, n, S) array
+            axis, j = 2, jacs.transpose(1, 2, 0).take(idx, axis=2)
             dets = j[0, 0] if n == 1 else j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0]
         else:
-            dets = np.linalg.det(jacs[idx])
+            axis, j = 0, jacs.take(idx, axis=0)
+            dets = np.linalg.det(j)
         solvable = np.abs(dets) > 1e-300
-        alive[idx[~solvable]] = False
-        idx = idx[solvable]
+        if not solvable.all():
+            alive[idx.compress(~solvable)] = False
+            ok = np.flatnonzero(solvable)
+            idx, dets, j = idx.take(ok), dets.take(ok), j.take(ok, axis=axis)
         if iteration == NEWTON_MAX_ITER or idx.size == 0:
             break
-        r = resid[:, idx]
+        r = resid.take(idx, axis=1)
         if n == 1:
-            step = r / dets[solvable]
+            step = r / dets
         elif n == 2:
-            (a, b), (c, d) = j[:, :, solvable]
-            step = np.stack([d * r[0] - b * r[1], a * r[1] - c * r[0]]) / dets[solvable]
+            (a, b), (c, d) = j
+            step = np.stack([d * r[0] - b * r[1], a * r[1] - c * r[0]]) / dets
         else:
-            step = np.linalg.solve(jacs[idx], r.T[:, :, None])[:, :, 0].T
-        for alpha in (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125):
-            trial = x[:, idx] - alpha * step
-            better = np.max(np.abs(evaluate_batch(m, trial) - targets[:, idx]), axis=0) < rnorm[idx]
-            x[:, idx[better]] = trial[:, better]
-            idx, step = idx[~better], step[:, ~better]
-            if idx.size == 0:
-                break
-        alive[idx] = False
+            step = np.linalg.solve(j, r.T[:, :, None])[:, :, 0].T
+        del vals, resid, j, r  # not read again: freed before the line search evaluates
+        alive[_line_search(m, x, targets, idx, rnorm.take(idx), step)] = False
     return x, rnorm <= NEWTON_TOL, jacs
+
+
+def _line_search(m: SmoothMap, x, targets, idx, rs, step) -> np.ndarray:
+    """Backtracking on the columns ``idx`` of x, whose residual norms are
+    ``rs``: each takes the first of the step lengths 1, 1/2, ..., 1/32
+    that lowers its residual norm, written into x in place.  Returns the
+    columns no step length improved.  The search works on compact copies
+    (points ``xs``, targets ``ts``) shrunk to the columns that missed.
+    """
+    xs, ts = x.take(idx, axis=1), targets.take(idx, axis=1)
+    for alpha in (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125):
+        trial = xs - alpha * step
+        better = np.max(np.abs(evaluate_batch(m, trial) - ts), axis=0) < rs
+        hit = np.flatnonzero(better)
+        cols = idx.take(hit)
+        for row, moved in zip(x, trial):
+            row[cols] = moved.take(hit)
+        miss = np.flatnonzero(~better)
+        idx = idx.take(miss)
+        if idx.size == 0:
+            break
+        xs, ts, rs, step = (xs.take(miss, axis=1), ts.take(miss, axis=1), rs.take(miss),
+                            step.take(miss, axis=1))
+    return idx
 
 
 def _greedy_dedupe(points: np.ndarray, candidates: np.ndarray) -> np.ndarray:
@@ -188,18 +225,23 @@ def _greedy_dedupe(points: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     ``candidates`` (T, S) marks the points that may be kept.  Each round keeps
     the first remaining candidate of every target and drops that target's
     candidates within ``DEDUPE_TOL`` of it: a point is kept exactly when no
-    earlier kept root of its target lies that close.
+    earlier kept root of its target lies that close.  The rows of a round are
+    gathered with ``take`` and each root by its flat (target, start) index.
     """
-    keep = np.zeros_like(candidates)
+    n, _, n_starts = points.shape
+    flat = points.reshape(n, -1)
+    keep = np.zeros(candidates.size, dtype=bool)
     pending = candidates.copy()
     rows = np.flatnonzero(pending.any(axis=1))
     while rows.size:
-        first = np.argmax(pending[rows], axis=1)
-        keep[rows, first] = True
-        root = points[:, rows, first]
-        pending[rows] &= np.max(np.abs(points[:, rows] - root[:, :, None]), axis=0) > DEDUPE_TOL
-        rows = rows[pending[rows].any(axis=1)]
-    return keep
+        live = pending.take(rows, axis=0)
+        first = rows * n_starts + np.argmax(live, axis=1)
+        keep[first] = True
+        root = flat.take(first, axis=1)
+        live &= np.max(np.abs(points.take(rows, axis=1) - root[:, :, None]), axis=0) > DEDUPE_TOL
+        pending[rows] = live
+        rows = rows.compress(live.any(axis=1))
+    return keep.reshape(candidates.shape)
 
 
 def _preimages(m: SmoothMap, targets: np.ndarray, scales: np.ndarray, densities: tuple):
@@ -230,10 +272,10 @@ def _preimages(m: SmoothMap, targets: np.ndarray, scales: np.ndarray, densities:
             points[:, part].reshape(n, count, n_starts), inside[part].reshape(count, n_starts)
         )
         cols = np.flatnonzero(keep)
-        owner, dets = cols // n_starts, np.linalg.det(jacs[part][cols])
+        owner, dets = cols // n_starts, np.linalg.det(jacs[part].take(cols, axis=0))
         degrees = np.bincount(owner, np.where(dets > 0, 1.0, -1.0), count)
         singular = np.bincount(owner, ~(np.abs(dets) >= SINGULAR_MARGIN), count) > 0
-        out.append((degrees, singular, points[:, part][:, cols], dets))
+        out.append((degrees, singular, points[:, part].take(cols, axis=1), dets))
     return out
 
 

@@ -418,6 +418,51 @@ def dense_newton_roots(m, starts, targets):
     return x, rnorm <= NEWTON_TOL, jacs
 
 
+def masked_newton_roots(m, starts, targets):
+    """The degree engine's damped Newton as it read with 2-D boolean masks:
+    the closed-form step for n <= 2, LAPACK above, every gather ``a[:, mask]``
+    or ``a[:, idx]`` and every scatter ``x[:, idx[better]] = ...``.  Returns
+    (points, converged mask, Jacobians)."""
+    from nilcoh.degree import NEWTON_MAX_ITER, NEWTON_TOL
+    from nilcoh.maps import evaluate_batch, jacobian_batch
+
+    n = len(starts)
+    x = starts.copy()
+    alive = np.ones(x.shape[1], dtype=bool)
+    for iteration in range(NEWTON_MAX_ITER + 1):
+        vals, jacs = jacobian_batch(m, x)
+        resid = vals - targets
+        rnorm = np.max(np.abs(resid), axis=0)
+        idx = np.flatnonzero(alive & (rnorm > NEWTON_TOL))
+        if n <= 2:
+            j = jacs[idx].transpose(1, 2, 0)
+            dets = j[0, 0] if n == 1 else j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0]
+        else:
+            dets = np.linalg.det(jacs[idx])
+        solvable = np.abs(dets) > 1e-300
+        alive[idx[~solvable]] = False
+        idx = idx[solvable]
+        if iteration == NEWTON_MAX_ITER or idx.size == 0:
+            break
+        r = resid[:, idx]
+        if n == 1:
+            step = r / dets[solvable]
+        elif n == 2:
+            (a, b), (c, d) = j[:, :, solvable]
+            step = np.stack([d * r[0] - b * r[1], a * r[1] - c * r[0]]) / dets[solvable]
+        else:
+            step = np.linalg.solve(jacs[idx], r.T[:, :, None])[:, :, 0].T
+        for alpha in (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125):
+            trial = x[:, idx] - alpha * step
+            better = np.max(np.abs(evaluate_batch(m, trial) - targets[:, idx]), axis=0) < rnorm[idx]
+            x[:, idx[better]] = trial[:, better]
+            idx, step = idx[~better], step[:, ~better]
+            if idx.size == 0:
+                break
+        alive[idx] = False
+    return x, rnorm <= NEWTON_TOL, jacs
+
+
 def whole_array_averages(m, omegas, radius, samples, seed, shape):
     """Ball averages with every (form, lambda) row of a chunk held at once:
     the coefficient rows, v - shift and its square as whole (pairs x chunk)

@@ -11,7 +11,10 @@ the filiform7 map plus constants (F(0) != 0), whose frame differentials
 are read at moved points or next to a shift, three warm repeats of each ``average`` map's
 ``homomorphism_check`` in one process (a new seed at the 2nd and 3rd
 call, so a cache filled by one call shows if it moves the next),
-``amenable_average`` and ``area_formula_check`` reprs, ``asymptotic_degree``
+``amenable_average`` and ``area_formula_check`` reprs (the latter on a
+1-D cubic and on the 2-D z^3 + a·z, whose Newton takes the closed-form
+Cramer step on 128-target chunks), a 3-D ``local_degree`` repr (Newton
+through LAPACK's det and solve), ``asymptotic_degree``
 reprs on three maps (a doubling, a box average of -vol/2 whose top
 coefficient is negated and whose determinant varies, and a quasiball
 one), and the reprs of the first cycle of the ``degree`` benchmark for
@@ -46,7 +49,7 @@ is imported from ``PYTHONPATH``, so the same script dumps any checkout:
     PYTHONPATH=../old/src python tests/parity_dump.py old.json
     diff old.json new.json
 
-The file holds 130 digests, keyed and sorted, so ``diff`` lists exactly
+The file holds 132 digests, keyed and sorted, so ``diff`` lists exactly
 the cases that moved.  The name keeps pytest from collecting it; a run takes 8-13 s on a
 2-core host.
 """
@@ -156,6 +159,11 @@ def library_calls() -> dict:
     bent = nilcoh.map_from_texts(h3, h3, ["2*x1 + 0.3*sin(x2)", "x2 + 0.25*x1^2", "2*x3 + x1*x2"])
     wobble = nilcoh.map_from_texts(h5, h5, ["x1 + 0.3*sin(x1)", "x2", "x3 + 0.2*x4^2", "x4",
                                             "x5 + 0.2*x1*x3"])
+    r2 = algebra.abelian(2)
+    z3 = nilcoh.map_from_texts(r2, r2, ["x1^3 - 3*x1*x2^2 + 0.1234*x1",
+                                        "3*x1^2*x2 - x2^3 + 0.1234*x2"])
+    lapack = nilcoh.map_from_texts(h3, h3, ["x1 + 0.3*sin(x2)", "x2 + 0.1*x3^3",
+                                            "x3 + 0.2*x1^2"])
     return {
         "amenable_average/h5-shifted": digest(repr(nilcoh.amenable_average(
             m5, omega, radii=(4.0, 8.0), samples=3000, seed=2))),
@@ -167,6 +175,10 @@ def library_calls() -> dict:
             wobble, radii=(2.0, 4.0), samples=3000, seed=4, shape="quasiball"))),
         "area_formula_check/cubic": digest(repr(nilcoh.area_formula_check(
             cubic, 2.0, samples=2000, seed=2))),
+        "area_formula_check/z3": digest(repr(nilcoh.area_formula_check(
+            z3, 1.0, samples=600, seed=3))),
+        "local_degree/h3-lapack": digest(repr(nilcoh.local_degree(
+            lapack, 2.0, (0.1, 0.2, 0.3), grid_density=4, seed=0))),
     }
 
 

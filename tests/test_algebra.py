@@ -1,3 +1,4 @@
+import json
 import random
 import time
 from fractions import Fraction
@@ -157,6 +158,24 @@ def test_file_format_refuses_a_constant_that_is_not_an_exact_rational(constant):
     with pytest.raises(AlgebraError) as exc:
         algebra_from_dict(record)
     assert str(exc.value) == f"structure constant {constant!r} is not an exact rational, in pair (1, 2)"
+
+
+@pytest.mark.parametrize("brackets, message", [
+    # a TypeError: 'int' object is not iterable
+    ([[1, 2, 5]], "bracket components 5 of pair (1, 2) must be a list of [k, c]"),
+    # a bare ValueError: not enough values to unpack
+    ([[1, 2, [[3]]]], "malformed bracket component [3] in pair (1, 2)"),
+    ([[1, 2, [[3, "1", "2"]]]], "malformed bracket component [3, '1', '2'] in pair (1, 2)"),
+    # read as [e1, e2] = e3 and [e1, e2] = e1
+    ([[True, 2, [[3, "1"]]]], "bracket pair (True, 2) needs integer indices"),
+    ([[1, 2, [[True, "1"]]]], "bracket target index True is not an integer, in pair (1, 2)"),
+    ([[1, [2], [[3, "1"]]]], "bracket pair (1, [2]) needs integer indices"),
+    ({"1": 2}, "'brackets' must be a list of [i, j, components], got {'1': 2}"),
+])
+def test_file_format_names_the_pair_of_a_malformed_bracket(brackets, message):
+    with pytest.raises(AlgebraError) as exc:
+        algebra_from_dict(json.loads(json.dumps({"dim": 3, "brackets": brackets})))
+    assert str(exc.value) == message
 
 
 def test_rational_strings_parsed_exactly():

@@ -148,6 +148,12 @@ def test_exit_code_on_validation_error(files, capsys):
     ([[3, 1], [3, -1]], "duplicate bracket target index 3 in pair (1, 2)"),
     # a ZeroDivisionError traceback
     ([[3, "1/0"]], "structure constant '1/0' is not an exact rational, in pair (1, 2)"),
+    # a TypeError traceback
+    (5, "bracket components 5 of pair (1, 2) must be a list of [k, c]"),
+    # a bare ValueError naming no pair
+    ([[3]], "malformed bracket component [3] in pair (1, 2)"),
+    # read as [e1, e2] = e1
+    ([[True, "1"]], "bracket target index True is not an integer, in pair (1, 2)"),
 ])
 def test_exit_code_on_malformed_bracket_components(files, capsys, comps, message):
     (files / "bad.json").write_text(json.dumps({"dim": 3, "brackets": [[1, 2, comps]]}))

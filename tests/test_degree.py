@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from oracles import dense_newton_roots, naive_preimages
+from oracles import dense_newton_roots, masked_newton_roots, naive_preimages
 
 from nilcoh import algebra, degree
 from nilcoh.dsl import DomainError
 from nilcoh.forms import volume_form
 from nilcoh.degree import (
     DEDUPE_TOL,
+    NEWTON_MAX_ITER,
     BoundaryTooClose,
     area_formula_check,
     asymptotic_degree,
@@ -447,3 +448,71 @@ def test_three_dimensional_newton_keeps_the_batched_solve():
     got = degree._newton_roots(m, starts, targets)
     want = dense_newton_roots(m, starts, targets)
     assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
+# z^3 - 3z and its kin: the derivative vanishes at x1 = 1 exactly, so the
+# start 1 cannot be solved; from 1.001 towards -2.5 every step length of the
+# line search lands farther from the target (the local minimum -2 is no
+# root); 1e200 overflows to inf and the step to NaN; 1e60 gains a factor of
+# about 0.3 per iteration and is still far off at NEWTON_MAX_ITER
+HARD_COLUMNS = {
+    1: (algebra.abelian(1), ["x1^3 - 3*x1"]),
+    2: (R2, ["x1^3 - 3*x1*x2^2 - 3*x1", "3*x1^2*x2 - x2^3 - 3*x2"]),
+    3: (algebra.abelian(3),
+        ["x1^3 - 3*x1 + 0.1*x2*x3", "x2^3 - 3*x2 + 0.1*x1*x3", "x3 + 0.2*x1*x2"]),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_newton_on_take_gathers_has_the_bytes_of_the_masked_loop(n, monkeypatch):
+    """Points, converged mask and Jacobians equal the boolean-mask loop's
+    byte for byte, on random columns and on an unsolvable start, one that
+    overflows, one that fails all six step lengths and one still iterating
+    at NEWTON_MAX_ITER."""
+    alg, texts = HARD_COLUMNS[n]
+    m = map_from_texts(alg, alg, texts)
+    gen = np.random.default_rng(20 + n)
+    hard_starts, hard_targets = np.zeros((n, 4)), np.zeros((n, 4))
+    hard_starts[0] = [1.0, 1.001, 1e200, 1e60]
+    hard_targets[0] = [0.5, -2.5, 0.0, 0.0]
+    starts = np.concatenate([gen.uniform(-2.0, 2.0, (n, 300)), hard_starts], axis=1)
+    targets = np.concatenate([gen.uniform(-1.0, 1.0, (n, 300)), hard_targets], axis=1)
+    calls = []
+    counted = degree.jacobian_batch
+    monkeypatch.setattr(degree, "jacobian_batch", lambda mm, x: calls.append(1) or counted(mm, x))
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = degree._newton_roots(m, starts, targets)
+        want = masked_newton_roots(m, starts, targets)
+        dets = np.linalg.det(got[2][-4:])
+        start_vals = evaluate_batch(m, hard_starts)
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+    points, converged, _ = got
+    assert converged[:300].mean() > 0.9 and not converged[-4:].any()
+    unsolvable, stalled, overflow, slow = range(-4, 0)
+    assert dets[unsolvable] == 0.0 and 0.0 < abs(dets[stalled]) < np.inf
+    assert not np.isfinite(start_vals[0, overflow])
+    assert points[:, [unsolvable, stalled, overflow]].tobytes() == hard_starts[:, :3].tobytes()
+    assert np.isfinite(points[:, slow]).all() and points[0, slow] < 1e60
+    assert len(calls) == NEWTON_MAX_ITER + 1
+
+
+@pytest.mark.parametrize("alg, texts", [
+    (R1, ["x1 + sqrt(x1)"]),
+    (R2, ["x1 + sqrt(x1) + 0.1*x2", "x2 + 0.1*x1"]),
+])
+def test_newton_raises_the_domain_error_of_the_masked_loop(alg, texts):
+    """A trial point outside the domain raises with the masked loop's message
+    and sample index: the index into the same batch of stepped columns.  The
+    first three columns start at their roots and so are not stepped."""
+    m = map_from_texts(alg, alg, texts)
+    n = alg.dim
+    starts = np.ones((n, 10))
+    targets = evaluate_batch(m, starts)
+    targets[0, 3:] += np.linspace(0.1, 0.5, 7)
+    targets[0, 7] = -5.0  # the full step lands at x1 < 0
+    errors = []
+    for newton in (degree._newton_roots, masked_newton_roots):
+        with pytest.raises(DomainError) as exc:
+            newton(m, starts, targets)
+        errors.append((str(exc.value), exc.value.sample_index))
+    assert errors[0] == errors[1] == ("sqrt of a negative value", 4)

@@ -247,13 +247,19 @@ def _is_index(x) -> bool:
 def algebra_from_dict(data: dict) -> LieAlgebra:
     if not isinstance(data, dict):
         raise AlgebraError("algebra record must be a mapping")
-    try:
-        dim = int(data["dim"])
-    except (KeyError, TypeError, ValueError):
-        raise AlgebraError("algebra record needs an integer 'dim' field") from None
+    dim = data.get("dim")
+    if not _is_index(dim):
+        raise AlgebraError(f"algebra record needs an integer 'dim' field, got {dim!r}")
     names = data.get("basis")
     if names is not None:
-        names = tuple(str(x) for x in names)
+        if not (isinstance(names, list) and all(isinstance(x, str) for x in names)):
+            raise AlgebraError(f"'basis' must be a list of names, got {names!r}")
+        if len(names) != dim:
+            raise AlgebraError(f"'basis' has {len(names)} names, 'dim' is {dim}")
+        if len(set(names)) != dim:
+            repeated = next(x for x in names if names.count(x) > 1)
+            raise AlgebraError(f"'basis' repeats the name {repeated!r}")
+        names = tuple(names)
     structure: dict[tuple[int, int], dict[int, Fraction]] = {}
     seen = set()
     brackets = data.get("brackets", [])

@@ -26,6 +26,17 @@ numpy 2.4 at 8192 columns ``a[:, mask]`` takes 82-130 µs against about
 7 µs for ``a.take(idx, axis=1)``, and in the area check's Newton that
 bookkeeping had outgrown the line search's own map evaluations.
 
+Newton's backtracking line search (Nocedal-Wright, *Numerical
+Optimization*, 2nd ed., 3.1) tries the full step on every stepped column,
+then, when they are few, all the smaller step lengths of the columns it
+missed in one map evaluation, so it may evaluate trial points it never
+accepts.  A ``local_degree`` call steps a few hundred columns of which a
+handful miss, so the tape's per-call cost (about 30 µs at 64 columns)
+outweighed its arithmetic: on the ``degree`` benchmark's first cycles this
+cut the ``local_degree`` tape evaluations from 316-349 to 159-171 per
+cycle, and a ``local_degree`` op by about 13%, with every output byte
+unchanged.
+
 Evaluation is serial; the public functions accept ``threads`` for
 compatibility and ignore it.
 """
@@ -157,9 +168,12 @@ def _newton_roots(m: SmoothMap, starts: np.ndarray, targets: np.ndarray):
     ``a[:, idx] = v`` 18-89 µs against 11-33 µs for n row scatters.  The
     line search (``_line_search``) steps compact copies of the stepped
     columns and shrinks them with ``take``, so the full step gathers
-    nothing, and they are freed before the next Jacobian.  Columns, step
-    lengths and evaluated batches are those of a loop on boolean masks, and
-    so are the output bytes, ``DomainError`` messages and sample indices.
+    nothing, and they are freed before the next Jacobian.  The columns and
+    accepted step lengths are those of a loop on boolean masks that tries
+    one step length at a time, and so are the output bytes.  The line search
+    may also evaluate trial points that loop never reaches; where one of
+    them leaves the map's domain it falls back to that loop's batches, so a
+    ``DomainError`` carries the same message and sample index.
     """
     n = len(starts)
     x = starts.copy()
@@ -201,16 +215,52 @@ def _line_search(m: SmoothMap, x, targets, idx, rs, step) -> np.ndarray:
     that lowers its residual norm, written into x in place.  Returns the
     columns no step length improved.  The search works on compact copies
     (points ``xs``, targets ``ts``) shrunk to the columns that missed.
+
+    A round evaluates a group of step lengths on the remaining columns in
+    one batch, step-length-major.  The schedule is the full step alone,
+    then 1/2 ... 1/32 together; each column takes the first length of the
+    group that improves it, in order.  A group whose batch would be larger
+    than the batch before it, or that raises ``DomainError``, is split into
+    single rounds, which evaluate exactly the batches of a one-length-at-a-
+    time loop (so a genuine ``DomainError`` keeps its message and sample
+    index).  The tape is elementwise and the norm test column by column, so
+    the accepted points are those of that loop, bit for bit.
+
+    The size rule (the k columns that miss the full step try the five
+    smaller lengths together only when 5k is at most the number of columns
+    just stepped) keeps the area check's Newton flat: its large miss sets
+    gain little from fewer calls and pay for the points no column needs.
+    Without it, an area op of the ``degree`` benchmark took 8-11% longer
+    (median of paired runs, seeds 5 and 7), while ``local_degree``, whose
+    few misses nearly always fit, was unchanged.
     """
     xs, ts = x.take(idx, axis=1), targets.take(idx, axis=1)
-    for alpha in (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125):
-        trial = xs - alpha * step
-        better = np.max(np.abs(evaluate_batch(m, trial) - ts), axis=0) < rs
-        hit = np.flatnonzero(better)
+    rounds, last = [(1.0,), (0.5, 0.25, 0.125, 0.0625, 0.03125)], idx.size
+    while rounds:
+        alphas = rounds.pop(0)
+        k = idx.size
+        if len(alphas) * k > last:  # never true for a single round
+            rounds[:0] = [(a,) for a in alphas]
+            continue
+        trial = (xs[:, None] - np.array(alphas)[:, None] * step[:, None]).reshape(len(xs), -1)
+        try:
+            vals = evaluate_batch(m, trial)
+        except DomainError:
+            if len(alphas) == 1:
+                raise
+            rounds[:0] = [(a,) for a in alphas]  # find the length that raises, in order
+            continue
+        last = trial.shape[1]
+        better = np.max(np.abs(vals.reshape(len(vals), len(alphas), k) - ts[:, None]), axis=0) < rs
+        found = better.any(axis=0)
+        hit = np.flatnonzero(found)
+        # each hit's column in trial; argmax over the short axis costs about
+        # 120 µs at 8192 columns, so a single round does without it
+        src = hit if len(alphas) == 1 else better.argmax(axis=0).take(hit) * k + hit
         cols = idx.take(hit)
         for row, moved in zip(x, trial):
-            row[cols] = moved.take(hit)
-        miss = np.flatnonzero(~better)
+            row[cols] = moved.take(src)
+        miss = np.flatnonzero(~found)
         idx = idx.take(miss)
         if idx.size == 0:
             break

@@ -145,9 +145,17 @@ def empirical_measure(
     """Monte Carlo estimate of each observable against the empirical measure
     mu_R of the orbit; returns {'name', 'mean', 'stderr'} per observable."""
     m = normalize_to_y0(m)
-    warn = warn_once(warnings if warnings is not None else [])
-    cloud = sample_ball_coords(m.domain, BallSpec(radius, shape), samples, seed, tags=("orbit",))
+    cloud = _orbit_cloud(m.domain, radius, samples, seed, shape)
+    return _measure(m, observables, cloud, warn_once(warnings if warnings is not None else []))
 
+
+def _orbit_cloud(domain, radius: float, samples: int, seed: int, shape: str) -> np.ndarray:
+    """The sample cloud of B_R; its stream key (seed, shape, radius, 'orbit')
+    holds no basepoint, so every map acted on from one domain shares it."""
+    return sample_ball_coords(domain, BallSpec(radius, shape), samples, seed, tags=("orbit",))
+
+
+def _measure(m: SmoothMap, observables: list[Observable], cloud: np.ndarray, warn) -> list[dict]:
     def observe(coords: np.ndarray) -> np.ndarray:
         ctx = _ChunkContext(m, coords, warn)
         return np.stack([obs.evaluate_chunk(ctx) for obs in observables])
@@ -192,12 +200,27 @@ def convergence_report(
 ) -> ConvergenceReport:
     """Per-observable running means over the schedule with a stability verdict:
     'stable' when the last two increments sit below max(3 stderr, tol)."""
+    (report,) = _convergence_reports(m.domain, [m], observables, radii, samples, seed, shape, tol)
+    return report
+
+
+def _convergence_reports(domain, maps, observables, radii, samples, seed, shape, tol):
+    """One ``convergence_report`` per map on ``domain``.  Radii run on the
+    outside, so each radius's cloud is drawn once for all maps and only one
+    cloud is alive at a time; each map keeps its warnings in radius order."""
     radii = check_radii(radii)
-    warnings: list[str] = []
-    rows = [
-        empirical_measure(m, observables, r, samples, seed, shape, warnings=warnings)
-        for r in radii
-    ]
+    maps = [normalize_to_y0(m) for m in maps]
+    warnings: list[list[str]] = [[] for _ in maps]
+    rows: list[list[list[dict]]] = [[] for _ in maps]
+    for r in radii:
+        cloud = _orbit_cloud(domain, r, samples, seed, shape)
+        for m, sink, out in zip(maps, warnings, rows):
+            out.append(_measure(m, observables, cloud, warn_once(sink)))
+    return [_report(observables, radii, per_radius, tol, sink)
+            for per_radius, sink in zip(rows, warnings)]
+
+
+def _report(observables, radii, rows, tol, warnings) -> ConvergenceReport:
     traces = []
     for k, obs in enumerate(observables):
         means = [row[k]["mean"] for row in rows]
@@ -248,10 +271,8 @@ def ergodicity_probe(
     against ergodicity (never as a proof either way).
     """
     pts = [tuple(float(c) for c in _as_coords(p, m.domain.dim)) for p in basepoints]
-    reports = [
-        convergence_report(act(m, p), observables, radii, samples, seed, shape, tol=tol)
-        for p in pts
-    ]
+    reports = _convergence_reports(m.domain, [act(m, p) for p in pts], observables, radii,
+                                   samples, seed, shape, tol)
     spreads: dict[str, float] = {}
     tolerances: dict[str, float] = {}
     verdict = "consistent-with-ergodic"

@@ -14,7 +14,9 @@ call, so a cache filled by one call shows if it moves the next),
 ``amenable_average`` and ``area_formula_check`` reprs (the latter on a
 1-D cubic and on the 2-D z^3 + a·z, whose Newton takes the closed-form
 Cramer step on 128-target chunks), a 3-D ``local_degree`` repr (Newton
-through LAPACK's det and solve), ``asymptotic_degree``
+through LAPACK's det and solve), a 1-D ``local_degree`` repr on a map
+whose domain has a gap (the line search's batch of remaining step lengths
+leaves the domain and is redone one length at a time), ``asymptotic_degree``
 reprs on three maps (a doubling, a box average of -vol/2 whose top
 coefficient is negated and whose determinant varies, and a quasiball
 one), and the reprs of the first cycle of the ``degree`` benchmark for
@@ -49,7 +51,7 @@ is imported from ``PYTHONPATH``, so the same script dumps any checkout:
     PYTHONPATH=../old/src python tests/parity_dump.py old.json
     diff old.json new.json
 
-The file holds 132 digests, keyed and sorted, so ``diff`` lists exactly
+The file holds 133 digests, keyed and sorted, so ``diff`` lists exactly
 the cases that moved.  The name keeps pytest from collecting it; a run takes 8-13 s on a
 2-core host.
 """
@@ -164,6 +166,10 @@ def library_calls() -> dict:
                                         "3*x1^2*x2 - x2^3 + 0.1234*x2"])
     lapack = nilcoh.map_from_texts(h3, h3, ["x1 + 0.3*sin(x2)", "x2 + 0.1*x3^3",
                                             "x3 + 0.2*x1^2"])
+    # defined off the gap |x1 + 0.25| <= 0.05: a column that misses the full
+    # step takes 1/2 across the gap, and the batch of the remaining step
+    # lengths meets the gap and is redone one length at a time
+    gap = nilcoh.map_from_texts(r1, r1, ["tanh(x1) + 0.1*log((x1 + 0.25)^2 - 0.0025)"])
     return {
         "amenable_average/h5-shifted": digest(repr(nilcoh.amenable_average(
             m5, omega, radii=(4.0, 8.0), samples=3000, seed=2))),
@@ -179,6 +185,8 @@ def library_calls() -> dict:
             z3, 1.0, samples=600, seed=3))),
         "local_degree/h3-lapack": digest(repr(nilcoh.local_degree(
             lapack, 2.0, (0.1, 0.2, 0.3), grid_density=4, seed=0))),
+        "local_degree/r1-gap": digest(repr(nilcoh.local_degree(
+            gap, 3.0, (0.1,), grid_density=8, seed=0))),
     }
 
 

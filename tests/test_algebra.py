@@ -12,6 +12,7 @@ from nilcoh.algebra import (
     JacobiViolation,
     NotNilpotent,
     algebra_from_dict,
+    algebra_to_dict,
     load_algebra,
     save_algebra,
     validate_algebra,
@@ -176,6 +177,34 @@ def test_file_format_names_the_pair_of_a_malformed_bracket(brackets, message):
     with pytest.raises(AlgebraError) as exc:
         algebra_from_dict(json.loads(json.dumps({"dim": 3, "brackets": brackets})))
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("record, message", [
+    # a TypeError: 'int' object is not iterable
+    ({"dim": 3, "basis": 5}, "'basis' must be a list of names, got 5"),
+    # read as the names a, b, c
+    ({"dim": 3, "basis": "abc"}, "'basis' must be a list of names, got 'abc'"),
+    # read as the names '1', '2', '3'
+    ({"dim": 3, "basis": [1, 2, 3]}, "'basis' must be a list of names, got [1, 2, 3]"),
+    # parse_form("a", alg) silently picked the second direction
+    ({"dim": 3, "basis": ["a", "a", "b"]}, "'basis' repeats the name 'a'"),
+    ({"dim": 3, "basis": ["a", "b"]}, "'basis' has 2 names, 'dim' is 3"),
+    # read as 3, 1 and 3
+    ({"dim": 3.7}, "algebra record needs an integer 'dim' field, got 3.7"),
+    ({"dim": True}, "algebra record needs an integer 'dim' field, got True"),
+    ({"dim": "3"}, "algebra record needs an integer 'dim' field, got '3'"),
+    ({"brackets": []}, "algebra record needs an integer 'dim' field, got None"),
+])
+def test_file_format_refuses_a_malformed_basis_or_dim(record, message):
+    with pytest.raises(AlgebraError) as exc:
+        algebra_from_dict(json.loads(json.dumps(record)))
+    assert str(exc.value) == message
+
+
+def test_file_format_keeps_a_valid_basis():
+    alg = algebra_from_dict({"dim": 3, "basis": ["x", "y", "z"], "brackets": [[1, 2, [[3, 1]]]]})
+    assert alg.basis_names == ("x", "y", "z")
+    assert algebra_from_dict(algebra_to_dict(alg)).basis_names == ("x", "y", "z")
 
 
 def test_rational_strings_parsed_exactly():

@@ -154,9 +154,16 @@ def test_exit_code_on_validation_error(files, capsys):
     ([[3]], "malformed bracket component [3] in pair (1, 2)"),
     # read as [e1, e2] = e1
     ([[True, "1"]], "bracket target index True is not an integer, in pair (1, 2)"),
+    # a whole record, for the basis and dim fields: a TypeError traceback,
+    # then three records read as names a, b, c, as dim 3 and as dim 1
+    ({"dim": 3, "basis": 5}, "'basis' must be a list of names, got 5"),
+    ({"dim": 3, "basis": "abc"}, "'basis' must be a list of names, got 'abc'"),
+    ({"dim": 3.7}, "algebra record needs an integer 'dim' field, got 3.7"),
+    ({"dim": True}, "algebra record needs an integer 'dim' field, got True"),
 ])
 def test_exit_code_on_malformed_bracket_components(files, capsys, comps, message):
-    (files / "bad.json").write_text(json.dumps({"dim": 3, "brackets": [[1, 2, comps]]}))
+    record = comps if isinstance(comps, dict) else {"dim": 3, "brackets": [[1, 2, comps]]}
+    (files / "bad.json").write_text(json.dumps(record))
     code, out, err = run(["cohomology", "--algebra", str(files / "bad.json")], capsys)
     assert (code, out) == (1, "")
     assert err == f"error: {files / 'bad.json'}: {message}\n"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from oracles import dense_newton_roots, masked_newton_roots, naive_preimages
 
-from nilcoh import algebra, degree
+from nilcoh import algebra, degree, maps
 from nilcoh.dsl import DomainError
 from nilcoh.forms import volume_form
 from nilcoh.degree import (
@@ -516,3 +516,87 @@ def test_newton_raises_the_domain_error_of_the_masked_loop(alg, texts):
             newton(m, starts, targets)
         errors.append((str(exc.value), exc.value.sample_index))
     assert errors[0] == errors[1] == ("sqrt of a negative value", 4)
+
+
+def spy_tape(monkeypatch):
+    """Log the batch width of every ``jacobian_batch`` ('J', width) and
+    ``evaluate_batch`` ('E', width, raised) call the Newton loop makes."""
+    log = []
+    jac, ev = degree.jacobian_batch, degree.evaluate_batch
+
+    def jacobian(m, x):
+        log.append(("J", x.shape[1]))
+        return jac(m, x)
+
+    def evaluate(m, x):
+        try:
+            out = ev(m, x)
+        except DomainError:
+            log.append(("E", x.shape[1], True))
+            raise
+        log.append(("E", x.shape[1], False))
+        return out
+
+    monkeypatch.setattr(degree, "jacobian_batch", jacobian)
+    monkeypatch.setattr(degree, "evaluate_batch", evaluate)
+    return log
+
+
+def line_searches(log):
+    """The evaluate_batch calls between consecutive Jacobians, per search."""
+    out = []
+    for call in log:
+        if call[0] == "J":
+            out.append([])
+        else:
+            out[-1].append(call[1:])
+    return [s for s in out if s]
+
+
+def test_newton_falls_back_to_single_rounds_when_a_smaller_step_leaves_the_domain(monkeypatch):
+    """log(x1^2 - 1) is defined on |x1| > 1 only.  From 2.96 towards -4 the
+    full step lands at -4.97 and misses, 1/2 lands at -1.0055 on the other
+    branch and improves, and 1/4 lands at 0.977, outside the domain.  The
+    masked loop never evaluates 1/4; the batch of the remaining step lengths
+    does and raises, so the search falls back to single rounds and must
+    still give the masked loop's bytes."""
+    m = map_from_texts(R1, R1, ["log(x1^2 - 1)"])
+    gen = np.random.default_rng(30)
+    # 20 columns left of their root on the right branch, where f is concave
+    # and increasing, so Newton walks monotonically to the root
+    starts = np.concatenate([gen.uniform(1.5, 2.0, (1, 20)), [[2.96]]], axis=1)
+    targets = np.concatenate([np.log(gen.uniform(2.5, 4.0, (1, 20)) ** 2 - 1), [[-4.0]]], axis=1)
+    log = spy_tape(monkeypatch)
+    got = degree._newton_roots(m, starts, targets)
+    want = masked_newton_roots(m, starts, targets)
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+    assert got[1].all() and -1.01 < got[0][0, -1] < -1.0
+    # the full step on all 21 columns, 5 step lengths x 1 missed column
+    # refused, then 1/2 alone on that column
+    assert line_searches(log)[0] == [(21, False), (5, True), (1, False)]
+
+
+def test_a_line_search_whose_misses_fit_makes_at_most_two_tape_evaluations(monkeypatch):
+    """After the full step on N columns, k misses try all five remaining step
+    lengths in one batch of 5k columns when 5k <= N, which ends the search;
+    otherwise they step one length at a time, as the masked loop does."""
+    m = map_from_texts(R2, R2, Z3_TEXTS)
+    gen = np.random.default_rng(31)
+    starts = gen.uniform(-2.0, 2.0, (2, 256))
+    targets = np.repeat(gen.uniform(-0.5, 0.5, (2, 1)), 256, axis=1)
+    masked_calls = []
+    masked_evaluate = maps.evaluate_batch
+    monkeypatch.setattr(maps, "evaluate_batch",
+                        lambda mm, x: masked_calls.append(1) or masked_evaluate(mm, x))
+    want = masked_newton_roots(m, starts, targets)
+    log = spy_tape(monkeypatch)
+    got = degree._newton_roots(m, starts, targets)
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+    searches = line_searches(log)
+    for search in searches:
+        assert not any(raised for _, raised in search)
+        # a third evaluation means the second was a single round of k
+        # columns, which runs only when 5k > N
+        assert len(search) <= 2 or 5 * search[1][0] > search[0][0]
+    evaluations = sum(map(len, searches))
+    assert 2 * evaluations <= len(masked_calls)  # 18 against 40

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nilcoh import algebra
+from nilcoh import algebra, ergodic
 from nilcoh.dsl import UnknownSymbolError
 from nilcoh.ergodic import (
     Observable,
@@ -190,3 +190,19 @@ def test_reports_are_deterministic():
     rep1 = to_jsonable(convergence_report(f1(), obs, **kw).traces)
     rep2 = to_jsonable(convergence_report(f1(), obs, **kw).traces)
     assert rep1 == rep2
+
+
+def test_ergodicity_probe_draws_each_radius_cloud_once(monkeypatch):
+    """The cloud's stream key holds no basepoint, so one draw per radius
+    serves every basepoint (it drew one per basepoint and radius), and each
+    report still equals the convergence report of its acted map."""
+    obs = [derivative_entry(1, 2), derivative_entry(1, 2, squared=True)]
+    pts, radii = [0.0, 1.0, np.pi], [2.0, 4.0, 8.0]
+    want = [convergence_report(act(f1(), [p]), obs, radii, samples=3000, seed=7) for p in pts]
+    draws = []
+    sample = ergodic.sample_ball_coords
+    monkeypatch.setattr(ergodic, "sample_ball_coords",
+                        lambda alg, spec, *a, **k: draws.append(spec.radius) or sample(alg, spec, *a, **k))
+    probe = ergodicity_probe(f1(), obs, pts, radii, samples=3000, seed=7)
+    assert draws == radii
+    assert repr(probe.reports) == repr(want)

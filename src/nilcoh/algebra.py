@@ -3,10 +3,12 @@
 A ``LieAlgebra`` stores the bracket table ``[e_i, e_j] = sum_k c[i,j,k] e_k``
 for ``i < j`` (antisymmetry is implicit) and is validated on construction:
 the Jacobi identity is checked exactly and the lower central series must
-reach zero.  Both run on the one exact bracket, ``LieAlgebra.bracket``, which
-takes and returns sparse vectors ``{basis index: Fraction}`` and is built
-from the table through ``bracket_basis``.  Indices are 0-based internally;
-the file format is 1-based.
+reach zero.  Both run on the one exact bracket: the table as int numerators
+over the lcm of its denominators (``LieAlgebra._integer_structure``, the
+same table ``forms`` builds d_k from), accumulated by
+``exactlinalg._addmul``.  ``LieAlgebra.bracket`` takes and returns sparse
+vectors ``{basis index: Fraction}`` and builds Fractions only for its
+result.  Indices are 0-based internally; the file format is 1-based.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 
 from . import exactlinalg as xl
 
@@ -86,15 +90,35 @@ class LieAlgebra:
         return {k: -c for k, c in self.structure.get((j, i), {}).items()}
 
     def bracket(self, u: dict[int, Fraction], v: dict[int, Fraction]) -> dict[int, Fraction]:
-        """Bracket of two sparse vectors ``{basis index: coefficient}``,
-        exactly, accumulated by ``exactlinalg._axpy``: coefficients that
-        cancel are dropped, and a zero input coefficient adds nothing."""
-        out: dict[int, Fraction] = {}
+        """Bracket of two sparse vectors ``{basis index: Fraction}``, exactly:
+        coefficients that cancel are dropped, and a zero input coefficient
+        adds nothing.  TypeError names the first entry that is not a Fraction."""
+        (a, da), (b, db) = (xl._exact(x, "LieAlgebra.bracket", name)
+                            for x, name in ((u, "u"), (v, "v")))
+        return xl._fractions(self._bracket_into({}, a, b), da * db * self._integer_structure[1])
+
+    @cached_property
+    def _integer_structure(self) -> tuple[dict[tuple[int, int], dict[int, int]], int]:
+        """(table, den): ``structure`` with each constant c_ij^k as the int
+        numerator c_ij^k * den, den the lcm of the constants' denominators,
+        in the same order."""
+        den = lcm(*[c.denominator for comps in self.structure.values() for c in comps.values()])
+        table = {pair: {k: c.numerator * (den // c.denominator) for k, c in comps.items()}
+                 for pair, comps in self.structure.items()}
+        return table, den
+
+    def _bracket_into(self, out: dict, u: dict, v: dict) -> dict:
+        """out += [u, v] on int numerators, returning out: u and v over any
+        denominators du and dv, out over du * dv * den (``_integer_structure``).
+        Terms add in the order of u, v and each [e_i, e_j]."""
+        table = self._integer_structure[0]
         for i, a in u.items():
             for j, b in v.items():
-                w = self.bracket_basis(i, j)
-                if w and (ab := a * b):
-                    xl._axpy(out, ab, w)
+                if i < j:
+                    if w := table.get((i, j)):
+                        xl._addmul(out, a * b, w)
+                elif i > j and (w := table.get((j, i))):
+                    xl._addmul(out, -a * b, w)
         return out
 
     @property
@@ -180,14 +204,20 @@ def validate_algebra(
 
     alg = LieAlgebra(dim=dim, basis_names=basis_names, structure=clean)
 
+    # [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j] over den^2,
+    # the last as -[[e_i, e_k], e_j], on the table's rows over den
+    table, den = alg._integer_structure
+    den2 = den * den
     for i in range(dim):
         for j in range(i + 1, dim):
             for k in range(j + 1, dim):
-                res: dict[int, Fraction] = {}
-                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                    xl._axpy(res, xl.ONE, alg.bracket(alg.bracket_basis(a, b), {c: xl.ONE}))
+                res: dict[int, int] = {}
+                for a, b, c, sign in ((i, j, k, 1), (j, k, i, 1), (i, k, j, -1)):
+                    if w := table.get((a, b)):
+                        alg._bracket_into(res, w, {c: sign})
                 if res:
-                    raise JacobiViolation((i, j, k), [res.get(m, xl.ZERO) for m in range(dim)])
+                    raise JacobiViolation(
+                        (i, j, k), [Fraction(res.get(m, 0), den2) for m in range(dim)])
 
     lcs, weights = _lower_central_series(alg)
     if lcs[-1] != 0:
@@ -206,15 +236,16 @@ def _lower_central_series(alg: LieAlgebra) -> tuple[list[int], list[int]]:
     largest m with e_i in g^m (1 for every direction of a graded basis's
     first layer, etc.).
     """
-    dim = alg.dim
-    layer = [{i: xl.ONE} for i in range(dim)]
+    dim, den = alg.dim, alg._integer_structure[1]
+    layer = [({i: 1}, 1) for i in range(dim)]  # (terms, den) pairs
     dims = [dim]
     weights = [1] * dim
     depth = 1
     while True:
-        nxt = [w for i in range(dim) for v in layer if (w := alg.bracket({i: xl.ONE}, v))]
+        nxt = [xl._reduced(w, d * den) for i in range(dim) for v, d in layer
+               if (w := alg._bracket_into({}, {i: 1}, v))]
         span = xl.Echelon()
-        basis = [w for w in nxt if span.insert(w)]
+        basis = [w for w in nxt if span._insert(*w)]
         d = len(basis)
         dims.append(d)
         if d == 0:

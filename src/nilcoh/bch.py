@@ -44,7 +44,8 @@ terms in k order, skipping the zeros and the multiplications by 1.
 
 Term order is the float summation order: ``Poly.eval_float`` adds a
 polynomial's terms in dict order, so the kernels' term order fixes the bits
-of every numeric group-law evaluation.  A sum (``_add``) keeps the left
+of every numeric group-law evaluation.  A sum (``_add``: one denominator,
+then the echelon's accumulation ``exactlinalg._addmul``) keeps the left
 operand's terms in place, appends new keys in the right operand's order and
 drops a term the moment it cancels.  A product and the substitution
 (``_collect``) keep each key where it first appears and drop the zeros at
@@ -66,7 +67,7 @@ from math import comb, factorial, lcm
 import numpy as np
 
 from .algebra import DerivedCache, LieAlgebra
-from .exactlinalg import _reduced
+from .exactlinalg import _addmul, _reduced
 from .jets import powers
 
 
@@ -144,15 +145,7 @@ def _add(p: tuple, c, q: tuple) -> tuple:
     den = lcm(da, db * c.denominator)
     fa, fb = den // da, c.numerator * (den // (db * c.denominator))
     terms = dict(a) if fa == 1 else {k: v * fa for k, v in a.items()}
-    get = terms.get
-    for k, v in b.items():
-        s = get(k)
-        if s is None:
-            terms[k] = v * fb
-        elif s := s + v * fb:
-            terms[k] = s
-        else:
-            del terms[k]
+    _addmul(terms, fb, b)
     return _reduced(terms, den)
 
 

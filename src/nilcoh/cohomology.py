@@ -17,7 +17,9 @@ the order pullback sums them in.
 Class coordinates come by reduction: each echelon row records its
 combination of the columns of A = [representatives | coboundaries], so
 reducing a closed form yields its sparse coordinates in the representative
-basis exactly; dense lists are built only where they are handed out.  Two
+basis exactly; dense lists are built only where they are handed out.
+``project`` takes Fraction coefficients only and refuses a float form,
+whose one path is the least-squares ``project_float``.  Two
 things are computed only when first asked for, then kept: A in floats with
 its pseudo-inverse, the one least-squares operator that Monte Carlo averages
 of nearly-closed float forms need, and each entry of the cup table, which
@@ -71,15 +73,16 @@ class CohomologySpace:
 
     def _coordinates(self, form: KForm) -> xl.Sparse:
         """Sparse class coordinates {representative index: Fraction} of a
-        closed form (floats for a float form)."""
+        closed form with Fraction coefficients."""
         if form.algebra is not self.algebra:
             raise ValueError(f"form lives on another algebra than this degree-{self.degree} space")
         if form.degree != self.degree:
             self._not_closed(form.degree)
-        residual, coords = self.echelon.reduce(form.coeffs)
-        if residual:
-            self._not_closed(form.degree)
-        return coords
+        try:
+            pair = xl._exact(form.coeffs, "CohomologySpace.project", "form")
+        except TypeError as e:
+            raise TypeError(f"{e}; project_float projects float coefficient vectors") from None
+        return xl._fractions(*self._reduce(*pair))
 
     def _reduce(self, terms: dict, den: int) -> xl.Pair:
         """Class coordinates, as a pair, of the closed form of this degree
@@ -95,15 +98,17 @@ class CohomologySpace:
     @cached_property
     def _rep_pairs(self) -> tuple[xl.Pair, ...]:
         """The representatives' coefficients as (terms, den) pairs."""
-        return tuple(xl._ints(rep.coeffs) for rep in self.representatives)
+        return tuple(xl._exact(rep.coeffs, "CohomologySpace._rep_pairs", "representative")
+                     for rep in self.representatives)
 
     def _dense(self, coords: xl.Sparse) -> list[Fraction]:
         return [coords.get(i, xl.ZERO) for i in range(self.betti)]
 
     def project(self, form: KForm) -> list[Fraction]:
-        """Class coordinates of a closed form (exact for rational input).
+        """Exact class coordinates of a closed form with Fraction coefficients.
 
-        Raises ValueError unless it is a closed degree-k form of this algebra."""
+        Raises ValueError unless it is a closed degree-k form of this algebra,
+        and TypeError for a float form: ``project_float`` projects those."""
         return self._dense(self._coordinates(form))
 
     @cached_property

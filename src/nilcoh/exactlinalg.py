@@ -25,21 +25,23 @@ library's own callers pass pairs straight through the pair methods
 integer rows and builds Fractions only for representatives, the closed
 basis and cup entries handed out; the cup pairings insert the cup table's
 pairs, ``pullback`` reads them as floats, and the lower central series
-probes its span with them.  ``insert`` takes only Fraction entries;
-``reduce`` also takes float and int probes (``CohomologySpace.project`` of
-a float form), which it combines with the rows as Fractions, as ``_axpy``
-does, so they come out as they always have.  An echelon that has never
-been given a tag holds only empty tags and skips their arithmetic.
+inserts and probes its brackets as pairs.  ``insert`` and ``reduce`` take
+only Fraction entries, and refuse any other by method and key: float
+vectors are projected by least squares (``CohomologySpace.project_float``),
+never eliminated.  An echelon that has never been given a tag holds only
+empty tags and skips their arithmetic.
 
-Dict order is part of the result: the rows, tags and residuals are the same
-dicts, in the same order, on every run.  Every accumulation drops an entry
-the moment it cancels and appends new keys in the order of the vector it
-adds, so a key that cancels and comes back goes to the end: ``_axpy`` on
-Fractions and ``_addmul`` on numerators, and the group law's integer kernel
-(``bch._add``) sums by the same rule.  Bringing two numerator dicts to one
-denominator scales values in place and moves no key, and a numerator is
-zero exactly when its Fraction is, so every pair holds the keys of Fraction
-arithmetic, in the same order.  A pivot of 1 is not rescaled.
+One accumulation serves the whole exact layer: ``_addmul`` adds a multiple
+of one numerator dict to another, for the echelon, the bracket and the
+Jacobi check in ``algebra`` and the group law's integer kernel
+(``bch._add``).  Dict order is part of the result: the rows, tags and
+residuals are the same dicts, in the same order, on every run.
+``_addmul`` drops an entry the moment it cancels and appends new keys in
+the order of the vector it adds, so a key that cancels and comes back goes
+to the end.  Bringing two numerator dicts to one denominator scales values
+in place and moves no key, and a numerator is zero exactly when its
+Fraction is, so every pair holds the keys of Fraction arithmetic, in the
+same order.  A pivot of 1 is not rescaled.
 """
 
 from __future__ import annotations
@@ -47,13 +49,11 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, sub
 
 Sparse = dict  # ordered key (column index, form-basis tuple) -> nonzero Fraction
 Pair = tuple   # (ordered key -> nonzero int, positive int denominator), reduced
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class Echelon:
@@ -85,19 +85,18 @@ class Echelon:
     def reduce(self, v: Sparse) -> tuple[Sparse, Sparse]:
         """(residual, tag): v minus a combination of the rows, and that
         combination as a combination of tags.  The residual has no entry in a
-        pivot column, and it is empty exactly when v lies in the span.  A v
-        with a float or int entry is reduced on the rows as Fractions."""
-        pair = _ints(v)
-        if pair is None:  # a float or int entry
-            return self._reduce_plain(v)
-        residual, tag = self._reduce(*pair)
+        pivot column, and it is empty exactly when v lies in the span.
+
+        v takes Fraction entries only; TypeError names the first other."""
+        residual, tag = self._reduce(*_exact(v, "Echelon.reduce", "vector"))
         return _fractions(*residual), _fractions(*tag)
 
     def insert(self, v: Sparse, tag: Sparse | None = None) -> bool:
         """Add v (tagged ``tag``) unless it lies in the span; True if added.
 
         Both take Fraction entries only; TypeError names the first other."""
-        return self._insert(*_exact(v, "vector"), _exact(tag, "tag") if tag else None)
+        return self._insert(*_exact(v, "Echelon.insert", "vector"),
+                            _exact(tag, "Echelon.insert", "tag") if tag else None)
 
     def kernel(self, columns) -> list[Sparse]:
         """Basis of the vectors x with row . x = 0 for every row: one per
@@ -195,16 +194,6 @@ class Echelon:
             basis.append(_reduced(v, den))
         return basis
 
-    def _reduce_plain(self, v: dict) -> tuple[dict, dict]:
-        """``reduce`` of a vector with a float or int entry, on the rows and
-        tags as Fractions: floats and ints combine with them by ``_axpy``."""
-        out = {key: x for key, x in v.items() if x}
-        tag: dict = {}
-        for p, c in [(p, c) for p, c in out.items() if p in self._rows]:
-            _axpy(out, -c, self.rows[p])
-            _axpy(tag, c, self.tags[p])
-        return out, tag
-
 
 class _Fractions(Mapping):
     """Read-only view of a dict of pairs, each read as a Fraction dict."""
@@ -233,28 +222,20 @@ def _reduced(terms: dict, den: int) -> Pair:
     return (terms, den) if g == 1 else ({k: v // g for k, v in terms.items()}, den // g)
 
 
-def _ints(v: Sparse) -> Pair | None:
+def _exact(v: Sparse, method: str, what: str) -> Pair:
     """The pair of a {key: Fraction} vector, zeros dropped, in its order;
-    None if an entry is not a Fraction."""
+    TypeError naming ``method``, the argument ``what`` and the first entry
+    that is not a Fraction."""
     den = 1
-    for x in v.values():
+    for key, x in v.items():
         if type(x) is not Fraction:
-            return None
+            raise TypeError(f"{method} takes Fraction entries: {what} entry {key!r} is "
+                            f"{type(x).__name__} {x!r}")
         if (d := x.denominator) != 1:
             den = lcm(den, d)
     if den == 1:
         return {key: x.numerator for key, x in v.items() if x}, 1
     return {key: x.numerator * (den // x.denominator) for key, x in v.items() if x}, den
-
-
-def _exact(v: Sparse, what: str) -> Pair:
-    """``_ints(v)``, or TypeError naming the first entry that is not a Fraction."""
-    pair = _ints(v)
-    if pair is None:
-        key, x = next((key, x) for key, x in v.items() if type(x) is not Fraction)
-        raise TypeError(f"Echelon.insert takes Fraction entries: {what} entry {key!r} is "
-                        f"{type(x).__name__} {x!r}")
-    return pair
 
 
 def _fractions(terms: dict, den: int) -> Sparse:
@@ -266,38 +247,14 @@ def _fractions(terms: dict, den: int) -> Sparse:
 
 def _addmul(y: dict, a: int, x: dict) -> None:
     """y += a * x in place, for numerator dicts over one denominator and a
-    nonzero int a: ``_axpy``'s order rules."""
+    nonzero int a.  An entry that cancels is deleted at once; a new key goes
+    to the end of y, in x's order."""
     get = y.get
     for key, xv in x.items():
         s = get(key)
         if s is None:
             y[key] = a * xv
         elif s := s + a * xv:
-            y[key] = s
-        else:
-            del y[key]
-
-
-def _axpy(y: Sparse, a, x: Sparse) -> None:
-    """y += a * x in place, for a nonzero a and an x that holds no zero.
-
-    An entry that cancels is deleted at once; a new key goes to the end of
-    y, in x's order.  A Fraction a of 1 or -1 adds or subtracts x's values
-    as they are; any other a (a float or an int, from ``reduce`` of such a
-    vector) multiplies them first.
-    """
-    if not x:
-        return
-    negate = type(a) is Fraction and a == -1
-    if not negate and (type(a) is not Fraction or a != 1):
-        x = {key: a * xv for key, xv in x.items()}
-    combine = sub if negate else add
-    get = y.get
-    for key, xv in x.items():
-        s = get(key)
-        if s is None:
-            y[key] = -xv if negate else xv
-        elif s := combine(s, xv):
             y[key] = s
         else:
             del y[key]

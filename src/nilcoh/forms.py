@@ -8,9 +8,12 @@ projector times the (m+n)!/(m!n!) factor collapses to a shuffle sign).
 Coefficients may be exact ``Fraction``s (all algebraic paths) or floats
 (Monte Carlo averages); the operations are generic over both.
 
-The differential d_k is built in one place, as sparse rows straight from
-the structure constants, once per algebra and degree: ``ce_differential``
-applies them to a form's coefficients, and ``cohomology`` eliminates them.
+The differential d_k is built in one place, as sparse rows of int
+numerators over one denominator straight from the algebra's integer table
+of structure constants (``LieAlgebra._integer_structure``, which the
+bracket reads too), once per algebra and degree: ``cohomology`` eliminates
+those integer rows, and ``ce_differential`` applies them as Fractions to a
+form's coefficients, rational or float.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 
 from . import exactlinalg as xl
 from .algebra import DerivedCache, LieAlgebra
@@ -283,18 +285,16 @@ def _build_differential_rows(alg: LieAlgebra, k: int) -> dict[Index, xl.Sparse]:
 
 
 def _integer_differential_rows(alg: LieAlgebra, k: int) -> tuple[dict[Index, dict], int]:
-    """d_k by rows as int numerators over one denominator, the lcm of those
-    of the structure constants, in one sweep over the (k+1)-tuples: each
-    pair a < b of T with a nonzero bracket [e_{T_a}, e_{T_b}] = sum_m c_m e_m
+    """d_k by rows as int numerators over one denominator, that of the
+    algebra's integer table (``LieAlgebra._integer_structure``), in one
+    sweep over the (k+1)-tuples: each pair a < b of T with a nonzero bracket [e_{T_a}, e_{T_b}] = sum_m c_m e_m
     adds (-1)^(a+b) c_m, times the sign that sorts (m,) + rest, at
     S = sorted((m,) + rest), where rest is T without T_a and T_b.  Only
     nonzero entries and rows are kept; as in ``wedge``, an entry that
     cancels keeps its place until the zeros of its row are dropped.
     ``cohomology`` eliminates these rows; each call builds them anew.
     """
-    den = lcm(*[c.denominator for comps in alg.structure.values() for c in comps.values()])
-    structure = {pair: {m: c.numerator * (den // c.denominator) for m, c in comps.items()}
-                 for pair, comps in alg.structure.items()}
+    structure, den = alg._integer_structure
     rows: dict[Index, dict] = {}
     for target in basis_tuples(alg.dim, k + 1):
         row: dict = {}

@@ -206,11 +206,20 @@ def differential(m: SmoothMap, g, warn=None) -> list[list[float]]:
 
 
 def normalize_to_y0(m: SmoothMap) -> SmoothMap:
-    """Left-translate so the origin maps to the origin (idempotent)."""
+    """Left-translate so the origin maps to the origin (idempotent).  Where
+    F is undefined at the origin, the ``DomainError`` names the origin and
+    the normalization; an error of no point (a constant that overflows)
+    passes as it is."""
     if m.action is not None:
         return m
     bare = replace(m, shift=None)
-    at_origin = evaluate_batch(bare, np.zeros((m.domain.dim, 1)))[:, 0]
+    try:
+        at_origin = evaluate_batch(bare, np.zeros((m.domain.dim, 1)))[:, 0]
+    except dsl.DomainError as e:
+        if e.sample_index is None:
+            raise
+        raise dsl.DomainError(f"normalizing the map to F(0) = 0: {e.base_message}",
+                              coords=(0.0,) * m.domain.dim) from None
     if not np.any(at_origin):
         return bare
     return replace(m, shift=tuple(-v for v in at_origin))

@@ -611,6 +611,29 @@ def naive_axpy(y: dict, a, x: dict) -> None:
             y.pop(key, None)
 
 
+def naive_bracket(alg, u: dict, v: dict) -> dict:
+    """[u, v] of sparse {index: Fraction} vectors in Fraction arithmetic:
+    a * b * [e_i, e_j] added by ``naive_axpy`` for each pair of nonzero
+    coefficients, in the order of u, then v."""
+    out = {}
+    for i, a in u.items():
+        for j, b in v.items():
+            if a and b:
+                naive_axpy(out, a * b, bracket_coeffs(alg, i, j))
+    return out
+
+
+def naive_jacobi_residual(alg, i: int, j: int, k: int) -> list:
+    """Dense [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j], on
+    ``naive_bracket``; ``alg`` needs only ``dim`` and ``structure``, so an
+    unvalidated table can be probed."""
+    res = {}
+    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+        inner = naive_bracket(alg, {a: Fraction(1)}, {b: Fraction(1)})
+        naive_axpy(res, Fraction(1), naive_bracket(alg, inner, {c: Fraction(1)}))
+    return [res.get(m, Fraction(0)) for m in range(alg.dim)]
+
+
 def _naive_sort_with_sign(indices):
     idx = list(indices)
     sign = 1

@@ -40,18 +40,23 @@ checkout that builds it by a Neumann series has the same terms in the same
 order for class <= 2 only.  Against such a checkout the ``inv_frame``
 digests of filiform7, filiform8 and the dense filiform6 differ, and so, by
 float rounding, do the filiform7, filiform8 and filiform7-shifted
-``homomorphism_check`` ones.  Last, ``ring_invariants`` (Betti numbers and
+``homomorphism_check`` ones.  Then ``ring_invariants`` (Betti numbers and
 cup ranks) of the five ``ring`` benchmark algebras, H3, H5, free2step3,
 filiform6 and filiform7, on the canonical basis and on one seeded dense
 twin each: the canonical bases and the 2-step twins split the cup pairing
-into weight blocks, the filiform twins keep it in one block.  The package
-is imported from ``PYTHONPATH``, so the same script dumps any checkout:
+into weight blocks, the filiform twins keep it in one block.  Last, three
+digests for each of the nine exact-layer algebras above: ``lcs`` and
+``weights``, ``LieAlgebra.bracket`` of eight seeded pairs of rational
+vectors (terms in dict order), and what validation says of six seeded
+tables with one constant changed (the ``JacobiViolation`` or
+``NotNilpotent`` message, or the series of a table that stays valid).
+The package is imported from ``PYTHONPATH``, so the same script dumps any checkout:
 
     PYTHONPATH=src python tests/parity_dump.py new.json
     PYTHONPATH=../old/src python tests/parity_dump.py old.json
     diff old.json new.json
 
-The file holds 133 digests, keyed and sorted, so ``diff`` lists exactly
+The file holds 160 digests, keyed and sorted, so ``diff`` lists exactly
 the cases that moved.  The name keeps pytest from collecting it; a run takes 8-13 s on a
 2-core host.
 """
@@ -65,6 +70,7 @@ import os
 import random
 import sys
 import tempfile
+from fractions import Fraction
 
 import numpy as np
 
@@ -222,6 +228,35 @@ def ring_terms(name: str, alg, rng) -> dict:
     return out
 
 
+def algebra_terms(name: str, alg, seed: int) -> dict:
+    """``lcs`` and ``weights``, the bracket of seeded rational vectors in dict
+    order, and what validation says of seeded corruptions of the table."""
+    out = {f"exact/lcs-weights-{name}": digest(repr((alg.lcs, alg.weights)))}
+    rng = random.Random(seed)
+
+    def vector():
+        return {i: Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                for i in rng.sample(range(alg.dim), rng.randint(0, alg.dim))}
+
+    brackets = [list(alg.bracket(vector(), vector()).items()) for _ in range(8)]
+    out[f"exact/bracket-{name}"] = digest(repr(brackets))
+    verdicts = []
+    for _ in range(6):  # one constant changed: a Jacobi residual, non-nilpotent or valid
+        structure = {pair: dict(comps) for pair, comps in alg.structure.items()}
+        i, j = sorted(rng.sample(range(alg.dim), 2))
+        comps = structure.setdefault((i, j), {})
+        k = rng.randrange(alg.dim)
+        comps[k] = comps.get(k, Fraction(0)) + Fraction(rng.choice([-3, -1, 1, 2]),
+                                                        rng.choice([1, 2, 5]))
+        try:
+            valid = nilcoh.validate_algebra(structure, alg.dim)
+            verdicts.append(("valid", valid.lcs, valid.weights))
+        except algebra.AlgebraError as e:
+            verdicts.append((type(e).__name__, str(e)))
+    out[f"exact/jacobi-{name}"] = digest(repr(verdicts))
+    return out
+
+
 def exact_layer() -> dict:
     algebras = {"filiform7": algebra.filiform(7), "filiform8": algebra.filiform(8),
                 "free2step4": algebra.free_nilpotent_two_step(4),
@@ -233,18 +268,22 @@ def exact_layer() -> dict:
         algebras[f"dense-{name}"] = nilcoh.validate_algebra(twin, dim)
     out = {}
     rng = np.random.default_rng(3)
-    for name, alg in algebras.items():
+    for seed, (name, alg) in enumerate(algebras.items()):
         out.update(ring_terms(name, alg, rng))
         out.update(group_law_terms(name, alg))
+        out.update(algebra_terms(name, alg, seed))
     structure, dim = BUILDERS["filiform"](7)[:2]
     twin = nilcoh.validate_algebra(dense_twin(structure, dim, random.Random(2)), dim)
     rational = rational_filiform5()
-    for name, alg in (("rational-filiform5", rational), ("dense-filiform7", twin)):
+    for seed, (name, alg) in enumerate((("rational-filiform5", rational),
+                                         ("dense-filiform7", twin)), 10):
         out.update(group_law_terms(name, alg))
+        out.update(algebra_terms(name, alg, seed))
     rational_twin = nilcoh.validate_algebra(dense_twin(rational.structure, 5, random.Random(3)), 5)
     for name, alg in (("rational-filiform5", rational),
                       ("dense-rational-filiform5", rational_twin)):
         out.update(ring_terms(name, alg, rng))
+    out.update(algebra_terms("dense-rational-filiform5", rational_twin, 12))
     return out
 
 

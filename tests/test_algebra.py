@@ -4,7 +4,10 @@ import time
 from fractions import Fraction
 
 import pytest
-from oracles import dense_twin, naive_lower_central_series
+from conftest import COEFFS, corpus, rational_filiform5
+from hypothesis import given, settings, strategies as st
+from oracles import (
+    dense_twin, naive_bracket, naive_jacobi_residual, naive_lower_central_series, ordered_items)
 
 from nilcoh import algebra
 from nilcoh.algebra import (
@@ -77,6 +80,64 @@ def test_bracket_is_bilinear_on_sparse_vectors_and_drops_zeros():
     # the two e5 terms cancel: nothing is left, not a zero entry
     assert alg.bracket({0: Fraction(1), 2: Fraction(1)}, {1: Fraction(1), 3: Fraction(-1)}) == {}
     assert alg.bracket({}, v) == {}
+
+
+BRACKET_ALGEBRAS = {**corpus(), "rational_filiform5": rational_filiform5(),
+                    "dense_rational_filiform5": dense_twin(rational_filiform5(), random.Random(4))}
+# coefficients with denominators up to 12, and zeros, which add nothing
+ENTRIES = st.one_of(COEFFS, st.just(Fraction(0)),
+                    st.builds(Fraction, st.integers(-12, 12).filter(bool), st.integers(1, 12)))
+
+
+@pytest.mark.parametrize("name", sorted(BRACKET_ALGEBRAS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_bracket_matches_the_naive_bracket_item_for_item(name, data):
+    # integer numerators over the table's lcm denominator give the same
+    # Fractions, keys and key order as Fraction arithmetic term by term
+    alg = BRACKET_ALGEBRAS[name]
+    assert (alg._integer_structure[1] > 1) == ("rational" in name)
+    vectors = st.dictionaries(st.integers(0, alg.dim - 1), ENTRIES, max_size=alg.dim)
+    u, v = data.draw(vectors), data.draw(vectors)
+    assert ordered_items(alg.bracket(u, v)) == ordered_items(naive_bracket(alg, u, v))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_jacobi_violation_matches_the_naive_residual(seed):
+    # seeded corruptions of a valid table, one constant at a time until the
+    # naive Jacobi residual of some triple is nonzero: the first such triple
+    # is the one reported, with that residual, value types included
+    rng = random.Random(seed)
+    alg = BRACKET_ALGEBRAS[rng.choice(["filiform4", "free2step3", "heisenberg5",
+                                       "rational_filiform5", "dense_rational_filiform5"])]
+    n = alg.dim
+    structure = {pair: dict(comps) for pair, comps in alg.structure.items()}
+    table = algebra.LieAlgebra(dim=n, basis_names=alg.basis_names, structure=structure)
+    triples = [(a, b, c) for a in range(n) for b in range(a + 1, n) for c in range(b + 1, n)]
+    bad = None
+    while bad is None:
+        i, j = sorted(rng.sample(range(n), 2))
+        comps = structure.setdefault((i, j), {})
+        k = rng.randrange(n)
+        comps[k] = comps.get(k, Fraction(0)) + Fraction(rng.choice([-3, -1, 1, 2]),
+                                                        rng.choice([1, 2, 5]))
+        bad = next(((t, r) for t in triples if any(r := naive_jacobi_residual(table, *t))), None)
+    (a, b, c), residual = bad
+    with pytest.raises(JacobiViolation) as exc:
+        validate_algebra(structure, n)
+    assert exc.value.triple == (a, b, c)
+    assert [(type(x), x) for x in exc.value.residual] == [(Fraction, x) for x in residual]
+    assert str(exc.value) == (f"Jacobi identity fails on basis triple {(a + 1, b + 1, c + 1)}: "
+                              f"residual ({', '.join(str(x) for x in residual)})")
+
+
+def test_bracket_takes_fraction_entries_only():
+    alg = algebra.heisenberg3()
+    with pytest.raises(TypeError, match="^LieAlgebra.bracket takes Fraction entries: "
+                                        "u entry 1 is int 2$"):
+        alg.bracket({0: Fraction(1), 1: 2}, {1: Fraction(1)})
+    with pytest.raises(TypeError, match="v entry 0 is float 1.0"):
+        alg.bracket({1: Fraction(1)}, {0: 1.0})
 
 
 def test_series_and_weights_match_the_definition(algebras):

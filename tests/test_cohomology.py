@@ -212,24 +212,22 @@ def test_non_integral_constants_match_the_naive_echelon_item_for_item(name):
             dens |= {c.denominator for c in (*row.values(), *closed.tags[p].values())}
         assert [ordered_items(rep.coeffs) for rep in space.representatives] == [
             ordered_items(rep) for rep in reps]
-        # project of a float form reduces on the same rows as Fractions
-        for rep in reps:
-            floats = {t: float(c) for t, c in rep.items()}
-            for got, want in zip(space.echelon.reduce(floats), closed.reduce(floats)):
-                assert ordered_items(got) == ordered_items(want)
     assert dens - {1}
     for k, l, i, j in ring.cup:
         want = naive_cup_entry(ref, k, l, i, j)
         assert [(type(c), c) for c in ring.cup[(k, l, i, j)]] == [(type(c), c) for c in want]
 
 
-def test_project_of_a_float_form_gives_floats():
-    # every coordinate comes through a coefficient of 1.0 or 2.0 times a
-    # rational row, so each is a float, whatever its value
+def test_project_refuses_a_float_form_and_points_to_project_float():
+    # a float form has one path, the least-squares project_float; project
+    # names the first coefficient that is not a Fraction
     space = cohomology(H3).spaces[1]
-    for coeffs in ({(0,): 1.0, (1,): 2.0}, {(0,): -1.0, (1,): 0.5}):
-        coords = space.project(KForm(H3, 1, coeffs))
-        assert [(type(c), c) for c in coords] == [(float, v) for v in coeffs.values()]
+    form = KForm(H3, 1, {(0,): Fraction(1), (1,): 2.0})
+    with pytest.raises(TypeError, match=r"^CohomologySpace.project takes Fraction entries: "
+                                        r"form entry \(1,\) is float 2.0; project_float "):
+        space.project(form)
+    assert space.project_float([1.0, 2.0, 0.0]) == [1.0, 2.0]
+    assert space.project(KForm(H3, 1, {(0,): Fraction(1), (1,): Fraction(2)})) == [1, 2]
 
 
 # -- closed-form oracles at dim 7-10 -------------------------------------------

@@ -5,9 +5,10 @@ import pytest
 from conftest import skewed_heisenberg3
 from oracles import dense_poly_matrix, dense_twin, stacked_differential
 
-from nilcoh import algebra, pullback
+from nilcoh import algebra, local_degree, pullback
 from nilcoh.bch import GroupLaw, Poly, group_law
 from nilcoh.dsl import DomainError
+from nilcoh.ergodic import derivative_entry
 from nilcoh.maps import (
     SmoothMap,
     act,
@@ -92,6 +93,21 @@ def test_act_names_the_point_where_the_map_is_undefined():
     with pytest.raises(DomainError) as exc:
         act(act(m, [1.0]), [-1.0])
     assert exc.value.coords == (0.0,)
+
+
+def test_normalization_names_the_origin_where_the_map_is_undefined():
+    # the calls that normalize a map evaluate F at the origin; a DomainError
+    # there reached them as the tape's bare message, with no point
+    m = map_from_texts(R1, R1, ["log(x1^2 - 1)"])
+    want = "normalizing the map to F(0) = 0: log of a nonpositive value at point (0.0)"
+    for call in (lambda: normalize_to_y0(m),
+                 lambda: local_degree(m, 0.5, (0.0,)),
+                 lambda: pullback.amenable_norm(m, derivative_entry(1, 1), radii=[2.0],
+                                                samples=10, seed=0)):
+        with pytest.raises(DomainError) as exc:
+            call()
+        assert str(exc.value) == want
+        assert exc.value.coords == (0.0,)
 
 
 def test_differential_examples():

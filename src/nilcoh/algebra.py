@@ -81,14 +81,6 @@ class LieAlgebra:
     lcs: tuple[int, ...] = field(default=())
     weights: tuple[int, ...] = field(default=())
 
-    def bracket_basis(self, i: int, j: int) -> dict[int, Fraction]:
-        """Coefficients of [e_i, e_j] in the basis, for any i, j."""
-        if i == j:
-            return {}
-        if i < j:
-            return self.structure.get((i, j), {})
-        return {k: -c for k, c in self.structure.get((j, i), {}).items()}
-
     def bracket(self, u: dict[int, Fraction], v: dict[int, Fraction]) -> dict[int, Fraction]:
         """Bracket of two sparse vectors ``{basis index: Fraction}``, exactly:
         coefficients that cancel are dropped, and a zero input coefficient

@@ -3,8 +3,17 @@
 Subcommands: cohomology, compare, average, orbit, degree, asymdeg, repro.
 Every randomized command takes an explicit --seed (default 0; never wall
 clock), and reports echo enough (inputs, digests, parameters, seed) to
-regenerate every number.  Exit codes: 0 success, 1 domain or validation
-error, 2 usage error.
+regenerate every number.
+
+There is one report path.  Each ``cmd_*`` returns only the report fields it
+computes (``params``, ``results``, ``inputs`` and, where it has them,
+``seed`` and ``warnings``); ``main`` times the command, builds the report
+with ``report.build_report``, renders it once and writes ``--out`` before
+stdout.  ``repro`` runs its steps through ``main``.
+
+Exit codes: 0 success; 1 a domain or validation error, or an I/O error on
+the inputs, ``--out`` or ``--outdir``, with ``error: ...`` on stderr and no
+report on stdout; 2 usage error.
 """
 
 from __future__ import annotations
@@ -170,34 +179,20 @@ def _ring_results(alg) -> dict:
 
 
 def cmd_cohomology(args) -> dict:
-    t0 = time.perf_counter()
-    alg = load_algebra(args.algebra)
-    results = _ring_results(alg)
-    return report.build_report(
-        "cohomology",
-        params={"algebra": args.algebra},
-        results=results,
-        inputs={"algebra": args.algebra},
-        wall_time_s=time.perf_counter() - t0,
-    )
+    return {
+        "params": {"algebra": args.algebra},
+        "results": _ring_results(load_algebra(args.algebra)),
+        "inputs": {"algebra": args.algebra},
+    }
 
 
 def cmd_compare(args) -> dict:
-    t0 = time.perf_counter()
-    alg_a = load_algebra(args.algebra_a)
-    alg_b = load_algebra(args.algebra_b)
-    verdict = compare_rings(cohomology(alg_a), cohomology(alg_b))
-    return report.build_report(
-        "compare",
-        params={"algebra_a": args.algebra_a, "algebra_b": args.algebra_b},
-        results=verdict,
-        inputs={"algebra_a": args.algebra_a, "algebra_b": args.algebra_b},
-        wall_time_s=time.perf_counter() - t0,
-    )
+    paths = {"algebra_a": args.algebra_a, "algebra_b": args.algebra_b}
+    rings = [cohomology(load_algebra(path)) for path in paths.values()]
+    return {"params": paths, "results": compare_rings(*rings), "inputs": paths}
 
 
 def cmd_average(args) -> dict:
-    t0 = time.perf_counter()
     m = load_map(args.map_file)
     omega = parse_form(args.form, m.codomain)
     est = pullback.amenable_average(
@@ -212,17 +207,16 @@ def cmd_average(args) -> dict:
         "form": str(omega),
         "shape": args.ball["shape"],
         "radii": est.radii,
-        "values": [{",".join(map(str, k)): v for k, v in f.coeffs.items()} for f in est.values],
-        "stderr": [{",".join(map(str, k)): v for k, v in s.items()} for s in est.mc_stderr],
+        "values": [f.coeffs for f in est.values],
+        "stderr": est.mc_stderr,
         "increments": est.increments,
-        "extrapolated": {",".join(map(str, k)): v for k, v in est.extrapolated.coeffs.items()},
+        "extrapolated": est.extrapolated.coeffs,
         "nonconvergent": est.nonconvergent,
         "derivative_bound": est.derivative_bound,
         "samples_per_radius": args.samples,
     }
-    return report.build_report(
-        "average",
-        params={
+    return {
+        "params": {
             "map": args.map_file,
             "form": args.form,
             "radii": args.radii,
@@ -230,16 +224,14 @@ def cmd_average(args) -> dict:
             "shape": args.ball["shape"],
             "threads": args.threads,
         },
-        results=results,
-        inputs={"map": args.map_file},
-        seed=args.seed,
-        warnings=est.warnings,
-        wall_time_s=time.perf_counter() - t0,
-    )
+        "results": results,
+        "inputs": {"map": args.map_file},
+        "seed": args.seed,
+        "warnings": est.warnings,
+    }
 
 
 def cmd_orbit(args) -> dict:
-    t0 = time.perf_counter()
     m = load_map(args.map_file)
     observables = [
         ergodic.parse_observable(text, m.domain.dim, m.codomain.dim)
@@ -258,14 +250,11 @@ def cmd_orbit(args) -> dict:
         results = {
             "mode": "ergodicity-probe",
             "verdict": probe.verdict,
-            "basepoints": [list(p) for p in probe.basepoints],
+            "basepoints": probe.basepoints,
             "spreads": probe.spreads,
             "tolerances": probe.tolerances,
             "traces": [
-                {
-                    "basepoint": list(p),
-                    "observables": report.to_jsonable(rep.traces),
-                }
+                {"basepoint": p, "observables": rep.traces}
                 for p, rep in zip(probe.basepoints, probe.reports)
             ],
         }
@@ -275,16 +264,11 @@ def cmd_orbit(args) -> dict:
             m, observables, args.radii, args.samples, args.seed,
             shape=shape, tol=args.tol,
         )
-        results = {
-            "mode": "convergence",
-            "traces": report.to_jsonable(rep.traces),
-            "limits": rep.limits(),
-        }
+        results = {"mode": "convergence", "traces": rep.traces, "limits": rep.limits()}
         warnings = rep.warnings
     results["shape"] = shape
-    return report.build_report(
-        "orbit",
-        params={
+    return {
+        "params": {
             "map": args.map_file,
             "observables": args.observables,
             "radii": args.radii,
@@ -293,38 +277,33 @@ def cmd_orbit(args) -> dict:
             "tol": args.tol,
             "threads": args.threads,
         },
-        results=results,
-        inputs={"map": args.map_file},
-        seed=args.seed,
-        warnings=warnings,
-        wall_time_s=time.perf_counter() - t0,
-    )
+        "results": results,
+        "inputs": {"map": args.map_file},
+        "seed": args.seed,
+        "warnings": warnings,
+    }
 
 
 def cmd_degree(args) -> dict:
-    t0 = time.perf_counter()
     m = load_map(args.map_file)
     target = tuple(float(x) for x in args.target.split(","))
     result = degree_mod.local_degree(
         m, BallSpec(args.window), target, grid_density=args.grid, seed=args.seed
     )
-    return report.build_report(
-        "degree",
-        params={
+    return {
+        "params": {
             "map": args.map_file,
             "window": args.window,
-            "target": list(target),
+            "target": target,
             "grid": args.grid,
         },
-        results=result,
-        inputs={"map": args.map_file},
-        seed=args.seed,
-        wall_time_s=time.perf_counter() - t0,
-    )
+        "results": result,
+        "inputs": {"map": args.map_file},
+        "seed": args.seed,
+    }
 
 
 def cmd_asymdeg(args) -> dict:
-    t0 = time.perf_counter()
     m = load_map(args.map_file)
     trace = degree_mod.asymptotic_degree(
         m,
@@ -335,21 +314,19 @@ def cmd_asymdeg(args) -> dict:
     )
     results = report.to_jsonable(trace)
     warnings = results.pop("warnings")
-    return report.build_report(
-        "asymdeg",
-        params={
+    return {
+        "params": {
             "map": args.map_file,
             "radii": args.radii,
             "samples": args.samples,
             "shape": args.ball["shape"],
             "threads": args.threads,
         },
-        results=results,
-        inputs={"map": args.map_file},
-        seed=args.seed,
-        warnings=warnings,
-        wall_time_s=time.perf_counter() - t0,
-    )
+        "results": results,
+        "inputs": {"map": args.map_file},
+        "seed": args.seed,
+        "warnings": warnings,
+    }
 
 
 def cmd_repro(args) -> int:
@@ -380,6 +357,9 @@ def cmd_repro(args) -> int:
     )
     xsin = write_map("x-plus-sin.map.json", "abelian1.json", "abelian1.json", ["x1 + sin(x1)"])
 
+    seed = ["--seed", str(args.seed)]
+    sampled = ["--samples", str(args.samples), *seed, "--threads", str(args.threads)]
+    f1_radii = ",".join(str(4 * np.pi * 2 ** k) for k in range(4))
     steps = [
         ("cohomology-h3", ["cohomology", "--algebra", os.path.join(outdir, "heisenberg3.json")]),
         (
@@ -387,38 +367,22 @@ def cmd_repro(args) -> int:
             ["compare", "--algebra-a", os.path.join(outdir, "abelian3.json"),
              "--algebra-b", os.path.join(outdir, "heisenberg3.json")],
         ),
-        (
-            "average-f1-dy2",
-            ["average", "--map", f1, "--form", "e2",
-             "--radii", ",".join(str(4 * np.pi * 2 ** k) for k in range(4)),
-             "--samples", str(args.samples), "--seed", str(args.seed),
-             "--threads", str(args.threads)],
-        ),
+        ("average-f1-dy2", ["average", "--map", f1, "--form", "e2", "--radii", f1_radii, *sampled]),
         (
             "orbit-f1",
-            ["orbit", "--map", f1, "--observables", "d12,d12sq",
-             "--radii", ",".join(str(4 * np.pi * 2 ** k) for k in range(4)),
-             "--basepoints=0,1,3.141592653589793",
-             "--samples", str(args.samples), "--seed", str(args.seed),
-             "--threads", str(args.threads)],
+            ["orbit", "--map", f1, "--observables", "d12,d12sq", "--radii", f1_radii,
+             "--basepoints=0,1,3.141592653589793", *sampled],
         ),
         (
             "orbit-f2",
             ["orbit", "--map", f2, "--observables", "d12,d12sq", "--radii", "2,4,8",
-             "--basepoints=-10,10", "--samples", str(args.samples),
-             "--seed", str(args.seed), "--threads", str(args.threads)],
+             "--basepoints=-10,10", *sampled],
         ),
         (
             "degree-x-plus-sin",
-            ["degree", "--map", xsin, "--window", "R=10", "--target", "0.5",
-             "--seed", str(args.seed)],
+            ["degree", "--map", xsin, "--window", "R=10", "--target", "0.5", *seed],
         ),
-        (
-            "asymdeg-h3-doubling",
-            ["asymdeg", "--map", auto, "--radii", "4:2:5",
-             "--samples", str(args.samples), "--seed", str(args.seed),
-             "--threads", str(args.threads)],
-        ),
+        ("asymdeg-h3-doubling", ["asymdeg", "--map", auto, "--radii", "4:2:5", *sampled]),
     ]
     for name, argv in steps:
         out_path = os.path.join(outdir, f"{name}.report.json")
@@ -450,19 +414,22 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None, quiet: bool = False) -> int:
     args = _parser().parse_args(argv)
-    if args.command == "repro":
-        return cmd_repro(args)
     try:
-        rep = _COMMANDS[args.command](args)
+        if args.command == "repro":
+            return cmd_repro(args)
+        t0 = time.perf_counter()
+        fields = _COMMANDS[args.command](args)
+        rep = report.build_report(args.command, **fields,
+                                  wall_time_s=time.perf_counter() - t0)
+        text = report.render(rep)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
     except (AlgebraError, dsl.ParseError, dsl.DomainError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    text = report.render(rep)
     if not quiet:
         sys.stdout.write(text)
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
     return 0
 
 

@@ -130,13 +130,23 @@ def evaluate_batch(m: SmoothMap, coords: np.ndarray, warn=None) -> np.ndarray:
     return _shifted(m, _evaluate(m, np.asarray(coords, dtype=float), warn)[1])
 
 
+def _at_point(batch, m: SmoothMap, g, warn=None, context: str = ""):
+    """``batch`` (``evaluate_batch`` or ``differential_batch``) on the one
+    column of the point g.  A ``DomainError`` of the sample names g after
+    ``context``; one that no point causes (a constant that overflows)
+    passes as it is."""
+    point = tuple(float(c) for c in g)
+    try:
+        return batch(m, np.array(point)[:, None], warn)
+    except dsl.DomainError as e:
+        if e.sample_index is None:
+            raise
+        raise dsl.DomainError(context + e.base_message, coords=point) from None
+
+
 def evaluate(m: SmoothMap, g, warn=None) -> GroupPoint:
     """Map value at a single point (GroupPoint or coordinate sequence)."""
-    coords = np.array(tuple(g), dtype=float)[:, None]
-    try:
-        out = evaluate_batch(m, coords, warn)
-    except dsl.DomainError as e:
-        raise dsl.DomainError(e.base_message, coords=tuple(g)) from None
+    out = _at_point(evaluate_batch, m, g, warn)
     return GroupPoint(m.codomain, tuple(float(v) for v in out[:, 0]))
 
 
@@ -197,11 +207,7 @@ def differential_pattern(m: SmoothMap) -> np.ndarray:
 
 
 def differential(m: SmoothMap, g, warn=None) -> list[list[float]]:
-    coords = np.array(tuple(g), dtype=float)[:, None]
-    try:
-        _, mats = differential_batch(m, coords, warn)
-    except dsl.DomainError as e:
-        raise dsl.DomainError(e.base_message, coords=tuple(g)) from None
+    _, mats = _at_point(differential_batch, m, g, warn)
     return [[float(x) for x in row] for row in mats[0]]
 
 
@@ -213,13 +219,8 @@ def normalize_to_y0(m: SmoothMap) -> SmoothMap:
     if m.action is not None:
         return m
     bare = replace(m, shift=None)
-    try:
-        at_origin = evaluate_batch(bare, np.zeros((m.domain.dim, 1)))[:, 0]
-    except dsl.DomainError as e:
-        if e.sample_index is None:
-            raise
-        raise dsl.DomainError(f"normalizing the map to F(0) = 0: {e.base_message}",
-                              coords=(0.0,) * m.domain.dim) from None
+    at_origin = _at_point(evaluate_batch, bare, (0.0,) * m.domain.dim,
+                          context="normalizing the map to F(0) = 0: ")[:, 0]
     if not np.any(at_origin):
         return bare
     return replace(m, shift=tuple(-v for v in at_origin))
@@ -237,10 +238,7 @@ def act(m: SmoothMap, g) -> SmoothMap:
     if m.action is not None:
         coords = [float(v) for v in group_law(m.domain).multiply(list(m.action), coords)]
     bare = replace(m, shift=None, action=None)
-    try:
-        at_g = evaluate_batch(bare, np.array(coords)[:, None])[:, 0]
-    except dsl.DomainError as e:
-        raise dsl.DomainError(e.base_message, coords=tuple(coords)) from None
+    at_g = _at_point(evaluate_batch, bare, coords)[:, 0]
     return replace(bare, shift=tuple(float(-v) for v in at_g), action=tuple(coords))
 
 

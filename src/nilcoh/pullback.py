@@ -80,8 +80,8 @@ from .algebra import DerivedCache, LieAlgebra
 from .cohomology import CohomologyRing, CohomologySpace, cohomology
 from .forms import KForm, basis_tuples, ce_differential, sort_with_sign, wedge
 from .group import BallSpec, check_radii, cloud_mean, sample_ball_coords
-from .maps import (SmoothMap, differential_batch, differential_pattern, normalize_to_y0,
-                   warn_once)
+from .maps import (SmoothMap, _at_point, differential_batch, differential_pattern,
+                   normalize_to_y0, warn_once)
 
 DEFAULT_RADII = tuple(4.0 * 2 ** k for k in range(6))
 # floats per work array of _coefficient_rows: samples are taken in blocks that keep
@@ -129,8 +129,7 @@ def pullback_eval(m: SmoothMap, omega: KForm, lam: tuple[int, ...], g) -> float:
     n = m.domain.dim
     if not all(isinstance(i, (int, np.integer)) and 0 <= i < n for i in lam):
         raise ValueError(f"frame indices must be integers in 0 .. {n - 1}, got {tuple(lam)}")
-    coords = np.array([float(c) for c in g], dtype=float)[:, None]
-    _, mats = differential_batch(m, coords)
+    _, mats = _at_point(differential_batch, m, g)
     return float(_coefficient_rows(mats, [(omega, lam)])[0, 0])
 
 

@@ -670,7 +670,7 @@ def naive_differential_rows(alg, k: int) -> dict:
         row = {}
         for a in range(k + 1):
             for b in range(a + 1, k + 1):
-                comps = alg.bracket_basis(target[a], target[b])
+                comps = bracket_coeffs(alg, target[a], target[b])
                 if not comps:
                     continue
                 rest = target[:a] + target[a + 1:b] + target[b + 1:]

@@ -66,8 +66,9 @@ def test_bad_indices_rejected():
 
 def test_bracket_antisymmetry():
     alg = algebra.heisenberg3()
-    assert alg.bracket_basis(1, 0) == {2: Fraction(-1)}
-    assert alg.bracket_basis(2, 2) == {}
+    assert alg.bracket({1: Fraction(1)}, {0: Fraction(1)}) == {2: Fraction(-1)}
+    u = {0: Fraction(2), 2: Fraction(-1, 3)}
+    assert alg.bracket(u, u) == {}
 
 
 def test_bracket_is_bilinear_on_sparse_vectors_and_drops_zeros():

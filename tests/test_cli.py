@@ -278,6 +278,24 @@ def test_exit_code_on_one_sample(files, capsys):
     assert "at least 2 samples, got 1" in err
 
 
+def test_exit_code_on_an_unwritable_out_file(files, capsys):
+    # the report went to stdout first, then the write raised FileNotFoundError
+    out_path = files / "missing-dir" / "x.json"
+    code, out, err = run(["cohomology", "--algebra", str(files / "h3.json"),
+                          "--out", str(out_path)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and str(out_path) in err
+
+
+def test_exit_code_on_a_repro_outdir_that_is_a_file(tmp_path, capsys):
+    # os.makedirs raised FileExistsError out of main
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code, out, err = run(["repro", "--outdir", str(taken)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and str(taken) in err
+
+
 def test_exit_code_on_usage_error(files):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

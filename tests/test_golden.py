@@ -25,6 +25,7 @@ the echoed paths do not depend on the machine.
 """
 
 import json
+import math
 import os
 
 import pytest
@@ -69,8 +70,8 @@ MAPS = {
 }
 
 
-def stable_report(argv) -> str:
-    """Run one subcommand in the current directory; its render_stable text."""
+def golden_report(argv) -> dict:
+    """Run one subcommand in the current directory; its whole report."""
     save_algebra(algebra.heisenberg3(), "h3.json")
     save_algebra(algebra.heisenberg5(), "h5.json")
     save_algebra(algebra.abelian(3), "r3.json")
@@ -82,7 +83,12 @@ def stable_report(argv) -> str:
             json.dump({"domain": domain, "codomain": codomain, "components": components}, fh)
     assert main(argv + ["--out", "report.json"], quiet=True) == 0
     with open("report.json", encoding="utf-8") as fh:
-        return render_stable(json.load(fh))
+        return json.load(fh)
+
+
+def stable_report(argv) -> str:
+    """Run one subcommand in the current directory; its render_stable text."""
+    return render_stable(golden_report(argv))
 
 
 def _leaves(obj, path=()):
@@ -140,3 +146,17 @@ def test_render_stable_bytes_pinned(name, tmp_path, monkeypatch):
     if got != want:
         pytest.fail(f"render_stable bytes of {name} moved:\n{leaf_diff(want, got)}",
                     pytrace=False)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_fields_and_wall_time(name, tmp_path, monkeypatch):
+    # main times every command and builds its report: the fields are the
+    # same for all of them, and the wall time is the one volatile field
+    monkeypatch.chdir(tmp_path)
+    rep = golden_report(CASES[name])
+    assert set(rep) == {"command", "inputs", "params", "seed", "results", "warnings",
+                        "volatile"}
+    assert rep["command"] == CASES[name][0]
+    assert list(rep["volatile"]) == ["wall_time_s"]
+    wall = rep["volatile"]["wall_time_s"]
+    assert isinstance(wall, float) and math.isfinite(wall) and wall >= 0

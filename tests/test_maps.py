@@ -95,6 +95,17 @@ def test_act_names_the_point_where_the_map_is_undefined():
     assert exc.value.coords == (0.0,)
 
 
+def test_only_an_error_at_the_point_names_the_point():
+    # a constant that overflows is no fault of the point, but evaluate and
+    # act said "... at point (1.0)" / "(2.0)"
+    m = map_from_texts(R1, R1, ["x1 + 10^400"])
+    for call in (lambda: evaluate(m, [1.0]), lambda: act(m, [2.0])):
+        with pytest.raises(DomainError) as exc:
+            call()
+        assert str(exc.value) == "constant power 10.0^400 overflows a float"
+        assert exc.value.coords is None
+
+
 def test_normalization_names_the_origin_where_the_map_is_undefined():
     # the calls that normalize a map evaluate F at the origin; a DomainError
     # there reached them as the tape's bare message, with no point

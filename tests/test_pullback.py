@@ -11,6 +11,7 @@ import pytest
 
 from nilcoh import algebra, pullback, rng
 from nilcoh.cohomology import cohomology
+from nilcoh.dsl import DomainError
 from nilcoh.degree import area_formula_check, asymptotic_degree
 from nilcoh.ergodic import derivative_entry, empirical_measure, parse_observable
 from nilcoh.forms import (KForm, basis_covector, basis_form, basis_tuples, unit_form,
@@ -70,6 +71,15 @@ def test_pullback_eval_refuses_frame_indices_outside_the_domain(lam):
     w = basis_covector(H3, 2) if len(lam) == 1 else basis_form(H3, (0, 2))
     with pytest.raises(ValueError, match=r"integers in 0 \.\. 2"):
         pullback_eval(ident, w, lam, [0.5, 0.0, 1.0])
+
+
+def test_pullback_eval_names_the_point_where_the_map_is_undefined():
+    # the tape's bare message reached the caller with no point
+    m = map_from_texts(R1, R1, ["log(x1)"])
+    with pytest.raises(DomainError) as exc:
+        pullback_eval(m, basis_covector(R1, 0), (0,), [-1.0])
+    assert exc.value.coords == (-1.0,)
+    assert str(exc.value).endswith(" at point (-1.0)")
 
 
 @pytest.mark.parametrize("shape", [(2, 1), (3, 3), (5, 5), (7, 7)])

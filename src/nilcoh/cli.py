@@ -94,8 +94,6 @@ def _add_common(p, seeded=True):
     p.add_argument("--out", help="write the report to this file as well as stdout")
     if seeded:
         p.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="accepted for compatibility; evaluation is serial")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -152,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=100000)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--threads", type=int, default=1,
-                   help="accepted for compatibility; evaluation is serial")
+                   help="ignored (evaluation is serial); the benchmark harness passes it")
 
     return parser
 
@@ -166,7 +164,6 @@ def _ring_results(alg) -> dict:
     cup = {
         f"H{k}[{i}] x H{l}[{j}]": [str(c) for c in coords]
         for (k, l, i, j), coords in sorted(ring.cup.items())
-        if ring.spaces[k].betti and ring.spaces[l].betti
     }
     return {
         "dim": alg.dim,
@@ -222,7 +219,6 @@ def cmd_average(args) -> dict:
             "radii": args.radii,
             "samples": args.samples,
             "shape": args.ball["shape"],
-            "threads": args.threads,
         },
         "results": results,
         "inputs": {"map": args.map_file},
@@ -240,9 +236,9 @@ def cmd_orbit(args) -> dict:
     ]
     if not observables:
         raise ValueError("no observables given")
-    basepoints = _basepoints_arg(args.basepoints, m.domain.dim) if args.basepoints else []
     shape = args.ball["shape"]
-    if basepoints:
+    if args.basepoints:
+        basepoints = _basepoints_arg(args.basepoints, m.domain.dim)
         probe = ergodic.ergodicity_probe(
             m, observables, basepoints, args.radii, args.samples, args.seed,
             shape=shape, tol=args.tol,
@@ -275,7 +271,6 @@ def cmd_orbit(args) -> dict:
             "basepoints": args.basepoints,
             "samples": args.samples,
             "tol": args.tol,
-            "threads": args.threads,
         },
         "results": results,
         "inputs": {"map": args.map_file},
@@ -320,7 +315,6 @@ def cmd_asymdeg(args) -> dict:
             "radii": args.radii,
             "samples": args.samples,
             "shape": args.ball["shape"],
-            "threads": args.threads,
         },
         "results": results,
         "inputs": {"map": args.map_file},
@@ -358,7 +352,7 @@ def cmd_repro(args) -> int:
     xsin = write_map("x-plus-sin.map.json", "abelian1.json", "abelian1.json", ["x1 + sin(x1)"])
 
     seed = ["--seed", str(args.seed)]
-    sampled = ["--samples", str(args.samples), *seed, "--threads", str(args.threads)]
+    sampled = ["--samples", str(args.samples), *seed]
     f1_radii = ",".join(str(4 * np.pi * 2 ** k) for k in range(4))
     steps = [
         ("cohomology-h3", ["cohomology", "--algebra", os.path.join(outdir, "heisenberg3.json")]),

@@ -151,8 +151,7 @@ class CupTable(Mapping):
     rep_i^k ^ rep_j^l in degree k+l, for k + l <= n, i < b_k and j < b_l.
 
     An entry is computed when first requested, then kept; iterating the
-    table computes every entry.  Concurrent first requests for one entry
-    compute the same value twice, which is harmless.
+    table computes every entry.
     """
 
     def __init__(self, spaces: tuple[CohomologySpace, ...]):
@@ -327,12 +326,9 @@ def cup_pairing_rank(ring: CohomologyRing, k: int, l: int) -> int:
     n = ring.algebra.dim
     if k + l > n:
         return 0
-    bk, bl = ring.spaces[k].betti, ring.spaces[l].betti
-    target = ring.spaces[k + l].betti
-    if bk == 0 or bl == 0 or target == 0:
-        return 0
     if k == 0 or l == 0:  # 1 ^ rep_j = rep_j
-        return bl if k == 0 else bk
+        return ring.spaces[l if k == 0 else k].betti
+    target = ring.spaces[k + l].betti
     weights = ring._weights
     room = dict(Counter(weights[k + l]))  # per weight, the rank its block can still gain
     blocks: defaultdict[int, xl.Echelon] = defaultdict(xl.Echelon)
@@ -354,11 +350,8 @@ def cup_pairing_rank(ring: CohomologyRing, k: int, l: int) -> int:
 def ring_invariants(ring: CohomologyRing) -> dict:
     """Basis-independent signature: Betti vector plus cup pairing ranks."""
     n = ring.algebra.dim
-    pair_ranks = {}
-    for k in range(n + 1):
-        for l in range(k, n + 1 - k):
-            if ring.spaces[k].betti and ring.spaces[l].betti:
-                pair_ranks[(k, l)] = cup_pairing_rank(ring, k, l)
+    pair_ranks = {(k, l): cup_pairing_rank(ring, k, l)
+                  for k in range(n + 1) for l in range(k, n + 1 - k)}
     return {"betti": ring.betti, "cup_ranks": pair_ranks}
 
 

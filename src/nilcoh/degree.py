@@ -37,8 +37,7 @@ cut the ``local_degree`` tape evaluations from 316-349 to 159-171 per
 cycle, and a ``local_degree`` op by about 13%, with every output byte
 unchanged.
 
-Evaluation is serial; the public functions accept ``threads`` for
-compatibility and ignore it.
+Evaluation is serial.
 """
 
 from __future__ import annotations
@@ -413,6 +412,8 @@ def area_formula_check(
     Targets too close to the sampled boundary image, or landing on
     near-singular preimages, are skipped and counted; fewer than 2 counted
     targets are refused (ValueError), as one has no spread to estimate.
+    ``threads`` is accepted and ignored (evaluation is serial), because the
+    benchmark harness passes it.
     """
     _check_grid_density(grid_density)
     m = normalize_to_y0(m)
@@ -486,7 +487,6 @@ def asymptotic_degree(
     samples: int = 20000,
     seed: int = 0,
     shape: str = "box",
-    threads: int = 1,
 ) -> AsymptoticDegreeTrace:
     """Per-radius signed average of the pulled-back volume form.
 

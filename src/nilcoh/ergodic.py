@@ -12,8 +12,7 @@ Ergodicity is never asserted: probes compare orbit averages started from
 several basepoints and report either 'consistent-with-ergodic' or
 'non-ergodic-evidence' against explicit thresholds.
 
-Evaluation is serial; the public functions accept ``threads`` for
-compatibility and ignore it.
+Evaluation is serial.
 """
 
 from __future__ import annotations
@@ -139,7 +138,7 @@ def empirical_measure(
     samples: int,
     seed: int,
     shape: str = "box",
-    threads: int = 1,
+    *,
     warnings: list[str] | None = None,
 ) -> list[dict]:
     """Monte Carlo estimate of each observable against the empirical measure
@@ -195,7 +194,7 @@ def convergence_report(
     samples: int,
     seed: int,
     shape: str = "box",
-    threads: int = 1,
+    *,
     tol: float = DEFAULT_TOL,
 ) -> ConvergenceReport:
     """Per-observable running means over the schedule with a stability verdict:
@@ -261,16 +260,20 @@ def ergodicity_probe(
     samples: int,
     seed: int,
     shape: str = "box",
-    threads: int = 1,
+    *,
     tol: float = DEFAULT_TOL,
 ) -> ErgodicityProbe:
     """Compare orbit averages started from several basepoints.
 
     For an ergodic limit measure the averages agree for almost every start;
     a spread beyond max(3 sqrt(2) stderr, tol) is reported as evidence
-    against ergodicity (never as a proof either way).
+    against ergodicity (never as a proof either way).  Fewer than 2 distinct
+    basepoints compare nothing and are refused (ValueError).
     """
     pts = [tuple(float(c) for c in _as_coords(p, m.domain.dim)) for p in basepoints]
+    if len(set(pts)) < 2:
+        raise ValueError(f"the ergodicity probe needs at least 2 distinct basepoints, "
+                         f"got {len(set(pts))} ({len(pts)} given)")
     reports = _convergence_reports(m.domain, [act(m, p) for p in pts], observables, radii,
                                    samples, seed, shape, tol)
     spreads: dict[str, float] = {}

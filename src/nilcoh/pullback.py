@@ -64,8 +64,7 @@ builds it once per such key and keeps it with the codomain algebra
 projects.  The plans hold no state between calls, so a warm call gives
 the bytes of a cold one.
 
-Evaluation is serial and reruns are bit-identical.  The public functions
-accept ``threads`` for compatibility and ignore it.
+Evaluation is serial and reruns are bit-identical.
 """
 
 from __future__ import annotations
@@ -446,7 +445,6 @@ def amenable_average(
     samples: int = 20000,
     seed: int = 0,
     shape: str = "box",
-    threads: int = 1,
 ) -> AverageEstimate:
     """Ball averages of psi* omega over the radius schedule."""
     radii = check_radii(radii)
@@ -539,7 +537,7 @@ def induced_cohomology_map(
     samples: int = 20000,
     seed: int = 0,
     shape: str = "box",
-    threads: int = 1,
+    *,
     with_products: bool = False,
 ) -> HomomorphismReport:
     """Matrices of the induced map on cohomology, degree by degree.
@@ -592,10 +590,7 @@ def induced_cohomology_map(
             degree = k + l
             lhs = ring_dom.spaces[degree].project_float(mean)
             rhs = _cup_combination(ring_dom, k, l, class_vectors[(k, i)], class_vectors[(l, j)])
-            if ring_dom.spaces[degree].betti == 0:
-                mult_residuals[key] = 0.0
-            else:
-                mult_residuals[key] = max(abs(a - b) for a, b in zip(lhs, rhs))
+            mult_residuals[key] = max(abs(a - b) for a, b in zip(lhs, rhs))
 
     chain_final = {k: (trace[-1] if trace else 0.0) for k, trace in chain_trace.items()}
     return HomomorphismReport(
@@ -620,7 +615,10 @@ def homomorphism_check(
     threads: int = 1,
 ) -> HomomorphismReport:
     """Induced map plus multiplicativity residuals:
-    class(avg(w1 ^ w2)) versus class(avg w1) cup class(avg w2)."""
+    class(avg(w1 ^ w2)) versus class(avg w1) cup class(avg w2).
+
+    ``threads`` is accepted and ignored (evaluation is serial), because the
+    benchmark harness passes it."""
     return induced_cohomology_map(m, radii, samples, seed, shape=shape, with_products=True)
 
 
@@ -677,7 +675,6 @@ def amenable_norm(
     samples: int = 20000,
     seed: int = 0,
     shape: str = "box",
-    threads: int = 1,
 ) -> list[dict]:
     """Square root of the ball average of |observable on the orbit|^2.
 

@@ -172,8 +172,9 @@ def test_criterion_7_asymptotic_degree():
     assert abs(tr2.ratios[-1]) <= 0.05
 
 
-@criterion(8, "repeated seeded runs are bit-identical, and --threads 1 vs --threads 8 produce identical results")
-def test_criterion_8_determinism(tmp_path, capsys):
+@criterion(8, "repeated seeded runs are bit-identical, and repro --threads 1 vs --threads 8 "
+              "produce identical reports")
+def test_criterion_8_determinism(tmp_path, capsys, monkeypatch):
     save_algebra(algebra.abelian(1), str(tmp_path / "r1.json"))
     save_algebra(algebra.abelian(2), str(tmp_path / "r2.json"))
     save_algebra(H3, str(tmp_path / "h3.json"))
@@ -195,11 +196,16 @@ def test_criterion_8_determinism(tmp_path, capsys):
     ]
     for argv in runs:
         texts = []
-        for threads in ("1", "1", "8"):
-            extra = ["--threads", threads] if argv[0] != "degree" else []
-            assert main(argv + extra) == 0
-            rep = json.loads(capsys.readouterr().out)
-            rep["params"].pop("threads", None)
-            texts.append(render_stable(rep))
-        assert texts[0] == texts[1], argv[0]
-        assert texts[0] == texts[2], argv[0]
+        for _ in range(3):
+            assert main(argv) == 0
+            texts.append(render_stable(json.loads(capsys.readouterr().out)))
+        assert texts[0] == texts[1] == texts[2], argv[0]
+    # repro accepts --threads and ignores it: its reports match byte for byte
+    monkeypatch.chdir(tmp_path)
+    repro = []
+    for threads in ("1", "8"):
+        assert main(["repro", "--outdir", "out", "--samples", "2000", "--seed", str(SEED),
+                     "--threads", threads]) == 0
+        repro.append({path.name: render_stable(json.loads(path.read_text()))
+                      for path in sorted((tmp_path / "out").glob("*.report.json"))})
+    assert len(repro[0]) == 7 and repro[0] == repro[1]

@@ -95,6 +95,52 @@ def test_orbit_command_probe(files, capsys):
     assert rep["results"]["spreads"]["d12"] >= 1.5
 
 
+def test_orbit_command_without_basepoints_reports_convergence(files, capsys):
+    code, out, _ = run(
+        ["orbit", "--map", str(files / "f1.map.json"), "--observables", "d12,d12sq",
+         "--radii", "2,4,8", "--samples", "500"],
+        capsys,
+    )
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["mode"] == "convergence"
+    assert results["limits"] == {t["observable"]: t["means"][-1] for t in results["traces"]}
+    assert list(results["limits"]) == ["d12", "d12sq"]
+
+
+def _h3_orbit(files, basepoints):
+    wavy = {"domain": "h3.json", "codomain": "h3.json",
+            "components": ["x1 + 0.3*sin(x2)", "x2", "x3"]}
+    (files / "wavy.map.json").write_text(json.dumps(wavy))
+    return ["orbit", "--map", str(files / "wavy.map.json"), "--observables", "d11",
+            "--radii", "2,4", "--samples", "500", f"--basepoints={basepoints}"]
+
+
+def test_orbit_probes_basepoint_tuples_on_a_3d_domain(files, capsys):
+    code, out, _ = run(_h3_orbit(files, "0,0,0;1,2,3"), capsys)
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["mode"] == "ergodicity-probe"
+    assert results["basepoints"] == [[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]]
+    assert [t["basepoint"] for t in results["traces"]] == results["basepoints"]
+
+    code, out, err = run(_h3_orbit(files, "0,0;1,2,3"), capsys)
+    assert (code, out) == (1, "")
+    assert "basepoint '0,0' has 2 coordinates, need 3" in err
+
+
+@pytest.mark.parametrize("basepoints, count", [("0,0,0", "got 1 (1 given)"),
+                                               ("1,2,3;1,2,3", "got 1 (2 given)"),
+                                               (";", "got 0 (0 given)")],
+                         ids=["one", "repeated", "none"])
+def test_orbit_refuses_a_probe_with_fewer_than_two_basepoints(files, capsys, basepoints, count):
+    # one basepoint exited 0 with 'consistent-with-ergodic' and spread 0.0,
+    # and ';' ran the convergence mode although basepoints were given
+    code, out, err = run(_h3_orbit(files, basepoints), capsys)
+    assert (code, out) == (1, "")
+    assert f"needs at least 2 distinct basepoints, {count}" in err
+
+
 def test_exit_code_on_a_coordinate_observable(files, capsys):
     # observables are expressions over the dIJ symbols: x2 was read as d12
     code, out, err = run(
@@ -320,19 +366,17 @@ def test_ball_radius_field_is_a_usage_error(files, capsys):
     assert json.loads(out)["params"]["shape"] == "quasiball"
 
 
-def test_reports_bit_identical_across_runs_and_threads(files, capsys):
+def test_reports_bit_identical_across_runs(files, capsys):
     argv = [
         "average", "--map", str(files / "f1.map.json"), "--form", "e1 + e2",
         "--radii", "4,8", "--samples", "12000", "--seed", "3",
     ]
     outs = []
-    for threads in ("1", "8", "1"):
-        code, out, _ = run(argv + ["--threads", threads], capsys)
+    for _ in range(3):
+        code, out, _ = run(argv, capsys)
         assert code == 0
         outs.append(render_stable(json.loads(out)))
-    # thread count appears in the params echo; strip it before comparing
-    normalized = [o.replace('"threads": 8', '"threads": 1') for o in outs]
-    assert normalized[0] == normalized[1] == normalized[2]
+    assert outs[0] == outs[1] == outs[2]
 
 
 def test_repro_subcommand(tmp_path, capsys, monkeypatch):

@@ -50,6 +50,21 @@ def test_poincare_duality_and_euler(algebras):
         assert sum((-1) ** k * b for k, b in enumerate(betti)) == 0, name
 
 
+def test_no_cohomology_group_is_empty():
+    # b_0 = b_n = 1 (nilpotent algebras are unimodular) and b_k >= 2 for
+    # 0 < k < n (Dixmier 1955): the cup and residual code has no branch for
+    # an empty group, so the bound is pinned on the corpus and dense twins
+    cases = corpus()
+    rng = random.Random(12)
+    for name in list(cases):
+        cases[f"dense_{name}"] = dense_twin(cases[name], rng)
+    for name, alg in cases.items():
+        betti = cohomology(alg).betti
+        n = alg.dim
+        assert betti[0] == betti[n] == 1, name
+        assert all(b >= 2 for b in betti[1:n]), name
+
+
 def test_first_betti_counts_generators(algebras):
     for name, alg in algebras.items():
         derived = alg.lcs[1]

@@ -356,6 +356,24 @@ def test_a_domain_error_of_the_denser_grid_does_not_stop_a_singular_retry():
     assert res.target != (0.0,)
 
 
+def test_a_domain_error_of_the_denser_grid_alone_reaches_the_caller():
+    # the log leaves its domain at x1 = 15/16, a start of the 16-grid only:
+    # the joint batch raises, the 8-grid alone finds one regular root, and
+    # the 16-grid then runs alone and raises its own error, not the batch's
+    m = map_from_texts(R1, R1, ["x1 + 0*log(abs(x1 - 0.9375))"])
+    scales, column = np.array([1.0]), np.array([[0.1]])
+    ((degrees, singular, roots, _),) = degree._preimages(m, column, scales, (8,))
+    assert (degrees[0], singular[0], roots.shape) == (1, False, (1, 1))
+    with pytest.raises(DomainError) as joint:
+        degree._preimages(m, column, scales, (8, 16))
+    with pytest.raises(DomainError) as alone:
+        degree._preimages(m, column, scales, (16,))
+    assert (joint.value.sample_index, alone.value.sample_index) == (23, 15)
+    with pytest.raises(DomainError) as call:
+        local_degree(m, 1.0, (0.1,), grid_density=8)
+    assert call.value.sample_index == 15
+
+
 def dense_margin(boundary_vals, targets):
     return np.min(np.max(np.abs(boundary_vals[:, :, None] - targets[:, None, :]), axis=0), axis=0)
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,17 @@ def test_ergodicity_probe_f2_two_point_measure():
     assert probe.verdict == "non-ergodic-evidence"
     assert probe.spreads["d12"] == pytest.approx(2.0, abs=1e-12)
     assert probe.spreads["d12sq"] == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("basepoints, distinct", [([], 0), ([1.0], 1), ([1.0, 1.0], 1)],
+                         ids=["none", "one", "repeated"])
+def test_ergodicity_probe_refuses_fewer_than_two_distinct_basepoints(basepoints, distinct):
+    # one point gave 'consistent-with-ergodic' with spread 0.0, and none
+    # raised "max() arg is an empty sequence"
+    count = f"got {distinct} ({len(basepoints)} given)"
+    with pytest.raises(ValueError, match=re.escape(f"at least 2 distinct basepoints, {count}")):
+        ergodicity_probe(f1(), [derivative_entry(1, 2)], basepoints, [2.0, 4.0],
+                         samples=200, seed=0)
 
 
 def test_identity_probe_consistent_everywhere():

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from nilcoh import algebra
 from nilcoh.algebra import LieAlgebra
+from nilcoh.dsl import ParseError
 from nilcoh.forms import (
     _build_differential_rows,
     KForm,
@@ -165,6 +167,17 @@ def test_parse_form():
     assert parse_form("0.25*e1", H3).coeffs == {(0,): Fraction(1, 4)}
     with pytest.raises(Exception):
         parse_form("e9", H3)
+
+
+def test_parse_form_parentheses_unary_signs_and_refusals():
+    assert parse_form("-(e1^e2) + +e3^e1", H3).coeffs == {(0, 1): -1, (0, 2): -1}
+    assert parse_form("2*(e1 - e2)^e3/4", H3).coeffs == {(0, 2): Fraction(1, 2),
+                                                        (1, 2): Fraction(-1, 2)}
+    for text, message in [("(e1", "expected ')' at position 4"),
+                          ("e1/e2", "can only divide by a scalar at position 3"),
+                          ("e1/0", "division by zero at position 3")]:
+        with pytest.raises(ParseError, match=re.escape(message)):
+            parse_form(text, H3)
 
 
 def test_float_coefficient_forms_flow_through_differential():

@@ -19,7 +19,9 @@ errors and values that were LU noise (at most 3.3e-18) became exact zeros,
 so two H5 coefficients drop out.  The H5 average was rewritten again when
 the frame differential stopped multiplying in the shift's translation
 Jacobian: 5 of its leaves moved, by 1 or 2 ulp (at most 2.3e-16
-relative).  A failing case lists every moved, added
+relative).  The asymdeg, orbit and both average files were rewritten
+when those subcommands dropped their no-op ``--threads`` flag: each lost
+its ``params/threads`` leaf and nothing else.  A failing case lists every moved, added
 and removed leaf.  The algebras and maps are saved under relative names so
 the echoed paths do not depend on the machine.
 """

@@ -325,6 +325,13 @@ class GroupLaw:
     def inv_frame_pattern(self) -> SparsePattern:
         return SparsePattern.of(self.inv_frame)
 
+    @cached_property
+    def inv_frame_reads(self) -> frozenset:
+        """The coordinates the inverse frame's polynomials read: of a map's
+        values, the frame differential needs only these."""
+        return frozenset(i for row in self.inv_frame for p in row for k in p.terms
+                         for i, e in enumerate(k) if e)
+
     def _check_length(self, length: int) -> None:
         if length != self.algebra.dim:
             raise ValueError(f"a point of a dim-{self.algebra.dim} group has "

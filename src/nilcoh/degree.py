@@ -426,7 +426,7 @@ def area_formula_check(
     cloud = sample_ball_coords(m.domain, window, samples, seed, tags=("area-lhs",))
 
     def dets(coords: np.ndarray) -> np.ndarray:
-        _, mats = differential_batch(m, coords)
+        mats = differential_batch(m, coords)
         d = np.linalg.det(mats)
         return np.stack([d, np.abs(d)])
 

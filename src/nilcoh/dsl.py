@@ -15,11 +15,17 @@ past the last character.
 Expressions are compiled once (``compile``) into a flat post-order
 ``Tape`` that drops each intermediate right after its use.  ``evaluate``
 runs a tape on floats or numpy arrays, or in forward mode on jets
-(Griewank-Walther, *Evaluating Derivatives*, ch. 3) with the same ops, and
-raises DomainError on log of a nonpositive value, division by zero, square
-root of a negative, 0 to a negative power, or a constant power too large
-for a float, in the order a walk of the trees would meet them.  Integer
-powers k >= 2 of arrays and jets are products (``jets.powers``), within a
+(Griewank-Walther, *Evaluating Derivatives*, 2nd ed., 2008, ch. 3) with
+the same ops.  In forward mode the caller may name the outputs whose
+values it reads.  A load, sum, difference, negation or call whose value
+reaches an unread output only through +, - and negation (*spare*, as
+``compile`` marks it) then computes its partials only (activity analysis,
+ibid.); every other step, products, quotients and powers included, computes
+its value as before.  Every run raises
+DomainError on log of a nonpositive value, division by zero, square root
+of a negative, 0 to a negative power, or a constant power too large for a
+float, in the order a walk of the trees would meet them.  Integer powers
+k >= 2 of arrays and jets are products (``jets.powers``), within a
 relative γ_{k-1} of the exact power and the same bits as ``**`` for k = 2;
 constant (Python float) bases and exponents below 2 keep ``**``.
 """
@@ -27,7 +33,7 @@ constant (Python float) bases and exponents below 2 keep ``**``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -326,13 +332,20 @@ def _first_bad(mask) -> int | None:
     return int(np.argmax(mask))
 
 
+# Each op comes as a pair: the full op, and the partials-only op that a
+# spare step runs in jet mode when its output's value is not read.  The
+# second is None for constants, which are never spare, and for *, / and ^,
+# which run in full: their operands' values are computed anyway, so the
+# value they would skip is one product, quotient or power.
+
+
 def _load(index: int, name: str):
     def load(env, warn):
         if index >= len(env):
             raise DomainError(f"coordinate {name} exceeds domain dimension {len(env)}")
         return env[index]
 
-    return load
+    return load, lambda env, warn: Jet(None, load(env, warn).partials)
 
 
 def _div(env, warn, a, b):
@@ -342,11 +355,13 @@ def _div(env, warn, a, b):
     return a / b
 
 
+_NEG = (lambda env, warn, a: -a, lambda env, warn, a: Jet(None, a.d_neg()))
+
 _BINARY = {
-    "+": lambda env, warn, a, b: a + b,
-    "-": lambda env, warn, a, b: a - b,
-    "*": lambda env, warn, a, b: a * b,
-    "/": _div,
+    "+": (lambda env, warn, a, b: a + b, lambda env, warn, a, b: Jet(None, Jet.d_add(a, b))),
+    "-": (lambda env, warn, a, b: a - b, lambda env, warn, a, b: Jet(None, Jet.d_sub(a, b))),
+    "*": (lambda env, warn, a, b: a * b, None),
+    "/": (_div, None),
 }
 
 
@@ -366,14 +381,13 @@ def _power(k: int):
         except OverflowError:  # a constant base is a Python float: numpy gives inf
             raise DomainError(f"constant power {base!r}^{k} overflows a float") from None
 
-    return power
+    return power, None
 
 
 def _call(fn: str):
     f, df = _UNARY[fn]
 
-    def call(env, warn, arg):
-        raw = value_of(arg)
+    def check(raw, warn) -> None:
         if fn == "log":
             bad = np.less_equal(raw, 0.0)
             if np.any(bad):
@@ -387,11 +401,18 @@ def _call(fn: str):
             if np.any(near):
                 count = int(np.sum(near)) if np.asarray(near).ndim else 1
                 warn(f"abs evaluated within {KINK_TOLERANCE:g} of its kink ({count} sample(s))")
+
+    def call(env, warn, arg):
+        check(value_of(arg), warn)
         if isinstance(arg, Jet):
             return arg.unary(f, df)
         return f(arg)
 
-    return call
+    def d_call(env, warn, arg):
+        check(arg.value, warn)
+        return Jet(None, arg.d_unary(df))
+
+    return call, d_call
 
 
 @dataclass(frozen=True, eq=False)
@@ -402,10 +423,33 @@ class Tape:
     arguments off a stack, so each intermediate is dropped right after its
     one use, and its result is stored as component ``output`` or, when that
     is None, pushed.
+
+    A step is *spare* when its value reaches its component's output only
+    through +, - and negation.  Every other step is *read*: its value
+    reaches, through sums or directly, an operand of *, /, ^ or a function
+    call, whose partials rule and domain check read it.  ``spare`` lists
+    (step index, output, partials-only op) for each spare load, sum,
+    difference, negation or call that reads a coordinate; constant subtrees
+    are never spare, and a spare product, quotient or power runs in full.
     """
 
     components: tuple
     steps: tuple
+    spare: tuple
+    _runs: dict = field(default_factory=dict, repr=False)
+
+    def steps_reading(self, reads) -> tuple:
+        """``steps`` with the partials-only op in every spare step of an
+        output not in ``reads``; built once per set of outputs."""
+        reads = frozenset(reads)
+        steps = self._runs.get(reads)
+        if steps is None:
+            out = list(self.steps)
+            for i, a, d_op in self.spare:
+                if a not in reads:
+                    out[i] = (d_op, *out[i][1:])
+            steps = self._runs[reads] = tuple(out)
+        return steps
 
 
 def compile(exprs) -> Tape:
@@ -414,49 +458,64 @@ def compile(exprs) -> Tape:
     here: constants and domain checks run with the tape."""
     exprs = tuple(exprs)
     steps: list = []
+    spare: list = []
+    output = 0  # the component being compiled; the loop below sets it
 
-    def node(expr) -> None:
+    def emit(ops, arity: int, varying: bool, is_spare: bool) -> bool:
+        if is_spare and varying and ops[1] is not None:
+            spare.append((len(steps), output, ops[1]))
+        steps.append((ops[0], arity, None))
+        return varying
+
+    def node(expr, is_spare: bool) -> bool:
+        """Append the steps of expr; returns whether it reads a coordinate."""
         if isinstance(expr, Num):
-            steps.append((lambda env, warn, v=expr.value: v, 0, None))
-        elif isinstance(expr, PiConst):
-            steps.append((lambda env, warn: np.pi, 0, None))
-        elif isinstance(expr, Coord):
-            steps.append((_load(expr.index, expr.name), 0, None))
-        elif isinstance(expr, Neg):
-            node(expr.arg)
-            steps.append((lambda env, warn, a: -a, 1, None))
-        elif isinstance(expr, Bin):
-            node(expr.left)
-            node(expr.right)
-            steps.append((_BINARY[expr.op], 2, None))
-        elif isinstance(expr, Pow):
-            node(expr.base)
-            steps.append((_power(expr.exponent), 1, None))
-        elif isinstance(expr, Call):
-            node(expr.arg)
-            steps.append((_call(expr.fn), 1, None))
-        else:
-            raise TypeError(f"not an expression node: {expr!r}")
+            return emit((lambda env, warn, v=expr.value: v, None), 0, False, is_spare)
+        if isinstance(expr, PiConst):
+            return emit((lambda env, warn: np.pi, None), 0, False, is_spare)
+        if isinstance(expr, Coord):
+            return emit(_load(expr.index, expr.name), 0, True, is_spare)
+        if isinstance(expr, Neg):
+            return emit(_NEG, 1, node(expr.arg, is_spare), is_spare)
+        if isinstance(expr, Bin):
+            summand = is_spare and expr.op in ("+", "-")
+            left = node(expr.left, summand)
+            right = node(expr.right, summand)
+            return emit(_BINARY[expr.op], 2, left or right, is_spare)
+        if isinstance(expr, Pow):
+            return emit(_power(expr.exponent), 1, node(expr.base, False), is_spare)
+        if isinstance(expr, Call):
+            return emit(_call(expr.fn), 1, node(expr.arg, False), is_spare)
+        raise TypeError(f"not an expression node: {expr!r}")
 
-    for a, expr in enumerate(exprs):
-        node(expr)
-        steps[-1] = (*steps[-1][:2], a)
-    return Tape(exprs, tuple(steps))
+    for output, expr in enumerate(exprs):
+        node(expr, True)
+        steps[-1] = (*steps[-1][:2], output)
+    return Tape(exprs, tuple(steps), tuple(spare))
 
 
-def evaluate(tape: Tape, env: list, values: np.ndarray, warn=None, jac: np.ndarray | None = None):
+def evaluate(tape: Tape, env: list, values: np.ndarray, warn=None, jac: np.ndarray | None = None,
+             reads=None):
     """Run a tape over an environment of floats or arrays.
 
     ``values[a]`` receives output a.  With ``jac`` (m, n, N), sample-last,
     the run is in forward mode on jets seeded at the n coordinates, and
     ``jac[a]`` receives output a's (n, N) partials (zero for a constant
-    output).  ``warn``, if given, is called with a message for soft
-    diagnostics (currently: an abs op evaluated within 1e-9 of its kink).
+    output).  In forward mode, ``reads``, if given, holds the outputs whose
+    values the caller reads: the spare steps of the others compute their
+    partials only (``Tape``), and an output whose last step is such a step
+    gets a NaN row of ``values``.  Domain checks and warnings run as in a full run,
+    as every value they read is computed.  ``warn``, if given, is called
+    with a message for soft diagnostics (currently: an abs op evaluated
+    within 1e-9 of its kink).
     """
+    steps = tape.steps
     if jac is not None:
         env = [Jet.seed(v, i, len(env)) for i, v in enumerate(env)]
+        if reads is not None:
+            steps = tape.steps_reading(reads)
     stack: list = []
-    for op, arity, a in tape.steps:
+    for op, arity, a in steps:
         if arity == 0:
             out = op(env, warn)
         elif arity == 1:
@@ -467,7 +526,7 @@ def evaluate(tape: Tape, env: list, values: np.ndarray, warn=None, jac: np.ndarr
         if a is None:
             stack.append(out)
         elif isinstance(out, Jet):
-            values[a] = out.value
+            values[a] = np.nan if out.value is None else out.value
             jac[a] = out.partials
         else:
             values[a] = out

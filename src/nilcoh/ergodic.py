@@ -6,7 +6,10 @@ at the identity, map coordinates at a probe point, or expressions over
 derivative entries.  For the translated map, a derivative entry at the
 identity equals the entry of the base map's differential at g, bit for bit:
 ``maps.differential_batch`` reads the differential at the moved point and
-never sees the shift.  So whole clouds evaluate in one vectorized pass.
+never sees the shift.  So whole clouds evaluate in one vectorized pass,
+and a probe with no coordinate observable translates the map without the
+shift F(g)^-1 (``maps._moved``), so F is never evaluated at a basepoint and
+may be undefined there.
 
 Ergodicity is never asserted: probes compare orbit averages started from
 several basepoints and report either 'consistent-with-ergodic' or
@@ -26,7 +29,8 @@ import numpy as np
 from . import dsl
 from .bch import group_law
 from .group import BallSpec, check_radii, cloud_mean, sample_ball_coords
-from .maps import SmoothMap, act, differential_batch, evaluate_batch, normalize_to_y0, warn_once
+from .maps import (SmoothMap, _moved, act, differential_batch, evaluate_batch, normalize_to_y0,
+                   warn_once)
 
 DEFAULT_TOL = 1e-2
 
@@ -42,7 +46,7 @@ class _ChunkContext:
 
     def differentials(self) -> np.ndarray:
         if self._mats is None:
-            _, self._mats = differential_batch(self.map, self.coords, self.warn)
+            self._mats = differential_batch(self.map, self.coords, self.warn)
         return self._mats
 
 
@@ -274,7 +278,12 @@ def ergodicity_probe(
     if len(set(pts)) < 2:
         raise ValueError(f"the ergodicity probe needs at least 2 distinct basepoints, "
                          f"got {len(set(pts))} ({len(pts)} given)")
-    reports = _convergence_reports(m.domain, [act(m, p) for p in pts], observables, radii,
+    # a coordinate observable multiplies the translated map's values at x
+    # and x·p, in which the shift F(g)^-1 cancels only up to rounding:
+    # ``act`` keeps those bytes and the refusal where F(g) is undefined.  The
+    # other observables read the differential, which the shift never enters
+    translate = act if any(obs.kind == "coordinate" for obs in observables) else _moved
+    reports = _convergence_reports(m.domain, [translate(m, p) for p in pts], observables, radii,
                                    samples, seed, shape, tol)
     spreads: dict[str, float] = {}
     tolerances: dict[str, float] = {}

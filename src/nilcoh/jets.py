@@ -13,6 +13,14 @@ multiplications it replaces: x**3 on 8192 floats of both signs takes
 about 520 µs against 7 µs for x*x*x (numpy 2.4, 2-core Xeon).  A jet's
 value is x^(k-1)·x, bit for bit the array power, and its partials are
 (k·x^(k-1))·partials.
+
+The ``d_*`` methods are the partials rules of a sum, a difference, a
+negation and a unary call alone, bit for bit the operators' partials.
+``dsl.evaluate`` runs them, and stores Jet(None, partials), for a term
+that reaches an unread output through +, - and negation alone: activity
+analysis (Griewank-Walther, *Evaluating Derivatives*, 2nd ed., 2008).  The
+rules of a sum and a negation read no value, so only their operands may be
+such jets; a call's rule reads its argument's value, which is computed.
 """
 
 from __future__ import annotations
@@ -88,6 +96,33 @@ class Jet:
 
     def unary(self, f, df) -> "Jet":
         return Jet(f(self.value), df(self.value) * self.partials)
+
+    # -- partials rules: the operators' partials without their value, the
+    # same expressions in the same order; an operand may be a constant.
+    # The operators do not call them: one more call per op made
+    # jacobian_batch of z^3 + a·z 4-8% slower on 64 columns (2-core Xeon).
+
+    def d_neg(self):
+        return -self.partials
+
+    @staticmethod
+    def d_add(a, b):
+        if not isinstance(b, Jet):
+            return a.partials
+        if not isinstance(a, Jet):
+            return b.partials
+        return a.partials + b.partials
+
+    @staticmethod
+    def d_sub(a, b):
+        if not isinstance(b, Jet):
+            return a.partials
+        if not isinstance(a, Jet):
+            return -b.partials
+        return a.partials - b.partials
+
+    def d_unary(self, df):
+        return df(self.value) * self.partials
 
 
 def powers(x, k: int):

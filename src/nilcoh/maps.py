@@ -25,11 +25,18 @@ point where it is read:
 with J_F the tape's coordinate Jacobian.  ``differential_batch`` computes
 exactly this, so the differential of ``normalize_to_y0(m)`` is that of m,
 and the differential of ``act(m, g)`` at x is that of m at g . x, bit for
-bit.  The shift is applied only where values are read: by
-``evaluate_batch`` and ``jacobian_batch``, and to the values that
-``differential_batch`` returns.  ``jacobian_batch`` also multiplies in the
-translation Jacobians of the shift and the action, as Newton needs the
-coordinate Jacobian of the map itself.
+bit.  The shift is applied only where values are read, by
+``evaluate_batch`` and ``jacobian_batch``; ``jacobian_batch`` also
+multiplies in the translation Jacobians of the shift and the action, as
+Newton needs the coordinate Jacobian of the map itself.
+``differential_batch`` returns the matrices alone, and of F(y) it reads
+only the coordinates that the inverse codomain frame reads
+(``GroupLaw.inv_frame_reads``: none on an abelian codomain, x1 and x2 on
+H3).  Of the other components, the tape skips the values of the terms
+that reach them through +, - and negation alone (``dsl.evaluate``), so
+the sine of (x1, sin x1) is never evaluated for its differential.  Since the shift
+never enters the differential, ``_moved(m, g)``, ``act(m, g)`` without
+the shift, has its differential without evaluating F(g).
 
 Batches of matrices are stored sample-last, (m, n, N): the tape writes the
 Jacobian that way, the frames and translation Jacobians multiply it through
@@ -100,10 +107,12 @@ def warn_once(sink: list[str]):
     return warn
 
 
-def _evaluate(m: SmoothMap, coords: np.ndarray, warn=None, jets: bool = False):
+def _evaluate(m: SmoothMap, coords: np.ndarray, warn=None, jets: bool = False, reads=None):
     """F at the moved points y = action . x of a (n, N) batch: y (n, N), the
     values F(y) (m, N) before the shift, and with ``jets`` the tape's
-    Jacobian J_F(y) in forward mode, sample-last (m, n, N), else None."""
+    Jacobian J_F(y) in forward mode, sample-last (m, n, N), else None.
+    ``reads``, in forward mode, are the coordinates of F(y) the caller reads
+    (``dsl.evaluate``); the other rows may be NaN."""
     if len(coords) != m.domain.dim:
         raise ValueError(
             f"points have {len(coords)} coordinates, the domain has dimension {m.domain.dim}"
@@ -114,7 +123,7 @@ def _evaluate(m: SmoothMap, coords: np.ndarray, warn=None, jets: bool = False):
     n, count = moved.shape
     values = np.empty((m.codomain.dim, count))
     jac = np.empty((m.codomain.dim, n, count)) if jets else None
-    dsl.evaluate(m.tape, list(moved), values, warn, jac)
+    dsl.evaluate(m.tape, list(moved), values, warn, jac, reads)
     return moved, values, jac
 
 
@@ -169,21 +178,27 @@ def jacobian_batch(m: SmoothMap, coords: np.ndarray, warn=None):
     return _shifted(m, values), jac.transpose(2, 0, 1)
 
 
-def differential_batch(m: SmoothMap, coords: np.ndarray, warn=None):
-    """Frame-to-frame differential on a batch: (values (m, N), matrices (N, m, n)),
+def differential_batch(m: SmoothMap, coords: np.ndarray, warn=None) -> np.ndarray:
+    """Frame-to-frame differential on a batch: the matrices (N, m, n)
     F_cod(F(y))^-1 @ J_F(y) @ F_dom(y) at the moved points y = action . x
     (module docstring), as a transposed view of a C-contiguous (m, n, N)
-    array like ``jacobian_batch``; the shift reaches only the values.
+    array like ``jacobian_batch``.  The shift never enters it, and F(y)
+    only through the coordinates that the inverse codomain frame reads
+    (``GroupLaw.inv_frame_reads``), so the tape skips the values of the
+    other components' terms that reach them through +, - and negation
+    alone.
 
     The frame products are the group laws' sparse ones (``GroupLaw._product``):
     they skip the structural zeros of the frames, so an infinite Jacobian
     entry spreads only into the entries it enters, not as NaN (0 * inf) into
     the other entries of its row and column.
     """
-    moved, values, jac = _evaluate(m, np.asarray(coords, dtype=float), warn, jets=True)
-    mats = group_law(m.codomain).inv_frame_batch(values, jac)
+    cod = group_law(m.codomain)
+    moved, values, jac = _evaluate(m, np.asarray(coords, dtype=float), warn, jets=True,
+                                   reads=cod.inv_frame_reads)
+    mats = cod.inv_frame_batch(values, jac)
     mats = group_law(m.domain).frame_batch(moved, mats)
-    return _shifted(m, values), mats.transpose(2, 0, 1)
+    return mats.transpose(2, 0, 1)
 
 
 def differential_pattern(m: SmoothMap) -> np.ndarray:
@@ -207,7 +222,7 @@ def differential_pattern(m: SmoothMap) -> np.ndarray:
 
 
 def differential(m: SmoothMap, g, warn=None) -> list[list[float]]:
-    _, mats = _at_point(differential_batch, m, g, warn)
+    mats = _at_point(differential_batch, m, g, warn)
     return [[float(x) for x in row] for row in mats[0]]
 
 
@@ -234,12 +249,19 @@ def act(m: SmoothMap, g) -> SmoothMap:
     act(act(m, g1), g2) == act(m, g1 * g2) by construction.  Where F is
     undefined at the acting point, the ``DomainError`` names that point.
     """
+    moved = _moved(m, g)
+    at_g = _at_point(evaluate_batch, replace(moved, action=None), moved.action)[:, 0]
+    return replace(moved, shift=tuple(float(-v) for v in at_g))
+
+
+def _moved(m: SmoothMap, g) -> SmoothMap:
+    """``act(m, g)`` without its shift: x -> F(g x), the action collapsed
+    as in ``act``.  It has the differential of ``act(m, g)`` bit for bit,
+    and F is not evaluated, so it is defined where F(g) is not."""
     coords = [float(c) for c in g]
     if m.action is not None:
         coords = [float(v) for v in group_law(m.domain).multiply(list(m.action), coords)]
-    bare = replace(m, shift=None, action=None)
-    at_g = _at_point(evaluate_batch, bare, coords)[:, 0]
-    return replace(bare, shift=tuple(float(-v) for v in at_g), action=tuple(coords))
+    return replace(m, shift=None, action=tuple(coords))
 
 
 def is_group_homomorphism(m: SmoothMap, seed: int = 0, trials: int = 8, tol: float = 1e-9) -> bool:

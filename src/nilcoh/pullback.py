@@ -128,7 +128,7 @@ def pullback_eval(m: SmoothMap, omega: KForm, lam: tuple[int, ...], g) -> float:
     n = m.domain.dim
     if not all(isinstance(i, (int, np.integer)) and 0 <= i < n for i in lam):
         raise ValueError(f"frame indices must be integers in 0 .. {n - 1}, got {tuple(lam)}")
-    _, mats = _at_point(differential_batch, m, g)
+    mats = _at_point(differential_batch, m, g)
     return float(_coefficient_rows(mats, [(omega, lam)])[0, 0])
 
 
@@ -408,7 +408,7 @@ def _ball_averages(
     chunk_derivative_max: list[float] = []
 
     def coefficients(coords: np.ndarray):
-        _, mats = differential_batch(m, coords, warn)
+        mats = differential_batch(m, coords, warn)
         chunk_derivative_max.append(float(np.max(np.abs(mats))))
         entries = _entries(mats)
         count = entries.shape[1]
@@ -661,7 +661,7 @@ def exact_homomorphism_pullback(m: SmoothMap, omega: KForm) -> KForm:
     """
     _check_on_codomain(m, [omega])
     coords = np.zeros((m.domain.dim, 1))
-    _, mats = differential_batch(m, coords)
+    mats = differential_batch(m, coords)
     lambdas = basis_tuples(m.domain.dim, omega.degree)
     values = _coefficient_rows(mats, [(omega, lam) for lam in lambdas])[:, 0]
     out = {lam: float(v) for lam, v in zip(lambdas, values) if v != 0.0}

@@ -481,7 +481,7 @@ def whole_array_averages(m, omegas, radius, samples, seed, shape):
 
     def evaluate(start, stop):
         nonlocal shift
-        _, mats = differential_batch(m, cloud[:, start:stop])
+        mats = differential_batch(m, cloud[:, start:stop])
         v = _coefficient_rows(mats, pairs)
         if shift is None:
             shift = np.mean(v, axis=-1, keepdims=True)

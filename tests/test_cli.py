@@ -234,17 +234,29 @@ def test_exit_code_on_refused_grid_and_radii(files, capsys):
     assert "strictly increasing" in err
 
 
-def test_orbit_names_the_basepoint_where_the_map_is_undefined(files, capsys):
-    # exited 1 with "error: division by zero" and no point
+def _inverse_orbit(files, observables):
     inv = {"domain": "r1.json", "codomain": "r2.json", "components": ["x1", "1/x1"]}
     (files / "inv.map.json").write_text(json.dumps(inv))
-    code, out, err = run(
-        ["orbit", "--map", str(files / "inv.map.json"), "--observables", "d11",
-         "--radii", "2,4", "--basepoints=0,1", "--samples", "200"],
-        capsys,
-    )
+    return ["orbit", "--map", str(files / "inv.map.json"), "--observables", observables,
+            "--radii", "2,4", "--basepoints=0,1", "--samples", "200"]
+
+
+def test_orbit_names_the_basepoint_where_the_map_is_undefined(files, capsys):
+    # exited 1 with "error: division by zero" and no point; a coordinate
+    # observable reads F at the basepoint, so it still refuses
+    code, out, err = run(_inverse_orbit(files, "coord1@0.5"), capsys)
     assert (code, out) == (1, "")
     assert "error: division by zero at point (0.0)" in err
+
+
+def test_orbit_derivative_observables_never_evaluate_the_map_at_a_basepoint(files, capsys):
+    # exited 1 with "division by zero at point (0.0)": the probe evaluated
+    # F(0) for a shift that the differential never reads.  The cloud of
+    # radii 2, 4 has no point at 0, so the differential is defined on it.
+    for observables in ("d11", "d12", "d12*d11 + 1"):
+        code, out, err = run(_inverse_orbit(files, observables), capsys)
+        assert (code, err) == (0, ""), observables
+        assert json.loads(out)["results"]["basepoints"] == [[0.0], [1.0]]
 
 
 @pytest.mark.parametrize("argv, value", [

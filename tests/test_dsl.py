@@ -244,6 +244,59 @@ def test_tape_matches_tree_walk_bytes_errors_and_warnings(exprs):
         assert_tape_matches_walk(exprs, env)
 
 
+def run_reading(reads):
+    """``run`` in forward mode with only the outputs ``reads`` read."""
+
+    def evaluator(exprs, env, warn=None, jets=True):
+        tape = dsl.compile(exprs)
+        values = np.empty((len(exprs), len(env[0])))
+        jac = np.empty((len(exprs), len(env), len(env[0])))
+        evaluate(tape, env, values, warn, jac, reads)
+        return values, jac
+
+    return evaluator
+
+
+@settings(max_examples=200, deadline=None)
+@given(exprs=st.lists(expr_strategy(), min_size=1, max_size=3), data=st.data())
+def test_unread_outputs_keep_their_partials_errors_and_warnings(exprs, data):
+    # the spare steps of an unread output compute partials only: the same
+    # bytes, the same DomainError and the same warnings as a full run, and
+    # a NaN value row exactly where the output's last step is a spare load,
+    # sum, difference, negation or call
+    reads = data.draw(st.sets(st.integers(0, len(exprs) - 1)))
+    for env in ENVS:
+        with np.errstate(all="ignore"):
+            full = outcome(run, exprs, env, True)
+            spare = outcome(run_reading(reads), exprs, env, True)
+        if full[0] in ("error", "raised"):
+            assert spare == full
+            continue
+        assert spare[1:] == full[1:]
+        got = np.frombuffer(spare[0]).reshape(len(exprs), -1)
+        want = np.frombuffer(full[0]).reshape(len(exprs), -1)
+        for a, expr in enumerate(exprs):
+            in_full = isinstance(expr, dsl.Pow) or isinstance(expr, dsl.Bin) and expr.op in "*/"
+            if a not in reads and dsl.coordinate_indices(expr) and not in_full:
+                assert np.isnan(got[a]).all()
+            else:
+                assert got[a].tobytes() == want[a].tobytes()
+
+
+def test_spare_steps_are_marked_at_compile_time():
+    # read: an operand of *, /, ^ or a call, or a sum that feeds one;
+    # spare: reaches the output through +, - and negation only.  Spare
+    # products, quotients and powers run in full, so they are not listed
+    tape = dsl.compile([parse("-cos(x1) + exp(x2) - x1*x2"), parse("sin(x1 + x2)^2"),
+                        parse("x1 + (2 + 3)")])
+    # steps 0-9: x1 cos neg x2 exp + x1 x2 * -; the arguments of the calls
+    # and the product's operands are read, the product itself runs in full
+    # steps 10-14: x1 x2 + sin ^; only the power at the top is spare
+    # steps 15-19: x1 2 3 + +; the constant 2 + 3 is not spare
+    assert [(i, a) for i, a, _ in tape.spare] == [
+        (1, 0), (2, 0), (4, 0), (5, 0), (9, 0), (15, 2), (19, 2)]
+
+
 BENCH_TEXTS = [
     ["x1^3 - 0.9123*x1"],
     ["x1^3 - 3*x1*x2^2 + 0.1234*x1", "3*x1^2*x2 - x2^3 + 0.1234*x2"],

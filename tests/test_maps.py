@@ -5,7 +5,7 @@ import pytest
 from conftest import skewed_heisenberg3
 from oracles import dense_poly_matrix, dense_twin, stacked_differential
 
-from nilcoh import algebra, local_degree, pullback
+from nilcoh import algebra, dsl, local_degree, pullback
 from nilcoh.bch import GroupLaw, Poly, group_law
 from nilcoh.dsl import DomainError
 from nilcoh.ergodic import derivative_entry
@@ -23,6 +23,7 @@ from nilcoh.maps import (
     map_from_texts,
     normalize_to_y0,
     save_map,
+    warn_once,
 )
 
 R1 = algebra.abelian(1)
@@ -145,7 +146,7 @@ def test_jet_differential_matches_finite_differences_through_group_ops():
     frame = dense_poly_matrix(law.frame, list(x0[:, None]), 1)[0]
     h = 1e-6
     for m in (act(normalize_to_y0(m), [0.3, -0.2, 0.5]), act(shifted, [0.3, -0.2, 0.5])):
-        _, mats = differential_batch(m, x0[:, None])
+        mats = differential_batch(m, x0[:, None])
         got = mats[0]
         cols = []
         for j in range(3):
@@ -319,15 +320,18 @@ def _maps_of(alg, seed: int):
 def test_sparse_frame_products_are_bitwise_the_dense_ones_on_abelian_maps():
     x_plus_sin = map_from_texts(R1, R1, ["x1 + sin(x1)"])
     z3 = map_from_texts(R2, R2, ["x1^3 - 3*x1*x2^2 + 0.1*x1", "3*x1^2*x2 - x2^3 + 0.1*x2"])
+    # calls under +, - and negation, whose values the differential skips
+    calls = map_from_texts(R2, R2, ["-cos(x1) + exp(x2)", "x2 - sin(x1)*x2 - tanh(x1 - x2)"])
     cases = [act(f1(), [t]) for t in (0.0, 1.0, np.pi)]
     cases += [x_plus_sin, normalize_to_y0(x_plus_sin), z3, act(z3, [0.5, -1.0])]
+    cases += [calls, normalize_to_y0(calls), act(calls, [0.5, -1.0])]
     gen = np.random.default_rng(2)
     for m in cases:
         x = gen.uniform(-3.0, 3.0, size=(m.domain.dim, 64))
         values, jac, mats = stacked_differential(m, x)
-        got_values, got_mats = differential_batch(m, x)
+        got_mats = differential_batch(m, x)
         _, got_jac = jacobian_batch(m, x)
-        assert got_values.tobytes() == values.tobytes()
+        assert evaluate_batch(m, x).tobytes() == values.tobytes()
         assert np.ascontiguousarray(got_jac).tobytes() == jac.tobytes()
         assert np.ascontiguousarray(got_mats).tobytes() == mats.tobytes()
 
@@ -342,9 +346,9 @@ def test_sparse_frame_products_match_the_dense_ones_on_nonabelian_maps(alg):
     for kind, m in _maps_of(alg, 4):
         x = gen.uniform(-3.0, 3.0, size=(alg.dim, 200))
         values, jac, mats = stacked_differential(m, x)
-        got_values, got_mats = differential_batch(m, x)
+        got_mats = differential_batch(m, x)
         _, got_jac = jacobian_batch(m, x)
-        assert got_values.tobytes() == values.tobytes(), kind
+        assert evaluate_batch(m, x).tobytes() == values.tobytes(), kind
         for got, want in ((got_jac, jac), (got_mats, mats)):
             scale = np.max(np.abs(want), axis=(1, 2), keepdims=True)
             assert np.all(np.abs(got - want) <= 1e-14 * scale), kind
@@ -366,17 +370,112 @@ def test_differential_is_bitwise_invariant_under_shifts_and_actions(alg):
     x = gen.uniform(-3.0, 3.0, size=(alg.dim, 200))
     s = tuple(gen.uniform(-2.0, 2.0, size=alg.dim))
     g = tuple(gen.uniform(-1.0, 1.0, size=alg.dim))
-    _, want = differential_batch(m, x)
+    want = differential_batch(m, x)
     for shifted in (normalize_to_y0(m), SmoothMap(alg, alg, m.components, shift=s)):
-        got_values, got = differential_batch(shifted, x)
+        got = differential_batch(shifted, x)
         assert got.tobytes() == want.tobytes()
-        assert got_values.tobytes() == evaluate_batch(shifted, x).tobytes()
+        assert evaluate_batch(shifted, x).tobytes() == stacked_differential(shifted, x)[0].tobytes()
     moved = group_law(alg).multiply_batch(np.array(g), x)
-    _, want = differential_batch(m, moved)
+    want = differential_batch(m, moved)
     for acted in (act(m, g), SmoothMap(alg, alg, m.components, shift=s, action=g)):
-        got_values, got = differential_batch(acted, x)
+        got = differential_batch(acted, x)
         assert got.tobytes() == want.tobytes()
-        assert got_values.tobytes() == evaluate_batch(acted, x).tobytes()
+        assert evaluate_batch(acted, x).tobytes() == stacked_differential(acted, x)[0].tobytes()
+
+
+def _full_differential(m, x):
+    """The frame products of ``differential_batch`` on a tape run that
+    computes every value, as it ran before unread values were skipped."""
+    law_cod, law_dom = group_law(m.codomain), group_law(m.domain)
+    moved = x if m.action is None else law_dom.multiply_batch(np.array(m.action), x)
+    values = np.empty((m.codomain.dim, x.shape[1]))
+    jac = np.empty((m.codomain.dim, m.domain.dim, x.shape[1]))
+    dsl.evaluate(m.tape, list(moved), values, None, jac)
+    return law_dom.frame_batch(moved, law_cod.inv_frame_batch(values, jac)).transpose(2, 0, 1)
+
+
+def test_the_differential_skips_the_unread_sine(monkeypatch):
+    # the abelian inverse frame reads no coordinate of F(y), so sin(x1)'s
+    # value was computed for nothing, and then shifted for nothing
+    calls = []
+    sin, dsin = dsl._UNARY["sin"]
+    monkeypatch.setitem(dsl._UNARY, "sin", (lambda v: calls.append(1) or sin(v), dsin))
+    m = act(f1(), [0.7])  # compiled after the patch
+    assert calls == [1, 1]  # F(0) for the normalization and F(0.7) for act
+    calls.clear()
+    x = np.random.default_rng(14).uniform(-3.0, 3.0, size=(1, 64))
+    mats = differential_batch(m, x)
+    differential(m, [0.2])
+    assert calls == []
+    evaluate_batch(m, x)
+    jacobian_batch(m, x)
+    assert calls == [1, 1]
+    assert mats.tobytes() == _full_differential(m, x).tobytes()
+    assert group_law(R2).inv_frame_reads == frozenset()
+    assert group_law(H3).inv_frame_reads == frozenset({0, 1})
+
+
+def test_skipped_values_do_not_move_the_differential():
+    # calls in read and unread components: bitwise the frame products of a
+    # full-value run, and as close to the dense ones as any map (abelian
+    # maps: test_sparse_frame_products_are_bitwise_the_dense_ones_on_abelian_maps)
+    gen = np.random.default_rng(15)
+    h5 = algebra.heisenberg5()
+    for alg, texts in (
+            (H3, ["x1 + 0.3*sin(x2)", "x2 - cos(x1)", "x3 + 0.2*sin(x1)"]),
+            (H3, ["-exp(x1/4) + x2", "x2 + abs(x3)", "-(x3 - sqrt(x1^2 + 1))"]),
+            (h5, ["x1 + 0.3*sin(x2)", "x2", "x3 + 0.2*sin(x4)", "x4 - tanh(x1)",
+                  "x5 + 0.2*x1*x3 - cos(x2)"])):
+        base = map_from_texts(alg, alg, texts)
+        g = gen.uniform(-1.0, 1.0, size=alg.dim)
+        for m in (base, normalize_to_y0(base), act(base, g)):
+            x = gen.uniform(-3.0, 3.0, size=(alg.dim, 100))
+            got = differential_batch(m, x)
+            assert got.tobytes() == _full_differential(m, x).tobytes()
+            want = stacked_differential(m, x)[2]
+            scale = np.max(np.abs(want), axis=(1, 2), keepdims=True)
+            assert np.all(np.abs(got - want) <= 1e-14 * scale)
+
+
+@pytest.mark.parametrize("alg, texts, index", [
+    (R2, ["x1 + log(x2)", "x2"], 4),
+    (R2, ["x1", "-sqrt(x1) + x2"], 5),
+    (R2, ["x1", "x2 - 1/x1"], 4),
+    (R2, ["x1", "x2 + x1^-2"], 4),
+    (R2, ["x1", "x2 + 10^400"], None),
+    (H3, ["x1", "x2", "x3 + log(x2)"], 4),
+    (H3, ["x1", "x2", "-(sqrt(x1) - x3)"], 5),
+    (H3, ["x1", "x2", "x3 - x2/x1"], 4),
+    (H3, ["x1", "x2", "x3 + 2*x1^-3"], 4),
+    (H3, ["x1", "x2", "x3 - 10^400"], None),
+], ids=["r2-log", "r2-sqrt", "r2-div", "r2-pow", "r2-const", "h3-log", "h3-sqrt", "h3-div",
+        "h3-pow", "h3-const"])
+def test_unread_components_raise_as_the_jacobian_does(alg, texts, index):
+    # the partials-only steps run every domain check of a full run, in order
+    m = map_from_texts(alg, alg, texts)
+    x = np.full((alg.dim, 6), 0.5)
+    x[:, 4] = [0.0, -1.0, 0.0][:alg.dim]
+    x[:, 5] = [-1.0, 0.0, 0.0][:alg.dim]
+    errors = []
+    for batch in (differential_batch, jacobian_batch):
+        with pytest.raises(DomainError) as exc:
+            batch(m, x)
+        errors.append((str(exc.value), exc.value.sample_index))
+    assert errors[0] == errors[1]
+    assert errors[0][1] == index
+
+
+def test_unread_components_warn_at_the_abs_kink_as_the_jacobian_does():
+    x = np.array([[0.0, 1.0, 1e-12], [2.0, 0.0, -1.0], [0.5, 0.5, 0.5]])
+    for alg, texts in ((R2, ["x1 - abs(x2)", "abs(x1) + x2"]),
+                       (H3, ["x1", "x2", "x3 + abs(x1)*2 - abs(x2)"])):
+        m = map_from_texts(alg, alg, texts)
+        heard = []
+        for batch in (differential_batch, jacobian_batch):
+            sink: list[str] = []
+            batch(m, x[:alg.dim], warn_once(sink))
+            heard.append(sink)
+        assert heard[0] == heard[1] != []
 
 
 @NONABELIAN
@@ -410,7 +509,7 @@ def test_differential_of_an_acted_shifted_map_uses_no_translation_jacobian(monke
 def test_differentials_are_views_of_sample_last_arrays():
     m = act(_nonlinear(H3, True), [0.3, -0.2, 0.5])
     x = np.random.default_rng(5).uniform(-2.0, 2.0, size=(3, 50))
-    for mats in (differential_batch(m, x)[1], jacobian_batch(m, x)[1]):
+    for mats in (differential_batch(m, x), jacobian_batch(m, x)[1]):
         assert mats.shape == (50, 3, 3)
         assert mats.transpose(1, 2, 0).flags.c_contiguous
         assert np.shares_memory(pullback._entries(mats), mats)
@@ -429,7 +528,7 @@ def test_frame_products_on_an_abelian_law_evaluate_no_polynomial(monkeypatch):
     assert law.translation_jacobian_batch(x[:, 0], x, stack) is stack
     assert law.translation_jacobian_batch(x[:, 0], x, stack, left=False) is stack
     m = map_from_texts(r3, r3, ["x1 + sin(x2)", "x2*x3", "x3"])
-    _, mats = differential_batch(m, x)
+    mats = differential_batch(m, x)
     assert not calls
     assert np.array_equal(mats, jacobian_batch(m, x)[1])
 
@@ -439,7 +538,7 @@ def test_an_infinite_jacobian_entry_does_not_spread_through_structural_zeros():
     # frames, and 0 * inf made NaN of the whole row and column
     m = map_from_texts(R1, R2, ["x1", "sqrt(x1)"])
     with np.errstate(divide="ignore"):
-        _, mats = differential_batch(m, np.array([[0.0, 4.0]]))
+        mats = differential_batch(m, np.array([[0.0, 4.0]]))
     assert mats.tolist() == [[[1.0], [np.inf]], [[1.0], [0.25]]]
 
 
@@ -457,7 +556,7 @@ def test_differential_is_zero_outside_its_pattern(alg):
         assert pattern.shape == (alg.dim, alg.dim) and pattern.dtype == bool, kind
         assert 0 < pattern.sum() < pattern.size, kind
         x = gen.uniform(-3.0, 3.0, size=(alg.dim, 200))
-        _, mats = differential_batch(m, x)
+        mats = differential_batch(m, x)
         assert not mats[:, ~pattern].any(), kind
 
 
@@ -465,7 +564,7 @@ def test_differential_pattern_between_abelian_groups():
     for m in (f1(), act(f1(), [0.7]), map_from_texts(R1, R2, ["3", "x1^2"])):
         pattern = differential_pattern(m)
         x = np.random.default_rng(9).uniform(-3.0, 3.0, size=(1, 200))
-        _, mats = differential_batch(m, x)
+        mats = differential_batch(m, x)
         assert not mats[:, ~pattern].any()
     assert differential_pattern(f1()).tolist() == [[True], [True]]
     assert differential_pattern(map_from_texts(R1, R2, ["3", "x1^2"])).tolist() == [[False], [True]]

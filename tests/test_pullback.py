@@ -585,7 +585,7 @@ def test_nan_at_a_structural_zero_no_longer_reaches_dead_rows():
     live = pullback._live_minors(pattern)
     x = np.random.default_rng(4).uniform(-2.0, 2.0, size=(3, 64))
     with np.errstate(over="ignore", invalid="ignore"):
-        _, mats = differential_batch(m, x)
+        mats = differential_batch(m, x)
         full = _coefficient_rows(mats, pairs)
         pruned = np.empty_like(full)
         recipes = [pullback._recipe(w, lam, 1, live) for w, lam in pairs]

@@ -384,7 +384,8 @@ class GroupLaw:
         Each entry of the result adds its terms in k order, skipping the
         structural zeros of P and the multiplications by its constant 1s; each
         nonzero entry of P is evaluated once, and an identity P returns
-        ``stack`` itself.  A new result is C-contiguous.
+        ``stack`` itself.  P is invertible, so no line of it is empty.  A new
+        result is C-contiguous.
         """
         if pattern.identity:
             return stack
@@ -393,8 +394,6 @@ class GroupLaw:
         out = np.empty((len(lines), b, count) if left else (a, len(lines), count))
         for i, terms in enumerate(lines):
             target = out[i] if left else out[:, i]
-            if not terms:
-                target.fill(0.0)
             for t, (k, p) in enumerate(terms):
                 s = stack[k] if left else stack[:, k]
                 term = s if p is None else s * p.eval_float(vals)

@@ -529,7 +529,6 @@ def qi_distortion_probe(
     from .bch import group_law
     from .group import quasi_norm_batch
 
-    m = normalize_to_y0(m)
     dom_law = group_law(m.domain)
     cod_law = group_law(m.codomain)
     spec = BallSpec(radius)

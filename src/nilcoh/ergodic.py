@@ -6,10 +6,11 @@ at the identity, map coordinates at a probe point, or expressions over
 derivative entries.  For the translated map, a derivative entry at the
 identity equals the entry of the base map's differential at g, bit for bit:
 ``maps.differential_batch`` reads the differential at the moved point and
-never sees the shift.  So whole clouds evaluate in one vectorized pass,
-and a probe with no coordinate observable translates the map without the
-shift F(g)^-1 (``maps._moved``), so F is never evaluated at a basepoint and
-may be undefined there.
+never sees the shift.  So whole clouds evaluate in one vectorized pass.  No
+statistic here normalizes the map, as a coordinate observable reads
+F(x)^-1 . F(x . p), in which a shift cancels, and the probe translates
+without the shift F(g)^-1 (``maps._moved``): F may be undefined at the
+origin and at the basepoints.
 
 Ergodicity is never asserted: probes compare orbit averages started from
 several basepoints and report either 'consistent-with-ergodic' or
@@ -29,8 +30,7 @@ import numpy as np
 from . import dsl
 from .bch import group_law
 from .group import BallSpec, check_radii, cloud_mean, sample_ball_coords
-from .maps import (SmoothMap, _moved, act, differential_batch, evaluate_batch, normalize_to_y0,
-                   warn_once)
+from .maps import SmoothMap, _moved, differential_batch, evaluate_batch, warn_once
 
 DEFAULT_TOL = 1e-2
 
@@ -147,7 +147,6 @@ def empirical_measure(
 ) -> list[dict]:
     """Monte Carlo estimate of each observable against the empirical measure
     mu_R of the orbit; returns {'name', 'mean', 'stderr'} per observable."""
-    m = normalize_to_y0(m)
     cloud = _orbit_cloud(m.domain, radius, samples, seed, shape)
     return _measure(m, observables, cloud, warn_once(warnings if warnings is not None else []))
 
@@ -212,7 +211,6 @@ def _convergence_reports(domain, maps, observables, radii, samples, seed, shape,
     outside, so each radius's cloud is drawn once for all maps and only one
     cloud is alive at a time; each map keeps its warnings in radius order."""
     radii = check_radii(radii)
-    maps = [normalize_to_y0(m) for m in maps]
     warnings: list[list[str]] = [[] for _ in maps]
     rows: list[list[list[dict]]] = [[] for _ in maps]
     for r in radii:
@@ -278,12 +276,7 @@ def ergodicity_probe(
     if len(set(pts)) < 2:
         raise ValueError(f"the ergodicity probe needs at least 2 distinct basepoints, "
                          f"got {len(set(pts))} ({len(pts)} given)")
-    # a coordinate observable multiplies the translated map's values at x
-    # and x·p, in which the shift F(g)^-1 cancels only up to rounding:
-    # ``act`` keeps those bytes and the refusal where F(g) is undefined.  The
-    # other observables read the differential, which the shift never enters
-    translate = act if any(obs.kind == "coordinate" for obs in observables) else _moved
-    reports = _convergence_reports(m.domain, [translate(m, p) for p in pts], observables, radii,
+    reports = _convergence_reports(m.domain, [_moved(m, p) for p in pts], observables, radii,
                                    samples, seed, shape, tol)
     spreads: dict[str, float] = {}
     tolerances: dict[str, float] = {}

@@ -7,7 +7,11 @@ map is
     x -> s . F(g . x)
 
 with the group law on each side.  ``normalize_to_y0`` sets s = F(0)^-1,
-so the origin maps to the origin; ``act(m, g)`` sets action = g and
+so the origin maps to the origin; only ``local_degree``,
+``area_formula_check`` and ``is_group_homomorphism`` normalize, as they
+compare values with a target, a bounding box or a product, and every other
+call reads the differential or F(x)^-1 . F(y), in which a shift cancels.
+``act(m, g)`` sets action = g and
 s = F(g)^-1, the right-translated map x -> F(g)^-1 . F(g . x), so orbit
 points cost one extra group multiplication per evaluation instead of a
 symbolic rewrite.  The components compile once into one ``dsl.Tape`` that

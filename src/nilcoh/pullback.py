@@ -13,8 +13,9 @@ A left translation of the codomain changes no pullback, (L_s o psi)* omega
 = psi* L_s* omega = psi* omega, and ``maps.differential_batch`` computes the
 frame differential as F_cod(F(y))^-1 J_F(y) F_dom(y) at the moved point
 y = action . x, without the shift.  So the averages here take the map as it
-is and never normalize it.  Only ``amenable_norm`` does: its observable may
-read the map's values, and the shift is applied to those.
+is and never normalize it, and neither does ``amenable_norm``: its
+observable reads the differential or F(x)^-1 . F(x . p), in which a shift
+cancels.
 
 Every coefficient of every form is a sum of k x k minors of the frame
 differential D, that is of entries of its compound matrices (Cauchy-Binet;
@@ -79,8 +80,7 @@ from .algebra import DerivedCache, LieAlgebra
 from .cohomology import CohomologyRing, CohomologySpace, cohomology
 from .forms import KForm, basis_tuples, ce_differential, sort_with_sign, wedge
 from .group import BallSpec, check_radii, cloud_mean, sample_ball_coords
-from .maps import (SmoothMap, _at_point, differential_batch, differential_pattern,
-                   normalize_to_y0, warn_once)
+from .maps import SmoothMap, _at_point, differential_batch, differential_pattern, warn_once
 
 DEFAULT_RADII = tuple(4.0 * 2 ** k for k in range(6))
 # floats per work array of _coefficient_rows: samples are taken in blocks that keep
@@ -681,7 +681,6 @@ def amenable_norm(
     ``observable`` needs an ``evaluate_batch(map, coords) -> values`` method;
     see ergodic.Observable.  Returns one record per radius.
     """
-    m = normalize_to_y0(m)
     radii = check_radii(radii)
 
     def squares(coords: np.ndarray) -> np.ndarray:

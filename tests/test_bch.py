@@ -169,6 +169,18 @@ def test_sparsity_patterns_are_read_from_the_polynomials():
         assert cols == {(i, k): p for i, row in enumerate(pattern.rows) for k, p in row}
 
 
+def test_every_line_of_the_frame_patterns_has_a_term():
+    # the products fill each result line with its terms alone, which holds
+    # because translation Jacobians, frames and inverse frames are invertible
+    rng = random.Random(11)
+    cases = corpus()
+    cases.update({f"dense_{name}": dense_twin(alg, rng) for name, alg in corpus().items()})
+    for name, alg in cases.items():
+        law = group_law(alg)
+        for pattern in (law.trans_pattern, law.frame_pattern, law.inv_frame_pattern):
+            assert all(pattern.rows) and all(pattern.cols), name
+
+
 @pytest.mark.parametrize("alg", [algebra.heisenberg5(), algebra.filiform(7), skewed_heisenberg3()],
                          ids=["h5", "filiform7", "skewed-h3"])
 def test_frame_products_add_their_terms_in_k_order(alg):

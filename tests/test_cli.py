@@ -234,27 +234,24 @@ def test_exit_code_on_refused_grid_and_radii(files, capsys):
     assert "strictly increasing" in err
 
 
-def _inverse_orbit(files, observables):
+def _inverse_orbit(files, observables, *basepoints):
     inv = {"domain": "r1.json", "codomain": "r2.json", "components": ["x1", "1/x1"]}
     (files / "inv.map.json").write_text(json.dumps(inv))
     return ["orbit", "--map", str(files / "inv.map.json"), "--observables", observables,
-            "--radii", "2,4", "--basepoints=0,1", "--samples", "200"]
-
-
-def test_orbit_names_the_basepoint_where_the_map_is_undefined(files, capsys):
-    # exited 1 with "error: division by zero" and no point; a coordinate
-    # observable reads F at the basepoint, so it still refuses
-    code, out, err = run(_inverse_orbit(files, "coord1@0.5"), capsys)
-    assert (code, out) == (1, "")
-    assert "error: division by zero at point (0.0)" in err
+            "--radii", "2,4", "--samples", "200", *basepoints]
 
 
 def test_orbit_derivative_observables_never_evaluate_the_map_at_a_basepoint(files, capsys):
-    # exited 1 with "division by zero at point (0.0)": the probe evaluated
-    # F(0) for a shift that the differential never reads.  The cloud of
-    # radii 2, 4 has no point at 0, so the differential is defined on it.
-    for observables in ("d11", "d12", "d12*d11 + 1"):
-        code, out, err = run(_inverse_orbit(files, observables), capsys)
+    # each exited 1 with "division by zero at point (0.0)": the orbit
+    # statistics normalized the map to F(0) = 0, and the probe evaluated
+    # F(0) for a shift, which neither the differential nor F(x)^-1 . F(x . p)
+    # reads.  The cloud of radii 2, 4 has no point at 0 or -0.5, so F and
+    # its differential are defined on it.
+    code, out, err = run(_inverse_orbit(files, "d11"), capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["results"]["mode"] == "convergence"
+    for observables in ("d11", "d12", "d12*d11 + 1", "coord1@0.5"):
+        code, out, err = run(_inverse_orbit(files, observables, "--basepoints=0,1"), capsys)
         assert (code, err) == (0, ""), observables
         assert json.loads(out)["results"]["basepoints"] == [[0.0], [1.0]]
 
@@ -274,6 +271,34 @@ def test_exit_code_on_non_finite_radii_and_windows(files, capsys, argv, value):
     code, out, err = run(argv + ["--samples", "200"] * (argv[0] != "degree"), capsys)
     assert (code, out) == (1, "")
     assert f"must be finite, got {value}" in err
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["average", "--form", "e2", "--radii", "1:2"], 2, "radii spec must be start:factor:count"),
+    (["average", "--form", "e2", "--radii", "0:2:3"], 2, "need start > 0, factor > 1"),
+    (["average", "--form", "e2", "--radii", ","], 2, "empty radius list"),
+    (["average", "--form", "e2", "--ball", "cube"], 2, "bad ball spec field 'cube'"),
+    (["average", "--form", "e2", "--ball", "shape=cube"], 2, "unknown ball shape 'cube'"),
+    (["average", "--form", "e2", "--ball", "size=3"], 2, "unknown ball spec field 'size'"),
+    (["degree", "--window", "5", "--target", "0.5"], 0, ""),
+    (["orbit", "--observables", ","], 1, "error: no observables given"),
+    (["orbit", "--observables", "coord2@0.5:1"], 1, "index or probe dimension out of range"),
+], ids=["radii-two-fields", "radii-zero-start", "radii-empty", "ball-no-key", "ball-shape",
+        "ball-field", "window-without-R", "observables-empty", "observables-probe-dim"])
+def test_exit_code_on_malformed_arguments(files, capsys, argv, code, message):
+    # usage errors exit 2 before any map is read; refused inputs exit 1
+    xsin = {"domain": "r1.json", "codomain": "r1.json", "components": ["x1 + sin(x1)"]}
+    (files / "xsin.map.json").write_text(json.dumps(xsin))
+    the_map = "xsin.map.json" if argv[0] == "degree" else "f1.map.json"
+    argv = [argv[0], "--map", str(files / the_map), *argv[1:]]
+    argv += ["--samples", "200", "--radii", "2,4"] * (argv[0] == "orbit")
+    try:
+        got = main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    err = capsys.readouterr().err
+    assert got == code
+    assert message in err if message else err == ""
 
 
 def test_asymdeg_warnings_go_to_the_top_level(files, capsys):

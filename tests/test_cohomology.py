@@ -193,6 +193,15 @@ def test_compare_verdicts():
     assert out["b"]["betti"] == (1, 2, 2, 2, 1)
 
 
+def test_compare_separates_equal_betti_numbers_by_cup_ranks():
+    # L5,9: [e1, e2] = e3, [e1, e3] = e4, [e2, e3] = e5
+    l59 = algebra.validate_algebra({(0, 1): {2: 1}, (0, 2): {3: 1}, (1, 2): {4: 1}}, 5)
+    out = compare_rings(cohomology(algebra.filiform(5)), cohomology(l59))
+    assert (out["verdict"], out["reason"]) == ("distinguished", "cup_rank(1, 2)")
+    assert out["a"]["betti"] == out["b"]["betti"] == (1, 2, 3, 3, 2, 1)
+    assert [out[s]["cup_ranks"][k] for s in "ab" for k in ((1, 2), (2, 2))] == [2, 2, 0, 0]
+
+
 def test_project_float_matches_exact():
     ring = cohomology(H3)
     space = ring.spaces[2]

@@ -3,7 +3,10 @@ import re
 import numpy as np
 import pytest
 
+from test_golden import MAPS
+
 from nilcoh import algebra, ergodic
+from nilcoh.degree import qi_distortion_probe
 from nilcoh.dsl import UnknownSymbolError
 from nilcoh.ergodic import (
     Observable,
@@ -14,6 +17,7 @@ from nilcoh.ergodic import (
     parse_observable,
 )
 from nilcoh.maps import act, map_from_texts, normalize_to_y0
+from nilcoh.pullback import amenable_norm
 from nilcoh.report import to_jsonable
 
 R1 = algebra.abelian(1)
@@ -164,6 +168,16 @@ def test_ergodicity_probe_refuses_fewer_than_two_distinct_basepoints(basepoints,
                          samples=200, seed=0)
 
 
+@pytest.mark.parametrize("m, basepoints, message", [
+    (map_from_texts(H3, H3, ["x1", "x2", "x3"]), [0.0, 1.0],
+     "scalar basepoint only valid for 1-dimensional groups"),
+    (f1(), [(0.0, 1.0), (1.0, 0.0)], "basepoint dimension mismatch"),
+], ids=["scalar-on-h3", "pair-on-r1"])
+def test_ergodicity_probe_refuses_basepoints_of_the_wrong_dimension(m, basepoints, message):
+    with pytest.raises(ValueError, match=message):
+        ergodicity_probe(m, [derivative_entry(1, 1)], basepoints, [2.0, 4.0], samples=200, seed=0)
+
+
 def test_identity_probe_consistent_everywhere():
     ident = map_from_texts(H3, H3, ["x1", "x2", "x3"])
     probe = ergodicity_probe(
@@ -185,6 +199,26 @@ def test_limits_invariant_under_action():
     moved = convergence_report(act(f1(), [0.7]), obs, radii, samples=60000, seed=9)
     tol = 3.0 * (base.traces[0].stderrs[-1] + moved.traces[0].stderrs[-1]) + 1e-2
     assert abs(base.traces[0].limit - moved.traces[0].limit) <= tol
+
+
+def test_statistics_do_not_see_a_left_translation_of_the_codomain():
+    # none of these normalizes the map: the shift F(0)^-1 cancels in the
+    # differential and in F(x)^-1 . F(y), so the golden shifted H3 map and
+    # its normalization agree up to rounding
+    m = map_from_texts(H3, H3, MAPS["h3-shifted.map.json"][2])
+    obs = [parse_observable(t, 3, 3) for t in ("coord3@0.5:-0.25:1", "d11")]
+
+    def stats(m):
+        rep = convergence_report(m, obs, [2.0, 4.0], samples=2000, seed=3)
+        qi = qi_distortion_probe(m, radius=4.0, pairs=500, seed=3)
+        norm = amenable_norm(m, obs[0], radii=[2.0, 4.0], samples=2000, seed=3)
+        return ([v for t in rep.traces for v in t.means + t.stderrs]
+                + [v for k, v in qi.items() if k.startswith("ratio")]
+                + [r[k] for r in norm for k in ("value", "stderr")])
+
+    shifted, normalized = stats(m), stats(normalize_to_y0(m))
+    assert normalize_to_y0(m).shift is not None
+    assert np.allclose(shifted, normalized, rtol=1e-12, atol=0.0)
 
 
 def test_observable_continuity_in_map_coefficients():

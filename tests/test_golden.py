@@ -21,7 +21,11 @@ the frame differential stopped multiplying in the shift's translation
 Jacobian: 5 of its leaves moved, by 1 or 2 ulp (at most 2.3e-16
 relative).  The asymdeg, orbit and both average files were rewritten
 when those subcommands dropped their no-op ``--threads`` flag: each lost
-its ``params/threads`` leaf and nothing else.  A failing case lists every moved, added
+its ``params/threads`` leaf and nothing else.  The orbit file was rewritten
+when the probe stopped shifting its translated maps by F(g)^-1, which
+cancels in the ``coord2@0.5`` observable only up to rounding: 7 of its
+leaves moved, all of that observable at basepoints 1 and 3, each by at
+most 3e-16 relative.  A failing case lists every moved, added
 and removed leaf.  The algebras and maps are saved under relative names so
 the echoed paths do not depend on the machine.
 """

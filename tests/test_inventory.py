@@ -1,8 +1,14 @@
-"""Inventory of the ``threads`` knob, a no-op since evaluation became serial.
+"""Inventories of the library's interface.
 
-Only the calls the benchmark harness passes it to keep it: the library's
+The ``threads`` knob, a no-op since evaluation became serial: only the
+calls the benchmark harness passes it to keep it, the library's
 ``homomorphism_check`` and ``area_formula_check``, and ``nilcoh repro
 --threads``.  A harness that stops passing it lets this list shrink.
+
+The calls that normalize a map to F(0) = 0: only those that compare its
+values with a target, a bounding box or a product.  A call that starts to
+normalize refuses every map undefined at the origin, so it joins the list
+only with a reason.
 """
 
 import inspect
@@ -11,6 +17,9 @@ import pytest
 
 import nilcoh
 from nilcoh import cli
+from nilcoh.dsl import DomainError
+from nilcoh.ergodic import derivative_entry, parse_observable
+from nilcoh.forms import basis_form
 
 
 def test_only_the_benchmarked_calls_take_threads():
@@ -62,3 +71,68 @@ def test_threads_is_a_usage_error(argv, capsys):
         cli.main(argv + ["--threads", "2"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
+
+def _coord(m):
+    return parse_observable("coord1@0.5", m.domain.dim, m.codomain.dim)
+
+
+SAMPLED = dict(samples=64, seed=0)
+MAP_CALLS = {
+    "act": lambda m, tmp: nilcoh.act(m, [1.0]),
+    "amenable_average": lambda m, tmp: nilcoh.amenable_average(
+        m, basis_form(m.codomain, (0,)), (2.0, 4.0), **SAMPLED),
+    "amenable_norm": lambda m, tmp: [nilcoh.amenable_norm(m, obs, (2.0, 4.0), **SAMPLED)
+                                     for obs in (derivative_entry(1, 1), _coord(m))],
+    "area_formula_check": lambda m, tmp: nilcoh.area_formula_check(m, 2.0, samples=64),
+    "asymptotic_degree": lambda m, tmp: nilcoh.asymptotic_degree(m, None, (2.0, 4.0), **SAMPLED),
+    "convergence_report": lambda m, tmp: nilcoh.convergence_report(
+        m, [derivative_entry(1, 1), _coord(m)], (2.0, 4.0), **SAMPLED),
+    "differential": lambda m, tmp: nilcoh.differential(m, [1.0]),
+    "differential_batch": lambda m, tmp: nilcoh.differential_batch(m, [[1.0, 2.0]]),
+    "empirical_measure": lambda m, tmp: nilcoh.empirical_measure(
+        m, [derivative_entry(1, 1), _coord(m)], 2.0, **SAMPLED),
+    "ergodicity_probe": lambda m, tmp: nilcoh.ergodicity_probe(
+        m, [derivative_entry(1, 1), _coord(m)], [0.0, 1.0], (2.0, 4.0), **SAMPLED),
+    "evaluate": lambda m, tmp: nilcoh.evaluate(m, [1.0]),
+    "evaluate_batch": lambda m, tmp: nilcoh.evaluate_batch(m, [[1.0, 2.0]]),
+    "exact_homomorphism_pullback": lambda m, tmp: nilcoh.exact_homomorphism_pullback(
+        m, basis_form(m.codomain, (0,))),
+    "homomorphism_check": lambda m, tmp: nilcoh.homomorphism_check(m, (2.0, 4.0), **SAMPLED),
+    "induced_cohomology_map": lambda m, tmp: nilcoh.induced_cohomology_map(
+        m, (2.0, 4.0), **SAMPLED),
+    "is_group_homomorphism": lambda m, tmp: nilcoh.is_group_homomorphism(m),
+    "local_degree": lambda m, tmp: nilcoh.local_degree(m, 2.0, (0.5,)),
+    "normalize_to_y0": lambda m, tmp: nilcoh.normalize_to_y0(m),
+    "pullback_eval": lambda m, tmp: nilcoh.pullback_eval(m, basis_form(m.codomain, (0,)), (0,),
+                                                         [1.0]),
+    "qi_distortion_probe": lambda m, tmp: nilcoh.qi_distortion_probe(m, pairs=64),
+    "save_map": lambda m, tmp: nilcoh.save_map(m, str(tmp / "m.json")),
+}
+
+
+def test_only_the_calls_that_compare_values_normalize(tmp_path):
+    # on maps undefined at the origin, normalizing refuses the map; the orbit
+    # statistics, amenable_norm and qi_distortion_probe refused it too, for a
+    # shift that cancels in everything they read
+    exported = {name for name in dir(nilcoh) if not name.startswith("_")
+                and inspect.isfunction(getattr(nilcoh, name))
+                and list(inspect.signature(getattr(nilcoh, name)).parameters)[:1] == ["m"]}
+    assert exported == set(MAP_CALLS)
+    r1, r2 = nilcoh.abelian(1), nilcoh.abelian(2)
+    maps = [nilcoh.map_from_texts(r1, r2, ["x1", "1/x1"]),
+            nilcoh.map_from_texts(r1, r1, ["x1 + 1/x1"])]
+    normalizing = set()
+    for name, call in MAP_CALLS.items():
+        for m in maps:
+            try:
+                call(m, tmp_path)
+            except DomainError as e:
+                if str(e).startswith("normalizing the map to F(0) = 0: "):
+                    normalizing.add(name)
+                else:  # the call reads the map at the origin itself
+                    assert str(e).startswith("division by zero"), (name, str(e))
+            except ValueError as e:
+                assert "equal" in str(e) and m.domain.dim != m.codomain.dim, (name, str(e))
+    assert normalizing == {"normalize_to_y0", "local_degree", "area_formula_check",
+                           "is_group_homomorphism"}

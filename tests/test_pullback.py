@@ -571,9 +571,10 @@ def test_constant_map_has_no_row_to_evaluate():
 
 
 def test_nan_at_a_structural_zero_no_longer_reaches_dead_rows():
-    # exp(800*x2) overflows for x2 > 0.89; dense jets then give the partial
+    # exp(800*x2) overflows for x2 > 0.89; dense jets gave the partial
     # d/dx3 of the first component as inf * 0 = NaN, and the inverse frame
-    # carries it to D[0, 2], an entry outside the pattern.  The full
+    # carried it to D[0, 2], an entry outside the pattern.  A call now keeps
+    # that partial 0, so the NaN is planted there by hand.  The full
     # expansion (_coefficient_rows) lets it into every row that reads that
     # entry; the plan keeps it out of the rows with no live term, which read
     # 0 there, and leaves every other row as it was, NaN included
@@ -584,25 +585,31 @@ def test_nan_at_a_structural_zero_no_longer_reaches_dead_rows():
     pairs = [(w, lam) for w in omegas for lam in basis_tuples(3, w.degree)]
     live = pullback._live_minors(pattern)
     x = np.random.default_rng(4).uniform(-2.0, 2.0, size=(3, 64))
+    overflow = x[1] > 800 ** -1 * np.log(np.finfo(float).max)
+    assert 0 < overflow.sum() < 64
     with np.errstate(over="ignore", invalid="ignore"):
         mats = differential_batch(m, x)
+        assert not mats[:, 0, 2].any()
+        mats[overflow, 0, 2] = np.nan
         full = _coefficient_rows(mats, pairs)
         pruned = np.empty_like(full)
         recipes = [pullback._recipe(w, lam, 1, live) for w, lam in pairs]
         pullback._plan_coefficient_rows(recipes, pattern)(pullback._entries(mats), pruned)
-    overflow = x[1] > 800 ** -1 * np.log(np.finfo(float).max)
-    assert 0 < overflow.sum() < 64
-    assert np.isnan(mats[overflow, 0, 2]).all() and not mats[~overflow, 0, 2].any()
     moved = {(tuple(w.coeffs), lam) for (w, lam), a, b in zip(pairs, full, pruned)
              if not np.array_equal(a, b, equal_nan=True)}
-    assert moved == {(((0,),), (2,)), (((1, 2),), (0, 2)), (((0, 1),), (0, 2)),
-                     (((0, 1),), (1, 2))}
+    dead = {(((0,),), (2,)), (((1, 2),), (0, 2)), (((0, 1),), (0, 2)), (((0, 1),), (1, 2))}
+    # e1^e2 on (0, 1) has the live term D00 D11; its full expansion also
+    # reads D01 D10 = inf * 0 at the dead D10, which the plan skips
+    assert moved == dead | {(((0, 1),), (0, 1))}
     for (w, lam), a, b in zip(pairs, full, pruned):
-        if (tuple(w.coeffs), lam) in moved:
-            assert np.isnan(a[overflow]).all() and not b.any()
+        key = (tuple(w.coeffs), lam)
+        if key in moved:
+            assert np.isnan(a[overflow]).all()
+            assert not b.any() if key in dead else np.isfinite(b).all()
+    # the rows that read D20, D21 or D22 (the inverse frame's inf * 0)
     live_nan = [b for (w, lam), b in zip(pairs, pruned)
                 if any(live(r, lam) for r in w.coeffs if r) and np.isnan(b).any()]
-    assert len(live_nan) == 20
+    assert len(live_nan) == 14
     assert all(np.isnan(b[overflow]).all() for b in live_nan)
 
 

@@ -59,21 +59,7 @@ from .forms import (
     volume_form,
     wedge,
 )
-from .group import (
-    BallSpec,
-    GroupPoint,
-    bch_multiply,
-    box_volume,
-    dilate,
-    estimate_ball_volume,
-    inverse,
-    left_frame,
-    origin,
-    point,
-    quasi_norm,
-    sample_ball,
-    sample_ball_coords,
-)
+from .group import BallSpec, box_volume, sample_ball_coords
 from .maps import (
     IllConditionedFrame,
     SmoothMap,

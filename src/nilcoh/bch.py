@@ -62,7 +62,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb, factorial, lcm
+from math import comb, factorial, isfinite, lcm
 
 import numpy as np
 
@@ -347,21 +347,6 @@ class GroupLaw:
         ev = _evaluator(a + b)
         return [ev(p) for p in self.product]
 
-    def frame_at(self, a):
-        """Left-invariant frame matrix at a point (columns = frame fields)."""
-        a = list(a)
-        self._check_length(len(a))
-        ev = _evaluator(a)
-        return [[ev(p) for p in row] for row in self.frame]
-
-    def translation_jacobian(self, a, b):
-        """d(a·y)/dy at y = b, exact on rationals."""
-        a, b = list(a), list(b)
-        self._check_length(len(a))
-        self._check_length(len(b))
-        ev = _evaluator(a + b)
-        return [[ev(p) for p in row] for row in self.trans_jac]
-
     # -- vectorized paths -----------------------------------------------------
 
     def multiply_batch(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -386,6 +371,13 @@ class GroupLaw:
         nonzero entry of P is evaluated once, and an identity P returns
         ``stack`` itself.  P is invertible, so no line of it is empty.  A new
         result is C-contiguous.
+
+        Where an evaluated entry of P is infinite or NaN, a term whose stack
+        entry is exactly 0.0 is 0.0, not 0 * inf = NaN: the rule of
+        ``jets.Jet.d_unary``.  Terms of finite entries keep their bits.  The
+        test is the dot product v . v, finite only if every value is and
+        cheaper than ``np.isfinite(v).all()``; a square that overflows only
+        takes the masking path, which changes nothing there.
         """
         if pattern.identity:
             return stack
@@ -396,7 +388,13 @@ class GroupLaw:
             target = out[i] if left else out[:, i]
             for t, (k, p) in enumerate(terms):
                 s = stack[k] if left else stack[:, k]
-                term = s if p is None else s * p.eval_float(vals)
+                if p is None:
+                    term = s
+                else:
+                    v = p.eval_float(vals)
+                    term = s * v
+                    if not isfinite(v.dot(v)):  # an exact 0 stays 0, not 0 * inf = NaN
+                        term[(s == 0.0) & ~np.isfinite(v)] = 0.0
                 if t:
                     target += term
                 else:
@@ -418,11 +416,6 @@ class GroupLaw:
         right; (n,) points broadcast against (n, N) batches.  See ``_product``."""
         a, b = np.broadcast_arrays(_as_batch(a), _as_batch(b))
         return self._product(self.trans_pattern, list(a) + list(b), stack, left)
-
-    def dilate(self, r, coords):
-        """Homogeneous dilation: coordinate i scales by r**weight_i."""
-        w = self.algebra.weights
-        return [c * r ** w[i] for i, c in enumerate(coords)]
 
 
 _LAW_CACHE = DerivedCache("group_law")

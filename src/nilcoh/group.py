@@ -1,7 +1,9 @@
-"""Points, balls, and Haar sampling on simply connected nilpotent groups.
+"""Balls, Haar sampling and Monte Carlo means on simply connected nilpotent
+groups.
 
 The group is identified with its algebra via exponential coordinates of
-the first kind; Haar measure is Lebesgue measure there.  Følner sets are
+the first kind, and points travel as (dim, N) coordinate batches; Haar
+measure is Lebesgue measure there.  Følner sets are
 anisotropic coordinate boxes scaled by the filtration weights (equivalently,
 balls of the max quasi-norm), which admit exact uniform sampling; the
 rounded `quasiball` shape uses an even-exponent homogeneous gauge and
@@ -18,58 +20,11 @@ import numpy as np
 
 from . import rng
 from .algebra import AlgebraError, LieAlgebra
-from .bch import group_law
-
-
-@dataclass(frozen=True)
-class GroupPoint:
-    """A group element, stored as the coordinates of its logarithm."""
-
-    algebra: LieAlgebra
-    coords: tuple
-
-    def __post_init__(self):
-        if len(self.coords) != self.algebra.dim:
-            raise ValueError("coordinate count does not match algebra dimension")
-
-    def __iter__(self):
-        return iter(self.coords)
-
-
-def point(alg: LieAlgebra, coords) -> GroupPoint:
-    return GroupPoint(alg, tuple(coords))
-
-
-def origin(alg: LieAlgebra) -> GroupPoint:
-    return GroupPoint(alg, (0,) * alg.dim)
-
-
-def bch_multiply(x: GroupPoint, y: GroupPoint) -> GroupPoint:
-    if x.algebra is not y.algebra:
-        raise ValueError("cannot multiply points of different groups")
-    return GroupPoint(x.algebra, tuple(group_law(x.algebra).multiply(x.coords, y.coords)))
-
-
-def inverse(x: GroupPoint) -> GroupPoint:
-    return GroupPoint(x.algebra, tuple(-c for c in x.coords))
-
-
-def left_frame(g: GroupPoint):
-    """Matrix whose columns are the left-invariant frame fields at g."""
-    return group_law(g.algebra).frame_at(g.coords)
-
-
-def dilate(r, g: GroupPoint) -> GroupPoint:
-    return GroupPoint(g.algebra, tuple(group_law(g.algebra).dilate(r, g.coords)))
-
-
-def quasi_norm(g: GroupPoint, weights: tuple[int, ...] | None = None) -> float:
-    """max_i |c_i|^(1/w_i); scales linearly under the dilations delta_r."""
-    w = weights if weights is not None else g.algebra.weights
-    return max((abs(float(c)) ** (1.0 / wi) for c, wi in zip(g.coords, w)), default=0.0)
 
 
 def quasi_norm_batch(alg: LieAlgebra, coords: np.ndarray) -> np.ndarray:
+    """max_i |c_i|^(1/w_i) for each column of a (dim, N) batch; it scales
+    linearly under the dilations delta_r."""
     w = np.array(alg.weights, dtype=float)
     return np.max(np.abs(coords) ** (1.0 / w[:, None]), axis=0)
 
@@ -204,22 +159,3 @@ def cloud_mean(cloud: np.ndarray, values):
     _, stderr = rng.mean_and_stderr(total_d, total_dd, count)
     return total / count, stderr
 
-
-def sample_ball(
-    alg: LieAlgebra, spec: BallSpec, count: int, seed: int
-) -> list[GroupPoint]:
-    coords = sample_ball_coords(alg, spec, count, seed)
-    return [GroupPoint(alg, tuple(coords[:, i])) for i in range(count)]
-
-
-def estimate_ball_volume(
-    alg: LieAlgebra, spec: BallSpec, count: int = 20000, seed: int = 0
-) -> float:
-    """Haar volume of the ball; exact for boxes, Monte Carlo for quasiballs."""
-    if spec.shape == "box":
-        return box_volume(alg, spec.radius)
-    gen = rng.stream(seed, "ballvol", spec.shape, float(spec.radius))
-    scale = np.array([float(spec.radius) ** w for w in alg.weights])[:, None]
-    batch = gen.uniform(-1.0, 1.0, size=(alg.dim, count)) * scale
-    inside = homogeneous_gauge_batch(alg, batch) <= spec.radius
-    return float(np.mean(inside)) * box_volume(alg, spec.radius)

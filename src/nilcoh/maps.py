@@ -65,7 +65,6 @@ import numpy as np
 from . import dsl
 from .algebra import LieAlgebra, algebra_from_dict, load_algebra
 from .bch import IllConditionedFrame, group_law  # IllConditionedFrame is re-exported
-from .group import GroupPoint
 
 
 @dataclass(frozen=True)
@@ -157,10 +156,11 @@ def _at_point(batch, m: SmoothMap, g, warn=None, context: str = ""):
         raise dsl.DomainError(context + e.base_message, coords=point) from None
 
 
-def evaluate(m: SmoothMap, g, warn=None) -> GroupPoint:
-    """Map value at a single point (GroupPoint or coordinate sequence)."""
+def evaluate(m: SmoothMap, g, warn=None) -> tuple:
+    """Map value at the point g, a coordinate sequence, as a tuple of the
+    codomain's coordinates."""
     out = _at_point(evaluate_batch, m, g, warn)
-    return GroupPoint(m.codomain, tuple(float(v) for v in out[:, 0]))
+    return tuple(float(v) for v in out[:, 0])
 
 
 def jacobian_batch(m: SmoothMap, coords: np.ndarray, warn=None):
@@ -195,7 +195,10 @@ def differential_batch(m: SmoothMap, coords: np.ndarray, warn=None) -> np.ndarra
     The frame products are the group laws' sparse ones (``GroupLaw._product``):
     they skip the structural zeros of the frames, so an infinite Jacobian
     entry spreads only into the entries it enters, not as NaN (0 * inf) into
-    the other entries of its row and column.
+    the other entries of its row and column.  An infinite inverse-frame
+    entry meets the exact-zero Jacobian entries as 0, not NaN: on H3,
+    x1 + exp(800*x2) at (0.3, 0.95, 0.2) has the third row [0.0, nan, 1.0],
+    NaN only where inf and -inf are added.
     """
     cod = group_law(m.codomain)
     moved, values, jac = _evaluate(m, np.asarray(coords, dtype=float), warn, jets=True,

@@ -660,8 +660,7 @@ def exact_homomorphism_pullback(m: SmoothMap, omega: KForm) -> KForm:
     left-invariant frames is then constant), giving a noise-free reference.
     """
     _check_on_codomain(m, [omega])
-    coords = np.zeros((m.domain.dim, 1))
-    mats = differential_batch(m, coords)
+    mats = _at_point(differential_batch, m, (0.0,) * m.domain.dim)
     lambdas = basis_tuples(m.domain.dim, omega.degree)
     values = _coefficient_rows(mats, [(omega, lam) for lam in lambdas])[:, 0]
     out = {lam: float(v) for lam, v in zip(lambdas, values) if v != 0.0}

@@ -32,16 +32,7 @@ from nilcoh.bch import (
     _mul,
     group_law,
 )
-from nilcoh.group import (
-    GroupPoint,
-    bch_multiply,
-    dilate,
-    inverse,
-    left_frame,
-    origin,
-    point,
-    quasi_norm,
-)
+from nilcoh.group import quasi_norm_batch
 from nilcoh.jets import powers
 
 
@@ -50,36 +41,31 @@ def rand_coords(rng, n):
 
 
 def test_abelian_is_addition():
-    ab = algebra.abelian(3)
-    p = point(ab, (1, 2, 3))
-    q = point(ab, (4, 5, 6))
-    assert bch_multiply(p, q).coords == (5, 7, 9)
+    assert group_law(algebra.abelian(3)).multiply((1, 2, 3), (4, 5, 6)) == [5, 7, 9]
 
 
 def test_heisenberg_product_spec_example():
-    h3 = algebra.heisenberg3()
-    p = point(h3, (1, 0, 0))
-    q = point(h3, (0, 1, 0))
-    assert bch_multiply(p, q).coords == (1, 1, Fraction(1, 2))
+    law = group_law(algebra.heisenberg3())
+    assert law.multiply((1, 0, 0), (0, 1, 0)) == [1, 1, Fraction(1, 2)]
 
 
 def test_inverse_is_negation_and_cancels():
-    h3 = algebra.heisenberg3()
-    p = point(h3, (1, 1, Fraction(1, 2)))
-    assert inverse(p).coords == (-1, -1, Fraction(-1, 2))
+    # in exponential coordinates x^-1 = -x
+    law = group_law(algebra.heisenberg3())
     rng = random.Random(0)
     for _ in range(10):
-        x = point(h3, tuple(rand_coords(rng, 3)))
-        assert bch_multiply(inverse(x), x).coords == (0, 0, 0)
-        assert bch_multiply(x, inverse(x)).coords == (0, 0, 0)
+        x = rand_coords(rng, 3)
+        inv = [-c for c in x]
+        assert law.multiply(inv, x) == [0, 0, 0]
+        assert law.multiply(x, inv) == [0, 0, 0]
 
 
 def test_identity_element():
-    fil = algebra.filiform(4)
+    law = group_law(algebra.filiform(4))
     rng = random.Random(1)
-    x = point(fil, tuple(rand_coords(rng, 4)))
-    assert bch_multiply(x, origin(fil)).coords == x.coords
-    assert bch_multiply(origin(fil), x).coords == x.coords
+    x = rand_coords(rng, 4)
+    assert law.multiply(x, [0] * 4) == x
+    assert law.multiply([0] * 4, x) == x
 
 
 def test_associativity_exact_across_classes():
@@ -101,10 +87,13 @@ def test_associativity_exact_across_classes():
             assert lhs == rhs, alg
 
 
+def exact_matrix(polys, vals):
+    return [[p.eval_exact(vals) for p in row] for row in polys]
+
+
 def test_frame_spec_example():
-    h3 = algebra.heisenberg3()
     a, b, c = Fraction(2), Fraction(3), Fraction(5)
-    m = left_frame(point(h3, (a, b, c)))
+    m = exact_matrix(group_law(algebra.heisenberg3()).frame, (a, b, c))
     assert [row[0] for row in m] == [1, 0, -b / 2]
     assert [row[1] for row in m] == [0, 1, a / 2]
     assert [row[2] for row in m] == [0, 0, 1]
@@ -112,8 +101,8 @@ def test_frame_spec_example():
 
 def test_frame_identity_at_origin(algebras):
     for name, alg in algebras.items():
-        m = left_frame(origin(alg))
         n = alg.dim
+        m = exact_matrix(group_law(alg).frame, [0] * n)
         assert m == [[1 if i == j else 0 for j in range(n)] for i in range(n)], name
 
 
@@ -125,10 +114,10 @@ def test_frame_left_invariance_exact(algebras):
         for _ in range(3):
             g = rand_coords(rng, alg.dim)
             h = rand_coords(rng, alg.dim)
-            t = law.translation_jacobian(g, h)
-            frame_h = law.frame_at(h)
+            t = exact_matrix(law.trans_jac, g + h)
+            frame_h = exact_matrix(law.frame, h)
             gh = law.multiply(g, h)
-            frame_gh = law.frame_at(gh)
+            frame_gh = exact_matrix(law.frame, gh)
             n = alg.dim
             pushed = [
                 [sum(t[i][k] * frame_h[k][j] for k in range(n)) for j in range(n)]
@@ -214,34 +203,36 @@ def test_frame_products_add_their_terms_in_k_order(alg):
 
 def test_quasi_norm_examples():
     h3 = algebra.heisenberg3()
-    assert quasi_norm(point(h3, (0, 0, 4))) == 2.0
-    assert quasi_norm(origin(h3)) == 0.0
-    p = point(h3, (1, 0, 0))
-    assert quasi_norm(dilate(3, p)) == 3.0
+    # columns: (0, 0, 4), the origin, and delta_3 (1, 0, 0) = (3, 0, 0)
+    coords = np.array([[0.0, 0.0, 3.0], [0.0, 0.0, 0.0], [4.0, 0.0, 0.0]])
+    assert quasi_norm_batch(h3, coords).tolist() == [2.0, 0.0, 3.0]
 
 
 def test_dilation_scaling_identity():
     fil = algebra.filiform(4)
-    rng = random.Random(5)
-    for _ in range(5):
-        coords = tuple(rng.uniform(-4, 4) for _ in range(4))
-        p = point(fil, coords)
-        r = rng.uniform(0.5, 3.0)
-        assert quasi_norm(dilate(r, p)) == pytest.approx(r * quasi_norm(p), rel=1e-12)
+    gen = np.random.default_rng(5)
+    coords = gen.uniform(-4.0, 4.0, size=(4, 5))
+    r = gen.uniform(0.5, 3.0, size=5)
+    dilated = coords * r ** np.array(fil.weights, dtype=float)[:, None]
+    assert np.allclose(quasi_norm_batch(fil, dilated), r * quasi_norm_batch(fil, coords),
+                       rtol=1e-12, atol=0.0)
 
 
 def test_dilations_are_automorphisms():
-    # delta_r(x . y) = delta_r(x) . delta_r(y), exactly on rationals
+    # delta_r(x . y) = delta_r(x) . delta_r(y), exactly on rationals, where
+    # delta_r scales coordinate i by r**weight_i: the law respects the grading
     h3 = algebra.heisenberg3()
     law = group_law(h3)
     rng = random.Random(6)
     r = Fraction(3, 2)
+
+    def dilate(coords):
+        return [c * r ** w for c, w in zip(coords, h3.weights)]
+
     for _ in range(5):
         x = rand_coords(rng, 3)
         y = rand_coords(rng, 3)
-        lhs = law.dilate(r, law.multiply(x, y))
-        rhs = law.multiply(law.dilate(r, x), law.dilate(r, y))
-        assert lhs == rhs
+        assert dilate(law.multiply(x, y)) == law.multiply(dilate(x), dilate(y))
 
 
 def test_batch_multiply_matches_scalar():
@@ -278,8 +269,6 @@ def test_group_law_refuses_points_of_the_wrong_length(bad):
     law = group_law(algebra.heisenberg3())
     good = [1, 2, 3]
     calls = [lambda: law.multiply(good, bad), lambda: law.multiply(bad, good),
-             lambda: law.frame_at(bad),
-             lambda: law.translation_jacobian(good, bad), lambda: law.translation_jacobian(bad, good),
              lambda: law.multiply_batch(np.zeros((len(bad), 5)), np.zeros((3, 5))),
              lambda: law.multiply_batch(np.zeros(3), np.zeros((len(bad), 5)))]
     for call in calls:

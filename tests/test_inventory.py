@@ -9,6 +9,10 @@ The calls that normalize a map to F(0) = 0: only those that compare its
 values with a target, a bounding box or a product.  A call that starts to
 normalize refuses every map undefined at the origin, so it joins the list
 only with a reason.
+
+The public names of ``nilcoh`` and of ``nilcoh.group``: points travel as
+(dim, N) coordinate batches, and a name joins the interface only with a
+caller that needs it.
 """
 
 import inspect
@@ -16,7 +20,7 @@ import inspect
 import pytest
 
 import nilcoh
-from nilcoh import cli
+from nilcoh import cli, group
 from nilcoh.dsl import DomainError
 from nilcoh.ergodic import derivative_entry, parse_observable
 from nilcoh.forms import basis_form
@@ -71,6 +75,44 @@ def test_threads_is_a_usage_error(argv, capsys):
         cli.main(argv + ["--threads", "2"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
+
+PUBLIC = {
+    "nilcoh": {
+        "AlgebraError", "ArityError", "AsymptoticDegreeTrace", "AverageEstimate", "BallSpec",
+        "BoundaryTooClose", "CohomologyRing", "CohomologySpace", "ConvergenceReport",
+        "DegreeOverflow", "DegreeResult", "DomainError", "ErgodicityProbe", "HomomorphismReport",
+        "IllConditionedFrame", "JacobiViolation", "KForm", "LieAlgebra", "NotNilpotent",
+        "Observable", "OrbitTrace", "ParseError", "SingularTarget", "SmoothMap",
+        "UnknownSymbolError", "abelian", "act", "algebra_from_dict", "amenable_average",
+        "amenable_norm", "area_formula_check", "asymptotic_degree", "basis_covector",
+        "basis_form", "box_volume", "ce_differential", "cohomology", "compare_rings",
+        "convergence_report", "cup_class", "cup_pairing_rank", "derivative_entry",
+        "differential", "differential_batch", "empirical_measure", "ergodicity_probe",
+        "evaluate", "evaluate_batch", "exact_homomorphism_pullback", "filiform",
+        "free_nilpotent_two_step", "heisenberg3", "heisenberg5", "homomorphism_check",
+        "induced_cohomology_map", "is_group_homomorphism", "load_algebra", "load_map",
+        "local_degree", "map_from_texts", "normalize_to_y0", "parse", "parse_form",
+        "parse_observable", "pretty", "pullback_eval", "qi_distortion_probe", "ring_invariants",
+        "sample_ball_coords", "save_algebra", "save_map", "unit_form", "validate_algebra",
+        "volume_form", "wedge",
+    },
+    # the names group defines; what it imports is not its interface
+    "nilcoh.group": {
+        "BallSpec", "box_volume", "check_adapted", "check_radii", "cloud_mean",
+        "homogeneous_gauge_batch", "quasi_norm_batch", "sample_ball_coords",
+    },
+}
+
+
+def test_the_public_names_are_pinned():
+    # the single-point layer (GroupPoint and its helpers) had no caller in the
+    # library, and its dilate was no automorphism unless alg = gr(alg)
+    exported = {name for name in dir(nilcoh)
+                if not name.startswith("_") and not inspect.ismodule(getattr(nilcoh, name))}
+    defined = {name for name, value in vars(group).items()
+               if not name.startswith("_") and getattr(value, "__module__", None) == group.__name__}
+    assert {"nilcoh": exported, "nilcoh.group": defined} == PUBLIC
 
 
 def _coord(m):
@@ -130,8 +172,9 @@ def test_only_the_calls_that_compare_values_normalize(tmp_path):
             except DomainError as e:
                 if str(e).startswith("normalizing the map to F(0) = 0: "):
                     normalizing.add(name)
-                else:  # the call reads the map at the origin itself
+                else:  # the call reads the map at the origin itself, and names it
                     assert str(e).startswith("division by zero"), (name, str(e))
+                    assert e.coords == (0.0,), (name, e.coords)
             except ValueError as e:
                 assert "equal" in str(e) and m.domain.dim != m.codomain.dim, (name, str(e))
     assert normalizing == {"normalize_to_y0", "local_degree", "area_formula_check",

@@ -36,13 +36,11 @@ def f1():
 
 def test_identity_map_evaluation():
     ident = map_from_texts(H3, H3, ["x1", "x2", "x3"])
-    assert evaluate(ident, [1.0, 2.0, 3.0]).coords == (1.0, 2.0, 3.0)
+    assert evaluate(ident, [1.0, 2.0, 3.0]) == (1.0, 2.0, 3.0)
 
 
 def test_f1_evaluation():
-    out = evaluate(f1(), [np.pi / 2])
-    assert out.coords[0] == pytest.approx(np.pi / 2)
-    assert out.coords[1] == pytest.approx(1.0)
+    assert evaluate(f1(), [np.pi / 2]) == pytest.approx((np.pi / 2, 1.0))
 
 
 def test_component_count_and_coordinate_range_validated():
@@ -161,14 +159,14 @@ def test_jet_differential_matches_finite_differences_through_group_ops():
 def test_normalize_examples():
     shifted = map_from_texts(R1, R2, ["x1", "sin(x1) + 5"])
     norm = normalize_to_y0(shifted)
-    assert evaluate(norm, [0.0]).coords == (0.0, 0.0)
+    assert evaluate(norm, [0.0]) == (0.0, 0.0)
     assert normalize_to_y0(norm) == norm  # idempotent
 
     # h3 constant left shift normalizes back to the identity pointwise
     texts = ["1 + x1", "x2", "x3 + 1/2*x2"]
     m = normalize_to_y0(map_from_texts(H3, H3, texts))
     for pt in ([0.5, -2.0, 1.25], [3.0, 1.0, -0.5]):
-        assert np.allclose(evaluate(m, pt).coords, pt, atol=1e-12)
+        assert evaluate(m, pt) == pytest.approx(tuple(pt), abs=1e-12)
 
 
 def test_act_identity_fixed():
@@ -230,7 +228,7 @@ def test_a_repeated_action_refuses_a_point_of_the_wrong_length():
 def test_act_result_fixes_origin():
     m = normalize_to_y0(map_from_texts(H3, H3, ["x1 + sin(x2)", "x2", "x3"]))
     moved = act(m, [2.0, -1.0, 0.3])
-    assert np.allclose(evaluate(moved, [0.0, 0.0, 0.0]).coords, 0.0, atol=1e-12)
+    assert evaluate(moved, [0.0, 0.0, 0.0]) == pytest.approx((0.0, 0.0, 0.0), abs=1e-12)
 
 
 def test_homomorphism_probe():
@@ -259,7 +257,7 @@ def test_map_file_with_algebra_reference(tmp_path):
     path = tmp_path / "m.map.json"
     path.write_text(json.dumps(record))
     m = load_map(str(path))
-    assert evaluate(m, [3.0]).coords == (3.0, 9.0)
+    assert evaluate(m, [3.0]) == (3.0, 9.0)
 
 
 def test_ill_conditioned_frame_guard():
@@ -442,13 +440,16 @@ def test_an_overflowing_call_keeps_its_exact_zero_partials():
     # (0, 800, 0): row 0 of the Jacobian read [nan, inf, nan]
     m = map_from_texts(H3, H3, ["x1 + exp(800*x2)", "x2", "x3"])
     x = np.array([[0.3, -1.0], [0.95, 0.5], [0.2, 2.0]])
-    with np.errstate(over="ignore", invalid="ignore"):  # row 2 of D: inf * 0
+    with np.errstate(over="ignore", invalid="ignore"):  # D[2, 1] adds inf and -inf
         _, jac = jacobian_batch(m, x)
         mats = differential_batch(m, x)
     assert jac[0].tolist() == [[1.0, np.inf, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
     assert jac[1].tolist() == [[1.0, np.exp(400.0) * 800.0, 0.0], [0.0, 1.0, 0.0],
                                [0.0, 0.0, 1.0]]
     assert mats[0, 0].tolist() == [1.0, np.inf, 0.0]
+    # the inverse frame's entry -F1/2 = -inf met the exact zeros of Jacobian
+    # row 0 as 0 * inf, and row 2 of D read [nan, nan, nan]
+    assert mats[0, 2, 0] == 0.0 and np.isnan(mats[0, 2, 1]) and mats[0, 2, 2] == 1.0
 
 
 @pytest.mark.parametrize("alg, texts, index", [

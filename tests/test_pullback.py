@@ -577,7 +577,7 @@ def test_nan_at_a_structural_zero_no_longer_reaches_dead_rows():
     # that partial 0, so the NaN is planted there by hand.  The full
     # expansion (_coefficient_rows) lets it into every row that reads that
     # entry; the plan keeps it out of the rows with no live term, which read
-    # 0 there, and leaves every other row as it was, NaN included
+    # 0 there, and out of the live terms of every other row
     m = map_from_texts(H3, H3, ["x1 + exp(800*x2)", "x2", "x3 + 0.2*x1^2"])
     pattern = differential_pattern(m)
     assert pattern.tolist() == [[True, True, False], [False, True, False], [True, True, True]]
@@ -597,19 +597,26 @@ def test_nan_at_a_structural_zero_no_longer_reaches_dead_rows():
         pullback._plan_coefficient_rows(recipes, pattern)(pullback._entries(mats), pruned)
     moved = {(tuple(w.coeffs), lam) for (w, lam), a, b in zip(pairs, full, pruned)
              if not np.array_equal(a, b, equal_nan=True)}
-    dead = {(((0,),), (2,)), (((1, 2),), (0, 2)), (((0, 1),), (0, 2)), (((0, 1),), (1, 2))}
+    # the dead rows that read D02; e2^e3 on (0, 2) moved too while row 2 was NaN
+    dead = {(((0,),), (2,)), (((0, 1),), (0, 2)), (((0, 1),), (1, 2))}
     # e1^e2 on (0, 1) has the live term D00 D11; its full expansion also
-    # reads D01 D10 = inf * 0 at the dead D10, which the plan skips
-    assert moved == dead | {(((0, 1),), (0, 1))}
+    # reads D01 D10 = inf * 0 at the dead D10, which the plan skips.  The
+    # other five read the NaN at D02, or the NaN at D21, only in a term with
+    # a dead entry; they were NaN in both while all of row 2 was NaN
+    live_moved = {(((0, 1),), (0, 1)), (((0, 2),), (0, 2)), (((0, 2),), (1, 2)),
+                  (((1, 2),), (0, 1)), (((1, 2),), (1, 2)), (((0, 1, 2),), (0, 1, 2))}
+    assert moved == dead | live_moved
     for (w, lam), a, b in zip(pairs, full, pruned):
         key = (tuple(w.coeffs), lam)
         if key in moved:
             assert np.isnan(a[overflow]).all()
-            assert not b.any() if key in dead else np.isfinite(b).all()
-    # the rows that read D20, D21 or D22 (the inverse frame's inf * 0)
+            # a live row may hold inf: D01 D22 on (1, 2) is the overflow itself
+            assert not b.any() if key in dead else not np.isnan(b).any()
+    # e1^e3 on (0, 1), whose live term D00 D21 reads D21 = inf - inf; the
+    # inverse frame's inf * 0 made all of row 2 NaN and 14 rows read it
     live_nan = [b for (w, lam), b in zip(pairs, pruned)
                 if any(live(r, lam) for r in w.coeffs if r) and np.isnan(b).any()]
-    assert len(live_nan) == 14
+    assert len(live_nan) == 2
     assert all(np.isnan(b[overflow]).all() for b in live_nan)
 
 

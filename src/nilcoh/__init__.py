@@ -63,7 +63,6 @@ from .group import BallSpec, box_volume, sample_ball_coords
 from .maps import (
     IllConditionedFrame,
     SmoothMap,
-    act,
     differential,
     evaluate,
     evaluate_batch,

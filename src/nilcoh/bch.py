@@ -411,11 +411,11 @@ class GroupLaw:
         and a sample-last stack (n, b, N); see ``_product``."""
         return self._product(self.inv_frame_pattern, list(_as_batch(coords)), stack, left=True)
 
-    def translation_jacobian_batch(self, a, b, stack: np.ndarray, left: bool = True) -> np.ndarray:
-        """d(a·y)/dy at y = b times a sample-last stack, on the left or on the
-        right; (n,) points broadcast against (n, N) batches.  See ``_product``."""
+    def translation_jacobian_batch(self, a, b, stack: np.ndarray) -> np.ndarray:
+        """d(a·y)/dy at y = b times a sample-last stack, on the left; (n,)
+        points broadcast against (n, N) batches.  See ``_product``."""
         a, b = np.broadcast_arrays(_as_batch(a), _as_batch(b))
-        return self._product(self.trans_pattern, list(a) + list(b), stack, left)
+        return self._product(self.trans_pattern, list(a) + list(b), stack, left=True)
 
 
 _LAW_CACHE = DerivedCache("group_law")

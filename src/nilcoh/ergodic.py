@@ -4,17 +4,20 @@ The empirical measure at radius R integrates an observable A over the orbit
 slice {map . g : g in B_R}.  Observables are either frame-derivative entries
 at the identity, map coordinates at a probe point, or expressions over
 derivative entries.  For the translated map, a derivative entry at the
-identity equals the entry of the base map's differential at g, bit for bit:
-``maps.differential_batch`` reads the differential at the moved point and
-never sees the shift.  So whole clouds evaluate in one vectorized pass.  No
-statistic here normalizes the map, as a coordinate observable reads
-F(x)^-1 . F(x . p), in which a shift cancels, and the probe translates
-without the shift F(g)^-1 (``maps._moved``): F may be undefined at the
-origin and at the basepoints.
+identity is the entry of the base map's differential at g, so whole clouds
+evaluate in one vectorized pass of ``maps.differential_batch``.  A
+coordinate observable reads F(y)^-1 . F(y . p), in which a shift cancels,
+so no statistic here normalizes the map.
+
+The probe from a basepoint g averages the right translate x -> F(g . x):
+it moves each chunk of the shared cloud to y = g . x and reads the
+observables of the map itself there, with no shift F(g)^-1, so F may be
+undefined at the origin and at the basepoints.
 
 Ergodicity is never asserted: probes compare orbit averages started from
-several basepoints and report either 'consistent-with-ergodic' or
-'non-ergodic-evidence' against explicit thresholds.
+several basepoints and report 'consistent-with-ergodic',
+'non-ergodic-evidence' or, where a limit, spread or stderr is not finite,
+'inconclusive', against explicit thresholds.
 
 Evaluation is serial.
 """
@@ -24,13 +27,14 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
 from . import dsl
 from .bch import group_law
 from .group import BallSpec, check_radii, cloud_mean, sample_ball_coords
-from .maps import SmoothMap, _moved, differential_batch, evaluate_batch, warn_once
+from .maps import SmoothMap, differential_batch, evaluate_batch, warn_once
 
 DEFAULT_TOL = 1e-2
 
@@ -56,8 +60,9 @@ class Observable:
 
     kind 'derivative': entry (i, j) of the differential at the identity,
     i indexing the domain frame and j the codomain frame (1-based); kind
-    'coordinate': codomain coordinate j of the value at a probe point; kind
-    'expression': any DSL expression over the symbols d11 .. d<n><m>.
+    'coordinate': codomain coordinate j of F(y)^-1 . F(y . p) at a point y
+    and a probe point p; kind 'expression': any DSL expression over the
+    symbols d11 .. d<n><m>.
     """
 
     name: str
@@ -123,6 +128,8 @@ def parse_observable(text: str, domain_dim: int, codomain_dim: int) -> Observabl
         probe = tuple(float(x) for x in m.group(2).split(":"))
         if j > codomain_dim or len(probe) != domain_dim:
             raise ValueError(f"observable {text!r}: index or probe dimension out of range")
+        if not np.all(np.isfinite(probe)):
+            raise ValueError(f"observable {text!r}: probe coordinates must be finite")
         return Observable(name=text, kind="coordinate", j=j, probe=probe)
     # from dimension 10 on, "dIJ" can be read two ways (d111 is d(11,1) or
     # d(1,11)); such symbols are left out, so the parser refuses them
@@ -153,12 +160,19 @@ def empirical_measure(
 
 def _orbit_cloud(domain, radius: float, samples: int, seed: int, shape: str) -> np.ndarray:
     """The sample cloud of B_R; its stream key (seed, shape, radius, 'orbit')
-    holds no basepoint, so every map acted on from one domain shares it."""
+    holds no basepoint, so every basepoint on one domain shares it."""
     return sample_ball_coords(domain, BallSpec(radius, shape), samples, seed, tags=("orbit",))
 
 
-def _measure(m: SmoothMap, observables: list[Observable], cloud: np.ndarray, warn) -> list[dict]:
+def _measure(m: SmoothMap, observables: list[Observable], cloud: np.ndarray, warn,
+             basepoint=None) -> list[dict]:
+    """The observables' means and stderrs over the cloud, each chunk moved to
+    basepoint . x first when a basepoint is given."""
+    law = group_law(m.domain)
+
     def observe(coords: np.ndarray) -> np.ndarray:
+        if basepoint is not None:
+            coords = law.multiply_batch(np.array(basepoint), coords)
         ctx = _ChunkContext(m, coords, warn)
         return np.stack([obs.evaluate_chunk(ctx) for obs in observables])
 
@@ -202,21 +216,22 @@ def convergence_report(
 ) -> ConvergenceReport:
     """Per-observable running means over the schedule with a stability verdict:
     'stable' when the last two increments sit below max(3 stderr, tol)."""
-    (report,) = _convergence_reports(m.domain, [m], observables, radii, samples, seed, shape, tol)
+    (report,) = _convergence_reports(m, [None], observables, radii, samples, seed, shape, tol)
     return report
 
 
-def _convergence_reports(domain, maps, observables, radii, samples, seed, shape, tol):
-    """One ``convergence_report`` per map on ``domain``.  Radii run on the
-    outside, so each radius's cloud is drawn once for all maps and only one
-    cloud is alive at a time; each map keeps its warnings in radius order."""
+def _convergence_reports(m, basepoints, observables, radii, samples, seed, shape, tol):
+    """One ``convergence_report`` per basepoint g, of the right translate
+    x -> F(g . x); g None is the map itself.  Radii run on the outside, so
+    each radius's cloud is drawn once for all basepoints and only one cloud
+    is alive at a time; each basepoint keeps its warnings in radius order."""
     radii = check_radii(radii)
-    warnings: list[list[str]] = [[] for _ in maps]
-    rows: list[list[list[dict]]] = [[] for _ in maps]
+    warnings: list[list[str]] = [[] for _ in basepoints]
+    rows: list[list[list[dict]]] = [[] for _ in basepoints]
     for r in radii:
-        cloud = _orbit_cloud(domain, r, samples, seed, shape)
-        for m, sink, out in zip(maps, warnings, rows):
-            out.append(_measure(m, observables, cloud, warn_once(sink)))
+        cloud = _orbit_cloud(m.domain, r, samples, seed, shape)
+        for g, sink, out in zip(basepoints, warnings, rows):
+            out.append(_measure(m, observables, cloud, warn_once(sink), g))
     return [_report(observables, radii, per_radius, tol, sink)
             for per_radius, sink in zip(rows, warnings)]
 
@@ -250,7 +265,7 @@ class ErgodicityProbe:
     reports: list[ConvergenceReport]
     spreads: dict[str, float]
     tolerances: dict[str, float]
-    verdict: str            # 'consistent-with-ergodic' | 'non-ergodic-evidence'
+    verdict: str            # 'consistent-with-ergodic' | 'non-ergodic-evidence' | 'inconclusive'
     warnings: list[str] = field(default_factory=list)
 
 
@@ -269,26 +284,34 @@ def ergodicity_probe(
 
     For an ergodic limit measure the averages agree for almost every start;
     a spread beyond max(3 sqrt(2) stderr, tol) is reported as evidence
-    against ergodicity (never as a proof either way).  Fewer than 2 distinct
-    basepoints compare nothing and are refused (ValueError).
+    against ergodicity (never as a proof either way).  An observable whose
+    limits, spread or stderrs are not all finite can be compared with no
+    threshold: without such evidence from another observable, the verdict
+    is 'inconclusive', and a warning names the observable.  Fewer than 2
+    distinct basepoints compare nothing and are refused (ValueError).
     """
-    pts = [tuple(float(c) for c in _as_coords(p, m.domain.dim)) for p in basepoints]
+    pts = [_as_coords(p, m.domain.dim) for p in basepoints]
     if len(set(pts)) < 2:
         raise ValueError(f"the ergodicity probe needs at least 2 distinct basepoints, "
                          f"got {len(set(pts))} ({len(pts)} given)")
-    reports = _convergence_reports(m.domain, [_moved(m, p) for p in pts], observables, radii,
-                                   samples, seed, shape, tol)
+    reports = _convergence_reports(m, pts, observables, radii, samples, seed, shape, tol)
     spreads: dict[str, float] = {}
     tolerances: dict[str, float] = {}
-    verdict = "consistent-with-ergodic"
+    evidence = non_finite = False
+    warnings = [w for rep in reports for w in rep.warnings]
     for k, obs in enumerate(observables):
         limits = [rep.traces[k].limit for rep in reports]
-        worst_se = max(rep.traces[k].stderrs[-1] for rep in reports)
+        ses = [rep.traces[k].stderrs[-1] for rep in reports]
         spreads[obs.name] = max(limits) - min(limits)
-        tolerances[obs.name] = max(3.0 * np.sqrt(2.0) * worst_se, tol)
-        if spreads[obs.name] > tolerances[obs.name]:
-            verdict = "non-ergodic-evidence"
-    warnings = [w for rep in reports for w in rep.warnings]
+        tolerances[obs.name] = max(3.0 * np.sqrt(2.0) * max(ses), tol)
+        if not np.all(np.isfinite(limits + ses + [spreads[obs.name]])):
+            non_finite = True
+            warnings.append(f"observable {obs.name}: a limit, spread or stderr is not finite, "
+                            "so the basepoints cannot be compared")
+        elif spreads[obs.name] > tolerances[obs.name]:
+            evidence = True
+    verdict = ("non-ergodic-evidence" if evidence
+               else "inconclusive" if non_finite else "consistent-with-ergodic")
     return ErgodicityProbe(
         basepoints=pts,
         reports=reports,
@@ -299,12 +322,14 @@ def ergodicity_probe(
     )
 
 
-def _as_coords(p, dim: int):
-    if isinstance(p, (int, float)):
+def _as_coords(p, dim: int) -> tuple:
+    if isinstance(p, Real):
         if dim != 1:
             raise ValueError("scalar basepoint only valid for 1-dimensional groups")
-        return (float(p),)
+        p = (p,)
     coords = tuple(float(c) for c in p)
     if len(coords) != dim:
         raise ValueError("basepoint dimension mismatch")
+    if not np.all(np.isfinite(coords)):
+        raise ValueError(f"basepoint {coords} has a coordinate that is not finite")
     return coords

@@ -1,52 +1,45 @@
 """Smooth maps between groups, given componentwise in exponential coordinates.
 
-A map is a tuple of expressions F plus two optional constant points: a
-``shift`` s in the codomain and an ``action`` point g in the domain.  The
-map is
+A map is a tuple of expressions F plus an optional constant ``shift`` s in
+the codomain.  The map is
 
-    x -> s . F(g . x)
+    x -> s . F(x)
 
-with the group law on each side.  ``normalize_to_y0`` sets s = F(0)^-1,
-so the origin maps to the origin; only ``local_degree``,
+with the codomain's group law.  ``normalize_to_y0`` sets s = F(0)^-1, so
+the origin maps to the origin; only ``local_degree``,
 ``area_formula_check`` and ``is_group_homomorphism`` normalize, as they
 compare values with a target, a bounding box or a product, and every other
 call reads the differential or F(x)^-1 . F(y), in which a shift cancels.
-``act(m, g)`` sets action = g and
-s = F(g)^-1, the right-translated map x -> F(g)^-1 . F(g . x), so orbit
-points cost one extra group multiplication per evaluation instead of a
-symbolic rewrite.  The components compile once into one ``dsl.Tape`` that
-the map carries; both constructions keep their parent's tape.
-``_evaluate`` runs the tape at the moved points y = g . x.
+A right translate x -> F(g . x) is no map of its own: its caller moves the
+sample points to g . x (``ergodic``).  The components compile once into
+one ``dsl.Tape`` that the map carries; a normalization keeps its parent's
+tape.  ``_evaluate`` runs the tape at the points it is given.
 
 ``differential`` returns the matrix of the derivative in the left-invariant
 frames of both sides: column b holds the coefficients of the image of the
 b-th domain frame field in the codomain frame.  Left translations preserve
-those frames, so the shift never reaches it and the action only moves the
-point where it is read:
+those frames, so the shift never reaches it:
 
-    D(x) = F_cod(F(y))^-1 @ J_F(y) @ F_dom(y),    y = g . x,
+    D(x) = F_cod(F(x))^-1 @ J_F(x) @ F_dom(x),
 
 with J_F the tape's coordinate Jacobian.  ``differential_batch`` computes
 exactly this, so the differential of ``normalize_to_y0(m)`` is that of m,
-and the differential of ``act(m, g)`` at x is that of m at g . x, bit for
-bit.  The shift is applied only where values are read, by
+bit for bit.  The shift is applied only where values are read, by
 ``evaluate_batch`` and ``jacobian_batch``; ``jacobian_batch`` also
-multiplies in the translation Jacobians of the shift and the action, as
-Newton needs the coordinate Jacobian of the map itself.
-``differential_batch`` returns the matrices alone, and of F(y) it reads
+multiplies in the shift's translation Jacobian, as Newton needs the
+coordinate Jacobian of the map itself.
+``differential_batch`` returns the matrices alone, and of F(x) it reads
 only the coordinates that the inverse codomain frame reads
 (``GroupLaw.inv_frame_reads``: none on an abelian codomain, x1 and x2 on
 H3).  Of the other components, the tape skips the values of the terms
 that reach them through +, - and negation alone (``dsl.evaluate``), so
-the sine of (x1, sin x1) is never evaluated for its differential.  Since the shift
-never enters the differential, ``_moved(m, g)``, ``act(m, g)`` without
-the shift, has its differential without evaluating F(g).
+the sine of (x1, sin x1) is never evaluated for its differential.
 
 Batches of matrices are stored sample-last, (m, n, N): the tape writes the
-Jacobian that way, the frames and translation Jacobians multiply it through
-the group law's sparse products (structural zeros skipped, abelian sides
-free), and ``jacobian_batch`` and ``differential_batch`` return it as an
-(N, m, n) view whose entries are contiguous N-vectors.
+Jacobian that way, the frames and the shift's translation Jacobian multiply
+it through the group laws' sparse products (structural zeros skipped,
+abelian sides free), and ``jacobian_batch`` and ``differential_batch``
+return it as an (N, m, n) view whose entries are contiguous N-vectors.
 
 ``differential_pattern`` runs the frame products on booleans: starting from
 the coordinates each component reads, it gives the entries of the frame
@@ -73,7 +66,6 @@ class SmoothMap:
     codomain: LieAlgebra
     components: tuple
     shift: tuple | None = None
-    action: tuple | None = None
     tape: dsl.Tape | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -89,8 +81,6 @@ class SmoothMap:
                 )
         if self.shift is not None and len(self.shift) != self.codomain.dim:
             raise ValueError("shift length does not match codomain dimension")
-        if self.action is not None and len(self.action) != self.domain.dim:
-            raise ValueError("action point length does not match domain dimension")
         if self.tape is None or self.tape.components is not self.components:
             object.__setattr__(self, "tape", dsl.compile(self.components))
 
@@ -111,23 +101,19 @@ def warn_once(sink: list[str]):
 
 
 def _evaluate(m: SmoothMap, coords: np.ndarray, warn=None, jets: bool = False, reads=None):
-    """F at the moved points y = action . x of a (n, N) batch: y (n, N), the
-    values F(y) (m, N) before the shift, and with ``jets`` the tape's
-    Jacobian J_F(y) in forward mode, sample-last (m, n, N), else None.
-    ``reads``, in forward mode, are the coordinates of F(y) the caller reads
-    (``dsl.evaluate``); the other rows may be NaN."""
+    """F on a (n, N) batch: the values F(x) (m, N) before the shift, and with
+    ``jets`` the tape's Jacobian J_F(x) in forward mode, sample-last
+    (m, n, N), else None.  ``reads``, in forward mode, are the coordinates
+    of F(x) the caller reads (``dsl.evaluate``); the other rows may be NaN."""
     if len(coords) != m.domain.dim:
         raise ValueError(
             f"points have {len(coords)} coordinates, the domain has dimension {m.domain.dim}"
         )
-    moved = coords
-    if m.action is not None:
-        moved = group_law(m.domain).multiply_batch(np.array(m.action), coords)
-    n, count = moved.shape
+    n, count = coords.shape
     values = np.empty((m.codomain.dim, count))
     jac = np.empty((m.codomain.dim, n, count)) if jets else None
-    dsl.evaluate(m.tape, list(moved), values, warn, jac, reads)
-    return moved, values, jac
+    dsl.evaluate(m.tape, list(coords), values, warn, jac, reads)
+    return values, jac
 
 
 def _shifted(m: SmoothMap, values: np.ndarray) -> np.ndarray:
@@ -139,7 +125,7 @@ def _shifted(m: SmoothMap, values: np.ndarray) -> np.ndarray:
 
 def evaluate_batch(m: SmoothMap, coords: np.ndarray, warn=None) -> np.ndarray:
     """Map values on a (n, N) coordinate batch; returns (m, N)."""
-    return _shifted(m, _evaluate(m, np.asarray(coords, dtype=float), warn)[1])
+    return _shifted(m, _evaluate(m, np.asarray(coords, dtype=float), warn)[0])
 
 
 def _at_point(batch, m: SmoothMap, g, warn=None, context: str = ""):
@@ -167,30 +153,25 @@ def jacobian_batch(m: SmoothMap, coords: np.ndarray, warn=None):
     """Values and coordinate Jacobian d f_a / d x_b on a batch: (values (m, N),
     jacobians (N, m, n)); its determinant is that of the frame differential.
 
-    The Jacobian is (T_shift @ J_F) @ T_action, with T_shift and T_action the
-    left-translation Jacobians of the group laws at F(y) and x, multiplied
-    through the laws' sparse products, so an abelian side costs nothing.
+    The Jacobian is T_shift @ J_F, with T_shift the left-translation
+    Jacobian of the codomain's group law at F(x), multiplied through the
+    law's sparse products, so an abelian codomain costs nothing.
     The jacobians are a transposed view of a C-contiguous (m, n, N) array, so
     ``jacobians[:, a, b]`` is one contiguous N-vector."""
-    coords = np.asarray(coords, dtype=float)
-    _, values, jac = _evaluate(m, coords, warn, jets=True)
+    values, jac = _evaluate(m, np.asarray(coords, dtype=float), warn, jets=True)
     if m.shift is not None:
         jac = group_law(m.codomain).translation_jacobian_batch(np.array(m.shift), values, jac)
-    if m.action is not None:
-        jac = group_law(m.domain).translation_jacobian_batch(np.array(m.action), coords, jac,
-                                                             left=False)
     return _shifted(m, values), jac.transpose(2, 0, 1)
 
 
 def differential_batch(m: SmoothMap, coords: np.ndarray, warn=None) -> np.ndarray:
     """Frame-to-frame differential on a batch: the matrices (N, m, n)
-    F_cod(F(y))^-1 @ J_F(y) @ F_dom(y) at the moved points y = action . x
-    (module docstring), as a transposed view of a C-contiguous (m, n, N)
-    array like ``jacobian_batch``.  The shift never enters it, and F(y)
-    only through the coordinates that the inverse codomain frame reads
-    (``GroupLaw.inv_frame_reads``), so the tape skips the values of the
-    other components' terms that reach them through +, - and negation
-    alone.
+    F_cod(F(x))^-1 @ J_F(x) @ F_dom(x) (module docstring), as a transposed
+    view of a C-contiguous (m, n, N) array like ``jacobian_batch``.  The
+    shift never enters it, and F(x) only through the coordinates that the
+    inverse codomain frame reads (``GroupLaw.inv_frame_reads``), so the tape
+    skips the values of the other components' terms that reach them through
+    +, - and negation alone.
 
     The frame products are the group laws' sparse ones (``GroupLaw._product``):
     they skip the structural zeros of the frames, so an infinite Jacobian
@@ -201,10 +182,10 @@ def differential_batch(m: SmoothMap, coords: np.ndarray, warn=None) -> np.ndarra
     NaN only where inf and -inf are added.
     """
     cod = group_law(m.codomain)
-    moved, values, jac = _evaluate(m, np.asarray(coords, dtype=float), warn, jets=True,
-                                   reads=cod.inv_frame_reads)
+    coords = np.asarray(coords, dtype=float)
+    values, jac = _evaluate(m, coords, warn, jets=True, reads=cod.inv_frame_reads)
     mats = cod.inv_frame_batch(values, jac)
-    mats = group_law(m.domain).frame_batch(moved, mats)
+    mats = group_law(m.domain).frame_batch(coords, mats)
     return mats.transpose(2, 0, 1)
 
 
@@ -212,8 +193,8 @@ def differential_pattern(m: SmoothMap) -> np.ndarray:
     """The (m, n) boolean pattern of the entries of the frame differential
     that can be nonzero: the coordinates each component reads, carried
     through the same products as ``differential_batch`` (the inverse
-    codomain frame on the left, the domain frame on the right).  Neither
-    the shift nor the action enters it.
+    codomain frame on the left, the domain frame on the right).  The shift
+    does not enter it.
 
     Every product skips the structural zeros of its polynomial matrix, so an
     entry outside the pattern is exactly 0.0 (or -0.0) at every point, unless
@@ -238,37 +219,12 @@ def normalize_to_y0(m: SmoothMap) -> SmoothMap:
     F is undefined at the origin, the ``DomainError`` names the origin and
     the normalization; an error of no point (a constant that overflows)
     passes as it is."""
-    if m.action is not None:
-        return m
     bare = replace(m, shift=None)
     at_origin = _at_point(evaluate_batch, bare, (0.0,) * m.domain.dim,
                           context="normalizing the map to F(0) = 0: ")[:, 0]
     if not np.any(at_origin):
         return bare
     return replace(m, shift=tuple(-v for v in at_origin))
-
-
-def act(m: SmoothMap, g) -> SmoothMap:
-    """Right action by a group element: the translated map x -> F(g)^-1 F(g x),
-    stored as ``action = g`` and ``shift = F(g)^-1`` (F without any shift).
-
-    Repeated actions collapse through the group law, so
-    act(act(m, g1), g2) == act(m, g1 * g2) by construction.  Where F is
-    undefined at the acting point, the ``DomainError`` names that point.
-    """
-    moved = _moved(m, g)
-    at_g = _at_point(evaluate_batch, replace(moved, action=None), moved.action)[:, 0]
-    return replace(moved, shift=tuple(float(-v) for v in at_g))
-
-
-def _moved(m: SmoothMap, g) -> SmoothMap:
-    """``act(m, g)`` without its shift: x -> F(g x), the action collapsed
-    as in ``act``.  It has the differential of ``act(m, g)`` bit for bit,
-    and F is not evaluated, so it is defined where F(g) is not."""
-    coords = [float(c) for c in g]
-    if m.action is not None:
-        coords = [float(v) for v in group_law(m.domain).multiply(list(m.action), coords)]
-    return replace(m, shift=None, action=tuple(coords))
 
 
 def is_group_homomorphism(m: SmoothMap, seed: int = 0, trials: int = 8, tol: float = 1e-9) -> bool:

@@ -11,11 +11,10 @@ homomorphism property.
 
 A left translation of the codomain changes no pullback, (L_s o psi)* omega
 = psi* L_s* omega = psi* omega, and ``maps.differential_batch`` computes the
-frame differential as F_cod(F(y))^-1 J_F(y) F_dom(y) at the moved point
-y = action . x, without the shift.  So the averages here take the map as it
-is and never normalize it, and neither does ``amenable_norm``: its
-observable reads the differential or F(x)^-1 . F(x . p), in which a shift
-cancels.
+frame differential as F_cod(F(x))^-1 J_F(x) F_dom(x), without the shift.
+So the averages here take the map as it is and never normalize it, and
+neither does ``amenable_norm``: its observable reads the differential or
+F(x)^-1 . F(x . p), in which a shift cancels.
 
 Every coefficient of every form is a sum of k x k minors of the frame
 differential D, that is of entries of its compound matrices (Cauchy-Binet;

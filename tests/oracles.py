@@ -512,8 +512,8 @@ def dense_poly_matrix(polys, vals, count: int) -> np.ndarray:
 def stacked_differential(m, coords):
     """Values (m, N), coordinate Jacobians (N, m, n) and frame differentials
     (N, m, n) the dense way: the tape's Jacobian copied sample-first, the
-    frames and translation Jacobians as dense stacks of every entry, and the
-    products as stacked ``@``, (T_shift @ J) @ T_action and
+    frames and the shift's translation Jacobian as dense stacks of every
+    entry, and the products as stacked ``@``, T_shift @ J and
     (F_cod^-1 @ J) @ F_dom.  The parity oracle of the sparse frame products
     in ``maps``."""
     from nilcoh import dsl
@@ -527,16 +527,13 @@ def stacked_differential(m, coords):
         a, b = np.broadcast_arrays(np.asarray(a, dtype=float)[:, None], b)
         return dense_poly_matrix(law.trans_jac, list(a) + list(b), count)
 
-    moved = coords if m.action is None else dom.multiply_batch(np.array(m.action), coords)
     values = np.empty((m.codomain.dim, count))
     sample_last = np.empty((m.codomain.dim, m.domain.dim, count))
-    dsl.evaluate(m.tape, list(moved), values, None, sample_last)
+    dsl.evaluate(m.tape, list(coords), values, None, sample_last)
     jac = np.ascontiguousarray(sample_last.transpose(2, 0, 1))
     if m.shift is not None:
         jac = translation(cod, m.shift, values) @ jac
         values = cod.multiply_batch(np.array(m.shift), values)
-    if m.action is not None:
-        jac = jac @ translation(dom, m.action, coords)
     frames = dense_poly_matrix(dom.frame, list(coords), count)
     inv_frames = dense_poly_matrix(cod.inv_frame, list(values), count)
     return values, jac, inv_frames @ jac @ frames

@@ -273,6 +273,19 @@ def test_exit_code_on_non_finite_radii_and_windows(files, capsys, argv, value):
     assert f"must be finite, got {value}" in err
 
 
+@pytest.mark.parametrize("argv, value", [
+    (["--observables", "d12", "--basepoints=0,nan"], "nan"),
+    (["--observables", "d12", "--basepoints=0,inf"], "inf"),
+    (["--observables", "coord2@nan", "--basepoints=0,1"], "nan"),
+], ids=["basepoint-nan", "basepoint-inf", "probe-nan"])
+def test_exit_code_on_non_finite_basepoints_and_probe_points(files, capsys, argv, value):
+    # each exited 0 with 'consistent-with-ergodic' and spread 0.0 or NaN limits
+    code, out, err = run(["orbit", "--map", str(files / "f1.map.json"), *argv,
+                          "--radii", "2,4", "--samples", "200"], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and value in err and "finite" in err
+
+
 @pytest.mark.parametrize("argv, code, message", [
     (["average", "--form", "e2", "--radii", "1:2"], 2, "radii spec must be start:factor:count"),
     (["average", "--form", "e2", "--radii", "0:2:3"], 2, "need start > 0, factor > 1"),

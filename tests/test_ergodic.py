@@ -6,8 +6,10 @@ import pytest
 from test_golden import MAPS
 
 from nilcoh import algebra, ergodic
+from nilcoh.bch import group_law
 from nilcoh.degree import qi_distortion_probe
 from nilcoh.dsl import UnknownSymbolError
+from nilcoh.group import BallSpec, cloud_mean, sample_ball_coords
 from nilcoh.ergodic import (
     Observable,
     convergence_report,
@@ -16,7 +18,7 @@ from nilcoh.ergodic import (
     ergodicity_probe,
     parse_observable,
 )
-from nilcoh.maps import act, map_from_texts, normalize_to_y0
+from nilcoh.maps import map_from_texts, normalize_to_y0
 from nilcoh.pullback import amenable_norm
 from nilcoh.report import to_jsonable
 
@@ -127,12 +129,10 @@ def test_convergence_report_identity_trivial():
 
 def test_f2_sign_observable_averages():
     # translate far right: sign(10 + x) is 1 on every sampled radius <= 8
-    moved = act(f2(), [10.0])
-    rep = convergence_report(moved, [derivative_entry(1, 2)], [2.0, 4.0, 8.0], 5000, seed=2)
-    assert rep.traces[0].means == [1.0, 1.0, 1.0]
-    moved = act(f2(), [-10.0])
-    rep = convergence_report(moved, [derivative_entry(1, 2)], [2.0, 4.0, 8.0], 5000, seed=2)
-    assert rep.traces[0].means == [-1.0, -1.0, -1.0]
+    probe = ergodicity_probe(f2(), [derivative_entry(1, 2)], [10.0, -10.0], [2.0, 4.0, 8.0],
+                             5000, seed=2)
+    assert probe.reports[0].traces[0].means == [1.0, 1.0, 1.0]
+    assert probe.reports[1].traces[0].means == [-1.0, -1.0, -1.0]
 
 
 def test_ergodicity_probe_f1_consistent():
@@ -178,6 +178,77 @@ def test_ergodicity_probe_refuses_basepoints_of_the_wrong_dimension(m, basepoint
         ergodicity_probe(m, [derivative_entry(1, 1)], basepoints, [2.0, 4.0], samples=200, seed=0)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_ergodicity_probe_refuses_non_finite_basepoints_and_probes(value):
+    # each read 'consistent-with-ergodic' with spread 0.0 on a NaN or an
+    # infinite basepoint, and on the NaN limits of a non-finite probe point
+    m = map_from_texts(R1, R2, ["x1", "sin(x1)"])
+    with pytest.raises(ValueError, match=re.escape(f"basepoint ({value},) has a coordinate")):
+        ergodicity_probe(m, [derivative_entry(1, 2)], [0.0, value], [2.0, 4.0],
+                         samples=200, seed=0)
+    with pytest.raises(ValueError, match="probe coordinates must be finite"):
+        parse_observable(f"coord2@{value}", 1, 2)
+
+
+def test_ergodicity_probe_accepts_numpy_scalar_basepoints():
+    # np.int64(0) raised "TypeError: 'numpy.int64' object is not iterable"
+    obs = [derivative_entry(1, 2)]
+    want = ergodicity_probe(f1(), obs, [0.0, 1.0], [2.0, 4.0], samples=200, seed=0)
+    for pts in ([np.int64(0), np.int64(1)], [np.float32(0.0), 1]):
+        got = ergodicity_probe(f1(), obs, pts, [2.0, 4.0], samples=200, seed=0)
+        assert repr(got) == repr(want)
+
+
+def test_non_finite_limits_never_read_consistent_with_ergodic():
+    # exp(800*x1) overflows: the d12 limits were inf with spread NaN, the
+    # coord2 limits NaN, and NaN > tol is False, so the probe passed
+    m = map_from_texts(R1, R2, ["x1", "exp(800*x1)"])
+    obs = [parse_observable(t, 1, 2) for t in ("d12", "coord2@0.5")]
+    with np.errstate(all="ignore"):
+        probe = ergodicity_probe(m, obs, [0.0, 1.0], [2.0, 4.0], samples=200, seed=0)
+    assert probe.verdict == "inconclusive"
+    for name in ("d12", "coord2@0.5"):
+        assert f"observable {name}: a limit, spread or stderr is not finite, so the basepoints " \
+               "cannot be compared" in probe.warnings
+    # evidence from a finite observable still stands beside a non-finite one
+    m = map_from_texts(R1, algebra.abelian(3), ["x1", "abs(x1)", "exp(800*x1)"])
+    obs = [derivative_entry(1, 2), derivative_entry(1, 3)]
+    with np.errstate(all="ignore"):
+        probe = ergodicity_probe(m, obs, [-10.0, 10.0], [2.0, 4.0], samples=200, seed=0)
+    assert probe.verdict == "non-ergodic-evidence"
+    assert probe.spreads["d12"] == 2.0
+    assert [w for w in probe.warnings if w.startswith("observable ")] == [
+        "observable d13: a limit, spread or stderr is not finite, so the basepoints cannot be "
+        "compared"]
+
+
+def test_probe_means_match_a_hand_translated_cloud_on_h3():
+    # the probe translates each chunk of the shared cloud by its basepoint:
+    # a derivative mean is that of the whole cloud translated first, bit for
+    # bit, and a coordinate mean reads F(y)^-1 . F(y . p) at y = g . x
+    m = map_from_texts(H3, H3, ["x1 + 0.3*sin(x2)", "x2 - 0.2*cos(x1)", "x3 + 0.1*x1*x2"])
+    obs = [derivative_entry(2, 1), parse_observable("coord3@0.5:-0.25:1", 3, 3)]
+    pts, radii, samples, seed = [(0.0, 0.0, 0.0), (1.5, -2.0, 0.75)], [2.0, 4.0], 3000, 5
+    probe = ergodicity_probe(m, obs, pts, radii, samples, seed)
+    law = group_law(H3)
+
+    def h3(a, b):
+        return a[0] + b[0], a[1] + b[1], a[2] + b[2] + 0.5 * (a[0] * b[1] - a[1] * b[0])
+
+    def F(x):
+        return x[0] + 0.3 * np.sin(x[1]), x[1] - 0.2 * np.cos(x[0]), x[2] + 0.1 * x[0] * x[1]
+
+    for k, r in enumerate(radii):
+        cloud = sample_ball_coords(H3, BallSpec(r, "box"), samples, seed, tags=("orbit",))
+        for g, rep in zip(pts, probe.reports):
+            y = law.multiply_batch(np.array(g), cloud)
+            mean, _ = cloud_mean(y, lambda c: np.stack([o.evaluate_batch(m, c) for o in obs]))
+            assert rep.traces[0].means[k] == mean[0]
+            fy = F(h3(g, cloud))
+            by_hand = h3([-v for v in fy], F(h3(h3(g, cloud), (0.5, -0.25, 1.0))))[2]
+            assert rep.traces[1].means[k] == pytest.approx(np.mean(by_hand), rel=1e-12)
+
+
 def test_identity_probe_consistent_everywhere():
     ident = map_from_texts(H3, H3, ["x1", "x2", "x3"])
     probe = ergodicity_probe(
@@ -195,8 +266,7 @@ def test_identity_probe_consistent_everywhere():
 def test_limits_invariant_under_action():
     obs = [derivative_entry(1, 2, squared=True)]
     radii = [8 * np.pi, 16 * np.pi, 32 * np.pi]
-    base = convergence_report(f1(), obs, radii, samples=60000, seed=9)
-    moved = convergence_report(act(f1(), [0.7]), obs, radii, samples=60000, seed=9)
+    base, moved = ergodicity_probe(f1(), obs, [0.0, 0.7], radii, samples=60000, seed=9).reports
     tol = 3.0 * (base.traces[0].stderrs[-1] + moved.traces[0].stderrs[-1]) + 1e-2
     assert abs(base.traces[0].limit - moved.traces[0].limit) <= tol
 
@@ -242,10 +312,11 @@ def test_reports_are_deterministic():
 def test_ergodicity_probe_draws_each_radius_cloud_once(monkeypatch):
     """The cloud's stream key holds no basepoint, so one draw per radius
     serves every basepoint (it drew one per basepoint and radius), and each
-    report still equals the convergence report of its acted map."""
+    report still equals the one of its basepoint on its own."""
     obs = [derivative_entry(1, 2), derivative_entry(1, 2, squared=True)]
     pts, radii = [0.0, 1.0, np.pi], [2.0, 4.0, 8.0]
-    want = [convergence_report(act(f1(), [p]), obs, radii, samples=3000, seed=7) for p in pts]
+    want = [ergodic._convergence_reports(f1(), [(p,)], obs, radii, 3000, 7, "box",
+                                         ergodic.DEFAULT_TOL)[0] for p in pts]
     draws = []
     sample = ergodic.sample_ball_coords
     monkeypatch.setattr(ergodic, "sample_ball_coords",

@@ -84,7 +84,7 @@ PUBLIC = {
         "DegreeOverflow", "DegreeResult", "DomainError", "ErgodicityProbe", "HomomorphismReport",
         "IllConditionedFrame", "JacobiViolation", "KForm", "LieAlgebra", "NotNilpotent",
         "Observable", "OrbitTrace", "ParseError", "SingularTarget", "SmoothMap",
-        "UnknownSymbolError", "abelian", "act", "algebra_from_dict", "amenable_average",
+        "UnknownSymbolError", "abelian", "algebra_from_dict", "amenable_average",
         "amenable_norm", "area_formula_check", "asymptotic_degree", "basis_covector",
         "basis_form", "box_volume", "ce_differential", "cohomology", "compare_rings",
         "convergence_report", "cup_class", "cup_pairing_rank", "derivative_entry",
@@ -121,7 +121,6 @@ def _coord(m):
 
 SAMPLED = dict(samples=64, seed=0)
 MAP_CALLS = {
-    "act": lambda m, tmp: nilcoh.act(m, [1.0]),
     "amenable_average": lambda m, tmp: nilcoh.amenable_average(
         m, basis_form(m.codomain, (0,)), (2.0, 4.0), **SAMPLED),
     "amenable_norm": lambda m, tmp: [nilcoh.amenable_norm(m, obs, (2.0, 4.0), **SAMPLED)

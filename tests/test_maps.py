@@ -8,9 +8,9 @@ from oracles import dense_poly_matrix, dense_twin, stacked_differential
 from nilcoh import algebra, dsl, local_degree, pullback
 from nilcoh.bch import GroupLaw, Poly, group_law
 from nilcoh.dsl import DomainError
+from nilcoh.ergodic import Observable
 from nilcoh.maps import (
     SmoothMap,
-    act,
     differential,
     differential_batch,
     differential_pattern,
@@ -57,10 +57,10 @@ def test_points_of_the_wrong_length_are_refused():
     from nilcoh.pullback import pullback_eval
 
     ident = map_from_texts(H3, H3, ["x1", "x2", "x3"])
-    moved = act(ident, (1.0, 0.0, 0.0))
+    shifted = SmoothMap(H3, H3, ident.components, shift=(1.0, 0.0, 0.0))
     for point in ([1.0, 2.0, 3.0, 4.0], [1.0, 2.0]):
         message = f"points have {len(point)} coordinates, the domain has dimension 3"
-        for m in (ident, moved):
+        for m in (ident, shifted):
             with pytest.raises(ValueError, match=message) as exc:
                 evaluate(m, point)
             assert not isinstance(exc.value, DomainError)
@@ -79,25 +79,11 @@ def test_domain_error_carries_point():
     assert "-1.0" in str(exc.value)
 
 
-def test_act_names_the_point_where_the_map_is_undefined():
-    # act evaluates F at the acting point for its shift; a DomainError there
-    # named no point
-    m = map_from_texts(R1, R2, ["x1", "1/x1"])
-    with pytest.raises(DomainError) as exc:
-        act(m, [0.0])
-    assert exc.value.coords == (0.0,)
-    assert str(exc.value) == "division by zero at point (0.0)"
-    # an acted map acts again at its action times g
-    with pytest.raises(DomainError) as exc:
-        act(act(m, [1.0]), [-1.0])
-    assert exc.value.coords == (0.0,)
-
-
 def test_only_an_error_at_the_point_names_the_point():
-    # a constant that overflows is no fault of the point, but evaluate and
-    # act said "... at point (1.0)" / "(2.0)"
+    # a constant that overflows is no fault of the point, but evaluate said
+    # "... at point (1.0)"
     m = map_from_texts(R1, R1, ["x1 + 10^400"])
-    for call in (lambda: evaluate(m, [1.0]), lambda: act(m, [2.0])):
+    for call in (lambda: evaluate(m, [1.0]), lambda: differential(m, [2.0])):
         with pytest.raises(DomainError) as exc:
             call()
         assert str(exc.value) == "constant power 10.0^400 overflows a float"
@@ -133,13 +119,13 @@ def test_differential_examples():
 
 def test_jet_differential_matches_finite_differences_through_group_ops():
     m = map_from_texts(H3, H3, ["x1 + sin(x2)", "x2", "x3 + x1*x2/4"])
-    # raw F(0) != 0: act stores a nonzero shift F(g)^-1 on a map never normalized
+    # raw F(0) != 0: the map as it is, and normalized with a nonzero shift F(0)^-1
     shifted = map_from_texts(H3, H3, ["x1 + 0.3*sin(x2) + 1", "x2 - 0.5", "x3 + 0.2*x1^2 + 2"])
     law = group_law(H3)
     x0 = np.array([0.4, 0.9, -1.1])
     frame = dense_poly_matrix(law.frame, list(x0[:, None]), 1)[0]
     h = 1e-6
-    for m in (act(normalize_to_y0(m), [0.3, -0.2, 0.5]), act(shifted, [0.3, -0.2, 0.5])):
+    for m in (normalize_to_y0(m), shifted, normalize_to_y0(shifted)):
         mats = differential_batch(m, x0[:, None])
         got = mats[0]
         cols = []
@@ -169,66 +155,39 @@ def test_normalize_examples():
         assert evaluate(m, pt) == pytest.approx(tuple(pt), abs=1e-12)
 
 
+def _translate(m, g, xs):
+    """The right translate x -> F(g)^-1 . F(g . x) at the columns of xs, read
+    through the orbit's coordinate observables F(y)^-1 . F(y . p) at y = g."""
+    y = np.asarray(g, dtype=float)[:, None]
+    return np.array([[Observable("c", "coordinate", j=j + 1, probe=tuple(x)).evaluate_batch(m, y)[0]
+                      for x in xs.T] for j in range(m.codomain.dim)])
+
+
 def test_act_identity_fixed():
     ident = map_from_texts(H3, H3, ["x1", "x2", "x3"])
-    moved = act(ident, [0.4, 2.0, -1.0])
     pts = np.array([[0.1, 1.0], [0.2, -1.0], [0.3, 0.5]])
-    assert np.allclose(evaluate_batch(moved, pts), pts, atol=1e-12)
+    assert np.allclose(_translate(ident, [0.4, 2.0, -1.0], pts), pts, atol=1e-12)
 
 
 def test_act_gives_sine_orbit_family():
     t = 0.85
-    moved = act(f1(), [t])
     xs = np.array([[0.2, 1.7, -2.4]])
-    got = evaluate_batch(moved, xs)
+    got = _translate(f1(), [t], xs)
     assert np.allclose(got[0], xs[0], atol=1e-14)
     assert np.allclose(got[1], np.sin(xs[0] + t) - np.sin(t), atol=1e-12)
 
 
 def test_act_on_abs_map():
     m = normalize_to_y0(map_from_texts(R1, R2, ["x1", "abs(x1)"]))
-    moved = act(m, [1.0])
     xs = np.array([[0.5, -3.0]])
-    got = evaluate_batch(moved, xs)
+    got = _translate(m, [1.0], xs)
     assert np.allclose(got[1], np.abs(1.0 + xs[0]) - 1.0)
-
-
-def test_action_property_against_manual_nesting():
-    rng = np.random.default_rng(1)
-    m = normalize_to_y0(map_from_texts(H3, H3, ["x1 + sin(x2)/2", "x2", "x3 - cos(x1)/3"]))
-    law = group_law(H3)
-    for _ in range(4):
-        g1 = rng.uniform(-1.5, 1.5, size=3)
-        g2 = rng.uniform(-1.5, 1.5, size=3)
-        p = rng.uniform(-2.0, 2.0, size=3)
-        composed = act(act(m, g1), g2)
-        joint = act(m, np.array(law.multiply(list(g1), list(g2))))
-        lhs = evaluate_batch(composed, p[:, None])[:, 0]
-        rhs = evaluate_batch(joint, p[:, None])[:, 0]
-        # manual nesting: psi = m.g1 evaluated twice through the group law
-        psi = act(m, g1)
-        at_g2 = evaluate_batch(psi, np.asarray(g2, dtype=float)[:, None])[:, 0]
-        at_g2p = evaluate_batch(
-            psi, np.array(law.multiply(list(g2), list(p)), dtype=float)[:, None]
-        )[:, 0]
-        manual = np.array(law.multiply(list(-at_g2), list(at_g2p)), dtype=float)
-        assert np.allclose(lhs, rhs, atol=1e-10)
-        assert np.allclose(lhs, manual, atol=1e-10)
-
-
-def test_a_repeated_action_refuses_a_point_of_the_wrong_length():
-    # the second action multiplies through the group law, which read the
-    # first 3 of 4 coordinates and raised a bare IndexError on 2
-    m = act(map_from_texts(H3, H3, ["x1", "x2", "x3"]), [1, 2, 3])
-    for bad in ([1, 2, 3, 4], [1, 2]):
-        with pytest.raises(ValueError, match=f"3 coordinates, got {len(bad)}"):
-            act(m, bad)
 
 
 def test_act_result_fixes_origin():
     m = normalize_to_y0(map_from_texts(H3, H3, ["x1 + sin(x2)", "x2", "x3"]))
-    moved = act(m, [2.0, -1.0, 0.3])
-    assert evaluate(moved, [0.0, 0.0, 0.0]) == pytest.approx((0.0, 0.0, 0.0), abs=1e-12)
+    got = _translate(m, [2.0, -1.0, 0.3], np.zeros((3, 1)))
+    assert got[:, 0] == pytest.approx((0.0, 0.0, 0.0), abs=1e-12)
 
 
 def test_homomorphism_probe():
@@ -304,11 +263,9 @@ def _nonlinear(alg, constants: bool):
     return map_from_texts(alg, alg, texts)
 
 
-def _maps_of(alg, seed: int):
-    g = np.random.default_rng(seed).uniform(-1.0, 1.0, size=alg.dim)
+def _maps_of(alg):
     yield "bare", _nonlinear(alg, False)
     yield "shifted", normalize_to_y0(_nonlinear(alg, True))
-    yield "acted", act(_nonlinear(alg, True), g)
 
 
 def test_sparse_frame_products_are_bitwise_the_dense_ones_on_abelian_maps():
@@ -318,10 +275,8 @@ def test_sparse_frame_products_are_bitwise_the_dense_ones_on_abelian_maps():
     calls = map_from_texts(R2, R2, ["-cos(x1) + exp(x2)", "x2 - sin(x1)*x2 - tanh(x1 - x2)"])
     # and a constant's sum and difference with a call
     consts = map_from_texts(R1, R2, ["1 + sin(x1)", "2 - cos(x1)"])
-    cases = [act(f1(), [t]) for t in (0.0, 1.0, np.pi)]
-    cases += [x_plus_sin, normalize_to_y0(x_plus_sin), z3, act(z3, [0.5, -1.0])]
-    cases += [calls, normalize_to_y0(calls), act(calls, [0.5, -1.0])]
-    cases += [consts, act(consts, [0.5])]
+    cases = [f1(), x_plus_sin, normalize_to_y0(x_plus_sin), z3]
+    cases += [calls, normalize_to_y0(calls), consts, normalize_to_y0(consts)]
     gen = np.random.default_rng(2)
     for m in cases:
         x = gen.uniform(-3.0, 3.0, size=(m.domain.dim, 64))
@@ -340,7 +295,7 @@ def test_sparse_frame_products_match_the_dense_ones_on_nonabelian_maps(alg):
     # the stacked @ does not add its terms in plain k order, so entries move
     # by about an ulp of the matrix
     gen = np.random.default_rng(3)
-    for kind, m in _maps_of(alg, 4):
+    for kind, m in _maps_of(alg):
         x = gen.uniform(-3.0, 3.0, size=(alg.dim, 200))
         values, jac, mats = stacked_differential(m, x)
         got_mats = differential_batch(m, x)
@@ -359,46 +314,43 @@ NONABELIAN = pytest.mark.parametrize(
 
 @NONABELIAN
 def test_differential_is_bitwise_invariant_under_shifts_and_actions(alg):
-    # left translations preserve the frames: D of s . F(g . x) is D of F at
-    # g . x, which the translation Jacobians of the shift and the action
-    # reproduced only up to rounding (8.9e-16 relative on filiform7)
+    # left translations preserve the frames: D of s . F(x) is D of F at x,
+    # which the translation Jacobian of the shift reproduced only up to
+    # rounding (8.9e-16 relative on filiform7); a right translate reads it at
+    # the moved points g . x
     gen = np.random.default_rng(12)
     m = _nonlinear(alg, True)  # F(0) != 0
     x = gen.uniform(-3.0, 3.0, size=(alg.dim, 200))
     s = tuple(gen.uniform(-2.0, 2.0, size=alg.dim))
-    g = tuple(gen.uniform(-1.0, 1.0, size=alg.dim))
-    want = differential_batch(m, x)
-    for shifted in (normalize_to_y0(m), SmoothMap(alg, alg, m.components, shift=s)):
-        got = differential_batch(shifted, x)
-        assert got.tobytes() == want.tobytes()
-        assert evaluate_batch(shifted, x).tobytes() == stacked_differential(shifted, x)[0].tobytes()
-    moved = group_law(alg).multiply_batch(np.array(g), x)
-    want = differential_batch(m, moved)
-    for acted in (act(m, g), SmoothMap(alg, alg, m.components, shift=s, action=g)):
-        got = differential_batch(acted, x)
-        assert got.tobytes() == want.tobytes()
-        assert evaluate_batch(acted, x).tobytes() == stacked_differential(acted, x)[0].tobytes()
+    g = gen.uniform(-1.0, 1.0, size=alg.dim)
+    for points in (x, group_law(alg).multiply_batch(g, x)):
+        want = differential_batch(m, points)
+        for shifted in (normalize_to_y0(m), SmoothMap(alg, alg, m.components, shift=s)):
+            got = differential_batch(shifted, points)
+            assert got.tobytes() == want.tobytes()
+            values = stacked_differential(shifted, points)[0]
+            assert evaluate_batch(shifted, points).tobytes() == values.tobytes()
 
 
 def _full_differential(m, x):
     """The frame products of ``differential_batch`` on a tape run that
     computes every value, as it ran before unread values were skipped."""
     law_cod, law_dom = group_law(m.codomain), group_law(m.domain)
-    moved = x if m.action is None else law_dom.multiply_batch(np.array(m.action), x)
     values = np.empty((m.codomain.dim, x.shape[1]))
     jac = np.empty((m.codomain.dim, m.domain.dim, x.shape[1]))
-    dsl.evaluate(m.tape, list(moved), values, None, jac)
-    return law_dom.frame_batch(moved, law_cod.inv_frame_batch(values, jac)).transpose(2, 0, 1)
+    dsl.evaluate(m.tape, list(x), values, None, jac)
+    return law_dom.frame_batch(x, law_cod.inv_frame_batch(values, jac)).transpose(2, 0, 1)
 
 
 def test_the_differential_skips_the_unread_sine(monkeypatch):
-    # the abelian inverse frame reads no coordinate of F(y), so sin(x1)'s
+    # the abelian inverse frame reads no coordinate of F(x), so sin(x1)'s
     # value was computed for nothing, and then shifted for nothing
     calls = []
     sin, dsin = dsl._UNARY["sin"]
     monkeypatch.setitem(dsl._UNARY, "sin", (lambda v: calls.append(1) or sin(v), dsin))
-    m = act(f1(), [0.7])  # compiled after the patch
-    assert calls == [1, 1]  # F(0) for the normalization and F(0.7) for act
+    m = normalize_to_y0(map_from_texts(R1, R2, ["x1", "sin(x1) + 1"]))  # compiled after the patch
+    assert m.shift is not None
+    assert calls == [1]  # F(0) for the normalization
     calls.clear()
     x = np.random.default_rng(14).uniform(-3.0, 3.0, size=(1, 64))
     mats = differential_batch(m, x)
@@ -425,8 +377,7 @@ def test_skipped_values_do_not_move_the_differential():
             (h5, ["x1 + 0.3*sin(x2)", "x2", "x3 + 0.2*sin(x4)", "x4 - tanh(x1)",
                   "x5 + 0.2*x1*x3 - cos(x2)"])):
         base = map_from_texts(alg, alg, texts)
-        g = gen.uniform(-1.0, 1.0, size=alg.dim)
-        for m in (base, normalize_to_y0(base), act(base, g)):
+        for m in (base, normalize_to_y0(base)):
             x = gen.uniform(-3.0, 3.0, size=(alg.dim, 100))
             got = differential_batch(m, x)
             assert got.tobytes() == _full_differential(m, x).tobytes()
@@ -495,14 +446,17 @@ def test_unread_components_warn_at_the_abs_kink_as_the_jacobian_does():
 
 @NONABELIAN
 def test_differential_pattern_ignores_shifts_and_actions(alg):
-    # the translation Jacobians entered the pattern: on filiform7 the
-    # action's added an entry to that of a map that never reads x2
+    # the translation Jacobians entered the pattern: on filiform7 a right
+    # translate's added an entry to that of a map that never reads x2; it
+    # reads the differential at the moved points g . x, inside the pattern
     texts = [f"x{i + 1}" for i in range(alg.dim)]
     texts[1] = f"x{alg.dim - 2} + 0.5"
+    x = np.random.default_rng(10).uniform(-3.0, 3.0, size=(alg.dim, 50))
+    moved = group_law(alg).multiply_batch(np.full(alg.dim, 0.5), x)
     for m in (_nonlinear(alg, True), map_from_texts(alg, alg, texts)):
         want = differential_pattern(m)
-        for other in (normalize_to_y0(m), act(m, np.full(alg.dim, 0.5))):
-            assert np.array_equal(differential_pattern(other), want)
+        assert np.array_equal(differential_pattern(normalize_to_y0(m)), want)
+        assert not differential_batch(m, moved)[:, ~want].any()
 
 
 def test_differential_of_an_acted_shifted_map_uses_no_translation_jacobian(monkeypatch):
@@ -511,18 +465,19 @@ def test_differential_of_an_acted_shifted_map_uses_no_translation_jacobian(monke
     monkeypatch.setattr(GroupLaw, "translation_jacobian_batch",
                         lambda *a, **k: calls.append(1) or jac(*a, **k))
     h5 = algebra.heisenberg5()
-    m = act(_nonlinear(h5, True), [0.3, -0.2, 0.5, 1.0, -1.5])
-    assert m.shift is not None and m.action is not None
+    m = normalize_to_y0(_nonlinear(h5, True))
+    assert m.shift is not None
     x = np.random.default_rng(13).uniform(-2.0, 2.0, size=(5, 40))
-    differential_batch(m, x)
-    differential(m, x[:, 0])
+    moved = group_law(h5).multiply_batch(np.array([0.3, -0.2, 0.5, 1.0, -1.5]), x)
+    differential_batch(m, moved)
+    differential(m, moved[:, 0])
     assert not calls
-    jacobian_batch(m, x)  # Newton's coordinate Jacobian does need them
-    assert len(calls) == 2
+    jacobian_batch(m, x)  # Newton's coordinate Jacobian does need the shift's
+    assert len(calls) == 1
 
 
 def test_differentials_are_views_of_sample_last_arrays():
-    m = act(_nonlinear(H3, True), [0.3, -0.2, 0.5])
+    m = normalize_to_y0(_nonlinear(H3, True))
     x = np.random.default_rng(5).uniform(-2.0, 2.0, size=(3, 50))
     for mats in (differential_batch(m, x), jacobian_batch(m, x)[1]):
         assert mats.shape == (50, 3, 3)
@@ -541,7 +496,6 @@ def test_frame_products_on_an_abelian_law_evaluate_no_polynomial(monkeypatch):
     assert law.frame_batch(x, stack) is stack
     assert law.inv_frame_batch(x, stack) is stack
     assert law.translation_jacobian_batch(x[:, 0], x, stack) is stack
-    assert law.translation_jacobian_batch(x[:, 0], x, stack, left=False) is stack
     m = map_from_texts(r3, r3, ["x1 + sin(x2)", "x2*x3", "x3"])
     mats = differential_batch(m, x)
     assert not calls
@@ -566,7 +520,7 @@ def test_an_infinite_jacobian_entry_does_not_spread_through_structural_zeros():
                          ids=["h3", "h5", "filiform7", "free2step3", "h5-dense-twin"])
 def test_differential_is_zero_outside_its_pattern(alg):
     gen = np.random.default_rng(8)
-    for kind, m in _maps_of(alg, 9):
+    for kind, m in _maps_of(alg):
         pattern = differential_pattern(m)
         assert pattern.shape == (alg.dim, alg.dim) and pattern.dtype == bool, kind
         assert 0 < pattern.sum() < pattern.size, kind
@@ -576,7 +530,7 @@ def test_differential_is_zero_outside_its_pattern(alg):
 
 
 def test_differential_pattern_between_abelian_groups():
-    for m in (f1(), act(f1(), [0.7]), map_from_texts(R1, R2, ["3", "x1^2"])):
+    for m in (f1(), normalize_to_y0(map_from_texts(R1, R2, ["3", "x1^2"]))):
         pattern = differential_pattern(m)
         x = np.random.default_rng(9).uniform(-3.0, 3.0, size=(1, 200))
         mats = differential_batch(m, x)

@@ -373,11 +373,12 @@ class GroupLaw:
         result is C-contiguous.
 
         Where an evaluated entry of P is infinite or NaN, a term whose stack
-        entry is exactly 0.0 is 0.0, not 0 * inf = NaN: the rule of
-        ``jets.Jet.d_unary``.  Terms of finite entries keep their bits.  The
-        test is the dot product v . v, finite only if every value is and
-        cheaper than ``np.isfinite(v).all()``; a square that overflows only
-        takes the masking path, which changes nothing there.
+        entry is exactly 0.0 is 0.0, not 0 * inf = NaN: the rule of a call's
+        partials in the DSL (``dsl._Writer.call``).  Terms of finite entries
+        keep their bits.  The test is the dot product v . v, finite only if
+        every value is and cheaper than ``np.isfinite(v).all()``; a square
+        that overflows only takes the masking path, which changes nothing
+        there.
         """
         if pattern.identity:
             return stack

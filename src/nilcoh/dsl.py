@@ -12,32 +12,40 @@ Coordinates are ``x1 .. xn``; functions are sin, cos, exp, log, sqrt, abs,
 tanh.  Positions in error messages are 1-based; end of input counts as one
 past the last character.
 
-Expressions are compiled once (``compile``) into a flat post-order
-``Tape`` that drops each intermediate right after its use.  ``evaluate``
-runs a tape on floats or numpy arrays, or in forward mode on jets
-(Griewank-Walther, *Evaluating Derivatives*, 2nd ed., 2008, ch. 3) with
-the same ops.  In forward mode the caller may name the outputs whose
-values it reads.  A load, sum, difference, negation or call whose value
-reaches an unread output only through +, - and negation (*spare*, as
-``compile`` marks it) then computes its partials only (activity analysis,
-ibid.); every other step, products, quotients and powers included, computes
-its value as before.  Every run raises
+Expressions are compiled (``compile``) into a ``Tape``, and on first use
+for each domain dimension, mode and set of outputs read, into one
+straight-line Python function of numpy ops, built with the builtin
+``compile`` as ``dataclasses`` builds ``__init__``: one line per node in
+the order a walk of the trees meets them.  Constants and functions are
+bound in the function's namespace, so no input text reaches the code.
+Every tape of equal trees shares the functions, so a map loaded twice
+compiles once.  ``evaluate`` runs the function on numpy arrays; in
+forward mode (Griewank-Walther, *Evaluating Derivatives*, 2nd ed., 2008,
+ch. 3) each node also carries the partials of the coordinates it reads,
+and only those, with the multiplications by the seed 1.0 left out.  The
+caller may name the outputs whose values it reads; a backward liveness
+pass then drops every value that no stored output, domain check or
+partials rule reads (activity analysis, ibid.), so an unread output
+x3 + 0.2*sin(x1) evaluates no sine, and each temporary is deleted after
+its last use.  Every run raises
 DomainError on log of a nonpositive value, division by zero, square root
-of a negative, 0 to a negative power, or a constant power too large for a
-float, in the order a walk of the trees would meet them.  Integer powers
-k >= 2 of arrays and jets are products (``jets.powers``), within a
-relative γ_{k-1} of the exact power and the same bits as ``**`` for k = 2;
-constant (Python float) bases and exponents below 2 keep ``**``.
+of a negative, 0 to a negative power, a constant power too large for a
+float, or a coordinate beyond the domain, in the order a walk of the
+trees would meet them.  Integer powers k >= 2 of arrays are products
+(``jets.powers``), within a relative γ_{k-1} of the exact power and the
+same bits as ``**`` for k = 2; constant (Python float) bases and
+exponents below 2 keep ``**``.
 """
 
 from __future__ import annotations
 
+import builtins
 import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jets import Jet, powers, value_of
+from .jets import powers
 
 ADD, MUL, UNARY, POW = 1, 2, 3, 4
 
@@ -324,214 +332,402 @@ _UNARY = {
     "tanh": (np.tanh, lambda v: 1.0 - np.tanh(v) ** 2),
 }
 
+# (test, message) of the checks that refuse a value with a DomainError
+_CHECKS = {
+    "/": ("_equal", "division by zero"),
+    "^": ("_equal", "zero raised to a negative power"),
+    "log": ("_less_equal", "log of a nonpositive value"),
+    "sqrt": ("_less", "sqrt of a negative value"),
+}
+
+# The partial of a coordinate with respect to itself, and the partial of
+# x^0: constants in the generated code, written as these literals.
+_SEED = "1.0"
+_ZERO = "0.0"
+_NAME = re.compile(r"[A-Za-z_]\w*")
+
 
 def _first_bad(mask) -> int | None:
-    mask = np.asarray(mask)
     if mask.ndim == 0:
         return None
     return int(np.argmax(mask))
 
 
-# Each op comes as a pair: the full op, and the partials-only op that a
-# spare step runs in jet mode when its output's value is not read.  The
-# second is None for constants, which are never spare, and for *, / and ^,
-# which run in full: their operands' values are computed anyway, so the
-# value they would skip is one product, quotient or power.
+def _constant_power(base, k: int):
+    try:
+        return base ** k
+    except OverflowError:  # a constant base is a Python float: numpy gives inf
+        raise DomainError(f"constant power {base!r}^{k} overflows a float") from None
 
 
-def _load(index: int, name: str):
-    def load(env, warn):
-        if index >= len(env):
-            raise DomainError(f"coordinate {name} exceeds domain dimension {len(env)}")
-        return env[index]
-
-    return load, lambda env, warn: Jet(None, load(env, warn).partials)
-
-
-def _div(env, warn, a, b):
-    bad = np.equal(value_of(b), 0.0)
-    if np.any(bad):
-        raise DomainError("division by zero", _first_bad(bad))
-    return a / b
+def _kink(raw, warn) -> None:
+    if warn is None:
+        return
+    near = np.less_equal(np.abs(raw), KINK_TOLERANCE)
+    if np.any(near):
+        count = int(np.sum(near)) if np.asarray(near).ndim else 1
+        warn(f"abs evaluated within {KINK_TOLERANCE:g} of its kink ({count} sample(s))")
 
 
-_NEG = (lambda env, warn, a: -a, lambda env, warn, a: Jet(None, a.d_neg()))
-
-_BINARY = {
-    "+": (lambda env, warn, a, b: a + b, lambda env, warn, a, b: Jet(None, Jet.d_add(a, b))),
-    "-": (lambda env, warn, a, b: a - b, lambda env, warn, a, b: Jet(None, Jet.d_sub(a, b))),
-    "*": (lambda env, warn, a, b: a * b, None),
-    "/": (_div, None),
+_NAMESPACE = {
+    "DomainError": DomainError, "_first_bad": _first_bad, "_powers": powers,
+    "_constant_power": _constant_power, "_kink": _kink, "_isfinite": np.isfinite,
+    "_equal": np.equal, "_less": np.less, "_less_equal": np.less_equal, "_nan": np.nan,
 }
 
 
-def _power(k: int):
-    """Raise to the integer k: arrays by products for k >= 2, as jets do
-    (``jets.powers``); Python-float constants, k < 2 and jets go to ``**``."""
+@dataclass(frozen=True)
+class _Term:
+    """A node of the generated code: the name (or literal) of its value and,
+    for a node that reads a coordinate, its partials by coordinate (empty
+    when only values are computed); None for a constant, a Python float at
+    run time."""
 
-    def power(env, warn, base):
+    value: str
+    partials: dict | None
+
+
+class _Unreachable(Exception):
+    """A coordinate beyond the domain: the code after its raise never runs."""
+
+
+class _Writer:
+    """Straight-line code for one tape, domain dimension, mode and set of
+    outputs read: one line per op, in the order a walk of the trees meets
+    them, then a backward liveness pass (``source``)."""
+
+    def __init__(self, n: int, derivatives: bool, reads: frozenset):
+        self.n = n
+        self.derivatives = derivatives
+        self.reads = reads
+        self.namespace = dict(_NAMESPACE)
+        self.lines: list[tuple[str, tuple, tuple, bool]] = []  # text, defines, reads, root
+
+    def bind(self, value) -> str:
+        name = f"c{len(self.namespace) - len(_NAMESPACE)}"
+        self.namespace[name] = value
+        return name
+
+    def line(self, text: str, defines=(), reads=(), root: bool = False) -> None:
+        self.lines.append((text, defines, reads, root))
+
+    def emit(self, template: str, *operands: str, root: bool = False) -> str:
+        """A new temporary assigned the template filled with the operands:
+        names, literals or the products of ``product``."""
+        name = f"t{len(self.lines)}"
+        self.line(f"{name} = " + template.format(*operands), (name,),
+                  tuple(_NAME.findall(" ".join(operands))), root)
+        return name
+
+    def times(self, p: str, q: str) -> str:
+        """p * q, with the multiplication by the seed left out."""
+        return q if p == _SEED else p if q == _SEED else self.emit("{} * {}", p, q)
+
+    @staticmethod
+    def product(p: str, q: str) -> str:
+        return q if p == _SEED else p if q == _SEED else f"{p} * {q}"
+
+    def check(self, kind: str, value: str) -> None:
+        test, message = _CHECKS[kind]
+        self.line(f"if (bad := {test}({value}, 0.0)).any(): "
+                  f"raise DomainError({message!r}, _first_bad(bad))", reads=(value,), root=True)
+
+    # -- nodes ----------------------------------------------------------------
+
+    def node(self, expr) -> _Term:
+        if isinstance(expr, Num):
+            return _Term(self.bind(expr.value), None)
+        if isinstance(expr, PiConst):
+            return _Term(self.bind(np.pi), None)
+        if isinstance(expr, Coord):
+            if not isinstance(expr.index, int) or expr.index < 0:  # it names a local below
+                raise TypeError(f"not a coordinate index: {expr.index!r}")
+            if expr.index >= self.n:
+                message = f"coordinate {expr.name} exceeds domain dimension {self.n}"
+                self.line(f"raise DomainError({self.bind(message)})", root=True)
+                raise _Unreachable
+            return _Term(f"x{expr.index}", {expr.index: _SEED} if self.derivatives else {})
+        if isinstance(expr, Neg):
+            return self.neg(self.node(expr.arg))
+        if isinstance(expr, Bin):
+            if expr.op not in _BINARY:  # the op is written into the code below
+                raise TypeError(f"not an expression node: {expr!r}")
+            left = self.node(expr.left)
+            right = self.node(expr.right)
+            if expr.op == "/":
+                self.check("/", right.value)
+            varying = left.partials is not None or right.partials is not None
+            if self.derivatives and varying:
+                return _BINARY[expr.op](self, left, right)
+            return _Term(self.emit(f"{{}} {expr.op} {{}}", left.value, right.value),
+                         {} if varying else None)
+        if isinstance(expr, Pow):
+            return self.power(self.node(expr.base), expr.exponent)
+        if isinstance(expr, Call):
+            return self.call(expr.fn, self.node(expr.arg))
+        raise TypeError(f"not an expression node: {expr!r}")
+
+    def neg(self, a: _Term) -> _Term:
+        parts = a.partials and {j: self.emit("-{}", p) for j, p in a.partials.items()}
+        return _Term(self.emit("-{}", a.value), parts)
+
+    # Each rule below is the forward-mode rule of one operator on operands
+    # that read a coordinate (jets: Griewank-Walther, *Evaluating
+    # Derivatives*, 2nd ed., 2008, ch. 3), in the order and association of
+    # the dense reference (``tests/oracles.Jet``): the partial of a
+    # coordinate that an operand does not read is left out of every sum,
+    # so where the dense partials add ±0.0, or NaN from 0 * inf, these
+    # carry only the other terms.  A constant left operand is on the right
+    # of the value, as in Python's reflected operators.
+
+    def add(self, a: _Term, b: _Term) -> _Term:
+        if b.partials is None:
+            return _Term(self.emit("{} + {}", a.value, b.value), a.partials)
+        if a.partials is None:
+            return _Term(self.emit("{} + {}", b.value, a.value), b.partials)
+        parts = dict(a.partials)
+        for j, q in b.partials.items():
+            parts[j] = self.emit("{} + {}", parts[j], q) if j in parts else q
+        return _Term(self.emit("{} + {}", a.value, b.value), dict(sorted(parts.items())))
+
+    def sub(self, a: _Term, b: _Term) -> _Term:
+        value = self.emit("{} - {}", a.value, b.value)
+        if b.partials is None:
+            return _Term(value, a.partials)
+        parts = dict(a.partials or {})
+        for j, q in b.partials.items():
+            parts[j] = self.emit("{} - {}", parts[j], q) if j in parts else self.emit("-{}", q)
+        return _Term(value, dict(sorted(parts.items())))
+
+    def mul(self, a: _Term, b: _Term) -> _Term:
+        if b.partials is None:
+            return _Term(self.emit("{} * {}", a.value, b.value),
+                         {j: self.times(p, b.value) for j, p in a.partials.items()})
+        if a.partials is None:
+            return _Term(self.emit("{} * {}", b.value, a.value),
+                         {j: self.times(q, a.value) for j, q in b.partials.items()})
+        parts = {}
+        for j in sorted(a.partials.keys() | b.partials.keys()):
+            p, q = a.partials.get(j), b.partials.get(j)
+            if q is None:
+                parts[j] = self.times(p, b.value)
+            elif p is None:
+                parts[j] = self.times(q, a.value)
+            else:
+                parts[j] = self.emit("{} + {}", self.product(p, b.value), self.product(q, a.value))
+        return _Term(self.emit("{} * {}", a.value, b.value), parts)
+
+    def div(self, a: _Term, b: _Term) -> _Term:
+        value = self.emit("{} / {}", a.value, b.value)
+        if b.partials is None:
+            return _Term(value, {j: self.emit("{} / {}", p, b.value) for j, p in a.partials.items()})
+        inv = self.emit("1.0 / {}", b.value)
+        if a.partials is None:
+            scale = self.emit("{} * {} * {}", a.value, inv, inv)
+            return _Term(value, {j: self.emit("-{}", scale) if q == _SEED
+                                 else self.emit("-{} * {}", q, scale)
+                                 for j, q in b.partials.items()})
+        ratio = self.emit("{} * {}", a.value, inv)
+        parts = {}
+        for j in sorted(a.partials.keys() | b.partials.keys()):
+            p, q = a.partials.get(j), b.partials.get(j)
+            if q is None:
+                parts[j] = self.times(p, inv)
+            elif p is None:
+                parts[j] = self.emit("-({}) * {}", self.product(q, ratio), inv)
+            else:
+                parts[j] = self.emit("({} - {}) * {}", p, self.product(q, ratio), inv)
+        return _Term(value, parts)
+
+    def power(self, a: _Term, k: int) -> _Term:
+        """Integer powers k >= 2 of arrays are products (``jets.powers``);
+        constants, and k < 2, keep ``**``."""
         if k < 0:
-            bad = np.equal(value_of(base), 0.0)
-            if np.any(bad):
-                raise DomainError("zero raised to a negative power", _first_bad(bad))
-        if k >= 2 and isinstance(base, np.ndarray):
-            return powers(base, k)[1]
-        try:
-            return base ** k
-        except OverflowError:  # a constant base is a Python float: numpy gives inf
-            raise DomainError(f"constant power {base!r}^{k} overflows a float") from None
+            self.check("^", a.value)
+        exponent = self.bind(k)
+        if a.partials is None:  # it raises on overflow: a check, always run
+            return _Term(self.emit("_constant_power({}, {})", a.value, exponent, root=True), None)
+        if not self.derivatives:
+            template = "_powers({}, {})[1]" if k >= 2 else "{} ** {}"
+            return _Term(self.emit(template, a.value, exponent), {})
+        if k >= 2:
+            below, value = f"t{len(self.lines)}", f"t{len(self.lines)}v"
+            self.line(f"{below}, {value} = _powers({a.value}, {exponent})", (below, value),
+                      (a.value,))
+            slope = self.emit("{} * {}", exponent, below)
+        else:
+            value = self.emit("{} ** {}", a.value, exponent)
+            if k == 0:
+                return _Term(value, dict.fromkeys(a.partials, _ZERO))
+            slope = self.emit("{} * {} ** {}", exponent, a.value, self.bind(k - 1))
+        return _Term(value, {j: self.times(slope, p) for j, p in a.partials.items()})
 
-    return power, None
+    def call(self, fn: str, a: _Term) -> _Term:
+        if fn in _CHECKS:
+            self.check(fn, a.value)
+        elif fn == "abs":
+            self.line(f"_kink({a.value}, warn)", reads=(a.value,), root=True)
+        f, df = _UNARY[fn]
+        value = self.emit("{}({})", self.bind(f), a.value)
+        if not a.partials:
+            return _Term(value, a.partials)
+        slope = self.emit("{}({})", self.bind(df), a.value)
+        parts = {j: self.times(slope, p) for j, p in a.partials.items()}
+        masked = [j for j, p in a.partials.items() if p != _SEED]
+        if masked:  # an exact 0 partial of the argument stays 0, not inf * 0 = NaN
+            fixes = "; ".join(f"{parts[j]}[({a.partials[j]} == 0.0) & ~_isfinite({slope})] = 0.0"
+                              for j in masked)
+            self.line(f"if not _isfinite({slope}).all(): {fixes}",
+                      tuple(parts[j] for j in masked),
+                      (slope, *(parts[j] for j in masked), *(a.partials[j] for j in masked)))
+        return _Term(value, parts)
+
+    # -- outputs --------------------------------------------------------------
+
+    def store(self, a: int, term: _Term) -> None:
+        if a in self.reads:
+            self.line(f"values[{a}] = {term.value}", reads=(term.value,), root=True)
+        else:
+            self.line(f"values[{a}] = _nan", root=True)
+        if not self.derivatives:
+            return
+        if not term.partials:
+            self.line(f"jac[{a}] = 0.0", root=True)
+            return
+        for j in range(self.n):
+            p = term.partials.get(j, _ZERO)
+            self.line(f"jac[{a}, {j}] = {p}", reads=(p,), root=True)
+
+    def source(self) -> str:
+        """The function's text: the lines that a stored output, a domain
+        check or a partials rule reads (a backward liveness pass), each
+        temporary deleted after its last use."""
+        live: set = set()
+        kept = []
+        for text, defines, reads, root in reversed(self.lines):
+            if root or live.intersection(defines):
+                kept.append((text, defines, reads))
+                live.update(reads)
+        kept.reverse()
+        last = {}
+        for i, (_, defines, reads) in enumerate(kept):
+            for name in (*defines, *reads):
+                if name.startswith("t"):
+                    last[name] = i
+        body = []
+        for i, (text, defines, reads) in enumerate(kept):
+            body.append(text)
+            done = sorted({name for name in (*defines, *reads) if last.get(name) == i})
+            if done:
+                body.append(f"del {', '.join(done)}")
+        head = [f"{', '.join(f'x{j}' for j in range(self.n))}, = env"] if self.n else []
+        lines = head + body or ["pass"]
+        return "def run(env, values, jac, warn):\n" + "".join(f"    {s}\n" for s in lines)
 
 
-def _call(fn: str):
-    f, df = _UNARY[fn]
+_BINARY = {"+": _Writer.add, "-": _Writer.sub, "*": _Writer.mul, "/": _Writer.div}
 
-    def check(raw, warn) -> None:
-        if fn == "log":
-            bad = np.less_equal(raw, 0.0)
-            if np.any(bad):
-                raise DomainError("log of a nonpositive value", _first_bad(bad))
-        elif fn == "sqrt":
-            bad = np.less(raw, 0.0)
-            if np.any(bad):
-                raise DomainError("sqrt of a negative value", _first_bad(bad))
-        elif fn == "abs" and warn is not None:
-            near = np.less_equal(np.abs(raw), KINK_TOLERANCE)
-            if np.any(near):
-                count = int(np.sum(near)) if np.asarray(near).ndim else 1
-                warn(f"abs evaluated within {KINK_TOLERANCE:g} of its kink ({count} sample(s))")
 
-    def call(env, warn, arg):
-        check(value_of(arg), warn)
-        if isinstance(arg, Jet):
-            return arg.unary(f, df)
-        return f(arg)
+def _generate(exprs: tuple, n: int, derivatives: bool, reads: frozenset):
+    """The function run(env, values, jac, warn) of a tape (``Tape``)."""
+    writer = _Writer(n, derivatives, reads)
+    try:
+        for a, expr in enumerate(exprs):
+            writer.store(a, writer.node(expr))
+    except _Unreachable:
+        pass
+    namespace = writer.namespace
+    exec(builtins.compile(writer.source(), "<dsl tape>", "exec"), namespace)
+    return namespace["run"]
 
-    def d_call(env, warn, arg):
-        check(arg.value, warn)
-        return Jet(None, arg.d_unary(df))
 
-    return call, d_call
+def _signature(exprs: tuple) -> tuple:
+    """The trees in prefix order, one entry per node, with each number by
+    its repr: unlike ==, it tells 0.0 from -0.0.  Refuses what is not an
+    expression node."""
+    out = []
+    stack = list(reversed(exprs))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (Coord, PiConst)):
+            out.append(node)
+        elif isinstance(node, Num):
+            out.append(("num", repr(node.value)))
+        elif isinstance(node, Bin):
+            out.append(("bin", node.op))
+            stack += (node.right, node.left)
+        elif isinstance(node, Neg):
+            out.append(("neg",))
+            stack.append(node.arg)
+        elif isinstance(node, Call):
+            out.append(("call", node.fn))
+            stack.append(node.arg)
+        elif isinstance(node, Pow):
+            out.append(("pow", repr(node.exponent)))
+            stack.append(node.base)
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+    return tuple(out)
+
+
+# The compiled functions of every tape, by the signature of its trees:
+# every tape of equal trees shares them, so a map loaded twice compiles
+# once.  The table lives as long as the process and holds one entry per
+# distinct set of trees.  Two threads may generate the same function at
+# once; both results are the same code, and either is kept.
+_RUNS: dict[tuple, dict] = {}
 
 
 @dataclass(frozen=True, eq=False)
 class Tape:
-    """Expressions compiled into one flat op list in post-order.
+    """Expressions to be compiled into straight-line code.
 
-    ``steps`` holds (op, arity, output): the op pops its ``arity``
-    arguments off a stack, so each intermediate is dropped right after its
-    one use, and its result is stored as component ``output`` or, when that
-    is None, pushed.
-
-    A step is *spare* when its value reaches its component's output only
-    through +, - and negation.  Every other step is *read*: its value
-    reaches, through sums or directly, an operand of *, /, ^ or a function
-    call, whose partials rule and domain check read it.  ``spare`` lists
-    (step index, output, partials-only op) for each spare load, sum,
-    difference, negation or call that reads a coordinate; constant subtrees
-    are never spare, and a spare product, quotient or power runs in full.
+    ``run`` generates, on first use for each domain dimension, mode (values,
+    or values and first partials) and set of outputs read, one Python
+    function of numpy ops and caches it in ``_runs``, which every tape of
+    equal expression trees shares.
     """
 
     components: tuple
-    steps: tuple
-    spare: tuple
     _runs: dict = field(default_factory=dict, repr=False)
 
-    def steps_reading(self, reads) -> tuple:
-        """``steps`` with the partials-only op in every spare step of an
-        output not in ``reads``; built once per set of outputs."""
-        reads = frozenset(reads)
-        steps = self._runs.get(reads)
-        if steps is None:
-            out = list(self.steps)
-            for i, a, d_op in self.spare:
-                if a not in reads:
-                    out[i] = (d_op, *out[i][1:])
-            steps = self._runs[reads] = tuple(out)
-        return steps
+    def run(self, n: int, derivatives: bool, reads=None):
+        key = (n, derivatives, None if reads is None else frozenset(reads))
+        run = self._runs.get(key)
+        if run is None:
+            outputs = frozenset(range(len(self.components)))
+            run = _generate(self.components, n, derivatives,
+                            outputs if reads is None else outputs & key[2])
+            self._runs[key] = run
+        return run
 
 
 def compile(exprs) -> Tape:
-    """Compile expressions once into a ``Tape``: one op per node, in the
-    order a walk of the trees would evaluate them.  Nothing is evaluated
-    here: constants and domain checks run with the tape."""
+    """A ``Tape`` of the expressions, sharing its compiled functions with
+    every tape of equal trees.  Nothing is evaluated here, nor generated:
+    constants, domain checks and the code run with the tape.  Raises
+    TypeError on what is not an expression node."""
     exprs = tuple(exprs)
-    steps: list = []
-    spare: list = []
-    output = 0  # the component being compiled; the loop below sets it
-
-    def emit(ops, arity: int, varying: bool, is_spare: bool) -> bool:
-        if is_spare and varying and ops[1] is not None:
-            spare.append((len(steps), output, ops[1]))
-        steps.append((ops[0], arity, None))
-        return varying
-
-    def node(expr, is_spare: bool) -> bool:
-        """Append the steps of expr; returns whether it reads a coordinate."""
-        if isinstance(expr, Num):
-            return emit((lambda env, warn, v=expr.value: v, None), 0, False, is_spare)
-        if isinstance(expr, PiConst):
-            return emit((lambda env, warn: np.pi, None), 0, False, is_spare)
-        if isinstance(expr, Coord):
-            return emit(_load(expr.index, expr.name), 0, True, is_spare)
-        if isinstance(expr, Neg):
-            return emit(_NEG, 1, node(expr.arg, is_spare), is_spare)
-        if isinstance(expr, Bin):
-            summand = is_spare and expr.op in ("+", "-")
-            left = node(expr.left, summand)
-            right = node(expr.right, summand)
-            return emit(_BINARY[expr.op], 2, left or right, is_spare)
-        if isinstance(expr, Pow):
-            return emit(_power(expr.exponent), 1, node(expr.base, False), is_spare)
-        if isinstance(expr, Call):
-            return emit(_call(expr.fn), 1, node(expr.arg, False), is_spare)
-        raise TypeError(f"not an expression node: {expr!r}")
-
-    for output, expr in enumerate(exprs):
-        node(expr, True)
-        steps[-1] = (*steps[-1][:2], output)
-    return Tape(exprs, tuple(steps), tuple(spare))
+    return Tape(exprs, _RUNS.setdefault(_signature(exprs), {}))
 
 
 def evaluate(tape: Tape, env: list, values: np.ndarray, warn=None, jac: np.ndarray | None = None,
              reads=None):
-    """Run a tape over an environment of floats or arrays.
+    """Run a tape over an environment of numpy arrays, one per coordinate.
 
     ``values[a]`` receives output a.  With ``jac`` (m, n, N), sample-last,
-    the run is in forward mode on jets seeded at the n coordinates, and
-    ``jac[a]`` receives output a's (n, N) partials (zero for a constant
-    output).  In forward mode, ``reads``, if given, holds the outputs whose
-    values the caller reads: the spare steps of the others compute their
-    partials only (``Tape``), and an output whose last step is such a step
-    gets a NaN row of ``values``.  Domain checks and warnings run as in a full run,
-    as every value they read is computed.  ``warn``, if given, is called
-    with a message for soft diagnostics (currently: an abs op evaluated
-    within 1e-9 of its kink).
+    the run also computes first partials in forward mode, and ``jac[a, j]``
+    receives output a's partial with respect to coordinate j: exactly +0.0
+    where the output does not read x_j, or reads it only under ^0.
+    ``reads``, if given, holds the outputs whose values the caller reads:
+    every other output gets a NaN row of ``values``, and its value is
+    computed only where a partial, a domain check or another output reads
+    it.  Domain checks and warnings run as in a full run, in the order a
+    walk of the trees meets them.  ``warn``, if given, is called with a
+    message for soft diagnostics (currently: an abs op evaluated within
+    1e-9 of its kink).
     """
-    steps = tape.steps
-    if jac is not None:
-        env = [Jet.seed(v, i, len(env)) for i, v in enumerate(env)]
-        if reads is not None:
-            steps = tape.steps_reading(reads)
-    stack: list = []
-    for op, arity, a in steps:
-        if arity == 0:
-            out = op(env, warn)
-        elif arity == 1:
-            out = op(env, warn, stack.pop())
-        else:
-            right = stack.pop()
-            out = op(env, warn, stack.pop(), right)
-        if a is None:
-            stack.append(out)
-        elif isinstance(out, Jet):
-            values[a] = np.nan if out.value is None else out.value
-            jac[a] = out.partials
-        else:
-            values[a] = out
-            if jac is not None:
-                jac[a] = 0.0
+    tape.run(len(env), jac is not None, reads)(env, values, jac, warn)
 
 
 # -- printing -----------------------------------------------------------------

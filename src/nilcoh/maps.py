@@ -11,9 +11,10 @@ the origin maps to the origin; only ``local_degree``,
 compare values with a target, a bounding box or a product, and every other
 call reads the differential or F(x)^-1 . F(y), in which a shift cancels.
 A right translate x -> F(g . x) is no map of its own: its caller moves the
-sample points to g . x (``ergodic``).  The components compile once into
-one ``dsl.Tape`` that the map carries; a normalization keeps its parent's
-tape.  ``_evaluate`` runs the tape at the points it is given.
+sample points to g . x (``ergodic``).  The components compile into one
+``dsl.Tape`` that the map carries, whose generated code every map of the
+same texts shares; a normalization keeps its parent's tape.
+``_evaluate`` runs the tape at the points it is given.
 
 ``differential`` returns the matrix of the derivative in the left-invariant
 frames of both sides: column b holds the coefficients of the image of the
@@ -31,9 +32,10 @@ coordinate Jacobian of the map itself.
 ``differential_batch`` returns the matrices alone, and of F(x) it reads
 only the coordinates that the inverse codomain frame reads
 (``GroupLaw.inv_frame_reads``: none on an abelian codomain, x1 and x2 on
-H3).  Of the other components, the tape skips the values of the terms
-that reach them through +, - and negation alone (``dsl.evaluate``), so
-the sine of (x1, sin x1) is never evaluated for its differential.
+H3).  Of the other components, the tape computes only the values that a
+partial or a domain check reads (``dsl.evaluate``), so the sine of
+(x1, sin x1), or of x3 + 0.2*sin(x1) on H3, is never evaluated for the
+differential.
 
 Batches of matrices are stored sample-last, (m, n, N): the tape writes the
 Jacobian that way, the frames and the shift's translation Jacobian multiply
@@ -104,7 +106,7 @@ def _evaluate(m: SmoothMap, coords: np.ndarray, warn=None, jets: bool = False, r
     """F on a (n, N) batch: the values F(x) (m, N) before the shift, and with
     ``jets`` the tape's Jacobian J_F(x) in forward mode, sample-last
     (m, n, N), else None.  ``reads``, in forward mode, are the coordinates
-    of F(x) the caller reads (``dsl.evaluate``); the other rows may be NaN."""
+    of F(x) the caller reads (``dsl.evaluate``); the other rows are NaN."""
     if len(coords) != m.domain.dim:
         raise ValueError(
             f"points have {len(coords)} coordinates, the domain has dimension {m.domain.dim}"
@@ -169,9 +171,9 @@ def differential_batch(m: SmoothMap, coords: np.ndarray, warn=None) -> np.ndarra
     F_cod(F(x))^-1 @ J_F(x) @ F_dom(x) (module docstring), as a transposed
     view of a C-contiguous (m, n, N) array like ``jacobian_batch``.  The
     shift never enters it, and F(x) only through the coordinates that the
-    inverse codomain frame reads (``GroupLaw.inv_frame_reads``), so the tape
-    skips the values of the other components' terms that reach them through
-    +, - and negation alone.
+    inverse codomain frame reads (``GroupLaw.inv_frame_reads``), so of the
+    other components the tape computes only the values their partials
+    read.
 
     The frame products are the group laws' sparse ones (``GroupLaw._product``):
     they skip the structural zeros of the frames, so an infinite Jacobian
@@ -196,11 +198,11 @@ def differential_pattern(m: SmoothMap) -> np.ndarray:
     codomain frame on the left, the domain frame on the right).  The shift
     does not enter it.
 
-    Every product skips the structural zeros of its polynomial matrix, so an
-    entry outside the pattern is exactly 0.0 (or -0.0) at every point, unless
-    an infinite or NaN value enters it as 0 * inf: dense jets give NaN
-    partials at coordinates a component does not read when its value
-    overflows.
+    The tape carries no partial of a coordinate a component does not read:
+    that Jacobian entry is exactly +0.0, also where the value overflows.
+    Every product skips the structural zeros of its polynomial matrix and
+    keeps a term 0 where an exact 0 meets an infinite entry, so an entry
+    outside the pattern is exactly 0.0 (or -0.0) at every point.
     """
     pattern = np.zeros((m.codomain.dim, m.domain.dim), dtype=bool)
     for a, comp in enumerate(m.components):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from nilcoh import algebra
+from nilcoh import algebra, dsl
 
 
 # nonzero rationals with +-1 drawn often, for the exact kernels' unit and
@@ -51,3 +51,21 @@ def rational_filiform5():
 @pytest.fixture(scope="session")
 def algebras() -> dict:
     return corpus()
+
+
+@pytest.fixture
+def value_calls(monkeypatch):
+    """Counts of the value calls of each DSL function, in code generated
+    from now on (a fresh table of compiled tapes)."""
+    calls = dict.fromkeys(dsl.FUNCTIONS, 0)
+
+    def counted(fn, f):
+        def g(v):
+            calls[fn] += 1
+            return f(v)
+        return g
+
+    for fn, (f, df) in list(dsl._UNARY.items()):
+        monkeypatch.setitem(dsl._UNARY, fn, (counted(fn, f), df))
+    monkeypatch.setattr(dsl, "_RUNS", {}, raising=False)
+    return calls

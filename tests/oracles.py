@@ -297,6 +297,99 @@ def naive_preimages(points, converged, dets, scales, tol):
     return roots, margins
 
 
+class Jet:
+    """Dense forward-mode first derivatives: the reference for the DSL's
+    generated code.
+
+    A ``Jet`` carries a value and its partials with respect to all n input
+    coordinates: values are numpy sample batches, partials (n,) + value.shape,
+    and the partials of a coordinate the value does not read are ±0.0, or
+    NaN where 0 * inf entered them.  Arithmetic implements the exact
+    differentiation rules with the same ops the generated code runs, so the
+    values agree bit for bit, and so do the partials of the coordinates a
+    value reads, up to the ±0.0 and 0 * inf terms the generated code leaves
+    out.  A quotient's value is a/b, bit for bit the float evaluation; its
+    partials are built from 1/b.  Integer powers k >= 2 are
+    ``nilcoh.jets.powers``, x^(k-1)·x, with partials (k·x^(k-1))·partials.
+    """
+
+    __slots__ = ("value", "partials")
+
+    def __init__(self, value, partials):
+        self.value = value
+        self.partials = partials
+
+    @classmethod
+    def seed(cls, values, index: int, count: int) -> "Jet":
+        """Input coordinate jet: d/dx_index = 1."""
+        values = np.asarray(values, dtype=float)
+        partials = np.zeros((count,) + values.shape)
+        partials[index] = 1.0
+        return cls(values, partials)
+
+    def __add__(self, other):
+        if isinstance(other, Jet):
+            return Jet(self.value + other.value, self.partials + other.partials)
+        return Jet(self.value + other, self.partials)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Jet(-self.value, -self.partials)
+
+    def __sub__(self, other):
+        if isinstance(other, Jet):
+            return Jet(self.value - other.value, self.partials - other.partials)
+        return Jet(self.value - other, self.partials)
+
+    def __rsub__(self, other):
+        return Jet(other - self.value, -self.partials)
+
+    def __mul__(self, other):
+        if isinstance(other, Jet):
+            return Jet(
+                self.value * other.value,
+                self.partials * other.value + other.partials * self.value,
+            )
+        return Jet(self.value * other, self.partials * other)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, Jet):
+            inv = 1.0 / other.value
+            return Jet(
+                self.value / other.value,
+                (self.partials - other.partials * (self.value * inv)) * inv,
+            )
+        return Jet(self.value / other, self.partials / other)
+
+    def __rtruediv__(self, other):
+        inv = 1.0 / self.value
+        return Jet(other / self.value, -self.partials * (other * inv * inv))
+
+    def __pow__(self, k):
+        from nilcoh.jets import powers
+
+        if k == 0:
+            return Jet(np.ones_like(np.asarray(self.value, dtype=float)), np.zeros_like(self.partials))
+        if k >= 2:
+            below, value = powers(self.value, k)
+            return Jet(value, (k * below) * self.partials)
+        return Jet(self.value ** k, (k * self.value ** (k - 1)) * self.partials)
+
+    def unary(self, f, df) -> "Jet":
+        d = df(self.value)
+        out = d * self.partials
+        if not np.isfinite(d).all():  # an exact 0 partial of u stays 0, not inf * 0 = NaN
+            out[(self.partials == 0.0) & ~np.isfinite(d)] = 0.0
+        return Jet(f(self.value), out)
+
+
+def value_of(x):
+    return x.value if isinstance(x, Jet) else x
+
+
 WALK_UNARY = {
     "sin": (np.sin, np.cos),
     "cos": (np.cos, lambda v: -np.sin(v)),
@@ -326,7 +419,6 @@ def walk(expr, env: list, warn=None):
     k >= 2 is x^(k-1)·x by ``product_power``, as on the tape; constants and
     jets use ``**``."""
     from nilcoh.dsl import KINK_TOLERANCE, Bin, Call, Coord, DomainError, Neg, Num, PiConst, Pow
-    from nilcoh.jets import Jet, value_of
 
     def first_bad(mask):
         mask = np.asarray(mask)

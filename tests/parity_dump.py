@@ -26,7 +26,11 @@ reprs on three maps (a doubling, a box average of -vol/2 whose top
 coefficient is negated and whose determinant varies, and a quasiball
 one), and the reprs of the first cycle of the ``degree`` benchmark for
 seeds 1 and 2 (its seeded x^3 - b·x area check and z3 ``local_degree`` at
-8 seeded targets).  Exact-layer digests cover the
+8 seeded targets).  Layer digests cover ``jacobian_batch`` (values and
+Jacobians, at 64 and 4000 seeded points) on those two maps and
+``differential_batch`` on the ``average`` maps of seeds 1 and 2, with
+every zero written as +0.0, so the DSL's generated code is checked at its
+own layer and not only through reports.  Exact-layer digests cover the
 ``cli._ring_results`` reprs (representatives, cup table, cup ranks) of
 filiform7, filiform8, free2step4, H9 and seeded dense twins of H5 and
 filiform6, ``project_float`` of one seeded vector per degree on each of
@@ -61,7 +65,7 @@ The package is imported from ``PYTHONPATH``, so the same script dumps any checko
     PYTHONPATH=../old/src python tests/parity_dump.py old.json
     diff old.json new.json
 
-The file holds 161 digests, keyed and sorted, so ``diff`` lists exactly
+The file holds 173 digests, keyed and sorted, so ``diff`` lists exactly
 the cases that moved.  The name keeps pytest from collecting it; a run takes 8-13 s on a
 2-core host.
 """
@@ -85,7 +89,7 @@ sys.path[:0] = [HERE, os.path.join(HERE, "..")]
 import nilcoh  # noqa: E402
 from bench.workloads import (  # noqa: E402
     BUILDERS, REPRO_STEPS, RING_ALGEBRAS, Average, Degree, dense_twin, heisenberg)
-from nilcoh import algebra, bch, cli  # noqa: E402
+from nilcoh import algebra, bch, cli, maps  # noqa: E402
 from nilcoh.forms import basis_form, volume_form, wedge  # noqa: E402
 from nilcoh.report import render_stable  # noqa: E402
 from conftest import rational_filiform5  # noqa: E402
@@ -208,6 +212,35 @@ def library_calls() -> dict:
     }
 
 
+def layer_digests() -> dict:
+    """``jacobian_batch`` (values and Jacobians) on the ``degree`` maps and
+    ``differential_batch`` on the ``average`` maps, at seeded points, with
+    every zero written as +0.0: the tape's partials of the coordinates a
+    term does not read are exact zeros whose sign is not pinned."""
+    out = {}
+    gen = np.random.default_rng(9)
+
+    def zeros_as_plus(*batches) -> str:
+        h = hashlib.sha256()
+        for b in batches:
+            h.update(np.ascontiguousarray(b + 0.0).tobytes())
+        return h.hexdigest()
+
+    for seed in (1, 2):
+        work = Degree(seed)
+        for name, m in (("cubic", work.cubic), ("z3", work.z3)):
+            for count in (64, 4000):
+                x = gen.uniform(-2.0, 2.0, size=(m.domain.dim, count))
+                out[f"layer/jacobian_batch-{name}-seed{seed}-{count}"] = zeros_as_plus(
+                    *maps.jacobian_batch(m, x))
+        work = Average(seed)
+        for name, m in (("H3", work.m3), ("H5", work.m5)):
+            x = gen.uniform(-4.0, 4.0, size=(m.domain.dim, 2000))
+            out[f"layer/differential_batch-{name}-seed{seed}"] = zeros_as_plus(
+                maps.differential_batch(m, x))
+    return out
+
+
 def degree_cycles() -> dict:
     out = {}
     for seed in (1, 2):
@@ -315,8 +348,8 @@ def main(argv: list[str]) -> int:
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
         return 2
     dump = {**golden_cases(), **repro_reports(20000), **repro_reports(None),
-            **homomorphism_checks(), **warm_repeats(), **library_calls(), **degree_cycles(),
-            **exact_layer(), **ring_invariants()}
+            **homomorphism_checks(), **warm_repeats(), **library_calls(), **layer_digests(),
+            **degree_cycles(), **exact_layer(), **ring_invariants()}
     with open(argv[0], "w", encoding="utf-8") as fh:
         json.dump(dump, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -1,6 +1,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 from conftest import skewed_heisenberg3
 
@@ -93,6 +94,27 @@ def test_orbit_command_probe(files, capsys):
     rep = json.loads(out)
     assert rep["results"]["verdict"] == "non-ergodic-evidence"
     assert rep["results"]["spreads"]["d12"] >= 1.5
+
+
+def test_reports_are_strict_json_where_the_results_overflow(files, capsys):
+    # exp(800*x1) overflows on the ball: the limits, stderrs, spreads and
+    # tolerances of the probe are NaN or infinite, and the report wrote
+    # them as bare NaN and Infinity tokens, which RFC 8259 parsers refuse
+    spec = {"domain": "r1.json", "codomain": "r2.json", "components": ["x1", "exp(800*x1)"]}
+    (files / "blowup.map.json").write_text(json.dumps(spec))
+    with np.errstate(all="ignore"):
+        code, out, _ = run(["orbit", "--map", str(files / "blowup.map.json"),
+                            "--observables", "d12", "--basepoints=0,1", "--radii", "2,4",
+                            "--samples", "200"], capsys)
+    assert code == 0
+
+    def refuse(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    results = json.loads(out, parse_constant=refuse)["results"]
+    assert results["verdict"] == "inconclusive"
+    written = json.dumps(results)
+    assert '"NaN"' in written and '"Infinity"' in written
 
 
 def test_orbit_command_without_basepoints_reports_convergence(files, capsys):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import product_power, walk
+from oracles import Jet, product_power, walk
 from test_golden import MAPS
 
 from nilcoh import algebra, dsl
@@ -24,7 +24,6 @@ from nilcoh.dsl import (
     parse,
     pretty,
 )
-from nilcoh.jets import Jet
 from nilcoh.maps import jacobian_batch, map_from_texts, normalize_to_y0
 
 
@@ -188,12 +187,12 @@ def test_pretty_parse_round_trip_is_fixed_point(expr):
     assert once == twice
 
 
-# -- the tape against the tree walk it replaced -----------------------------------
+# -- the generated code against the tree walk and the dense jets -------------------
 
 
 def oracle(exprs, env, warn=None, jets=False):
-    """``run`` through ``oracles.walk`` (on ``Jet``s in forward mode), with
-    the store of the old map evaluator."""
+    """``run`` through ``oracles.walk`` (on dense ``Jet``s in forward mode),
+    with the store of the old map evaluator."""
     count, n = len(env[0]), len(env)
     values = np.empty((len(exprs), count))
     jac = np.empty((len(exprs), n, count)) if jets else None
@@ -211,8 +210,8 @@ def oracle(exprs, env, warn=None, jets=False):
 
 
 def outcome(evaluator, exprs, env, jets):
-    """Output bytes, or the DomainError's message and sample index, plus the
-    warnings in order."""
+    """("ok", values, Jacobian, warnings), or the DomainError's message and
+    sample index, plus the warnings in order."""
     notes = []
     warn = notes.append
     try:
@@ -221,13 +220,40 @@ def outcome(evaluator, exprs, env, jets):
         return ("error", str(e), e.sample_index, notes)
     except (ArithmeticError, ValueError) as e:
         return ("raised", type(e).__name__, str(e), notes)
-    return (values.tobytes(), None if jac is None else jac.tobytes(), notes)
+    return ("ok", values, jac, notes)
+
+
+def assert_partials_match(exprs, got, want):
+    """The contract of the generated partials against the dense jets: where
+    the code carries a partial (of a coordinate its output reads), it
+    equals the dense one wherever that is not NaN; the code leaves out the
+    terms of the coordinates an operand does not read, which the dense
+    jets add as ±0.0 (so a 0 may differ in sign) or as 0 * inf = NaN.
+    Every other entry is exactly +0.0, where the dense jets hold ±0.0 or
+    NaN."""
+    zero = np.zeros(got.shape[2]).tobytes()
+    for a, expr in enumerate(exprs):
+        reads = dsl.coordinate_indices(expr)
+        for j in range(got.shape[1]):
+            g, w = got[a, j], want[a, j]
+            if j in reads:
+                assert (np.isnan(w) | (g == w)).all(), (a, j, g, w)
+            else:
+                assert g.tobytes() == zero and ((w == 0.0) | np.isnan(w)).all(), (a, j, g, w)
 
 
 def assert_tape_matches_walk(exprs, env):
+    """The same values, bit for bit, in both modes, the same DomainError
+    and the same warnings in order, and partials by ``assert_partials_match``."""
     with np.errstate(all="ignore"):
         for jets in (False, True):
-            assert outcome(run, exprs, env, jets) == outcome(oracle, exprs, env, jets)
+            got, want = outcome(run, exprs, env, jets), outcome(oracle, exprs, env, jets)
+            if got[0] != "ok" or want[0] != "ok":
+                assert got == want
+                continue
+            assert got[1].tobytes() == want[1].tobytes() and got[3] == want[3]
+            if jets:
+                assert_partials_match(exprs, got[2], want[2])
 
 
 ENVS = (
@@ -242,6 +268,23 @@ ENVS = (
 def test_tape_matches_tree_walk_bytes_errors_and_warnings(exprs):
     for env in ENVS:
         assert_tape_matches_walk(exprs, env)
+
+
+def test_dense_jets_add_what_the_code_leaves_out():
+    # where an operand does not read a coordinate, the dense jets add a
+    # +-0.0 term, flipping a -0.0 partial, or 0 * inf = NaN; the code adds
+    # neither, and a partial no output reads is +0.0
+    env = [np.array([0.5, -1.0, 0.95]), np.array([-0.0, 2.0, 0.95])]
+    exprs = [parse("x1*x2 + x2"), parse("x1*exp(800*x2)")]
+    with np.errstate(all="ignore"):
+        values, jac = run(exprs, env, jets=True)
+        dense_values, dense = oracle(exprs, env, jets=True)
+    assert values.tobytes() == dense_values.tobytes()
+    # d/dx1 of x1*x2 + x2 at x2 = -0.0: x2 alone, where the dense sum adds +0.0
+    assert np.signbit(jac[0, 0, 0]) and not np.signbit(dense[0, 0, 0])
+    assert jac[1, :, 2].tolist() == [np.inf, np.inf]
+    assert np.isnan(dense[1, 1, 2])  # 0 * inf + inf * 0.5
+    assert_partials_match(exprs, jac, dense)
 
 
 def run_reading(reads):
@@ -260,41 +303,75 @@ def run_reading(reads):
 @settings(max_examples=200, deadline=None)
 @given(exprs=st.lists(expr_strategy(), min_size=1, max_size=3), data=st.data())
 def test_unread_outputs_keep_their_partials_errors_and_warnings(exprs, data):
-    # the spare steps of an unread output compute partials only: the same
-    # bytes, the same DomainError and the same warnings as a full run, and
-    # a NaN value row exactly where the output's last step is a spare load,
-    # sum, difference, negation or call
+    # the values of an unread output are computed only where a partial or a
+    # check reads them: the same partials, bit for bit, the same DomainError
+    # and the same warnings as a full run, and a NaN value row
     reads = data.draw(st.sets(st.integers(0, len(exprs) - 1)))
     for env in ENVS:
         with np.errstate(all="ignore"):
             full = outcome(run, exprs, env, True)
-            spare = outcome(run_reading(reads), exprs, env, True)
-        if full[0] in ("error", "raised"):
-            assert spare == full
+            part = outcome(run_reading(reads), exprs, env, True)
+        if full[0] != "ok":
+            assert part == full
             continue
-        assert spare[1:] == full[1:]
-        got = np.frombuffer(spare[0]).reshape(len(exprs), -1)
-        want = np.frombuffer(full[0]).reshape(len(exprs), -1)
-        for a, expr in enumerate(exprs):
-            in_full = isinstance(expr, dsl.Pow) or isinstance(expr, dsl.Bin) and expr.op in "*/"
-            if a not in reads and dsl.coordinate_indices(expr) and not in_full:
-                assert np.isnan(got[a]).all()
+        assert part[2].tobytes() == full[2].tobytes() and part[3] == full[3]
+        for a in range(len(exprs)):
+            if a in reads:
+                assert part[1][a].tobytes() == full[1][a].tobytes()
             else:
-                assert got[a].tobytes() == want[a].tobytes()
+                assert np.isnan(part[1][a]).all()
 
 
-def test_spare_steps_are_marked_at_compile_time():
-    # read: an operand of *, /, ^ or a call, or a sum that feeds one;
-    # spare: reaches the output through +, - and negation only.  Spare
-    # products, quotients and powers run in full, so they are not listed
-    tape = dsl.compile([parse("-cos(x1) + exp(x2) - x1*x2"), parse("sin(x1 + x2)^2"),
-                        parse("x1 + (2 + 3)")])
-    # steps 0-9: x1 cos neg x2 exp + x1 x2 * -; the arguments of the calls
-    # and the product's operands are read, the product itself runs in full
-    # steps 10-14: x1 x2 + sin ^; only the power at the top is spare
-    # steps 15-19: x1 2 3 + +; the constant 2 + 3 is not spare
-    assert [(i, a) for i, a, _ in tape.spare] == [
-        (1, 0), (2, 0), (4, 0), (5, 0), (9, 0), (15, 2), (19, 2)]
+def test_the_code_computes_only_the_values_it_reads(value_calls):
+    # a value is computed where a read output, a domain check or a partials
+    # rule reads it: the argument of a call or of a power, an operand of a
+    # product or quotient of two varying terms.  Not where it reaches an
+    # unread output through +, - and constant factors
+    exprs = [parse("-cos(x1) + exp(x2) - x1*x2"), parse("sin(x1 + x2)^2"),
+             parse("x3 + 0.2*sin(x1)"), parse("tanh(x1)/3 - 2*log(x2 + 2)")]
+    env = [np.array([0.5, -1.0]), np.array([1.5, 0.25]), np.array([2.0, 3.0])]
+    run_reading({0})(exprs, env)
+    # sin(x1 + x2)^2: the power's partial 2*sin(...)*cos(...) reads the sine
+    assert value_calls == {**dict.fromkeys(dsl.FUNCTIONS, 0), "cos": 1, "exp": 1, "sin": 1}
+    run_reading({0, 1, 2, 3})(exprs, env)
+    assert value_calls == {**dict.fromkeys(dsl.FUNCTIONS, 0), "cos": 2, "exp": 2, "sin": 3,
+                           "tanh": 1, "log": 1}
+    # the check of an unread log still runs, on the argument it reads
+    with pytest.raises(DomainError, match="log of a nonpositive value") as exc:
+        run_reading(set())(exprs, [env[0], np.array([1.5, -2.0]), env[2]])
+    assert exc.value.sample_index == 1
+    assert value_calls["log"] == 1
+
+
+def test_a_coordinate_beyond_the_domain_raises_in_walk_order():
+    # the warning of the first output is heard before the load of x3 raises
+    env = [np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 3.0])]
+    assert_tape_matches_walk([parse("abs(x1)"), parse("x1 + x3*log(x2)")], env)
+    with pytest.raises(DomainError, match="coordinate x3 exceeds domain dimension 2"):
+        run([parse("x1 + x3")], env, jets=True)
+
+
+def test_a_long_sum_compiles_as_deep_as_it_parses():
+    # 900 nested sums: the signature walks the trees without recursion, and
+    # the generator recurses once per level
+    values, jac = run([parse(" + ".join(["x1"] * 900))], [np.array([1.0, 2.0])], jets=True)
+    assert values.tolist() == [[900.0, 1800.0]] and jac.tolist() == [[[900.0, 900.0]]]
+
+
+def test_maps_of_the_same_text_share_one_compiled_function():
+    texts = ["x1^3 - 3*x1*x2^2 + 0.4321*x1", "3*x1^2*x2 - x2^3 + 0.4321*x2"]
+    r2 = algebra.abelian(2)
+    first, second = map_from_texts(r2, r2, texts), map_from_texts(r2, r2, texts)
+    assert first.tape is not second.tape and first.components is not second.components
+    x = np.array([[0.5, -1.0], [0.25, 2.0]])
+    assert jacobian_batch(first, x)[1].tobytes() == jacobian_batch(second, x)[1].tobytes()
+    assert first.tape.run(2, True) is second.tape.run(2, True)
+    # equal trees up to the sign of a zero are not the same tape
+    plus, minus = dsl.compile([Num(0.0)]), dsl.compile([Num(-0.0)])
+    assert plus.run(0, False) is not minus.run(0, False)
+    values = np.empty((1, 1))
+    evaluate(minus, [], values)
+    assert np.signbit(values[0, 0])
 
 
 BENCH_TEXTS = [

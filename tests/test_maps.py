@@ -342,26 +342,50 @@ def _full_differential(m, x):
     return law_dom.frame_batch(x, law_cod.inv_frame_batch(values, jac)).transpose(2, 0, 1)
 
 
-def test_the_differential_skips_the_unread_sine(monkeypatch):
+def test_the_differential_skips_the_unread_sine(value_calls):
     # the abelian inverse frame reads no coordinate of F(x), so sin(x1)'s
     # value was computed for nothing, and then shifted for nothing
-    calls = []
-    sin, dsin = dsl._UNARY["sin"]
-    monkeypatch.setitem(dsl._UNARY, "sin", (lambda v: calls.append(1) or sin(v), dsin))
-    m = normalize_to_y0(map_from_texts(R1, R2, ["x1", "sin(x1) + 1"]))  # compiled after the patch
+    m = normalize_to_y0(map_from_texts(R1, R2, ["x1", "sin(x1) + 1"]))
     assert m.shift is not None
-    assert calls == [1]  # F(0) for the normalization
-    calls.clear()
+    assert value_calls["sin"] == 1  # F(0) for the normalization
     x = np.random.default_rng(14).uniform(-3.0, 3.0, size=(1, 64))
     mats = differential_batch(m, x)
     differential(m, [0.2])
-    assert calls == []
+    assert value_calls["sin"] == 1
     evaluate_batch(m, x)
     jacobian_batch(m, x)
-    assert calls == [1, 1]
+    assert value_calls["sin"] == 3
     assert mats.tobytes() == _full_differential(m, x).tobytes()
     assert group_law(R2).inv_frame_reads == frozenset()
     assert group_law(H3).inv_frame_reads == frozenset({0, 1})
+
+
+def test_a_constant_factor_does_not_force_its_operands_value(value_calls):
+    # the H3 inverse frame reads F1 and F2, not F3: the sine of
+    # x3 + 0.2*sin(x1) was evaluated for every differential, as an operand
+    # of *, although the partials of 0.2*sin(x1) read only cos(x1)
+    m = map_from_texts(H3, H3, ["x1 + 0.3*sin(x2)", "x2", "x3 + 0.2*sin(x1)"])
+    x = np.random.default_rng(16).uniform(-3.0, 3.0, size=(3, 64))
+    mats = differential_batch(m, x)
+    assert value_calls["sin"] == 1  # sin(x2), read through F1
+    assert mats.tobytes() == _full_differential(m, x).tobytes()
+    assert value_calls["sin"] == 3
+
+
+def test_dead_jacobian_entries_stay_exact_zeros_on_overflow():
+    # x1*exp(800*x2) at x2 = 0.95: the dense jets added 0 * inf = NaN for the
+    # partial d/dx2 of the factor x1 and for d/dx3 of both factors, so row 0
+    # read [inf, nan, nan] in the Jacobian and [nan, nan, nan] in D, although
+    # differential_pattern marks D[0, 2] dead
+    m = map_from_texts(H3, H3, ["x1*exp(800*x2)", "x2", "x3"])
+    assert not differential_pattern(m)[0, 2]
+    x = np.array([[0.3], [0.95], [0.2]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, jac = jacobian_batch(m, x)
+        mats = differential_batch(m, x)
+    assert jac[0, 0].tolist() == [np.inf, np.inf, 0.0]
+    assert mats[0, 0].tolist() == [np.inf, np.inf, 0.0]
+    assert not np.signbit(jac[0, 0, 2]) and not np.signbit(mats[0, 0, 2])
 
 
 def test_skipped_values_do_not_move_the_differential():

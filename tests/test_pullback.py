@@ -569,11 +569,11 @@ def test_constant_map_has_no_row_to_evaluate():
 def test_nan_at_a_structural_zero_no_longer_reaches_dead_rows():
     # exp(800*x2) overflows for x2 > 0.89; dense jets gave the partial
     # d/dx3 of the first component as inf * 0 = NaN, and the inverse frame
-    # carried it to D[0, 2], an entry outside the pattern.  A call now keeps
-    # that partial 0, so the NaN is planted there by hand.  The full
-    # expansion (_coefficient_rows) lets it into every row that reads that
-    # entry; the plan keeps it out of the rows with no live term, which read
-    # 0 there, and out of the live terms of every other row
+    # carried it to D[0, 2], an entry outside the pattern.  The tape carries
+    # no such partial (it writes +0.0), so the NaN is planted there by hand.
+    # The full expansion (_coefficient_rows) lets it into every row that
+    # reads that entry; the plan keeps it out of the rows with no live term,
+    # which read 0 there, and out of the live terms of every other row
     m = map_from_texts(H3, H3, ["x1 + exp(800*x2)", "x2", "x3 + 0.2*x1^2"])
     pattern = differential_pattern(m)
     assert pattern.tolist() == [[True, True, False], [False, True, False], [True, True, True]]
@@ -609,7 +609,9 @@ def test_nan_at_a_structural_zero_no_longer_reaches_dead_rows():
             # a live row may hold inf: D01 D22 on (1, 2) is the overflow itself
             assert not b.any() if key in dead else not np.isnan(b).any()
     # e1^e3 on (0, 1), whose live term D00 D21 reads D21 = inf - inf; the
-    # inverse frame's inf * 0 made all of row 2 NaN and 14 rows read it
+    # inverse frame's inf * 0 made all of row 2 NaN and 14 rows read it.
+    # With the tape's exact +0.0 partials the count stays 2: this map's
+    # overflow is in a sum, whose partials the dense jets gave no NaN
     live_nan = [b for (w, lam), b in zip(pairs, pruned)
                 if any(live(r, lam) for r in w.coeffs if r) and np.isnan(b).any()]
     assert len(live_nan) == 2

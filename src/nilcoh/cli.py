@@ -9,7 +9,10 @@ There is one report path.  Each ``cmd_*`` returns only the report fields it
 computes (``params``, ``results``, ``inputs`` and, where it has them,
 ``seed`` and ``warnings``); ``main`` times the command, builds the report
 with ``report.build_report``, renders it once and writes ``--out`` before
-stdout.  ``repro`` runs its steps through ``main``.
+stdout.  ``repro`` runs its steps through ``main``.  Each command runs
+under one ``np.errstate`` that ignores floating-point errors: an overflow
+or a NaN in sampled values is a result, which the report states, and
+stderr stays empty on success.
 
 Exit codes: 0 success; 1 a domain or validation error, or an I/O error on
 the inputs, ``--out`` or ``--outdir``, with ``error: ...`` on stderr and no
@@ -409,16 +412,19 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None, quiet: bool = False) -> int:
     args = _parser().parse_args(argv)
     try:
-        if args.command == "repro":
-            return cmd_repro(args)
-        t0 = time.perf_counter()
-        fields = _COMMANDS[args.command](args)
-        rep = report.build_report(args.command, **fields,
-                                  wall_time_s=time.perf_counter() - t0)
-        text = report.render(rep)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+        # overflow and NaN in sampled values are results, which the report
+        # states (its warnings, non-finite fields), not numpy warnings on stderr
+        with np.errstate(all="ignore"):
+            if args.command == "repro":
+                return cmd_repro(args)
+            t0 = time.perf_counter()
+            fields = _COMMANDS[args.command](args)
+            rep = report.build_report(args.command, **fields,
+                                      wall_time_s=time.perf_counter() - t0)
+            text = report.render(rep)
+            if args.out:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(text)
     except (AlgebraError, dsl.ParseError, dsl.DomainError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

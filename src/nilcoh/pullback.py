@@ -20,8 +20,10 @@ Every coefficient of every form is a sum of k x k minors of the frame
 differential D, that is of entries of its compound matrices (Cauchy-Binet;
 Horn-Johnson, Matrix Analysis, 2nd ed., 0.8).  ``_plan_coefficient_rows``
 decides once per set of coefficients which minors each degree needs and
-builds them from degree 1 upward by Laplace expansion along the first row,
-vectorized over the samples; on small integer matrices every minor is exact.
+writes one straight-line Python function of numpy ops for them, compiled
+once per process for every plan of equal recipes and pattern: each minor
+is one sample vector, built from degree 2 upward by Laplace expansion
+along the first row; on small integer matrices every minor is exact.
 The plan reads the sparsity pattern of D (``maps.differential_pattern``):
 a minor whose expansion has no term with a live entry and a live
 complementary minor is zero at every point, so the plan leaves it out, and
@@ -69,6 +71,7 @@ Evaluation is serial and reruns are bit-identical.
 
 from __future__ import annotations
 
+import builtins
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -82,9 +85,10 @@ from .group import BallSpec, check_radii, cloud_mean, sample_ball_coords
 from .maps import SmoothMap, _at_point, differential_batch, differential_pattern, warn_once
 
 DEFAULT_RADII = tuple(4.0 * 2 ** k for k in range(6))
-# floats per work array of _coefficient_rows: samples are taken in blocks that keep
-# the arrays of one block (four of them) inside a core's cache
-_WORK_ITEMS = 2 ** 15
+# floats of the sample vectors alive at once in a plan's generated code
+# (_plan_coefficient_rows): samples are taken in blocks that keep the live
+# minors of one block within this bound, whatever the number of minors
+_WORK_ITEMS = 2 ** 18
 # floats per row block of _ball_averages (pairs x chunk samples): bounds the
 # memory of a ball average whatever the number of (form, lambda) pairs
 _BLOCK_ITEMS = 2 ** 20
@@ -143,7 +147,8 @@ def _coefficient_rows(mats: np.ndarray, pairs: list[tuple[KForm, tuple[int, ...]
     (omega, lam) = pairs[r]; ``mats`` is (N, m, n) and the result (len(pairs), N).
 
     One-shot form of ``_plan_coefficient_rows``, with every entry of D live:
-    it knows no map, so it prunes nothing.
+    it knows no map, so it prunes nothing.  The plan's code is shared
+    (``_RUNS``), so a call on the pairs of an earlier one compiles nothing.
     """
     out = np.empty((len(pairs), mats.shape[0]))
     pattern = np.ones(mats.shape[1:], dtype=bool)
@@ -196,7 +201,7 @@ def _recipe(omega: KForm, cols: tuple[int, ...], sign: int, live):
     return (cols, kept) if kept else None
 
 
-def _plan_coefficient_rows(recipes: list, pattern: np.ndarray):
+def _plan_coefficient_rows(recipes: list, pattern: np.ndarray) -> _Rows:
     """Plan the rows of these ``_recipe``s on (N, m, n) frame differentials
     D whose entries outside the (m, n) boolean ``pattern`` are zero, once;
     the returned ``rows(entries, out)`` applies the plan to the ``_entries``
@@ -212,20 +217,71 @@ def _plan_coefficient_rows(recipes: list, pattern: np.ndarray):
     so from the top degree down the plan lists only the live minors
     (``_live_minors``) some recipe needs, directly or through a live term of
     a higher degree; a recipe keeps only its terms on live minors, a minor
-    only its live terms, and a None recipe is a row of zeros.  ``rows`` builds
-    the minors from degree 1 (the entries themselves) upward, vectorized over
-    blocks of samples, keeping two adjacent degrees alive: the minors of a
-    degree are sorted by their number of live terms, so the t-th terms of
-    all minors that have one are a prefix, and a term of odd j reads its
-    entry negated, so that every term is added.  Each recipe's terms are
-    added in their order, that of ``omega.coeffs``.  The dropped terms are
-    zeros, which move no sum but its sign of zero, and a row starts from
-    +0.0, so the rows are those of the full expansion bit for bit, except
-    where a NaN (0 * inf) sits at a dead entry and now stays out.  A minor's
-    value does not depend on which other minors the plan holds, so any split
-    of the recipes gives the same rows.
+    only its live terms, and a None recipe is a row of zeros.  The plan is
+    one generated function of numpy ops (``_generate_rows``), shared by
+    every plan of equal recipes and pattern (``_RUNS``), which builds each
+    live minor as one sample vector from degree 2 upward, its live terms in
+    order, and writes each recipe's row as 0.0 + its first term, then adds
+    its other terms in their order, that of ``omega.coeffs`` (a 0-form's
+    row is its constant, a None recipe's +0.0).  The full expansion adds
+    every term, a term of odd j through its entry negated; the code writes
+    a minor's first live term as the bare product, so its vector holds det
+    or -det, and subtracts each later term, or each term a row reads, where
+    the signs of j and of the vectors it reads say so, with a recipe's
+    coefficient negated on a -det vector.  That moves no bit: rounding is
+    symmetric in sign, so (-a) * b = -(a * b) = a * (-b) and x + (-y) = x - y,
+    and a sum of negated terms is the negated sum, but for the sign of an
+    exact zero (x + (-x) is +0.0) and of a NaN.  No zero's sign reaches a
+    row, which starts as 0.0 + term (+0.0 for a zero term) and adds the
+    rest (y + 0.0 = y - 0.0 = y, and +0.0 stays +0.0); the sign of a NaN is
+    the one bit the rows may change.  A coefficient of +-1 is added or
+    subtracted without the product, as x * 1 = x.  The dropped terms are
+    zeros, which move no sum but its sign of zero, so the rows are those of
+    the full expansion bit for bit, except where a NaN (0 * inf) sits at a
+    dead entry and now stays out.  A minor's value does not depend on which
+    other minors the plan holds, so any split of the recipes gives the same
+    rows, and every op is elementwise, so any split of the samples does
+    too: ``rows`` runs the code on blocks of samples that keep the live
+    minors within ``_WORK_ITEMS`` floats.
     """
-    m, n = pattern.shape
+    key = (pattern.shape, pattern.tobytes(),
+           tuple(r and (r[0], tuple((repr(c), rr) for c, rr in r[1])) for r in recipes))
+    got = _RUNS.get(key)
+    if got is None:
+        got = _RUNS.setdefault(key, _generate_rows(recipes, pattern))
+    run, width = got
+    return _Rows(run, max(1, _WORK_ITEMS // width))
+
+
+@dataclass(frozen=True)
+class _Rows:
+    """A plan of ``_plan_coefficient_rows``: its generated code and the
+    samples per block that keep the code's live minors within
+    ``_WORK_ITEMS`` floats."""
+
+    run: Callable  # run(entries, out) on one block of samples
+    block: int
+
+    def __call__(self, entries: np.ndarray, out: np.ndarray) -> None:
+        block = self.block
+        for start in range(0, entries.shape[1], block):
+            self.run(entries[:, start:start + block], out[:, start:start + block])
+
+
+# The generated code of every plan, with its width (the most sample vectors
+# alive at once), by the plan's pattern and its recipes with each
+# coefficient by its repr: unlike ==, it tells 0.0 from -0.0.  The table
+# lives as long as the process and holds one entry per distinct plan; two
+# threads may generate the same code at once, and either result is kept.
+_RUNS: dict[tuple, tuple[Callable, int]] = {}
+
+
+def _generate_rows(recipes: list, pattern: np.ndarray) -> tuple[Callable, int]:
+    """The function run(entries, out) of ``_plan_coefficient_rows`` and its
+    width: one line per op, each coefficient bound in the namespace by name,
+    each minor deleted after its last use (a liveness pass), so that at most
+    two adjacent degrees are alive."""
+    n = pattern.shape[1]
     live = _live_minors(pattern)
     constants = []
     terms: list[list] = []  # degree -> [(row, cols, [(coefficient, R)])]
@@ -252,76 +308,71 @@ def _plan_coefficient_rows(recipes: list, pattern: np.ndarray):
                 for j in js:
                     sub = (r[1:], c[:j] + c[j + 1:])
                     need[d - 1].setdefault(sub, live(*sub))
-    minors = [sorted(ks, key=lambda k, ks=ks: -len(ks[k])) for ks in need]
-    position = [{k: i for i, k in enumerate(keys)} for keys in minors]
+    position = [{k: i for i, k in enumerate(keys)} for keys in need]
 
-    def index(degree: int, rows_idx: tuple, cols: tuple) -> int:
-        if degree == 1:  # an entry of D, a row of the (m * n, N) entry array
-            return rows_idx[0] * n + cols[0]
-        return position[degree][rows_idx, cols]
+    def minor(rows_idx: tuple, cols: tuple) -> str:
+        if len(rows_idx) == 1:  # an entry of D, a row of the (m * n, N) entry array
+            return f"e{rows_idx[0] * n + cols[0]}"
+        return f"m{len(rows_idx)}_{position[len(rows_idx)][rows_idx, cols]}"
 
-    expansions = {}  # degree -> [(signed first-row entries, complementary minors)] per term t
-    for d in range(2, top + 1):
-        expansions[d] = []
-        for t in range(len(need[d][minors[d][0]])):  # the most live terms come first
-            keys = [(r, c, need[d][r, c][t]) for r, c in minors[d] if len(need[d][r, c]) > t]
-            expansions[d].append((
-                np.array([r[0] * n + c[j] + (j % 2) * m * n for r, c, j in keys], dtype=np.intp),
-                np.array([index(d - 1, r[1:], c[:j] + c[j + 1:]) for r, c, j in keys],
-                         dtype=np.intp),
-            ))
+    namespace: dict = {"_add": np.add, "_subtract": np.subtract, "_multiply": np.multiply}
 
-    rounds = {}  # degree -> t -> (pair rows, coefficients, minor indices) of t-th terms
+    def bind(value: float) -> str:  # a coefficient reaches the code by name
+        name = f"c{len(namespace)}"
+        namespace[name] = value
+        return name
+
+    lines: list[tuple[str, tuple, tuple]] = [  # text, minors defined, minors read
+        (f"out[{row}] = {bind(value)}", (), ()) for row, value in constants]
+    lines += [(f"out[{row}] = 0.0", (), ()) for row, recipe in enumerate(recipes) if recipe is None]
+    sign: dict[str, int] = {}  # per minor: -1 where its vector holds -det
     for d in range(1, top + 1):
-        rounds[d] = []
-        pair_terms = [(row, [(c, index(d, r, cols)) for c, r in kept])
-                      for row, cols, kept in terms[d]]
-        for t in range(max((len(p) for _, p in pair_terms), default=0)):
-            row, coeff, idx = zip(*((r, *p[t]) for r, p in pair_terms if len(p) > t))
-            rounds[d].append((np.array(row, dtype=np.intp), np.array(coeff)[:, None],
-                              np.array(idx, dtype=np.intp)))
-    width = max([len(e[0]) for es in expansions.values() for e in es]
-                + [len(r[0]) for rs in rounds.values() for r in rs]
-                + [2 * m * n] * (top > 1), default=1)  # the signed entries too
-    block = max(1, _WORK_ITEMS // width)
+        for (r, c), js in need[d].items():
+            name = minor(r, c)
+            for t, j in enumerate(js):
+                sub = minor(r[1:], c[:j] + c[j + 1:])
+                product = f"{minor(r[:1], c[j:j + 1])} * {sub}"
+                reads = (sub,) if d > 2 else ()
+                s = (-1) ** j * sign.get(sub, 1)  # the term is s * product
+                if t == 0:
+                    sign[name] = s
+                    lines.append((f"{name} = {product}", (name,), reads))
+                else:
+                    op = "+" if s == sign[name] else "-"
+                    lines.append((f"{name} {op}= {product}", (), (name, *reads)))
+        for row, cols, kept in terms[d]:
+            for t, (c, r) in enumerate(kept):
+                name = minor(r, cols)
+                reads = (name,) if d > 1 else ()
+                c = c * sign.get(name, 1)  # the term is c * the vector
+                if t == 0 and (c == 1.0 or c == -1.0):  # 0.0 + term: a zero term gives +0.0
+                    op = "_add" if c > 0 else "_subtract"
+                    lines.append((f"{op}(0.0, {name}, out=o{row})", (), reads))
+                elif t == 0:
+                    lines.append((f"_multiply({name}, {bind(c)}, out=o{row})", (), reads))
+                    lines.append((f"o{row} += 0.0", (), ()))
+                elif c == 1.0 or c == -1.0:
+                    lines.append((f"o{row} {'+' if c > 0 else '-'}= {name}", (), reads))
+                else:
+                    lines.append((f"o{row} += {name} * {bind(c)}", (), reads))
 
-    def rows(entries: np.ndarray, out: np.ndarray) -> None:
-        count = entries.shape[1]
-        out.fill(0.0)
-        for row, value in constants:
-            out[row] = value
-        work = np.empty((4, width * min(block, count)))
-        signed = np.empty((2 * m * n, min(block, count)) if top > 1 else (0, 0))
-
-        def buffer(i: int, k: int, size: int) -> np.ndarray:
-            return work[i, :k * size].reshape(k, size)
-
-        # every index is in range by construction (the forms live on the
-        # codomain, see _check_on_codomain); mode="clip" lets take
-        # write straight into its out= buffer instead of through a copy
-        for start in range(0, count, block):
-            level = ents = entries[:, start:start + block]
-            size = ents.shape[1]
-            if top > 1:
-                sents = signed[:, :size]
-                sents[:m * n] = ents
-                np.negative(ents, out=sents[m * n:])
-            for d in range(1, top + 1):
-                if d > 1:
-                    prev, level = level, buffer(d % 2, len(minors[d]), size)
-                    for t, (first, sub) in enumerate(expansions[d]):
-                        k = len(first)
-                        a = level if t == 0 else buffer(2, k, size)
-                        sents.take(first, axis=0, out=a, mode="clip")
-                        a *= prev.take(sub, axis=0, out=buffer(3, k, size), mode="clip")
-                        if t:
-                            level[:k] += a
-                for row, coeff, idx in rounds[d]:
-                    a = level.take(idx, axis=0, out=buffer(2, len(idx), size), mode="clip")
-                    a *= coeff
-                    out[row, start:start + size] += a
-
-    return rows
+    # each minor is deleted after the line of its last use; the width counts
+    # the minors alive at once and one temporary product
+    last = {name: i for i, (_, _, reads) in enumerate(lines) for name in reads}
+    body, alive, width = [], 0, 1
+    for i, (text, defines, reads) in enumerate(lines):
+        body.append(text)
+        alive += len(defines)
+        width = max(width, alive + 1)
+        done = sorted({name for name in reads if last[name] == i})
+        if done:
+            body.append(f"del {', '.join(done)}")
+            alive -= len(done)
+    head = [f"e{i} = entries[{i}]" for i in np.flatnonzero(pattern)]
+    head += [f"o{row} = out[{row}]" for ts in terms for row, _, _ in ts]
+    source = "def run(entries, out):\n" + "".join(f"    {s}\n" for s in head + body or ["pass"])
+    exec(builtins.compile(source, "<pullback rows>", "exec"), namespace)
+    return namespace["run"], width
 
 
 @dataclass(frozen=True)

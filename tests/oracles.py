@@ -555,6 +555,151 @@ def masked_newton_roots(m, starts, targets):
     return x, rnorm <= NEWTON_TOL, jacs
 
 
+def live_minors(pattern):
+    """``live(R, C)``: the positions j of the live terms of the first-row
+    expansion of det D[R, C] under the (m, n) boolean ``pattern`` of the
+    entries of D that can be nonzero; a term is live when its entry and its
+    complementary minor are, an entry when the pattern says so (then
+    ``(0,)``)."""
+    entry = pattern.tolist()
+    memo: dict = {}
+
+    def live(rows_idx: tuple, cols: tuple) -> tuple:
+        if len(rows_idx) == 1:
+            return (0,) if entry[rows_idx[0]][cols[0]] else ()
+        got = memo.get((rows_idx, cols))
+        if got is None:
+            first, rest = entry[rows_idx[0]], rows_idx[1:]
+            got = memo[rows_idx, cols] = tuple(
+                j for j, c in enumerate(cols) if first[c] and live(rest, cols[:j] + cols[j + 1:]))
+        return got
+
+    return live
+
+
+GATHER_ITEMS = 2 ** 15  # floats per work array of ``gather_coefficient_rows``
+
+
+def gather_coefficient_rows(recipes: list, pattern):
+    """The reference for ``pullback._plan_coefficient_rows``: the same rows,
+    ``rows(entries, out)`` on the (m * n, N) ``pullback._entries`` array,
+    from a vectorized gather interpreter over blocks of samples.  Minors are
+    built from degree 1 upward by the same first-row expansion, keeping two
+    degrees alive: the minors of a degree are sorted by their number of live
+    terms, so the t-th terms of all minors that have one are a prefix, and a
+    term of odd j reads its entry from a negated copy of the entries, so
+    that every term is added; each recipe's terms are added in order into
+    a row that starts from +0.0 (or a 0-form's constant)."""
+    m, n = pattern.shape
+    live = live_minors(pattern)
+    constants = []
+    terms: list[list] = []  # degree -> [(row, cols, [(coefficient, R)])]
+    for row, recipe in enumerate(recipes):
+        if recipe is None:
+            continue
+        cols, kept = recipe
+        if not cols:
+            constants.append((row, kept[0][0]))
+            continue
+        terms += [[] for _ in range(len(cols) + 1 - len(terms))]
+        terms[len(cols)].append((row, cols, kept))
+    top = len(terms) - 1
+
+    need: list[dict] = [{} for _ in range(top + 1)]
+    for d in range(top, 1, -1):
+        for _, cols, kept in terms[d]:
+            for _, r in kept:
+                need[d].setdefault((r, cols), live(r, cols))
+        if d > 2:
+            for (r, c), js in need[d].items():
+                for j in js:
+                    sub = (r[1:], c[:j] + c[j + 1:])
+                    need[d - 1].setdefault(sub, live(*sub))
+    minors = [sorted(ks, key=lambda k, ks=ks: -len(ks[k])) for ks in need]
+    position = [{k: i for i, k in enumerate(keys)} for keys in minors]
+
+    def index(degree: int, rows_idx: tuple, cols: tuple) -> int:
+        if degree == 1:
+            return rows_idx[0] * n + cols[0]
+        return position[degree][rows_idx, cols]
+
+    expansions = {}  # degree -> [(signed first-row entries, complementary minors)] per term t
+    for d in range(2, top + 1):
+        expansions[d] = []
+        for t in range(len(need[d][minors[d][0]])):
+            keys = [(r, c, need[d][r, c][t]) for r, c in minors[d] if len(need[d][r, c]) > t]
+            expansions[d].append((
+                np.array([r[0] * n + c[j] + (j % 2) * m * n for r, c, j in keys], dtype=np.intp),
+                np.array([index(d - 1, r[1:], c[:j] + c[j + 1:]) for r, c, j in keys],
+                         dtype=np.intp),
+            ))
+
+    rounds = {}  # degree -> t -> (pair rows, coefficients, minor indices) of t-th terms
+    for d in range(1, top + 1):
+        rounds[d] = []
+        pair_terms = [(row, [(c, index(d, r, cols)) for c, r in kept])
+                      for row, cols, kept in terms[d]]
+        for t in range(max((len(p) for _, p in pair_terms), default=0)):
+            row, coeff, idx = zip(*((r, *p[t]) for r, p in pair_terms if len(p) > t))
+            rounds[d].append((np.array(row, dtype=np.intp), np.array(coeff)[:, None],
+                              np.array(idx, dtype=np.intp)))
+    width = max([len(e[0]) for es in expansions.values() for e in es]
+                + [len(r[0]) for rs in rounds.values() for r in rs]
+                + [2 * m * n] * (top > 1), default=1)
+    block = max(1, GATHER_ITEMS // width)
+
+    def rows(entries, out) -> None:
+        count = entries.shape[1]
+        out.fill(0.0)
+        for row, value in constants:
+            out[row] = value
+        work = np.empty((4, width * min(block, count)))
+        signed = np.empty((2 * m * n, min(block, count)) if top > 1 else (0, 0))
+
+        def buffer(i: int, k: int, size: int):
+            return work[i, :k * size].reshape(k, size)
+
+        for start in range(0, count, block):
+            level = ents = entries[:, start:start + block]
+            size = ents.shape[1]
+            if top > 1:
+                sents = signed[:, :size]
+                sents[:m * n] = ents
+                np.negative(ents, out=sents[m * n:])
+            for d in range(1, top + 1):
+                if d > 1:
+                    prev, level = level, buffer(d % 2, len(minors[d]), size)
+                    for t, (first, sub) in enumerate(expansions[d]):
+                        k = len(first)
+                        a = level if t == 0 else buffer(2, k, size)
+                        sents.take(first, axis=0, out=a, mode="clip")
+                        a *= prev.take(sub, axis=0, out=buffer(3, k, size), mode="clip")
+                        if t:
+                            level[:k] += a
+                for row, coeff, idx in rounds[d]:
+                    a = level.take(idx, axis=0, out=buffer(2, len(idx), size), mode="clip")
+                    a *= coeff
+                    out[row, start:start + size] += a
+
+    return rows
+
+
+def coefficient_rows(mats, pairs):
+    """Row r is omega on the frame columns lam for (omega, lam) = pairs[r],
+    on the (N, m, n) matrices ``mats``: the full first-row expansion of
+    every minor (every entry live) by ``gather_coefficient_rows``."""
+    count, m, n = mats.shape
+    recipes = []
+    for omega, lam in pairs:
+        sign = perm_sign(lam)
+        kept = tuple((sign * float(c), r) for r, c in omega.coeffs.items())
+        recipes.append((tuple(sorted(lam)), kept) if sign and kept else None)
+    out = np.empty((len(pairs), count))
+    entries = np.ascontiguousarray(mats.transpose(1, 2, 0)).reshape(m * n, count)
+    gather_coefficient_rows(recipes, np.ones((m, n), dtype=bool))(entries, out)
+    return out
+
+
 def whole_array_averages(m, omegas, radius, samples, seed, shape):
     """Ball averages with every (form, lambda) row of a chunk held at once:
     the coefficient rows, v - shift and its square as whole (pairs x chunk)
@@ -564,7 +709,6 @@ def whole_array_averages(m, omegas, radius, samples, seed, shape):
     from nilcoh.forms import basis_tuples
     from nilcoh.group import BallSpec, sample_ball_coords
     from nilcoh.maps import differential_batch
-    from nilcoh.pullback import _coefficient_rows
 
     cloud = sample_ball_coords(m.domain, BallSpec(radius, shape), samples, seed, tags=("avg",))
     lambdas = {w.degree: basis_tuples(m.domain.dim, w.degree) for w in omegas}
@@ -574,7 +718,7 @@ def whole_array_averages(m, omegas, radius, samples, seed, shape):
     def evaluate(start, stop):
         nonlocal shift
         mats = differential_batch(m, cloud[:, start:stop])
-        v = _coefficient_rows(mats, pairs)
+        v = coefficient_rows(mats, pairs)
         if shift is None:
             shift = np.mean(v, axis=-1, keepdims=True)
         d = v - shift

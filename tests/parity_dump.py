@@ -30,7 +30,10 @@ seeds 1 and 2 (its seeded x^3 - b·x area check and z3 ``local_degree`` at
 Jacobians, at 64 and 4000 seeded points) on those two maps and
 ``differential_batch`` on the ``average`` maps of seeds 1 and 2, with
 every zero written as +0.0, so the DSL's generated code is checked at its
-own layer and not only through reports.  Exact-layer digests cover the
+own layer and not only through reports.  So are the coefficient rows'
+generated code: the rows of the ``average`` maps' plans on one chunk of
+seeded points for seeds 1 and 2, and one-shot ``_coefficient_rows`` on a
+stack with +-0.0, +-inf and NaN entries, each NaN written as one NaN.  Exact-layer digests cover the
 ``cli._ring_results`` reprs (representatives, cup table, cup ranks) of
 filiform7, filiform8, free2step4, H9 and seeded dense twins of H5 and
 filiform6, ``project_float`` of one seeded vector per degree on each of
@@ -65,7 +68,7 @@ The package is imported from ``PYTHONPATH``, so the same script dumps any checko
     PYTHONPATH=../old/src python tests/parity_dump.py old.json
     diff old.json new.json
 
-The file holds 173 digests, keyed and sorted, so ``diff`` lists exactly
+The file holds 178 digests, keyed and sorted, so ``diff`` lists exactly
 the cases that moved.  The name keeps pytest from collecting it; a run takes 8-13 s on a
 2-core host.
 """
@@ -73,6 +76,7 @@ the cases that moved.  The name keeps pytest from collecting it; a run takes 8-1
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -89,7 +93,7 @@ sys.path[:0] = [HERE, os.path.join(HERE, "..")]
 import nilcoh  # noqa: E402
 from bench.workloads import (  # noqa: E402
     BUILDERS, REPRO_STEPS, RING_ALGEBRAS, Average, Degree, dense_twin, heisenberg)
-from nilcoh import algebra, bch, cli, maps  # noqa: E402
+from nilcoh import algebra, bch, cli, maps, pullback  # noqa: E402
 from nilcoh.forms import basis_form, volume_form, wedge  # noqa: E402
 from nilcoh.report import render_stable  # noqa: E402
 from conftest import rational_filiform5  # noqa: E402
@@ -238,6 +242,45 @@ def layer_digests() -> dict:
             x = gen.uniform(-4.0, 4.0, size=(m.domain.dim, 2000))
             out[f"layer/differential_batch-{name}-seed{seed}"] = zeros_as_plus(
                 maps.differential_batch(m, x))
+    out.update(coefficient_rows())
+    return out
+
+
+def coefficient_rows() -> dict:
+    """The rows of the ``average`` maps' planned blocks on one chunk of
+    seeded points, and one-shot ``_coefficient_rows`` of H5's cohomology
+    representatives and their products on a stack with +-0.0, +-inf and NaN
+    entries.  Signed zeros count; each NaN is written as one canonical NaN,
+    as no report shows its sign."""
+    out = {}
+    gen = np.random.default_rng(11)
+
+    def rows_digest(rows) -> str:
+        return hashlib.sha256(np.where(np.isnan(rows), np.nan, rows).tobytes()).hexdigest()
+
+    for seed in (1, 2):
+        work = Average(seed)
+        for name, m, (_, samples, _) in (("H3", work.m3, work.h3), ("H5", work.m5, work.h5)):
+            chunk = pullback._chunk(samples)
+            plan = pullback._induced_setup(m, True, chunk)[3]
+            x = gen.uniform(-4.0, 4.0, size=(m.domain.dim, chunk))
+            entries = pullback._entries(maps.differential_batch(m, x))
+            blocks = []
+            for size, rows in plan.blocks:
+                blocks.append(np.empty((size, chunk)))
+                rows(entries, blocks[-1])
+            out[f"layer/coefficient_rows-average-{name}-seed{seed}"] = rows_digest(
+                np.concatenate(blocks))
+    h5 = algebra.heisenberg5()
+    reps = [w for space in nilcoh.cohomology(h5).spaces for w in space.representatives]
+    forms = reps + [wedge(a, b) for a in reps for b in reps if a.degree + b.degree <= 5]
+    pairs = [(w, lam[::-1]) for w in forms for lam in itertools.combinations(range(5), w.degree)]
+    mats = gen.standard_normal((64, 5, 5))
+    special = gen.random(mats.shape) < 0.15
+    mats[special] = gen.choice([0.0, -0.0, np.inf, -np.inf, np.nan], size=special.sum())
+    with np.errstate(invalid="ignore"):  # inf * 0 and inf - inf
+        rows = pullback._coefficient_rows(mats, pairs)
+    out["layer/coefficient_rows-one-shot-specials"] = rows_digest(rows)
     return out
 
 

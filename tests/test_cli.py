@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -115,6 +116,22 @@ def test_reports_are_strict_json_where_the_results_overflow(files, capsys):
     assert results["verdict"] == "inconclusive"
     written = json.dumps(results)
     assert '"NaN"' in written and '"Infinity"' in written
+
+
+def test_overflow_in_a_command_prints_no_numpy_warning(files, capsys):
+    # exp(800*x1) overflows: the tape, the ball average and the multiply
+    # printed RuntimeWarnings to stderr, outside the report, which already
+    # carries its non-finite warning line
+    spec = {"domain": "r1.json", "codomain": "r2.json", "components": ["x1", "exp(800*x1)"]}
+    (files / "blowup.map.json").write_text(json.dumps(spec))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(["orbit", "--map", str(files / "blowup.map.json"),
+                              "--observables", "d12", "--basepoints=0,1", "--radii", "2,4",
+                              "--samples", "200"], capsys)
+    assert code == 0 and err == ""
+    assert [str(w.message) for w in caught] == []
+    assert any("not finite" in w for w in json.loads(out)["warnings"])
 
 
 def test_orbit_command_without_basepoints_reports_convergence(files, capsys):

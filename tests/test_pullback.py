@@ -8,6 +8,7 @@ from itertools import combinations
 import numpy as np
 import oracles
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nilcoh import algebra, pullback, rng
 from nilcoh.cohomology import cohomology
@@ -346,6 +347,85 @@ def test_coefficient_rows_do_not_depend_on_how_the_pairs_are_split():
     for size in (1, 3, 17):
         parts = [_coefficient_rows(mats, pairs[i:i + size]) for i in range(0, len(pairs), size)]
         assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+
+COEFFICIENTS = st.one_of(st.sampled_from([1.0, -1.0, 0.1, -0.1, 0.0, -0.0, 2.5]),
+                        st.floats(-4.0, 4.0))
+
+
+@st.composite
+def _plans(draw):
+    """A (m, n) pattern, ``_recipe``-shaped recipes of degrees 0-5 on it
+    (terms on live minors only) and entries that are zero outside the
+    pattern, with +-0.0, +-inf and NaN at live entries."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    pattern = np.array(draw(st.lists(st.booleans(), min_size=m * n, max_size=m * n)),
+                       dtype=bool).reshape(m, n)
+    live = oracles.live_minors(pattern)
+    recipes = []
+    for _ in range(draw(st.integers(1, 8))):
+        d = draw(st.integers(0, min(m, n)))
+        if d == 0:
+            recipes.append(((), ((draw(COEFFICIENTS), ()),)))
+            continue
+        cols = tuple(sorted(draw(st.lists(st.integers(0, n - 1), min_size=d, max_size=d,
+                                          unique=True))))
+        rows = draw(st.lists(st.sampled_from(list(combinations(range(m), d))), unique=True,
+                             max_size=4))
+        kept = tuple((draw(COEFFICIENTS), r) for r in rows if live(r, cols))
+        recipes.append((cols, kept) if kept else None)
+    count = draw(st.integers(1, 9))
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    entries = gen.standard_normal((m * n, count)) * pattern.reshape(-1, 1)
+    special = (gen.random(entries.shape) < 0.3) & pattern.reshape(-1, 1)
+    entries[special] = gen.choice([0.0, -0.0, np.inf, -np.inf, np.nan], size=special.sum())
+    return pattern, recipes, entries
+
+
+@settings(max_examples=150, deadline=None)
+@given(_plans())
+def test_generated_rows_equal_the_gather_reference(plan):
+    # bit for bit, signed zeros included; only the sign of a NaN may differ,
+    # where the reference adds a negated product and the generated code
+    # subtracts the product.  Blocks of one and two samples give the same bits
+    pattern, recipes, entries = plan
+    want = np.empty((len(recipes), entries.shape[1]))
+    rows = pullback._plan_coefficient_rows(recipes, pattern)
+    with np.errstate(invalid="ignore"):  # inf * 0 and inf - inf
+        oracles.gather_coefficient_rows(recipes, pattern)(entries, want)
+    for block in (rows.block, 1, 2):
+        got = np.full_like(want, 7.0)
+        with np.errstate(invalid="ignore"):
+            replace(rows, block=block)(entries, got)
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert np.where(np.isnan(got), 0.0, got).tobytes() == np.where(
+            np.isnan(want), 0.0, want).tobytes()
+
+
+def test_plans_of_equal_recipes_share_one_compiled_function():
+    pattern = np.array([[True, True], [False, True]])
+
+    def recipes(c):  # built afresh: equal, not the same objects
+        return [((0, 1), ((c, (0, 1)),)), ((), ((c, ()),)), ((1,), ((0.1, (1,)), (c, (0,)))),
+                None]
+
+    first = pullback._plan_coefficient_rows(recipes(0.1), pattern)
+    assert pullback._plan_coefficient_rows(recipes(0.1), pattern).run is first.run
+    minus, plus = (pullback._plan_coefficient_rows(recipes(c), pattern) for c in (-0.0, 0.0))
+    assert minus.run is not plus.run and minus.run is not first.run
+    assert pullback._plan_coefficient_rows(recipes(0.1), np.ones((2, 2), bool)).run is not first.run
+    # every coefficient is read by name: the only float in the code is the
+    # +0.0 each row starts from
+    for plan in (first, minus, plus):
+        floats = {repr(c) for c in plan.run.__code__.co_consts if isinstance(c, float)}
+        assert floats == {"0.0"}
+    entries = np.array([[3.0, 1.0], [2.0, 5.0], [0.0, 0.0], [-1.0, 4.0]])
+    out = np.full((4, 2), 7.0)
+    first(entries, out)
+    assert out[:, 0].tolist() == [0.0 + -3.0 * 0.1, 0.1, 0.0 + -1.0 * 0.1 + 2.0 * 0.1, 0.0]
+    minus(entries, out)
+    # the constant -0.0 is written as it is; a row that adds a -0.0 term stays +0.0
+    assert np.signbit(out[1]).all() and not np.signbit(out[[0, 3]]).any()
 
 
 def _average_forms(alg):

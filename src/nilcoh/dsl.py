@@ -14,20 +14,15 @@ past the last character.
 
 Expressions are compiled (``compile``) into a ``Tape``, and on first use
 for each domain dimension, mode and set of outputs read, into one
-straight-line Python function of numpy ops, built with the builtin
-``compile`` as ``dataclasses`` builds ``__init__``: one line per node in
-the order a walk of the trees meets them.  Constants and functions are
-bound in the function's namespace, so no input text reaches the code.
-Every tape of equal trees shares the functions, so a map loaded twice
-compiles once.  ``evaluate`` runs the function on numpy arrays; in
-forward mode (Griewank-Walther, *Evaluating Derivatives*, 2nd ed., 2008,
-ch. 3) each node also carries the partials of the coordinates it reads,
-and only those, with the multiplications by the seed 1.0 left out.  The
-caller may name the outputs whose values it reads; a backward liveness
-pass then drops every value that no stored output, domain check or
-partials rule reads (activity analysis, ibid.), so an unread output
-x3 + 0.2*sin(x1) evaluates no sine, and each temporary is deleted after
-its last use.  Every run raises
+straight-line Python function of numpy ops: one line per node in the
+order a walk of the trees meets them.  ``evaluate`` runs the function on
+numpy arrays; in forward mode (Griewank-Walther, *Evaluating Derivatives*,
+2nd ed., 2008, ch. 3) each node also carries the partials of the
+coordinates it reads, and only those, with the multiplications by the
+seed 1.0 left out.  The caller may name the outputs whose values it
+reads; every value that no stored output, domain check or partials rule
+reads is then dropped (activity analysis, ibid.), so an unread output
+x3 + 0.2*sin(x1) evaluates no sine.  Every run raises
 DomainError on log of a nonpositive value, division by zero, square root
 of a negative, 0 to a negative power, a constant power too large for a
 float, or a coordinate beyond the domain, in the order a walk of the
@@ -35,6 +30,17 @@ trees would meet them.  Integer powers k >= 2 of arrays are products
 (``jets.powers``), within a relative γ_{k-1} of the exact power and the
 same bits as ``**`` for k = 2; constant (Python float) bases and
 exponents below 2 keep ``**``.
+
+One writer, ``Code``, builds the generated code of these tapes and of the
+coefficient plans of ``pullback``, as ``dataclasses`` builds ``__init__``,
+with the builtin ``compile``.  Constants and functions are bound in the
+function's namespace by name, so no input text reaches the code.  Each
+line names what it defines and reads; a backward liveness pass keeps the
+root lines and every line that defines a name a kept line reads, and each
+defined name is deleted after the line of its last use.  The functions
+live in one process-wide table, ``_RUNS``, under tagged keys: every tape
+of equal trees shares its functions, so a map loaded twice compiles once,
+and every plan of equal recipes and pattern shares its function.
 """
 
 from __future__ import annotations
@@ -391,25 +397,58 @@ class _Unreachable(Exception):
     """A coordinate beyond the domain: the code after its raise never runs."""
 
 
-class _Writer:
-    """Straight-line code for one tape, domain dimension, mode and set of
-    outputs read: one line per op, in the order a walk of the trees meets
-    them, then a backward liveness pass (``source``)."""
+class Code:
+    """The lines of one generated function, and its namespace (module docstring)."""
 
-    def __init__(self, n: int, derivatives: bool, reads: frozenset):
-        self.n = n
-        self.derivatives = derivatives
-        self.reads = reads
-        self.namespace = dict(_NAMESPACE)
+    def __init__(self, namespace: dict):
+        self.namespace = dict(namespace)
+        self.base = len(namespace)
         self.lines: list[tuple[str, tuple, tuple, bool]] = []  # text, defines, reads, root
 
     def bind(self, value) -> str:
-        name = f"c{len(self.namespace) - len(_NAMESPACE)}"
+        name = f"c{len(self.namespace) - self.base}"
         self.namespace[name] = value
         return name
 
     def line(self, text: str, defines=(), reads=(), root: bool = False) -> None:
         self.lines.append((text, defines, reads, root))
+
+    def build(self, params: str, head: list, filename: str):
+        """``def run(params)`` of ``head`` and the kept lines, and its width:
+        the most defined names alive at once, plus one for a line's temporary."""
+        live: set = set()
+        kept = []
+        for text, defines, reads, root in reversed(self.lines):
+            if root or live.intersection(defines):
+                kept.append((text, defines, reads))
+                live.update(reads)
+        kept.reverse()
+        last = {name: i for i, (_, defines, reads) in enumerate(kept)
+                for name in (*defines, *reads)}
+        body, alive, width = [], set(), 1
+        for i, (text, defines, reads) in enumerate(kept):
+            body.append(text)
+            alive.update(defines)
+            width = max(width, len(alive) + 1)
+            done = sorted({name for name in (*defines, *reads)
+                           if name in alive and last[name] == i})
+            if done:
+                body.append(f"del {', '.join(done)}")
+                alive.difference_update(done)
+        source = f"def run({params}):\n" + "".join(f"    {s}\n" for s in head + body or ["pass"])
+        exec(builtins.compile(source, filename, "exec"), self.namespace)
+        return self.namespace["run"], width
+
+
+class _Writer(Code):
+    """The code of one tape, domain dimension, mode and set of outputs read:
+    one line per op, in the order a walk of the trees meets them."""
+
+    def __init__(self, n: int, derivatives: bool, reads: frozenset):
+        super().__init__(_NAMESPACE)
+        self.n = n
+        self.derivatives = derivatives
+        self.reads = reads
 
     def emit(self, template: str, *operands: str, root: bool = False) -> str:
         """A new temporary assigned the template filled with the operands:
@@ -598,33 +637,6 @@ class _Writer:
             p = term.partials.get(j, _ZERO)
             self.line(f"jac[{a}, {j}] = {p}", reads=(p,), root=True)
 
-    def source(self) -> str:
-        """The function's text: the lines that a stored output, a domain
-        check or a partials rule reads (a backward liveness pass), each
-        temporary deleted after its last use."""
-        live: set = set()
-        kept = []
-        for text, defines, reads, root in reversed(self.lines):
-            if root or live.intersection(defines):
-                kept.append((text, defines, reads))
-                live.update(reads)
-        kept.reverse()
-        last = {}
-        for i, (_, defines, reads) in enumerate(kept):
-            for name in (*defines, *reads):
-                if name.startswith("t"):
-                    last[name] = i
-        body = []
-        for i, (text, defines, reads) in enumerate(kept):
-            body.append(text)
-            done = sorted({name for name in (*defines, *reads) if last.get(name) == i})
-            if done:
-                body.append(f"del {', '.join(done)}")
-        head = [f"{', '.join(f'x{j}' for j in range(self.n))}, = env"] if self.n else []
-        lines = head + body or ["pass"]
-        return "def run(env, values, jac, warn):\n" + "".join(f"    {s}\n" for s in lines)
-
-
 _BINARY = {"+": _Writer.add, "-": _Writer.sub, "*": _Writer.mul, "/": _Writer.div}
 
 
@@ -636,9 +648,8 @@ def _generate(exprs: tuple, n: int, derivatives: bool, reads: frozenset):
             writer.store(a, writer.node(expr))
     except _Unreachable:
         pass
-    namespace = writer.namespace
-    exec(builtins.compile(writer.source(), "<dsl tape>", "exec"), namespace)
-    return namespace["run"]
+    head = [f"{', '.join(f'x{j}' for j in range(n))}, = env"] if n else []
+    return writer.build("env, values, jac, warn", head, "<dsl tape>")[0]
 
 
 def _signature(exprs: tuple) -> tuple:
@@ -670,12 +681,10 @@ def _signature(exprs: tuple) -> tuple:
     return tuple(out)
 
 
-# The compiled functions of every tape, by the signature of its trees:
-# every tape of equal trees shares them, so a map loaded twice compiles
-# once.  The table lives as long as the process and holds one entry per
-# distinct set of trees.  Two threads may generate the same function at
-# once; both results are the same code, and either is kept.
-_RUNS: dict[tuple, dict] = {}
+# ("tape", signature) -> the functions of every tape of equal trees; ("rows",
+# key) -> the function and width of a coefficient plan (``pullback``).  Two
+# threads may generate the same function at once; either result is kept.
+_RUNS: dict[tuple, object] = {}
 
 
 @dataclass(frozen=True, eq=False)
@@ -708,7 +717,7 @@ def compile(exprs) -> Tape:
     constants, domain checks and the code run with the tape.  Raises
     TypeError on what is not an expression node."""
     exprs = tuple(exprs)
-    return Tape(exprs, _RUNS.setdefault(_signature(exprs), {}))
+    return Tape(exprs, _RUNS.setdefault(("tape", _signature(exprs)), {}))
 
 
 def evaluate(tape: Tape, env: list, values: np.ndarray, warn=None, jac: np.ndarray | None = None,

@@ -224,7 +224,10 @@ def _convergence_reports(m, basepoints, observables, radii, samples, seed, shape
     """One ``convergence_report`` per basepoint g, of the right translate
     x -> F(g . x); g None is the map itself.  Radii run on the outside, so
     each radius's cloud is drawn once for all basepoints and only one cloud
-    is alive at a time; each basepoint keeps its warnings in radius order."""
+    is alive at a time; each basepoint keeps its warnings in radius order.
+    A ``tol`` that is NaN, infinite or negative is refused (ValueError)."""
+    if not (tol >= 0.0 and np.isfinite(tol)):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
     radii = check_radii(radii)
     warnings: list[list[str]] = [[] for _ in basepoints]
     rows: list[list[list[dict]]] = [[] for _ in basepoints]

@@ -230,9 +230,15 @@ def normalize_to_y0(m: SmoothMap) -> SmoothMap:
 
 
 def is_group_homomorphism(m: SmoothMap, seed: int = 0, trials: int = 8, tol: float = 1e-9) -> bool:
-    """Probe phi(g h) = phi(g) phi(h) on random pairs near the identity box."""
+    """Probe phi(g h) = phi(g) phi(h) on random pairs near the identity box.
+    Refuses (ValueError) fewer than 1 trial and a NaN or negative ``tol``,
+    under which every map would pass."""
     from . import rng
 
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials!r}")
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be nonnegative, got {tol!r}")
     gen = rng.stream(seed, "homcheck")
     dom_law = group_law(m.domain)
     cod_law = group_law(m.codomain)

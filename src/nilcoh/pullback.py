@@ -20,10 +20,11 @@ Every coefficient of every form is a sum of k x k minors of the frame
 differential D, that is of entries of its compound matrices (Cauchy-Binet;
 Horn-Johnson, Matrix Analysis, 2nd ed., 0.8).  ``_plan_coefficient_rows``
 decides once per set of coefficients which minors each degree needs and
-writes one straight-line Python function of numpy ops for them, compiled
-once per process for every plan of equal recipes and pattern: each minor
-is one sample vector, built from degree 2 upward by Laplace expansion
-along the first row; on small integer matrices every minor is exact.
+writes one straight-line Python function of numpy ops for them with the
+DSL's code writer (``dsl.Code``), which shares it with every plan of equal
+recipes and pattern: each minor is one sample vector, built from degree 2
+upward by Laplace expansion along the first row; on small integer
+matrices every minor is exact.
 The plan reads the sparsity pattern of D (``maps.differential_pattern``):
 a minor whose expansion has no term with a live entry and a live
 complementary minor is zero at every point, so the plan leaves it out, and
@@ -71,13 +72,13 @@ Evaluation is serial and reruns are bit-identical.
 
 from __future__ import annotations
 
-import builtins
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from . import rng
+from . import dsl, rng
 from .algebra import DerivedCache, LieAlgebra
 from .cohomology import CohomologyRing, CohomologySpace, cohomology
 from .forms import KForm, basis_tuples, ce_differential, sort_with_sign, wedge
@@ -148,7 +149,7 @@ def _coefficient_rows(mats: np.ndarray, pairs: list[tuple[KForm, tuple[int, ...]
 
     One-shot form of ``_plan_coefficient_rows``, with every entry of D live:
     it knows no map, so it prunes nothing.  The plan's code is shared
-    (``_RUNS``), so a call on the pairs of an earlier one compiles nothing.
+    (``dsl.Code``), so a call on the pairs of an earlier one compiles nothing.
     """
     out = np.empty((len(pairs), mats.shape[0]))
     pattern = np.ones(mats.shape[1:], dtype=bool)
@@ -219,7 +220,7 @@ def _plan_coefficient_rows(recipes: list, pattern: np.ndarray) -> _Rows:
     a higher degree; a recipe keeps only its terms on live minors, a minor
     only its live terms, and a None recipe is a row of zeros.  The plan is
     one generated function of numpy ops (``_generate_rows``), shared by
-    every plan of equal recipes and pattern (``_RUNS``), which builds each
+    every plan of equal recipes and pattern (``dsl.Code``), which builds each
     live minor as one sample vector from degree 2 upward, its live terms in
     order, and writes each recipe's row as 0.0 + its first term, then adds
     its other terms in their order, that of ``omega.coeffs`` (a 0-form's
@@ -244,11 +245,12 @@ def _plan_coefficient_rows(recipes: list, pattern: np.ndarray) -> _Rows:
     too: ``rows`` runs the code on blocks of samples that keep the live
     minors within ``_WORK_ITEMS`` floats.
     """
-    key = (pattern.shape, pattern.tobytes(),
-           tuple(r and (r[0], tuple((repr(c), rr) for c, rr in r[1])) for r in recipes))
-    got = _RUNS.get(key)
+    # each coefficient by its repr: unlike ==, it tells 0.0 from -0.0
+    key = ("rows", (pattern.shape, pattern.tobytes(),
+                    tuple(r and (r[0], tuple((repr(c), rr) for c, rr in r[1])) for r in recipes)))
+    got = dsl._RUNS.get(key)
     if got is None:
-        got = _RUNS.setdefault(key, _generate_rows(recipes, pattern))
+        got = dsl._RUNS.setdefault(key, _generate_rows(recipes, pattern))
     run, width = got
     return _Rows(run, max(1, _WORK_ITEMS // width))
 
@@ -268,19 +270,10 @@ class _Rows:
             self.run(entries[:, start:start + block], out[:, start:start + block])
 
 
-# The generated code of every plan, with its width (the most sample vectors
-# alive at once), by the plan's pattern and its recipes with each
-# coefficient by its repr: unlike ==, it tells 0.0 from -0.0.  The table
-# lives as long as the process and holds one entry per distinct plan; two
-# threads may generate the same code at once, and either result is kept.
-_RUNS: dict[tuple, tuple[Callable, int]] = {}
-
-
 def _generate_rows(recipes: list, pattern: np.ndarray) -> tuple[Callable, int]:
     """The function run(entries, out) of ``_plan_coefficient_rows`` and its
-    width: one line per op, each coefficient bound in the namespace by name,
-    each minor deleted after its last use (a liveness pass), so that at most
-    two adjacent degrees are alive."""
+    width, written with ``dsl.Code``: one line per op, each minor deleted
+    after its last use, so that at most two adjacent degrees are alive."""
     n = pattern.shape[1]
     live = _live_minors(pattern)
     constants = []
@@ -315,16 +308,13 @@ def _generate_rows(recipes: list, pattern: np.ndarray) -> tuple[Callable, int]:
             return f"e{rows_idx[0] * n + cols[0]}"
         return f"m{len(rows_idx)}_{position[len(rows_idx)][rows_idx, cols]}"
 
-    namespace: dict = {"_add": np.add, "_subtract": np.subtract, "_multiply": np.multiply}
-
-    def bind(value: float) -> str:  # a coefficient reaches the code by name
-        name = f"c{len(namespace)}"
-        namespace[name] = value
-        return name
-
-    lines: list[tuple[str, tuple, tuple]] = [  # text, minors defined, minors read
-        (f"out[{row}] = {bind(value)}", (), ()) for row, value in constants]
-    lines += [(f"out[{row}] = 0.0", (), ()) for row, recipe in enumerate(recipes) if recipe is None]
+    code = dsl.Code({"_add": np.add, "_subtract": np.subtract, "_multiply": np.multiply})
+    line = partial(code.line, root=True)  # the plan lists only minors some line reads
+    for row, value in constants:
+        line(f"out[{row}] = {code.bind(value)}")
+    for row, recipe in enumerate(recipes):
+        if recipe is None:
+            line(f"out[{row}] = 0.0")
     sign: dict[str, int] = {}  # per minor: -1 where its vector holds -det
     for d in range(1, top + 1):
         for (r, c), js in need[d].items():
@@ -336,10 +326,10 @@ def _generate_rows(recipes: list, pattern: np.ndarray) -> tuple[Callable, int]:
                 s = (-1) ** j * sign.get(sub, 1)  # the term is s * product
                 if t == 0:
                     sign[name] = s
-                    lines.append((f"{name} = {product}", (name,), reads))
+                    line(f"{name} = {product}", (name,), reads)
                 else:
                     op = "+" if s == sign[name] else "-"
-                    lines.append((f"{name} {op}= {product}", (), (name, *reads)))
+                    line(f"{name} {op}= {product}", (), (name, *reads))
         for row, cols, kept in terms[d]:
             for t, (c, r) in enumerate(kept):
                 name = minor(r, cols)
@@ -347,32 +337,17 @@ def _generate_rows(recipes: list, pattern: np.ndarray) -> tuple[Callable, int]:
                 c = c * sign.get(name, 1)  # the term is c * the vector
                 if t == 0 and (c == 1.0 or c == -1.0):  # 0.0 + term: a zero term gives +0.0
                     op = "_add" if c > 0 else "_subtract"
-                    lines.append((f"{op}(0.0, {name}, out=o{row})", (), reads))
+                    line(f"{op}(0.0, {name}, out=o{row})", (), reads)
                 elif t == 0:
-                    lines.append((f"_multiply({name}, {bind(c)}, out=o{row})", (), reads))
-                    lines.append((f"o{row} += 0.0", (), ()))
+                    line(f"_multiply({name}, {code.bind(c)}, out=o{row})", (), reads)
+                    line(f"o{row} += 0.0")
                 elif c == 1.0 or c == -1.0:
-                    lines.append((f"o{row} {'+' if c > 0 else '-'}= {name}", (), reads))
+                    line(f"o{row} {'+' if c > 0 else '-'}= {name}", (), reads)
                 else:
-                    lines.append((f"o{row} += {name} * {bind(c)}", (), reads))
-
-    # each minor is deleted after the line of its last use; the width counts
-    # the minors alive at once and one temporary product
-    last = {name: i for i, (_, _, reads) in enumerate(lines) for name in reads}
-    body, alive, width = [], 0, 1
-    for i, (text, defines, reads) in enumerate(lines):
-        body.append(text)
-        alive += len(defines)
-        width = max(width, alive + 1)
-        done = sorted({name for name in reads if last[name] == i})
-        if done:
-            body.append(f"del {', '.join(done)}")
-            alive -= len(done)
+                    line(f"o{row} += {name} * {code.bind(c)}", (), reads)
     head = [f"e{i} = entries[{i}]" for i in np.flatnonzero(pattern)]
     head += [f"o{row} = out[{row}]" for ts in terms for row, _, _ in ts]
-    source = "def run(entries, out):\n" + "".join(f"    {s}\n" for s in head + body or ["pass"])
-    exec(builtins.compile(source, "<pullback rows>", "exec"), namespace)
-    return namespace["run"], width
+    return code.build("entries, out", head, "<pullback rows>")
 
 
 @dataclass(frozen=True)

@@ -56,7 +56,7 @@ def algebras() -> dict:
 @pytest.fixture
 def value_calls(monkeypatch):
     """Counts of the value calls of each DSL function, in code generated
-    from now on (a fresh table of compiled tapes)."""
+    from now on (a fresh table of generated functions)."""
     calls = dict.fromkeys(dsl.FUNCTIONS, 0)
 
     def counted(fn, f):
@@ -67,5 +67,5 @@ def value_calls(monkeypatch):
 
     for fn, (f, df) in list(dsl._UNARY.items()):
         monkeypatch.setitem(dsl._UNARY, fn, (counted(fn, f), df))
-    monkeypatch.setattr(dsl, "_RUNS", {}, raising=False)
+    monkeypatch.setattr(dsl, "_RUNS", {})
     return calls

@@ -180,6 +180,15 @@ def test_orbit_refuses_a_probe_with_fewer_than_two_basepoints(files, capsys, bas
     assert f"needs at least 2 distinct basepoints, {count}" in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-0.01"])
+def test_orbit_refuses_a_tolerance_that_is_not_finite_and_nonnegative(files, capsys, tol):
+    # --tol nan read 'non-ergodic-evidence' where --tol 0.01 reads
+    # 'consistent-with-ergodic', and the report echoed tol NaN
+    code, out, err = run(_h3_orbit(files, "0,1,0;0,1.05,0") + [f"--tol={tol}"], capsys)
+    assert (code, out) == (1, "")
+    assert f"tol must be finite and nonnegative, got {float(tol)!r}" in err
+
+
 def test_exit_code_on_a_coordinate_observable(files, capsys):
     # observables are expressions over the dIJ symbols: x2 was read as d12
     code, out, err = run(

@@ -1,3 +1,4 @@
+import builtins
 from dataclasses import replace
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import Jet, product_power, walk
 from test_golden import MAPS
 
-from nilcoh import algebra, dsl
+from nilcoh import algebra, dsl, pullback
 from nilcoh.dsl import (
     ArityError,
     Bin,
@@ -372,6 +373,82 @@ def test_maps_of_the_same_text_share_one_compiled_function():
     values = np.empty((1, 1))
     evaluate(minus, [], values)
     assert np.signbit(values[0, 0])
+
+
+def built(code, params, head):
+    """``code.build`` with the source it compiled."""
+    sources = []
+    real = builtins.compile
+
+    def recording(source, *args):
+        sources.append(source)
+        return real(source, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(builtins, "compile", recording)
+        run, width = code.build(params, head, "<test>")
+    (source,) = sources
+    return run, width, source
+
+
+def test_the_writer_keeps_what_a_root_reads_and_deletes_each_name_after_its_last_use():
+    code = dsl.Code({"_sin": np.sin})
+    c = code.bind(2.0)
+    code.line(f"a = x * {c}", ("a",), ("x", c))
+    code.line("u = a + 1.0", ("u",), ("a",))  # read only by the unread line below
+    code.line("v = u * u", ("v",), ("u",))  # read by nobody
+    code.line("b = _sin(a)", ("b",), ("a",))
+    code.line("out[0] = b + a", (), ("b", "a"), root=True)
+    code.line("w = _sin(x)", ("w",), ("x",), root=True)  # a root: kept, though unread
+    code.line("out[1] = b", (), ("b",), root=True)
+    run, width, source = built(code, "x, out", ["x = x + 0.0"])
+    # the parameter and the bound constant are read, never deleted
+    assert source == ("def run(x, out):\n"
+                      "    x = x + 0.0\n"
+                      "    a = x * c0\n"
+                      "    b = _sin(a)\n"
+                      "    out[0] = b + a\n"
+                      "    del a\n"
+                      "    w = _sin(x)\n"
+                      "    del w\n"
+                      "    out[1] = b\n"
+                      "    del b\n")
+    # a and b, then b and w, are alive at once, plus one temporary
+    assert width == 3
+    out = np.empty((2, 2))
+    run(np.array([0.25, -1.0]), out)
+    assert out.tolist() == [[np.sin(0.5) + 0.5, np.sin(-2.0) - 2.0], [np.sin(0.5), np.sin(-2.0)]]
+
+
+def test_the_width_counts_the_defined_names_alive_at_once():
+    code = dsl.Code({})
+    for name in "pqr":
+        code.line(f"{name} = x", (name,), ("x",), root=True)
+    code.line("s, t = p + q, r", ("s", "t"), ("p", "q", "r"), root=True)
+    code.line("y[0] = s + t", (), ("s", "t"), root=True)
+    _, width, source = built(code, "x, y", [])
+    assert "del p, q, r" in source and "del s, t" in source
+    assert width == 6  # p, q, r, s and t, plus one
+    assert built(dsl.Code({}), "x", [])[1:] == (1, "def run(x):\n    pass\n")
+
+
+def test_tapes_and_coefficient_plans_share_one_table(monkeypatch):
+    # one table holds both kinds of generated function, each under its tag
+    monkeypatch.setattr(dsl, "_RUNS", {})
+    tape = dsl.compile([parse("x1*x2 + 0.5")])
+    run = tape.run(2, True)
+    recipes = [((0, 1), ((0.5, (0, 1)),)), None]
+    rows = pullback._plan_coefficient_rows(recipes, np.ones((2, 2), bool))
+    assert sorted(key[0] for key in dsl._RUNS) == ["rows", "tape"]
+    (tape_key,) = [key for key in dsl._RUNS if key[0] == "tape"]
+    (rows_key,) = [key for key in dsl._RUNS if key[0] == "rows"]
+    assert dsl._RUNS[tape_key] is tape._runs and tape._runs == {(2, True, None): run}
+    assert dsl._RUNS[rows_key][0] is rows.run
+    assert ("rows", tape_key[1]) not in dsl._RUNS and ("tape", rows_key[1]) not in dsl._RUNS
+    # a second tape and plan of equal keys compile nothing
+    assert dsl.compile([parse("x1*x2 + 0.5")]).run(2, True) is run
+    assert pullback._plan_coefficient_rows(recipes, np.ones((2, 2), bool)).run is rows.run
+    assert len(dsl._RUNS) == 2
 
 
 BENCH_TEXTS = [

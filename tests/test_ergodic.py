@@ -168,6 +168,19 @@ def test_ergodicity_probe_refuses_fewer_than_two_distinct_basepoints(basepoints,
                          samples=200, seed=0)
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -0.01], ids=["nan", "inf", "negative"])
+def test_orbit_averages_refuse_a_tolerance_that_is_not_finite_and_nonnegative(tol):
+    # max(3 se, nan) is 3 se: a NaN tol gave verdicts under a tolerance
+    # smaller than the default, and the report echoed tol NaN
+    obs = [derivative_entry(1, 2)]
+    message = re.escape(f"tol must be finite and nonnegative, got {tol!r}")
+    with pytest.raises(ValueError, match=message):
+        convergence_report(f1(), obs, [2.0, 4.0], samples=200, seed=0, tol=tol)
+    with pytest.raises(ValueError, match=message):
+        ergodicity_probe(f1(), obs, [0.0, 1.0], [2.0, 4.0], samples=200, seed=0, tol=tol)
+    assert convergence_report(f1(), obs, [2.0, 4.0], samples=200, seed=0, tol=0.0).tol == 0.0
+
+
 @pytest.mark.parametrize("m, basepoints, message", [
     (map_from_texts(H3, H3, ["x1", "x2", "x3"]), [0.0, 1.0],
      "scalar basepoint only valid for 1-dimensional groups"),

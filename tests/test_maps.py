@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -196,6 +197,21 @@ def test_homomorphism_probe():
     assert not is_group_homomorphism(f1())
     not_auto = map_from_texts(H3, H3, ["2*x1", "x2", "x3"])  # breaks the bracket scaling
     assert not is_group_homomorphism(not_auto)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"trials": 0}, "trials must be at least 1, got 0"),
+    ({"trials": -2}, "trials must be at least 1, got -2"),
+    ({"tol": float("nan")}, "tol must be nonnegative, got nan"),
+    ({"tol": -1e-9}, "tol must be nonnegative, got -1e-09"),
+], ids=["no-trials", "negative-trials", "nan-tol", "negative-tol"])
+def test_homomorphism_probe_refuses_no_trials_and_a_nan_or_negative_tolerance(kwargs, message):
+    # trials=0 passed every map without a trial, and tol=nan passed every
+    # map because |lhs - rhs| > nan is always False
+    wavy = map_from_texts(H3, H3, ["x1 + 0.3*sin(x2)", "x2", "x3"])
+    assert not is_group_homomorphism(wavy)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        is_group_homomorphism(wavy, **kwargs)
 
 
 def test_map_file_round_trip(tmp_path):

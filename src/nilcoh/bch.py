@@ -39,8 +39,11 @@ So each law records once, from the polynomials, where the nonzero entries
 and the constant 1s of its translation Jacobian, frame and inverse frame
 lie (``SparsePattern``), and the numeric layer never evaluates them into
 dense stacks: ``GroupLaw._product`` multiplies a sample-last stack of
-matrices (a, b, N) by one of them, on either side, adding each entry's
-terms in k order, skipping the zeros and the multiplications by 1.
+matrices (a, b, N) by one of them, on either side, in place (it overwrites
+the stack it is given and returns it), adding each entry's terms in k
+order, skipping the zeros and the multiplications by 1.  A line of the
+matrix that is an identity line costs nothing, so a product by an identity
+pattern returns the stack unchanged.
 
 Term order is the float summation order: ``Poly.eval_float`` adds a
 polynomial's terms in dict order, so the kernels' term order fixes the bits
@@ -281,7 +284,6 @@ class SparsePattern:
 
     rows: tuple
     cols: tuple
-    identity: bool
 
     @classmethod
     def of(cls, polys: list[list[Poly]]) -> "SparsePattern":
@@ -292,7 +294,7 @@ class SparsePattern:
                      for i in range(n))
         cols = tuple(tuple((k, entry[k][j]) for k in range(n) if polys[k][j].terms)
                      for j in range(n))
-        return cls(rows, cols, all(r == ((i, None),) for i, r in enumerate(rows)))
+        return cls(rows, cols)
 
     def mask(self) -> np.ndarray:
         """The boolean (n, n) matrix of the nonzero entries."""
@@ -364,13 +366,19 @@ class GroupLaw:
 
     def _product(self, pattern: SparsePattern, vals: list, stack: np.ndarray, left: bool):
         """P(vals) @ stack (``left``) or stack @ P(vals) for the polynomial matrix
-        P of ``pattern`` and a sample-last stack (a, b, N) of matrices.
+        P of ``pattern`` and a sample-last stack (n, b, N) or (a, n, N) of
+        matrices, computed in place: ``stack`` is overwritten with the result
+        and returned.
 
-        Each entry of the result adds its terms in k order, skipping the
-        structural zeros of P and the multiplications by its constant 1s; each
-        nonzero entry of P is evaluated once, and an identity P returns
-        ``stack`` itself.  P is invertible, so no line of it is empty.  A new
-        result is C-contiguous.
+        Each result line adds its terms in k order, skipping the structural
+        zeros of P and the multiplications by its constant 1s; each nonzero
+        entry of P is evaluated once.  A line of P that is the identity line
+        leaves its line of ``stack`` as it is, so an identity P returns
+        ``stack`` unchanged.  Every other line is computed from the unmodified
+        stack into a temporary, and the temporaries are written back only
+        after the last line, so no line reads a value already overwritten, in
+        whatever order the lines of P read each other.  P is invertible, so no
+        line of it is empty.
 
         Where an evaluated entry of P is infinite or NaN, a term whose stack
         entry is exactly 0.0 is 0.0, not 0 * inf = NaN: the rule of a call's
@@ -380,40 +388,44 @@ class GroupLaw:
         that overflows only takes the masking path, which changes nothing
         there.
         """
-        if pattern.identity:
-            return stack
-        lines = pattern.rows if left else pattern.cols
-        a, b, count = stack.shape
-        out = np.empty((len(lines), b, count) if left else (a, len(lines), count))
-        for i, terms in enumerate(lines):
-            target = out[i] if left else out[:, i]
+        view = stack if left else stack.swapaxes(0, 1)  # view[k] is line k
+        done = []
+        for i, terms in enumerate(pattern.rows if left else pattern.cols):
+            if terms == ((i, None),):
+                continue
             for t, (k, p) in enumerate(terms):
-                s = stack[k] if left else stack[:, k]
+                s = view[k]
                 if p is None:
-                    term = s
+                    term = s if t else s.copy()
                 else:
                     v = p.eval_float(vals)
                     term = s * v
                     if not isfinite(v.dot(v)):  # an exact 0 stays 0, not 0 * inf = NaN
                         term[(s == 0.0) & ~np.isfinite(v)] = 0.0
                 if t:
-                    target += term
+                    line += term
                 else:
-                    target[...] = term
-        return out
+                    line = term
+            done.append((i, line))
+        for i, line in done:
+            view[i] = line
+        return stack
 
     def frame_batch(self, coords: np.ndarray, stack: np.ndarray) -> np.ndarray:
         """stack @ F(x) for the frames F at a coordinate batch (n, N) and a
-        sample-last stack (a, n, N); see ``_product``."""
+        sample-last stack (a, n, N), written over ``stack``, which is returned
+        (unchanged for an identity frame); see ``_product``."""
         return self._product(self.frame_pattern, list(_as_batch(coords)), stack, left=False)
 
     def inv_frame_batch(self, coords: np.ndarray, stack: np.ndarray) -> np.ndarray:
         """F(x)^-1 @ stack for the inverse frames at a coordinate batch (n, N)
-        and a sample-last stack (n, b, N); see ``_product``."""
+        and a sample-last stack (n, b, N), written over ``stack``, which is
+        returned (unchanged for an identity frame); see ``_product``."""
         return self._product(self.inv_frame_pattern, list(_as_batch(coords)), stack, left=True)
 
     def translation_jacobian_batch(self, a, b, stack: np.ndarray) -> np.ndarray:
-        """d(a·y)/dy at y = b times a sample-last stack, on the left; (n,)
+        """d(a·y)/dy at y = b times a sample-last stack, on the left, written
+        over ``stack``, which is returned (unchanged for an abelian law); (n,)
         points broadcast against (n, N) batches.  See ``_product``."""
         a, b = np.broadcast_arrays(_as_batch(a), _as_batch(b))
         return self._product(self.trans_pattern, list(a) + list(b), stack, left=True)

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import isfinite
+from numbers import Integral
 
 import numpy as np
 
@@ -108,6 +109,8 @@ def _grid_starts(scales: np.ndarray, density: int) -> np.ndarray:
 
 
 def _check_grid_density(grid_density: int) -> None:
+    if not isinstance(grid_density, Integral):
+        raise TypeError(f"grid density must be an integer, got {grid_density!r}")
     if grid_density < 1:
         raise ValueError(f"grid density must be at least 1, got {grid_density}")
 

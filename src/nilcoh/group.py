@@ -37,10 +37,7 @@ class BallSpec:
     shape: str = "box"
 
     def __post_init__(self):
-        if not isfinite(self.radius):
-            raise ValueError(f"ball radius must be finite, got {self.radius}")
-        if self.radius <= 0:
-            raise ValueError("ball radius must be positive")
+        _check_radius(self.radius)
         if self.shape not in ("box", "quasiball"):
             raise ValueError(f"unknown ball shape {self.shape!r}")
 
@@ -50,6 +47,14 @@ def homogeneous_gauge_batch(alg: LieAlgebra, coords: np.ndarray) -> np.ndarray:
     m = lcm(*alg.weights)
     w = np.array(alg.weights, dtype=float)
     return np.sum(np.abs(coords) ** (2.0 * m / w[:, None]), axis=0) ** (1.0 / (2 * m))
+
+
+def _check_radius(radius: float) -> None:
+    """Refuse a ball radius that is not finite and positive."""
+    if not isfinite(radius):
+        raise ValueError(f"ball radius must be finite, got {radius}")
+    if radius <= 0:
+        raise ValueError(f"ball radius must be positive, got {radius}")
 
 
 def check_radii(radii) -> list[float]:
@@ -87,8 +92,10 @@ def check_adapted(alg: LieAlgebra) -> LieAlgebra:
 
 
 def box_volume(alg: LieAlgebra, radius: float) -> float:
-    """Exact Haar volume of the weighted box: 2^n R^Q."""
+    """Exact Haar volume of the weighted box: 2^n R^Q.  A radius that is not
+    finite and positive is refused, as by ``BallSpec``."""
     check_adapted(alg)
+    _check_radius(radius)
     return 2.0 ** alg.dim * float(radius) ** alg.homogeneous_dimension
 
 

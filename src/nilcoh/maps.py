@@ -39,9 +39,11 @@ differential.
 
 Batches of matrices are stored sample-last, (m, n, N): the tape writes the
 Jacobian that way, the frames and the shift's translation Jacobian multiply
-it through the group laws' sparse products (structural zeros skipped,
-abelian sides free), and ``jacobian_batch`` and ``differential_batch``
-return it as an (N, m, n) view whose entries are contiguous N-vectors.
+it in place through the group laws' sparse products (structural zeros
+skipped, identity lines and abelian sides free), and ``jacobian_batch`` and
+``differential_batch`` return that same buffer as an (N, m, n) view whose
+entries are contiguous N-vectors.  The buffer is the one ``_evaluate``
+allocated for this call, so no caller's array is overwritten.
 
 ``differential_pattern`` runs the frame products on booleans: starting from
 the coordinates each component reads, it gives the entries of the frame
@@ -156,24 +158,25 @@ def jacobian_batch(m: SmoothMap, coords: np.ndarray, warn=None):
     jacobians (N, m, n)); its determinant is that of the frame differential.
 
     The Jacobian is T_shift @ J_F, with T_shift the left-translation
-    Jacobian of the codomain's group law at F(x), multiplied through the
-    law's sparse products, so an abelian codomain costs nothing.
-    The jacobians are a transposed view of a C-contiguous (m, n, N) array, so
-    ``jacobians[:, a, b]`` is one contiguous N-vector."""
+    Jacobian of the codomain's group law at F(x), multiplied in place on the
+    tape's Jacobian through the law's sparse products, so an abelian
+    codomain costs nothing.  The jacobians are a transposed view of that
+    C-contiguous (m, n, N) array, so ``jacobians[:, a, b]`` is one
+    contiguous N-vector."""
     values, jac = _evaluate(m, np.asarray(coords, dtype=float), warn, jets=True)
     if m.shift is not None:
-        jac = group_law(m.codomain).translation_jacobian_batch(np.array(m.shift), values, jac)
+        group_law(m.codomain).translation_jacobian_batch(np.array(m.shift), values, jac)
     return _shifted(m, values), jac.transpose(2, 0, 1)
 
 
 def differential_batch(m: SmoothMap, coords: np.ndarray, warn=None) -> np.ndarray:
     """Frame-to-frame differential on a batch: the matrices (N, m, n)
     F_cod(F(x))^-1 @ J_F(x) @ F_dom(x) (module docstring), as a transposed
-    view of a C-contiguous (m, n, N) array like ``jacobian_batch``.  The
-    shift never enters it, and F(x) only through the coordinates that the
-    inverse codomain frame reads (``GroupLaw.inv_frame_reads``), so of the
-    other components the tape computes only the values their partials
-    read.
+    view of the tape's C-contiguous (m, n, N) Jacobian, which the frame
+    products overwrite, like ``jacobian_batch``.  The shift never enters
+    it, and F(x) only through the coordinates that the inverse codomain
+    frame reads (``GroupLaw.inv_frame_reads``), so of the other components
+    the tape computes only the values their partials read.
 
     The frame products are the group laws' sparse ones (``GroupLaw._product``):
     they skip the structural zeros of the frames, so an infinite Jacobian
@@ -186,9 +189,9 @@ def differential_batch(m: SmoothMap, coords: np.ndarray, warn=None) -> np.ndarra
     cod = group_law(m.codomain)
     coords = np.asarray(coords, dtype=float)
     values, jac = _evaluate(m, coords, warn, jets=True, reads=cod.inv_frame_reads)
-    mats = cod.inv_frame_batch(values, jac)
-    mats = group_law(m.domain).frame_batch(coords, mats)
-    return mats.transpose(2, 0, 1)
+    cod.inv_frame_batch(values, jac)
+    group_law(m.domain).frame_batch(coords, jac)
+    return jac.transpose(2, 0, 1)
 
 
 def differential_pattern(m: SmoothMap) -> np.ndarray:
@@ -231,14 +234,14 @@ def normalize_to_y0(m: SmoothMap) -> SmoothMap:
 
 def is_group_homomorphism(m: SmoothMap, seed: int = 0, trials: int = 8, tol: float = 1e-9) -> bool:
     """Probe phi(g h) = phi(g) phi(h) on random pairs near the identity box.
-    Refuses (ValueError) fewer than 1 trial and a NaN or negative ``tol``,
-    under which every map would pass."""
+    Refuses (ValueError) fewer than 1 trial and a ``tol`` that is NaN,
+    infinite or negative, under which every map would pass."""
     from . import rng
 
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials!r}")
-    if not tol >= 0.0:
-        raise ValueError(f"tol must be nonnegative, got {tol!r}")
+    if not (tol >= 0.0 and np.isfinite(tol)):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
     gen = rng.stream(seed, "homcheck")
     dom_law = group_law(m.domain)
     cod_law = group_law(m.codomain)

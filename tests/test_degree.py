@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from oracles import dense_newton_roots, masked_newton_roots, naive_preimages
@@ -87,6 +89,17 @@ def test_grid_density_below_one_refused():
             local_degree(m, 10.0, (0.5,), grid_density=density)
         with pytest.raises(ValueError, match=f"got {density}"):
             area_formula_check(m, 2.0, samples=50, grid_density=density)
+
+
+@pytest.mark.parametrize("density", [1.5, 2.0, "8"])
+def test_a_grid_density_that_is_not_an_integer_is_refused(density):
+    # 1.5 ran Newton from a grid whose density is no integer
+    m = map_from_texts(R1, R1, ["x1 + sin(x1)"])
+    message = re.escape(f"grid density must be an integer, got {density!r}")
+    with pytest.raises(TypeError, match=message):
+        local_degree(m, 10.0, (0.5,), grid_density=density)
+    with pytest.raises(TypeError, match=message):
+        area_formula_check(m, 2.0, samples=50, grid_density=density)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])

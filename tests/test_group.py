@@ -107,6 +107,18 @@ def test_non_finite_ball_radius_refused(radius):
         BallSpec(radius)
 
 
+@pytest.mark.parametrize("radius, message", [
+    (-1.0, "positive, got -1.0"), (0.0, "positive, got 0.0"),
+    (float("nan"), "finite, got nan"), (float("inf"), "finite, got inf"),
+], ids=["negative", "zero", "nan", "inf"])
+def test_box_volume_refuses_a_radius_that_ball_spec_refuses(radius, message):
+    # box_volume(H3, -1.0) read 8.0, nan read nan and 0.0 read 0.0
+    with pytest.raises(ValueError, match=f"ball radius must be {message}"):
+        BallSpec(radius)
+    with pytest.raises(ValueError, match=f"ball radius must be {message}"):
+        box_volume(H3, radius)
+
+
 @pytest.mark.parametrize("radii", [[4.0, float("inf")], [float("nan"), 4.0]])
 def test_non_finite_radius_schedule_refused(radii):
     # NaN compares false, so [nan, 4] passed as increasing; inf was accepted

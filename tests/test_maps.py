@@ -6,7 +6,7 @@ import pytest
 from conftest import skewed_heisenberg3
 from oracles import dense_poly_matrix, dense_twin, stacked_differential
 
-from nilcoh import algebra, dsl, local_degree, pullback
+from nilcoh import algebra, dsl, local_degree, maps, pullback
 from nilcoh.bch import GroupLaw, Poly, group_law
 from nilcoh.dsl import DomainError
 from nilcoh.ergodic import Observable
@@ -202,12 +202,13 @@ def test_homomorphism_probe():
 @pytest.mark.parametrize("kwargs, message", [
     ({"trials": 0}, "trials must be at least 1, got 0"),
     ({"trials": -2}, "trials must be at least 1, got -2"),
-    ({"tol": float("nan")}, "tol must be nonnegative, got nan"),
-    ({"tol": -1e-9}, "tol must be nonnegative, got -1e-09"),
-], ids=["no-trials", "negative-trials", "nan-tol", "negative-tol"])
+    ({"tol": float("nan")}, "tol must be finite and nonnegative, got nan"),
+    ({"tol": -1e-9}, "tol must be finite and nonnegative, got -1e-09"),
+    ({"tol": float("inf")}, "tol must be finite and nonnegative, got inf"),
+], ids=["no-trials", "negative-trials", "nan-tol", "negative-tol", "inf-tol"])
 def test_homomorphism_probe_refuses_no_trials_and_a_nan_or_negative_tolerance(kwargs, message):
-    # trials=0 passed every map without a trial, and tol=nan passed every
-    # map because |lhs - rhs| > nan is always False
+    # trials=0 passed every map without a trial, and tol=nan or tol=inf
+    # passed every map because |lhs - rhs| > nan (or > inf) is always False
     wavy = map_from_texts(H3, H3, ["x1 + 0.3*sin(x2)", "x2", "x3"])
     assert not is_group_homomorphism(wavy)
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -523,6 +524,28 @@ def test_differentials_are_views_of_sample_last_arrays():
         assert mats.shape == (50, 3, 3)
         assert mats.transpose(1, 2, 0).flags.c_contiguous
         assert np.shares_memory(pullback._entries(mats), mats)
+
+
+def test_frame_products_run_in_place_on_the_tapes_jacobian(monkeypatch):
+    # the products overwrite the Jacobian the tape wrote for this call
+    # instead of allocating and filling a new stack per product
+    jacs = []
+    evaluate = maps._evaluate
+
+    def recorded(*args, **kwargs):
+        values, jac = evaluate(*args, **kwargs)
+        jacs.append(jac)
+        return values, jac
+
+    monkeypatch.setattr(maps, "_evaluate", recorded)
+    skew = skewed_heisenberg3()
+    x = np.random.default_rng(9).uniform(-2.0, 2.0, size=(3, 50))
+    for m in (_nonlinear(H3, True), map_from_texts(skew, skew, ["x1 + 1", "x2", "x3 + x1*x2"])):
+        m = normalize_to_y0(m)
+        assert m.shift is not None
+        assert differential_batch(m, x).base is jacs[-1]
+        assert jacobian_batch(m, x)[1].base is jacs[-1]
+    assert len([jac for jac in jacs if jac is not None]) == 4
 
 
 def test_frame_products_on_an_abelian_law_evaluate_no_polynomial(monkeypatch):

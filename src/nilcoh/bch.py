@@ -32,32 +32,29 @@ reduced by their gcd after every operation (``exactlinalg._reduced``, as
 the echelon's rows are).  Only the finished law becomes ``Poly`` objects,
 exponent tuples to Fractions.
 
-Evaluation is generic: exact on Fractions, vectorized on numpy arrays.
-The matrices are sparse: H3's frame has 5 nonzero entries of 9, most of
-them the constant 1, and every matrix of an abelian group is the identity.
-So each law records once, from the polynomials, where the nonzero entries
-and the constant 1s of its translation Jacobian, frame and inverse frame
-lie (``SparsePattern``), and the numeric layer never evaluates them into
-dense stacks: ``GroupLaw._product`` multiplies a sample-last stack of
-matrices (a, b, N) by one of them, on either side, in place (it overwrites
-the stack it is given and returns it), adding each entry's terms in k
-order, skipping the zeros and the multiplications by 1.  A line of the
-matrix that is an identity line costs nothing, so a product by an identity
-pattern returns the stack unchanged.
+Evaluation is exact on ints and Fractions, and otherwise the DSL's: each
+float polynomial runs as a tape of generated code (``Poly.tree``,
+``dsl.evaluate``), compiled on first numeric use.  The matrices are
+sparse: H3's frame has 5 nonzero entries of 9, most of them the constant 1,
+and every matrix of an abelian group is the identity.  So each law records
+once where the nonzero entries and the constant 1s of its translation
+Jacobian, frame and inverse frame lie, with one tape of the other entries
+(``SparsePattern``), and ``GroupLaw._product`` multiplies a sample-last
+stack of matrices (a, b, N) by one of them in place, on either side,
+skipping the zeros, the multiplications by 1 and the identity lines: a
+product by an identity pattern runs no tape.
 
-Term order is the float summation order: ``Poly.eval_float`` adds a
-polynomial's terms in dict order, so the kernels' term order fixes the bits
-of every numeric group-law evaluation.  A sum (``_add``: one denominator,
-then the echelon's accumulation ``exactlinalg._addmul``) keeps the left
-operand's terms in place, appends new keys in the right operand's order and
-drops a term the moment it cancels.  A product and the substitution
-(``_collect``) keep each key where it first appears and drop the zeros at
-the end, so a term that is zero on the way and comes back keeps its first
-position.  Scaling (``_add`` to zero) and ``_diff`` map terms one to one,
-in order.  A numerator is zero exactly when its Fraction is, so every dict
-is that of Fraction arithmetic, item for item.  Each term is evaluated as
-its coefficient times its coordinates in index order, a power x^e with
-e >= 2 by products (``jets.powers``).
+Term order is the float summation order: a polynomial's tree adds its terms
+to 0.0 in dict order, so the kernels' term order fixes the bits of every
+numeric group-law evaluation.  A sum (``_add``: one denominator, then the
+echelon's accumulation ``exactlinalg._addmul``) keeps the left operand's
+terms in place, appends new keys in the right operand's order and drops a
+term the moment it cancels.  A product and the substitution (``_collect``)
+keep each key where it first appears and drop the zeros at the end, so a
+term that is zero on the way and comes back keeps its first position.
+Scaling (``_add`` to zero) and ``_diff`` map terms one to one, in order.  A
+numerator is zero exactly when its Fraction is, so every dict is that of
+Fraction arithmetic, item for item.
 """
 
 from __future__ import annotations
@@ -69,9 +66,9 @@ from math import comb, factorial, isfinite, lcm
 
 import numpy as np
 
+from . import dsl
 from .algebra import DerivedCache, LieAlgebra
 from .exactlinalg import _addmul, _reduced
-from .jets import powers
 
 
 class IllConditionedFrame(ValueError):
@@ -109,25 +106,18 @@ class Poly:
             total += term
         return total
 
-    def eval_float(self, vals):
-        """Evaluation on floats or numpy arrays."""
-        total = 0.0
+    def tree(self):
+        """The DSL tree 0.0 + each term in dict order, a term its coefficient
+        times its coordinates in index order, x^e as ``Pow`` for e >= 2."""
+        total = dsl.Num(0.0)
         for k, c in self.terms.items():
-            term = float(c)
+            term = dsl.Num(float(c))
             for i, e in enumerate(k):
-                if e == 1:
-                    term = term * vals[i]
-                elif e:
-                    term = term * powers(vals[i], e)[1]
-            total = total + term
+                if e:
+                    x = dsl.Coord(i, f"x{i + 1}")
+                    term = dsl.Bin("*", term, x if e == 1 else dsl.Pow(x, e))
+            total = dsl.Bin("+", total, term)
         return total
-
-
-def _evaluator(vals: list):
-    """Polynomial evaluation at vals: exact when every value is rational."""
-    if all(isinstance(v, (int, Fraction)) for v in vals):
-        return lambda p: p.eval_exact(vals)
-    return lambda p: p.eval_float(vals)
 
 
 def _as_batch(x) -> np.ndarray:
@@ -278,23 +268,25 @@ def _product(alg: LieAlgebra, width: int) -> list:
 @dataclass(frozen=True)
 class SparsePattern:
     """The nonzero entries of a square polynomial matrix P, read off its
-    polynomials: ``rows[i]`` lists (k, p) for every nonzero P[i, k] and
-    ``cols[j]`` every nonzero P[k, j], both in k order, with p None where the
-    entry is the constant 1."""
+    polynomials: ``rows[i]`` lists (k, e) for every nonzero P[i, k] and
+    ``cols[j]`` every nonzero P[k, j], both in k order, with e None where the
+    entry is the constant 1, else its output of ``tape`` (row-major order)."""
 
     rows: tuple
     cols: tuple
+    tape: dsl.Tape
 
     @classmethod
     def of(cls, polys: list[list[Poly]]) -> "SparsePattern":
         one = {(0,) * polys[0][0].nvars: Fraction(1)}
-        entry = [[None if p.terms == one else p for p in row] for row in polys]
         n = len(polys)
-        rows = tuple(tuple((k, entry[i][k]) for k in range(n) if polys[i][k].terms)
+        live = [(i, k) for i in range(n) for k in range(n) if polys[i][k].terms not in ({}, one)]
+        entry = {ik: e for e, ik in enumerate(live)}
+        rows = tuple(tuple((k, entry.get((i, k))) for k in range(n) if polys[i][k].terms)
                      for i in range(n))
-        cols = tuple(tuple((k, entry[k][j]) for k in range(n) if polys[k][j].terms)
+        cols = tuple(tuple((k, entry.get((k, j))) for k in range(n) if polys[k][j].terms)
                      for j in range(n))
-        return cls(rows, cols)
+        return cls(rows, cols, dsl.compile(polys[i][k].tree() for i, k in live))
 
     def mask(self) -> np.ndarray:
         """The boolean (n, n) matrix of the nonzero entries."""
@@ -331,37 +323,37 @@ class GroupLaw:
     def inv_frame_reads(self) -> frozenset:
         """The coordinates the inverse frame's polynomials read: of a map's
         values, the frame differential needs only these."""
-        return frozenset(i for row in self.inv_frame for p in row for k in p.terms
-                         for i, e in enumerate(k) if e)
+        return frozenset().union(*map(dsl.coordinate_indices, self.inv_frame_pattern.tape.components))
 
-    def _check_length(self, length: int) -> None:
-        if length != self.algebra.dim:
-            raise ValueError(f"a point of a dim-{self.algebra.dim} group has "
-                             f"{self.algebra.dim} coordinates, got {length}")
+    def _check_length(self, *lengths: int) -> None:
+        for length in lengths:
+            if length != self.algebra.dim:
+                raise ValueError(f"a point of a dim-{self.algebra.dim} group has "
+                                 f"{self.algebra.dim} coordinates, got {length}")
 
     # -- exact paths --------------------------------------------------------
 
     def multiply(self, a, b):
-        """Product of two coordinate sequences; exact on rationals."""
+        """Product of two coordinate sequences; exact on ints and Fractions."""
         a, b = list(a), list(b)
-        self._check_length(len(a))
-        self._check_length(len(b))
-        ev = _evaluator(a + b)
-        return [ev(p) for p in self.product]
+        self._check_length(len(a), len(b))
+        if all(isinstance(v, (int, Fraction)) for v in a + b):
+            return [p.eval_exact(a + b) for p in self.product]
+        return self.multiply_batch(a, b)[:, 0].tolist()
 
     # -- vectorized paths -----------------------------------------------------
 
+    @cached_property
+    def product_tape(self) -> dsl.Tape:
+        return dsl.compile([p.tree() for p in self.product])
+
     def multiply_batch(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Product of coordinate batches shaped (n, N); (n,) inputs broadcast."""
-        a = _as_batch(a)
-        b = _as_batch(b)
-        self._check_length(a.shape[0])
-        self._check_length(b.shape[0])
+        a, b = _as_batch(a), _as_batch(b)
+        self._check_length(a.shape[0], b.shape[0])
         a, b = np.broadcast_arrays(a, b)
-        vals = list(a) + list(b)
         out = np.empty(a.shape, dtype=float)
-        for i, p in enumerate(self.product):
-            out[i] = p.eval_float(vals)
+        dsl.evaluate(self.product_tape, list(a) + list(b), out)
         return out
 
     def _product(self, pattern: SparsePattern, vals: list, stack: np.ndarray, left: bool):
@@ -370,15 +362,15 @@ class GroupLaw:
         matrices, computed in place: ``stack`` is overwritten with the result
         and returned.
 
-        Each result line adds its terms in k order, skipping the structural
-        zeros of P and the multiplications by its constant 1s; each nonzero
-        entry of P is evaluated once.  A line of P that is the identity line
-        leaves its line of ``stack`` as it is, so an identity P returns
-        ``stack`` unchanged.  Every other line is computed from the unmodified
-        stack into a temporary, and the temporaries are written back only
-        after the last line, so no line reads a value already overwritten, in
-        whatever order the lines of P read each other.  P is invertible, so no
-        line of it is empty.
+        The pattern's tape evaluates each entry of P that is not the constant
+        1 once per call, into a list; an identity P runs no tape.  Each result
+        line adds its terms in k order, skipping the structural zeros of P and
+        the multiplications by its constant 1s.  A line of P that is the
+        identity line leaves its line of ``stack`` as it is.  Every other line
+        is computed from the unmodified stack into a temporary, and the
+        temporaries are written back only after the last line, so no line
+        reads a value already overwritten, in whatever order the lines of P
+        read each other.  P is invertible, so no line of it is empty.
 
         Where an evaluated entry of P is infinite or NaN, a term whose stack
         entry is exactly 0.0 is 0.0, not 0 * inf = NaN: the rule of a call's
@@ -388,17 +380,21 @@ class GroupLaw:
         that overflows only takes the masking path, which changes nothing
         there.
         """
+        if not pattern.tape.components:
+            return stack
+        entries = [None] * len(pattern.tape.components)
+        dsl.evaluate(pattern.tape, vals, entries)
         view = stack if left else stack.swapaxes(0, 1)  # view[k] is line k
         done = []
         for i, terms in enumerate(pattern.rows if left else pattern.cols):
             if terms == ((i, None),):
                 continue
-            for t, (k, p) in enumerate(terms):
+            for t, (k, e) in enumerate(terms):
                 s = view[k]
-                if p is None:
+                if e is None:
                     term = s if t else s.copy()
                 else:
-                    v = p.eval_float(vals)
+                    v = entries[e]
                     term = s * v
                     if not isfinite(v.dot(v)):  # an exact 0 stays 0, not 0 * inf = NaN
                         term[(s == 0.0) & ~np.isfinite(v)] = 0.0

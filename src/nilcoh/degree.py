@@ -44,14 +44,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import isfinite
-from numbers import Integral
 
 import numpy as np
 
 from . import rng
 from .dsl import DomainError
 from .forms import volume_form
-from .group import BallSpec, box_volume, check_adapted, cloud_mean, sample_ball_coords
+from .group import BallSpec, _check_count, box_volume, check_adapted, cloud_mean, sample_ball_coords
 from .maps import SmoothMap, differential_batch, evaluate_batch, jacobian_batch, normalize_to_y0
 from .pullback import amenable_average
 
@@ -106,13 +105,6 @@ def _grid_starts(scales: np.ndarray, density: int) -> np.ndarray:
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([g.ravel() for g in mesh])
     return pts * scales[:, None]
-
-
-def _check_grid_density(grid_density: int) -> None:
-    if not isinstance(grid_density, Integral):
-        raise TypeError(f"grid density must be an integer, got {grid_density!r}")
-    if grid_density < 1:
-        raise ValueError(f"grid density must be at least 1, got {grid_density}")
 
 
 def _boundary_cloud(m: SmoothMap, window: BallSpec, seed: int) -> np.ndarray:
@@ -342,7 +334,7 @@ def local_degree(
 
     A target with a NaN or infinite coordinate is refused: no preimage
     search can find it, and degree 0 would read as "stable"."""
-    _check_grid_density(grid_density)
+    _check_count("grid density", grid_density)
     m = normalize_to_y0(m)
     if m.domain.dim != m.codomain.dim:
         raise ValueError("degree needs equal domain and codomain dimensions")
@@ -418,7 +410,7 @@ def area_formula_check(
     ``threads`` is accepted and ignored (evaluation is serial), because the
     benchmark harness passes it.
     """
-    _check_grid_density(grid_density)
+    _check_count("grid density", grid_density)
     m = normalize_to_y0(m)
     if m.domain.dim != m.codomain.dim:
         raise ValueError("area formula needs equal dimensions")

@@ -12,7 +12,8 @@ Coordinates are ``x1 .. xn``; functions are sin, cos, exp, log, sqrt, abs,
 tanh.  Positions in error messages are 1-based; end of input counts as one
 past the last character.
 
-Expressions are compiled (``compile``) into a ``Tape``, and on first use
+Expressions, the group law's float polynomials among them (``bch``), are
+compiled (``compile``) into a ``Tape``, and on first use
 for each domain dimension, mode and set of outputs read, into one
 straight-line Python function of numpy ops: one line per node in the
 order a walk of the trees meets them.  ``evaluate`` runs the function on

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import wraps
 from math import isfinite, lcm
+from numbers import Integral
 
 import numpy as np
 
@@ -55,6 +56,14 @@ def _check_radius(radius: float) -> None:
         raise ValueError(f"ball radius must be finite, got {radius}")
     if radius <= 0:
         raise ValueError(f"ball radius must be positive, got {radius}")
+
+
+def _check_count(name: str, count: int) -> None:
+    """Refuse a count that is not an integer of at least 1, naming it."""
+    if not isinstance(count, Integral):
+        raise TypeError(f"{name} must be an integer, got {count!r}")
+    if count < 1:
+        raise ValueError(f"{name} must be at least 1, got {count!r}")
 
 
 def check_radii(radii) -> list[float]:
@@ -109,8 +118,7 @@ def sample_ball_coords(
     the accepted columns are gathered with ``np.compress``, which took a
     (5, 4000) round from 51 to 21 µs against the boolean index ``a[:, mask]``.
     """
-    if count <= 0:
-        raise ValueError("sample count must be positive")
+    _check_count("sample count", count)
     check_adapted(alg)
     gen = rng.stream(seed, "ball", spec.shape, float(spec.radius), tags)
     scale = np.array([float(spec.radius) ** w for w in alg.weights])[:, None]

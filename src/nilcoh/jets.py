@@ -3,9 +3,10 @@
 Integer powers k >= 2 of numpy arrays are products (``powers``), because
 numpy's ``pow`` is far slower than the multiplications it replaces: x**3
 on 8192 floats of both signs takes about 520 µs against 7 µs for x*x*x
-(numpy 2.4, 2-core Xeon).  The DSL's generated code (``dsl``) and the
-group law's float polynomials (``bch``) both raise by ``powers``; in
-forward mode the DSL keeps x^(k-1) for the partial k·x^(k-1).
+(numpy 2.4, 2-core Xeon).  Only the DSL's generated code (``dsl``), which
+runs the group law's polynomials too, raises by ``powers``; in forward mode
+it keeps x^(k-1) for the partial k·x^(k-1).  The module stays because the
+benchmark's tracer (``bench/tracer.py``) reads ``nilcoh.jets`` as a layer.
 """
 
 from __future__ import annotations

@@ -62,6 +62,7 @@ import numpy as np
 from . import dsl
 from .algebra import LieAlgebra, algebra_from_dict, load_algebra
 from .bch import IllConditionedFrame, group_law  # IllConditionedFrame is re-exported
+from .group import _check_count
 
 
 @dataclass(frozen=True)
@@ -234,12 +235,11 @@ def normalize_to_y0(m: SmoothMap) -> SmoothMap:
 
 def is_group_homomorphism(m: SmoothMap, seed: int = 0, trials: int = 8, tol: float = 1e-9) -> bool:
     """Probe phi(g h) = phi(g) phi(h) on random pairs near the identity box.
-    Refuses (ValueError) fewer than 1 trial and a ``tol`` that is NaN,
-    infinite or negative, under which every map would pass."""
+    Refuses a ``trials`` that is no integer of at least 1, and a ``tol`` that
+    is NaN, infinite or negative, under which every map would pass."""
     from . import rng
 
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials!r}")
+    _check_count("trials", trials)
     if not (tol >= 0.0 and np.isfinite(tol)):
         raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
     gen = rng.stream(seed, "homcheck")
@@ -249,11 +249,9 @@ def is_group_homomorphism(m: SmoothMap, seed: int = 0, trials: int = 8, tol: flo
     for _ in range(trials):
         a = gen.uniform(-2.0, 2.0, size=m.domain.dim)
         b = gen.uniform(-2.0, 2.0, size=m.domain.dim)
-        ab = np.array(dom_law.multiply(list(a), list(b)), dtype=float)
-        lhs = evaluate_batch(mm, ab[:, None])[:, 0]
-        fa = evaluate_batch(mm, a[:, None])[:, 0]
-        fb = evaluate_batch(mm, b[:, None])[:, 0]
-        rhs = np.array(cod_law.multiply(list(fa), list(fb)), dtype=float)
+        lhs = evaluate_batch(mm, dom_law.multiply_batch(a, b))[:, 0]
+        fa = evaluate_batch(mm, a[:, None])
+        rhs = cod_law.multiply_batch(fa, evaluate_batch(mm, b[:, None]))[:, 0]
         if np.max(np.abs(lhs - rhs)) > tol:
             return False
     return True

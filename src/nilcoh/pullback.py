@@ -82,7 +82,7 @@ from . import dsl, rng
 from .algebra import DerivedCache, LieAlgebra
 from .cohomology import CohomologyRing, CohomologySpace, cohomology
 from .forms import KForm, basis_tuples, ce_differential, sort_with_sign, wedge
-from .group import BallSpec, check_radii, cloud_mean, sample_ball_coords
+from .group import BallSpec, _check_count, check_radii, cloud_mean, sample_ball_coords
 from .maps import SmoothMap, _at_point, differential_batch, differential_pattern, warn_once
 
 DEFAULT_RADII = tuple(4.0 * 2 ** k for k in range(6))
@@ -364,6 +364,7 @@ class _AveragePlan:
 
 def _chunk(samples: int) -> int:
     """Samples per chunk of a ``samples``-point ball average (``rng.CHUNK`` at most)."""
+    _check_count("sample count", samples)
     return max(1, min(samples, rng.CHUNK))
 
 

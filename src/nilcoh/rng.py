@@ -10,6 +10,7 @@ pay on small hosts, and the fixed partition keeps sums bit-identical anyway.
 from __future__ import annotations
 
 import hashlib
+from numbers import Integral
 
 import numpy as np
 
@@ -18,6 +19,8 @@ CHUNK = 8192
 
 def stream(seed: int, *tags) -> np.random.Generator:
     """Independent generator for (seed, tags); stable across runs and platforms."""
+    if not isinstance(seed, Integral):
+        raise TypeError(f"seed must be an integer, got {seed!r}")
     label = repr((int(seed),) + tags).encode()
     digest = hashlib.blake2b(label, digest_size=16).digest()
     key = np.frombuffer(digest, dtype=np.uint64)

@@ -734,6 +734,26 @@ def whole_array_averages(m, omegas, radius, samples, seed, shape):
             for w in omegas]
 
 
+def eval_float(p, vals):
+    """A ``Poly`` on floats or numpy arrays, as the group law evaluated it
+    before its polynomials ran as DSL tapes: 0.0 plus each term in dict
+    order, each term its coefficient times its coordinates in index order,
+    x^e for e >= 2 by ``nilcoh.jets.powers``.  The reference of
+    ``Poly.tree`` and of every numeric group-law evaluation."""
+    from nilcoh.jets import powers
+
+    total = 0.0
+    for k, c in p.terms.items():
+        term = float(c)
+        for i, e in enumerate(k):
+            if e == 1:
+                term = term * vals[i]
+            elif e:
+                term = term * powers(vals[i], e)[1]
+        total = total + term
+    return total
+
+
 def dense_poly_matrix(polys, vals, count: int) -> np.ndarray:
     """Every entry of a polynomial matrix evaluated at vals into a dense
     (count, n, n) stack, zeros and ones included."""
@@ -741,7 +761,7 @@ def dense_poly_matrix(polys, vals, count: int) -> np.ndarray:
     out = np.empty((count, n, n), dtype=float)
     for i in range(n):
         for j in range(n):
-            out[:, i, j] = polys[i][j].eval_float(vals)
+            out[:, i, j] = eval_float(polys[i][j], vals)
     return out
 
 
@@ -781,7 +801,7 @@ def stacked_differential(m, coords):
 # ``dict.get(key, Fraction(0)) + ...``, and zeros are dropped where the
 # original code dropped them.  The kernels in ``nilcoh`` must return the same
 # dicts, item for item: the same keys, values and types, in the same order
-# (``Poly.eval_float`` sums terms in dict order).  Terms are plain dicts here;
+# (``Poly.tree`` sums terms in dict order).  Terms are plain dicts here;
 # ``naive_poly_*`` end with ``Poly.__init__``'s zero filter.
 
 

@@ -30,7 +30,11 @@ seeds 1 and 2 (its seeded x^3 - b·x area check and z3 ``local_degree`` at
 Jacobians, at 64 and 4000 seeded points) on those two maps and
 ``differential_batch`` on the ``average`` maps of seeds 1 and 2, with
 every zero written as +0.0, so the DSL's generated code is checked at its
-own layer and not only through reports.  So are the coefficient rows'
+own layer and not only through reports.  So are the group law's
+products, ``multiply_batch``, ``frame_batch``, ``inv_frame_batch`` and
+``translation_jacobian_batch``, on H3, H5, filiform7 and the skewed H3
+(``conftest.skewed_heisenberg3``) at 4000 seeded points plus the origin,
+with zero signs kept.  So are the coefficient rows'
 generated code: the rows of the ``average`` maps' plans on one chunk of
 seeded points for seeds 1 and 2, and one-shot ``_coefficient_rows`` on a
 stack with +-0.0, +-inf and NaN entries, each NaN written as one NaN.  Exact-layer digests cover the
@@ -68,7 +72,7 @@ The package is imported from ``PYTHONPATH``, so the same script dumps any checko
     PYTHONPATH=../old/src python tests/parity_dump.py old.json
     diff old.json new.json
 
-The file holds 178 digests, keyed and sorted, so ``diff`` lists exactly
+The file holds 194 digests, keyed and sorted, so ``diff`` lists exactly
 the cases that moved.  The name keeps pytest from collecting it; a run takes 8-13 s on a
 2-core host.
 """
@@ -96,7 +100,7 @@ from bench.workloads import (  # noqa: E402
 from nilcoh import algebra, bch, cli, maps, pullback  # noqa: E402
 from nilcoh.forms import basis_form, volume_form, wedge  # noqa: E402
 from nilcoh.report import render_stable  # noqa: E402
-from conftest import rational_filiform5  # noqa: E402
+from conftest import rational_filiform5, skewed_heisenberg3  # noqa: E402
 from test_golden import CASES, stable_report  # noqa: E402
 
 def digest(text: str) -> str:
@@ -242,7 +246,28 @@ def layer_digests() -> dict:
             x = gen.uniform(-4.0, 4.0, size=(m.domain.dim, 2000))
             out[f"layer/differential_batch-{name}-seed{seed}"] = zeros_as_plus(
                 maps.differential_batch(m, x))
+    out.update(group_law_batches())
     out.update(coefficient_rows())
+    return out
+
+
+def group_law_batches() -> dict:
+    """The product and the three frame products of four laws at 4000 seeded
+    points plus the origin, each frame product on a fresh copy of one seeded
+    stack; zero signs count."""
+    out = {}
+    gen = np.random.default_rng(13)
+    for name, alg in (("H3", algebra.heisenberg3()), ("H5", algebra.heisenberg5()),
+                      ("filiform7", algebra.filiform(7)), ("skewed-H3", skewed_heisenberg3())):
+        law, n = bch.group_law(alg), alg.dim
+        x, y = np.concatenate([np.zeros((2, n, 1)), gen.uniform(-4.0, 4.0, (2, n, 4000))], axis=2)
+        stack = gen.uniform(-1.0, 1.0, (n, n, 4001))
+        for method, result in (
+                ("multiply_batch", law.multiply_batch(x, y)),
+                ("frame_batch", law.frame_batch(x, stack.copy())),
+                ("inv_frame_batch", law.inv_frame_batch(x, stack.copy())),
+                ("translation_jacobian_batch", law.translation_jacobian_batch(x, y, stack.copy()))):
+            out[f"layer/{method}-{name}"] = hashlib.sha256(result.tobytes()).hexdigest()
     return out
 
 

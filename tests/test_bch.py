@@ -11,6 +11,7 @@ from oracles import (
     dense_poly_matrix,
     dense_twin,
     dynkin_product_polys,
+    eval_float,
     naive_group_law_terms,
     naive_poly_add,
     naive_poly_diff,
@@ -21,7 +22,7 @@ from oracles import (
     ordered_items,
 )
 
-from nilcoh import algebra
+from nilcoh import algebra, dsl
 from nilcoh.bch import (
     Poly,
     _ZERO,
@@ -242,16 +243,20 @@ def test_dilations_are_automorphisms():
         assert dilate(law.multiply(x, y)) == law.multiply(dilate(x), dilate(y))
 
 
-def test_batch_multiply_matches_scalar():
-    h3 = algebra.heisenberg3()
-    law = group_law(h3)
+def test_batch_multiply_matches_the_reference_evaluation():
+    # multiply's float path is a column of multiply_batch, so both are read
+    # against the reference evaluation of the product polynomials
     rng = random.Random(7)
-    a = np.array([[rng.uniform(-2, 2) for _ in range(5)] for _ in range(3)])
-    b = np.array([[rng.uniform(-2, 2) for _ in range(5)] for _ in range(3)])
-    batch = law.multiply_batch(a, b)
-    for i in range(5):
-        single = law.multiply(list(a[:, i]), list(b[:, i]))
-        assert np.allclose(batch[:, i], single)
+    for alg in (algebra.heisenberg3(), algebra.filiform(5), skewed_heisenberg3()):
+        law = group_law(alg)
+        n = alg.dim
+        a = np.array([[rng.uniform(-2, 2) for _ in range(5)] for _ in range(n)])
+        b = np.array([[rng.uniform(-2, 2) for _ in range(5)] for _ in range(n)])
+        vals = list(a) + list(b)
+        want = np.array([eval_float(p, vals) for p in law.product])
+        assert law.multiply_batch(a, b).tobytes() == want.tobytes()
+        for i in range(5):
+            assert law.multiply(list(a[:, i]), list(b[:, i])) == want[:, i].tolist()
 
 
 def test_group_law_refuses_non_unipotent_frames():
@@ -352,14 +357,48 @@ def test_poly_kernels_match_the_reference_item_for_item(a, b, c, index):
         assert ordered_items(got[0]) == ordered_items(want[0]) and got[1] == want[1]
 
 
-def test_eval_float_raises_coordinates_by_products():
-    # x^e for e >= 2 is jets.powers' product, as in the DSL, not numpy's pow;
-    # each term is its coefficient times its coordinates in index order
+def tree_values(p: Poly, env: list) -> np.ndarray:
+    """``Poly.tree`` run through the DSL's generated code."""
+    values = np.empty((1, len(env[0])))
+    dsl.evaluate(dsl.compile([p.tree()]), env, values)
+    return values[0]
+
+
+def test_poly_trees_raise_coordinates_by_products():
+    # x^e for e >= 2 is jets.powers' product, not numpy's pow; each term is
+    # its coefficient times its coordinates in index order, added to 0.0 in
+    # dict order, byte for byte the reference evaluation
     x = list(np.random.default_rng(0).uniform(-3.0, 3.0, (2, 257)))
     p = Poly(2, {(3, 1): Fraction(-5, 7), (1, 0): Fraction(2), (0, 5): Fraction(1, 3)})
     want = (-5 / 7 * powers(x[0], 3)[1] * x[1] + 2.0 * x[0]) + 1 / 3 * powers(x[1], 5)[1]
-    assert np.array_equal(p.eval_float(x), want)
-    assert p.eval_float([0.5, -2.0]) == -5 / 7 * 0.125 * -2.0 + 2.0 * 0.5 + 1 / 3 * -32.0
+    assert tree_values(p, x).tobytes() == want.tobytes() == eval_float(p, x).tobytes()
+    point = [np.array([0.5]), np.array([-2.0])]
+    assert tree_values(p, point)[0] == -5 / 7 * 0.125 * -2.0 + 2.0 * 0.5 + 1 / 3 * -32.0
+    # the leading 0.0 turns a term's -0.0 into +0.0, as the reference does
+    minus = tree_values(Poly(2, {(1, 0): Fraction(-1)}), [np.array([0.0]), np.array([1.0])])
+    assert minus.tobytes() == np.array([0.0]).tobytes()
+
+
+SPECIAL = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan])
+VALUES = st.one_of(SPECIAL, st.floats(-4.0, 4.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), nvars=st.integers(2, 4))
+def test_poly_trees_match_the_reference_evaluation_byte_for_byte(data, nvars):
+    terms = data.draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 5)] * nvars),
+        st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 7)), max_size=6))
+    points = data.draw(st.lists(st.lists(VALUES, min_size=nvars, max_size=nvars), max_size=12))
+    env = list(np.array([[0.0] * nvars] + points).T)  # the origin first
+    p = Poly(nvars, terms)
+    with np.errstate(all="ignore"):  # inf * 0, inf - inf and overflow
+        got = tree_values(p, env)
+        want = np.empty_like(got)
+        want[...] = eval_float(p, env)
+    assert got.tobytes() == want.tobytes()
+    if (0,) * nvars not in p.terms:  # at the origin every term is +-0.0, and 0.0 + (-0.0) is +0.0
+        assert got[0] == 0.0 and not np.signbit(got[0])
 
 
 def test_a_product_term_that_cancels_and_returns_keeps_its_first_position():
@@ -392,8 +431,8 @@ LAWS.update({name: PARITY[name] for name in ("heisenberg7", "filiform8", "ration
 
 @pytest.mark.parametrize("name", sorted(LAWS))
 def test_group_law_terms_keep_the_reference_order(name):
-    # Poly.eval_float sums terms in dict order, so this pins the float bits
-    # of every numeric group-law evaluation
+    # Poly.tree adds terms in dict order, so this pins the float bits of
+    # every numeric group-law evaluation
     law = group_law(LAWS[name])
     product, trans, frame, inv = naive_group_law_terms(LAWS[name])
     assert [p.terms for p in law.product] == dynkin_product_polys(LAWS[name])

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from conftest import corpus, skewed_heisenberg3
 
-from nilcoh import algebra
+from nilcoh import algebra, rng
 from nilcoh.algebra import AlgebraError
 from nilcoh.bch import group_law
 from nilcoh.cohomology import cohomology
-from nilcoh.degree import area_formula_check, local_degree
-from nilcoh.forms import basis_covector
+from nilcoh.degree import area_formula_check, local_degree, qi_distortion_probe
+from nilcoh.forms import basis_covector, volume_form
 from nilcoh.group import (
     BallSpec,
     box_volume,
@@ -44,6 +44,30 @@ def test_sampling_is_deterministic_and_seed_sensitive():
     c = sample_ball_coords(H3, spec, 500, seed=6)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("seed", [1.5, 1.9, 1.0, "1"])
+def test_a_seed_that_is_not_an_integer_is_refused(seed):
+    # int(seed) truncated it: seeds 1.5 and 1.9 averaged exactly as seed 1
+    m = map_from_texts(H3, H3, ["x1 + 0.3*sin(x2)", "x2", "x3"])
+    with pytest.raises(TypeError, match=f"seed must be an integer, got {seed!r}"):
+        amenable_average(m, volume_form(H3), radii=(2.0, 4.0), samples=500, seed=seed)
+    with pytest.raises(TypeError, match=f"seed must be an integer, got {seed!r}"):
+        rng.stream(seed, "tag")
+    draw = rng.stream(np.int64(1), "tag").random(4)
+    assert np.array_equal(draw, rng.stream(1, "tag").random(4))
+
+
+def test_a_sample_count_that_is_not_an_integer_is_refused():
+    # numpy refused these without naming the value or the parameter
+    m = map_from_texts(H3, H3, ["x1 + 0.3*sin(x2)", "x2", "x3"])
+    calls = [lambda: sample_ball_coords(H3, BallSpec(2.0), 1.5, seed=0),
+             lambda: amenable_average(m, volume_form(H3), radii=(2.0, 4.0), samples=1.5, seed=1),
+             lambda: qi_distortion_probe(m, pairs=2.5)]
+    for call, count in zip(calls, (1.5, 1.5, 2.5)):
+        with pytest.raises(TypeError, match=f"sample count must be an integer, got {count}"):
+            call()
+    assert sample_ball_coords(H3, BallSpec(2.0), np.int64(3), seed=0).shape == (3, 3)
 
 
 def test_abelian_mean_near_zero():

@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from conftest import skewed_heisenberg3
 from oracles import dense_poly_matrix, dense_twin, stacked_differential
 
 from nilcoh import algebra, dsl, local_degree, maps, pullback
-from nilcoh.bch import GroupLaw, Poly, group_law
+from nilcoh.bch import GroupLaw, group_law
 from nilcoh.dsl import DomainError
 from nilcoh.ergodic import Observable
 from nilcoh.maps import (
@@ -549,19 +550,27 @@ def test_frame_products_run_in_place_on_the_tapes_jacobian(monkeypatch):
 
 
 def test_frame_products_on_an_abelian_law_evaluate_no_polynomial(monkeypatch):
-    calls = []
-    eval_float = Poly.eval_float
-    monkeypatch.setattr(Poly, "eval_float", lambda p, vals: calls.append(p) or eval_float(p, vals))
-    r3 = algebra.abelian(3)
-    law = group_law(r3)
+    callers = []
+    evaluate = dsl.evaluate
+
+    def counted(*args, **kwargs):
+        callers.append(sys._getframe(1).f_globals["__name__"])
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(dsl, "evaluate", counted)
     x = np.random.default_rng(6).uniform(-2.0, 2.0, size=(3, 20))
     stack = np.random.default_rng(7).uniform(-1.0, 1.0, size=(3, 3, 20))
-    assert law.frame_batch(x, stack) is stack
-    assert law.inv_frame_batch(x, stack) is stack
-    assert law.translation_jacobian_batch(x[:, 0], x, stack) is stack
+    for alg, tapes in ((algebra.heisenberg3(), 3), (algebra.abelian(3), 0)):
+        callers.clear()
+        law = group_law(alg)
+        assert law.frame_batch(x, stack) is stack
+        assert law.inv_frame_batch(x, stack) is stack
+        assert law.translation_jacobian_batch(x[:, 0], x, stack) is stack
+        assert callers.count("nilcoh.bch") == tapes == len(callers)
+    r3 = algebra.abelian(3)
     m = map_from_texts(r3, r3, ["x1 + sin(x2)", "x2*x3", "x3"])
     mats = differential_batch(m, x)
-    assert not calls
+    assert "nilcoh.bch" not in callers and "nilcoh.maps" in callers
     assert np.array_equal(mats, jacobian_batch(m, x)[1])
 
 

@@ -59,8 +59,9 @@ def _check_radius(radius: float) -> None:
 
 
 def _check_count(name: str, count: int) -> None:
-    """Refuse a count that is not an integer of at least 1, naming it."""
-    if not isinstance(count, Integral):
+    """Refuse a count that is not an integer of at least 1, naming it; a
+    bool is refused too, though Python counts it as an integer."""
+    if isinstance(count, bool) or not isinstance(count, Integral):
         raise TypeError(f"{name} must be an integer, got {count!r}")
     if count < 1:
         raise ValueError(f"{name} must be at least 1, got {count!r}")
@@ -123,11 +124,14 @@ def sample_ball_coords(
     gen = rng.stream(seed, "ball", spec.shape, float(spec.radius), tags)
     scale = np.array([float(spec.radius) ** w for w in alg.weights])[:, None]
     if spec.shape == "box":
-        return gen.uniform(-1.0, 1.0, size=(alg.dim, count)) * scale
+        coords = gen.uniform(-1.0, 1.0, size=(alg.dim, count))
+        coords *= scale
+        return coords
     accepted = []
     have = 0
     while have < count:
-        batch = gen.uniform(-1.0, 1.0, size=(alg.dim, max(count, 1024))) * scale
+        batch = gen.uniform(-1.0, 1.0, size=(alg.dim, max(count, 1024)))
+        batch *= scale
         keep = np.compress(homogeneous_gauge_batch(alg, batch) <= spec.radius, batch, axis=1)
         accepted.append(keep)
         have += keep.shape[1]
@@ -148,24 +152,28 @@ def cloud_mean(cloud: np.ndarray, values):
     depends only on the cloud and ``values``.  The variance is summed on
     values shifted by the first chunk's mean, so a large mean does not
     cancel it away.  A cloud of fewer than 2 samples raises ``ValueError``.
+
+    Once its sum is taken, a block is centred and squared in place, so
+    ``values`` hands its blocks over to be overwritten, and no chunk touches
+    memory of its own for them.  A block that is read-only, is not float64,
+    or may share memory with the cloud is centred into a fresh float64
+    array instead, so the cloud and such blocks are left as they are.
     """
     shifts: list[np.ndarray] = []  # per block, its mean over the first chunk
-    deviation = np.empty(0)
 
     @wraps(values)  # chunk work is credited to the caller's module by tracers
     def evaluate(start: int, stop: int):
-        nonlocal deviation
         blocks = values(cloud[:, start:stop])
         sums = []
         for b, v in enumerate([blocks] if isinstance(blocks, np.ndarray) else blocks):
             if b == len(shifts):  # chunks run serially, in order
                 shifts.append(np.mean(v, axis=-1, keepdims=True))
-            if deviation.size < v.size:
-                deviation = np.empty(v.size)
-            d = np.subtract(v, shifts[b], out=deviation[:v.size].reshape(v.shape))
+            total = np.sum(v, axis=-1, keepdims=True)
+            own = v.flags.writeable and v.dtype == np.float64 and not np.may_share_memory(v, cloud)
+            d = np.subtract(v, shifts[b], out=v if own else np.empty(v.shape))
             # per-block sums with keepdims: rng.chunked_sums adds them up over a
             # length-1 sample axis, which leaves each one as it is
-            sums.append((np.sum(v, axis=-1, keepdims=True), np.sum(d, axis=-1, keepdims=True),
+            sums.append((total, np.sum(d, axis=-1, keepdims=True),
                          np.sum(np.square(d, out=d), axis=-1, keepdims=True)))
         return [np.concatenate(s) for s in zip(*sums)]
 
@@ -173,4 +181,3 @@ def cloud_mean(cloud: np.ndarray, values):
     total, total_d, total_dd = rng.chunked_sums(evaluate, count)
     _, stderr = rng.mean_and_stderr(total_d, total_dd, count)
     return total / count, stderr
-

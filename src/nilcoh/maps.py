@@ -43,7 +43,8 @@ it in place through the group laws' sparse products (structural zeros
 skipped, identity lines and abelian sides free), and ``jacobian_batch`` and
 ``differential_batch`` return that same buffer as an (N, m, n) view whose
 entries are contiguous N-vectors.  The buffer is the one ``_evaluate``
-allocated for this call, so no caller's array is overwritten.
+allocated for this call, or the one the caller handed ``differential_batch``
+as ``out`` to be overwritten, so no other array of the caller's is.
 
 ``differential_pattern`` runs the frame products on booleans: starting from
 the coordinates each component reads, it gives the entries of the frame
@@ -105,18 +106,25 @@ def warn_once(sink: list[str]):
     return warn
 
 
-def _evaluate(m: SmoothMap, coords: np.ndarray, warn=None, jets: bool = False, reads=None):
+def _evaluate(m: SmoothMap, coords: np.ndarray, warn=None, jets: bool = False, reads=None,
+              out=None):
     """F on a (n, N) batch: the values F(x) (m, N) before the shift, and with
     ``jets`` the tape's Jacobian J_F(x) in forward mode, sample-last
     (m, n, N), else None.  ``reads``, in forward mode, are the coordinates
-    of F(x) the caller reads (``dsl.evaluate``); the other rows are NaN."""
+    of F(x) the caller reads (``dsl.evaluate``); the other rows are NaN.
+    With ``out``, a pair of flat float64 buffers, both are written into
+    the buffers' heads (jets only), else into arrays allocated here."""
     if len(coords) != m.domain.dim:
         raise ValueError(
             f"points have {len(coords)} coordinates, the domain has dimension {m.domain.dim}"
         )
-    n, count = coords.shape
-    values = np.empty((m.codomain.dim, count))
-    jac = np.empty((m.codomain.dim, n, count)) if jets else None
+    rows, (n, count) = m.codomain.dim, coords.shape
+    if out is None:
+        values = np.empty((rows, count))
+        jac = np.empty((rows, n, count)) if jets else None
+    else:
+        values = out[0][:rows * count].reshape(rows, count)
+        jac = out[1][:rows * n * count].reshape(rows, n, count)
     dsl.evaluate(m.tape, list(coords), values, warn, jac, reads)
     return values, jac
 
@@ -170,7 +178,7 @@ def jacobian_batch(m: SmoothMap, coords: np.ndarray, warn=None):
     return _shifted(m, values), jac.transpose(2, 0, 1)
 
 
-def differential_batch(m: SmoothMap, coords: np.ndarray, warn=None) -> np.ndarray:
+def differential_batch(m: SmoothMap, coords: np.ndarray, warn=None, *, out=None) -> np.ndarray:
     """Frame-to-frame differential on a batch: the matrices (N, m, n)
     F_cod(F(x))^-1 @ J_F(x) @ F_dom(x) (module docstring), as a transposed
     view of the tape's C-contiguous (m, n, N) Jacobian, which the frame
@@ -186,10 +194,17 @@ def differential_batch(m: SmoothMap, coords: np.ndarray, warn=None) -> np.ndarra
     entry meets the exact-zero Jacobian entries as 0, not NaN: on H3,
     x1 + exp(800*x2) at (0.3, 0.95, 0.2) has the third row [0.0, nan, 1.0],
     NaN only where inf and -inf are added.
+
+    ``out``, if given, is a pair (values, jac) of flat float64 buffers of
+    at least m * N and m * n * N floats: the run writes F(x) and the
+    Jacobian into their heads instead of allocating, and the matrices
+    returned are a view of ``jac``.  A caller that evaluates chunk after
+    chunk passes one pair sized for its largest chunk, so no chunk maps
+    fresh pages; the bytes are those of the allocating call.
     """
     cod = group_law(m.codomain)
     coords = np.asarray(coords, dtype=float)
-    values, jac = _evaluate(m, coords, warn, jets=True, reads=cod.inv_frame_reads)
+    values, jac = _evaluate(m, coords, warn, jets=True, reads=cod.inv_frame_reads, out=out)
     cod.inv_frame_batch(values, jac)
     group_law(m.domain).frame_batch(coords, jac)
     return jac.transpose(2, 0, 1)

@@ -54,7 +54,15 @@ floats per chunk of samples, each planned by ``_plan_coefficient_rows``;
 ``_ball_averages`` reuses the plan at every radius and chunk, and
 ``cloud_mean`` reduces a block before the next one is evaluated, so memory
 is bounded whatever the number of pairs.  Every row keeps its own
-per-chunk sums, so the blocks move no bit.
+per-chunk sums, so the blocks move no bit.  The chunk loop touches only
+memory the call already owns: ``_ball_averages`` allocates one buffer,
+sized for one chunk, for the tape's values and Jacobian
+(``differential_batch``'s ``out``) and the rows of the largest block;
+every chunk at every radius writes into it, and ``cloud_mean`` centres and
+squares each block in place.  A short-lived chunk-sized array would be
+mapped afresh on every chunk, since glibc hands a freed heap top above its
+trim threshold back to the kernel, and every page mapped again costs a
+fault (about 2.4 µs per 4 KB page on the reference host).
 
 ``amenable_average`` (and through it ``degree.asymptotic_degree``) averages
 its caller's form and plans on every call.  ``induced_cohomology_map``
@@ -421,6 +429,11 @@ def _ball_averages(
     key is evaluated: a pair whose recipe is the key's reads its
     (mean, stderr), a negated one (0.0 - mean, stderr).
 
+    One buffer, sized for a chunk, holds the tape's values and Jacobian
+    (``differential_batch``'s ``out``) and the rows, for every chunk at
+    every radius (module docstring); a chunk's derivative bound is
+    ``_abs_max`` of its D.
+
     Returns, per radius and per input form, a (mean, stderr) pair of float64
     arrays over ``basis_tuples(n_dom, degree)``, and the largest sampled
     |frame differential| entry over all radii.
@@ -429,14 +442,19 @@ def _ball_averages(
     chunk = _chunk(samples)
     if plan is None:
         plan = _average_plan(omegas, differential_pattern(m), chunk)
-    row_buffer = np.empty(plan.width * chunk)
+    # one block, not three: glibc's trim threshold is twice the largest
+    # mmapped block freed so far, and with three blocks the H5 op of the
+    # `average` benchmark trimmed the heap the H3 ops had grown, which the
+    # next H3 op faulted back in (about 690 pages) in most processes
+    cod, dom = m.codomain.dim, m.domain.dim
+    values, jac, row_buffer = np.split(np.empty((cod + cod * dom + plan.width) * chunk),
+                                       [cod * chunk, (cod + cod * dom) * chunk])
     warn = warn_once(warnings)
     chunk_derivative_max: list[float] = []
 
     def coefficients(coords: np.ndarray):
-        mats = differential_batch(m, coords, warn)
-        chunk_derivative_max.append(float(np.max(np.abs(mats))))
-        entries = _entries(mats)
+        entries = _entries(differential_batch(m, coords, warn, out=(values, jac)))
+        chunk_derivative_max.append(_abs_max(entries))
         count = entries.shape[1]
         for size, rows in plan.blocks:
             out = row_buffer[:size * count].reshape(size, count)
@@ -456,6 +474,14 @@ def _ball_averages(
         stderr = np.append(stderr, 0.0)[plan.rows]
         per_radius.append([(mean[s], stderr[s]) for s in plan.forms])
     return per_radius, deriv_bound
+
+
+def _abs_max(a: np.ndarray) -> float:
+    """``np.max(np.abs(a))`` without the |a| temporary, as max(max a, -min a):
+    a NaN entry makes both ends NaN, an infinite entry of either sign gives
+    inf, and + 0.0 turns the -0.0 that -min a reads on an all-zero array
+    into +0.0."""
+    return float(np.maximum(a.max(), -a.min())) + 0.0
 
 
 def _form_of(dom: LieAlgebra, degree: int, mean: np.ndarray) -> KForm:

@@ -18,8 +18,10 @@ CHUNK = 8192
 
 
 def stream(seed: int, *tags) -> np.random.Generator:
-    """Independent generator for (seed, tags); stable across runs and platforms."""
-    if not isinstance(seed, Integral):
+    """Independent generator for (seed, tags); stable across runs and platforms.
+    A seed that is no integer is refused, and so is a bool, which Python
+    counts as one: ``True`` would draw exactly as seed 1."""
+    if isinstance(seed, bool) or not isinstance(seed, Integral):
         raise TypeError(f"seed must be an integer, got {seed!r}")
     label = repr((int(seed),) + tags).encode()
     digest = hashlib.blake2b(label, digest_size=16).digest()

@@ -15,7 +15,10 @@ an ``ergodicity_probe`` repr with an expression observable on an H3 map
 at basepoints off the origin (the cloud is read at the translated points)
 whose third component, which the frame differential never reads, holds
 calls, an ``amenable_average`` repr on an R2 sine map, whose values
-the differential never reads, ``amenable_average`` and
+the differential never reads, three ``amenable_average`` reprs over 3
+chunks whose derivative bound is +0.0 (a constant H3 map) or meets an
+overflow (H3 maps with exp(800*x2) or exp(800*x1) in a component, whose
+frame differential holds inf and NaN, or inf alone), ``amenable_average`` and
 ``area_formula_check`` reprs (the latter on a
 1-D cubic and on the 2-D z^3 + a·z, whose Newton takes the closed-form
 Cramer step on 128-target chunks), a 3-D ``local_degree`` repr (Newton
@@ -72,7 +75,7 @@ The package is imported from ``PYTHONPATH``, so the same script dumps any checko
     PYTHONPATH=../old/src python tests/parity_dump.py old.json
     diff old.json new.json
 
-The file holds 194 digests, keyed and sorted, so ``diff`` lists exactly
+The file holds 197 digests, keyed and sorted, so ``diff`` lists exactly
 the cases that moved.  The name keeps pytest from collecting it; a run takes 8-13 s on a
 2-core host.
 """
@@ -195,7 +198,16 @@ def library_calls() -> dict:
                   for p in ((0.0, 0.0, 0.0), (1.0, 2.0, -1.0))]
     wedge_minor = nilcoh.parse_observable("d11*d22 - d12*d21 + d33", 3, 3)
     sine = nilcoh.map_from_texts(r2, r2, ["x1 + 0.5*sin(x2)", "x2 - sin(x1)"])
-    return {
+    # derivative bounds over 3 chunks: +0.0 on a constant map, and on maps
+    # whose frame differential overflows, to inf and NaN or to inf alone
+    bounds = {name: nilcoh.map_from_texts(h3, h3, texts) for name, texts in (
+        ("h3-constant", ["1", "2", "-0.5"]), ("h3-overflow-nan", ["x1 + exp(800*x2)", "x2", "x3"]),
+        ("h3-overflow-inf", ["x1", "x2", "x3 + exp(800*x1)"]))}
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = {f"amenable_average/{name}": digest(repr(nilcoh.amenable_average(
+            m, volume_form(h3), radii=(0.5, 1.0, 2.0), samples=20000, seed=3)))
+            for name, m in bounds.items()}
+    return out | {
         "ergodicity_probe/h3-acted-expression": digest(repr(nilcoh.ergodicity_probe(
             wavy, [wedge_minor], basepoints, radii=(2.0, 4.0),
             samples=2000, seed=3))),

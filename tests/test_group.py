@@ -18,7 +18,7 @@ from nilcoh.group import (
     quasi_norm_batch,
     sample_ball_coords,
 )
-from nilcoh.maps import map_from_texts
+from nilcoh.maps import is_group_homomorphism, map_from_texts
 from nilcoh.pullback import amenable_average
 
 H3 = algebra.heisenberg3()
@@ -56,6 +56,25 @@ def test_a_seed_that_is_not_an_integer_is_refused(seed):
         rng.stream(seed, "tag")
     draw = rng.stream(np.int64(1), "tag").random(4)
     assert np.array_equal(draw, rng.stream(1, "tag").random(4))
+
+
+def test_a_bool_seed_or_count_is_refused():
+    # bool is an Integral: seed=True averaged exactly as seed 1, grid_density=True
+    # and trials=True ran at 1, and samples=True failed with numpy's bare message
+    m = map_from_texts(H3, H3, ["x1 + 0.3*sin(x2)", "x2", "x3"])
+    cubic = map_from_texts(algebra.abelian(1), algebra.abelian(1), ["x1^3 - x1"])
+    calls = [
+        ("seed", lambda: amenable_average(m, volume_form(H3), radii=(2.0, 4.0), samples=500,
+                                          seed=True)),
+        ("seed", lambda: rng.stream(False, "tag")),
+        ("grid density", lambda: local_degree(cubic, 2.0, (0.1,), grid_density=True)),
+        ("trials", lambda: is_group_homomorphism(m, trials=True)),
+        ("sample count", lambda: amenable_average(m, volume_form(H3), radii=(2.0, 4.0),
+                                                  samples=True)),
+    ]
+    for name, call in calls:
+        with pytest.raises(TypeError, match=f"{name} must be an integer, got (True|False)"):
+            call()
 
 
 def test_a_sample_count_that_is_not_an_integer_is_refused():
@@ -184,6 +203,34 @@ def test_cloud_mean_of_row_blocks_equals_one_array():
     got = cloud_mean(cloud, blocks)
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
     assert got[0].shape == (7,)
+
+
+@pytest.mark.parametrize("case", ["view of the cloud", "read-only", "float32"])
+def test_cloud_mean_leaves_blocks_it_does_not_own_as_they_are(case):
+    # cloud_mean centres and squares a block in place: a view of the cloud, a
+    # read-only block and a float32 one must be centred into a copy instead
+    cloud = sample_ball_coords(H3, BallSpec(3.0), 20000, seed=4)  # 3 chunks, the last ragged
+    before = cloud.copy()
+    handed = []
+
+    def values(coords):
+        if case == "view of the cloud":
+            return coords[0]
+        v = np.sin(coords[0]) + 2.0 * coords[1]
+        if case == "read-only":
+            v.flags.writeable = False
+        else:
+            v = v.astype(np.float32)
+        handed.append((v, v.copy()))
+        return v
+
+    mean, stderr = cloud_mean(cloud, values)
+    assert np.array_equal(cloud, before)
+    assert all(np.array_equal(v, kept) for v, kept in handed)
+    ref = np.concatenate([values(cloud[:, s:s + rng.CHUNK]) for s in range(0, 20000, rng.CHUNK)])
+    ref = ref.astype(np.float64)
+    assert mean == pytest.approx(np.mean(ref), rel=1e-6 if case == "float32" else 1e-12)
+    assert stderr == pytest.approx(np.std(ref, ddof=1) / np.sqrt(ref.size), rel=1e-6)
 
 
 def test_a_basis_not_adapted_to_the_lower_central_series_is_refused():

@@ -527,6 +527,21 @@ def test_differentials_are_views_of_sample_last_arrays():
         assert np.shares_memory(pullback._entries(mats), mats)
 
 
+@pytest.mark.parametrize("texts", [["x1 + 0.3*sin(x2)", "x2", "x3 + 0.2*x1^2"],
+                                   ["x1 + exp(800*x2)", "x2", "x3"]])
+def test_differential_batch_writes_into_the_given_buffers(texts):
+    # a chunk loop passes one pair of buffers sized for its chunk, the last
+    # chunk may be shorter, and the bytes must be those of the allocating call
+    m = map_from_texts(H3, H3, texts)
+    x = np.random.default_rng(3).uniform(-2.0, 2.0, size=(3, 100))
+    out = np.empty(3 * 100), np.empty(3 * 3 * 100)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for count in (100, 37):
+            mats = differential_batch(m, x[:, :count], out=out)
+            assert np.shares_memory(mats, out[1])
+            assert mats.tobytes() == differential_batch(m, x[:, :count]).tobytes()
+
+
 def test_frame_products_run_in_place_on_the_tapes_jacobian(monkeypatch):
     # the products overwrite the Jacobian the tape wrote for this call
     # instead of allocating and filling a new stack per product

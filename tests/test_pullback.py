@@ -1,4 +1,5 @@
 import gc
+import math
 import time
 import tracemalloc
 import weakref
@@ -644,6 +645,55 @@ def test_constant_map_has_no_row_to_evaluate():
     est = amenable_average(m, basis_form(H3, (0, 1)), radii=[2.0, 4.0], samples=500, seed=1)
     assert [v.coeffs for v in est.values] == [{}, {}]
     assert all(set(se.values()) == {0.0} for se in est.mc_stderr)
+
+
+def test_a_constant_maps_derivative_bound_is_plus_zero():
+    # max D of an all-zero chunk is 0.0 and -min D is -0.0: the bound must
+    # read +0.0, as np.max(np.abs(D)) did
+    m = map_from_texts(H3, H3, ["1", "2", "-0.5"])
+    est = amenable_average(m, volume_form(H3), radii=[2.0, 4.0], samples=20000, seed=1)
+    assert math.copysign(1.0, est.derivative_bound) == 1.0 and est.derivative_bound == 0.0
+    zeros = np.array([[0.0, -0.0], [-0.0, 0.0]])
+    for d in (zeros, -zeros, np.abs(zeros), -np.abs(zeros)):
+        assert math.copysign(1.0, pullback._abs_max(d)) == 1.0
+
+
+def test_chunk_derivative_bound_equals_the_max_of_abs_on_overflow():
+    # exp(800*x2) overflows for x2 > 0.89: D holds inf and NaN entries, and
+    # the bound of each chunk must be np.max(np.abs(D)), NaN and inf included
+    m = map_from_texts(H3, H3, ["x1 + exp(800*x2)", "x2", "x3"])
+    x = np.random.default_rng(2).uniform(-1.0, 1.0, size=(3, 3 * 512))
+    kinds = set()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, x.shape[1], 64):
+            d = pullback._entries(differential_batch(m, x[:, start:start + 64]))
+            want = np.max(np.abs(d))
+            assert repr(pullback._abs_max(d)) == repr(float(want))
+            kinds.add("nan" if np.isnan(want) else "inf" if np.isinf(want) else "finite")
+    assert kinds == {"nan", "finite"}
+    for d in ([1.0, -np.inf], [np.inf, -2.0], [-np.inf, np.nan, 3.0], [-3.0, 2.0]):
+        assert repr(pullback._abs_max(np.array(d))) == repr(float(np.max(np.abs(d))))
+
+
+def test_ball_averages_pass_one_pair_of_buffers_to_every_chunk(monkeypatch):
+    # each chunk's short-lived Jacobian was mapped afresh; one pair of buffers
+    # per call serves every chunk (3 here, the last ragged) at every radius
+    calls = []
+
+    def spy(m, coords, warn=None, *, out=None):
+        mats = differential_batch(m, coords, warn, out=out)
+        calls.append((out, coords.shape[1], mats))
+        return mats
+
+    monkeypatch.setattr(pullback, "differential_batch", spy)
+    m = map_from_texts(H3, H3, H3_MAP)
+    homomorphism_check(m, radii=(2.0, 4.0, 8.0), samples=2 * rng.CHUNK + 100, seed=1)
+    assert [count for _, count, _ in calls] == [rng.CHUNK, rng.CHUNK, 100] * 3
+    first = calls[0][0]
+    assert first is not None and first[1].size == 3 * 3 * rng.CHUNK
+    for out, _, mats in calls:
+        assert out[0] is first[0] and out[1] is first[1]
+        assert np.shares_memory(mats, first[1])
 
 
 def test_nan_at_a_structural_zero_no_longer_reaches_dead_rows():

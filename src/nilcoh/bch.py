@@ -42,7 +42,9 @@ Jacobian, frame and inverse frame lie, with one tape of the other entries
 (``SparsePattern``), and ``GroupLaw._product`` multiplies a sample-last
 stack of matrices (a, b, N) by one of them in place, on either side,
 skipping the zeros, the multiplications by 1 and the identity lines: a
-product by an identity pattern runs no tape.
+product by an identity pattern runs no tape.  The frame differential of a
+map multiplies by the frames' patterns in generated code instead
+(``dsl.differential``), entry by entry under the same rules.
 
 Term order is the float summation order: a polynomial's tree adds its terms
 to 0.0 in dict order, so the kernels' term order fixes the bits of every
@@ -379,6 +381,13 @@ class GroupLaw:
         every value is and cheaper than ``np.isfinite(v).all()``; a square
         that overflows only takes the masking path, which changes nothing
         there.
+
+        It serves the dense public products: ``frame_batch``,
+        ``inv_frame_batch`` and ``translation_jacobian_batch``, the last for
+        the shift of ``maps.jacobian_batch`` and so Newton's.  The frame
+        differential of ``maps.differential_batch`` runs the same rules
+        entry by entry in generated code (``dsl.differential``), with these
+        products as its reference in the tests.
         """
         if not pattern.tape.components:
             return stack

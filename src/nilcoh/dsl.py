@@ -27,10 +27,11 @@ x3 + 0.2*sin(x1) evaluates no sine.  Every run raises
 DomainError on log of a nonpositive value, division by zero, square root
 of a negative, 0 to a negative power, a constant power too large for a
 float, or a coordinate beyond the domain, in the order a walk of the
-trees would meet them.  Integer powers k >= 2 of arrays are products
-(``jets.powers``), within a relative γ_{k-1} of the exact power and the
-same bits as ``**`` for k = 2; constant (Python float) bases and
-exponents below 2 keep ``**``.
+trees would meet them.  Integer powers k >= 2 of arrays are products,
+the chain of ``jets.powers`` written out one line per product, so an x^k
+that no line reads is dropped like any other line; they are within a
+relative γ_{k-1} of the exact power and the same bits as ``**`` for
+k = 2.  Constant (Python float) bases and exponents below 2 keep ``**``.
 
 One writer, ``Code``, builds the generated code of these tapes and of the
 coefficient plans of ``pullback``, as ``dataclasses`` builds ``__init__``,
@@ -41,14 +42,22 @@ root lines and every line that defines a name a kept line reads, and each
 defined name is deleted after the line of its last use.  The functions
 live in one process-wide table, ``_RUNS``, under tagged keys: every tape
 of equal trees shares its functions, so a map loaded twice compiles once,
-and every plan of equal recipes and pattern shares its function.
+every plan of equal recipes and pattern shares its function, and so does
+every frame differential (``differential``) of equal trees, domain
+dimension and frame patterns, which ``maps.differential_batch`` runs: the
+tape's values and partials, then the products by the inverse codomain
+frame and the domain frame entry by entry, without the terms that
+round-to-nearest makes exact (``maps``).  Tapes of equal trees are equal,
+so a map and algebras reloaded from files find the functions of the first.
 """
 
 from __future__ import annotations
 
 import builtins
+import math
 import re
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -377,8 +386,8 @@ def _kink(raw, warn) -> None:
 
 
 _NAMESPACE = {
-    "DomainError": DomainError, "_first_bad": _first_bad, "_powers": powers,
-    "_constant_power": _constant_power, "_kink": _kink, "_isfinite": np.isfinite,
+    "DomainError": DomainError, "_first_bad": _first_bad, "_constant_power": _constant_power,
+    "_kink": _kink, "_isfinite": np.isfinite, "_finite": math.isfinite, "_full": np.full,
     "_equal": np.equal, "_less": np.less, "_less_equal": np.less_equal, "_nan": np.nan,
 }
 
@@ -445,11 +454,12 @@ class _Writer(Code):
     """The code of one tape, domain dimension, mode and set of outputs read:
     one line per op, in the order a walk of the trees meets them."""
 
-    def __init__(self, n: int, derivatives: bool, reads: frozenset):
+    def __init__(self, n: int, derivatives: bool, reads: frozenset = frozenset()):
         super().__init__(_NAMESPACE)
         self.n = n
         self.derivatives = derivatives
         self.reads = reads
+        self.coords = [f"x{j}" for j in range(n)]  # the names coordinate j reads
 
     def emit(self, template: str, *operands: str, root: bool = False) -> str:
         """A new temporary assigned the template filled with the operands:
@@ -482,11 +492,11 @@ class _Writer(Code):
         if isinstance(expr, Coord):
             if not isinstance(expr.index, int) or expr.index < 0:  # it names a local below
                 raise TypeError(f"not a coordinate index: {expr.index!r}")
-            if expr.index >= self.n:
+            if expr.index >= len(self.coords):
                 message = f"coordinate {expr.name} exceeds domain dimension {self.n}"
                 self.line(f"raise DomainError({self.bind(message)})", root=True)
                 raise _Unreachable
-            return _Term(f"x{expr.index}", {expr.index: _SEED} if self.derivatives else {})
+            return _Term(self.coords[expr.index], {expr.index: _SEED} if self.derivatives else {})
         if isinstance(expr, Neg):
             return self.neg(self.node(expr.arg))
         if isinstance(expr, Bin):
@@ -580,23 +590,22 @@ class _Writer(Code):
         return _Term(value, parts)
 
     def power(self, a: _Term, k: int) -> _Term:
-        """Integer powers k >= 2 of arrays are products (``jets.powers``);
-        constants, and k < 2, keep ``**``."""
+        """Integer powers k >= 2 of arrays are the products of ``jets.powers``,
+        one line each; constants, and k < 2, keep ``**``."""
         if k < 0:
             self.check("^", a.value)
         exponent = self.bind(k)
         if a.partials is None:  # it raises on overflow: a check, always run
             return _Term(self.emit("_constant_power({}, {})", a.value, exponent, root=True), None)
-        if not self.derivatives:
-            template = "_powers({}, {})[1]" if k >= 2 else "{} ** {}"
-            return _Term(self.emit(template, a.value, exponent), {})
         if k >= 2:
-            below, value = f"t{len(self.lines)}", f"t{len(self.lines)}v"
-            self.line(f"{below}, {value} = _powers({a.value}, {exponent})", (below, value),
-                      (a.value,))
+            below, value = powers(a.value, k, lambda p, q: self.emit("{} * {}", p, q))
+            if not self.derivatives:
+                return _Term(value, {})
             slope = self.emit("{} * {}", exponent, below)
         else:
             value = self.emit("{} ** {}", a.value, exponent)
+            if not self.derivatives:
+                return _Term(value, {})
             if k == 0:
                 return _Term(value, dict.fromkeys(a.partials, _ZERO))
             slope = self.emit("{} * {} ** {}", exponent, a.value, self.bind(k - 1))
@@ -649,8 +658,138 @@ def _generate(exprs: tuple, n: int, derivatives: bool, reads: frozenset):
             writer.store(a, writer.node(expr))
     except _Unreachable:
         pass
-    head = [f"{', '.join(f'x{j}' for j in range(n))}, = env"] if n else []
-    return writer.build("env, values, jac, warn", head, "<dsl tape>")[0]
+    return writer.build("env, values, jac, warn", _unpack(n), "<dsl tape>")[0]
+
+
+def _unpack(n: int) -> list:
+    """The head line that names the n coordinates of ``env``."""
+    return [f"{', '.join(f'x{j}' for j in range(n))}, = env"] if n else []
+
+
+@dataclass(eq=False)
+class _Entry:
+    """An entry of a frame product as ``_Differential`` writes it.  ``name``
+    is the literal, bound constant or temporary that holds it, None for an
+    exact zero not computed yet; ``value`` its float where it is a constant;
+    ``zero``, for an exact zero whose sign the data set, the op and the
+    operands that compute it; ``plus`` is True where it is never -0.0."""
+
+    name: str | None
+    value: float | None = None
+    zero: tuple | None = None
+    plus: bool = False
+
+    @property
+    def exact_zero(self) -> bool:
+        return self.zero is not None or self.value == 0.0
+
+
+class _Differential(_Writer):
+    """The code of a tape's frame differential L(F(x)) @ J_F(x) @ R(x): the
+    values and partials of the tape, then the product by L, the inverse
+    codomain frame, and the product by R, the domain frame, entry by entry
+    (``differential``)."""
+
+    def __init__(self, n: int):
+        super().__init__(n, True)
+        self.tests: dict[str, str] = {}  # frame entry -> its finiteness test
+
+    def stack_entry(self, p: str) -> _Entry:
+        """A partial of the tape: the seed, +0.0, a bound constant or a temporary."""
+        value = float(p) if p in (_SEED, _ZERO) else self.namespace.get(p)
+        if not isinstance(value, float):
+            return _Entry(p)
+        return _Entry(p, value, plus=not (value == 0.0 and math.copysign(1.0, value) < 0))
+
+    def array(self, term: _Term) -> str:
+        """The name of a value as an array: a constant is broadcast to one."""
+        if term.partials is not None:
+            return term.value
+        return self.emit("_full(jac.shape[2], {})", term.value)
+
+    def entries(self, exprs, coords: list) -> list:
+        """The names of a frame's entry trees evaluated over the named coordinates."""
+        saved = self.coords
+        self.coords, self.derivatives = coords, False
+        names = [self.array(self.node(expr)) for expr in exprs]
+        self.coords, self.derivatives = saved, True
+        return names
+
+    def name(self, e: _Entry) -> str:
+        """The name that holds e, computing an exact zero the first time it is read."""
+        if e.name is None:
+            op, a, b = e.zero
+            e.name = (self.masked(self.name(a), b) if op == "*"
+                      else self.emit("{} + {}", self.name(a), self.name(b)))
+        return e.name
+
+    def masked(self, s: str, v: str) -> str:
+        """s * v under the exact-zero rule of ``GroupLaw._product``: 0.0
+        where s is exactly 0 and v is not finite, tested once per v."""
+        t = self.emit("{} * {}", s, v)
+        if v not in self.tests:
+            self.tests[v] = self.emit("_finite({}.dot({}))", v, v)
+        test = self.tests[v]
+        self.line(f"if not {test}: {t}[({s} == 0.0) & ~_isfinite({v})] = 0.0", (t,),
+                  tuple(_NAME.findall(f"{t} {s} {test} {v}")))
+        return t
+
+    def term(self, s: _Entry, v: str | None) -> _Entry:
+        """The stack entry s times the frame entry named v (None: the constant 1)."""
+        if v is None:
+            return s
+        if s.exact_zero:  # a zero of the data's sign, never NaN: the exact-zero rule
+            return _Entry(None, zero=("*", s, v))
+        if s.value == 1.0:
+            return _Entry(v, plus=True)  # a frame entry is a sum 0.0 + ...
+        if s.value is not None:  # a nonzero constant: the rule masks nothing
+            return _Entry(self.emit("{} * {}", s.name, v))
+        return _Entry(self.masked(s.name, v))
+
+    def accumulate(self, a: _Entry, b: _Entry) -> _Entry:
+        """a + b, where an exact zero added to what is never -0.0 adds nothing."""
+        if b.exact_zero and a.plus:
+            return a
+        if a.exact_zero and b.plus:
+            return b
+        if a.exact_zero and b.exact_zero:
+            return _Entry(None, zero=("+", a, b))
+        return _Entry(self.emit("{} + {}", self.name(a), self.name(b)), plus=a.plus or b.plus)
+
+    def frame_product(self, lines: tuple, entries: list, stack: list, left: bool) -> list:
+        """L @ stack (``left``, ``lines`` the rows of L's pattern) or stack @ R
+        (``lines`` the columns of R's pattern), for frame entries named
+        ``entries``: each entry of the result adds its terms in k order."""
+        def entry(pairs):
+            return reduce(self.accumulate, (self.term(s, None if e is None else entries[e])
+                                            for s, e in pairs))
+        if left:
+            return [[entry((stack[k][b], e) for k, e in terms) for b in range(len(stack[0]))]
+                    for terms in lines]
+        return [[entry((row[k], e) for k, e in terms) for terms in lines] for row in stack]
+
+
+def _generate_differential(exprs: tuple, n: int, inverse: tuple, frame: tuple):
+    """The function run(env, jac, warn) of ``differential``; ``inverse`` is
+    the rows and entry trees of L, ``frame`` the columns and trees of R."""
+    writer = _Differential(n)
+    try:
+        terms = [writer.node(expr) for expr in exprs]
+    except _Unreachable:
+        terms = None
+    if terms is not None:
+        stack = [[writer.stack_entry((t.partials or {}).get(j, _ZERO)) for j in range(n)]
+                 for t in terms]
+        rows, trees = inverse
+        left = writer.entries(trees, [writer.array(t) for t in terms])
+        stack = writer.frame_product(rows, left, stack, left=True)
+        cols, trees = frame
+        stack = writer.frame_product(cols, writer.entries(trees, writer.coords), stack, left=False)
+        for a, row in enumerate(stack):
+            for j, e in enumerate(row):
+                name = writer.name(e)
+                writer.line(f"jac[{a}, {j}] = {name}", reads=tuple(_NAME.findall(name)), root=True)
+    return writer.build("env, jac, warn", _unpack(n), "<dsl differential>")[0]
 
 
 def _signature(exprs: tuple) -> tuple:
@@ -683,8 +822,10 @@ def _signature(exprs: tuple) -> tuple:
 
 
 # ("tape", signature) -> the functions of every tape of equal trees; ("rows",
-# key) -> the function and width of a coefficient plan (``pullback``).  Two
-# threads may generate the same function at once; either result is kept.
+# key) -> the function and width of a coefficient plan (``pullback``);
+# ("differential", tape, n, rows, tape, cols, tape) -> the frame
+# differential of a map's tape (``differential``).  Two threads may generate
+# the same function at once; either result is kept.
 _RUNS: dict[tuple, object] = {}
 
 
@@ -700,6 +841,13 @@ class Tape:
 
     components: tuple
     _runs: dict = field(default_factory=dict, repr=False)
+
+    # tapes of equal trees share ``_runs`` (``compile``), and are equal
+    def __eq__(self, other):
+        return isinstance(other, Tape) and self._runs is other._runs
+
+    def __hash__(self):
+        return id(self._runs)
 
     def run(self, n: int, derivatives: bool, reads=None):
         key = (n, derivatives, None if reads is None else frozenset(reads))
@@ -719,6 +867,24 @@ def compile(exprs) -> Tape:
     TypeError on what is not an expression node."""
     exprs = tuple(exprs)
     return Tape(exprs, _RUNS.setdefault(("tape", _signature(exprs)), {}))
+
+
+def differential(tape: Tape, n: int, inverse, frame):
+    """The function run(env, jac, warn) that writes into ``jac`` (m, n, N)
+    the frame differential L(F(x)) @ J_F(x) @ R(x) of the tape's outputs F
+    at the n coordinate arrays of ``env``, with L and R the polynomial
+    matrices of the sparsity patterns ``inverse`` and ``frame``
+    (``bch.SparsePattern``: L by its rows, R by its columns).  Domain
+    checks and warnings run as in ``evaluate`` with partials.  The function
+    is generated once for equal trees, n and patterns, and kept in ``_RUNS``.
+    """
+    key = ("differential", tape, n, inverse.rows, inverse.tape, frame.cols, frame.tape)
+    run = _RUNS.get(key)
+    if run is None:
+        run = _RUNS[key] = _generate_differential(
+            tape.components, n, (inverse.rows, inverse.tape.components),
+            (frame.cols, frame.tape.components))
+    return run
 
 
 def evaluate(tape: Tape, env: list, values: np.ndarray, warn=None, jac: np.ndarray | None = None,

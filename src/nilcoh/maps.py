@@ -29,22 +29,46 @@ bit for bit.  The shift is applied only where values are read, by
 ``evaluate_batch`` and ``jacobian_batch``; ``jacobian_batch`` also
 multiplies in the shift's translation Jacobian, as Newton needs the
 coordinate Jacobian of the map itself.
-``differential_batch`` returns the matrices alone, and of F(x) it reads
-only the coordinates that the inverse codomain frame reads
+
+``differential_batch`` runs one generated function per map tape, domain
+dimension and pair of frames (``dsl.differential``), which writes D's
+entries straight into the array it returns.  The function computes the
+tape's values and partials, then the inverse-frame product and the frame
+product entry by entry: each entry adds its terms in k order, skipping the
+structural zeros of the frames, as the group laws' sparse products
+(``GroupLaw._product``) do, and a term of an exact-zero stack entry and a
+non-finite frame entry is 0.0, not 0 * inf = NaN.  Of F(x) it reads only
+the coordinates that the inverse frame's entries read
 (``GroupLaw.inv_frame_reads``: none on an abelian codomain, x1 and x2 on
-H3).  Of the other components, the tape computes only the values that a
-partial or a domain check reads (``dsl.evaluate``), so the sine of
-(x1, sin x1), or of x3 + 0.2*sin(x1) on H3, is never evaluated for the
-differential.
+H3), and of the other components the values that a partial or a domain
+check reads, so the sine of (x1, sin x1), or of x3 + 0.2*sin(x1) on H3, is
+never evaluated for the differential.  The writer knows whether each term
+is a named array, a constant or an exact zero, and leaves out only what
+round-to-nearest makes exact (IEEE 754-2019, 6.3, the sign of an exact
+zero sum), so D is byte for byte the products', zero signs and NaN bits
+included:
+
+- a factor that is the constant 1 multiplies nothing: 1 * v is v, NaN
+  payload included;
+- an exact-zero stack entry (a structural zero of J_F, or a zero that such
+  terms add up to) times a frame entry is a signed zero Z, never NaN, by
+  the exact-zero rule; its sign comes from the data, so it is computed
+  where it is kept;
+- c + Z is c for a nonzero constant c, and +0.0 + Z is +0.0;
+- y + Z and y + 0.0 are y where y can never be -0.0, since a sum is -0.0
+  only if both operands are.  Such a y is a sum with an operand that can
+  never be -0.0; every frame entry is one, its tree being 0.0 + ... .  A
+  product is never such a y: a tiny negative product underflows to -0.0.
+
+Every other term keeps the products' op, operand order and masking test.
 
 Batches of matrices are stored sample-last, (m, n, N): the tape writes the
-Jacobian that way, the frames and the shift's translation Jacobian multiply
-it in place through the group laws' sparse products (structural zeros
-skipped, identity lines and abelian sides free), and ``jacobian_batch`` and
-``differential_batch`` return that same buffer as an (N, m, n) view whose
-entries are contiguous N-vectors.  The buffer is the one ``_evaluate``
-allocated for this call, or the one the caller handed ``differential_batch``
-as ``out`` to be overwritten, so no other array of the caller's is.
+Jacobian that way, the shift's translation Jacobian multiplies it in place
+through the group law's sparse product, and ``jacobian_batch`` and
+``differential_batch`` return an (N, m, n) view of that array whose
+entries are contiguous N-vectors.  The array is allocated for the call, or
+is the head of the buffer the caller handed ``differential_batch`` as
+``out`` to be overwritten, so no other array of the caller's is.
 
 ``differential_pattern`` runs the frame products on booleans: starting from
 the coordinates each component reads, it gives the entries of the frame
@@ -55,6 +79,7 @@ that are not zero at every point.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field, replace
 
@@ -106,26 +131,25 @@ def warn_once(sink: list[str]):
     return warn
 
 
-def _evaluate(m: SmoothMap, coords: np.ndarray, warn=None, jets: bool = False, reads=None,
-              out=None):
-    """F on a (n, N) batch: the values F(x) (m, N) before the shift, and with
-    ``jets`` the tape's Jacobian J_F(x) in forward mode, sample-last
-    (m, n, N), else None.  ``reads``, in forward mode, are the coordinates
-    of F(x) the caller reads (``dsl.evaluate``); the other rows are NaN.
-    With ``out``, a pair of flat float64 buffers, both are written into
-    the buffers' heads (jets only), else into arrays allocated here."""
+def _points(m: SmoothMap, coords) -> np.ndarray:
+    """A (n, N) batch of the domain's points as floats; refuses another n."""
+    coords = np.asarray(coords, dtype=float)
     if len(coords) != m.domain.dim:
         raise ValueError(
             f"points have {len(coords)} coordinates, the domain has dimension {m.domain.dim}"
         )
+    return coords
+
+
+def _evaluate(m: SmoothMap, coords: np.ndarray, warn=None, jets: bool = False):
+    """F on a (n, N) batch: the values F(x) (m, N) before the shift, and with
+    ``jets`` the tape's Jacobian J_F(x) in forward mode, sample-last
+    (m, n, N), else None."""
+    coords = _points(m, coords)
     rows, (n, count) = m.codomain.dim, coords.shape
-    if out is None:
-        values = np.empty((rows, count))
-        jac = np.empty((rows, n, count)) if jets else None
-    else:
-        values = out[0][:rows * count].reshape(rows, count)
-        jac = out[1][:rows * n * count].reshape(rows, n, count)
-    dsl.evaluate(m.tape, list(coords), values, warn, jac, reads)
+    values = np.empty((rows, count))
+    jac = np.empty((rows, n, count)) if jets else None
+    dsl.evaluate(m.tape, list(coords), values, warn, jac)
     return values, jac
 
 
@@ -138,7 +162,7 @@ def _shifted(m: SmoothMap, values: np.ndarray) -> np.ndarray:
 
 def evaluate_batch(m: SmoothMap, coords: np.ndarray, warn=None) -> np.ndarray:
     """Map values on a (n, N) coordinate batch; returns (m, N)."""
-    return _shifted(m, _evaluate(m, np.asarray(coords, dtype=float), warn)[0])
+    return _shifted(m, _evaluate(m, coords, warn)[0])
 
 
 def _at_point(batch, m: SmoothMap, g, warn=None, context: str = ""):
@@ -172,7 +196,7 @@ def jacobian_batch(m: SmoothMap, coords: np.ndarray, warn=None):
     codomain costs nothing.  The jacobians are a transposed view of that
     C-contiguous (m, n, N) array, so ``jacobians[:, a, b]`` is one
     contiguous N-vector."""
-    values, jac = _evaluate(m, np.asarray(coords, dtype=float), warn, jets=True)
+    values, jac = _evaluate(m, coords, warn, jets=True)
     if m.shift is not None:
         group_law(m.codomain).translation_jacobian_batch(np.array(m.shift), values, jac)
     return _shifted(m, values), jac.transpose(2, 0, 1)
@@ -181,32 +205,35 @@ def jacobian_batch(m: SmoothMap, coords: np.ndarray, warn=None):
 def differential_batch(m: SmoothMap, coords: np.ndarray, warn=None, *, out=None) -> np.ndarray:
     """Frame-to-frame differential on a batch: the matrices (N, m, n)
     F_cod(F(x))^-1 @ J_F(x) @ F_dom(x) (module docstring), as a transposed
-    view of the tape's C-contiguous (m, n, N) Jacobian, which the frame
-    products overwrite, like ``jacobian_batch``.  The shift never enters
+    view of the C-contiguous (m, n, N) array that one generated function
+    (``dsl.differential``) writes, entry by entry.  The shift never enters
     it, and F(x) only through the coordinates that the inverse codomain
     frame reads (``GroupLaw.inv_frame_reads``), so of the other components
-    the tape computes only the values their partials read.
+    the function computes only the values their partials read.
 
-    The frame products are the group laws' sparse ones (``GroupLaw._product``):
-    they skip the structural zeros of the frames, so an infinite Jacobian
-    entry spreads only into the entries it enters, not as NaN (0 * inf) into
-    the other entries of its row and column.  An infinite inverse-frame
-    entry meets the exact-zero Jacobian entries as 0, not NaN: on H3,
-    x1 + exp(800*x2) at (0.3, 0.95, 0.2) has the third row [0.0, nan, 1.0],
-    NaN only where inf and -inf are added.
+    Each entry adds its terms in k order, as the group laws' sparse
+    products (``GroupLaw._product``) do: structural zeros of the frames are
+    skipped, so an infinite Jacobian entry spreads only into the entries it
+    enters, not as NaN (0 * inf) into the other entries of its row and
+    column.  An infinite inverse-frame entry meets the exact-zero Jacobian
+    entries as 0, not NaN: on H3, x1 + exp(800*x2) at (0.3, 0.95, 0.2) has
+    the third row [0.0, nan, 1.0], NaN only where inf and -inf are added.
+    The function drops only terms whose omission moves no bit under
+    round-to-nearest (module docstring), so D is byte for byte that of the
+    products, zero signs and NaN bits included.
 
-    ``out``, if given, is a pair (values, jac) of flat float64 buffers of
-    at least m * N and m * n * N floats: the run writes F(x) and the
-    Jacobian into their heads instead of allocating, and the matrices
-    returned are a view of ``jac``.  A caller that evaluates chunk after
-    chunk passes one pair sized for its largest chunk, so no chunk maps
+    ``out``, if given, is a flat float64 buffer of at least m * n * N
+    floats: the matrices are written into its head instead of a new array,
+    and returned as a view of it.  A caller that evaluates chunk after
+    chunk passes one buffer sized for its largest chunk, so no chunk maps
     fresh pages; the bytes are those of the allocating call.
     """
-    cod = group_law(m.codomain)
-    coords = np.asarray(coords, dtype=float)
-    values, jac = _evaluate(m, coords, warn, jets=True, reads=cod.inv_frame_reads, out=out)
-    cod.inv_frame_batch(values, jac)
-    group_law(m.domain).frame_batch(coords, jac)
+    coords = _points(m, coords)
+    shape = (m.codomain.dim, *coords.shape)
+    jac = np.empty(shape) if out is None else out[:math.prod(shape)].reshape(shape)
+    run = dsl.differential(m.tape, len(coords), group_law(m.codomain).inv_frame_pattern,
+                           group_law(m.domain).frame_pattern)
+    run(list(coords), jac, warn)
     return jac.transpose(2, 0, 1)
 
 

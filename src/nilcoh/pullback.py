@@ -56,7 +56,7 @@ floats per chunk of samples, each planned by ``_plan_coefficient_rows``;
 is bounded whatever the number of pairs.  Every row keeps its own
 per-chunk sums, so the blocks move no bit.  The chunk loop touches only
 memory the call already owns: ``_ball_averages`` allocates one buffer,
-sized for one chunk, for the tape's values and Jacobian
+sized for one chunk, for the frame differential
 (``differential_batch``'s ``out``) and the rows of the largest block;
 every chunk at every radius writes into it, and ``cloud_mean`` centres and
 squares each block in place.  A short-lived chunk-sized array would be
@@ -429,7 +429,7 @@ def _ball_averages(
     key is evaluated: a pair whose recipe is the key's reads its
     (mean, stderr), a negated one (0.0 - mean, stderr).
 
-    One buffer, sized for a chunk, holds the tape's values and Jacobian
+    One buffer, sized for a chunk, holds the frame differential
     (``differential_batch``'s ``out``) and the rows, for every chunk at
     every radius (module docstring); a chunk's derivative bound is
     ``_abs_max`` of its D.
@@ -442,18 +442,17 @@ def _ball_averages(
     chunk = _chunk(samples)
     if plan is None:
         plan = _average_plan(omegas, differential_pattern(m), chunk)
-    # one block, not three: glibc's trim threshold is twice the largest
+    # one block, not one per array: glibc's trim threshold is twice the largest
     # mmapped block freed so far, and with three blocks the H5 op of the
     # `average` benchmark trimmed the heap the H3 ops had grown, which the
     # next H3 op faulted back in (about 690 pages) in most processes
-    cod, dom = m.codomain.dim, m.domain.dim
-    values, jac, row_buffer = np.split(np.empty((cod + cod * dom + plan.width) * chunk),
-                                       [cod * chunk, (cod + cod * dom) * chunk])
+    jac, row_buffer = np.split(np.empty((m.codomain.dim * m.domain.dim + plan.width) * chunk),
+                               [m.codomain.dim * m.domain.dim * chunk])
     warn = warn_once(warnings)
     chunk_derivative_max: list[float] = []
 
     def coefficients(coords: np.ndarray):
-        entries = _entries(differential_batch(m, coords, warn, out=(values, jac)))
+        entries = _entries(differential_batch(m, coords, warn, out=jac))
         chunk_derivative_max.append(_abs_max(entries))
         count = entries.shape[1]
         for size, rows in plan.blocks:

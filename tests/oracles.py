@@ -6,6 +6,7 @@ differential matrices are assembled tuple by tuple, and ranks come from
 sympy's exact rational elimination.
 """
 
+import itertools
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import factorial
@@ -297,6 +298,26 @@ def naive_preimages(points, converged, dets, scales, tol):
     return roots, margins
 
 
+def powers(x, k: int):
+    """(x^(k-1), x^k) for an integer k >= 2, by products: the runtime
+    reference of the multiplication chain the DSL's generated code writes
+    out (``nilcoh.jets.powers``).
+
+    x^(k-1) is built by left-to-right binary powering (square, then multiply
+    by x on each set bit of k-1) and x^k is x^(k-1)·x.  x^2 is x·x, which is
+    what numpy's ``x**2`` computes.  Each x^j carries at most j-1 roundings,
+    so x^k is within a relative γ_{k-1} = (k-1)u / (1 - (k-1)u) of the exact
+    power away from underflow (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2002, Lemma 3.1).
+    """
+    below = x
+    for bit in bin(k - 1)[3:]:
+        below = below * below
+        if bit == "1":
+            below = below * x
+    return below, below * x
+
+
 class Jet:
     """Dense forward-mode first derivatives: the reference for the DSL's
     generated code.
@@ -309,8 +330,8 @@ class Jet:
     values agree bit for bit, and so do the partials of the coordinates a
     value reads, up to the ±0.0 and 0 * inf terms the generated code leaves
     out.  A quotient's value is a/b, bit for bit the float evaluation; its
-    partials are built from 1/b.  Integer powers k >= 2 are
-    ``nilcoh.jets.powers``, x^(k-1)·x, with partials (k·x^(k-1))·partials.
+    partials are built from 1/b.  Integer powers k >= 2 are ``powers``,
+    x^(k-1)·x, with partials (k·x^(k-1))·partials.
     """
 
     __slots__ = ("value", "partials")
@@ -369,8 +390,6 @@ class Jet:
         return Jet(other / self.value, -self.partials * (other * inv * inv))
 
     def __pow__(self, k):
-        from nilcoh.jets import powers
-
         if k == 0:
             return Jet(np.ones_like(np.asarray(self.value, dtype=float)), np.zeros_like(self.partials))
         if k >= 2:
@@ -738,10 +757,8 @@ def eval_float(p, vals):
     """A ``Poly`` on floats or numpy arrays, as the group law evaluated it
     before its polynomials ran as DSL tapes: 0.0 plus each term in dict
     order, each term its coefficient times its coordinates in index order,
-    x^e for e >= 2 by ``nilcoh.jets.powers``.  The reference of
-    ``Poly.tree`` and of every numeric group-law evaluation."""
-    from nilcoh.jets import powers
-
+    x^e for e >= 2 by ``powers``.  The reference of ``Poly.tree`` and of
+    every numeric group-law evaluation."""
     total = 0.0
     for k, c in p.terms.items():
         term = float(c)
@@ -752,6 +769,59 @@ def eval_float(p, vals):
                 term = term * powers(vals[i], e)[1]
         total = total + term
     return total
+
+
+EDGE_VALUES = (0.0, -0.0, np.inf, -np.inf, np.nan, 1e200, -1e200, 1e-310, -1e-310)
+
+
+def edge_points(n: int, gen, count: int = 2000) -> np.ndarray:
+    """A (n, N) batch of points with edge coordinates (``EDGE_VALUES``):
+    the whole grid for n <= 3; else ``count`` points drawn from the grid
+    and, for each coordinate, each edge value at 8 seeded points in
+    [-4, 4]^n."""
+    values = np.array(EDGE_VALUES)
+    if n <= 3:
+        return np.array(list(itertools.product(values, repeat=n))).T.copy()
+    grid = gen.choice(values, size=(n, count))
+    single = gen.uniform(-4.0, 4.0, size=(n, n, len(values), 8))
+    for i in range(n):
+        single[i, i] = values[:, None]
+    return np.concatenate([grid, single.reshape(n, n, -1).transpose(1, 0, 2).reshape(n, -1)], axis=1)
+
+
+def fused_differential_maps() -> list:
+    """(name, map) pairs on which ``differential_batch``'s generated function
+    is held to the frame products of a full tape run: the ``average``
+    benchmark's H3 and H5 map shapes, the H3 doubling, a map on H3 in a
+    basis whose frame diagonal is 1 + x2/2, one on a non-graded dense twin
+    of filiform6, one on filiform7, an abelian one, and two on H3 whose
+    components overflow (exp(800*x2) in x1, exp(800*x1) in x3)."""
+    from conftest import skewed_heisenberg3
+    from nilcoh import algebra
+    from nilcoh.maps import map_from_texts
+
+    h3, h5, skew = algebra.heisenberg3(), algebra.heisenberg5(), skewed_heisenberg3()
+    twin = dense_twin(algebra.filiform(6), np.random.default_rng(1))
+    fil7, r3 = algebra.filiform(7), algebra.abelian(3)
+
+    def bent(n):
+        texts = [f"x{i + 1}" for i in range(n)]
+        texts[0] = "x1 + 0.3*sin(x2)"
+        texts[1] = "x2 + 0.1*x1^2"
+        texts[-1] += " + 0.2*x1*x2"
+        return texts
+
+    return [(name, map_from_texts(alg, alg, texts)) for name, alg, texts in (
+        ("average-h3", h3, ["x1 + 0.3141*sin(x2)", "x2", "x3 + 0.2718*x1^2"]),
+        ("average-h5", h5, ["x1 + 0.3141*sin(x2)", "x2", "x3 + 0.1414*x4^2", "x4",
+                            "x5 + 0.1732*x1*x3"]),
+        ("h3-doubling", h3, ["2*x1", "x2", "2*x3"]),
+        ("skewed-h3", skew, bent(3)),
+        ("dense-filiform6", twin, bent(6)),
+        ("filiform7", fil7, ["x1 + 0.3*sin(x2)"] + [f"x{i + 1}" for i in range(1, 7)]),
+        ("abelian", r3, ["x1 + sin(x2)", "x2*x3", "x3 - x1^3"]),
+        ("h3-overflow-x2", h3, ["x1 + exp(800*x2)", "x2", "x3"]),
+        ("h3-overflow-x1", h3, ["x1", "x2", "x3 + exp(800*x1)"]))]
 
 
 def dense_poly_matrix(polys, vals, count: int) -> np.ndarray:

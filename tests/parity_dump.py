@@ -33,7 +33,10 @@ seeds 1 and 2 (its seeded x^3 - b·x area check and z3 ``local_degree`` at
 Jacobians, at 64 and 4000 seeded points) on those two maps and
 ``differential_batch`` on the ``average`` maps of seeds 1 and 2, with
 every zero written as +0.0, so the DSL's generated code is checked at its
-own layer and not only through reports.  So are the group law's
+own layer and not only through reports.  ``differential_batch`` is also
+digested with zero signs and NaN bits kept, on those four maps and the
+nine of ``oracles.fused_differential_maps``, at seeded points plus a grid
+of +-0, +-inf, NaN, +-1e200 and +-1e-310 in every coordinate.  So are the group law's
 products, ``multiply_batch``, ``frame_batch``, ``inv_frame_batch`` and
 ``translation_jacobian_batch``, on H3, H5, filiform7 and the skewed H3
 (``conftest.skewed_heisenberg3``) at 4000 seeded points plus the origin,
@@ -75,7 +78,7 @@ The package is imported from ``PYTHONPATH``, so the same script dumps any checko
     PYTHONPATH=../old/src python tests/parity_dump.py old.json
     diff old.json new.json
 
-The file holds 197 digests, keyed and sorted, so ``diff`` lists exactly
+The file holds 210 digests, keyed and sorted, so ``diff`` lists exactly
 the cases that moved.  The name keeps pytest from collecting it; a run takes 8-13 s on a
 2-core host.
 """
@@ -104,6 +107,7 @@ from nilcoh import algebra, bch, cli, maps, pullback  # noqa: E402
 from nilcoh.forms import basis_form, volume_form, wedge  # noqa: E402
 from nilcoh.report import render_stable  # noqa: E402
 from conftest import rational_filiform5, skewed_heisenberg3  # noqa: E402
+from oracles import edge_points, fused_differential_maps  # noqa: E402
 from test_golden import CASES, stable_report  # noqa: E402
 
 def digest(text: str) -> str:
@@ -260,6 +264,24 @@ def layer_digests() -> dict:
                 maps.differential_batch(m, x))
     out.update(group_law_batches())
     out.update(coefficient_rows())
+    out.update(signed_differentials())
+    return out
+
+
+def signed_differentials() -> dict:
+    """``differential_batch`` with zero signs and NaN bits kept, on the
+    ``average`` maps of seeds 1 and 2 and on ``oracles.fused_differential_maps``,
+    at 500 seeded points plus ``oracles.edge_points``."""
+    out = {}
+    gen = np.random.default_rng(17)
+    cases = [(f"average-{name}-seed{seed}", m) for seed in (1, 2)
+             for name, m in (("H3", Average(seed).m3), ("H5", Average(seed).m5))]
+    for name, m in cases + fused_differential_maps():
+        n = m.domain.dim
+        x = np.concatenate([gen.uniform(-4.0, 4.0, size=(n, 500)), edge_points(n, gen)], axis=1)
+        with np.errstate(all="ignore"):
+            mats = maps.differential_batch(m, x)
+        out[f"layer/differential_batch-signed-{name}"] = hashlib.sha256(mats.tobytes()).hexdigest()
     return out
 
 

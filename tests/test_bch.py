@@ -20,6 +20,7 @@ from oracles import (
     naive_poly_sub,
     neumann_inverse_frame,
     ordered_items,
+    powers,
 )
 
 from nilcoh import algebra, dsl
@@ -34,7 +35,6 @@ from nilcoh.bch import (
     group_law,
 )
 from nilcoh.group import quasi_norm_batch
-from nilcoh.jets import powers
 
 
 def rand_coords(rng, n):
@@ -365,9 +365,10 @@ def tree_values(p: Poly, env: list) -> np.ndarray:
 
 
 def test_poly_trees_raise_coordinates_by_products():
-    # x^e for e >= 2 is jets.powers' product, not numpy's pow; each term is
-    # its coefficient times its coordinates in index order, added to 0.0 in
-    # dict order, byte for byte the reference evaluation
+    # x^e for e >= 2 is the product chain of jets.powers (oracles.powers),
+    # not numpy's pow; each term is its coefficient times its coordinates in
+    # index order, added to 0.0 in dict order, byte for byte the reference
+    # evaluation
     x = list(np.random.default_rng(0).uniform(-3.0, 3.0, (2, 257)))
     p = Poly(2, {(3, 1): Fraction(-5, 7), (1, 0): Fraction(2), (0, 5): Fraction(1, 3)})
     want = (-5 / 7 * powers(x[0], 3)[1] * x[1] + 2.0 * x[0]) + 1 / 3 * powers(x[1], 5)[1]

@@ -5,7 +5,10 @@ import sys
 import numpy as np
 import pytest
 from conftest import skewed_heisenberg3
-from oracles import dense_poly_matrix, dense_twin, stacked_differential
+from hypothesis import given, settings, strategies as st
+from oracles import (dense_poly_matrix, dense_twin, edge_points, fused_differential_maps,
+                     stacked_differential)
+from test_dsl import expr_strategy
 
 from nilcoh import algebra, dsl, local_degree, maps, pullback
 from nilcoh.bch import GroupLaw, group_law
@@ -350,14 +353,73 @@ def test_differential_is_bitwise_invariant_under_shifts_and_actions(alg):
             assert evaluate_batch(shifted, points).tobytes() == values.tobytes()
 
 
-def _full_differential(m, x):
+def _full_differential(m, x, warn=None):
     """The frame products of ``differential_batch`` on a tape run that
-    computes every value, as it ran before unread values were skipped."""
+    computes every value, as it ran before unread values were skipped and
+    before the partials and both products became one generated function."""
     law_cod, law_dom = group_law(m.codomain), group_law(m.domain)
     values = np.empty((m.codomain.dim, x.shape[1]))
     jac = np.empty((m.codomain.dim, m.domain.dim, x.shape[1]))
-    dsl.evaluate(m.tape, list(x), values, None, jac)
+    dsl.evaluate(m.tape, list(x), values, warn, jac)
     return law_dom.frame_batch(x, law_cod.inv_frame_batch(values, jac)).transpose(2, 0, 1)
+
+
+FUSED = fused_differential_maps()
+
+
+@pytest.mark.parametrize("m", [m for _, m in FUSED], ids=[name for name, _ in FUSED])
+def test_fused_differential_is_bytewise_the_frame_products(m):
+    # the generated function drops only terms that move no bit: zero signs
+    # and NaN bits included, at seeded points and where each coordinate is
+    # +-0, +-inf, NaN, +-1e200 or +-1e-310
+    gen = np.random.default_rng(21)
+    n = m.domain.dim
+    x = np.concatenate([gen.uniform(-4.0, 4.0, size=(n, 300)), edge_points(n, gen)], axis=1)
+    with np.errstate(all="ignore"):
+        got, want = differential_batch(m, x), _full_differential(m, x)
+    assert got.tobytes() == want.tobytes()
+
+
+def _outcome(batch, m, x):
+    """The bytes of ``batch``'s matrices, or its DomainError and sample, and
+    the warnings heard."""
+    sink: list[str] = []
+    try:
+        with np.errstate(all="ignore"):
+            return batch(m, x, warn_once(sink)).tobytes(), sink
+    except DomainError as e:
+        return (str(e), e.sample_index), sink
+
+
+@settings(max_examples=150, deadline=None)
+@given(exprs=st.lists(expr_strategy(), min_size=5, max_size=5), h5=st.booleans())
+def test_fused_differential_is_the_frame_products_on_random_maps(exprs, h5):
+    alg = algebra.heisenberg5() if h5 else H3
+    m = SmoothMap(alg, alg, tuple(exprs[:alg.dim]))
+    gen = np.random.default_rng(22)
+    x = gen.uniform(-3.0, 3.0, size=(alg.dim, 40))
+    x[:2, :9] = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e200, -1e200, 1e-310, -1e-310])
+    x[1, :9] = x[1, 8::-1]
+    assert _outcome(differential_batch, m, x) == _outcome(_full_differential, m, x)
+
+
+def test_maps_on_equal_algebras_share_one_fused_function(monkeypatch):
+    # every `nilcoh repro` step reloads its algebras and maps from JSON: the
+    # function is keyed by the trees, n and the frames' patterns, not by the
+    # objects, so the second algebra generates nothing
+    monkeypatch.setattr(dsl, "_RUNS", {})
+    generated = []
+    real = dsl._generate_differential
+    monkeypatch.setattr(dsl, "_generate_differential",
+                        lambda *args: generated.append(args) or real(*args))
+    texts = ["x1 + 0.3*sin(x2)", "x2", "x3 + 0.2*x1^2"]
+    x = np.random.default_rng(23).uniform(-2.0, 2.0, size=(3, 30))
+    first, second = (map_from_texts(alg, alg, texts)
+                     for alg in (algebra.heisenberg3(), algebra.heisenberg3()))
+    assert group_law(first.domain) is not group_law(second.domain)
+    assert differential_batch(first, x).tobytes() == differential_batch(second, x).tobytes()
+    assert len(generated) == 1
+    assert [key[0] for key in dsl._RUNS].count("differential") == 1
 
 
 def test_the_differential_skips_the_unread_sine(value_calls):
@@ -530,22 +592,26 @@ def test_differentials_are_views_of_sample_last_arrays():
 @pytest.mark.parametrize("texts", [["x1 + 0.3*sin(x2)", "x2", "x3 + 0.2*x1^2"],
                                    ["x1 + exp(800*x2)", "x2", "x3"]])
 def test_differential_batch_writes_into_the_given_buffers(texts):
-    # a chunk loop passes one pair of buffers sized for its chunk, the last
-    # chunk may be shorter, and the bytes must be those of the allocating call
+    # a chunk loop passes one buffer sized for its chunk, the last chunk may
+    # be shorter, and the bytes must be those of the allocating call
     m = map_from_texts(H3, H3, texts)
     x = np.random.default_rng(3).uniform(-2.0, 2.0, size=(3, 100))
-    out = np.empty(3 * 100), np.empty(3 * 3 * 100)
+    out = np.empty(3 * 3 * 100)
     with np.errstate(over="ignore", invalid="ignore"):
         for count in (100, 37):
             mats = differential_batch(m, x[:, :count], out=out)
-            assert np.shares_memory(mats, out[1])
+            assert mats.base is out or mats.base.base is out
+            assert np.shares_memory(mats, out[:3 * 3 * count])
             assert mats.tobytes() == differential_batch(m, x[:, :count]).tobytes()
 
 
 def test_frame_products_run_in_place_on_the_tapes_jacobian(monkeypatch):
-    # the products overwrite the Jacobian the tape wrote for this call
-    # instead of allocating and filling a new stack per product
-    jacs = []
+    # the shift's translation product overwrites the Jacobian the tape wrote
+    # for this call instead of allocating and filling a new stack; the frame
+    # differential needs no tape Jacobian at all: one generated function
+    # writes D into the array it returns a view of, without running the
+    # tape or a frame product
+    jacs, products = [], []
     evaluate = maps._evaluate
 
     def recorded(*args, **kwargs):
@@ -554,14 +620,20 @@ def test_frame_products_run_in_place_on_the_tapes_jacobian(monkeypatch):
         return values, jac
 
     monkeypatch.setattr(maps, "_evaluate", recorded)
+    for name in ("frame_batch", "inv_frame_batch"):
+        method = getattr(GroupLaw, name)
+        monkeypatch.setattr(GroupLaw, name, lambda *a, _m=method, _n=name, **k:
+                            products.append(_n) or _m(*a, **k))
     skew = skewed_heisenberg3()
     x = np.random.default_rng(9).uniform(-2.0, 2.0, size=(3, 50))
     for m in (_nonlinear(H3, True), map_from_texts(skew, skew, ["x1 + 1", "x2", "x3 + x1*x2"])):
         m = normalize_to_y0(m)
         assert m.shift is not None
-        assert differential_batch(m, x).base is jacs[-1]
-        assert jacobian_batch(m, x)[1].base is jacs[-1]
-    assert len([jac for jac in jacs if jac is not None]) == 4
+        jacs.clear()
+        mats = differential_batch(m, x)
+        assert mats.base.flags.owndata and mats.base.shape == (3, 3, 50)
+        assert not jacs and not products
+        assert jacobian_batch(m, x)[1].base is jacs[-1] is not None
 
 
 def test_frame_products_on_an_abelian_law_evaluate_no_polynomial(monkeypatch):
@@ -582,10 +654,15 @@ def test_frame_products_on_an_abelian_law_evaluate_no_polynomial(monkeypatch):
         assert law.inv_frame_batch(x, stack) is stack
         assert law.translation_jacobian_batch(x[:, 0], x, stack) is stack
         assert callers.count("nilcoh.bch") == tapes == len(callers)
+    # the frame differential runs no tape through ``evaluate``, and on
+    # abelian laws its function evaluates no frame entry: D is J_F
     r3 = algebra.abelian(3)
     m = map_from_texts(r3, r3, ["x1 + sin(x2)", "x2*x3", "x3"])
+    callers.clear()
     mats = differential_batch(m, x)
-    assert "nilcoh.bch" not in callers and "nilcoh.maps" in callers
+    assert not callers
+    run = dsl.differential(m.tape, 3, group_law(r3).inv_frame_pattern, group_law(r3).frame_pattern)
+    assert "_finite" not in run.__code__.co_names
     assert np.array_equal(mats, jacobian_batch(m, x)[1])
 
 

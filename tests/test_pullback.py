@@ -675,9 +675,9 @@ def test_chunk_derivative_bound_equals_the_max_of_abs_on_overflow():
         assert repr(pullback._abs_max(np.array(d))) == repr(float(np.max(np.abs(d))))
 
 
-def test_ball_averages_pass_one_pair_of_buffers_to_every_chunk(monkeypatch):
-    # each chunk's short-lived Jacobian was mapped afresh; one pair of buffers
-    # per call serves every chunk (3 here, the last ragged) at every radius
+def test_ball_averages_pass_one_buffer_to_every_chunk(monkeypatch):
+    # each chunk's short-lived Jacobian was mapped afresh; one buffer per
+    # call serves every chunk (3 here, the last ragged) at every radius
     calls = []
 
     def spy(m, coords, warn=None, *, out=None):
@@ -690,10 +690,10 @@ def test_ball_averages_pass_one_pair_of_buffers_to_every_chunk(monkeypatch):
     homomorphism_check(m, radii=(2.0, 4.0, 8.0), samples=2 * rng.CHUNK + 100, seed=1)
     assert [count for _, count, _ in calls] == [rng.CHUNK, rng.CHUNK, 100] * 3
     first = calls[0][0]
-    assert first is not None and first[1].size == 3 * 3 * rng.CHUNK
+    assert first is not None and first.size == 3 * 3 * rng.CHUNK
     for out, _, mats in calls:
-        assert out[0] is first[0] and out[1] is first[1]
-        assert np.shares_memory(mats, first[1])
+        assert out is first
+        assert np.shares_memory(mats, first)
 
 
 def test_nan_at_a_structural_zero_no_longer_reaches_dead_rows():

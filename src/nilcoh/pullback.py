@@ -113,7 +113,7 @@ class AverageEstimate:
     extrapolated: KForm            # the last value; no model extrapolation
     mc_stderr: list[dict]          # per-radius: lambda tuple -> standard error
     nonconvergent: bool
-    derivative_bound: float = 0.0  # max sampled |frame differential| entry over all radii
+    derivative_bound: float = 0.0  # max sampled |frame differential| entry over all radii, or NaN
     warnings: list[str] = field(default_factory=list)
 
 
@@ -128,7 +128,7 @@ class HomomorphismReport:
     mult_residuals: dict[tuple[int, int, int, int], float]
     stderrs: dict[int, float]                       # degree -> max per-coefficient stderr
     thresholds: dict[str, float]
-    derivative_bound: float = 0.0                   # max sampled |frame differential| entry over all radii
+    derivative_bound: float = 0.0                   # max sampled |frame differential| entry over all radii, or NaN
     warnings: list[str] = field(default_factory=list)
 
 
@@ -436,7 +436,7 @@ def _ball_averages(
 
     Returns, per radius and per input form, a (mean, stderr) pair of float64
     arrays over ``basis_tuples(n_dom, degree)``, and the largest sampled
-    |frame differential| entry over all radii.
+    |frame differential| entry over all radii: NaN if any chunk's bound is.
     """
     _check_on_codomain(m, omegas)
     chunk = _chunk(samples)
@@ -449,11 +449,11 @@ def _ball_averages(
     jac, row_buffer = np.split(np.empty((m.codomain.dim * m.domain.dim + plan.width) * chunk),
                                [m.codomain.dim * m.domain.dim * chunk])
     warn = warn_once(warnings)
-    chunk_derivative_max: list[float] = []
+    chunk_bounds: list[float] = []
 
     def coefficients(coords: np.ndarray):
         entries = _entries(differential_batch(m, coords, warn, out=jac))
-        chunk_derivative_max.append(_abs_max(entries))
+        chunk_bounds.append(_abs_max(entries))
         count = entries.shape[1]
         for size, rows in plan.blocks:
             out = row_buffer[:size * count].reshape(size, count)
@@ -461,18 +461,16 @@ def _ball_averages(
             yield out
 
     per_radius = []
-    deriv_bound = 0.0
     for r in radii:
         cloud = sample_ball_coords(m.domain, BallSpec(r, shape), samples, seed, tags=("avg",))
-        chunk_derivative_max.clear()
         mean, stderr = cloud_mean(cloud, coefficients)
-        deriv_bound = max(deriv_bound, max(chunk_derivative_max, default=0.0))
         mean = np.append(mean, 0.0)[plan.rows]
         # 0.0 - mean is what the negated row averages to, +0.0 for a zero mean
         np.subtract(0.0, mean, out=mean, where=plan.negated)
         stderr = np.append(stderr, 0.0)[plan.rows]
         per_radius.append([(mean[s], stderr[s]) for s in plan.forms])
-    return per_radius, deriv_bound
+    # np.max, not Python's max, which drops a NaN bound that is not first
+    return per_radius, float(np.max(chunk_bounds, initial=0.0))
 
 
 def _abs_max(a: np.ndarray) -> float:

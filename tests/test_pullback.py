@@ -675,6 +675,20 @@ def test_chunk_derivative_bound_equals_the_max_of_abs_on_overflow():
         assert repr(pullback._abs_max(np.array(d))) == repr(float(np.max(np.abs(d))))
 
 
+def test_a_nan_chunk_bound_makes_the_derivative_bound_nan():
+    # the chunk bounds were folded with Python's max, which drops a NaN that
+    # is not first: every chunk at R = 1 and 2 has a NaN bound, yet the
+    # bound read 3.89e176 at radii (0.5, 1, 2) and 0.0 at radii (1, 2)
+    m = map_from_texts(H3, H3, ["x1 + exp(800*x2)", "x2", "x3"])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for radii in ((0.5, 1.0, 2.0), (1.0, 2.0)):
+            est = amenable_average(m, volume_form(H3), radii=radii, samples=20000, seed=3)
+            rep = homomorphism_check(m, radii=radii, samples=20000, seed=3)
+            assert math.isnan(est.derivative_bound) and math.isnan(rep.derivative_bound)
+        est = amenable_average(m, volume_form(H3), radii=(0.5,), samples=20000, seed=3)
+    assert math.isfinite(est.derivative_bound) and est.derivative_bound > 1e170
+
+
 def test_ball_averages_pass_one_buffer_to_every_chunk(monkeypatch):
     # each chunk's short-lived Jacobian was mapped afresh; one buffer per
     # call serves every chunk (3 here, the last ragged) at every radius

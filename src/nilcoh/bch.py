@@ -321,12 +321,6 @@ class GroupLaw:
     def inv_frame_pattern(self) -> SparsePattern:
         return SparsePattern.of(self.inv_frame)
 
-    @cached_property
-    def inv_frame_reads(self) -> frozenset:
-        """The coordinates the inverse frame's polynomials read: of a map's
-        values, the frame differential needs only these."""
-        return frozenset().union(*map(dsl.coordinate_indices, self.inv_frame_pattern.tape.components))
-
     def _check_length(self, *lengths: int) -> None:
         for length in lengths:
             if length != self.algebra.dim:

@@ -13,17 +13,17 @@ tanh.  Positions in error messages are 1-based; end of input counts as one
 past the last character.
 
 Expressions, the group law's float polynomials among them (``bch``), are
-compiled (``compile``) into a ``Tape``, and on first use
-for each domain dimension, mode and set of outputs read, into one
-straight-line Python function of numpy ops: one line per node in the
-order a walk of the trees meets them.  ``evaluate`` runs the function on
-numpy arrays; in forward mode (Griewank-Walther, *Evaluating Derivatives*,
-2nd ed., 2008, ch. 3) each node also carries the partials of the
-coordinates it reads, and only those, with the multiplications by the
-seed 1.0 left out.  The caller may name the outputs whose values it
-reads; every value that no stored output, domain check or partials rule
-reads is then dropped (activity analysis, ibid.), so an unread output
-x3 + 0.2*sin(x1) evaluates no sine.  Every run raises
+compiled (``compile``) into a ``Tape``, and on first use for each domain
+dimension and mode into one straight-line Python function of numpy ops:
+one line per node in the order a walk of the trees meets them.
+``evaluate`` runs the function on numpy arrays; in forward mode
+(Griewank-Walther, *Evaluating Derivatives*, 2nd ed., 2008, ch. 3) each
+node also carries the partials of the coordinates it reads, and only
+those, with the multiplications by the seed 1.0 left out.  Every value
+that no stored result, domain check or partials rule reads is dropped
+(activity analysis, ibid.): the frame differential (``differential``)
+stores no values, so there an output x3 + 0.2*sin(x1) whose value the
+inverse frame does not read evaluates no sine.  Every run raises
 DomainError on log of a nonpositive value, division by zero, square root
 of a negative, 0 to a negative power, a constant power too large for a
 float, or a coordinate beyond the domain, in the order a walk of the
@@ -388,7 +388,7 @@ def _kink(raw, warn) -> None:
 _NAMESPACE = {
     "DomainError": DomainError, "_first_bad": _first_bad, "_constant_power": _constant_power,
     "_kink": _kink, "_isfinite": np.isfinite, "_finite": math.isfinite, "_full": np.full,
-    "_equal": np.equal, "_less": np.less, "_less_equal": np.less_equal, "_nan": np.nan,
+    "_equal": np.equal, "_less": np.less, "_less_equal": np.less_equal,
 }
 
 
@@ -451,14 +451,13 @@ class Code:
 
 
 class _Writer(Code):
-    """The code of one tape, domain dimension, mode and set of outputs read:
-    one line per op, in the order a walk of the trees meets them."""
+    """The code of one tape, domain dimension and mode: one line per op, in
+    the order a walk of the trees meets them."""
 
-    def __init__(self, n: int, derivatives: bool, reads: frozenset = frozenset()):
+    def __init__(self, n: int, derivatives: bool):
         super().__init__(_NAMESPACE)
         self.n = n
         self.derivatives = derivatives
-        self.reads = reads
         self.coords = [f"x{j}" for j in range(n)]  # the names coordinate j reads
 
     def emit(self, template: str, *operands: str, root: bool = False) -> str:
@@ -634,10 +633,7 @@ class _Writer(Code):
     # -- outputs --------------------------------------------------------------
 
     def store(self, a: int, term: _Term) -> None:
-        if a in self.reads:
-            self.line(f"values[{a}] = {term.value}", reads=(term.value,), root=True)
-        else:
-            self.line(f"values[{a}] = _nan", root=True)
+        self.line(f"values[{a}] = {term.value}", reads=(term.value,), root=True)
         if not self.derivatives:
             return
         if not term.partials:
@@ -650,9 +646,9 @@ class _Writer(Code):
 _BINARY = {"+": _Writer.add, "-": _Writer.sub, "*": _Writer.mul, "/": _Writer.div}
 
 
-def _generate(exprs: tuple, n: int, derivatives: bool, reads: frozenset):
+def _generate(exprs: tuple, n: int, derivatives: bool):
     """The function run(env, values, jac, warn) of a tape (``Tape``)."""
-    writer = _Writer(n, derivatives, reads)
+    writer = _Writer(n, derivatives)
     try:
         for a, expr in enumerate(exprs):
             writer.store(a, writer.node(expr))
@@ -833,10 +829,10 @@ _RUNS: dict[tuple, object] = {}
 class Tape:
     """Expressions to be compiled into straight-line code.
 
-    ``run`` generates, on first use for each domain dimension, mode (values,
-    or values and first partials) and set of outputs read, one Python
-    function of numpy ops and caches it in ``_runs``, which every tape of
-    equal expression trees shares.
+    ``run`` generates, on first use for each domain dimension and mode
+    (values, or values and first partials), one Python function of numpy
+    ops and caches it in ``_runs``, which every tape of equal expression
+    trees shares.
     """
 
     components: tuple
@@ -849,14 +845,10 @@ class Tape:
     def __hash__(self):
         return id(self._runs)
 
-    def run(self, n: int, derivatives: bool, reads=None):
-        key = (n, derivatives, None if reads is None else frozenset(reads))
-        run = self._runs.get(key)
+    def run(self, n: int, derivatives: bool):
+        run = self._runs.get((n, derivatives))
         if run is None:
-            outputs = frozenset(range(len(self.components)))
-            run = _generate(self.components, n, derivatives,
-                            outputs if reads is None else outputs & key[2])
-            self._runs[key] = run
+            run = self._runs[n, derivatives] = _generate(self.components, n, derivatives)
         return run
 
 
@@ -887,23 +879,19 @@ def differential(tape: Tape, n: int, inverse, frame):
     return run
 
 
-def evaluate(tape: Tape, env: list, values: np.ndarray, warn=None, jac: np.ndarray | None = None,
-             reads=None):
+def evaluate(tape: Tape, env: list, values: np.ndarray, warn=None, jac: np.ndarray | None = None):
     """Run a tape over an environment of numpy arrays, one per coordinate.
 
     ``values[a]`` receives output a.  With ``jac`` (m, n, N), sample-last,
     the run also computes first partials in forward mode, and ``jac[a, j]``
     receives output a's partial with respect to coordinate j: exactly +0.0
     where the output does not read x_j, or reads it only under ^0.
-    ``reads``, if given, holds the outputs whose values the caller reads:
-    every other output gets a NaN row of ``values``, and its value is
-    computed only where a partial, a domain check or another output reads
-    it.  Domain checks and warnings run as in a full run, in the order a
-    walk of the trees meets them.  ``warn``, if given, is called with a
+    Domain checks and warnings run in the order a walk of the trees meets
+    them.  ``warn``, if given, is called with a
     message for soft diagnostics (currently: an abs op evaluated within
     1e-9 of its kink).
     """
-    tape.run(len(env), jac is not None, reads)(env, values, jac, warn)
+    tape.run(len(env), jac is not None)(env, values, jac, warn)
 
 
 # -- printing -----------------------------------------------------------------

@@ -37,16 +37,15 @@ tape's values and partials, then the inverse-frame product and the frame
 product entry by entry: each entry adds its terms in k order, skipping the
 structural zeros of the frames, as the group laws' sparse products
 (``GroupLaw._product``) do, and a term of an exact-zero stack entry and a
-non-finite frame entry is 0.0, not 0 * inf = NaN.  Of F(x) it reads only
-the coordinates that the inverse frame's entries read
-(``GroupLaw.inv_frame_reads``: none on an abelian codomain, x1 and x2 on
-H3), and of the other components the values that a partial or a domain
-check reads, so the sine of (x1, sin x1), or of x3 + 0.2*sin(x1) on H3, is
-never evaluated for the differential.  The writer knows whether each term
-is a named array, a constant or an exact zero, and leaves out only what
-round-to-nearest makes exact (IEEE 754-2019, 6.3, the sign of an exact
-zero sum), so D is byte for byte the products', zero signs and NaN bits
-included:
+non-finite frame entry is 0.0, not 0 * inf = NaN.  Of F(x) it computes
+only the coordinates that the inverse frame's entries read (none on an
+abelian codomain, F1 and F2 on H3), and of the other components the values
+that a partial or a domain check reads, so the sine of (x1, sin x1), or of
+x3 + 0.2*sin(x1) on H3, is never evaluated for the differential.  The
+writer knows whether each term is a named array, a constant or an exact
+zero, and leaves out only what round-to-nearest makes exact (IEEE
+754-2019, 6.3, the sign of an exact zero sum), so D is byte for byte the
+products', zero signs and NaN bits included:
 
 - a factor that is the constant 1 multiplies nothing: 1 * v is v, NaN
   payload included;
@@ -208,8 +207,8 @@ def differential_batch(m: SmoothMap, coords: np.ndarray, warn=None, *, out=None)
     view of the C-contiguous (m, n, N) array that one generated function
     (``dsl.differential``) writes, entry by entry.  The shift never enters
     it, and F(x) only through the coordinates that the inverse codomain
-    frame reads (``GroupLaw.inv_frame_reads``), so of the other components
-    the function computes only the values their partials read.
+    frame reads, so of the other components the function computes only the
+    values their partials and domain checks read.
 
     Each entry adds its terms in k order, as the group laws' sparse
     products (``GroupLaw._product``) do: structural zeros of the frames are

@@ -113,7 +113,7 @@ class AverageEstimate:
     extrapolated: KForm            # the last value; no model extrapolation
     mc_stderr: list[dict]          # per-radius: lambda tuple -> standard error
     nonconvergent: bool
-    derivative_bound: float = 0.0  # max sampled |frame differential| entry over all radii, or NaN
+    derivative_bound: float = 0.0  # max sampled |frame differential| entry, or NaN
     warnings: list[str] = field(default_factory=list)
 
 
@@ -128,7 +128,7 @@ class HomomorphismReport:
     mult_residuals: dict[tuple[int, int, int, int], float]
     stderrs: dict[int, float]                       # degree -> max per-coefficient stderr
     thresholds: dict[str, float]
-    derivative_bound: float = 0.0                   # max sampled |frame differential| entry over all radii, or NaN
+    derivative_bound: float = 0.0                   # max sampled |frame differential| entry, or NaN
     warnings: list[str] = field(default_factory=list)
 
 

@@ -786,7 +786,8 @@ def edge_points(n: int, gen, count: int = 2000) -> np.ndarray:
     single = gen.uniform(-4.0, 4.0, size=(n, n, len(values), 8))
     for i in range(n):
         single[i, i] = values[:, None]
-    return np.concatenate([grid, single.reshape(n, n, -1).transpose(1, 0, 2).reshape(n, -1)], axis=1)
+    single = single.reshape(n, n, -1).transpose(1, 0, 2).reshape(n, -1)
+    return np.concatenate([grid, single], axis=1)
 
 
 def fused_differential_maps() -> list:

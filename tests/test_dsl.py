@@ -25,7 +25,7 @@ from nilcoh.dsl import (
     parse,
     pretty,
 )
-from nilcoh.maps import jacobian_batch, map_from_texts, normalize_to_y0
+from nilcoh.maps import differential_batch, jacobian_batch, map_from_texts, normalize_to_y0
 
 
 def run(exprs, env, warn=None, jets=False):
@@ -288,58 +288,25 @@ def test_dense_jets_add_what_the_code_leaves_out():
     assert_partials_match(exprs, jac, dense)
 
 
-def run_reading(reads):
-    """``run`` in forward mode with only the outputs ``reads`` read."""
-
-    def evaluator(exprs, env, warn=None, jets=True):
-        tape = dsl.compile(exprs)
-        values = np.empty((len(exprs), len(env[0])))
-        jac = np.empty((len(exprs), len(env), len(env[0])))
-        evaluate(tape, env, values, warn, jac, reads)
-        return values, jac
-
-    return evaluator
-
-
-@settings(max_examples=200, deadline=None)
-@given(exprs=st.lists(expr_strategy(), min_size=1, max_size=3), data=st.data())
-def test_unread_outputs_keep_their_partials_errors_and_warnings(exprs, data):
-    # the values of an unread output are computed only where a partial or a
-    # check reads them: the same partials, bit for bit, the same DomainError
-    # and the same warnings as a full run, and a NaN value row
-    reads = data.draw(st.sets(st.integers(0, len(exprs) - 1)))
-    for env in ENVS:
-        with np.errstate(all="ignore"):
-            full = outcome(run, exprs, env, True)
-            part = outcome(run_reading(reads), exprs, env, True)
-        if full[0] != "ok":
-            assert part == full
-            continue
-        assert part[2].tobytes() == full[2].tobytes() and part[3] == full[3]
-        for a in range(len(exprs)):
-            if a in reads:
-                assert part[1][a].tobytes() == full[1][a].tobytes()
-            else:
-                assert np.isnan(part[1][a]).all()
-
-
 def test_the_code_computes_only_the_values_it_reads(value_calls):
-    # a value is computed where a read output, a domain check or a partials
+    # a value is computed where a stored value, a domain check or a partials
     # rule reads it: the argument of a call or of a power, an operand of a
     # product or quotient of two varying terms.  Not where it reaches an
-    # unread output through +, - and constant factors
-    exprs = [parse("-cos(x1) + exp(x2) - x1*x2"), parse("sin(x1 + x2)^2"),
-             parse("x3 + 0.2*sin(x1)"), parse("tanh(x1)/3 - 2*log(x2 + 2)")]
-    env = [np.array([0.5, -1.0]), np.array([1.5, 0.25]), np.array([2.0, 3.0])]
-    run_reading({0})(exprs, env)
+    # output through +, - and constant factors: the frame differential of a
+    # map to an abelian group stores no value
+    texts = ["-cos(x1) + exp(x2) - x1*x2", "sin(x1 + x2)^2", "x3 + 0.2*sin(x1)",
+             "tanh(x1)/3 - 2*log(x2 + 2)"]
+    m = map_from_texts(algebra.abelian(3), algebra.abelian(4), texts)
+    x = np.array([[0.5, -1.0], [1.5, 0.25], [2.0, 3.0]])
+    differential_batch(m, x)
     # sin(x1 + x2)^2: the power's partial 2*sin(...)*cos(...) reads the sine
-    assert value_calls == {**dict.fromkeys(dsl.FUNCTIONS, 0), "cos": 1, "exp": 1, "sin": 1}
-    run_reading({0, 1, 2, 3})(exprs, env)
-    assert value_calls == {**dict.fromkeys(dsl.FUNCTIONS, 0), "cos": 2, "exp": 2, "sin": 3,
+    assert value_calls == {**dict.fromkeys(dsl.FUNCTIONS, 0), "sin": 1}
+    jacobian_batch(m, x)
+    assert value_calls == {**dict.fromkeys(dsl.FUNCTIONS, 0), "cos": 1, "exp": 1, "sin": 3,
                            "tanh": 1, "log": 1}
     # the check of an unread log still runs, on the argument it reads
     with pytest.raises(DomainError, match="log of a nonpositive value") as exc:
-        run_reading(set())(exprs, [env[0], np.array([1.5, -2.0]), env[2]])
+        differential_batch(m, np.array([[0.5, -1.0], [1.5, -2.0], [2.0, 3.0]]))
     assert exc.value.sample_index == 1
     assert value_calls["log"] == 1
 
@@ -442,7 +409,7 @@ def test_tapes_and_coefficient_plans_share_one_table(monkeypatch):
     assert sorted(key[0] for key in dsl._RUNS) == ["rows", "tape"]
     (tape_key,) = [key for key in dsl._RUNS if key[0] == "tape"]
     (rows_key,) = [key for key in dsl._RUNS if key[0] == "rows"]
-    assert dsl._RUNS[tape_key] is tape._runs and tape._runs == {(2, True, None): run}
+    assert dsl._RUNS[tape_key] is tape._runs and tape._runs == {(2, True): run}
     assert dsl._RUNS[rows_key][0] is rows.run
     assert ("rows", tape_key[1]) not in dsl._RUNS and ("tape", rows_key[1]) not in dsl._RUNS
     # a second tape and plan of equal keys compile nothing

@@ -436,8 +436,6 @@ def test_the_differential_skips_the_unread_sine(value_calls):
     jacobian_batch(m, x)
     assert value_calls["sin"] == 3
     assert mats.tobytes() == _full_differential(m, x).tobytes()
-    assert group_law(R2).inv_frame_reads == frozenset()
-    assert group_law(H3).inv_frame_reads == frozenset({0, 1})
 
 
 def test_a_constant_factor_does_not_force_its_operands_value(value_calls):

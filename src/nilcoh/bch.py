@@ -14,7 +14,9 @@ in the class:
 where B_{2p} are the Bernoulli numbers and T_j(k) sums the nested brackets
 [Z_{k_1}, [..., [Z_{k_j}, x + y]...]] over k_1 + ... + k_j = k; it is kept
 as a table, T_j(k) = sum_a [Z_a, T_{j-1}(k - a)].  No Z reads T_j(c - 1) for
-odd j, so those entries are not built.  From the product
+odd j, so those entries are not built, and a bracket skips each
+structure pair whose two products both have a zero factor.  The
+Bernoulli numbers are computed once per class.  From the product
 polynomial we derive, also exactly: the translation Jacobian d(a.y)/dy, the
 left-invariant frame F(x) (its value at y = 0), and the inverse frame by
 substitution.  L_{x^-1} undoes L_x and x^-1 = -x in exponential
@@ -29,8 +31,11 @@ All of this runs in integers: a polynomial under construction is a dict
 from a packed monomial (variable i's exponent in bits [i w, (i + 1) w) of
 one int, w set by the class) to an int numerator, over one denominator,
 reduced by their gcd after every operation (``exactlinalg._reduced``, as
-the echelon's rows are).  Only the finished law becomes ``Poly`` objects,
-exponent tuples to Fractions.
+the echelon's rows are).  The law keeps these pairs, and each of its
+``product``, ``trans_jac``, ``frame`` and ``inv_frame`` becomes ``Poly``
+objects, exponent tuples to Fractions, on its first read: the exact
+pipeline (validation, ``group_law``, ``cohomology``, ``ring_invariants``)
+converts nothing, and a numeric caller converts only what it reads.
 
 Evaluation is exact on ints and Fractions, and otherwise the DSL's: each
 float polynomial runs as a tape of generated code (``Poly.tree``,
@@ -54,16 +59,20 @@ terms in place, appends new keys in the right operand's order and drops a
 term the moment it cancels.  A product and the substitution (``_collect``)
 keep each key where it first appears and drop the zeros at the end, so a
 term that is zero on the way and comes back keeps its first position.
-Scaling (``_add`` to zero) and ``_diff`` map terms one to one, in order.  A
-numerator is zero exactly when its Fraction is, so every dict is that of
-Fraction arithmetic, item for item.
+Scaling (``_add`` to zero) and ``_diff`` map terms one to one, in order,
+and a sum onto zero with c = 1 is the reduced operand itself.  Each entry
+of the identity check adds its products with ``_addmul``, in k order, onto
+one dict over their common denominator (``_mat_mul``): scaling moves no
+key, so it holds the keys of the chain of sums in the same order.  A numerator is zero exactly when its Fraction
+is, so every dict is that of Fraction arithmetic, item for item.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import comb, factorial, isfinite, lcm
 
 import numpy as np
@@ -133,10 +142,13 @@ _ZERO = ({}, 1)
 
 
 def _add(p: tuple, c, q: tuple) -> tuple:
-    """p + c q for a rational c; on p = _ZERO it scales q term by term."""
+    """p + c q for a rational c; on p = _ZERO it scales q term by term, and
+    returns q itself for c = 1 (every kernel pair is reduced)."""
     (a, da), (b, db) = p, q
     if not b or not c:
         return p
+    if not a and c == 1:
+        return q
     den = lcm(da, db * c.denominator)
     fa, fb = den // da, c.numerator * (den // (db * c.denominator))
     terms = dict(a) if fa == 1 else {k: v * fa for k, v in a.items()}
@@ -162,9 +174,12 @@ def _collect(pairs, den: int) -> tuple:
 
 
 def _mul(p: tuple, q: tuple) -> tuple:
-    right = q[0].items()
-    return _collect(((ka + kb, va * vb) for ka, va in p[0].items() for kb, vb in right),
-                    p[1] * q[1])
+    (a, da), (b, db) = p, q
+    if len(a) == 1:  # k -> ka + k is one to one: no key meets another
+        (ka, va), = a.items()
+        return _reduced({ka + k: va * v for k, v in b.items()}, da * db)
+    right = b.items()
+    return _collect(((ka + kb, va * vb) for ka, va in a.items() for kb, vb in right), da * db)
 
 
 def _diff(p: tuple, shift: int, mask: int) -> tuple:
@@ -185,6 +200,8 @@ def _substitute(p: tuple, n: int, width: int) -> tuple:
 def _bracket(alg: LieAlgebra, u: list, v: list) -> list:
     out = [_ZERO] * alg.dim
     for (i, j), comps in alg.structure.items():
+        if (not u[i][0] or not v[j][0]) and (not u[j][0] or not v[i][0]):
+            continue  # both products are zero
         w = _add(_mul(u[i], v[j]), -1, _mul(u[j], v[i]))
         if w[0]:
             for k, c in comps.items():
@@ -193,13 +210,22 @@ def _bracket(alg: LieAlgebra, u: list, v: list) -> list:
 
 
 def _mat_mul(a: list, b: list) -> list:
-    """a @ b; each entry adds its nonzero products a[i][k] b[k][j] in k order."""
-    out = [[_ZERO] * len(b[0]) for _ in a]
-    for i, row in enumerate(a):
-        for k, entry in enumerate(row):
-            for j, other in enumerate(b[k]):
-                if entry[0] and other[0]:
-                    out[i][j] = _add(out[i][j], 1, _mul(entry, other))
+    """a @ b; each entry adds its nonzero products a[i][k] b[k][j] in k order
+    into one dict over their common denominator.  That dict holds the keys
+    of a chain of ``_add``s, in the same order: scaling moves no key, and a
+    numerator is zero exactly when its Fraction is."""
+    out = []
+    for row in a:
+        line = []
+        for j in range(len(b[0])):
+            products = [_mul(entry, b[k][j]) for k, entry in enumerate(row)
+                        if entry[0] and b[k][j][0]]
+            den = lcm(*[d for _, d in products])
+            terms: dict = {}
+            for t, d in products:
+                _addmul(terms, den // d, t)
+            line.append(_reduced(terms, den))
+        out.append(line)
     return out
 
 
@@ -229,12 +255,13 @@ def _converter(width: int):
     return convert
 
 
-def _bernoulli(count: int) -> list[Fraction]:
+@cache
+def _bernoulli(count: int) -> tuple[Fraction, ...]:
     """B_0 .. B_count, exact (B_1 = -1/2)."""
     b = [Fraction(1)]
     for m in range(1, count + 1):
         b.append(-sum((comb(m + 1, k) * b[k] for k in range(m)), Fraction(0)) / (m + 1))
-    return b
+    return tuple(b)
 
 
 def _product(alg: LieAlgebra, width: int) -> list:
@@ -258,8 +285,10 @@ def _product(alg: LieAlgebra, width: int) -> list:
             t[j, m] = acc
         nxt = _bracket(alg, half_diff, z[m])
         for p in range(2, m + 1, 2):
-            nxt = [_add(u, bern[p] / factorial(p), v) for u, v in zip(nxt, t[p, m])]
-        z[m + 1] = [_add(_ZERO, Fraction(1, m + 1), u) for u in nxt]
+            c = bern[p] / factorial(p)
+            nxt = [_add(u, c, v) for u, v in zip(nxt, t[p, m])]
+        c = Fraction(1, m + 1)
+        z[m + 1] = [_add(_ZERO, c, u) for u in nxt]
 
     out = z[1]
     for m in range(2, cls + 1):
@@ -300,13 +329,32 @@ class SparsePattern:
 
 @dataclass(frozen=True, eq=False)
 class GroupLaw:
-    """Cached polynomial data for one algebra's simply connected group."""
+    """Cached polynomial data for one algebra's simply connected group; its
+    four polynomial fields become ``Poly``s on first read."""
 
     algebra: LieAlgebra
-    product: list[Poly]              # 2n vars: coordinates of x·y
-    trans_jac: list[list[Poly]]      # 2n vars: d(x·y)_i / d y_j
-    frame: list[list[Poly]]          # n vars:  trans_jac at y = 0
-    inv_frame: list[list[Poly]]      # n vars:  exact inverse of frame
+    _pairs: tuple = field(repr=False)       # the four fields below as kernel pairs
+    _convert: Callable = field(repr=False)  # the law's one ``_converter``
+
+    @cached_property
+    def product(self) -> list[Poly]:
+        """2n vars: coordinates of x·y."""
+        return self._convert(self._pairs[0], 2 * self.algebra.dim)
+
+    @cached_property
+    def trans_jac(self) -> list[list[Poly]]:
+        """2n vars: d(x·y)_i / d y_j."""
+        return [self._convert(row, 2 * self.algebra.dim) for row in self._pairs[1]]
+
+    @cached_property
+    def frame(self) -> list[list[Poly]]:
+        """n vars: trans_jac at y = 0."""
+        return [self._convert(row, self.algebra.dim) for row in self._pairs[2]]
+
+    @cached_property
+    def inv_frame(self) -> list[list[Poly]]:
+        """n vars: the exact inverse of frame."""
+        return [self._convert(row, self.algebra.dim) for row in self._pairs[3]]
 
     # the sparsity of each matrix, read once per law on first numeric use
     @cached_property
@@ -455,10 +503,6 @@ def group_law(alg: LieAlgebra) -> GroupLaw:
                     f"inverse frame times frame is not the identity at ({i + 1}, {j + 1}): "
                     "corrupt algebra data")
 
-    convert = _converter(width)
-    law = GroupLaw(algebra=alg, product=convert(product, 2 * n),
-                   trans_jac=[convert(row, 2 * n) for row in trans],
-                   frame=[convert(row, n) for row in frame],
-                   inv_frame=[convert(row, n) for row in inv])
+    law = GroupLaw(alg, (product, trans, frame, inv), _converter(width))
     _LAW_CACHE[alg] = law
     return law

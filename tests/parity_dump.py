@@ -66,7 +66,9 @@ float rounding, do the filiform7, filiform8 and filiform7-shifted
 cup ranks) of the five ``ring`` benchmark algebras, H3, H5, free2step3,
 filiform6 and filiform7, on the canonical basis and on one seeded dense
 twin each: the canonical bases and the 2-step twins split the cup pairing
-into weight blocks, the filiform twins keep it in one block.  Last, three
+into weight blocks, the filiform twins keep it in one block.  The four
+group-law term digests cover the dense filiform6 and free2step3 twins
+there too, the laws of the ``ring`` benchmark's p50 ops.  Last, three
 digests for each of the nine exact-layer algebras above: ``lcs`` and
 ``weights``, ``LieAlgebra.bracket`` of eight seeded pairs of rational
 vectors (terms in dict order), and what validation says of six seeded
@@ -78,7 +80,7 @@ The package is imported from ``PYTHONPATH``, so the same script dumps any checko
     PYTHONPATH=../old/src python tests/parity_dump.py old.json
     diff old.json new.json
 
-The file holds 210 digests, keyed and sorted, so ``diff`` lists exactly
+The file holds 218 digests, keyed and sorted, so ``diff`` lists exactly
 the cases that moved.  The name keeps pytest from collecting it; a run takes 8-13 s on a
 2-core host.
 """
@@ -440,8 +442,11 @@ def ring_invariants() -> dict:
         structure, dim = BUILDERS[family](size)[:2]
         twin = dense_twin(structure, dim, random.Random(seed))
         for basis, s in (("canonical", structure), ("dense", twin)):
-            ring = nilcoh.cohomology(nilcoh.validate_algebra(s, dim))
+            alg = nilcoh.validate_algebra(s, dim)
+            ring = nilcoh.cohomology(alg)
             out[f"ring_invariants/{name}-{basis}"] = digest(repr(nilcoh.ring_invariants(ring)))
+            if basis == "dense" and name in ("filiform6", "free2step3"):
+                out.update(group_law_terms(f"ring-dense-{name}", alg))
     return out
 
 

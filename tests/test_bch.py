@@ -23,11 +23,15 @@ from oracles import (
     powers,
 )
 
-from nilcoh import algebra, dsl
+import nilcoh
+from nilcoh import algebra, dsl, maps
+from nilcoh.algebra import LieAlgebra
 from nilcoh.bch import (
+    IllConditionedFrame,
     Poly,
     _ZERO,
     _add,
+    _bernoulli,
     _converter,
     _diff,
     _mat_mul,
@@ -262,9 +266,6 @@ def test_batch_multiply_matches_the_reference_evaluation():
 def test_group_law_refuses_non_unipotent_frames():
     # unvalidated non-nilpotent structure constants: the truncated series is
     # no group law, so the inverse frame read off it does not invert the frame
-    from nilcoh.algebra import LieAlgebra
-    from nilcoh.bch import IllConditionedFrame
-
     fake = LieAlgebra(
         dim=2,
         basis_names=("e1", "e2"),
@@ -274,6 +275,68 @@ def test_group_law_refuses_non_unipotent_frames():
     )
     with pytest.raises(IllConditionedFrame):
         group_law(fake)
+
+
+@pytest.mark.parametrize("pair, comps, entry", [
+    ((3, 4), {1: Fraction(1)}, (2, 1)),      # [e4, e5] = e2: a Jacobi violation
+    ((0, 4), {1: Fraction(3, 2)}, (2, 1)),   # [e1, e5] = 3/2 e2: not nilpotent
+    ((1, 2), {0: Fraction(-1)}, (1, 1)),     # [e2, e3] = -e1: a Jacobi violation
+])
+def test_the_identity_check_refuses_corrupt_class_4_data(pair, comps, entry):
+    # filiform5's lower central series with one constant added, never
+    # validated: the one-pass check of inv_frame @ frame still refuses it
+    base = algebra.filiform(5)
+    structure = {**base.structure, pair: {**base.structure.get(pair, {}), **comps}}
+    fake = LieAlgebra(dim=5, basis_names=base.basis_names, structure=structure,
+                      lcs=base.lcs, weights=base.weights)
+    assert fake.nilpotency_class == 4
+    with pytest.raises(IllConditionedFrame, match=r"not the identity at \(%d, %d\)" % entry):
+        group_law(fake)
+
+
+def test_bernoulli_numbers_are_one_cached_tuple():
+    known = (1, Fraction(-1, 2), Fraction(1, 6), 0, Fraction(-1, 30), 0, Fraction(1, 42), 0,
+             Fraction(-1, 30), 0, Fraction(5, 66), 0, Fraction(-691, 2730))
+    assert type(_bernoulli(12)) is tuple and _bernoulli(12) == known
+    assert _bernoulli(12) is _bernoulli(12)
+
+
+LAZY = ("product", "trans_jac", "frame", "inv_frame")
+
+
+def converted(law) -> set:
+    return {name for name in LAZY if name in vars(law)}
+
+
+def test_the_law_converts_each_field_on_first_read():
+    # the exact pipeline reads no Poly of the law
+    alg = algebra.filiform(5)
+    law = group_law(alg)
+    nilcoh.ring_invariants(nilcoh.cohomology(alg))
+    assert converted(law) == set()
+    x = np.random.default_rng(0).uniform(-1.0, 1.0, (3, 4))
+
+    def identity(h3, shift=None):
+        return maps.SmoothMap(h3, h3, tuple(dsl.parse(f"x{i}") for i in (1, 2, 3)), shift)
+
+    reads = [  # each call on a fresh H3, and the fields it converts
+        (lambda h3: maps.evaluate_batch(identity(h3), x), set()),
+        (lambda h3: maps.jacobian_batch(identity(h3), x), set()),
+        (lambda h3: maps.differential_batch(identity(h3), x), {"frame", "inv_frame"}),
+        (lambda h3: group_law(h3).frame_batch(x, np.ones((3, 3, 4))), {"frame"}),
+        (lambda h3: group_law(h3).inv_frame_batch(x, np.ones((3, 3, 4))), {"inv_frame"}),
+        (lambda h3: group_law(h3).multiply([1, 2, 3], [4, 5, 6]), {"product"}),
+        (lambda h3: group_law(h3).multiply_batch(x, x), {"product"}),
+        (lambda h3: group_law(h3).translation_jacobian_batch(x, x, np.ones((3, 3, 4))),
+         {"trans_jac"}),
+        # a shift moves the values by the product and the Jacobian by trans_jac
+        (lambda h3: maps.jacobian_batch(identity(h3, (1.0, 0.0, 0.0)), x),
+         {"product", "trans_jac"}),
+    ]
+    for i, (call, fields) in enumerate(reads):
+        h3 = algebra.heisenberg3()
+        call(h3)
+        assert converted(group_law(h3)) == fields, i
 
 
 @pytest.mark.parametrize("bad", [[1, 2, 3, 4], [1, 2]])

@@ -80,6 +80,7 @@ import numpy as np
 from . import dsl
 from .algebra import DerivedCache, LieAlgebra
 from .exactlinalg import _addmul, _reduced
+from .group import _check_length
 
 
 class IllConditionedFrame(ValueError):
@@ -369,18 +370,13 @@ class GroupLaw:
     def inv_frame_pattern(self) -> SparsePattern:
         return SparsePattern.of(self.inv_frame)
 
-    def _check_length(self, *lengths: int) -> None:
-        for length in lengths:
-            if length != self.algebra.dim:
-                raise ValueError(f"a point of a dim-{self.algebra.dim} group has "
-                                 f"{self.algebra.dim} coordinates, got {length}")
-
     # -- exact paths --------------------------------------------------------
 
     def multiply(self, a, b):
         """Product of two coordinate sequences; exact on ints and Fractions."""
         a, b = list(a), list(b)
-        self._check_length(len(a), len(b))
+        _check_length("a", len(a), self.algebra.dim)
+        _check_length("b", len(b), self.algebra.dim)
         if all(isinstance(v, (int, Fraction)) for v in a + b):
             return [p.eval_exact(a + b) for p in self.product]
         return self.multiply_batch(a, b)[:, 0].tolist()
@@ -394,7 +390,8 @@ class GroupLaw:
     def multiply_batch(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Product of coordinate batches shaped (n, N); (n,) inputs broadcast."""
         a, b = _as_batch(a), _as_batch(b)
-        self._check_length(a.shape[0], b.shape[0])
+        _check_length("a", a.shape[0], self.algebra.dim)
+        _check_length("b", b.shape[0], self.algebra.dim)
         a, b = np.broadcast_arrays(a, b)
         out = np.empty(a.shape, dtype=float)
         dsl.evaluate(self.product_tape, list(a) + list(b), out)

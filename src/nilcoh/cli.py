@@ -30,7 +30,7 @@ import time
 import numpy as np
 
 from . import degree as degree_mod
-from . import dsl, ergodic, pullback, report
+from . import dsl, ergodic, pullback, report, rng
 from .algebra import AlgebraError, load_algebra, save_algebra, heisenberg3, abelian
 from .cohomology import cohomology, compare_rings, ring_invariants
 from .forms import parse_form
@@ -47,7 +47,10 @@ def _radii_arg(text: str) -> list[float]:
         start, factor, count = float(parts[0]), float(parts[1]), int(parts[2])
         if start <= 0 or factor <= 1 or count < 1:
             raise argparse.ArgumentTypeError("need start > 0, factor > 1, count >= 1")
-        return [start * factor ** k for k in range(count)]
+        try:
+            return [start * factor ** k for k in range(count)]
+        except OverflowError:  # factor ** k is beyond the floats: a radius check_radii refuses
+            return [float("inf")]
     radii = [float(x) for x in text.split(",") if x]
     if not radii:
         raise argparse.ArgumentTypeError("empty radius list")
@@ -80,17 +83,9 @@ def _window_arg(text: str) -> float:
 
 
 def _basepoints_arg(text: str, dim: int) -> list[tuple[float, ...]]:
-    if dim == 1:
-        return [(float(x),) for x in text.split(",") if x]
-    points = []
-    for chunk in text.split(";"):
-        if not chunk:
-            continue
-        coords = tuple(float(x) for x in chunk.split(","))
-        if len(coords) != dim:
-            raise ValueError(f"basepoint {chunk!r} has {len(coords)} coordinates, need {dim}")
-        points.append(coords)
-    return points
+    """Points split at ';', or at ',' on a 1-dimensional domain."""
+    chunks = text.split(";" if dim > 1 else ",")
+    return [tuple(float(x) for x in chunk.split(",")) for chunk in chunks if chunk]
 
 
 def _add_common(p, seeded=True):
@@ -153,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=100000)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--threads", type=int, default=1,
-                   help="ignored (evaluation is serial); the benchmark harness passes it")
+                   help="at least 1; ignored, as evaluation is serial")
 
     return parser
 
@@ -328,6 +323,7 @@ def cmd_asymdeg(args) -> dict:
 
 def cmd_repro(args) -> int:
     """Write the worked-example inputs and run each pipeline on them."""
+    rng._check_integer("threads", args.threads, 1)
     outdir = args.outdir
     os.makedirs(outdir, exist_ok=True)
 

@@ -43,14 +43,13 @@ Evaluation is serial.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import isfinite
 
 import numpy as np
 
 from . import rng
 from .dsl import DomainError
 from .forms import volume_form
-from .group import BallSpec, _check_count, box_volume, check_adapted, cloud_mean, sample_ball_coords
+from .group import BallSpec, _check_point, box_volume, check_adapted, cloud_mean, sample_ball_coords
 from .maps import SmoothMap, differential_batch, evaluate_batch, jacobian_batch, normalize_to_y0
 from .pullback import amenable_average
 
@@ -334,17 +333,12 @@ def local_degree(
 
     A target with a NaN or infinite coordinate is refused: no preimage
     search can find it, and degree 0 would read as "stable"."""
-    _check_count("grid density", grid_density)
+    rng._check_integer("grid density", grid_density, 1)
     m = normalize_to_y0(m)
     if m.domain.dim != m.codomain.dim:
         raise ValueError("degree needs equal domain and codomain dimensions")
     window = window if isinstance(window, BallSpec) else BallSpec(float(window))
-    requested = tuple(float(c) for c in target)
-    if len(requested) != m.codomain.dim:
-        raise ValueError("target dimension mismatch")
-    for c in requested:
-        if not isfinite(c):
-            raise ValueError(f"target coordinates must be finite, got {c}")
+    requested = _check_point("target", target, m.codomain.dim)
 
     boundary_vals = _boundary_cloud(m, window, seed)
     scales = _window_scales(m, window)
@@ -407,10 +401,11 @@ def area_formula_check(
     Targets too close to the sampled boundary image, or landing on
     near-singular preimages, are skipped and counted; fewer than 2 counted
     targets are refused (ValueError), as one has no spread to estimate.
-    ``threads`` is accepted and ignored (evaluation is serial), because the
-    benchmark harness passes it.
+    ``threads`` is checked as a count and otherwise ignored (evaluation is
+    serial), because the benchmark harness passes it.
     """
-    _check_count("grid density", grid_density)
+    rng._check_integer("grid density", grid_density, 1)
+    rng._check_integer("threads", threads, 1)
     m = normalize_to_y0(m)
     if m.domain.dim != m.codomain.dim:
         raise ValueError("area formula needs equal dimensions")

@@ -31,9 +31,9 @@ from numbers import Real
 
 import numpy as np
 
-from . import dsl
+from . import dsl, rng
 from .bch import group_law
-from .group import BallSpec, check_radii, cloud_mean, sample_ball_coords
+from .group import BallSpec, _check_point, _check_tol, check_radii, cloud_mean, sample_ball_coords
 from .maps import SmoothMap, differential_batch, evaluate_batch, warn_once
 
 DEFAULT_TOL = 1e-2
@@ -62,7 +62,7 @@ class Observable:
     i indexing the domain frame and j the codomain frame (1-based); kind
     'coordinate': codomain coordinate j of F(y)^-1 . F(y . p) at a point y
     and a probe point p; kind 'expression': any DSL expression over the
-    symbols d11 .. d<n><m>.
+    symbols d11 .. d<n><m>.  An index the kind reads is refused below 1.
     """
 
     name: str
@@ -75,6 +75,8 @@ class Observable:
     tape: dsl.Tape | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        for label in {"derivative": ("i", "j"), "coordinate": ("j",)}.get(self.kind, ()):
+            rng._check_integer(f"observable index {label}", getattr(self, label), 1)
         stale = self.tape is None or self.tape.components[0] is not self.expr
         if self.expr is not None and stale:
             object.__setattr__(self, "tape", dsl.compile([self.expr]))
@@ -125,11 +127,9 @@ def parse_observable(text: str, domain_dim: int, codomain_dim: int) -> Observabl
     m = re.fullmatch(r"coord([1-9][0-9]*)@(.+)", text)
     if m:
         j = int(m.group(1))
-        probe = tuple(float(x) for x in m.group(2).split(":"))
-        if j > codomain_dim or len(probe) != domain_dim:
-            raise ValueError(f"observable {text!r}: index or probe dimension out of range")
-        if not np.all(np.isfinite(probe)):
-            raise ValueError(f"observable {text!r}: probe coordinates must be finite")
+        if j > codomain_dim:
+            raise ValueError(f"observable {text!r}: index out of range")
+        probe = _check_point(f"observable {text!r}: probe", m.group(2).split(":"), domain_dim)
         return Observable(name=text, kind="coordinate", j=j, probe=probe)
     # from dimension 10 on, "dIJ" can be read two ways (d111 is d(11,1) or
     # d(1,11)); such symbols are left out, so the parser refuses them
@@ -224,10 +224,8 @@ def _convergence_reports(m, basepoints, observables, radii, samples, seed, shape
     """One ``convergence_report`` per basepoint g, of the right translate
     x -> F(g . x); g None is the map itself.  Radii run on the outside, so
     each radius's cloud is drawn once for all basepoints and only one cloud
-    is alive at a time; each basepoint keeps its warnings in radius order.
-    A ``tol`` that is NaN, infinite or negative is refused (ValueError)."""
-    if not (tol >= 0.0 and np.isfinite(tol)):
-        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
+    is alive at a time; each basepoint keeps its warnings in radius order."""
+    _check_tol(tol)
     radii = check_radii(radii)
     warnings: list[list[str]] = [[] for _ in basepoints]
     rows: list[list[list[dict]]] = [[] for _ in basepoints]
@@ -293,7 +291,8 @@ def ergodicity_probe(
     is 'inconclusive', and a warning names the observable.  Fewer than 2
     distinct basepoints compare nothing and are refused (ValueError).
     """
-    pts = [_as_coords(p, m.domain.dim) for p in basepoints]
+    pts = [_check_point("basepoint", (p,) if isinstance(p, Real) else p, m.domain.dim)
+           for p in basepoints]
     if len(set(pts)) < 2:
         raise ValueError(f"the ergodicity probe needs at least 2 distinct basepoints, "
                          f"got {len(set(pts))} ({len(pts)} given)")
@@ -323,16 +322,3 @@ def ergodicity_probe(
         verdict=verdict,
         warnings=list(dict.fromkeys(warnings)),
     )
-
-
-def _as_coords(p, dim: int) -> tuple:
-    if isinstance(p, Real):
-        if dim != 1:
-            raise ValueError("scalar basepoint only valid for 1-dimensional groups")
-        p = (p,)
-    coords = tuple(float(c) for c in p)
-    if len(coords) != dim:
-        raise ValueError("basepoint dimension mismatch")
-    if not np.all(np.isfinite(coords)):
-        raise ValueError(f"basepoint {coords} has a coordinate that is not finite")
-    return coords

@@ -25,6 +25,7 @@ from itertools import combinations
 
 from . import exactlinalg as xl
 from .algebra import DerivedCache, LieAlgebra
+from .rng import _is_integer
 
 Index = tuple[int, ...]
 
@@ -68,7 +69,7 @@ class KForm:
         if self.degree > n and self.coeffs:
             raise ValueError(f"nonzero form of degree {self.degree} on dim-{n} algebra")
         for key in self.coeffs:
-            if len(key) != self.degree or any(not 0 <= i < n for i in key):
+            if len(key) != self.degree or not all(_is_integer(i) and 0 <= i < n for i in key):
                 raise ValueError(f"bad index tuple {key} for degree {self.degree}")
             if any(a >= b for a, b in zip(key, key[1:])):
                 raise ValueError(f"index tuple {key} is not strictly increasing")

@@ -84,10 +84,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import dsl
+from . import dsl, rng
 from .algebra import LieAlgebra, algebra_from_dict, load_algebra
 from .bch import IllConditionedFrame, group_law  # IllConditionedFrame is re-exported
-from .group import _check_count
+from .group import _check_length, _check_point, _check_tol
 
 
 @dataclass(frozen=True)
@@ -99,18 +99,15 @@ class SmoothMap:
     tape: dsl.Tape | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.components) != self.codomain.dim:
-            raise ValueError(
-                f"map has {len(self.components)} components, codomain needs {self.codomain.dim}"
-            )
+        _check_length("components", len(self.components), self.codomain.dim)
         for comp in self.components:
             bad = [i for i in dsl.coordinate_indices(comp) if i >= self.domain.dim]
             if bad:
                 raise ValueError(
                     f"component uses coordinate x{max(bad) + 1} beyond domain dimension {self.domain.dim}"
                 )
-        if self.shift is not None and len(self.shift) != self.codomain.dim:
-            raise ValueError("shift length does not match codomain dimension")
+        if self.shift is not None:
+            _check_length("shift", len(self.shift), self.codomain.dim)
         if self.tape is None or self.tape.components is not self.components:
             object.__setattr__(self, "tape", dsl.compile(self.components))
 
@@ -133,10 +130,7 @@ def warn_once(sink: list[str]):
 def _points(m: SmoothMap, coords) -> np.ndarray:
     """A (n, N) batch of the domain's points as floats; refuses another n."""
     coords = np.asarray(coords, dtype=float)
-    if len(coords) != m.domain.dim:
-        raise ValueError(
-            f"points have {len(coords)} coordinates, the domain has dimension {m.domain.dim}"
-        )
+    _check_length("coords", len(coords), m.domain.dim)
     return coords
 
 
@@ -160,16 +154,17 @@ def _shifted(m: SmoothMap, values: np.ndarray) -> np.ndarray:
 
 
 def evaluate_batch(m: SmoothMap, coords: np.ndarray, warn=None) -> np.ndarray:
-    """Map values on a (n, N) coordinate batch; returns (m, N)."""
+    """Map values on a (n, N) coordinate batch; returns (m, N).  A batch of
+    another n is refused; its coordinates follow IEEE 754 (module ``group``)."""
     return _shifted(m, _evaluate(m, coords, warn)[0])
 
 
 def _at_point(batch, m: SmoothMap, g, warn=None, context: str = ""):
     """``batch`` (``evaluate_batch`` or ``differential_batch``) on the one
-    column of the point g.  A ``DomainError`` of the sample names g after
-    ``context``; one that no point causes (a constant that overflows)
-    passes as it is."""
-    point = tuple(float(c) for c in g)
+    column of the point g, refused unless a finite point of the domain.  A
+    ``DomainError`` of the sample names g after ``context``; one that no
+    point causes (a constant that overflows) passes as it is."""
+    point = _check_point("g", g, m.domain.dim)
     try:
         return batch(m, np.array(point)[:, None], warn)
     except dsl.DomainError as e:
@@ -180,7 +175,7 @@ def _at_point(batch, m: SmoothMap, g, warn=None, context: str = ""):
 
 def evaluate(m: SmoothMap, g, warn=None) -> tuple:
     """Map value at the point g, a coordinate sequence, as a tuple of the
-    codomain's coordinates."""
+    codomain's coordinates; a g of another dimension or not finite is refused."""
     out = _at_point(evaluate_batch, m, g, warn)
     return tuple(float(v) for v in out[:, 0])
 
@@ -194,7 +189,7 @@ def jacobian_batch(m: SmoothMap, coords: np.ndarray, warn=None):
     tape's Jacobian through the law's sparse products, so an abelian
     codomain costs nothing.  The jacobians are a transposed view of that
     C-contiguous (m, n, N) array, so ``jacobians[:, a, b]`` is one
-    contiguous N-vector."""
+    contiguous N-vector.  The batch is checked as by ``evaluate_batch``."""
     values, jac = _evaluate(m, coords, warn, jets=True)
     if m.shift is not None:
         group_law(m.codomain).translation_jacobian_batch(np.array(m.shift), values, jac)
@@ -208,7 +203,8 @@ def differential_batch(m: SmoothMap, coords: np.ndarray, warn=None, *, out=None)
     (``dsl.differential``) writes, entry by entry.  The shift never enters
     it, and F(x) only through the coordinates that the inverse codomain
     frame reads, so of the other components the function computes only the
-    values their partials and domain checks read.
+    values their partials and domain checks read.  The batch is checked as
+    by ``evaluate_batch``.
 
     Each entry adds its terms in k order, as the group laws' sparse
     products (``GroupLaw._product``) do: structural zeros of the frames are
@@ -257,6 +253,7 @@ def differential_pattern(m: SmoothMap) -> np.ndarray:
 
 
 def differential(m: SmoothMap, g, warn=None) -> list[list[float]]:
+    """The frame differential at the point g, refused as by ``evaluate``."""
     mats = _at_point(differential_batch, m, g, warn)
     return [[float(x) for x in row] for row in mats[0]]
 
@@ -275,14 +272,9 @@ def normalize_to_y0(m: SmoothMap) -> SmoothMap:
 
 
 def is_group_homomorphism(m: SmoothMap, seed: int = 0, trials: int = 8, tol: float = 1e-9) -> bool:
-    """Probe phi(g h) = phi(g) phi(h) on random pairs near the identity box.
-    Refuses a ``trials`` that is no integer of at least 1, and a ``tol`` that
-    is NaN, infinite or negative, under which every map would pass."""
-    from . import rng
-
-    _check_count("trials", trials)
-    if not (tol >= 0.0 and np.isfinite(tol)):
-        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
+    """Probe phi(g h) = phi(g) phi(h) on random pairs near the identity box."""
+    rng._check_integer("trials", trials, 1)
+    _check_tol(tol)
     gen = rng.stream(seed, "homcheck")
     dom_law = group_law(m.domain)
     cod_law = group_law(m.codomain)

@@ -90,7 +90,7 @@ from . import dsl, rng
 from .algebra import DerivedCache, LieAlgebra
 from .cohomology import CohomologyRing, CohomologySpace, cohomology
 from .forms import KForm, basis_tuples, ce_differential, sort_with_sign, wedge
-from .group import BallSpec, _check_count, check_radii, cloud_mean, sample_ball_coords
+from .group import BallSpec, check_radii, cloud_mean, sample_ball_coords
 from .maps import SmoothMap, _at_point, differential_batch, differential_pattern, warn_once
 
 DEFAULT_RADII = tuple(4.0 * 2 ** k for k in range(6))
@@ -133,12 +133,12 @@ class HomomorphismReport:
 
 
 def pullback_eval(m: SmoothMap, omega: KForm, lam: tuple[int, ...], g) -> float:
-    """Pullback coefficient (psi* omega)(V_lam) at one point."""
+    """Pullback coefficient (psi* omega)(V_lam) at one point g, refused as by ``evaluate``."""
     _check_on_codomain(m, [omega])
     if len(lam) != omega.degree:
         raise ValueError("frame tuple length must equal the form degree")
     n = m.domain.dim
-    if not all(isinstance(i, (int, np.integer)) and 0 <= i < n for i in lam):
+    if not all(rng._is_integer(i) and 0 <= i < n for i in lam):
         raise ValueError(f"frame indices must be integers in 0 .. {n - 1}, got {tuple(lam)}")
     mats = _at_point(differential_batch, m, g)
     return float(_coefficient_rows(mats, [(omega, lam)])[0, 0])
@@ -372,7 +372,7 @@ class _AveragePlan:
 
 def _chunk(samples: int) -> int:
     """Samples per chunk of a ``samples``-point ball average (``rng.CHUNK`` at most)."""
-    _check_count("sample count", samples)
+    rng._check_integer("sample count", samples, 1)
     return max(1, min(samples, rng.CHUNK))
 
 
@@ -666,8 +666,9 @@ def homomorphism_check(
     """Induced map plus multiplicativity residuals:
     class(avg(w1 ^ w2)) versus class(avg w1) cup class(avg w2).
 
-    ``threads`` is accepted and ignored (evaluation is serial), because the
-    benchmark harness passes it."""
+    ``threads`` is checked as a count and otherwise ignored (evaluation is
+    serial), because the benchmark harness passes it."""
+    rng._check_integer("threads", threads, 1)
     return induced_cohomology_map(m, radii, samples, seed, shape=shape, with_products=True)
 
 

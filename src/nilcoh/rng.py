@@ -17,12 +17,22 @@ import numpy as np
 CHUNK = 8192
 
 
+def _is_integer(value) -> bool:
+    """The integer rule (module ``group``): an Integral but no bool, or True would run as 1."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def _check_integer(name: str, value, least: int | None = None) -> None:
+    """Refuse a value that breaks the integer rule or is below ``least``."""
+    if not _is_integer(value):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value!r}")
+
+
 def stream(seed: int, *tags) -> np.random.Generator:
-    """Independent generator for (seed, tags); stable across runs and platforms.
-    A seed that is no integer is refused, and so is a bool, which Python
-    counts as one: ``True`` would draw exactly as seed 1."""
-    if isinstance(seed, bool) or not isinstance(seed, Integral):
-        raise TypeError(f"seed must be an integer, got {seed!r}")
+    """Independent generator for (seed, tags); stable across runs and platforms."""
+    _check_integer("seed", seed)
     label = repr((int(seed),) + tags).encode()
     digest = hashlib.blake2b(label, digest_size=16).digest()
     key = np.frombuffer(digest, dtype=np.uint64)

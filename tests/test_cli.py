@@ -165,7 +165,7 @@ def test_orbit_probes_basepoint_tuples_on_a_3d_domain(files, capsys):
 
     code, out, err = run(_h3_orbit(files, "0,0;1,2,3"), capsys)
     assert (code, out) == (1, "")
-    assert "basepoint '0,0' has 2 coordinates, need 3" in err
+    assert "basepoint (0.0, 0.0): a point of a dim-3 group has 3 coordinates, got 2" in err
 
 
 @pytest.mark.parametrize("basepoints, count", [("0,0,0", "got 1 (1 given)"),
@@ -343,7 +343,8 @@ def test_exit_code_on_non_finite_basepoints_and_probe_points(files, capsys, argv
     (["average", "--form", "e2", "--ball", "size=3"], 2, "unknown ball spec field 'size'"),
     (["degree", "--window", "5", "--target", "0.5"], 0, ""),
     (["orbit", "--observables", ","], 1, "error: no observables given"),
-    (["orbit", "--observables", "coord2@0.5:1"], 1, "index or probe dimension out of range"),
+    (["orbit", "--observables", "coord2@0.5:1"], 1,
+     "probe (0.5, 1.0): a point of a dim-1 group has 1 coordinates, got 2"),
 ], ids=["radii-two-fields", "radii-zero-start", "radii-empty", "ball-no-key", "ball-shape",
         "ball-field", "window-without-R", "observables-empty", "observables-probe-dim"])
 def test_exit_code_on_malformed_arguments(files, capsys, argv, code, message):

@@ -35,6 +35,23 @@ def f2():
     return normalize_to_y0(map_from_texts(R1, R2, ["x1", "abs(x1)"]))
 
 
+def test_an_observable_index_below_one_is_refused():
+    # derivative_entry(0, 0) read D[-1][-1], mean 6.0 on this map, and a
+    # coordinate observable with the default j = 0 read the last coordinate
+    m = map_from_texts(H3, H3, ["2*x1", "3*x2", "6*x3"])
+    (d11,) = empirical_measure(m, [derivative_entry(1, 1)], 2.0, samples=64, seed=0)
+    assert d11["mean"] == 2.0
+    for i, j, label, value in [(0, 0, "i", 0), (1, 0, "j", 0), (1, -1, "j", -1)]:
+        with pytest.raises(ValueError, match=f"observable index {label} must be at least 1, got {value}"):
+            empirical_measure(m, [derivative_entry(i, j)], 2.0, samples=64, seed=0)
+    with pytest.raises(ValueError, match="observable index j must be at least 1, got 0"):
+        Observable("x", "coordinate", probe=(0.5, 0.0, 0.0))
+    for bad in (1.5, True):
+        with pytest.raises(TypeError, match=f"observable index i must be an integer, got {bad}"):
+            derivative_entry(bad, 1)
+    assert parse_observable("d11 + d22", 3, 3).i == 0  # an expression reads no index
+
+
 def test_empirical_measure_closed_forms():
     obs = [derivative_entry(1, 2), derivative_entry(1, 2, squared=True)]
     for radius in [np.pi, 2 * np.pi, 7.0]:
@@ -111,9 +128,11 @@ def test_convergence_report_f1():
 
 def test_convergence_report_refuses_bad_radius_schedules():
     obs = [derivative_entry(1, 2)]
-    for radii in ([8.0, 4.0, 2.0], [], [0.0, 1.0], [2.0, 2.0]):
+    for radii in ([8.0, 4.0, 2.0], [], [2.0, 2.0]):
         with pytest.raises(ValueError, match="strictly increasing"):
             convergence_report(f1(), obs, radii, samples=200, seed=0)
+    with pytest.raises(ValueError, match="radii must be positive, got 0.0"):
+        convergence_report(f1(), obs, [0.0, 1.0], samples=200, seed=0)
     with pytest.raises(ValueError, match="strictly increasing"):
         ergodicity_probe(f1(), obs, [0.0, 1.0], [4.0, 2.0], samples=200, seed=0)
 
@@ -183,11 +202,12 @@ def test_orbit_averages_refuse_a_tolerance_that_is_not_finite_and_nonnegative(to
 
 @pytest.mark.parametrize("m, basepoints, message", [
     (map_from_texts(H3, H3, ["x1", "x2", "x3"]), [0.0, 1.0],
-     "scalar basepoint only valid for 1-dimensional groups"),
-    (f1(), [(0.0, 1.0), (1.0, 0.0)], "basepoint dimension mismatch"),
+     "basepoint (0.0,): a point of a dim-3 group has 3 coordinates, got 1"),
+    (f1(), [(0.0, 1.0), (1.0, 0.0)],
+     "basepoint (0.0, 1.0): a point of a dim-1 group has 1 coordinates, got 2"),
 ], ids=["scalar-on-h3", "pair-on-r1"])
 def test_ergodicity_probe_refuses_basepoints_of_the_wrong_dimension(m, basepoints, message):
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         ergodicity_probe(m, [derivative_entry(1, 1)], basepoints, [2.0, 4.0], samples=200, seed=0)
 
 
@@ -196,7 +216,8 @@ def test_ergodicity_probe_refuses_non_finite_basepoints_and_probes(value):
     # each read 'consistent-with-ergodic' with spread 0.0 on a NaN or an
     # infinite basepoint, and on the NaN limits of a non-finite probe point
     m = map_from_texts(R1, R2, ["x1", "sin(x1)"])
-    with pytest.raises(ValueError, match=re.escape(f"basepoint ({value},) has a coordinate")):
+    message = f"basepoint coordinates must be finite, got {value} in ({value},)"
+    with pytest.raises(ValueError, match=re.escape(message)):
         ergodicity_probe(m, [derivative_entry(1, 2)], [0.0, value], [2.0, 4.0],
                          samples=200, seed=0)
     with pytest.raises(ValueError, match="probe coordinates must be finite"):

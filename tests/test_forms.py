@@ -158,6 +158,19 @@ def test_form_validation():
         KForm(H3, 4, {(0, 1, 2): Fraction(1)})
 
 
+@pytest.mark.parametrize("index", [1.5, True], ids=["float", "bool"])
+def test_a_form_index_that_is_no_integer_is_refused(index):
+    # e_1.5 on H3 had differential 0 and wedged with e1 into {(0, 1.5): -1};
+    # e_True was averaged as e2
+    message = re.escape(f"bad index tuple ({index},) for degree 1")
+    with pytest.raises(ValueError, match=message):
+        basis_covector(H3, index)
+    with pytest.raises(ValueError, match=message):
+        KForm(H3, 1, {(index,): Fraction(1)})
+    with pytest.raises(ValueError, match=re.escape(f"bad index tuple (0, {index})")):
+        basis_form(H3, (0, index))
+
+
 def test_parse_form():
     w = parse_form("e1^e2 - 1/2*e1^e3", H3)
     assert w.coeffs == {(0, 1): Fraction(1), (0, 2): Fraction(-1, 2)}

@@ -64,7 +64,7 @@ def test_points_of_the_wrong_length_are_refused():
     ident = map_from_texts(H3, H3, ["x1", "x2", "x3"])
     shifted = SmoothMap(H3, H3, ident.components, shift=(1.0, 0.0, 0.0))
     for point in ([1.0, 2.0, 3.0, 4.0], [1.0, 2.0]):
-        message = f"points have {len(point)} coordinates, the domain has dimension 3"
+        message = f"a point of a dim-3 group has 3 coordinates, got {len(point)}"
         for m in (ident, shifted):
             with pytest.raises(ValueError, match=message) as exc:
                 evaluate(m, point)

@@ -7,7 +7,9 @@ The digests cover the 9 golden CLI cases (``test_golden.CASES``), the 7
 temporary output directory replaced by ``OUTDIR``), the reprs of
 ``homomorphism_check`` on the ``average`` benchmark maps for seeds 1-4, on
 filiform7 and filiform8, and on the filiform7 map plus constants
-(F(0) != 0), whose frame differential is read next to a shift, three warm
+(F(0) != 0), whose frame differential is read next to a shift, the
+``homomorphism_check`` and ``amenable_average`` reprs of three maps whose
+frame differential has constant entries (``constant_entry_maps``), three warm
 repeats of each ``average`` map's
 ``homomorphism_check`` in one process (a new seed at the 2nd and 3rd
 call, so a cache filled by one call shows if it moves the next),
@@ -80,7 +82,7 @@ The package is imported from ``PYTHONPATH``, so the same script dumps any checko
     PYTHONPATH=../old/src python tests/parity_dump.py old.json
     diff old.json new.json
 
-The file holds 218 digests, keyed and sorted, so ``diff`` lists exactly
+The file holds 224 digests, keyed and sorted, so ``diff`` lists exactly
 the cases that moved.  The name keeps pytest from collecting it; a run takes 8-13 s on a
 2-core host.
 """
@@ -163,7 +165,30 @@ def homomorphism_checks() -> dict:
                 " + 1", " - 0.5", " + 0.25", " + 2", " - 0.75", " + 1.5", " - 3"))])
             rep = nilcoh.homomorphism_check(shifted, radii=(2.0, 4.0), samples=4000, seed=0)
             out["homomorphism_check/filiform7-shifted"] = digest(repr(rep))
+    for name, m, form in constant_entry_maps():
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = nilcoh.homomorphism_check(m, radii=(2.0, 4.0), samples=4000, seed=0)
+            est = nilcoh.amenable_average(m, form, radii=(2.0, 4.0), samples=4000, seed=0)
+        out[f"homomorphism_check/{name}"] = digest(repr(rep))
+        out[f"amenable_average/{name}"] = digest(repr(est))
     return out
+
+
+def constant_entry_maps() -> list:
+    """Maps whose frame differential has constant entries other than 0 and
+    1, each with a form to average: the H3 doubling, whose top row is the
+    constant 4.0; a linear shear of filiform7 by 0.3, a constant that is no
+    dyadic fraction, so that sums of it round; and an H3 map with the
+    constant exp(800) = inf in a component, whose D holds inf."""
+    h3, f7 = algebra.heisenberg3(), algebra.filiform(7)
+    shear = ["x1", "x2 + 0.3*x1"] + [f"x{i}" for i in range(3, 8)]
+    return [
+        ("h3-doubling", nilcoh.map_from_texts(h3, h3, ["2*x1", "x2", "2*x3"]), volume_form(h3)),
+        ("filiform7-shear", nilcoh.map_from_texts(f7, f7, shear),
+         wedge(basis_form(f7, (0,)), basis_form(f7, (6,)))),
+        ("h3-exp800", nilcoh.map_from_texts(h3, h3, ["x1 + exp(800)*x2", "x2", "x3"]),
+         basis_form(h3, (0, 2))),
+    ]
 
 
 def warm_repeats() -> dict:
@@ -309,7 +334,9 @@ def group_law_batches() -> dict:
 
 def coefficient_rows() -> dict:
     """The rows of the ``average`` maps' planned blocks on one chunk of
-    seeded points, and one-shot ``_coefficient_rows`` of H5's cohomology
+    seeded points, read per (form, lambda) pair as ``_ball_averages`` reads
+    them (the zero slot for a pair with no live term, 0.0 - row for a
+    negated one), so that plans that merge rows stay comparable; and one-shot ``_coefficient_rows`` of H5's cohomology
     representatives and their products on a stack with +-0.0, +-inf and NaN
     entries.  Signed zeros count; each NaN is written as one canonical NaN,
     as no report shows its sign."""
@@ -330,8 +357,10 @@ def coefficient_rows() -> dict:
             for size, rows in plan.blocks:
                 blocks.append(np.empty((size, chunk)))
                 rows(entries, blocks[-1])
-            out[f"layer/coefficient_rows-average-{name}-seed{seed}"] = rows_digest(
-                np.concatenate(blocks))
+            blocks.append(np.zeros((1, chunk)))  # the zero slot
+            pairs = np.concatenate(blocks)[plan.rows]
+            np.subtract(0.0, pairs, out=pairs, where=plan.negated[:, None])
+            out[f"layer/coefficient_rows-average-{name}-seed{seed}"] = rows_digest(pairs)
     h5 = algebra.heisenberg5()
     reps = [w for space in nilcoh.cohomology(h5).spaces for w in space.representatives]
     forms = reps + [wedge(a, b) for a in reps for b in reps if a.degree + b.degree <= 5]

@@ -690,10 +690,16 @@ class _Differential(_Writer):
         super().__init__(n, True)
         self.tests: dict[str, str] = {}  # frame entry -> its finiteness test
 
+    def constant(self, name: str) -> float | None:
+        """The float that ``name`` holds where it is a constant: the seed,
+        +0.0 or a bound float; None for a temporary."""
+        value = float(name) if name in (_SEED, _ZERO) else self.namespace.get(name)
+        return value if isinstance(value, float) else None
+
     def stack_entry(self, p: str) -> _Entry:
         """A partial of the tape: the seed, +0.0, a bound constant or a temporary."""
-        value = float(p) if p in (_SEED, _ZERO) else self.namespace.get(p)
-        if not isinstance(value, float):
+        value = self.constant(p)
+        if value is None:
             return _Entry(p)
         return _Entry(p, value, plus=not (value == 0.0 and math.copysign(1.0, value) < 0))
 
@@ -766,9 +772,11 @@ class _Differential(_Writer):
 
 
 def _generate_differential(exprs: tuple, n: int, inverse: tuple, frame: tuple):
-    """The function run(env, jac, warn) of ``differential``; ``inverse`` is
-    the rows and entry trees of L, ``frame`` the columns and trees of R."""
+    """The function run(env, jac, warn) of ``differential`` and the entries
+    it writes as constants; ``inverse`` is the rows and entry trees of L,
+    ``frame`` the columns and trees of R."""
     writer = _Differential(n)
+    constants: dict[tuple[int, int], float] = {}
     try:
         terms = [writer.node(expr) for expr in exprs]
     except _Unreachable:
@@ -785,7 +793,9 @@ def _generate_differential(exprs: tuple, n: int, inverse: tuple, frame: tuple):
             for j, e in enumerate(row):
                 name = writer.name(e)
                 writer.line(f"jac[{a}, {j}] = {name}", reads=tuple(_NAME.findall(name)), root=True)
-    return writer.build("env, jac, warn", _unpack(n), "<dsl differential>")[0]
+                if (value := writer.constant(name)) is not None:
+                    constants[a, j] = value
+    return writer.build("env, jac, warn", _unpack(n), "<dsl differential>")[0], constants
 
 
 def _signature(exprs: tuple) -> tuple:
@@ -820,8 +830,9 @@ def _signature(exprs: tuple) -> tuple:
 # ("tape", signature) -> the functions of every tape of equal trees; ("rows",
 # key) -> the function and width of a coefficient plan (``pullback``);
 # ("differential", tape, n, rows, tape, cols, tape) -> the frame
-# differential of a map's tape (``differential``).  Two threads may generate
-# the same function at once; either result is kept.
+# differential of a map's tape and the entries it writes as constants
+# (``differential``).  Two threads may generate the same function at once;
+# either result is kept.
 _RUNS: dict[tuple, object] = {}
 
 
@@ -862,21 +873,23 @@ def compile(exprs) -> Tape:
 
 
 def differential(tape: Tape, n: int, inverse, frame):
-    """The function run(env, jac, warn) that writes into ``jac`` (m, n, N)
-    the frame differential L(F(x)) @ J_F(x) @ R(x) of the tape's outputs F
-    at the n coordinate arrays of ``env``, with L and R the polynomial
-    matrices of the sparsity patterns ``inverse`` and ``frame``
-    (``bch.SparsePattern``: L by its rows, R by its columns).  Domain
-    checks and warnings run as in ``evaluate`` with partials.  The function
-    is generated once for equal trees, n and patterns, and kept in ``_RUNS``.
+    """``(run, constants)``: the function run(env, jac, warn) that writes
+    into ``jac`` (m, n, N) the frame differential L(F(x)) @ J_F(x) @ R(x)
+    of the tape's outputs F at the n coordinate arrays of ``env``, with L
+    and R the polynomial matrices of the sparsity patterns ``inverse`` and
+    ``frame`` (``bch.SparsePattern``: L by its rows, R by its columns), and
+    the entries (a, j) -> float that it writes as a constant, a literal or a
+    bound float, the same at every point.  Domain checks and warnings run
+    as in ``evaluate`` with partials.  Both are generated once for equal
+    trees, n and patterns, and kept in ``_RUNS``.
     """
     key = ("differential", tape, n, inverse.rows, inverse.tape, frame.cols, frame.tape)
-    run = _RUNS.get(key)
-    if run is None:
-        run = _RUNS[key] = _generate_differential(
+    got = _RUNS.get(key)
+    if got is None:
+        got = _RUNS[key] = _generate_differential(
             tape.components, n, (inverse.rows, inverse.tape.components),
             (frame.cols, frame.tape.components))
-    return run
+    return got
 
 
 def evaluate(tape: Tape, env: list, values: np.ndarray, warn=None, jac: np.ndarray | None = None):

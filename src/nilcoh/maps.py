@@ -226,10 +226,14 @@ def differential_batch(m: SmoothMap, coords: np.ndarray, warn=None, *, out=None)
     coords = _points(m, coords)
     shape = (m.codomain.dim, *coords.shape)
     jac = np.empty(shape) if out is None else out[:math.prod(shape)].reshape(shape)
-    run = dsl.differential(m.tape, len(coords), group_law(m.codomain).inv_frame_pattern,
-                           group_law(m.domain).frame_pattern)
-    run(list(coords), jac, warn)
+    _differential_code(m)[0](list(coords), jac, warn)
     return jac.transpose(2, 0, 1)
+
+
+def _differential_code(m: SmoothMap):
+    """``dsl.differential`` of the map: its generated function and constants."""
+    return dsl.differential(m.tape, m.domain.dim, group_law(m.codomain).inv_frame_pattern,
+                            group_law(m.domain).frame_pattern)
 
 
 def differential_pattern(m: SmoothMap) -> np.ndarray:
@@ -250,6 +254,16 @@ def differential_pattern(m: SmoothMap) -> np.ndarray:
         pattern[a, sorted(dsl.coordinate_indices(comp))] = True
     return (group_law(m.codomain).inv_frame_pattern.mask() @ pattern
             @ group_law(m.domain).frame_pattern.mask())
+
+
+def differential_constants(m: SmoothMap) -> dict[tuple[int, int], float]:
+    """The entries (a, j) -> c of the frame differential that
+    ``differential_batch`` writes as the constant c at every point: a
+    literal 1.0 or 0.0 of the tape's partials, or a float of the map's text,
+    carried through the frame products by the rules of the module docstring
+    (a structural zero of the pattern is one such entry where the products
+    leave it a literal).  The shift does not enter them."""
+    return _differential_code(m)[1]
 
 
 def differential(m: SmoothMap, g, warn=None) -> list[list[float]]:

@@ -80,6 +80,8 @@ Evaluation is serial and reruns are bit-identical.
 
 from __future__ import annotations
 
+import math
+import re
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
@@ -91,7 +93,8 @@ from .algebra import DerivedCache, LieAlgebra
 from .cohomology import CohomologyRing, CohomologySpace, cohomology
 from .forms import KForm, basis_tuples, ce_differential, sort_with_sign, wedge
 from .group import BallSpec, check_radii, cloud_mean, sample_ball_coords
-from .maps import SmoothMap, _at_point, differential_batch, differential_pattern, warn_once
+from .maps import (SmoothMap, _at_point, differential_batch, differential_constants,
+                   differential_pattern, warn_once)
 
 DEFAULT_RADII = tuple(4.0 * 2 ** k for k in range(6))
 # floats of the sample vectors alive at once in a plan's generated code
@@ -155,9 +158,10 @@ def _coefficient_rows(mats: np.ndarray, pairs: list[tuple[KForm, tuple[int, ...]
     """Row r is omega on the pushed-forward frame columns lam, for
     (omega, lam) = pairs[r]; ``mats`` is (N, m, n) and the result (len(pairs), N).
 
-    One-shot form of ``_plan_coefficient_rows``, with every entry of D live:
-    it knows no map, so it prunes nothing.  The plan's code is shared
-    (``dsl.Code``), so a call on the pairs of an earlier one compiles nothing.
+    One-shot form of ``_plan_coefficient_rows``, with every entry of D live
+    and none constant: it knows no map, so it prunes and folds nothing.  The
+    plan's code is shared (``dsl.Code``), so a call on the pairs of an
+    earlier one compiles nothing.
     """
     out = np.empty((len(pairs), mats.shape[0]))
     pattern = np.ones(mats.shape[1:], dtype=bool)
@@ -176,27 +180,150 @@ def _entries(mats: np.ndarray) -> np.ndarray:
     return mats.transpose(1, 2, 0).reshape(-1, mats.shape[0])
 
 
-def _live_minors(pattern: np.ndarray):
-    """``live(R, C)``: the positions j of the live terms of the first-row
-    expansion of det D[R, C] under the (m, n) boolean ``pattern`` of the
-    entries of D that can be nonzero, for increasing C.  A term is live when
-    its entry D[R_0, C_j] and its complementary minor are; a minor is live
-    when it has a live term, an entry when the pattern says so (then
-    ``(0,)``).  A dead minor is exactly 0 wherever its dead entries are."""
-    entry = pattern.tolist()
-    memo: dict = {}
+def _constants(m: SmoothMap) -> dict[int, float]:
+    """``maps.differential_constants`` by ``_entries`` row: a * n + j -> c."""
+    n = m.domain.dim
+    return {a * n + j: c for (a, j), c in differential_constants(m).items()}
 
-    def live(rows_idx: tuple, cols: tuple) -> tuple:
+
+_OPS = {"+": "_add", "-": "_subtract", "*": "_multiply"}  # op -> its numpy function's name
+_TEMP = re.compile(r"\bm\d+\b")  # the temporaries of the rows' generated code
+
+
+def _live_minors(pattern: np.ndarray, constants: dict[int, float] | None = None) -> _Minors:
+    """The minors of D under the (m, n) boolean ``pattern`` of the entries
+    that can be nonzero and the entries ``constants`` (``_entries`` row ->
+    float) that are the same at every point, as a ``_Minors``."""
+    return _Minors(pattern, constants or {})
+
+
+class _Minors:
+    """The minors of D under a pattern and constants (``_live_minors``).
+
+    Called as ``live(R, C)``, it gives the positions j of the live terms of
+    the first-row expansion of det D[R, C], for increasing C.  A term is
+    live when its entry D[R_0, C_j] and its complementary minor are; a minor
+    is live when it has a live term, an entry when the pattern says so
+    (then ``(0,)``).  A dead minor is exactly 0 wherever its dead entries
+    are.
+
+    ``minor`` and ``row`` fold the constants into the ops the plan runs
+    (``_plan_coefficient_rows``): each value is a node, numbered in
+    ``nodes`` as ``("e", i)`` for a variable entry, ``("c", repr)`` for a
+    constant and ``(op, a, b)`` for an op on two nodes, so equal op
+    sequences are one node.  ``op`` folds by the two rules that
+    round-to-nearest makes exact: 1 * v is v, NaN payload included, and an
+    op on two constants is the same done once on Python floats.
+    """
+
+    def __init__(self, pattern: np.ndarray, constants: dict[int, float]):
+        self.entry = pattern.tolist()
+        self.n = pattern.shape[1]
+        self.constants = constants
+        self.nodes: list[tuple] = []
+        self.values: list[float | None] = []  # per node: its float where it is a constant
+        self.ids: dict[tuple, int] = {}
+        self.terms: dict = {}  # (R, C) -> live terms
+        self.minors: dict = {}  # (R, C) -> (node, sign)
+
+    def __call__(self, rows_idx: tuple, cols: tuple) -> tuple:
         if len(rows_idx) == 1:
-            return (0,) if entry[rows_idx[0]][cols[0]] else ()
-        got = memo.get((rows_idx, cols))
+            return (0,) if self.entry[rows_idx[0]][cols[0]] else ()
+        got = self.terms.get((rows_idx, cols))
         if got is None:
-            first, rest = entry[rows_idx[0]], rows_idx[1:]
-            got = memo[rows_idx, cols] = tuple(
-                j for j, c in enumerate(cols) if first[c] and live(rest, cols[:j] + cols[j + 1:]))
+            first, rest = self.entry[rows_idx[0]], rows_idx[1:]
+            got = self.terms[rows_idx, cols] = tuple(
+                j for j, c in enumerate(cols) if first[c] and self(rest, cols[:j] + cols[j + 1:]))
         return got
 
-    return live
+    def node(self, key: tuple, value: float | None = None) -> int:
+        got = self.ids.get(key)
+        if got is None:
+            got = self.ids[key] = len(self.nodes)
+            self.nodes.append(key)
+            self.values.append(value)
+        return got
+
+    def const(self, value: float) -> int:
+        return self.node(("c", repr(value)), value)
+
+    def leaf(self, i: int) -> int:
+        """The node of entry i of the ``_entries`` array."""
+        c = self.constants.get(i)
+        return self.node(("e", i)) if c is None else self.const(c)
+
+    def op(self, op: str, a: int, b: int) -> int:
+        x, y = self.values[a], self.values[b]
+        if x is not None and y is not None:
+            return self.const(x * y if op == "*" else x + y if op == "+" else x - y)
+        if op == "*" and (x == 1.0 or y == 1.0):
+            return b if x == 1.0 else a
+        return self.node((op, a, b))
+
+    def minor(self, rows_idx: tuple, cols: tuple) -> tuple[int, int]:
+        """(node, sign) of the live minor det D[R, C]: the vector the plan
+        builds for it holds sign * det (``_plan_coefficient_rows``)."""
+        if len(rows_idx) == 1:
+            return self.leaf(rows_idx[0] * self.n + cols[0]), 1
+        got = self.minors.get((rows_idx, cols))
+        if got is None:
+            for t, j in enumerate(self(rows_idx, cols)):
+                sub, s = self.minor(rows_idx[1:], cols[:j] + cols[j + 1:])
+                product = self.op("*", self.leaf(rows_idx[0] * self.n + cols[j]), sub)
+                s *= (-1) ** j  # the term is s * product
+                if t == 0:
+                    value, sign = product, s
+                else:
+                    value = self.op("+" if s == sign else "-", value, product)
+            got = self.minors[rows_idx, cols] = (value, sign)
+        return got
+
+    def row(self, recipe) -> int:
+        """The node of a ``_recipe``'s row: 0.0 + its first term, then its
+        other terms added in order, a coefficient of +-1 without the
+        product; a 0-form's constant, +0.0 for None."""
+        if recipe is None:
+            return self.const(0.0)
+        cols, kept = recipe
+        if not cols:
+            return self.const(kept[0][0])
+        value = None
+        for c, r in kept:
+            vector, sign = self.minor(r, cols)
+            c = c * sign  # the term is c * the vector
+            if c == 1.0 or c == -1.0:
+                start = self.const(0.0) if value is None else value
+                value = self.op("+" if c > 0 else "-", start, vector)
+            elif value is None:  # 0.0 + term, as term + 0.0: a zero term gives +0.0
+                value = self.op("+", self.op("*", vector, self.const(c)), self.const(0.0))
+            else:
+                value = self.op("+", value, self.op("*", vector, self.const(c)))
+        return value
+
+    def graph(self, roots: list[int]) -> tuple[tuple, tuple]:
+        """The nodes the roots read, numbered in the post order of a walk
+        from the roots in turn, and the roots by those numbers: a key that
+        depends only on the op sequences."""
+        local: dict[int, int] = {}
+        nodes: list[tuple] = []
+        for root in roots:
+            stack = [root]
+            while stack:
+                x = stack[-1]
+                if x in local:
+                    stack.pop()
+                    continue
+                key = self.nodes[x]
+                if key[0] in _OPS:
+                    todo = [y for y in key[1:] if y not in local]
+                    if todo:
+                        stack += reversed(todo)
+                        continue
+                    key = (key[0], local[key[1]], local[key[2]])
+                local[x] = len(nodes)
+                nodes.append(key)
+                stack.pop()
+        return tuple(nodes), tuple(local[r] for r in roots)
 
 
 def _recipe(omega: KForm, cols: tuple[int, ...], sign: int, live):
@@ -210,11 +337,14 @@ def _recipe(omega: KForm, cols: tuple[int, ...], sign: int, live):
     return (cols, kept) if kept else None
 
 
-def _plan_coefficient_rows(recipes: list, pattern: np.ndarray) -> _Rows:
+def _plan_coefficient_rows(recipes: list, pattern: np.ndarray,
+                           constants: dict[int, float] | None = None) -> _Rows:
     """Plan the rows of these ``_recipe``s on (N, m, n) frame differentials
-    D whose entries outside the (m, n) boolean ``pattern`` are zero, once;
-    the returned ``rows(entries, out)`` applies the plan to the ``_entries``
-    of one batch, writing the (len(recipes), N) rows into ``out``.
+    D whose entries outside the (m, n) boolean ``pattern`` are zero and whose
+    entries ``constants`` (``_entries`` row -> float) are those floats,
+    once; the returned ``rows(entries, out)`` applies the plan to the
+    ``_entries`` of one batch, writing the (len(recipes), N) rows into
+    ``out``.
 
     The row of (omega, lam) is sum_R c_R sign * det D[R, C] over the
     coefficients c_R of omega, where C is lam sorted and sign its
@@ -223,42 +353,53 @@ def _plan_coefficient_rows(recipes: list, pattern: np.ndarray) -> _Rows:
 
         det D[R, C] = sum_j (-1)^j D[R_0, C_j] det D[R_1.., C without C_j],
 
-    so from the top degree down the plan lists only the live minors
-    (``_live_minors``) some recipe needs, directly or through a live term of
-    a higher degree; a recipe keeps only its terms on live minors, a minor
-    only its live terms, and a None recipe is a row of zeros.  The plan is
-    one generated function of numpy ops (``_generate_rows``), shared by
-    every plan of equal recipes and pattern (``dsl.Code``), which builds each
-    live minor as one sample vector from degree 2 upward, its live terms in
-    order, and writes each recipe's row as 0.0 + its first term, then adds
-    its other terms in their order, that of ``omega.coeffs`` (a 0-form's
-    row is its constant, a None recipe's +0.0).  The full expansion adds
-    every term, a term of odd j through its entry negated; the code writes
-    a minor's first live term as the bare product, so its vector holds det
-    or -det, and subtracts each later term, or each term a row reads, where
-    the signs of j and of the vectors it reads say so, with a recipe's
-    coefficient negated on a -det vector.  That moves no bit: rounding is
-    symmetric in sign, so (-a) * b = -(a * b) = a * (-b) and x + (-y) = x - y,
-    and a sum of negated terms is the negated sum, but for the sign of an
-    exact zero (x + (-x) is +0.0) and of a NaN.  No zero's sign reaches a
-    row, which starts as 0.0 + term (+0.0 for a zero term) and adds the
-    rest (y + 0.0 = y - 0.0 = y, and +0.0 stays +0.0); the sign of a NaN is
-    the one bit the rows may change.  A coefficient of +-1 is added or
-    subtracted without the product, as x * 1 = x.  The dropped terms are
-    zeros, which move no sum but its sign of zero, so the rows are those of
-    the full expansion bit for bit, except where a NaN (0 * inf) sits at a
-    dead entry and now stays out.  A minor's value does not depend on which
-    other minors the plan holds, so any split of the recipes gives the same
-    rows, and every op is elementwise, so any split of the samples does
-    too: ``rows`` runs the code on blocks of samples that keep the live
-    minors within ``_WORK_ITEMS`` floats.
+    so the plan holds only the live minors (``_live_minors``) some recipe
+    needs, directly or through a live term of a higher degree; a recipe
+    keeps only its terms on live minors, a minor only its live terms, and a
+    None recipe is a row of zeros.  Each live minor is one sample vector,
+    built from its live terms in order, and each recipe's row is 0.0 + its
+    first term, then its other terms added in their order, that of
+    ``omega.coeffs`` (a 0-form's row is its constant, a None recipe's
+    +0.0).  The full expansion adds every term, a term of odd j through its
+    entry negated; the code writes a minor's first live term as the bare
+    product, so its vector holds det or -det, and subtracts each later
+    term, or each term a row reads, where the signs of j and of the vectors
+    it reads say so, with a recipe's coefficient negated on a -det vector.
+    That moves no bit: rounding is symmetric in sign, so (-a) * b = -(a *
+    b) = a * (-b) and x + (-y) = x - y, and a sum of negated terms is the
+    negated sum, but for the sign of an exact zero (x + (-x) is +0.0) and
+    of a NaN.  No zero's sign reaches a row, which starts as 0.0 + term
+    (+0.0 for a zero term) and adds the rest (y + 0.0 = y - 0.0 = y, and
+    +0.0 stays +0.0); the sign of a NaN is the one bit the rows may change.
+    A coefficient of +-1 is added or subtracted without the product, as
+    x * 1 = x.  The dropped terms are zeros, which move no sum but its sign
+    of zero, so the rows are those of the full expansion bit for bit,
+    except where a NaN (0 * inf) sits at a dead entry and now stays out.
+
+    The constant entries are folded into those ops (``_Minors``): 1 * v is
+    v, NaN payload included, and an op on two constants gives at every
+    sample the float that Python's op gives once, so a folded op moves no
+    bit.  A term with the entry 1 is its complementary minor, a minor whose
+    ops all fold is a constant, and so is a row, written as ``out[row] =
+    c``; on the frame differentials of the ``average`` maps, whose D has
+    1.0 on its diagonal, many minors and rows fold to 1.0 or to copies of
+    one another.  Every op sequence is one node, computed once whatever
+    the number of minors and rows that read it.
+
+    The plan is one generated function of numpy ops (``_generate_rows``),
+    shared by every plan of equal op sequences (``dsl.Code``).  A minor's
+    value does not depend on which other minors the plan holds, so any
+    split of the recipes gives the same rows, and every op is elementwise,
+    so any split of the samples does too: ``rows`` runs the code on blocks
+    of samples that keep the live minors within ``_WORK_ITEMS`` floats.
     """
-    # each coefficient by its repr: unlike ==, it tells 0.0 from -0.0
-    key = ("rows", (pattern.shape, pattern.tobytes(),
-                    tuple(r and (r[0], tuple((repr(c), rr) for c, rr in r[1])) for r in recipes)))
+    minors = _live_minors(pattern, constants)
+    nodes, roots = minors.graph([minors.row(r) for r in recipes])
+    # each constant by its repr: unlike ==, it tells 0.0 from -0.0
+    key = ("rows", nodes, roots)
     got = dsl._RUNS.get(key)
     if got is None:
-        got = dsl._RUNS.setdefault(key, _generate_rows(recipes, pattern))
+        got = dsl._RUNS.setdefault(key, _generate_rows(nodes, roots))
     run, width = got
     return _Rows(run, max(1, _WORK_ITEMS // width))
 
@@ -278,96 +419,85 @@ class _Rows:
             self.run(entries[:, start:start + block], out[:, start:start + block])
 
 
-def _generate_rows(recipes: list, pattern: np.ndarray) -> tuple[Callable, int]:
+def _generate_rows(nodes: tuple, roots: tuple) -> tuple[Callable, int]:
     """The function run(entries, out) of ``_plan_coefficient_rows`` and its
-    width, written with ``dsl.Code``: one line per op, each minor deleted
-    after its last use, so that at most two adjacent degrees are alive."""
-    n = pattern.shape[1]
-    live = _live_minors(pattern)
-    constants = []
-    terms: list[list] = []  # degree -> [(row, cols, [(coefficient, R)])]
-    for row, recipe in enumerate(recipes):
-        if recipe is None:
-            continue
-        cols, kept = recipe
-        if not cols:  # the constant of a 0-form, () its key
-            constants.append((row, kept[0][0]))
-            continue
-        terms += [[] for _ in range(len(cols) + 1 - len(terms))]
-        terms[len(cols)].append((row, cols, kept))
-    top = len(terms) - 1
+    width, written with ``dsl.Code`` from ``_Minors.graph``: one line per op
+    node, in the graph's order, each temporary deleted after its last use.
 
-    # degree -> (R, C) -> live terms, from the top down: pairs' minors first,
-    # then the complementary minors of the live terms of the degree above
-    need: list[dict] = [{} for _ in range(top + 1)]
-    for d in range(top, 1, -1):
-        for _, cols, kept in terms[d]:
-            for _, r in kept:
-                need[d].setdefault((r, cols), live(r, cols))
-        if d > 2:
-            for (r, c), js in need[d].items():
-                for j in js:
-                    sub = (r[1:], c[:j] + c[j + 1:])
-                    need[d - 1].setdefault(sub, live(*sub))
-    position = [{k: i for i, k in enumerate(keys)} for keys in need]
-
-    def minor(rows_idx: tuple, cols: tuple) -> str:
-        if len(rows_idx) == 1:  # an entry of D, a row of the (m * n, N) entry array
-            return f"e{rows_idx[0] * n + cols[0]}"
-        return f"m{len(rows_idx)}_{position[len(rows_idx)][rows_idx, cols]}"
+    A row's op is written into ``out[row]``, and so is each op before it
+    that nothing else reads, in place; a minor's op takes over the array of
+    the op before it where nothing else reads that one; and a product that
+    only the right side of one op reads is written into that op's line."""
+    uses = [0] * len(nodes)
+    right = set()  # nodes read as the right operand of an op
+    for key in nodes:
+        if key[0] in _OPS:
+            uses[key[1]] += 1
+            uses[key[2]] += 1
+            right.add(key[2])
+    target: dict[int, int] = {}  # node -> the row whose array holds it
+    for row, x in enumerate(roots):
+        if nodes[x][0] in _OPS:
+            target.setdefault(x, row)
+    for x, row in list(target.items()):
+        a = nodes[x][1]
+        while nodes[a][0] in _OPS and uses[a] == 1 and a not in target:
+            target[a] = row
+            a = nodes[a][1]
 
     code = dsl.Code({"_add": np.add, "_subtract": np.subtract, "_multiply": np.multiply})
-    line = partial(code.line, root=True)  # the plan lists only minors some line reads
-    for row, value in constants:
-        line(f"out[{row}] = {code.bind(value)}")
-    for row, recipe in enumerate(recipes):
-        if recipe is None:
-            line(f"out[{row}] = 0.0")
-    sign: dict[str, int] = {}  # per minor: -1 where its vector holds -det
-    for d in range(1, top + 1):
-        for (r, c), js in need[d].items():
-            name = minor(r, c)
-            for t, j in enumerate(js):
-                sub = minor(r[1:], c[:j] + c[j + 1:])
-                product = f"{minor(r[:1], c[j:j + 1])} * {sub}"
-                reads = (sub,) if d > 2 else ()
-                s = (-1) ** j * sign.get(sub, 1)  # the term is s * product
-                if t == 0:
-                    sign[name] = s
-                    line(f"{name} = {product}", (name,), reads)
-                else:
-                    op = "+" if s == sign[name] else "-"
-                    line(f"{name} {op}= {product}", (), (name, *reads))
-        for row, cols, kept in terms[d]:
-            for t, (c, r) in enumerate(kept):
-                name = minor(r, cols)
-                reads = (name,) if d > 1 else ()
-                c = c * sign.get(name, 1)  # the term is c * the vector
-                if t == 0 and (c == 1.0 or c == -1.0):  # 0.0 + term: a zero term gives +0.0
-                    op = "_add" if c > 0 else "_subtract"
-                    line(f"{op}(0.0, {name}, out=o{row})", (), reads)
-                elif t == 0:
-                    line(f"_multiply({name}, {code.bind(c)}, out=o{row})", (), reads)
-                    line(f"o{row} += 0.0")
-                elif c == 1.0 or c == -1.0:
-                    line(f"o{row} {'+' if c > 0 else '-'}= {name}", (), reads)
-                else:
-                    line(f"o{row} += {name} * {code.bind(c)}", (), reads)
-    head = [f"e{i} = entries[{i}]" for i in np.flatnonzero(pattern)]
-    head += [f"o{row} = out[{row}]" for ts in terms for row, _, _ in ts]
+    line = partial(code.line, root=True)  # the graph holds only nodes some row reads
+    head, names = [], []
+    inline = set()
+    for x, key in enumerate(nodes):
+        kind = key[0]
+        if kind == "e":
+            names.append(f"e{key[1]}")
+            head.append(f"e{key[1]} = entries[{key[1]}]")
+            continue
+        if kind == "c":  # +0.0, which every row starts from, as a literal
+            names.append("0.0" if key[1] == "0.0" else code.bind(float(key[1])))
+            continue
+        op, a, b = key
+        reads = tuple(_TEMP.findall(f"{names[a]} {names[b]}"))
+        if op == "*" and uses[x] == 1 and x in right and x not in target and b not in inline:
+            inline.add(x)
+            names.append(f"{names[a]} * {names[b]}")
+        elif x in target:
+            o = f"o{target[x]}"
+            if target.get(a) == target[x]:
+                line(f"{o} {op}= {names[b]}", (), reads)
+            else:
+                head.append(f"{o} = out[{target[x]}]")
+                line(f"{_OPS[op]}({names[a]}, {names[b]}, out={o})", (), reads)
+            names.append(o)
+        elif nodes[a][0] in _OPS and uses[a] == 1 and a not in target:
+            line(f"{names[a]} {op}= {names[b]}", (), reads)
+            names.append(names[a])
+        else:
+            name, right_side = f"m{x}", names[b]
+            if op == "*" and b in inline:
+                right_side = f"({right_side})"
+            line(f"{name} = {names[a]} {op} {right_side}", (name,), reads)
+            names.append(name)
+    for row, x in enumerate(roots):
+        if target.get(x) != row:  # a constant row, or one that another row holds
+            line(f"out[{row}] = {names[x]}")
     return code.build("entries, out", head, "<pullback rows>")
 
 
 @dataclass(frozen=True)
 class _AveragePlan:
     """The call-invariant half of ``_ball_averages``: what it evaluates for
-    one list of forms on one differential pattern and chunk size."""
+    one list of forms on one differential pattern, constants and chunk size."""
 
     rows: np.ndarray  # per (form, lambda) pair: its distinct row, or the zero slot after the last
     negated: np.ndarray  # per pair: whether it reads its row's mean negated
     forms: list[slice]  # per form: its pairs, lambdas in basis_tuples order
     blocks: list[tuple[int, Callable]]  # (rows, their _plan_coefficient_rows) per block
     width: int  # rows of the largest block
+    variable: list[int]  # the _entries rows of D that are not constant
+    bound: float  # the largest |c| of D's constants (NaN if one is NaN), -inf for none
 
 
 def _chunk(samples: int) -> int:
@@ -376,37 +506,59 @@ def _chunk(samples: int) -> int:
     return max(1, min(samples, rng.CHUNK))
 
 
-def _average_plan(omegas: list[KForm], pattern: np.ndarray, chunk: int) -> _AveragePlan:
+def _average_plan(omegas: list[KForm], pattern: np.ndarray, constants: dict[int, float],
+                  chunk: int) -> _AveragePlan:
     """Plan ``_ball_averages`` of every coefficient of these codomain forms
-    on maps with the (m, n) differential ``pattern``: the pairs with a live
-    term, keyed by ``_recipe`` up to sign, the distinct rows sorted by
-    (degree, lambda) and cut into blocks of at most ``_BLOCK_ITEMS`` floats
-    per ``chunk`` of samples, each block planned by ``_plan_coefficient_rows``."""
-    live = _live_minors(pattern)
+    on maps with the (m, n) differential ``pattern`` and ``constants``
+    (``_entries`` row -> float): the pairs with a live term, keyed by
+    ``_recipe`` up to sign, one row per folded op sequence up to sign
+    (``_Minors.row``), the rows sorted by the (degree, lambda) of their
+    first recipe and cut into blocks of at most ``_BLOCK_ITEMS`` floats per
+    ``chunk`` of samples, each block planned by ``_plan_coefficient_rows``."""
+    minors = _live_minors(pattern, constants)
     keys, negated, forms = [], [], []  # per pair: recipe up to sign (None for a zero row), sign
     for w in omegas:
         start = len(keys)
         for lam in basis_tuples(pattern.shape[1], w.degree):
-            recipe = _recipe(w, lam, 1, live)  # basis tuples are increasing
+            recipe = _recipe(w, lam, 1, minors)  # basis tuples are increasing
             negate = recipe is not None and recipe[1][0][0] < 0
             if negate:
-                cols, kept = recipe
-                recipe = cols, tuple((-c, r) for c, r in kept)
+                recipe = _negated(recipe)
             keys.append(recipe)
             negated.append(negate)
         forms.append(slice(start, len(keys)))
     recipes = sorted(dict.fromkeys(k for k in keys if k is not None),
                      key=lambda k: (len(k[0]), k[0]))  # rows sharing minors side by side
-    slot = {k: i for i, k in enumerate(recipes)}
+    rows: list = []  # per distinct row: its first recipe
+    slot: dict[int, int] = {}  # per row's node: its index in rows
+    read = {}  # per recipe: (its row, whether it reads the row negated)
+    for recipe in recipes:
+        node = minors.row(recipe)
+        if node not in slot and minors.row(_negated(recipe)) in slot:
+            read[recipe] = (slot[minors.row(_negated(recipe))], True)
+            continue
+        if node not in slot:
+            slot[node] = len(rows)
+            rows.append(recipe)
+        read[recipe] = (slot[node], False)
     size = max(1, _BLOCK_ITEMS // chunk)
-    blocks = [recipes[i:i + size] for i in range(0, len(recipes) or 1, size)]
+    blocks = [rows[i:i + size] for i in range(0, len(rows) or 1, size)]
+    reads = [(len(rows), False) if k is None else read[k] for k in keys]
     return _AveragePlan(
-        rows=np.array([slot.get(k, len(recipes)) for k in keys], dtype=np.intp),
-        negated=np.array(negated, dtype=bool),
+        rows=np.array([row for row, _ in reads], dtype=np.intp),
+        negated=np.array([a != b for a, (_, b) in zip(negated, reads)], dtype=bool),
         forms=forms,
-        blocks=[(len(b), _plan_coefficient_rows(b, pattern)) for b in blocks],
-        width=min(size, len(recipes)),
+        blocks=[(len(b), _plan_coefficient_rows(b, pattern, constants)) for b in blocks],
+        width=min(size, len(rows)),
+        variable=[i for i in range(pattern.size) if i not in constants],
+        bound=float(np.max(np.abs(list(constants.values())), initial=-math.inf)),
     )
+
+
+def _negated(recipe):
+    """The recipe with every coefficient negated."""
+    cols, kept = recipe
+    return cols, tuple((-c, r) for c, r in kept)
 
 
 def _ball_averages(
@@ -422,17 +574,18 @@ def _ball_averages(
     """Ball-average every coefficient of every form at every radius, in one
     pass over one cloud per radius, the rows in blocks (module docstring).
     ``plan`` is ``_average_plan`` of these forms on the map's
-    ``differential_pattern`` and ``_chunk(samples)``, built here when not
-    given.  A pair with no term on a live minor of the pattern is a row of
+    ``differential_pattern``, constants and ``_chunk(samples)``, built here
+    when not given.  A pair with no term on a live minor of the pattern is a row of
     zeros and is not evaluated: it reads the zero slot, (0.0, 0.0).  The
     other pairs are keyed by their ``_recipe`` up to sign, and one row per
     key is evaluated: a pair whose recipe is the key's reads its
-    (mean, stderr), a negated one (0.0 - mean, stderr).
+    (mean, stderr), a negated one (0.0 - mean, stderr).  Keys whose rows
+    fold to one op sequence, up to sign, share one row.
 
     One buffer, sized for a chunk, holds the frame differential
     (``differential_batch``'s ``out``) and the rows, for every chunk at
     every radius (module docstring); a chunk's derivative bound is
-    ``_abs_max`` of its D.
+    ``_abs_max`` of its D's variable entries and of its constants.
 
     Returns, per radius and per input form, a (mean, stderr) pair of float64
     arrays over ``basis_tuples(n_dom, degree)``, and the largest sampled
@@ -441,7 +594,7 @@ def _ball_averages(
     _check_on_codomain(m, omegas)
     chunk = _chunk(samples)
     if plan is None:
-        plan = _average_plan(omegas, differential_pattern(m), chunk)
+        plan = _average_plan(omegas, differential_pattern(m), _constants(m), chunk)
     # one block, not one per array: glibc's trim threshold is twice the largest
     # mmapped block freed so far, and with three blocks the H5 op of the
     # `average` benchmark trimmed the heap the H3 ops had grown, which the
@@ -453,7 +606,7 @@ def _ball_averages(
 
     def coefficients(coords: np.ndarray):
         entries = _entries(differential_batch(m, coords, warn, out=jac))
-        chunk_bounds.append(_abs_max(entries))
+        chunk_bounds.append(_abs_max(entries, plan.variable, plan.bound))
         count = entries.shape[1]
         for size, rows in plan.blocks:
             out = row_buffer[:size * count].reshape(size, count)
@@ -473,12 +626,17 @@ def _ball_averages(
     return per_radius, float(np.max(chunk_bounds, initial=0.0))
 
 
-def _abs_max(a: np.ndarray) -> float:
+def _abs_max(a: np.ndarray, rows=None, bound: float = -math.inf) -> float:
     """``np.max(np.abs(a))`` without the |a| temporary, as max(max a, -min a):
     a NaN entry makes both ends NaN, an infinite entry of either sign gives
     inf, and + 0.0 turns the -0.0 that -min a reads on an all-zero array
-    into +0.0."""
-    return float(np.maximum(a.max(), -a.min())) + 0.0
+    into +0.0.  With ``rows``, the max over those rows of ``a`` and
+    ``bound``, the largest |c| of the rows left out, each constant c."""
+    if rows is None:
+        return float(np.maximum(a.max(), -a.min())) + 0.0
+    for i in rows:  # np.maximum, not Python's max, which drops a NaN
+        bound = np.maximum(bound, np.maximum(a[i].max(), -a[i].min()))
+    return float(bound) + 0.0
 
 
 def _form_of(dom: LieAlgebra, degree: int, mean: np.ndarray) -> KForm:
@@ -551,11 +709,14 @@ def _induced_setup(m: SmoothMap, with_products: bool, chunk: int):
     ``with_products``), ``forms`` the representatives then the products, and
     ``plan`` their ``_average_plan``.  All of it depends only on the
     codomain's ring, the domain's dimension and the map's
-    ``differential_pattern``, and the plan on the chunk size and
-    ``_BLOCK_ITEMS``, which is why the key holds those and nothing else."""
-    pattern = differential_pattern(m)
+    ``differential_pattern`` and constants, and the plan on the chunk size
+    and ``_BLOCK_ITEMS``, which is why the key holds those and nothing else,
+    each constant by its repr (the H3 doubling and the identity have one
+    pattern and different constants)."""
+    pattern, constants = differential_pattern(m), _constants(m)
     n_dom = m.domain.dim
-    key = (n_dom, with_products, pattern.tobytes(), pattern.shape, chunk, _BLOCK_ITEMS // chunk)
+    key = (n_dom, with_products, pattern.tobytes(), pattern.shape,
+           tuple((i, repr(c)) for i, c in sorted(constants.items())), chunk, _BLOCK_ITEMS // chunk)
     setups = _SETUP_CACHE.setdefault(m.codomain, {})
     setup = setups.get(key)
     if setup is None:
@@ -576,7 +737,8 @@ def _induced_setup(m: SmoothMap, with_products: bool, chunk: int):
                                               ring_cod.spaces[l].representatives[j]))
                         product_keys.append((k, i, l, j))
         forms = reps + products
-        setup = setups[key] = (owners, product_keys, forms, _average_plan(forms, pattern, chunk))
+        setup = setups[key] = (owners, product_keys, forms,
+                               _average_plan(forms, pattern, constants, chunk))
     return setup
 
 

@@ -18,6 +18,7 @@ from nilcoh.maps import (
     SmoothMap,
     differential,
     differential_batch,
+    differential_constants,
     differential_pattern,
     evaluate,
     evaluate_batch,
@@ -659,7 +660,8 @@ def test_frame_products_on_an_abelian_law_evaluate_no_polynomial(monkeypatch):
     callers.clear()
     mats = differential_batch(m, x)
     assert not callers
-    run = dsl.differential(m.tape, 3, group_law(r3).inv_frame_pattern, group_law(r3).frame_pattern)
+    run, _ = dsl.differential(m.tape, 3, group_law(r3).inv_frame_pattern,
+                              group_law(r3).frame_pattern)
     assert "_finite" not in run.__code__.co_names
     assert np.array_equal(mats, jacobian_batch(m, x)[1])
 
@@ -699,6 +701,38 @@ def test_differential_pattern_between_abelian_groups():
         assert not mats[:, ~pattern].any()
     assert differential_pattern(f1()).tolist() == [[True], [True]]
     assert differential_pattern(map_from_texts(R1, R2, ["3", "x1^2"])).tolist() == [[False], [True]]
+
+
+def test_constant_entries_hold_their_constant_at_every_point():
+    # a constant is a literal or a bound float that the generated function
+    # writes into its entry of D: the same bits at every point, edges included
+    gen = np.random.default_rng(31)
+    seen = {}
+    for name, m in fused_differential_maps():
+        n = m.domain.dim
+        x = np.concatenate([gen.uniform(-4.0, 4.0, size=(n, 300)), edge_points(n, gen)], axis=1)
+        with np.errstate(all="ignore"):
+            mats = differential_batch(m, x)
+        constants = differential_constants(m)
+        for (a, j), c in constants.items():
+            assert mats[:, a, j].tobytes() == np.full(x.shape[1], c).tobytes(), name
+        seen[name] = len(constants)
+    # of the average maps' 9 and 25 entries, the diagonal's 1.0 and the zeros
+    assert seen["average-h3"] == 6 and seen["average-h5"] == 19
+    assert differential_constants(fused_differential_maps()[2][1]) == {
+        (0, 0): 2.0, (0, 1): 0.0, (0, 2): 0.0, (1, 0): 0.0, (1, 1): 1.0, (1, 2): 0.0, (2, 2): 2.0}
+
+
+def test_constants_are_those_of_the_text_not_of_the_shift():
+    # a float of the map's text is a constant of D; the shift never enters it
+    m = map_from_texts(H3, H3, ["x1 + 0.3*x2 + 1", "x2", "x3 - 0.5"])
+    want = {(0, 0): 1.0, (0, 1): 0.3, (0, 2): 0.0, (1, 0): 0.0, (1, 1): 1.0, (1, 2): 0.0,
+            (2, 2): 1.0}
+    assert differential_constants(m) == want
+    assert differential_constants(normalize_to_y0(m)) == want
+    # a constant computed at run time, as exp(800), is no constant of the plan
+    assert (0, 1) not in differential_constants(map_from_texts(H3, H3, ["x1 + exp(800)*x2",
+                                                                        "x2", "x3"]))
 
 
 @pytest.mark.parametrize("text", ["x1/(1 + x1^2)", "3/x1"])

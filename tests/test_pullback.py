@@ -10,6 +10,7 @@ import numpy as np
 import oracles
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_dsl import expr_strategy
 
 from nilcoh import algebra, pullback, rng
 from nilcoh.cohomology import cohomology
@@ -18,8 +19,9 @@ from nilcoh.degree import area_formula_check, asymptotic_degree
 from nilcoh.ergodic import derivative_entry
 from nilcoh.forms import (KForm, basis_covector, basis_form, basis_tuples, unit_form,
                           volume_form, wedge)
-from nilcoh.maps import (differential, differential_batch, differential_pattern, map_from_texts,
-                         normalize_to_y0)
+from nilcoh.dsl import Bin, Coord, Num
+from nilcoh.maps import (SmoothMap, differential, differential_batch, differential_pattern,
+                         map_from_texts, normalize_to_y0)
 from nilcoh.pullback import (
     _coefficient_rows,
     _projection_warning,
@@ -350,6 +352,8 @@ def test_coefficient_rows_do_not_depend_on_how_the_pairs_are_split():
         assert np.concatenate(parts).tobytes() == whole.tobytes()
 
 
+# constant entries of D: mostly the 1.0 that folds away, and what its products meet
+CONSTANTS = st.sampled_from([1.0, 1.0, 1.0, -1.0, 0.0, -0.0, 0.3, 2.5, np.inf, -np.inf, np.nan])
 COEFFICIENTS = st.one_of(st.sampled_from([1.0, -1.0, 0.1, -0.1, 0.0, -0.0, 2.5]),
                         st.floats(-4.0, 4.0))
 
@@ -357,8 +361,9 @@ COEFFICIENTS = st.one_of(st.sampled_from([1.0, -1.0, 0.1, -0.1, 0.0, -0.0, 2.5])
 @st.composite
 def _plans(draw):
     """A (m, n) pattern, ``_recipe``-shaped recipes of degrees 0-5 on it
-    (terms on live minors only) and entries that are zero outside the
-    pattern, with +-0.0, +-inf and NaN at live entries."""
+    (terms on live minors only), constants at some live entries and entries
+    that are zero outside the pattern, with +-0.0, +-inf and NaN at live
+    entries and each constant at every sample of its entry."""
     m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     pattern = np.array(draw(st.lists(st.booleans(), min_size=m * n, max_size=m * n)),
                        dtype=bool).reshape(m, n)
@@ -380,7 +385,12 @@ def _plans(draw):
     entries = gen.standard_normal((m * n, count)) * pattern.reshape(-1, 1)
     special = (gen.random(entries.shape) < 0.3) & pattern.reshape(-1, 1)
     entries[special] = gen.choice([0.0, -0.0, np.inf, -np.inf, np.nan], size=special.sum())
-    return pattern, recipes, entries
+    live_entries = np.flatnonzero(pattern).tolist()
+    chosen = draw(st.lists(st.sampled_from(live_entries), unique=True)) if live_entries else []
+    constants = {i: draw(CONSTANTS) for i in chosen}
+    for i, c in constants.items():
+        entries[i] = c
+    return pattern, recipes, entries, constants
 
 
 @settings(max_examples=150, deadline=None)
@@ -388,10 +398,12 @@ def _plans(draw):
 def test_generated_rows_equal_the_gather_reference(plan):
     # bit for bit, signed zeros included; only the sign of a NaN may differ,
     # where the reference adds a negated product and the generated code
-    # subtracts the product.  Blocks of one and two samples give the same bits
-    pattern, recipes, entries = plan
+    # subtracts the product.  The plan folds the constants, the reference
+    # reads them from the entries.  Blocks of one and two samples give the
+    # same bits
+    pattern, recipes, entries, constants = plan
     want = np.empty((len(recipes), entries.shape[1]))
-    rows = pullback._plan_coefficient_rows(recipes, pattern)
+    rows = pullback._plan_coefficient_rows(recipes, pattern, constants)
     with np.errstate(invalid="ignore"):  # inf * 0 and inf - inf
         oracles.gather_coefficient_rows(recipes, pattern)(entries, want)
     for block in (rows.block, 1, 2):
@@ -502,9 +514,9 @@ def test_blocks_are_planned_once_per_call(monkeypatch):
     sizes = []
     plan = pullback._plan_coefficient_rows
 
-    def counting(pairs, pattern):
+    def counting(pairs, *args):
         sizes.append(len(pairs))
-        return plan(pairs, pattern)
+        return plan(pairs, *args)
 
     def planned(m, samples=1000, seed=0, radii=(2.0,)):
         sizes.clear()
@@ -512,19 +524,19 @@ def test_blocks_are_planned_once_per_call(monkeypatch):
         return list(sizes)
 
     monkeypatch.setattr(pullback, "_plan_coefficient_rows", counting)
-    monkeypatch.setattr(pullback, "_BLOCK_ITEMS", 5 * 1000)
+    monkeypatch.setattr(pullback, "_BLOCK_ITEMS", 2 * 1000)
     h3 = algebra.heisenberg3()  # no other test has filled its caches
     m = map_from_texts(h3, h3, H3_MAP)
     first = planned(m)
-    assert len(first) > 1 and max(first) == 5
+    assert first == [2, 2]  # the 4 rows of the H3 map
     assert planned(m, seed=1, radii=(2.0, 4.0, 8.0)) == []
     assert planned(map_from_texts(h3, h3, H3_MAP), seed=2) == []  # same pattern, new map
     other = map_from_texts(h3, h3, ["x1", "x2", "x3 + 0.2*x1^2"])
     assert not np.array_equal(differential_pattern(other), differential_pattern(m))
     assert planned(other)
-    assert max(planned(m, samples=500)) == 10  # another chunk: 5000 // 500 rows per block
-    monkeypatch.setattr(pullback, "_BLOCK_ITEMS", 4 * 1000)
-    assert max(planned(m)) == 4
+    assert planned(m, samples=500) == [4]  # another chunk: 2000 // 500 rows per block
+    monkeypatch.setattr(pullback, "_BLOCK_ITEMS", 1000)
+    assert planned(m) == [1] * 4
 
 
 @pytest.mark.parametrize("name", ["H3", "H5", "filiform7"])
@@ -601,9 +613,9 @@ def _planned_rows(monkeypatch, alg, texts, shape):
     plan, averages, recipe = (pullback._plan_coefficient_rows, pullback._ball_averages,
                               pullback._recipe)
 
-    def counting(block, pattern):
+    def counting(block, *args):
         sizes.append(len(block))
-        return plan(block, pattern)
+        return plan(block, *args)
 
     def recording(m, omegas, *args):
         pairs.append(sum(len(basis_tuples(m.domain.dim, w.degree)) for w in omegas))
@@ -626,14 +638,133 @@ def test_h5_average_map_plans_only_rows_that_can_be_nonzero(monkeypatch):
     # H5_MAP has the sparsity of the benchmark's seeded H5 maps: 720 of the
     # 910 (form, lambda) rows of its check are zero at every point, and
     # graded commutativity (1 ^ w = w, w_j ^ w_i = -w_i ^ w_j) leaves 63 of
-    # the other 190 distinct up to sign
+    # the other 190 distinct up to sign.  D has 19 constant entries, 1.0 on
+    # its diagonal and 0.0, and folded into the ops they leave 14 distinct
+    # op sequences up to sign: the constant 1.0 and 13 rows
     assert _planned_rows(monkeypatch, algebra.heisenberg5(), H5_MAP,
-                         "quasiball") == ([910], 190, [63])
+                         "quasiball") == ([910], 190, [14])
 
 
 def test_h3_average_map_plans_only_distinct_rows(monkeypatch):
-    # the benchmark's H3 maps: 24 of the 44 rows can be nonzero, 11 of them distinct up to sign
-    assert _planned_rows(monkeypatch, algebra.heisenberg3(), H3_MAP, "box") == ([44], 24, [11])
+    # the benchmark's H3 maps: 24 of the 44 rows can be nonzero, 11 of them
+    # distinct up to sign; D has the constants 1.0 on its diagonal and 0.0
+    # at its dead entries, and folded into the ops they leave 4 distinct op
+    # sequences up to sign: the constant 1.0, D01, D21 - D01 * D20 and D20
+    assert _planned_rows(monkeypatch, algebra.heisenberg3(), H3_MAP, "box") == ([44], 24, [4])
+
+
+def _pair_reads(plan, entries: np.ndarray) -> np.ndarray:
+    """The rows of an ``_average_plan`` on these ``_entries``, read per
+    (form, lambda) pair as ``_ball_averages`` reads their means: the zero
+    slot for a pair with no live term, 0.0 - row for a negated one."""
+    count = entries.shape[1]
+    blocks = []
+    for size, rows in plan.blocks:
+        blocks.append(np.empty((size, count)))
+        rows(entries, blocks[-1])
+    pairs = np.concatenate(blocks + [np.zeros((1, count))])[plan.rows]
+    np.subtract(0.0, pairs, out=pairs, where=plan.negated[:, None])
+    return pairs
+
+
+def _assert_folded_rows_are_the_unfolded_ones(m, forms, x):
+    # per (form, lambda) pair, the folded plan's read is the gather
+    # reference's row of the pair's recipe, which knows no constant: bit for
+    # bit, signed zeros included, each NaN written as one NaN
+    pattern = differential_pattern(m)
+    plan = pullback._average_plan(forms, pattern, pullback._constants(m), x.shape[1])
+    live = pullback._live_minors(pattern)
+    recipes = [pullback._recipe(w, lam, 1, live)
+               for w in forms for lam in basis_tuples(m.domain.dim, w.degree)]
+    with np.errstate(all="ignore"):
+        entries = pullback._entries(differential_batch(m, x))
+        got = _pair_reads(plan, entries)
+        want = np.empty_like(got)
+        oracles.gather_coefficient_rows(recipes, pattern)(entries, want)
+    assert np.where(np.isnan(got), np.nan, got).tobytes() == np.where(
+        np.isnan(want), np.nan, want).tobytes()
+    return plan
+
+
+CONSTANT_MAPS = {
+    "h3-average": (H3, H3_MAP),
+    "h5-average": (H5, H5_MAP),
+    "h3-doubling": (H3, ["2*x1", "x2", "2*x3"]),
+    "h3-exp800": (H3, ["x1 + exp(800)*x2", "x2", "x3 + 0.3*x1"]),
+    "h5-shears": (H5, ["x1 + 0.3*x2", "x2", "x3 - 0.7*x4 + 0.1*x1^2", "x4", "x5 + 3*x1*x3"]),
+    "filiform7-shear": (algebra.filiform(7),
+                        ["x1", "x2 + 0.3*x1"] + [f"x{i}" for i in range(3, 8)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONSTANT_MAPS))
+def test_folded_rows_equal_the_unfolded_rows_at_seeded_and_edge_points(name):
+    alg, texts = CONSTANT_MAPS[name]
+    m = map_from_texts(alg, alg, texts)
+    gen = np.random.default_rng(41)
+    x = np.concatenate([gen.uniform(-4.0, 4.0, size=(alg.dim, 300)),
+                        oracles.edge_points(alg.dim, gen)], axis=1)
+    forms = _average_forms(alg) if alg.dim <= 5 else [
+        w for space in cohomology(alg).spaces for w in space.representatives]
+    _assert_folded_rows_are_the_unfolded_ones(m, forms, x)
+
+
+def _component(a: int):
+    """Component a of a map: the coordinate, a multiple of it, it plus an
+    expression of x1 and x2, or such an expression alone."""
+    coord = Coord(a, f"x{a + 1}")
+    return st.one_of(st.just(coord), st.sampled_from([2.0, 0.3, -1.5, 1.0]).map(
+        lambda c: Bin("*", Num(c), coord)), expr_strategy().map(lambda e: Bin("+", coord, e)),
+        expr_strategy())
+
+
+@st.composite
+def _maps_with_constants(draw, alg):
+    return SmoothMap(alg, alg, tuple(draw(_component(a)) for a in range(alg.dim)))
+
+
+@pytest.mark.parametrize("alg", [H3, H5], ids=["h3", "h5"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_folded_rows_equal_the_unfolded_rows_on_generated_maps(alg, data):
+    m = data.draw(_maps_with_constants(alg))
+    x = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))).uniform(
+        -3.0, 3.0, size=(alg.dim, 40))
+    try:
+        with np.errstate(all="ignore"):
+            differential_batch(m, x)
+    except DomainError:
+        return
+    _assert_folded_rows_are_the_unfolded_ones(m, _average_forms(alg), x)
+
+
+def test_the_doubling_and_the_identity_share_no_plan():
+    # one pattern, other constants: a plan keyed by the pattern alone read
+    # the doubling's top coefficient as the identity's 1.0, or the reverse
+    doubling = map_from_texts(H3, H3, ["2*x1", "x2", "2*x3"])
+    identity = map_from_texts(H3, H3, ["x1", "x2", "x3"])
+    assert np.array_equal(differential_pattern(doubling), differential_pattern(identity))
+    plans = [pullback._induced_setup(m, True, 500)[3] for m in (doubling, identity)]
+    assert plans[0] is not plans[1] and plans[0].blocks[0][1].run is not plans[1].blocks[0][1].run
+    for m, det in ((doubling, 4.0), (identity, 1.0)):
+        rep = homomorphism_check(m, radii=[2.0], samples=500, seed=0)
+        est = amenable_average(m, volume_form(H3), radii=[2.0], samples=500, seed=0)
+        assert rep.matrices[3] == [[det]] and est.values[0].coeffs == {(0, 1, 2): det}
+
+
+def test_the_derivative_bound_reads_each_constant_once():
+    # the variable rows are reduced, the constants come as one float
+    d = np.array([[1.0, -3.0], [0.5, 2.0], [np.nan, 0.0], [-0.0, 0.0]])
+    assert pullback._abs_max(d, [0, 1], 2.5) == 3.0
+    assert pullback._abs_max(d, [1], 2.5) == 2.5
+    assert math.isnan(pullback._abs_max(d, [1, 2], 1.0))
+    assert math.isnan(pullback._abs_max(d, [1], math.nan))
+    assert repr(pullback._abs_max(d, [3], -math.inf)) == "0.0"
+    assert repr(pullback._abs_max(d, [], 0.0)) == "0.0"
+    # a constant entry larger than every variable one is the bound
+    m = map_from_texts(H3, H3, ["x1 + 0.1*sin(x2)", "5*x2", "x3"])
+    assert amenable_average(m, volume_form(H3), radii=[2.0], samples=500,
+                            seed=0).derivative_bound == 5.0
 
 
 def test_constant_map_has_no_row_to_evaluate():

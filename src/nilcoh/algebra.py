@@ -20,6 +20,7 @@ from functools import cached_property
 from math import lcm
 
 from . import exactlinalg as xl
+from . import rng
 
 
 class AlgebraError(ValueError):
@@ -173,8 +174,9 @@ def validate_algebra(
     Raises JacobiViolation or NotNilpotent, and AlgebraError on malformed
     input (bad indices, dim < 1, non-rational coefficients).
     """
+    rng._check_integer("dim", dim)
     if dim < 1:
-        raise AlgebraError("dimension must be >= 1")
+        raise AlgebraError(f"dimension must be >= 1, got {dim!r}")
     if basis_names is None:
         basis_names = tuple(f"e{i + 1}" for i in range(dim))
     if len(basis_names) != dim:
@@ -369,6 +371,7 @@ def heisenberg5() -> LieAlgebra:
 
 def filiform(dim: int) -> LieAlgebra:
     """Filiform algebra of maximal class: [e1, e_k] = e_{k+1} for 2 <= k < dim."""
+    rng._check_integer("dim", dim, 1)
     structure = {(0, k): {k + 1: Fraction(1)} for k in range(1, dim - 1)}
     return validate_algebra(structure, dim)
 
@@ -376,6 +379,7 @@ def filiform(dim: int) -> LieAlgebra:
 def free_nilpotent_two_step(generators: int = 3) -> LieAlgebra:
     """Free 2-step algebra on the given generators; brackets of generators are
     independent central directions (dim = g + C(g, 2))."""
+    rng._check_integer("generators", generators, 1)
     g = generators
     structure = {}
     extra = g

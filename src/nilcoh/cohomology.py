@@ -50,6 +50,7 @@ from functools import cached_property
 import numpy as np
 
 from . import exactlinalg as xl
+from . import rng
 from .algebra import DerivedCache, LieAlgebra
 from .forms import KForm, _integer_differential_rows, _wedge_coeffs, basis_tuples
 
@@ -295,18 +296,24 @@ def cohomology(alg: LieAlgebra) -> CohomologyRing:
 
 
 def _check_degrees(k: int, l: int) -> None:
-    if min(k, l) < 0:
-        raise ValueError(f"cohomology degree must be >= 0, got {min(k, l)}")
+    """Refuse degrees that break the integer rule or are negative."""
+    for name, degree in (("k", k), ("l", l)):
+        rng._check_integer(f"cohomology degree {name}", degree, 0)
 
 
 def cup_class(ring: CohomologyRing, k: int, i: int, l: int, j: int) -> list[Fraction]:
-    """Coordinates of [rep_i^k ^ rep_j^l] in degree k+l."""
+    """Coordinates of [rep_i^k ^ rep_j^l] in degree k+l; IndexError for a
+    representative index beyond the Betti number."""
     _check_degrees(k, l)
+    for name, index in (("i", i), ("j", j)):
+        rng._check_integer(f"representative index {name}", index, 0)
     n = ring.algebra.dim
     if k + l > n:
         raise DegreeOverflow(f"degree {k}+{l} exceeds top degree {n}")
-    if not (0 <= i < ring.spaces[k].betti and 0 <= j < ring.spaces[l].betti):
-        raise IndexError("representative index out of range")
+    for name, index, degree in (("i", i, k), ("j", j, l)):
+        if index >= ring.spaces[degree].betti:
+            raise IndexError(f"representative index {name} = {index} out of range: "
+                             f"b_{degree} = {ring.spaces[degree].betti}")
     return ring.cup[(k, l, i, j)]
 
 

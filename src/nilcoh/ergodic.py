@@ -62,7 +62,10 @@ class Observable:
     i indexing the domain frame and j the codomain frame (1-based); kind
     'coordinate': codomain coordinate j of F(y)^-1 . F(y . p) at a point y
     and a probe point p; kind 'expression': any DSL expression over the
-    symbols d11 .. d<n><m>.  An index the kind reads is refused below 1.
+    symbols d11 .. d<n><m>.  An index the kind reads is refused below 1,
+    and a ``power`` that is no integer; an index beyond the map's
+    dimensions is refused by every statistic before it samples
+    (``_check_observables``).
     """
 
     name: str
@@ -77,6 +80,7 @@ class Observable:
     def __post_init__(self):
         for label in {"derivative": ("i", "j"), "coordinate": ("j",)}.get(self.kind, ()):
             rng._check_integer(f"observable index {label}", getattr(self, label), 1)
+        rng._check_integer("observable power", self.power)
         stale = self.tape is None or self.tape.components[0] is not self.expr
         if self.expr is not None and stale:
             object.__setattr__(self, "tape", dsl.compile([self.expr]))
@@ -117,6 +121,8 @@ def derivative_entry(i: int, j: int, squared: bool = False) -> Observable:
 def parse_observable(text: str, domain_dim: int, codomain_dim: int) -> Observable:
     """Parse CLI observable syntax: dIJ, dIJsq, coordJ@p1:p2:..., or an
     expression over the dIJ symbols."""
+    rng._check_integer("domain_dim", domain_dim, 1)
+    rng._check_integer("codomain_dim", codomain_dim, 1)
     text = text.strip()
     m = re.fullmatch(r"d([1-9])([1-9])(sq)?", text)
     if m:
@@ -154,8 +160,31 @@ def empirical_measure(
 ) -> list[dict]:
     """Monte Carlo estimate of each observable against the empirical measure
     mu_R of the orbit; returns {'name', 'mean', 'stderr'} per observable."""
+    _check_observables(m, observables)
     cloud = _orbit_cloud(m.domain, radius, samples, seed, shape)
     return _measure(m, observables, cloud, warn_once(warnings if warnings is not None else []))
+
+
+def _check_observables(m: SmoothMap, observables: list[Observable]) -> None:
+    """Refuse an observable that reads beyond the map's dimensions: a
+    derivative entry (i, j) needs i <= n_dom and j <= n_cod, a coordinate j
+    needs j <= n_cod and a probe of the domain, an expression its symbols
+    among the n_dom x n_cod entries."""
+    n_dom, n_cod = m.domain.dim, m.codomain.dim
+    for obs in observables:
+        reads = {"derivative": (("i", obs.i, n_dom, "domain"), ("j", obs.j, n_cod, "codomain")),
+                 "coordinate": (("j", obs.j, n_cod, "codomain"),)}.get(obs.kind, ())
+        for label, index, dim, side in reads:
+            if index > dim:
+                raise ValueError(f"observable {obs.name!r}: index {label} = {index} exceeds "
+                                 f"the {side} dimension {dim}")
+        if obs.kind == "coordinate":
+            _check_point(f"observable {obs.name!r}: probe", obs.probe, n_dom)
+        if obs.kind == "expression":
+            beyond = [i for i in dsl.coordinate_indices(obs.expr) if i >= n_dom * n_cod]
+            if beyond:
+                raise ValueError(f"observable {obs.name!r}: entry {max(beyond) + 1} exceeds "
+                                 f"the {n_dom} x {n_cod} entries of the differential")
 
 
 def _orbit_cloud(domain, radius: float, samples: int, seed: int, shape: str) -> np.ndarray:
@@ -225,6 +254,7 @@ def _convergence_reports(m, basepoints, observables, radii, samples, seed, shape
     x -> F(g . x); g None is the map itself.  Radii run on the outside, so
     each radius's cloud is drawn once for all basepoints and only one cloud
     is alive at a time; each basepoint keeps its warnings in radius order."""
+    _check_observables(m, observables)
     _check_tol(tol)
     radii = check_radii(radii)
     warnings: list[list[str]] = [[] for _ in basepoints]

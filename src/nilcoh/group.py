@@ -11,14 +11,19 @@ rejection from the bounding box.
 
 Refusals: every public call checks its inputs before it samples, each
 rule in one place, and names the parameter and the value (``ValueError`` or
-``TypeError``).  Seeds, counts and indices are integers and no bools
-(``rng._is_integer``), counts and observable indices at least 1; radii
-are finite and positive (``_check_radius``, ``check_radii``), a ``tol``
-finite and nonnegative (``_check_tol``); a point of a dim-n group has n
-coordinates (``_check_length``).  A single point that the user gives (a
-target, basepoint or probe, or the point of ``evaluate``, ``differential``
-or ``pullback_eval``) is also finite (``_check_point``); the columns of a
-(n, N) batch follow IEEE 754, and no pass over the samples checks them.
+``TypeError``).  Seeds, counts, dimensions, cohomology degrees, indices
+and observable powers are integers and no bools (``rng._is_integer``),
+numeric and exact layer alike; counts, dimensions and observable indices
+are at least 1, degrees and class indices at least 0, and an observable's
+indices are checked against the map's dimensions
+(``ergodic._check_observables``).  Radii are finite and positive
+(``_check_radius``, ``check_radii``), a ``tol`` finite and nonnegative
+(``_check_tol``); a point of a dim-n group has n coordinates
+(``_check_length``).  A single point that the user gives (a target,
+basepoint or probe, a map's shift, or the point of ``evaluate``,
+``differential`` or ``pullback_eval``) is also finite (``_check_point``),
+and so is the F(0) that a normalization turns into a shift; the columns of
+a (n, N) batch follow IEEE 754, and no pass over the samples checks them.
 """
 
 from __future__ import annotations

@@ -92,6 +92,9 @@ from .group import _check_length, _check_point, _check_tol
 
 @dataclass(frozen=True)
 class SmoothMap:
+    """x -> shift . F(x) for the components F (module docstring); a shift
+    that is not a finite point of the codomain is refused."""
+
     domain: LieAlgebra
     codomain: LieAlgebra
     components: tuple
@@ -107,7 +110,7 @@ class SmoothMap:
                     f"component uses coordinate x{max(bad) + 1} beyond domain dimension {self.domain.dim}"
                 )
         if self.shift is not None:
-            _check_length("shift", len(self.shift), self.codomain.dim)
+            _check_point("shift", self.shift, self.codomain.dim)
         if self.tape is None or self.tape.components is not self.components:
             object.__setattr__(self, "tape", dsl.compile(self.components))
 
@@ -276,10 +279,12 @@ def normalize_to_y0(m: SmoothMap) -> SmoothMap:
     """Left-translate so the origin maps to the origin (idempotent).  Where
     F is undefined at the origin, the ``DomainError`` names the origin and
     the normalization; an error of no point (a constant that overflows)
-    passes as it is."""
+    passes as it is.  An F(0) that is not finite is refused as a shift is
+    (``SmoothMap``), naming F(0) and the normalization."""
+    context = "normalizing the map to F(0) = 0: "
     bare = replace(m, shift=None)
-    at_origin = _at_point(evaluate_batch, bare, (0.0,) * m.domain.dim,
-                          context="normalizing the map to F(0) = 0: ")[:, 0]
+    at_origin = _at_point(evaluate_batch, bare, (0.0,) * m.domain.dim, context=context)[:, 0]
+    _check_point(context + "F(0)", at_origin, m.codomain.dim)
     if not np.any(at_origin):
         return bare
     return replace(m, shift=tuple(-v for v in at_origin))

@@ -1,8 +1,9 @@
 """The refusal contract of the public numeric parameters.
 
 ``RULES`` names the rule of every parameter of every public function of
-``nilcoh`` (the rules are stated in the docstring of ``nilcoh.group``).  A
-public function that gains a parameter fails
+``nilcoh``, exact layer included, and of the ``SmoothMap`` and
+``Observable`` constructors (the rules are stated in the docstring of
+``nilcoh.group``).  A public function that gains a parameter fails
 ``test_every_public_parameter_has_a_rule`` until the parameter is listed.
 
 Each rule carries the values it refuses.  Every function that takes a
@@ -36,6 +37,7 @@ COUNT = Rule("an integer of at least 1",
              REALS + ((0, "0"), (-7, "-7"), (1.5, "1.5"), (True, "True")))
 SEED = Rule("an integer", REALS + ((1.5, "1.5"), (True, "True")))
 INDEX = Rule("an integer in 0 .. n - 1", REALS + ((-7, "-7"), (1.5, "1.5"), (True, "True")))
+DEGREE = Rule("an integer in 0 .. n", INDEX.bad)
 INDICES = Rule("a tuple of integers in 0 .. n - 1", tuple(((v,), s) for v, s in INDEX.bad))
 RADIUS = Rule("finite and positive", REALS + ((0, "0"), (-7, "-7")))
 RADII = Rule("finite and positive, strictly increasing",
@@ -45,9 +47,8 @@ POINT = Rule("a finite point of the dim-1 domain",
              tuple(((v,), s) for v, s in REALS) + (((0.0, 0.0), "(0.0, 0.0)"),))
 POINTS = Rule("finite points of the dim-1 domain", tuple(([(0.0,), p], s) for p, s in POINT.bad))
 BATCH = Rule("a (1, N) batch; its values follow IEEE 754", (([[0.0], [1.0]], "got 2"),))
-# a size, degree or class index of the exact layer, which checks its range
-# against the algebra but does not follow the integer rule yet
-EXACT = Rule("an integer of the exact layer, outside this contract")
+# an observable's coordinate probe, checked against the map by the statistics
+PROBE = Rule("a finite point of the domain, refused before any sampling")
 NOT_NUMERIC = Rule("not numeric")
 
 RULES = {
@@ -57,27 +58,34 @@ RULES = {
     "radius": RADIUS, "window": RADIUS,
     "radii": RADII,
     "tol": TOL,
-    "g": POINT, "target": POINT,
+    "g": POINT, "target": POINT, "shift": POINT,
+    "probe": PROBE,
+    "power": SEED,
     "basepoints": POINTS,
     "coords": BATCH,
     "indices": INDICES, "lam": INDICES,
-    # i and j index a frame from 1, a basis covector from 0, or classes
-    "i": {"derivative_entry": COUNT, "basis_covector": INDEX, "cup_class": EXACT},
-    "j": {"derivative_entry": COUNT, "cup_class": EXACT},
-    "dim": EXACT, "generators": EXACT, "k": EXACT, "l": EXACT,
-    "domain_dim": EXACT, "codomain_dim": EXACT,
+    # i and j index a frame from 1, a basis covector from 0, or classes from 0
+    "i": {"derivative_entry": COUNT, "Observable": COUNT, "basis_covector": INDEX,
+          "cup_class": INDEX},
+    "j": {"derivative_entry": COUNT, "Observable": COUNT, "cup_class": INDEX},
+    "dim": COUNT, "generators": COUNT, "domain_dim": COUNT, "codomain_dim": COUNT,
+    "k": DEGREE, "l": DEGREE,
     **dict.fromkeys([
-        "a", "alg", "b", "basis_names", "codomain", "codomain_ref", "data", "domain",
-        "domain_ref", "expr", "f", "m", "names", "observable", "observables", "omega", "out",
-        "path", "ring", "ring_a", "ring_b", "shape", "spec", "squared", "structure", "tags",
-        "text", "texts", "warn", "warnings", "with_products",
+        "a", "alg", "b", "basis_names", "codomain", "codomain_ref", "components", "data",
+        "domain", "domain_ref", "expr", "f", "kind", "m", "name", "names", "observable",
+        "observables", "omega", "out", "path", "ring", "ring_a", "ring_b", "shape", "spec",
+        "squared", "structure", "tags", "tape", "text", "texts", "warn", "warnings",
+        "with_products",
     ], NOT_NUMERIC),
 }
 
 
 def _functions():
+    """The public functions of ``nilcoh``, and the two constructors that take
+    numbers from their callers."""
     return {name: obj for name in dir(nilcoh)
-            if not name.startswith("_") and inspect.isfunction(obj := getattr(nilcoh, name))}
+            if not name.startswith("_") and inspect.isfunction(obj := getattr(nilcoh, name))} | {
+        "SmoothMap": nilcoh.SmoothMap, "Observable": nilcoh.Observable}
 
 
 def _rule(function: str, param: str):
@@ -92,6 +100,9 @@ SAMPLED = dict(m=MAP, radii=(2.0, 4.0), samples=64, seed=0)
 OBSERVED = dict(SAMPLED, observables=[nilcoh.derivative_entry(1, 1)])
 # valid arguments of each function that takes a parameter with bad values
 VALID = {
+    "Observable": dict(name="d11", kind="derivative", i=1, j=1),
+    "SmoothMap": dict(domain=R1, codomain=R1, components=MAP.components),
+    "abelian": dict(dim=1),
     "amenable_average": dict(SAMPLED, omega=E1),
     "amenable_norm": dict(SAMPLED, observable=nilcoh.derivative_entry(1, 1)),
     "area_formula_check": dict(m=MAP, window=2.0, samples=64, seed=0),
@@ -100,6 +111,8 @@ VALID = {
     "basis_form": dict(alg=H3, indices=(0,)),
     "box_volume": dict(alg=R1, radius=2.0),
     "convergence_report": OBSERVED,
+    "cup_class": dict(ring=nilcoh.cohomology(H3), k=1, i=0, l=1, j=1),
+    "cup_pairing_rank": dict(ring=nilcoh.cohomology(H3), k=1, l=1),
     "derivative_entry": dict(i=1, j=1),
     "differential": dict(m=MAP, g=(0.5,)),
     "differential_batch": dict(m=MAP, coords=[[0.5]]),
@@ -108,13 +121,17 @@ VALID = {
     "ergodicity_probe": dict(OBSERVED, basepoints=[(0.0,), (1.0,)]),
     "evaluate": dict(m=MAP, g=(0.5,)),
     "evaluate_batch": dict(m=MAP, coords=[[0.5]]),
+    "filiform": dict(dim=3),
+    "free_nilpotent_two_step": dict(generators=2),
     "homomorphism_check": SAMPLED,
     "induced_cohomology_map": SAMPLED,
     "is_group_homomorphism": dict(m=MAP),
     "local_degree": dict(m=MAP, window=10.0, target=(0.5,)),
+    "parse_observable": dict(text="d11", domain_dim=1, codomain_dim=1),
     "pullback_eval": dict(m=MAP, omega=E1, lam=(0,), g=(0.5,)),
     "qi_distortion_probe": dict(m=MAP, pairs=64),
     "sample_ball_coords": dict(alg=R1, spec=nilcoh.BallSpec(2.0), count=64, seed=0),
+    "validate_algebra": dict(structure={}, dim=1),
 }
 
 SWEEP = [(function, param, value, shown)

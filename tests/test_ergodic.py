@@ -52,6 +52,43 @@ def test_an_observable_index_below_one_is_refused():
     assert parse_observable("d11 + d22", 3, 3).i == 0  # an expression reads no index
 
 
+def test_an_observable_beyond_the_map_is_refused_before_sampling(monkeypatch):
+    # derivative_entry(5, 5) on an R1 map drew the cloud, then raised numpy's
+    # IndexError; every statistic now refuses it first, naming the index
+    opened = []
+    real = ergodic.rng.stream
+    monkeypatch.setattr(ergodic.rng, "stream", lambda *a: opened.append(a) or real(*a))
+    m = map_from_texts(R1, R1, ["x1 + sin(x1)"])
+    calls = (lambda obs: empirical_measure(m, [obs], 2.0, 64, 0),
+             lambda obs: convergence_report(m, [obs], [2.0, 4.0], 64, 0),
+             lambda obs: ergodicity_probe(m, [obs], [(0.0,), (1.0,)], [2.0, 4.0], 64, 0))
+    cases = [
+        (derivative_entry(5, 5), "observable 'd55': index i = 5 exceeds the domain dimension 1"),
+        (derivative_entry(1, 2), "observable 'd12': index j = 2 exceeds the codomain dimension 1"),
+        (Observable("c2", "coordinate", j=2, probe=(0.5,)),
+         "observable 'c2': index j = 2 exceeds the codomain dimension 1"),
+        (Observable("c1", "coordinate", j=1, probe=(0.5, 1.0)), "observable 'c1': probe"),
+        (Observable("c1", "coordinate", j=1, probe=(np.nan,)), "got nan in (nan,)"),
+        (parse_observable("d11 + d22", 2, 2),
+         "observable 'd11 + d22': entry 4 exceeds the 1 x 1 entries of the differential"),
+    ]
+    for obs, message in cases:
+        for call in calls:
+            with pytest.raises(ValueError) as exc:
+                call(obs)
+            assert message in str(exc.value)
+    assert opened == []
+    assert empirical_measure(m, [derivative_entry(1, 1)], 2.0, 64, 0)[0]["mean"] > 0
+    assert opened
+
+
+def test_an_observable_power_follows_the_integer_rule():
+    for bad in (2.5, True, np.nan):
+        with pytest.raises(TypeError, match=f"observable power must be an integer, got {bad}"):
+            Observable("d11", "derivative", i=1, j=1, power=bad)
+    assert Observable("d11", "derivative", i=1, j=1, power=3).power == 3
+
+
 def test_empirical_measure_closed_forms():
     obs = [derivative_entry(1, 2), derivative_entry(1, 2, squared=True)]
     for radius in [np.pi, 2 * np.pi, 7.0]:

@@ -108,6 +108,25 @@ def test_normalization_names_the_origin_where_the_map_is_undefined():
         assert exc.value.coords == (0.0,)
 
 
+def test_a_shift_that_is_not_finite_is_refused():
+    # SmoothMap took shift=(nan,), and every value of the map was then NaN;
+    # x1 + exp(800) normalized to the shift (-inf,) without a word
+    comps = map_from_texts(R1, R1, ["x1"]).components
+    for bad, shown in ((np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf")):
+        with pytest.raises(ValueError, match=f"shift coordinates must be finite, got {shown} in"):
+            SmoothMap(R1, R1, comps, shift=(bad,))
+    with pytest.raises(ValueError, match="shift"):
+        SmoothMap(R1, R1, comps, shift=(0.0, 1.0))
+    assert evaluate(SmoothMap(R1, R1, comps, shift=(2.0,)), (1.0,)) == (3.0,)
+    m = map_from_texts(R1, R1, ["x1 + exp(800)"])
+    with np.errstate(over="ignore"):
+        for call in (lambda: normalize_to_y0(m), lambda: local_degree(m, 0.5, (0.0,))):
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == ("normalizing the map to F(0) = 0: F(0) coordinates must "
+                                      "be finite, got inf in (inf,)")
+
+
 def test_differential_examples():
     ident = map_from_texts(H3, H3, ["x1", "x2", "x3"])
     for pt in ([0.0, 0.0, 0.0], [0.7, -1.3, 2.0]):

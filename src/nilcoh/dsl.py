@@ -42,12 +42,13 @@ root lines and every line that defines a name a kept line reads, and each
 defined name is deleted after the line of its last use.  The functions
 live in one process-wide table, ``_RUNS``, under tagged keys: every tape
 of equal trees shares its functions, so a map loaded twice compiles once,
-every plan of equal recipes and pattern shares its function, and so does
-every frame differential (``differential``) of equal trees, domain
-dimension and frame patterns, which ``maps.differential_batch`` runs: the
-tape's values and partials, then the products by the inverse codomain
-frame and the domain frame entry by entry, without the terms that
-round-to-nearest makes exact (``maps``).  Tapes of equal trees are equal,
+every plan of equal op sequences (constants by their repr) shares its
+function, and so does every frame differential (``differential``) of equal
+trees, domain dimension and frame patterns, which ``maps.differential_batch``
+runs: the tape's values and partials, then the products by the inverse
+codomain frame and the domain frame entry by entry, without the terms that
+round-to-nearest makes exact (``maps``); it is kept with the entries it
+writes as constants, which the plans fold.  Tapes of equal trees are equal,
 so a map and algebras reloaded from files find the functions of the first.
 """
 

@@ -72,7 +72,15 @@ is the head of the buffer the caller handed ``differential_batch`` as
 ``differential_pattern`` runs the frame products on booleans: starting from
 the coordinates each component reads, it gives the entries of the frame
 differential that can be nonzero, so that ``pullback`` plans only the minors
-that are not zero at every point.
+that are not zero at every point.  ``differential_constants`` gives the
+entries that the generated function writes as a constant, the same float
+at every point: a literal (the seed 1.0 of a coordinate's own partial, the
++0.0 of a partial of a coordinate not read) or a float bound from the
+map's text, left as it is by the rules above (1 * v is v, c + Z is c).  On
+the ``average`` benchmark maps D is 1.0 on its diagonal and 0.0 at every
+dead entry, 6 of H3's 9 entries and 19 of H5's 25; ``pullback`` folds them
+into its ops.  The pattern stays as it is: a constant entry it marks live
+is still live.
 """
 
 from __future__ import annotations

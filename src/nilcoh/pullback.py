@@ -22,13 +22,23 @@ Horn-Johnson, Matrix Analysis, 2nd ed., 0.8).  ``_plan_coefficient_rows``
 decides once per set of coefficients which minors each degree needs and
 writes one straight-line Python function of numpy ops for them with the
 DSL's code writer (``dsl.Code``), which shares it with every plan of equal
-recipes and pattern: each minor is one sample vector, built from degree 2
+op sequences: each minor is one sample vector, built from degree 2
 upward by Laplace expansion along the first row; on small integer
 matrices every minor is exact.
 The plan reads the sparsity pattern of D (``maps.differential_pattern``):
 a minor whose expansion has no term with a live entry and a live
 complementary minor is zero at every point, so the plan leaves it out, and
-with it every term that reads it.
+with it every term that reads it.  It also reads the entries of D that the
+map's generated function writes as constants
+(``maps.differential_constants``: on the ``average`` maps, 6 of H3's 9
+entries and 19 of H5's 25 are the literal 1.0 or 0.0), and folds them into
+its ops by the only two rules that round-to-nearest makes exact: 1 * v is
+v, NaN payload included, and an op on two constants gives at every sample
+the float that the same op gives once on Python floats (IEEE 754-2019,
+5.1: each op is correctly rounded, so its result depends only on its
+operands).  Every other op stays as it was, with its operands in their
+order; a folded plan computes each row's bits as the unfolded one does,
+and only computes fewer of them (``_Minors``).
 
 One point cloud is drawn per (seed, radius) and shared by every coefficient,
 so linearity of the estimator holds exactly; ``group.cloud_mean`` averages
@@ -37,13 +47,19 @@ over it.  ``_average_plan`` builds each (form, lambda) pair's row recipe
 none, whose rows are zero (on the benchmark's H5 map 720 of 910), and
 points them at one zero slot after the last row, which reads mean 0.0 with
 stderr 0.0, what summing their zero rows gave.  It keys the other recipes
-up to sign, negating every coefficient when the first is negative, and
-evaluates one row per key: graded commutativity (1 ^ w = w,
-w_j ^ w_i = +-w_i ^ w_j) leaves 63 distinct rows of the 190 live H5 pairs.
-A pair with the key's recipe reads the key's (mean, stderr), a negated one
-(0.0 - mean, stderr): rows start from +0.0 and rounding is symmetric in
-sign, so the negated row's sums are the negated sums, an exact zero stays
-+0.0 (where -mean would give -0.0), and its stderr is the same.  Those
+up to sign, negating every coefficient when the first is negative:
+graded commutativity (1 ^ w = w, w_j ^ w_i = +-w_i ^ w_j) leaves 63
+distinct keys of the 190 live H5 pairs.  It then evaluates one row per
+folded op sequence up to sign (``_Minors.row``): where D has constant
+entries, rows of different keys fold to one op sequence or to its
+negation, and a row may fold to a constant, written as ``out[row] = c``.
+On the benchmark maps the 63 keys of H5 leave 14 rows, and the 11 of H3
+leave 4: the constant 1.0, D01, D21 - D01 * D20 and D20 up to sign.
+A pair with the row's op sequence reads the row's (mean, stderr), a
+negated one (0.0 - mean, stderr): rows start from +0.0 and rounding is
+symmetric in sign, so the negated row's sums are the negated sums, an
+exact zero stays +0.0 (where -mean would give -0.0), and its stderr is
+the same.  Those
 reads are two gathers over the pairs, one for the means and one for the
 stderrs, and a masked subtraction, so the averages stay in one format: per
 form, a dense float64 mean and stderr vector over ``basis_tuples``, which
@@ -69,8 +85,8 @@ its caller's form and plans on every call.  ``induced_cohomology_map``
 averages the codomain ring's representatives and their products, so
 everything it builds before sampling (those forms, the wedge products and
 the plan) depends only on the codomain algebra, the domain's dimension,
-the map's differential pattern and the chunk size: ``_induced_setup``
-builds it once per such key and keeps it with the codomain algebra
+the map's differential pattern and constants and the chunk size:
+``_induced_setup`` builds it once per such key and keeps it with the codomain algebra
 (``algebra.DerivedCache``), and a warm call only samples, evaluates and
 projects.  The plans hold no state between calls, so a warm call gives
 the bytes of a cold one.
@@ -626,15 +642,15 @@ def _ball_averages(
     return per_radius, float(np.max(chunk_bounds, initial=0.0))
 
 
-def _abs_max(a: np.ndarray, rows=None, bound: float = -math.inf) -> float:
-    """``np.max(np.abs(a))`` without the |a| temporary, as max(max a, -min a):
-    a NaN entry makes both ends NaN, an infinite entry of either sign gives
-    inf, and + 0.0 turns the -0.0 that -min a reads on an all-zero array
-    into +0.0.  With ``rows``, the max over those rows of ``a`` and
-    ``bound``, the largest |c| of the rows left out, each constant c."""
-    if rows is None:
-        return float(np.maximum(a.max(), -a.min())) + 0.0
-    for i in rows:  # np.maximum, not Python's max, which drops a NaN
+def _abs_max(a: np.ndarray, rows, bound: float = -math.inf) -> float:
+    """The largest of ``bound`` and |a[i]| over the ``rows`` i of ``a``:
+    ``np.max(np.abs(a[rows]))`` without the |a| temporary, as max(max a[i],
+    -min a[i]), and ``bound`` the largest |c| of the rows left out, each the
+    constant c.  A NaN entry makes both ends NaN (and np.maximum, unlike
+    Python's max, keeps it), an infinite entry of either sign gives inf,
+    and + 0.0 turns the -0.0 that -min a[i] reads on an all-zero row into
+    +0.0."""
+    for i in rows:
         bound = np.maximum(bound, np.maximum(a[i].max(), -a[i].min()))
     return float(bound) + 0.0
 

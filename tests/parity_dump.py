@@ -336,9 +336,9 @@ def coefficient_rows() -> dict:
     """The rows of the ``average`` maps' planned blocks on one chunk of
     seeded points, read per (form, lambda) pair as ``_ball_averages`` reads
     them (the zero slot for a pair with no live term, 0.0 - row for a
-    negated one), so that plans that merge rows stay comparable; and one-shot ``_coefficient_rows`` of H5's cohomology
-    representatives and their products on a stack with +-0.0, +-inf and NaN
-    entries.  Signed zeros count; each NaN is written as one canonical NaN,
+    negated one), so that plans that merge rows stay comparable; and
+    one-shot ``_coefficient_rows`` of H5's cohomology representatives and
+    their products on a stack with +-0.0, +-inf and NaN entries.  Signed zeros count; each NaN is written as one canonical NaN,
     as no report shows its sign."""
     out = {}
     gen = np.random.default_rng(11)

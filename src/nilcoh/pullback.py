@@ -37,8 +37,8 @@ v, NaN payload included, and an op on two constants gives at every sample
 the float that the same op gives once on Python floats (IEEE 754-2019,
 5.1: each op is correctly rounded, so its result depends only on its
 operands).  Every other op stays as it was, with its operands in their
-order; a folded plan computes each row's bits as the unfolded one does,
-and only computes fewer of them (``_Minors``).
+order, so a folded plan gives every row the bits of the unfolded one and
+only runs fewer ops (``_Minors``).
 
 One point cloud is drawn per (seed, radius) and shared by every coefficient,
 so linearity of the estimator holds exactly; ``group.cloud_mean`` averages
@@ -59,13 +59,13 @@ A pair with the row's op sequence reads the row's (mean, stderr), a
 negated one (0.0 - mean, stderr): rows start from +0.0 and rounding is
 symmetric in sign, so the negated row's sums are the negated sums, an
 exact zero stays +0.0 (where -mean would give -0.0), and its stderr is
-the same.  Those
-reads are two gathers over the pairs, one for the means and one for the
-stderrs, and a masked subtraction, so the averages stay in one format: per
-form, a dense float64 mean and stderr vector over ``basis_tuples``, which
-``induced_cohomology_map`` projects as they are and ``amenable_average``
-turns into ``KForm``s and dicts only where it returns them.  The keys are
-sorted by (degree, lambda) and cut into blocks of at most ``_BLOCK_ITEMS``
+the same.  Those reads are two gathers over the pairs, one for the means
+and one for the stderrs, and a masked subtraction, so the averages stay in
+one format: per form, a dense float64 mean and stderr vector over
+``basis_tuples``, which ``induced_cohomology_map`` projects as they are and
+``amenable_average`` turns into ``KForm``s and dicts only where it returns
+them.  The rows are sorted by the (degree, lambda) of their first key and
+cut into blocks of at most ``_BLOCK_ITEMS``
 floats per chunk of samples, each planned by ``_plan_coefficient_rows``;
 ``_ball_averages`` reuses the plan at every radius and chunk, and
 ``cloud_mean`` reduces a block before the next one is evaluated, so memory

@@ -31,7 +31,10 @@ reprs on three maps (a doubling, a box average of -vol/2 whose top
 coefficient is negated and whose determinant varies, and a quasiball
 one), and the reprs of the first cycle of the ``degree`` benchmark for
 seeds 1 and 2 (its seeded x^3 - b·x area check and z3 ``local_degree`` at
-8 seeded targets).  Layer digests cover ``jacobian_batch`` (values and
+8 seeded targets), and eight ``local_degree`` reprs on one z^3 map object
+whose (window, seed, grid density) changes and comes back between calls,
+twice at the target 0, whose triple root forces a retry
+(``one_map_degrees``).  Layer digests cover ``jacobian_batch`` (values and
 Jacobians, at 64 and 4000 seeded points) on those two maps and
 ``differential_batch`` on the ``average`` maps of seeds 1 and 2, with
 every zero written as +0.0, so the DSL's generated code is checked at its
@@ -82,7 +85,7 @@ The package is imported from ``PYTHONPATH``, so the same script dumps any checko
     PYTHONPATH=../old/src python tests/parity_dump.py old.json
     diff old.json new.json
 
-The file holds 224 digests, keyed and sorted, so ``diff`` lists exactly
+The file holds 232 digests, keyed and sorted, so ``diff`` lists exactly
 the cases that moved.  The name keeps pytest from collecting it; a run takes 8-13 s on a
 2-core host.
 """
@@ -261,6 +264,21 @@ def library_calls() -> dict:
         "local_degree/r1-gap": digest(repr(nilcoh.local_degree(
             gap, 3.0, (0.1,), grid_density=8, seed=0))),
     }
+
+
+def one_map_degrees() -> dict:
+    """``local_degree`` on one map object, so a set-up kept on the map by
+    one call shows if it moves a later call with another window, seed or
+    grid density, or the same ones again; ``BallSpec(2)`` is the window 2.0
+    given as an integer radius."""
+    r2 = algebra.abelian(2)
+    z3 = nilcoh.map_from_texts(r2, r2, ["x1^3 - 3*x1*x2^2", "3*x1^2*x2 - x2^3"])
+    calls = [((0.3, -0.2), 2.0, 0, 8), ((0.1, 0.25), 2.0, 0, 8), ((0.0, 0.0), 2.0, 0, 8),
+             ((0.3, -0.2), 1.5, 3, 8), ((0.3, -0.2), nilcoh.BallSpec(2), 0, 8),
+             ((-0.2, 0.1), 2.0, 3, 8), ((0.0, 0.0), 2.0, 3, 6), ((0.1, 0.25), 2.0, 3, 6)]
+    return {f"local_degree-one-map/z3-call{i}": digest(repr(nilcoh.local_degree(
+        z3, window, target, grid_density=density, seed=seed)))
+        for i, (target, window, seed, density) in enumerate(calls)}
 
 
 def layer_digests() -> dict:
@@ -484,8 +502,8 @@ def main(argv: list[str]) -> int:
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
         return 2
     dump = {**golden_cases(), **repro_reports(20000), **repro_reports(None),
-            **homomorphism_checks(), **warm_repeats(), **library_calls(), **layer_digests(),
-            **degree_cycles(), **exact_layer(), **ring_invariants()}
+            **homomorphism_checks(), **warm_repeats(), **library_calls(), **one_map_degrees(),
+            **layer_digests(), **degree_cycles(), **exact_layer(), **ring_invariants()}
     with open(argv[0], "w", encoding="utf-8") as fh:
         json.dump(dump, fh, indent=1, sort_keys=True)
         fh.write("\n")

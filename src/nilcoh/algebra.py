@@ -138,30 +138,31 @@ class LieAlgebra:
 
 class DerivedCache:
     """Memo of one kind of derived data, kept in a per-instance slot of each
-    algebra (written with ``object.__setattr__``, as the class is frozen).
+    algebra or map (written with ``object.__setattr__``, as both classes are
+    frozen; the slot is no dataclass field, so it enters no comparison).
 
-    A module-level dict keyed by algebra would pin every algebra ever passed
-    in; this cache lets the algebra and its derived data be collected
-    together.  Supports ``alg in cache``, ``cache.get(alg)``,
-    ``cache[alg] = value`` and ``cache.setdefault(alg, value)``.
+    A module-level dict keyed by algebra or map would pin every one ever
+    passed in; this cache lets the object and its derived data be collected
+    together.  Supports ``obj in cache``, ``cache.get(obj)``,
+    ``cache[obj] = value`` and ``cache.setdefault(obj, value)``.
     """
 
     def __init__(self, name: str):
         self._slot = "_derived_" + name
 
-    def __contains__(self, alg: LieAlgebra) -> bool:
-        return self._slot in vars(alg)
+    def __contains__(self, obj) -> bool:
+        return self._slot in vars(obj)
 
-    def get(self, alg: LieAlgebra):
-        return vars(alg).get(self._slot)
+    def get(self, obj):
+        return vars(obj).get(self._slot)
 
-    def __setitem__(self, alg: LieAlgebra, value) -> None:
-        object.__setattr__(alg, self._slot, value)
+    def __setitem__(self, obj, value) -> None:
+        object.__setattr__(obj, self._slot, value)
 
-    def setdefault(self, alg: LieAlgebra, value):
-        """The value in ``alg``'s slot, storing ``value`` there first if the
+    def setdefault(self, obj, value):
+        """The value in ``obj``'s slot, storing ``value`` there first if the
         slot is empty."""
-        return vars(alg).setdefault(self._slot, value)
+        return vars(obj).setdefault(self._slot, value)
 
 
 def validate_algebra(

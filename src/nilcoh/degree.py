@@ -47,6 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
+from .algebra import DerivedCache
 from .dsl import DomainError
 from .forms import volume_form
 from .group import BallSpec, _check_point, box_volume, check_adapted, cloud_mean, sample_ball_coords
@@ -106,9 +107,19 @@ def _grid_starts(scales: np.ndarray, density: int) -> np.ndarray:
     return pts * scales[:, None]
 
 
-def _boundary_cloud(m: SmoothMap, window: BallSpec, seed: int) -> np.ndarray:
-    """Deterministic samples on the faces of the window box, mapped forward."""
-    scales = _window_scales(m, window)
+def _box_window(window: BallSpec | float) -> BallSpec:
+    """The window as a ``BallSpec``, refused unless its shape is a box: the
+    scales, faces, inside test and volume of the degree engine are the
+    box's, so a quasiball would be read as its bounding box."""
+    window = window if isinstance(window, BallSpec) else BallSpec(float(window))
+    if window.shape != "box":
+        raise ValueError(f"the degree window must be a box, got shape {window.shape!r}")
+    return window
+
+
+def _boundary_cloud(m: SmoothMap, scales: np.ndarray, window: BallSpec, seed: int) -> np.ndarray:
+    """Deterministic samples on the faces of the window box of ``scales``,
+    mapped forward."""
     n = m.domain.dim
     gen = rng.stream(seed, "degree-boundary", float(window.radius))
     faces = []
@@ -287,19 +298,18 @@ def _greedy_dedupe(points: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     return keep.reshape(candidates.shape)
 
 
-def _preimages(m: SmoothMap, targets: np.ndarray, scales: np.ndarray, densities: tuple):
+def _preimages(m: SmoothMap, targets: np.ndarray, scales: np.ndarray, grids: tuple):
     """Preimages inside the open window box of each target column (n, T),
-    from the start grid of each density in ``densities``.
+    from each start grid (n, S) in ``grids`` (``_grid_starts``).
 
-    Newton runs once on the start columns of all densities together; each
-    density is then deduped and counted on its own, exactly as if it had
-    run alone.  Returns per density (degrees, singular, roots, dets): per
-    target the sign sum of the Jacobian determinants and whether any is
-    below ``SINGULAR_MARGIN``; per kept root, in target-then-start order,
-    its coordinates (n, K) and its determinant.
+    Newton runs once on the start columns of all grids together; each grid
+    is then deduped and counted on its own, exactly as if it had run alone.
+    Returns per grid (degrees, singular, roots, dets): per target the sign
+    sum of the Jacobian determinants and whether any is below
+    ``SINGULAR_MARGIN``; per kept root, in target-then-start order, its
+    coordinates (n, K) and its determinant.
     """
     count = targets.shape[1]
-    grids = [_grid_starts(scales, d) for d in densities]
     points, converged, jacs = _newton_roots(
         m,
         np.concatenate([np.tile(g, (1, count)) for g in grids], axis=1),
@@ -322,6 +332,32 @@ def _preimages(m: SmoothMap, targets: np.ndarray, scales: np.ndarray, densities:
     return out
 
 
+class _SetUp:
+    """``local_degree``'s target-free set-up of one map object (module
+    docstring): the normalized map, and the last key's read-only arrays."""
+
+    def __init__(self, m: SmoothMap):
+        self.map = normalize_to_y0(m)
+        self.last = None  # (key, boundary image, scales, (grid, doubled grid))
+
+    def arrays(self, window: BallSpec, seed: int, grid_density: int):
+        """The boundary image, scales and start grids of the window box, the
+        seed and the grid density, kept for the last key only."""
+        key = (float(window.radius), int(seed), int(grid_density))
+        last = self.last
+        if last is None or last[0] != key:
+            scales = _window_scales(self.map, window)
+            grids = tuple(_grid_starts(scales, d) for d in (grid_density, 2 * grid_density))
+            last = (key, _boundary_cloud(self.map, scales, window, seed), scales, grids)
+            for a in (*last[1:3], *grids):
+                a.flags.writeable = False
+            self.last = last
+        return last[1:]
+
+
+_SET_UP = DerivedCache("degree_set_up")  # per map object: its _SetUp
+
+
 def local_degree(
     m: SmoothMap,
     window: BallSpec | float,
@@ -332,17 +368,19 @@ def local_degree(
     """Signed preimage count of a regular target over the window box.
 
     A target with a NaN or infinite coordinate is refused: no preimage
-    search can find it, and degree 0 would read as "stable"."""
+    search can find it, and degree 0 would read as "stable".  A window
+    whose shape is not a box is refused (``_box_window``)."""
     rng._check_integer("grid density", grid_density, 1)
-    m = normalize_to_y0(m)
+    set_up = _SET_UP.get(m) or _SET_UP.setdefault(m, _SetUp(m))
+    m = set_up.map
     if m.domain.dim != m.codomain.dim:
         raise ValueError("degree needs equal domain and codomain dimensions")
-    window = window if isinstance(window, BallSpec) else BallSpec(float(window))
+    window = _box_window(window)
     requested = _check_point("target", target, m.codomain.dim)
-
-    boundary_vals = _boundary_cloud(m, window, seed)
-    scales = _window_scales(m, window)
-    gen = rng.stream(seed, "degree-perturb", float(window.radius))
+    check_adapted(m.domain)
+    rng._check_integer("seed", seed)  # before the lookup: 1.0 and True equal 1 as keys
+    boundary_vals, scales, grids = set_up.arrays(window, seed, grid_density)
+    gen = None  # the perturbation stream, opened by the first retry
 
     target_now = np.array(requested)
     for attempt in range(4):
@@ -354,16 +392,16 @@ def local_degree(
                 f"boundary image (margin {margin:.3e})"
             )
         try:
-            first, refined = _preimages(m, column, scales, (grid_density, 2 * grid_density))
+            first, refined = _preimages(m, column, scales, grids)
         except DomainError:
             # an iterate left the map's domain: solve the grids in turn, as
             # the denser one only runs, and so may only raise, when the
             # first finds no near-singular preimage
-            (first,), refined = _preimages(m, column, scales, (grid_density,)), None
+            (first,), refined = _preimages(m, column, scales, grids[:1]), None
         degree, singular, roots, dets = first
         if not singular[0]:
             if refined is None:
-                (refined,) = _preimages(m, column, scales, (2 * grid_density,))
+                (refined,) = _preimages(m, column, scales, grids[1:])
             degree2, _, _, dets2 = refined
             return DegreeResult(
                 value=int(degree[0]),
@@ -378,6 +416,8 @@ def local_degree(
                 preimages=[tuple(float(v) for v in r) for r in roots.T],
             )
         # near-singular preimage: nudge the target within the same component
+        if gen is None:
+            gen = rng.stream(seed, "degree-perturb", float(window.radius))
         target_now = np.array(requested) + gen.uniform(-1.0, 1.0, size=len(requested)) * (
             0.01 * float(window.radius)
         )
@@ -402,14 +442,15 @@ def area_formula_check(
     near-singular preimages, are skipped and counted; fewer than 2 counted
     targets are refused (ValueError), as one has no spread to estimate.
     ``threads`` is checked as a count and otherwise ignored (evaluation is
-    serial), because the benchmark harness passes it.
+    serial), because the benchmark harness passes it.  A window whose shape
+    is not a box is refused (``_box_window``).
     """
     rng._check_integer("grid density", grid_density, 1)
     rng._check_integer("threads", threads, 1)
     m = normalize_to_y0(m)
     if m.domain.dim != m.codomain.dim:
         raise ValueError("area formula needs equal dimensions")
-    window = window if isinstance(window, BallSpec) else BallSpec(float(window))
+    window = _box_window(window)
     scales = _window_scales(m, window)
     vol_u = box_volume(m.domain, window.radius)
 
@@ -428,16 +469,17 @@ def area_formula_check(
     image = evaluate_batch(m, cloud)
     lo, hi = image.min(axis=1), image.max(axis=1)
     vol_box = float(np.prod(hi - lo))
-    boundary_vals = _boundary_cloud(m, window, seed)
+    boundary_vals = _boundary_cloud(m, scales, window, seed)
 
     gen = rng.stream(seed, "area-rhs", float(window.radius))
     targets = gen.uniform(0.0, 1.0, size=(m.codomain.dim, samples)) * (hi - lo)[:, None] + lo[:, None]
 
     chunk = max(1, rng.CHUNK // grid_density ** m.domain.dim)
+    grids = (_grid_starts(scales, grid_density),)
     parts = []
     for start in range(0, samples, chunk):
         t = targets[:, start : start + chunk]
-        ((degrees, singular, _, _),) = _preimages(m, t, scales, (grid_density,))
+        ((degrees, singular, _, _),) = _preimages(m, t, scales, grids)
         parts.append((degrees, singular, _boundary_margin(boundary_vals, t) <= BOUNDARY_MARGIN))
     degs, singular, near = (np.concatenate(p) for p in zip(*parts))
     valid = ~near & ~singular

@@ -65,7 +65,10 @@ class Observable:
     symbols d11 .. d<n><m>.  An index the kind reads is refused below 1,
     and a ``power`` that is no integer; an index beyond the map's
     dimensions is refused by every statistic before it samples
-    (``_check_observables``).
+    (``_check_observables``).  ``dims`` holds the (domain, codomain)
+    dimensions an expression was parsed for, as its symbol d<i><j> reads
+    entry (i - 1) * codomain_dim + (j - 1) of them; a statistic refuses it
+    on a map of other dimensions.  Both are integers of at least 1.
     """
 
     name: str
@@ -75,12 +78,20 @@ class Observable:
     power: int = 1
     probe: tuple = ()
     expr: object = None
+    dims: tuple | None = None
     tape: dsl.Tape | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         for label in {"derivative": ("i", "j"), "coordinate": ("j",)}.get(self.kind, ()):
             rng._check_integer(f"observable index {label}", getattr(self, label), 1)
         rng._check_integer("observable power", self.power)
+        if self.dims is not None:
+            object.__setattr__(self, "dims", tuple(self.dims))
+            if len(self.dims) != 2:
+                raise ValueError(f"observable dims must be a (domain, codomain) pair, "
+                                 f"got {self.dims!r}")
+            for dim in self.dims:
+                rng._check_integer("observable dims", dim, 1)
         stale = self.tape is None or self.tape.components[0] is not self.expr
         if self.expr is not None and stale:
             object.__setattr__(self, "tape", dsl.compile([self.expr]))
@@ -145,7 +156,7 @@ def parse_observable(text: str, domain_dim: int, codomain_dim: int) -> Observabl
     uses = Counter(symbols.values())
     names = {s: (i - 1) * codomain_dim + (j - 1) for (i, j), s in symbols.items() if uses[s] == 1}
     expr = dsl.parse(text, names=names)
-    return Observable(name=text, kind="expression", expr=expr)
+    return Observable(name=text, kind="expression", expr=expr, dims=(domain_dim, codomain_dim))
 
 
 def empirical_measure(
@@ -169,7 +180,8 @@ def _check_observables(m: SmoothMap, observables: list[Observable]) -> None:
     """Refuse an observable that reads beyond the map's dimensions: a
     derivative entry (i, j) needs i <= n_dom and j <= n_cod, a coordinate j
     needs j <= n_cod and a probe of the domain, an expression its symbols
-    among the n_dom x n_cod entries."""
+    among the n_dom x n_cod entries, and one parsed for given dimensions
+    (``Observable.dims``) those of the map, or it would read other entries."""
     n_dom, n_cod = m.domain.dim, m.codomain.dim
     for obs in observables:
         reads = {"derivative": (("i", obs.i, n_dom, "domain"), ("j", obs.j, n_cod, "codomain")),
@@ -185,6 +197,9 @@ def _check_observables(m: SmoothMap, observables: list[Observable]) -> None:
             if beyond:
                 raise ValueError(f"observable {obs.name!r}: entry {max(beyond) + 1} exceeds "
                                  f"the {n_dom} x {n_cod} entries of the differential")
+            if obs.dims not in (None, (n_dom, n_cod)):
+                raise ValueError(f"observable {obs.name!r} was parsed for a {obs.dims[0]} x "
+                                 f"{obs.dims[1]} differential, but the map's is {n_dom} x {n_cod}")
 
 
 def _orbit_cloud(domain, radius: float, samples: int, seed: int, shape: str) -> np.ndarray:

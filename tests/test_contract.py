@@ -40,6 +40,11 @@ INDEX = Rule("an integer in 0 .. n - 1", REALS + ((-7, "-7"), (1.5, "1.5"), (Tru
 DEGREE = Rule("an integer in 0 .. n", INDEX.bad)
 INDICES = Rule("a tuple of integers in 0 .. n - 1", tuple(((v,), s) for v, s in INDEX.bad))
 RADIUS = Rule("finite and positive", REALS + ((0, "0"), (-7, "-7")))
+# a degree window is a radius or a BallSpec, and its shape a box
+WINDOW = Rule("finite and positive, of shape box",
+              RADIUS.bad + ((nilcoh.BallSpec(1.0, "quasiball"), "'quasiball'"),))
+DIMS = Rule("a (domain, codomain) pair of integers of at least 1",
+            tuple(((v, 1), s) for v, s in COUNT.bad) + (((1,), "(1,)"),))
 RADII = Rule("finite and positive, strictly increasing",
              tuple(((2.0, v), s) for v, s in RADIUS.bad) + (((), "[]"), ((4.0, 2.0), "[4.0, 2.0]")))
 TOL = Rule("finite and nonnegative", REALS + ((-7, "-7"),))
@@ -55,7 +60,7 @@ RULES = {
     "samples": COUNT, "count": COUNT, "pairs": COUNT, "trials": COUNT, "grid_density": COUNT,
     "threads": COUNT,
     "seed": SEED,
-    "radius": RADIUS, "window": RADIUS,
+    "radius": RADIUS, "window": WINDOW,
     "radii": RADII,
     "tol": TOL,
     "g": POINT, "target": POINT, "shift": POINT,
@@ -68,7 +73,7 @@ RULES = {
     "i": {"derivative_entry": COUNT, "Observable": COUNT, "basis_covector": INDEX,
           "cup_class": INDEX},
     "j": {"derivative_entry": COUNT, "Observable": COUNT, "cup_class": INDEX},
-    "dim": COUNT, "generators": COUNT, "domain_dim": COUNT, "codomain_dim": COUNT,
+    "dim": COUNT, "dims": DIMS, "generators": COUNT, "domain_dim": COUNT, "codomain_dim": COUNT,
     "k": DEGREE, "l": DEGREE,
     **dict.fromkeys([
         "a", "alg", "b", "basis_names", "codomain", "codomain_ref", "components", "data",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from oracles import dense_newton_roots, masked_newton_roots, naive_preimages
 
-from nilcoh import algebra, degree, maps
+from nilcoh import algebra, degree, maps, rng
 from nilcoh.dsl import DomainError
 from nilcoh.forms import volume_form
 from nilcoh.degree import (
@@ -108,6 +108,103 @@ def test_non_finite_target_refused(bad):
     m = map_from_texts(R1, R1, ["x1 + sin(x1)"])
     with pytest.raises(ValueError, match=f"target coordinates must be finite, got {bad}"):
         local_degree(m, 10.0, (bad,))
+
+
+def test_a_window_that_is_not_a_box_is_refused():
+    # a quasiball was read as its bounding box: on the identity of R2 the
+    # target (0.9, 0.9), of gauge 1.27 and outside the unit quasiball, had
+    # degree 1, and the area check read the disk's signed volume as 4.0
+    ident = map_from_texts(R2, R2, ["x1", "x2"])
+    ball = BallSpec(1.0, "quasiball")
+    with pytest.raises(ValueError, match="the degree window must be a box, got shape 'quasiball'"):
+        local_degree(ident, ball, (0.9, 0.9))
+    with pytest.raises(ValueError, match="the degree window must be a box, got shape 'quasiball'"):
+        area_formula_check(ident, ball, samples=400, seed=1)
+    assert local_degree(ident, BallSpec(1.0, "box"), (0.9, 0.9)).value == 1
+
+
+Z3 = ["x1^3 - 3*x1*x2^2", "3*x1^2*x2 - x2^3"]  # z^3: the target 0 has a triple root
+
+
+@pytest.fixture
+def boundary_calls(monkeypatch):
+    """The arguments of every ``_boundary_cloud`` call from now on."""
+    calls = []
+    real = degree._boundary_cloud
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(degree, "_boundary_cloud", counted)
+    return calls
+
+
+def test_one_map_object_maps_its_boundary_once_over_many_targets(boundary_calls):
+    m = map_from_texts(R2, R2, Z3)
+    for target in ((0.3, -0.2), (0.1, 0.25), (-0.2, 0.1), (0.0, 0.0)):
+        local_degree(m, 2.0, target, seed=3)
+    assert len(boundary_calls) == 1
+
+
+def test_every_call_on_one_map_equals_the_call_on_a_fresh_equal_map():
+    m = map_from_texts(R2, R2, Z3)
+    calls = [((0.3, -0.2), 2.0, 0, 8), ((0.0, 0.0), 2.0, 0, 8), ((0.1, 0.25), 1.5, 3, 8),
+             ((0.1, 0.25), BallSpec(2), 0, 8), ((0.0, 0.0), 2.0, 3, 6), ((0.3, -0.2), 2.0, 3, 6)]
+    retries = []
+    for target, window, seed, density in calls:
+        warm = local_degree(m, window, target, grid_density=density, seed=seed)
+        fresh = local_degree(map_from_texts(R2, R2, Z3), window, target, grid_density=density,
+                             seed=seed)
+        assert repr(warm) == repr(fresh)
+        retries.append(warm.retries)
+    assert retries[1] > 0 and retries[4] > 0  # the triple root at 0 is near-singular
+
+
+def test_a_new_window_seed_grid_or_map_object_recomputes(boundary_calls):
+    m = map_from_texts(R2, R2, Z3)
+    keys = [(2.0, 0, 8), (2.0, 0, 8), (1.5, 0, 8), (1.5, 4, 8), (1.5, 4, 6), (1.5, 4, 6),
+            (2.0, 0, 8)]
+    counts = []
+    for radius, seed, density in keys:
+        local_degree(m, radius, (0.3, -0.2), grid_density=density, seed=seed)
+        counts.append(len(boundary_calls))
+    assert counts == [1, 1, 2, 3, 4, 4, 5]  # one entry per map: the first key came back
+    local_degree(map_from_texts(R2, R2, Z3), 2.0, (0.3, -0.2))
+    assert len(boundary_calls) == 6
+    assert degree._SET_UP.get(m).last[0] == (2.0, 0, 8)
+
+
+def test_a_warm_call_opens_no_stream_and_only_a_retry_opens_the_perturbation(monkeypatch):
+    opened = []
+    real = rng.stream
+    monkeypatch.setattr(rng, "stream", lambda seed, *tags: opened.append(tags[0]) or real(seed, *tags))
+    m = map_from_texts(R2, R2, Z3)
+    local_degree(m, 2.0, (0.3, -0.2), seed=3)
+    assert opened == ["degree-boundary"]
+    local_degree(m, 2.0, (0.1, 0.25), seed=3)
+    assert opened == ["degree-boundary"]
+    assert local_degree(m, 2.0, (0.0, 0.0), seed=3).retries > 0
+    assert opened == ["degree-boundary", "degree-perturb"]
+
+
+@pytest.mark.parametrize("seed", [1.0, True])
+def test_a_seed_equal_to_a_kept_one_but_no_integer_is_still_refused(seed):
+    # 1.0 and True equal 1 as keys, so the set-up of seed 1 would answer them
+    m = map_from_texts(R2, R2, Z3)
+    local_degree(m, 2.0, (0.3, -0.2), seed=1)
+    with pytest.raises(TypeError, match=f"seed must be an integer, got {seed!r}"):
+        local_degree(m, 2.0, (0.3, -0.2), seed=seed)
+
+
+def test_the_kept_arrays_are_read_only():
+    m = map_from_texts(R2, R2, Z3)
+    local_degree(m, 2.0, (0.3, -0.2))
+    _, boundary, scales, grids = degree._SET_UP.get(m).last
+    for a in (boundary, scales, *grids):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[..., 0] = 0.0
 
 
 def test_homotopy_invariance_small_perturbation():
@@ -285,8 +382,8 @@ def test_area_formula_degrees_match_local_degree(monkeypatch):
     seen = []
     engine = degree._preimages
 
-    def recording(mm, targets, scales, densities):
-        out = engine(mm, targets, scales, densities)
+    def recording(mm, targets, scales, grids):
+        out = engine(mm, targets, scales, grids)
         ((degrees, singular, _, _),) = out
         seen.append((targets, degrees, singular))
         return out
@@ -341,10 +438,11 @@ def test_one_newton_batch_over_densities_equals_one_run_per_density(
     m = normalize_to_y0(map_from_texts(alg, alg, texts))
     scales = degree._window_scales(m, BallSpec(window))
     targets = np.array(targets)
-    fused = degree._preimages(m, targets, scales, densities)
+    grids = [degree._grid_starts(scales, d) for d in densities]
+    fused = degree._preimages(m, targets, scales, grids)
     assert len(fused) == len(densities)
-    for density, got in zip(densities, fused):
-        (alone,) = degree._preimages(m, targets, scales, (density,))
+    for grid, got in zip(grids, fused):
+        (alone,) = degree._preimages(m, targets, scales, (grid,))
         assert [a.tobytes() for a in got] == [a.tobytes() for a in alone]
 
 
@@ -357,9 +455,10 @@ def test_a_domain_error_of_the_denser_grid_does_not_stop_a_singular_retry():
         R1, R1, ["x1 - (abs(x1 + 0.90625) - abs(x1 - 0.90625))/2 + 0*log(abs(x1 - 0.90625))"]
     )
     scales, column = np.array([1.0]), np.zeros((1, 1))
+    grid8, grid16 = (degree._grid_starts(scales, d) for d in (8, 16))
     with pytest.raises(DomainError):
-        degree._preimages(m, column, scales, (8, 16))
-    ((_, singular, _, _),) = degree._preimages(m, column, scales, (8,))
+        degree._preimages(m, column, scales, (grid8, grid16))
+    ((_, singular, _, _),) = degree._preimages(m, column, scales, (grid8,))
     assert singular[0]
     # as when the grids run in turn: retry at a nudged target, where the
     # 8-grid finds no preimage and the doubled grid finds the one at b + t
@@ -375,12 +474,13 @@ def test_a_domain_error_of_the_denser_grid_alone_reaches_the_caller():
     # the 16-grid then runs alone and raises its own error, not the batch's
     m = map_from_texts(R1, R1, ["x1 + 0*log(abs(x1 - 0.9375))"])
     scales, column = np.array([1.0]), np.array([[0.1]])
-    ((degrees, singular, roots, _),) = degree._preimages(m, column, scales, (8,))
+    grid8, grid16 = (degree._grid_starts(scales, d) for d in (8, 16))
+    ((degrees, singular, roots, _),) = degree._preimages(m, column, scales, (grid8,))
     assert (degrees[0], singular[0], roots.shape) == (1, False, (1, 1))
     with pytest.raises(DomainError) as joint:
-        degree._preimages(m, column, scales, (8, 16))
+        degree._preimages(m, column, scales, (grid8, grid16))
     with pytest.raises(DomainError) as alone:
-        degree._preimages(m, column, scales, (16,))
+        degree._preimages(m, column, scales, (grid16,))
     assert (joint.value.sample_index, alone.value.sample_index) == (23, 15)
     with pytest.raises(DomainError) as call:
         local_degree(m, 1.0, (0.1,), grid_density=8)

@@ -82,6 +82,34 @@ def test_an_observable_beyond_the_map_is_refused_before_sampling(monkeypatch):
     assert opened
 
 
+def test_an_expression_parsed_for_other_dimensions_is_refused_before_sampling(monkeypatch):
+    # d22 parsed for (2, 2) is entry 3 of the stack, which a 3 x 3 map reads
+    # as d21: it averaged to 0.0 where the d22 of this map is 3.0
+    h3 = algebra.heisenberg3()
+    m = map_from_texts(h3, h3, ["2*x1", "3*x2 + 0.5*x1", "6*x3"])
+    assert empirical_measure(m, [parse_observable("d22 + 0", 3, 3)], 2.0, 64, 0)[0]["mean"] == 3.0
+    opened = []
+    real = ergodic.rng.stream
+    monkeypatch.setattr(ergodic.rng, "stream", lambda *a: opened.append(a) or real(*a))
+    obs = parse_observable("d22 + 0", 2, 2)
+    assert obs.dims == (2, 2)
+    message = "observable 'd22 + 0' was parsed for a 2 x 2 differential, but the map's is 3 x 3"
+    for call in (lambda: empirical_measure(m, [obs], 2.0, 64, 0),
+                 lambda: convergence_report(m, [obs], [2.0, 4.0], 64, 0),
+                 lambda: ergodicity_probe(m, [obs], [(0.0,) * 3, (1.0,) * 3], [2.0, 4.0], 64, 0)):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
+    assert opened == []
+
+
+def test_observable_dims_are_a_pair_of_counts():
+    assert Observable("e", "expression", dims=[2, 3]).dims == (2, 3)
+    with pytest.raises(ValueError, match=r"a \(domain, codomain\) pair, got \(2,\)"):
+        Observable("e", "expression", dims=(2,))
+    with pytest.raises(TypeError, match="observable dims must be an integer, got True"):
+        Observable("e", "expression", dims=(True, 2))
+
+
 def test_an_observable_power_follows_the_integer_rule():
     for bad in (2.5, True, np.nan):
         with pytest.raises(TypeError, match=f"observable power must be an integer, got {bad}"):

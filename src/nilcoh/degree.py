@@ -18,7 +18,27 @@ the boundary margin is a search in the sorted boundary image, with the
 same bits as the general minimum.  Near-singular targets are retried
 with small perturbations (at most three, each within 1% of the window
 radius), mirroring the regular-value definition of the degree for
-non-regular targets.
+non-regular targets.  The window is a box: a ``BallSpec`` of another
+shape is refused (``_box_window``), as the scales, faces, inside test and
+volume here are the box's.
+
+``local_degree`` keeps its target-free set-up on the caller's map object,
+in one ``algebra.DerivedCache`` slot (``_SetUp``), so the map and the
+set-up are collected together: the normalized map, built by the first
+call, and for the last (window radius, seed, grid density) key the sampled
+boundary image, the window scales and the two start grids, read-only.  A
+call with another key replaces them, so a map object holds one entry.  No
+output bit moves: each kept array is a function of the map's fields and
+its key alone (the boundary stream is keyed by the seed and the radius),
+and every call reads it as a call that built it would.  The seed is
+checked by the integer rule before the lookup, as 1.0 and True equal 1 as
+keys, and every refusal comes in the order it had before.  The
+``degree-perturb`` stream is opened only by a retry.  Repeated calls on
+one map object gain, as 8 of the 9 ops of each ``degree`` benchmark cycle
+make: on a shared 2-core host a warm call went from 2.14 to 1.68 ms, and
+the benchmark's ``op_s_p50`` fell about 16% (10 of 10 paired runs).  A
+map loaded fresh for each call (``nilcoh degree``) gains nothing, nor does
+``area_formula_check``, which builds its one start grid once per call.
 
 The engine gathers columns with ``take`` or ``compress`` on index arrays
 and scatters them one row at a time, never with 2-D boolean masks: on
@@ -377,7 +397,7 @@ def local_degree(
         raise ValueError("degree needs equal domain and codomain dimensions")
     window = _box_window(window)
     requested = _check_point("target", target, m.codomain.dim)
-    check_adapted(m.domain)
+    check_adapted(m.domain)  # a basis that is not adapted is refused before a bad seed
     rng._check_integer("seed", seed)  # before the lookup: 1.0 and True equal 1 as keys
     boundary_vals, scales, grids = set_up.arrays(window, seed, grid_density)
     gen = None  # the perturbation stream, opened by the first retry

@@ -178,7 +178,8 @@ def test_a_new_window_seed_grid_or_map_object_recomputes(boundary_calls):
 def test_a_warm_call_opens_no_stream_and_only_a_retry_opens_the_perturbation(monkeypatch):
     opened = []
     real = rng.stream
-    monkeypatch.setattr(rng, "stream", lambda seed, *tags: opened.append(tags[0]) or real(seed, *tags))
+    monkeypatch.setattr(rng, "stream",
+                        lambda seed, *tags: opened.append(tags[0]) or real(seed, *tags))
     m = map_from_texts(R2, R2, Z3)
     local_degree(m, 2.0, (0.3, -0.2), seed=3)
     assert opened == ["degree-boundary"]

@@ -15,9 +15,10 @@ rule in one place, and names the parameter and the value (``ValueError`` or
 and observable powers are integers and no bools (``rng._is_integer``),
 numeric and exact layer alike; counts, dimensions and observable indices
 are at least 1, degrees and class indices at least 0, and an observable's
-indices are checked against the map's dimensions
-(``ergodic._check_observables``).  Radii are finite and positive
-(``_check_radius``, ``check_radii``), a ``tol`` finite and nonnegative
+indices, and the dimensions an expression was parsed for, are checked
+against the map's (``ergodic._check_observables``).  Radii are finite and
+positive (``_check_radius``, ``check_radii``), a degree window is a box
+(``degree._box_window``), a ``tol`` finite and nonnegative
 (``_check_tol``); a point of a dim-n group has n coordinates
 (``_check_length``).  A single point that the user gives (a target,
 basepoint or probe, a map's shift, or the point of ``evaluate``,

@@ -34,7 +34,10 @@ seeds 1 and 2 (its seeded x^3 - b·x area check and z3 ``local_degree`` at
 8 seeded targets), and eight ``local_degree`` reprs on one z^3 map object
 whose (window, seed, grid density) changes and comes back between calls,
 twice at the target 0, whose triple root forces a retry
-(``one_map_degrees``).  Layer digests cover ``jacobian_batch`` (values and
+(``one_map_degrees``), then an ``area_formula_check`` of the identity of R2
+on the unit box, whose degree integral is exact, and a ``local_degree``, an
+``area_formula_check`` and a ``local_degree`` again on one z^3 + a·z map
+object with one (window, seed, grid density) key (``one_map_area``).  Layer digests cover ``jacobian_batch`` (values and
 Jacobians, at 64 and 4000 seeded points) on those two maps and
 ``differential_batch`` on the ``average`` maps of seeds 1 and 2, with
 every zero written as +0.0, so the DSL's generated code is checked at its
@@ -281,6 +284,27 @@ def one_map_degrees() -> dict:
         for i, (target, window, seed, density) in enumerate(calls)}
 
 
+def one_map_area() -> dict:
+    """The area check of the identity of R2 on the unit box (its degree is 1
+    on the whole box), and the area check between two ``local_degree``
+    calls on one map object with one key, so a set-up shared by the two
+    calls shows if it moves either."""
+    r2 = algebra.abelian(2)
+    ident = nilcoh.map_from_texts(r2, r2, ["x1", "x2"])
+    z3 = nilcoh.map_from_texts(r2, r2, ["x1^3 - 3*x1*x2^2 + 0.1234*x1",
+                                        "3*x1^2*x2 - x2^3 + 0.1234*x2"])
+    return {
+        "area_formula_check/r2-identity": digest(repr(nilcoh.area_formula_check(
+            ident, 1.0, samples=4000, seed=1))),
+        "degree-one-map/z3-local": digest(repr(nilcoh.local_degree(
+            z3, 1.0, (0.1, -0.05), grid_density=8, seed=3))),
+        "degree-one-map/z3-area": digest(repr(nilcoh.area_formula_check(
+            z3, 1.0, samples=600, seed=3, grid_density=8))),
+        "degree-one-map/z3-local-again": digest(repr(nilcoh.local_degree(
+            z3, 1.0, (0.1, -0.05), grid_density=8, seed=3))),
+    }
+
+
 def layer_digests() -> dict:
     """``jacobian_batch`` (values and Jacobians) on the ``degree`` maps and
     ``differential_batch`` on the ``average`` maps, at seeded points, with
@@ -503,7 +527,8 @@ def main(argv: list[str]) -> int:
         return 2
     dump = {**golden_cases(), **repro_reports(20000), **repro_reports(None),
             **homomorphism_checks(), **warm_repeats(), **library_calls(), **one_map_degrees(),
-            **layer_digests(), **degree_cycles(), **exact_layer(), **ring_invariants()}
+            **one_map_area(), **layer_digests(), **degree_cycles(), **exact_layer(),
+            **ring_invariants()}
     with open(argv[0], "w", encoding="utf-8") as fh:
         json.dump(dump, fh, indent=1, sort_keys=True)
         fh.write("\n")

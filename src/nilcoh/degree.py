@@ -37,8 +37,9 @@ keys, and every refusal comes in the order it had before.  The
 one map object gain, as 8 of the 9 ops of each ``degree`` benchmark cycle
 make: on a shared 2-core host a warm call went from 2.14 to 1.68 ms, and
 the benchmark's ``op_s_p50`` fell about 16% (10 of 10 paired runs).  A
-map loaded fresh for each call (``nilcoh degree``) gains nothing, nor does
-``area_formula_check``, which builds its one start grid once per call.
+map loaded fresh for each call (``nilcoh degree``) gains nothing.
+``area_formula_check`` reads the same set-up under the same key, and starts
+its Newton from the first grid.
 
 The engine gathers columns with ``take`` or ``compress`` on index arrays
 and scatters them one row at a time, never with 2-D boolean masks: on
@@ -353,8 +354,8 @@ def _preimages(m: SmoothMap, targets: np.ndarray, scales: np.ndarray, grids: tup
 
 
 class _SetUp:
-    """``local_degree``'s target-free set-up of one map object (module
-    docstring): the normalized map, and the last key's read-only arrays."""
+    """The target-free set-up of one map object, shared by both degree calls
+    (module docstring): the normalized map, and the last key's read-only arrays."""
 
     def __init__(self, m: SmoothMap):
         self.map = normalize_to_y0(m)
@@ -457,21 +458,27 @@ def area_formula_check(
     """Compare the signed volume integral with the degree integral.
 
     Left side: Monte Carlo of det(Df) over the window.  Right side: Monte
-    Carlo of local_degree over the sampled bounding box of the image.
-    Targets too close to the sampled boundary image, or landing on
-    near-singular preimages, are skipped and counted; fewer than 2 counted
-    targets are refused (ValueError), as one has no spread to estimate.
+    Carlo of the local degree over the bounding box of the sampled boundary
+    image f(∂B) (``image_box_volume``), which holds the degree's whole
+    support: the degree is constant on each component of Rⁿ∖f(∂B) and 0 on
+    the unbounded one, where every point outside the box lies.  In 1-D the
+    box is exact, as each face is one point; in n-D it is the box of the
+    sampled faces that set the boundary margin.  Targets too close to the
+    sampled boundary image, or landing on near-singular preimages, are
+    skipped and counted; fewer than 2 counted targets are refused
+    (ValueError), as one has no spread to estimate.
     ``threads`` is checked as a count and otherwise ignored (evaluation is
     serial), because the benchmark harness passes it.  A window whose shape
     is not a box is refused (``_box_window``).
     """
     rng._check_integer("grid density", grid_density, 1)
     rng._check_integer("threads", threads, 1)
-    m = normalize_to_y0(m)
+    set_up = _SET_UP.get(m) or _SET_UP.setdefault(m, _SetUp(m))
+    m = set_up.map
     if m.domain.dim != m.codomain.dim:
         raise ValueError("area formula needs equal dimensions")
     window = _box_window(window)
-    scales = _window_scales(m, window)
+    check_adapted(m.domain)  # before a bad sample count, as the scales checked it
     vol_u = box_volume(m.domain, window.radius)
 
     cloud = sample_ball_coords(m.domain, window, samples, seed, tags=("area-lhs",))
@@ -486,20 +493,18 @@ def area_formula_check(
     lhs_se = float(se_det) * vol_u
     unsigned = float(mean_abs) * vol_u
 
-    image = evaluate_batch(m, cloud)
-    lo, hi = image.min(axis=1), image.max(axis=1)
+    # after the cloud, which refused a bad count or seed (1.0 and True equal 1 as keys)
+    boundary_vals, scales, grids = set_up.arrays(window, seed, grid_density)
+    lo, hi = boundary_vals.min(axis=1), boundary_vals.max(axis=1)
     vol_box = float(np.prod(hi - lo))
-    boundary_vals = _boundary_cloud(m, scales, window, seed)
-
     gen = rng.stream(seed, "area-rhs", float(window.radius))
     targets = gen.uniform(0.0, 1.0, size=(m.codomain.dim, samples)) * (hi - lo)[:, None] + lo[:, None]
 
     chunk = max(1, rng.CHUNK // grid_density ** m.domain.dim)
-    grids = (_grid_starts(scales, grid_density),)
     parts = []
     for start in range(0, samples, chunk):
         t = targets[:, start : start + chunk]
-        ((degrees, singular, _, _),) = _preimages(m, t, scales, grids)
+        ((degrees, singular, _, _),) = _preimages(m, t, scales, grids[:1])
         parts.append((degrees, singular, _boundary_margin(boundary_vals, t) <= BOUNDARY_MARGIN))
     degs, singular, near = (np.concatenate(p) for p in zip(*parts))
     valid = ~near & ~singular

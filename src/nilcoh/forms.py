@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
+
 from . import exactlinalg as xl
 from .algebra import DerivedCache, LieAlgebra
 from .rng import _is_integer
@@ -108,7 +110,7 @@ class KForm:
         return [self.coeffs.get(t, Fraction(0)) for t in tuples]
 
     def max_abs(self) -> float:
-        return max((abs(float(c)) for c in self.coeffs.values()), default=0.0)
+        return float(np.max(np.abs([float(c) for c in self.coeffs.values()]), initial=0.0))
 
     def __str__(self):
         if not self.coeffs:

@@ -676,8 +676,10 @@ def amenable_average(
     lambdas = basis_tuples(m.domain.dim, omega.degree)
     values = [_form_of(m.domain, omega.degree, mean) for ((mean, _),) in per_radius]
     stderrs = [dict(zip(lambdas, se.tolist())) for ((_, se),) in per_radius]
-    increments = _increments(values)
-    nonconv = _nonconvergent(increments, [max(s.values(), default=0.0) for s in stderrs])
+    # numpy's maxima keep a NaN, which Python's max drops unless it comes first
+    increments = [float(np.max(np.abs(cur - prev), initial=0.0))
+                  for ((prev, _),), ((cur, _),) in zip(per_radius, per_radius[1:])]
+    nonconv = _nonconvergent(increments, [float(np.max(se, initial=0.0)) for ((_, se),) in per_radius])
     if nonconv:
         warnings.append("increments do not decrease monotonically; limit not trusted")
     return AverageEstimate(
@@ -690,19 +692,6 @@ def amenable_average(
         derivative_bound=deriv_bound,
         warnings=warnings,
     )
-
-
-def _increments(values: list[KForm]) -> list[float]:
-    out = []
-    for prev, cur in zip(values, values[1:]):
-        keys = set(prev.coeffs) | set(cur.coeffs)
-        out.append(
-            max(
-                (abs(float(cur.coeffs.get(k, 0.0)) - float(prev.coeffs.get(k, 0.0))) for k in keys),
-                default=0.0,
-            )
-        )
-    return out
 
 
 def _nonconvergent(increments: list[float], max_se: list[float]) -> bool:
@@ -788,7 +777,7 @@ def induced_cohomology_map(
         worst: dict[int, float] = {k: 0.0 for k in range(n_dom + 1)}
         for (k, _i), (mean, _se) in zip(owners, averages):
             avg = _form_of(m.domain, k, mean)
-            worst[k] = max(worst[k], ce_differential(avg).max_abs())
+            worst[k] = float(np.maximum(worst[k], ce_differential(avg).max_abs()))
         for k, v in worst.items():
             chain_trace[k].append(v)
 
@@ -802,8 +791,8 @@ def induced_cohomology_map(
         matrices[k] = [[0.0] * len(cols) for _ in range(b_dom)]
         stderrs[k] = 0.0
     for (k, i), (mean, se) in zip(owners, final):
-        se = max(se.tolist(), default=0.0)  # Python's max: a NaN reads as it did
-        stderrs[k] = max(stderrs[k], se)
+        se = float(np.max(se, initial=0.0))  # numpy's maxima keep a NaN
+        stderrs[k] = float(np.maximum(stderrs[k], se))
         coords = ring_dom.spaces[k].project_float(mean)
         class_vectors[(k, i)] = coords
         _projection_warning(ring_dom.spaces[k], mean, se, warnings)
@@ -817,7 +806,7 @@ def induced_cohomology_map(
             degree = k + l
             lhs = ring_dom.spaces[degree].project_float(mean)
             rhs = _cup_combination(ring_dom, k, l, class_vectors[(k, i)], class_vectors[(l, j)])
-            mult_residuals[key] = max(abs(a - b) for a, b in zip(lhs, rhs))
+            mult_residuals[key] = float(np.max(np.abs(np.subtract(lhs, rhs)), initial=0.0))
 
     chain_final = {k: (trace[-1] if trace else 0.0) for k, trace in chain_trace.items()}
     return HomomorphismReport(

@@ -145,6 +145,28 @@ def test_one_map_object_maps_its_boundary_once_over_many_targets(boundary_calls)
     for target in ((0.3, -0.2), (0.1, 0.25), (-0.2, 0.1), (0.0, 0.0)):
         local_degree(m, 2.0, target, seed=3)
     assert len(boundary_calls) == 1
+    # the area check with the same key reads the same set-up: it mapped its own
+    area_formula_check(m, 2.0, samples=50, seed=3)
+    assert len(boundary_calls) == 1
+
+
+def test_the_area_check_has_no_set_up_of_its_own(monkeypatch):
+    # it normalized the map, built the scales, boundary image and start grid
+    # again, and mapped its whole sample cloud forward for the image box
+    m = map_from_texts(R2, R2, Z3)
+    local_degree(m, 2.0, (0.3, -0.2), seed=3)
+    calls, clouds = [], []
+    for name in ("normalize_to_y0", "_window_scales", "_boundary_cloud", "_grid_starts"):
+        real = getattr(degree, name)
+        monkeypatch.setattr(degree, name,
+                            lambda *args, name=name, real=real: calls.append(name) or real(*args))
+    sample, evaluate = degree.sample_ball_coords, degree.evaluate_batch
+    monkeypatch.setattr(degree, "sample_ball_coords",
+                        lambda *args, **kw: clouds.append(sample(*args, **kw)) or clouds[-1])
+    monkeypatch.setattr(degree, "evaluate_batch",
+                        lambda m, x: calls.append("cloud") if x is clouds[0] else evaluate(m, x))
+    area_formula_check(m, 2.0, samples=50, seed=3)
+    assert len(clouds) == 1 and calls == []
 
 
 def test_every_call_on_one_map_equals_the_call_on_a_fresh_equal_map():
@@ -196,6 +218,8 @@ def test_a_seed_equal_to_a_kept_one_but_no_integer_is_still_refused(seed):
     local_degree(m, 2.0, (0.3, -0.2), seed=1)
     with pytest.raises(TypeError, match=f"seed must be an integer, got {seed!r}"):
         local_degree(m, 2.0, (0.3, -0.2), seed=seed)
+    with pytest.raises(TypeError, match=f"seed must be an integer, got {seed!r}"):
+        area_formula_check(m, 2.0, samples=50, seed=seed)
 
 
 def test_the_kept_arrays_are_read_only():
@@ -238,6 +262,10 @@ def test_area_formula_cube():
     out = area_formula_check(m, 1.0, samples=40000, seed=11)
     assert out["signed_integral"] == pytest.approx(2.0, abs=3 * out["signed_integral_stderr"])
     assert abs(out["residual"]) <= 3.0 * max(out["combined_stderr"], 1e-6)
+    # the degree integral runs over the box of f(-2), f(2): 2·f(2), the whole
+    # support of the degree, where the image box of the sample cloud missed the rim
+    out = area_formula_check(map_from_texts(R1, R1, ["x1^3 - x1"]), 2.0, samples=4000, seed=1)
+    assert out["degree_integral"] == out["image_box_volume"] == 12.0
 
 
 def test_area_formula_identity_and_negation():
@@ -251,6 +279,12 @@ def test_area_formula_identity_and_negation():
     assert out["signed_integral"] == pytest.approx(-2.0, abs=1e-9)
     assert out["degree_integral"] == pytest.approx(-2.0, rel=1e-3)
     assert out["unsigned_integral"] == pytest.approx(2.0, abs=1e-9)
+
+    # the box of the sample cloud's image missed the rim: the degree integral
+    # read 3.99385 against 4.0, a residual of 0.00615 against a stderr of 0.0
+    out = area_formula_check(map_from_texts(R2, R2, ["x1", "x2"]), 1.0, samples=4000, seed=1)
+    assert out["degree_integral"] == out["signed_integral"] == 4.0
+    assert out["residual"] == 0.0
 
 
 def test_unsigned_bound():

@@ -821,6 +821,22 @@ def test_a_nan_chunk_bound_makes_the_derivative_bound_nan():
     assert math.isfinite(est.derivative_bound) and est.derivative_bound > 1e170
 
 
+def test_nan_stderrs_increments_and_residuals_read_nan():
+    # Python's max drops a NaN that is not first: on this map (the parity
+    # dump's h3-exp800) the degree-1 and degree-2 matrices hold NaN and inf,
+    # yet stderrs read {1: 0.0, 2: 0.0}, and the increments of e1's average
+    # (inf at both radii) read [0.0]
+    m = map_from_texts(H3, H3, ["x1 + exp(800)*x2", "x2", "x3"])
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = homomorphism_check(m, radii=(2.0, 4.0), samples=4000, seed=0)
+        est = amenable_average(m, basis_form(H3, (0,)), radii=(2.0, 4.0), samples=4000, seed=0)
+    assert math.isnan(rep.matrices[1][0][0]) and math.isinf(rep.matrices[1][1][0])
+    assert math.isnan(rep.stderrs[1]) and math.isnan(rep.stderrs[2])
+    assert rep.stderrs[0] == rep.stderrs[3] == 0.0
+    assert math.isnan(rep.mult_residuals[(1, 0, 2, 0)])
+    assert math.isnan(est.increments[0])
+
+
 def test_ball_averages_pass_one_buffer_to_every_chunk(monkeypatch):
     # each chunk's short-lived Jacobian was mapped afresh; one buffer per
     # call serves every chunk (3 here, the last ragged) at every radius

@@ -478,7 +478,7 @@ def area_formula_check(
     if m.domain.dim != m.codomain.dim:
         raise ValueError("area formula needs equal dimensions")
     window = _box_window(window)
-    check_adapted(m.domain)  # before a bad sample count, as the scales checked it
+    check_adapted(m.domain)  # a basis that is not adapted is refused before a bad count
     vol_u = box_volume(m.domain, window.radius)
 
     cloud = sample_ball_coords(m.domain, window, samples, seed, tags=("area-lhs",))

@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-import numpy as np
-
 from . import exactlinalg as xl
 from .algebra import DerivedCache, LieAlgebra
 from .rng import _is_integer
@@ -108,9 +106,6 @@ class KForm:
         """Dense coefficient vector over the lexicographic tuple basis."""
         tuples = basis_tuples(self.algebra.dim, self.degree)
         return [self.coeffs.get(t, Fraction(0)) for t in tuples]
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs([float(c) for c in self.coeffs.values()]), initial=0.0))
 
     def __str__(self):
         if not self.coeffs:

@@ -772,41 +772,45 @@ def induced_cohomology_map(
     per_radius, deriv_bound = _ball_averages(m, all_forms, radii, samples, seed, shape, warnings,
                                              plan)
 
+    # every maximum below is numpy's, which keeps a NaN that Python's max drops
     chain_trace: dict[int, list[float]] = {k: [] for k in range(n_dom + 1)}
     for averages in per_radius:
-        worst: dict[int, float] = {k: 0.0 for k in range(n_dom + 1)}
+        d_coeffs: dict[int, list[float]] = {k: [] for k in range(n_dom + 1)}
         for (k, _i), (mean, _se) in zip(owners, averages):
-            avg = _form_of(m.domain, k, mean)
-            worst[k] = float(np.maximum(worst[k], ce_differential(avg).max_abs()))
-        for k, v in worst.items():
-            chain_trace[k].append(v)
+            d_coeffs[k] += ce_differential(_form_of(m.domain, k, mean)).coeffs.values()
+        for k, v in d_coeffs.items():
+            chain_trace[k].append(float(np.max(np.abs(v), initial=0.0)))
 
     final = per_radius[-1]
     matrices: dict[int, list[list[float]]] = {}
-    stderrs: dict[int, float] = {}
+    owner_stderrs: dict[int, list[float]] = {}
     class_vectors: dict[tuple[int, int], list[float]] = {}
     for k in range(n_dom + 1):
         b_dom = ring_dom.spaces[k].betti
         cols = [i for (kk, i) in owners if kk == k]
         matrices[k] = [[0.0] * len(cols) for _ in range(b_dom)]
-        stderrs[k] = 0.0
+        owner_stderrs[k] = []
     for (k, i), (mean, se) in zip(owners, final):
-        se = float(np.max(se, initial=0.0))  # numpy's maxima keep a NaN
-        stderrs[k] = float(np.maximum(stderrs[k], se))
+        se = float(se.max(initial=0.0))
+        owner_stderrs[k].append(se)
         coords = ring_dom.spaces[k].project_float(mean)
         class_vectors[(k, i)] = coords
         _projection_warning(ring_dom.spaces[k], mean, se, warnings)
         for a, c in enumerate(coords):
             matrices[k][a][i] = c
 
+    stderrs = {k: float(np.max(v, initial=0.0)) for k, v in owner_stderrs.items()}
+
     mult_residuals: dict[tuple[int, int, int, int], float] = {}
     if with_products:
-        for key, (mean, _se) in zip(product_keys, final[len(owners):]):
-            k, i, l, j = key
-            degree = k + l
-            lhs = ring_dom.spaces[degree].project_float(mean)
-            rhs = _cup_combination(ring_dom, k, l, class_vectors[(k, i)], class_vectors[(l, j)])
-            mult_residuals[key] = float(np.max(np.abs(np.subtract(lhs, rhs)), initial=0.0))
+        lhs, rhs, starts = [], [], []
+        for (k, i, l, j), (mean, _se) in zip(product_keys, final[len(owners):]):
+            starts.append(len(lhs))
+            lhs += ring_dom.spaces[k + l].project_float(mean)
+            rhs += _cup_combination(ring_dom, k, l, class_vectors[(k, i)], class_vectors[(l, j)])
+        # one maximum per product: every degree of a nilpotent group has a class
+        worst = np.maximum.reduceat(np.abs(np.subtract(lhs, rhs)), starts)
+        mult_residuals = dict(zip(product_keys, worst.tolist()))
 
     chain_final = {k: (trace[-1] if trace else 0.0) for k, trace in chain_trace.items()}
     return HomomorphismReport(

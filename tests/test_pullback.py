@@ -835,6 +835,13 @@ def test_nan_stderrs_increments_and_residuals_read_nan():
     assert rep.stderrs[0] == rep.stderrs[3] == 0.0
     assert math.isnan(rep.mult_residuals[(1, 0, 2, 0)])
     assert math.isnan(est.increments[0])
+    # the e3 coefficient of the average of psi* e2* is the mean of +-inf:
+    # the degree-1 chain residual read 0.0
+    m = map_from_texts(H3, H3, ["x1", "x2 + exp(800)*x3^2", "x3"])
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = homomorphism_check(m, radii=(2.0, 4.0), samples=4000, seed=0)
+    assert all(math.isnan(v) for v in rep.chain_residual_trace[1])
+    assert rep.chain_residuals[0] == rep.chain_residuals[2] == 0.0
 
 
 def test_ball_averages_pass_one_buffer_to_every_chunk(monkeypatch):

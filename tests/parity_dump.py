@@ -37,7 +37,14 @@ twice at the target 0, whose triple root forces a retry
 (``one_map_degrees``), then an ``area_formula_check`` of the identity of R2
 on the unit box, whose degree integral is exact, and a ``local_degree``, an
 ``area_formula_check`` and a ``local_degree`` again on one z^3 + a·z map
-object with one (window, seed, grid density) key (``one_map_area``).  Layer digests cover ``jacobian_batch`` (values and
+object with one (window, seed, grid density) key (``one_map_area``), and
+the ``local_degree`` and ``area_formula_check`` reprs of x -> 3*x1 on R1,
+whose Jacobian 3 is exact (``tripling``).  Newton digests cover the bytes
+of ``_newton_roots``' points, converged mask and Jacobians on
+``test_degree.HARD_COLUMNS`` for n = 1, 2 and 3, with that test's seeded
+starts, and on the 3-D H3 batch of
+``test_three_dimensional_newton_keeps_the_batched_solve``
+(``newton_roots``).  Layer digests cover ``jacobian_batch`` (values and
 Jacobians, at 64 and 4000 seeded points) on those two maps and
 ``differential_batch`` on the ``average`` maps of seeds 1 and 2, with
 every zero written as +0.0, so the DSL's generated code is checked at its
@@ -88,7 +95,7 @@ The package is imported from ``PYTHONPATH``, so the same script dumps any checko
     PYTHONPATH=../old/src python tests/parity_dump.py old.json
     diff old.json new.json
 
-The file holds 232 digests, keyed and sorted, so ``diff`` lists exactly
+The file holds 242 digests, keyed and sorted, so ``diff`` lists exactly
 the cases that moved.  The name keeps pytest from collecting it; a run takes 8-13 s on a
 2-core host.
 """
@@ -113,11 +120,12 @@ sys.path[:0] = [HERE, os.path.join(HERE, "..")]
 import nilcoh  # noqa: E402
 from bench.workloads import (  # noqa: E402
     BUILDERS, REPRO_STEPS, RING_ALGEBRAS, Average, Degree, dense_twin, heisenberg)
-from nilcoh import algebra, bch, cli, maps, pullback  # noqa: E402
+from nilcoh import algebra, bch, cli, degree, maps, pullback  # noqa: E402
 from nilcoh.forms import basis_form, volume_form, wedge  # noqa: E402
 from nilcoh.report import render_stable  # noqa: E402
 from conftest import rational_filiform5, skewed_heisenberg3  # noqa: E402
 from oracles import edge_points, fused_differential_maps  # noqa: E402
+from test_degree import HARD_COLUMNS  # noqa: E402
 from test_golden import CASES, stable_report  # noqa: E402
 
 def digest(text: str) -> str:
@@ -303,6 +311,49 @@ def one_map_area() -> dict:
         "degree-one-map/z3-local-again": digest(repr(nilcoh.local_degree(
             z3, 1.0, (0.1, -0.05), grid_density=8, seed=3))),
     }
+
+
+def tripling() -> dict:
+    """x -> 3*x1 on R1: its Jacobian is the exact 3, so every determinant
+    the degree engine reports of it is 3 too."""
+    r1 = algebra.abelian(1)
+    m = nilcoh.map_from_texts(r1, r1, ["3*x1"])
+    return {
+        "local_degree/r1-tripling": digest(repr(nilcoh.local_degree(m, 1.0, (0.3,)))),
+        "area_formula_check/r1-tripling": digest(repr(nilcoh.area_formula_check(
+            m, 1.0, samples=4000, seed=1))),
+    }
+
+
+def newton_roots() -> dict:
+    """The bytes of ``_newton_roots``' three outputs on the hard columns of
+    ``test_newton_on_take_gathers_has_the_bytes_of_the_masked_loop`` (an
+    unsolvable start, a stalled one, an overflow and one still iterating at
+    the last round, after 300 seeded columns) and on the 3-D H3 batch of
+    ``test_three_dimensional_newton_keeps_the_batched_solve``."""
+    out = {}
+    cases = []
+    for n, (alg, texts) in sorted(HARD_COLUMNS.items()):
+        gen = np.random.default_rng(20 + n)
+        hard_starts, hard_targets = np.zeros((n, 4)), np.zeros((n, 4))
+        hard_starts[0] = [1.0, 1.001, 1e200, 1e60]
+        hard_targets[0] = [0.5, -2.5, 0.0, 0.0]
+        starts = np.concatenate([gen.uniform(-2.0, 2.0, (n, 300)), hard_starts], axis=1)
+        targets = np.concatenate([gen.uniform(-1.0, 1.0, (n, 300)), hard_targets], axis=1)
+        cases.append((f"hard-columns-{n}", nilcoh.map_from_texts(alg, alg, texts), starts, targets))
+    h3 = algebra.heisenberg3()
+    gen = np.random.default_rng(12)
+    cases.append(("h3-batch", nilcoh.map_from_texts(
+        h3, h3, ["x1 + 0.3*sin(x2)", "x2 + 0.1*x3^3", "x3 + 0.2*x1^2"]),
+        gen.uniform(-2.0, 2.0, size=(3, 200)), gen.uniform(-0.5, 0.5, size=(3, 200))))
+    for name, m, starts, targets in cases:
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = degree._newton_roots(m, starts, targets)
+        h = hashlib.sha256()
+        for a in got:
+            h.update(a.tobytes())
+        out[f"newton/{name}"] = h.hexdigest()
+    return out
 
 
 def layer_digests() -> dict:
@@ -527,8 +578,8 @@ def main(argv: list[str]) -> int:
         return 2
     dump = {**golden_cases(), **repro_reports(20000), **repro_reports(None),
             **homomorphism_checks(), **warm_repeats(), **library_calls(), **one_map_degrees(),
-            **one_map_area(), **layer_digests(), **degree_cycles(), **exact_layer(),
-            **ring_invariants()}
+            **one_map_area(), **tripling(), **newton_roots(), **layer_digests(),
+            **degree_cycles(), **exact_layer(), **ring_invariants()}
     with open(argv[0], "w", encoding="utf-8") as fh:
         json.dump(dump, fh, indent=1, sort_keys=True)
         fh.write("\n")

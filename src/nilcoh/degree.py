@@ -176,6 +176,19 @@ def _boundary_margin(boundary_vals: np.ndarray, targets: np.ndarray) -> np.ndarr
     return np.min(dist, axis=0)
 
 
+def _max_abs(r: np.ndarray) -> np.ndarray:
+    """The max-norm of r over its first axis, NaN kept: |r| of the one row in
+    1-D and ``np.maximum`` of the two rows' |r|, in place, in 2-D, with the
+    bits of ``np.max(np.abs(r), axis=0)`` up to NaN payloads, which only
+    ever meet comparisons."""
+    if len(r) == 1:
+        return np.abs(r[0])
+    a = np.abs(r)
+    if len(r) == 2:
+        return np.maximum(a[0], a[1], out=a[0])
+    return a.max(axis=0)
+
+
 def _newton_roots(m: SmoothMap, starts: np.ndarray, targets: np.ndarray):
     """Damped Newton on every (start, target) column pair.
 
@@ -199,15 +212,23 @@ def _newton_roots(m: SmoothMap, starts: np.ndarray, targets: np.ndarray):
     may also evaluate trial points that loop never reaches; where one of
     them leaves the map's domain it falls back to that loop's batches, so a
     ``DomainError`` carries the same message and sample index.
+
+    A round makes as few numpy calls as its arithmetic allows, as at a few
+    hundred columns each call costs more than its work.  Every rule keeps
+    the bytes, as each rounds the same operations in the same order:
+    residual norms come from ``_max_abs``, whose NaN is the reduction's;
+    index sets from ``mask.nonzero()[0]``; the residual, the 1-D step and
+    the 2-D Cramer step (the products d·r0 and a·r1, less b·r1 and c·r0,
+    over det J) are written in place into arrays the round made anyway.
     """
     n = len(starts)
     x = starts.copy()
     alive = np.ones(x.shape[1], dtype=bool)
     for iteration in range(NEWTON_MAX_ITER + 1):
-        vals, jacs = jacobian_batch(m, x)
-        resid = vals - targets
-        rnorm = np.max(np.abs(resid), axis=0)
-        idx = np.flatnonzero(alive & (rnorm > NEWTON_TOL))
+        resid, jacs = jacobian_batch(m, x)
+        resid -= targets  # the tape's fresh values
+        rnorm = _max_abs(resid)
+        idx = (alive & (rnorm > NEWTON_TOL)).nonzero()[0]
         if n <= 2:  # j is (n, n, k): jacs is a view of a C-contiguous (n, n, S) array
             axis, j = 2, jacs.transpose(1, 2, 0).take(idx, axis=2)
             dets = j[0, 0] if n == 1 else j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0]
@@ -217,21 +238,27 @@ def _newton_roots(m: SmoothMap, starts: np.ndarray, targets: np.ndarray):
         solvable = np.abs(dets) > 1e-300
         if not solvable.all():
             alive[idx.compress(~solvable)] = False
-            ok = np.flatnonzero(solvable)
+            ok = solvable.nonzero()[0]
             idx, dets, j = idx.take(ok), dets.take(ok), j.take(ok, axis=axis)
         if iteration == NEWTON_MAX_ITER or idx.size == 0:
             break
-        r = resid.take(idx, axis=1)
+        step = resid.take(idx, axis=1)
         if n == 1:
-            step = r / dets
-        elif n == 2:
-            (a, b), (c, d) = j
-            step = np.stack([d * r[0] - b * r[1], a * r[1] - c * r[0]]) / dets
+            step /= dets
+        elif n == 2:  # rows a, b, c, d of j: [d, a]·r less [b, c]·[r1, r0]
+            flat, r = j.reshape(4, -1), step
+            step = flat[::-3] * r
+            step -= flat[1:3] * r[::-1]
+            step /= dets
         else:
-            step = np.linalg.solve(j, r.T[:, :, None])[:, :, 0].T
-        del vals, resid, j, r  # not read again: freed before the line search evaluates
+            step = np.linalg.solve(j, step.T[:, :, None])[:, :, 0].T
+        del resid, j  # not read again: freed before the line search evaluates
         alive[_line_search(m, x, targets, idx, rnorm.take(idx), step)] = False
     return x, rnorm <= NEWTON_TOL, jacs
+
+
+_SMALLER_STEPS = (0.5, 0.25, 0.125, 0.0625, 0.03125)
+_SMALLER = np.array(_SMALLER_STEPS)[:, None]  # (5, 1), against a (n, 1, k) step
 
 
 def _line_search(m: SmoothMap, x, targets, idx, rs, step) -> np.ndarray:
@@ -249,7 +276,9 @@ def _line_search(m: SmoothMap, x, targets, idx, rs, step) -> np.ndarray:
     single rounds, which evaluate exactly the batches of a one-length-at-a-
     time loop (so a genuine ``DomainError`` keeps its message and sample
     index).  The tape is elementwise and the norm test column by column, so
-    the accepted points are those of that loop, bit for bit.
+    the accepted points are those of that loop, bit for bit.  A single
+    round's trial is xs - a·step (xs - step for the full step, as 1.0·s is
+    s), and the group's comes from the module's (5, 1) array of lengths.
 
     The size rule (the k columns that miss the full step try the five
     smaller lengths together only when 5k is at most the number of columns
@@ -260,32 +289,43 @@ def _line_search(m: SmoothMap, x, targets, idx, rs, step) -> np.ndarray:
     few misses nearly always fit, was unchanged.
     """
     xs, ts = x.take(idx, axis=1), targets.take(idx, axis=1)
-    rounds, last = [(1.0,), (0.5, 0.25, 0.125, 0.0625, 0.03125)], idx.size
+    rounds, last = [1.0, _SMALLER], idx.size
     while rounds:
-        alphas = rounds.pop(0)
+        alpha = rounds.pop(0)
         k = idx.size
-        if len(alphas) * k > last:  # never true for a single round
-            rounds[:0] = [(a,) for a in alphas]
+        single = alpha is not _SMALLER
+        if single:
+            trial = xs - step if alpha == 1.0 else xs - alpha * step
+        elif len(_SMALLER) * k > last:
+            rounds[:0] = _SMALLER_STEPS
             continue
-        trial = (xs[:, None] - np.array(alphas)[:, None] * step[:, None]).reshape(len(xs), -1)
+        else:
+            trial = (xs[:, None] - _SMALLER * step[:, None]).reshape(len(xs), -1)
         try:
             vals = evaluate_batch(m, trial)
         except DomainError:
-            if len(alphas) == 1:
+            if single:
                 raise
-            rounds[:0] = [(a,) for a in alphas]  # find the length that raises, in order
+            rounds[:0] = _SMALLER_STEPS  # find the length that raises, in order
             continue
         last = trial.shape[1]
-        better = np.max(np.abs(vals.reshape(len(vals), len(alphas), k) - ts[:, None]), axis=0) < rs
-        found = better.any(axis=0)
-        hit = np.flatnonzero(found)
-        # each hit's column in trial; argmax over the short axis costs about
-        # 120 µs at 8192 columns, so a single round does without it
-        src = hit if len(alphas) == 1 else better.argmax(axis=0).take(hit) * k + hit
+        if single:
+            vals -= ts
+            found = _max_abs(vals) < rs
+            hit = src = found.nonzero()[0]
+        else:
+            vals = vals.reshape(len(vals), -1, k)
+            vals -= ts[:, None]
+            better = _max_abs(vals) < rs
+            found = better.any(axis=0)
+            hit = found.nonzero()[0]
+            # each hit's column in trial; argmax over the short axis costs
+            # about 120 µs at 8192 columns, so a single round does without it
+            src = better.argmax(axis=0).take(hit) * k + hit
         cols = idx.take(hit)
         for row, moved in zip(x, trial):
             row[cols] = moved.take(src)
-        miss = np.flatnonzero(~found)
+        miss = (~found).nonzero()[0]
         idx = idx.take(miss)
         if idx.size == 0:
             break

@@ -13,7 +13,12 @@ repeat-with-denser-grid stability flag; ``local_degree`` runs both grids
 in one Newton batch, as columns never interact, and solves them in turn
 only when an iterate leaves the map's domain.  For n <= 2 the Newton step
 is the closed form adj(J)·r / det J (a division in 1-D); larger systems
-go to LAPACK, as do the reported determinants of the kept roots.  In 1-D
+go to LAPACK.  Every determinant here, Newton's, the reported ones of the
+kept roots and the area check's signed-volume integrand, comes from one
+rule (``_det``): the entry in 1-D, a·d - b·c in 2-D, LAPACK above.
+numpy's det is sign·exp(log|det|) even for a 1x1 matrix, so it read
+3.0000000000000004 for the derivative 3 of x -> 3x, and the area check of
+that map failed its own 3-sigma test on a residual of 1 ulp.  In 1-D
 the boundary margin is a search in the sorted boundary image, with the
 same bits as the general minimum.  Near-singular targets are retried
 with small perturbations (at most three, each within 1% of the window
@@ -176,6 +181,17 @@ def _boundary_margin(boundary_vals: np.ndarray, targets: np.ndarray) -> np.ndarr
     return np.min(dist, axis=0)
 
 
+def _det(mats: np.ndarray) -> np.ndarray:
+    """Determinants of a (..., n, n) stack: the entry in 1-D, a·d - b·c in
+    2-D and LAPACK above (module docstring)."""
+    n = mats.shape[-1]
+    if n == 1:
+        return mats[..., 0, 0]
+    if n == 2:
+        return mats[..., 0, 0] * mats[..., 1, 1] - mats[..., 0, 1] * mats[..., 1, 0]
+    return np.linalg.det(mats)
+
+
 def _max_abs(r: np.ndarray) -> np.ndarray:
     """The max-norm of r over its first axis, NaN kept: |r| of the one row in
     1-D and ``np.maximum`` of the two rows' |r|, in place, in 2-D, with the
@@ -195,10 +211,10 @@ def _newton_roots(m: SmoothMap, starts: np.ndarray, targets: np.ndarray):
     ``starts`` is (n, S) and ``targets`` (n, S): one target per column.
     Returns (points, converged mask, coordinate Jacobians at the points).
     Each column's iterates depend on that column alone.  For n <= 2 the
-    step is adj(J)·r / det J in closed form, with det J = ad - bc in 2-D
-    (Cramer's rule is forward stable for n = 2; Higham, *Accuracy and
-    Stability of Numerical Algorithms*, 2002) and the residual over the
-    derivative in 1-D; larger systems go to LAPACK.
+    step is adj(J)·r / det J in closed form, with det J = ad - bc from
+    ``_det`` in 2-D (Cramer's rule is forward stable for n = 2; Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2002) and the
+    residual over the derivative in 1-D; larger systems go to LAPACK.
 
     Every gather is ``take`` on an index array and every scatter one 1-D
     assignment per row: at 8192 columns on numpy 2.4, ``a[:, mask]`` took
@@ -229,17 +245,15 @@ def _newton_roots(m: SmoothMap, starts: np.ndarray, targets: np.ndarray):
         resid -= targets  # the tape's fresh values
         rnorm = _max_abs(resid)
         idx = (alive & (rnorm > NEWTON_TOL)).nonzero()[0]
-        if n <= 2:  # j is (n, n, k): jacs is a view of a C-contiguous (n, n, S) array
-            axis, j = 2, jacs.transpose(1, 2, 0).take(idx, axis=2)
-            dets = j[0, 0] if n == 1 else j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0]
-        else:
-            axis, j = 0, jacs.take(idx, axis=0)
-            dets = np.linalg.det(j)
+        # j is (n, n, k), each entry one contiguous row: jacs is a view of
+        # a C-contiguous (n, n, S) array
+        j = jacs.transpose(1, 2, 0).take(idx, axis=2)
+        dets = _det(j.transpose(2, 0, 1))
         solvable = np.abs(dets) > 1e-300
         if not solvable.all():
             alive[idx.compress(~solvable)] = False
             ok = solvable.nonzero()[0]
-            idx, dets, j = idx.take(ok), dets.take(ok), j.take(ok, axis=axis)
+            idx, dets, j = idx.take(ok), dets.take(ok), j.take(ok, axis=2)
         if iteration == NEWTON_MAX_ITER or idx.size == 0:
             break
         step = resid.take(idx, axis=1)
@@ -251,7 +265,7 @@ def _newton_roots(m: SmoothMap, starts: np.ndarray, targets: np.ndarray):
             step -= flat[1:3] * r[::-1]
             step /= dets
         else:
-            step = np.linalg.solve(j, step.T[:, :, None])[:, :, 0].T
+            step = np.linalg.solve(j.transpose(2, 0, 1), step.T[:, :, None])[:, :, 0].T
         del resid, j  # not read again: freed before the line search evaluates
         alive[_line_search(m, x, targets, idx, rnorm.take(idx), step)] = False
     return x, rnorm <= NEWTON_TOL, jacs
@@ -386,7 +400,7 @@ def _preimages(m: SmoothMap, targets: np.ndarray, scales: np.ndarray, grids: tup
             points[:, part].reshape(n, count, n_starts), inside[part].reshape(count, n_starts)
         )
         cols = np.flatnonzero(keep)
-        owner, dets = cols // n_starts, np.linalg.det(jacs[part].take(cols, axis=0))
+        owner, dets = cols // n_starts, _det(jacs[part].take(cols, axis=0))
         degrees = np.bincount(owner, np.where(dets > 0, 1.0, -1.0), count)
         singular = np.bincount(owner, ~(np.abs(dets) >= SINGULAR_MARGIN), count) > 0
         out.append((degrees, singular, points[:, part].take(cols, axis=1), dets))
@@ -525,7 +539,7 @@ def area_formula_check(
 
     def dets(coords: np.ndarray) -> np.ndarray:
         mats = differential_batch(m, coords)
-        d = np.linalg.det(mats)
+        d = _det(mats)
         return np.stack([d, np.abs(d)])
 
     (mean_det, mean_abs), (se_det, _) = cloud_mean(cloud, dets)

@@ -287,6 +287,37 @@ def test_area_formula_identity_and_negation():
     assert out["residual"] == 0.0
 
 
+def test_a_linear_map_reports_its_exact_determinant():
+    """LAPACK's det is sign·exp(log|det|), so it read 3.0000000000000004 for
+    x -> 3x, and the area check failed its own 3-sigma test: a residual of
+    8.9e-16 against a combined stderr of 0.0."""
+    m = map_from_texts(R1, R1, ["3*x1"])
+    out = area_formula_check(m, 1.0, samples=4000, seed=1)
+    assert out["signed_integral"] == out["unsigned_integral"] == 6.0
+    assert out["residual"] == 0.0
+    assert local_degree(m, 1.0, (0.3,)).min_jacobian_margin == 3.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_det_is_the_closed_form_up_to_two_dimensions_and_lapack_above(n):
+    """On seeded stacks with +-0, +-inf and NaN entries, contiguous and as a
+    transposed view (Newton's layout), byte for byte."""
+    gen = np.random.default_rng(40 + n)
+    mats = gen.standard_normal((500, n, n)) * 10.0 ** gen.uniform(-3, 3, (500, n, n))
+    special = gen.random(mats.shape) < 0.1
+    mats[special] = gen.choice([0.0, -0.0, np.inf, -np.inf, np.nan], size=special.sum())
+    view = np.ascontiguousarray(mats.transpose(1, 2, 0)).transpose(2, 0, 1)
+    with np.errstate(all="ignore"):  # inf - inf, and LAPACK's log|det| of 0
+        if n == 1:
+            want = mats[:, 0, 0]
+        elif n == 2:
+            want = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
+        else:
+            want = np.linalg.det(mats)
+        for stack in (mats, view):
+            assert degree._det(stack).tobytes() == want.tobytes()
+
+
 def test_unsigned_bound():
     m = map_from_texts(R1, R1, ["sin(x1)"])
     out = area_formula_check(m, 5.0, samples=40000, seed=7)

@@ -25,7 +25,11 @@ its ``params/threads`` leaf and nothing else.  The orbit file was rewritten
 when the probe stopped shifting its translated maps by F(g)^-1, which
 cancels in the ``coord2@0.5`` observable only up to rounding: 7 of its
 leaves moved, all of that observable at basepoints 1 and 3, each by at
-most 3e-16 relative.  A failing case lists every moved, added
+most 3e-16 relative.  The degree-z3 file was rewritten when the degree
+engine's reported determinants moved from LAPACK's det to the closed form
+a·d - b·c: its one moved leaf is ``results/min_jacobian_margin``,
+2.0520054741529203 -> 2.052005474152921 (2.2e-16 relative), as LAPACK's
+det is sign·exp(log|det|).  A failing case lists every moved, added
 and removed leaf.  The algebras and maps are saved under relative names so
 the echoed paths do not depend on the machine.
 """

@@ -695,6 +695,11 @@ def amenable_average(
 
 
 def _nonconvergent(increments: list[float], max_se: list[float]) -> bool:
+    """Whether an increment grows by more than 3 stderrs of its two radii,
+    or an increment or a stderr maximum is NaN: a comparison with NaN is
+    False, so increments [nan, nan] read as convergent."""
+    if any(math.isnan(v) for v in increments + max_se):
+        return True
     for i in range(len(increments) - 1):
         slack = 3.0 * (max_se[i + 1] + max_se[i + 2]) + 1e-12
         if increments[i + 1] > increments[i] + slack:

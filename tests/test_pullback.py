@@ -844,6 +844,20 @@ def test_nan_stderrs_increments_and_residuals_read_nan():
     assert rep.chain_residuals[0] == rep.chain_residuals[2] == 0.0
 
 
+def test_nan_increments_read_as_nonconvergent():
+    # the convergence test compared increments with >, which is False for
+    # NaN: increments [nan, nan] read nonconvergent False, with no warning
+    m = map_from_texts(H3, H3, ["x1 + exp(800)*x2", "x2", "x3"])
+    with np.errstate(over="ignore", invalid="ignore"):
+        est = amenable_average(m, basis_form(H3, (0,)), radii=(2.0, 4.0, 8.0), samples=4000,
+                               seed=0)
+    assert all(math.isnan(v) for v in est.increments) and len(est.increments) == 2
+    assert est.nonconvergent
+    assert est.warnings == ["increments do not decrease monotonically; limit not trusted"]
+    assert pullback._nonconvergent([0.5, 0.25], [0.0, float("nan"), 0.0])
+    assert not pullback._nonconvergent([0.5, 0.25], [0.0, 0.0, 0.0])
+
+
 def test_ball_averages_pass_one_buffer_to_every_chunk(monkeypatch):
     # each chunk's short-lived Jacobian was mapped afresh; one buffer per
     # call serves every chunk (3 here, the last ragged) at every radius

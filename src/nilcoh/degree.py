@@ -233,9 +233,10 @@ def _newton_roots(m: SmoothMap, starts: np.ndarray, targets: np.ndarray):
     hundred columns each call costs more than its work.  Every rule keeps
     the bytes, as each rounds the same operations in the same order:
     residual norms come from ``_max_abs``, whose NaN is the reduction's;
-    index sets from ``mask.nonzero()[0]``; the residual, the 1-D step and
-    the 2-D Cramer step (the products d·r0 and a·r1, less b·r1 and c·r0,
-    over det J) are written in place into arrays the round made anyway.
+    index sets from ``mask.nonzero()[0]``, which ``np.flatnonzero`` wraps
+    after a ravel; the residual and the 1-D step are written in place into
+    the values and the gathered residual, and the 2-D Cramer step is one
+    (2, k) array, [d·r0, a·r1] less [b·r1, c·r0], over det J.
     """
     n = len(starts)
     x = starts.copy()

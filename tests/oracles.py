@@ -753,6 +753,63 @@ def whole_array_averages(m, omegas, radius, samples, seed, shape):
             for w in omegas]
 
 
+CLOUD_MEAN_COUNTS = (5000, 12000, 20000)  # 1, 2 and 3 chunks, the last one ragged
+
+
+def cloud_mean_cases() -> dict:
+    """Seeded inputs of ``group.cloud_mean``: name -> (cloud, values) on the
+    H3 box of radius 3, at each of ``CLOUD_MEAN_COUNTS`` samples.  The
+    values are a 1-D array; seven rows in three blocks that reuse one
+    buffer; blocks that ``cloud_mean`` does not own (a view of the cloud, a
+    read-only block, a float32 block); rows holding +-0, +-inf and NaN
+    (signed-zero rows, a row with inf at many samples, and rows with inf,
+    with inf and -inf, whose sum is NaN, and with NaN at a few samples, so
+    that they reach some chunks and not others); and rows with a 1e8 offset."""
+    from nilcoh import algebra
+    from nilcoh.group import BallSpec, sample_ball_coords
+
+    def one_d(coords):
+        return np.sin(coords[0]) + 2.0 * coords[1]
+
+    def row_blocks(coords):
+        whole = np.stack([np.sin(k * coords[0]) + coords[1] * k + 1e3 * (k % 3)
+                          for k in range(7)])
+        buffer = np.empty(3 * coords.shape[1])
+        for start in range(0, 7, 3):
+            part = whole[start:start + 3]
+            out = buffer[:part.size].reshape(part.shape)
+            out[...] = part
+            yield out
+
+    def cloud_view(coords):
+        return coords[1:]
+
+    def read_only(coords):
+        v = np.stack([np.sin(coords[0]) + 2.0 * coords[1], coords[2] ** 2])
+        v.flags.writeable = False
+        return v
+
+    def float32(coords):
+        return np.stack([np.sin(coords[0]) + 2.0 * coords[1], coords[2] ** 2]).astype(np.float32)
+
+    def specials(coords):
+        x, y, z = coords
+        return np.stack([np.zeros_like(x), np.full_like(x, -0.0), np.where(x < 0.0, -0.0, y),
+                         np.where(x > 2.9, np.inf, -0.0), np.where(x > 2.999, np.inf, y),
+                         np.where(x > 2.999, np.inf, np.where(y < -2.999, -np.inf, y)),
+                         np.where(z > 8.99, np.nan, x)])
+
+    def offset(coords):
+        return np.stack([1e8 + 0.001 * np.sin(coords[0]), -1e8 + coords[1]])
+
+    h3 = algebra.heisenberg3()
+    inputs = {"1-d": one_d, "row-blocks": row_blocks, "cloud-view": cloud_view,
+              "read-only": read_only, "float32": float32, "specials": specials,
+              "offset": offset}
+    return {f"{name}-{count}": (sample_ball_coords(h3, BallSpec(3.0), count, seed=4), values)
+            for count in CLOUD_MEAN_COUNTS for name, values in inputs.items()}
+
+
 def eval_float(p, vals):
     """A ``Poly`` on floats or numpy arrays, as the group law evaluated it
     before its polynomials ran as DSL tapes: 0.0 plus each term in dict

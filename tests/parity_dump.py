@@ -89,13 +89,21 @@ digests for each of the nine exact-layer algebras above: ``lcs`` and
 vectors (terms in dict order), and what validation says of six seeded
 tables with one constant changed (the ``JacobiViolation`` or
 ``NotNilpotent`` message, or the series of a table that stays valid).
+The Monte Carlo reduction is digested on its own: the type, shape and
+bytes of ``group.cloud_mean`` over 1, 2 and 3 chunks on each of
+``oracles.cloud_mean_cases`` (a 1-D array, row blocks in one reused buffer,
+blocks it does not own, rows of +-0, +-inf and NaN, a 1e8 offset), then
+``multiply_batch`` of (n,) left operands against a (n, N) batch with edge
+entries on H3, H5, filiform7 and the skewed H3, zero signs kept, and an
+``ergodicity_probe`` with a coordinate observable at 2 basepoints over 3
+chunks.
 The package is imported from ``PYTHONPATH``, so the same script dumps any checkout:
 
     PYTHONPATH=src python tests/parity_dump.py new.json
     PYTHONPATH=../old/src python tests/parity_dump.py old.json
     diff old.json new.json
 
-The file holds 242 digests, keyed and sorted, so ``diff`` lists exactly
+The file holds 268 digests, keyed and sorted, so ``diff`` lists exactly
 the cases that moved.  The name keeps pytest from collecting it; a run takes 8-13 s on a
 2-core host.
 """
@@ -120,11 +128,11 @@ sys.path[:0] = [HERE, os.path.join(HERE, "..")]
 import nilcoh  # noqa: E402
 from bench.workloads import (  # noqa: E402
     BUILDERS, REPRO_STEPS, RING_ALGEBRAS, Average, Degree, dense_twin, heisenberg)
-from nilcoh import algebra, bch, cli, degree, maps, pullback  # noqa: E402
+from nilcoh import algebra, bch, cli, degree, group, maps, pullback  # noqa: E402
 from nilcoh.forms import basis_form, volume_form, wedge  # noqa: E402
 from nilcoh.report import render_stable  # noqa: E402
 from conftest import rational_filiform5, skewed_heisenberg3  # noqa: E402
-from oracles import edge_points, fused_differential_maps  # noqa: E402
+from oracles import cloud_mean_cases, edge_points, fused_differential_maps  # noqa: E402
 from test_degree import HARD_COLUMNS  # noqa: E402
 from test_golden import CASES, stable_report  # noqa: E402
 
@@ -467,6 +475,52 @@ def coefficient_rows() -> dict:
     return out
 
 
+def cloud_means() -> dict:
+    """``group.cloud_mean`` on ``oracles.cloud_mean_cases``: the type, shape
+    and bytes of the mean and the stderr."""
+    out = {}
+    for name, (cloud, values) in cloud_mean_cases().items():
+        with np.errstate(invalid="ignore"):  # inf - inf in the specials
+            result = group.cloud_mean(cloud, values)
+        out[f"cloud_mean/{name}"] = digest(repr([
+            (type(a).__name__, np.shape(a), np.asarray(a).tobytes().hex()) for a in result]))
+    return out
+
+
+def broadcast_products() -> dict:
+    """``multiply_batch`` of three (n,) left operands (a seeded point, -0.0
+    in every coordinate, and edge values) against one (n, N) batch of 500
+    seeded points plus ``oracles.edge_points``, on four laws; zero signs
+    and NaN bits count."""
+    out = {}
+    gen = np.random.default_rng(19)
+    edges = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e200, -1e-310]
+    for name, alg in (("H3", algebra.heisenberg3()), ("H5", algebra.heisenberg5()),
+                      ("filiform7", algebra.filiform(7)), ("skewed-H3", skewed_heisenberg3())):
+        law, n = bch.group_law(alg), alg.dim
+        b = np.concatenate([gen.uniform(-4.0, 4.0, (n, 500)), edge_points(n, gen)], axis=1)
+        h = hashlib.sha256()
+        for a in (gen.uniform(-4.0, 4.0, n), np.full(n, -0.0), np.resize(edges, n)):
+            with np.errstate(all="ignore"):
+                h.update(law.multiply_batch(a, b).tobytes())
+        out[f"layer/multiply_batch-broadcast-{name}"] = h.hexdigest()
+    return out
+
+
+def coordinate_probe() -> dict:
+    """An ``ergodicity_probe`` with a coordinate observable, which runs
+    ``multiply_batch`` in every chunk, and a derivative one at 2 basepoints
+    over 3 chunks."""
+    h3 = algebra.heisenberg3()
+    m = nilcoh.map_from_texts(h3, h3, ["x1 + 0.3*sin(x2)", "x2 - 0.2*cos(x1)",
+                                       "x3 + 0.2*sin(x1) - cos(x2)"])
+    observables = [nilcoh.parse_observable("coord3@0.5:-0.25:1", 3, 3),
+                   nilcoh.parse_observable("d12", 3, 3)]
+    probe = nilcoh.ergodicity_probe(m, observables, [(0.5, -1.0, 0.25), (1.0, 2.0, -1.0)],
+                                    radii=(2.0, 4.0), samples=20000, seed=5)
+    return {"ergodicity_probe/h3-coordinate": digest(repr(probe))}
+
+
 def degree_cycles() -> dict:
     out = {}
     for seed in (1, 2):
@@ -579,7 +633,8 @@ def main(argv: list[str]) -> int:
     dump = {**golden_cases(), **repro_reports(20000), **repro_reports(None),
             **homomorphism_checks(), **warm_repeats(), **library_calls(), **one_map_degrees(),
             **one_map_area(), **tripling(), **newton_roots(), **layer_digests(),
-            **degree_cycles(), **exact_layer(), **ring_invariants()}
+            **degree_cycles(), **exact_layer(), **ring_invariants(), **cloud_means(),
+            **broadcast_products(), **coordinate_probe()}
     with open(argv[0], "w", encoding="utf-8") as fh:
         json.dump(dump, fh, indent=1, sort_keys=True)
         fh.write("\n")

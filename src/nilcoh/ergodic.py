@@ -19,7 +19,12 @@ several basepoints and report 'consistent-with-ergodic',
 'non-ergodic-evidence' or, where a limit, spread or stderr is not finite,
 'inconclusive', against explicit thresholds.
 
-Evaluation is serial.
+Evaluation is serial.  Each measurement (one cloud, one basepoint)
+allocates one buffer, sized for a chunk, that holds the frame differential
+(``differential_batch``'s ``out``, passed through ``_ChunkContext``) where
+an observable reads it, and the observables' rows, written row by row;
+every chunk reuses it, and ``group.cloud_mean`` centres and squares the
+rows in place.  The basepoint array is built once per measurement.
 """
 
 from __future__ import annotations
@@ -42,15 +47,16 @@ DEFAULT_TOL = 1e-2
 class _ChunkContext:
     """Shares the differential computation among observables on one chunk."""
 
-    def __init__(self, m: SmoothMap, coords: np.ndarray, warn=None):
+    def __init__(self, m: SmoothMap, coords: np.ndarray, warn=None, out=None):
         self.map = m
         self.coords = coords
         self.warn = warn
+        self.out = out  # ``differential_batch``'s buffer, or None for a fresh array
         self._mats = None
 
     def differentials(self) -> np.ndarray:
         if self._mats is None:
-            self._mats = differential_batch(self.map, self.coords, self.warn)
+            self._mats = differential_batch(self.map, self.coords, self.warn, out=self.out)
         return self._mats
 
 
@@ -181,7 +187,10 @@ def _check_observables(m: SmoothMap, observables: list[Observable]) -> None:
     derivative entry (i, j) needs i <= n_dom and j <= n_cod, a coordinate j
     needs j <= n_cod and a probe of the domain, an expression its symbols
     among the n_dom x n_cod entries, and one parsed for given dimensions
-    (``Observable.dims``) those of the map, or it would read other entries."""
+    (``Observable.dims``) those of the map, or it would read other entries.
+    An empty list is refused too: it has no estimate to make."""
+    if not observables:
+        raise ValueError("no observables given: a statistic needs at least one")
     n_dom, n_cod = m.domain.dim, m.codomain.dim
     for obs in observables:
         reads = {"derivative": (("i", obs.i, n_dom, "domain"), ("j", obs.j, n_cod, "codomain")),
@@ -211,14 +220,25 @@ def _orbit_cloud(domain, radius: float, samples: int, seed: int, shape: str) -> 
 def _measure(m: SmoothMap, observables: list[Observable], cloud: np.ndarray, warn,
              basepoint=None) -> list[dict]:
     """The observables' means and stderrs over the cloud, each chunk moved to
-    basepoint . x first when a basepoint is given."""
+    basepoint . x first when a basepoint is given.  One buffer, sized for a
+    chunk, holds the frame differential (where an observable reads it) and
+    the observables' rows for every chunk (module docstring)."""
     law = group_law(m.domain)
+    base = None if basepoint is None else np.array(basepoint)
+    chunk = min(cloud.shape[1], rng.CHUNK)
+    size = m.codomain.dim * m.domain.dim * chunk
+    if all(obs.kind == "coordinate" for obs in observables):
+        size = 0
+    jac, rows = np.split(np.empty(size + len(observables) * chunk), [size])
 
     def observe(coords: np.ndarray) -> np.ndarray:
-        if basepoint is not None:
-            coords = law.multiply_batch(np.array(basepoint), coords)
-        ctx = _ChunkContext(m, coords, warn)
-        return np.stack([obs.evaluate_chunk(ctx) for obs in observables])
+        if base is not None:
+            coords = law.multiply_batch(base, coords)
+        ctx = _ChunkContext(m, coords, warn, jac if size else None)
+        out = rows[:len(observables) * coords.shape[1]].reshape(len(observables), -1)
+        for k, obs in enumerate(observables):
+            out[k] = obs.evaluate_chunk(ctx)
+        return out
 
     mean, stderr = cloud_mean(cloud, observe)
     return [

@@ -170,10 +170,11 @@ def cloud_mean(cloud: np.ndarray, values):
 
     ``values(coords)`` maps a (dim, n) slice of the cloud to an array whose
     last axis is the sample axis, each leading index its own estimate, or to
-    an iterable of such arrays: row blocks, the same blocks in the same order
-    for every slice, whose estimates are concatenated along the first axis.
-    Each block is reduced before the next one is drawn, so a block may reuse
-    the memory of the one before it; an array is the one-block case.
+    an iterable of such arrays: row blocks of shape (rows, n), the same
+    blocks in the same order for every slice, whose estimates are
+    concatenated along the first axis.  Each block is reduced before the
+    next one is drawn, so a block may reuse the memory of the one before
+    it; an array is the one-block case.
 
     The slices are the fixed chunks of ``rng.chunked_sums``, so the result
     depends only on the cloud and ``values``.  The variance is summed on
@@ -185,24 +186,53 @@ def cloud_mean(cloud: np.ndarray, values):
     memory of its own for them.  A block that is read-only, is not float64,
     or may share memory with the cloud is centred into a fresh float64
     array instead, so the cloud and such blocks are left as they are.
+
+    Per chunk and block, the loop makes six numpy calls: three
+    ``np.add.reduce`` over the sample axis (the total, the centred sum and
+    the sum of squares), ``np.may_share_memory``, the centring subtraction
+    and the square; ``rng.chunked_sums`` then adds the chunk in four
+    elementwise calls.  The three sums are written into the rows of one
+    (3, rows) array, which every chunk reuses, so there is one Kahan step
+    per chunk, not one per sum, and nothing is concatenated after the
+    first chunk.  Each rule keeps the bytes of per-block ``np.sum`` calls
+    with ``keepdims``, each summed again over its length-1 axis by
+    ``rng.chunked_sums``: ``np.add.reduce`` is the reduction ``np.sum``
+    wraps, a sum over one entry is the entry itself (``np.add.reduce``
+    never returns -0.0, so no zero sign is lost), and a Kahan step is
+    elementwise.  A float32 block is summed in float32, as ``np.sum`` sums
+    it, and only then widened: reduced straight into the float64 rows it
+    would be summed in float64.  The first chunk's shift stays ``np.mean``,
+    whose float32 division is not ``total / n``.
     """
     shifts: list[np.ndarray] = []  # per block, its mean over the first chunk
+    views: list[np.ndarray] = []  # per block, its columns of ``stack``
+    stack = None  # the (3, rows) sums of a chunk: total, centred sum, sum of squares
 
     @wraps(values)  # chunk work is credited to the caller's module by tracers
     def evaluate(start: int, stop: int):
+        nonlocal stack
         blocks = values(cloud[:, start:stop])
-        sums = []
+        parts = []
         for b, v in enumerate([blocks] if isinstance(blocks, np.ndarray) else blocks):
-            if b == len(shifts):  # chunks run serially, in order
+            if stack is None:  # the first chunk: chunks run serially, in order
                 shifts.append(np.mean(v, axis=-1, keepdims=True))
-            total = np.sum(v, axis=-1, keepdims=True)
-            own = v.flags.writeable and v.dtype == np.float64 and not np.may_share_memory(v, cloud)
+                parts.append(part := np.empty((3,) + v.shape[:-1]))
+            else:
+                part = views[b]
+            own = v.dtype == np.float64
+            if own:
+                np.add.reduce(v, axis=-1, out=part[0, ...])
+            else:
+                part[0] = np.add.reduce(v, axis=-1)
+            own = own and v.flags.writeable and not np.may_share_memory(v, cloud)
             d = np.subtract(v, shifts[b], out=v if own else np.empty(v.shape))
-            # per-block sums with keepdims: rng.chunked_sums adds them up over a
-            # length-1 sample axis, which leaves each one as it is
-            sums.append((total, np.sum(d, axis=-1, keepdims=True),
-                         np.sum(np.square(d, out=d), axis=-1, keepdims=True)))
-        return [np.concatenate(s) for s in zip(*sums)]
+            np.add.reduce(d, axis=-1, out=part[1, ...])
+            np.add.reduce(np.square(d, out=d), axis=-1, out=part[2, ...])
+        if stack is None:  # later chunks write into views of the first chunk's sums
+            stack = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+            views.extend([stack] if len(parts) == 1 else
+                         np.split(stack, np.cumsum([p.shape[1] for p in parts[:-1]]), axis=1))
+        return stack
 
     count = cloud.shape[1]
     total, total_d, total_dd = rng.chunked_sums(evaluate, count)

@@ -644,14 +644,16 @@ def _ball_averages(
 
 def _abs_max(a: np.ndarray, rows, bound: float = -math.inf) -> float:
     """The largest of ``bound`` and |a[i]| over the ``rows`` i of ``a``:
-    ``np.max(np.abs(a[rows]))`` without the |a| temporary, as max(max a[i],
-    -min a[i]), and ``bound`` the largest |c| of the rows left out, each the
-    constant c.  A NaN entry makes both ends NaN (and np.maximum, unlike
-    Python's max, keeps it), an infinite entry of either sign gives inf,
-    and + 0.0 turns the -0.0 that -min a[i] reads on an all-zero row into
-    +0.0."""
-    for i in rows:
-        bound = np.maximum(bound, np.maximum(a[i].max(), -a[i].min()))
+    ``np.max(np.abs(a[rows]))`` without the |a| temporary, as max(max g,
+    -min g) over the gathered rows g, one max and one min for all of them,
+    and ``bound`` the largest |c| of the rows left out, each the constant
+    c.  Max and min are exact, so the value is that of a max per row.  A
+    NaN entry makes both ends NaN (and np.maximum, unlike Python's max,
+    keeps it), an infinite entry of either sign gives inf, and + 0.0 turns
+    the -0.0 that -min g reads on all-zero rows into +0.0."""
+    if len(rows):
+        g = a[rows]
+        bound = np.maximum(bound, np.maximum(g.max(), -g.min()))
     return float(bound) + 0.0
 
 

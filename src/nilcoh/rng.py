@@ -10,6 +10,7 @@ pay on small hosts, and the fixed partition keeps sums bit-identical anyway.
 from __future__ import annotations
 
 import hashlib
+import math
 from numbers import Integral
 
 import numpy as np
@@ -39,30 +40,44 @@ def stream(seed: int, *tags) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def chunked_sums(evaluate, count: int) -> list[np.ndarray]:
-    """Sum evaluate(start, stop) over [0, count) deterministically.
+def chunked_sums(evaluate, count: int):
+    """Sum evaluate(start, stop) over the chunks of [0, count) deterministically.
 
-    ``evaluate`` returns a sequence of float arrays whose last axis is the
-    sample axis; the returned list holds their sums over all samples.  The
-    chunk size is the constant ``CHUNK``, so the partition (and therefore the
-    float rounding) depends only on ``count``.
+    ``evaluate`` hands back either one float64 array of the chunk's partial
+    sums, which are added as they are (``group.cloud_mean`` stacks its three
+    sums in one), or a sequence of float arrays whose last axis is the
+    sample axis, each summed over that axis here.  The first form returns
+    the array of sums, the second a list of them.  The chunk size is the
+    constant ``CHUNK``, so the partition (and therefore the float rounding)
+    depends only on ``count``.
+
+    Chunks are combined with Kahan compensation in chunk order: four
+    elementwise ufunc calls per chunk on the whole array, which give every
+    entry the operations, and so the bits, of a sum kept on its own.  A
+    sequence is summed, raveled and joined into one array for that; its
+    sums come back in their own shapes.  An array handed back is read
+    before the next call, and the first one is copied, so ``evaluate`` may
+    write every chunk's sums into one buffer.
     """
-    sums: list[np.ndarray] | None = None
-    comps: list[np.ndarray] | None = None
+    _check_integer("sample count", count, 1)
+    shapes = None
     for start in range(0, count, CHUNK):
         part = evaluate(start, min(start + CHUNK, count))
-        part_sums = [np.sum(np.asarray(p, dtype=float), axis=-1) for p in part]
-        if sums is None:
-            sums = part_sums
-            comps = [np.zeros_like(s) for s in part_sums]
+        if not isinstance(part, np.ndarray):
+            sums = [np.add.reduce(np.asarray(p, dtype=float), axis=-1) for p in part]
+            shapes = [np.shape(p) for p in sums]
+            part = np.concatenate([np.ravel(p) for p in sums])
+        if not start:
+            total, comp = part.copy(), np.zeros_like(part)
             continue
-        for i, ps in enumerate(part_sums):
-            y = ps - comps[i]
-            t = sums[i] + y
-            comps[i] = (t - sums[i]) - y
-            sums[i] = t
-    assert sums is not None
-    return sums
+        y = part - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+    if shapes is None:
+        return total
+    ends = np.cumsum([math.prod(shape) for shape in shapes])
+    return [p.reshape(shape) for p, shape in zip(np.split(total, ends[:-1]), shapes)]
 
 
 def mean_and_stderr(total: np.ndarray, total_sq: np.ndarray, count: int):

@@ -77,7 +77,8 @@ def chunked_sums(evaluate, count: int):
     if shapes is None:
         return total
     ends = np.cumsum([math.prod(shape) for shape in shapes])
-    return [p.reshape(shape) for p, shape in zip(np.split(total, ends[:-1]), shapes)]
+    # [()] hands a sum over a 1-D array back as a scalar, as np.sum does
+    return [p.reshape(shape)[()] for p, shape in zip(np.split(total, ends[:-1]), shapes)]
 
 
 def mean_and_stderr(total: np.ndarray, total_sq: np.ndarray, count: int):

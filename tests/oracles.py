@@ -753,6 +753,54 @@ def whole_array_averages(m, omegas, radius, samples, seed, shape):
             for w in omegas]
 
 
+def reference_chunked_sums(evaluate, count: int, chunk: int) -> list:
+    """``rng.chunked_sums`` as it was before the stacked sums: ``evaluate``
+    returns a sequence of arrays whose last axis is the sample axis, each is
+    summed with ``np.sum``, and each sum has its own Kahan compensation."""
+    sums = comps = None
+    for start in range(0, count, chunk):
+        part = evaluate(start, min(start + chunk, count))
+        part_sums = [np.sum(np.asarray(p, dtype=float), axis=-1) for p in part]
+        if sums is None:
+            sums = part_sums
+            comps = [np.zeros_like(s) for s in part_sums]
+            continue
+        for i, ps in enumerate(part_sums):
+            y = ps - comps[i]
+            t = sums[i] + y
+            comps[i] = (t - sums[i]) - y
+            sums[i] = t
+    return sums
+
+
+def reference_cloud_mean(cloud, values):
+    """``group.cloud_mean`` as it was before the stacked sums: per chunk and
+    block, three ``np.sum`` calls with ``keepdims``, the blocks' sums
+    concatenated per chunk into three arrays, and ``reference_chunked_sums``
+    over them.  The reference of the lean loop, byte for byte."""
+    from nilcoh import rng
+
+    shifts = []
+
+    def evaluate(start, stop):
+        blocks = values(cloud[:, start:stop])
+        sums = []
+        for b, v in enumerate([blocks] if isinstance(blocks, np.ndarray) else blocks):
+            if b == len(shifts):
+                shifts.append(np.mean(v, axis=-1, keepdims=True))
+            total = np.sum(v, axis=-1, keepdims=True)
+            own = v.flags.writeable and v.dtype == np.float64 and not np.may_share_memory(v, cloud)
+            d = np.subtract(v, shifts[b], out=v if own else np.empty(v.shape))
+            sums.append((total, np.sum(d, axis=-1, keepdims=True),
+                         np.sum(np.square(d, out=d), axis=-1, keepdims=True)))
+        return [np.concatenate(s) for s in zip(*sums)]
+
+    count = cloud.shape[1]
+    total, total_d, total_dd = reference_chunked_sums(evaluate, count, rng.CHUNK)
+    _, stderr = rng.mean_and_stderr(total_d, total_dd, count)
+    return total / count, stderr
+
+
 CLOUD_MEAN_COUNTS = (5000, 12000, 20000)  # 1, 2 and 3 chunks, the last one ragged
 
 

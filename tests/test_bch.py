@@ -11,6 +11,7 @@ from oracles import (
     dense_poly_matrix,
     dense_twin,
     dynkin_product_polys,
+    edge_points,
     eval_float,
     naive_group_law_terms,
     naive_poly_add,
@@ -261,6 +262,38 @@ def test_batch_multiply_matches_the_reference_evaluation():
         assert law.multiply_batch(a, b).tobytes() == want.tobytes()
         for i in range(5):
             assert law.multiply(list(a[:, i]), list(b[:, i])) == want[:, i].tolist()
+
+
+@pytest.mark.parametrize("name", ["heisenberg3", "heisenberg5", "filiform7", "skewed"])
+def test_broadcast_product_has_the_bytes_of_a_broadcast_copy(name):
+    # an (n,) or (n, 1) operand broadcasts inside the tape's elementwise ops;
+    # each entry must be the one the tape computes on np.broadcast_arrays
+    alg = skewed_heisenberg3() if name == "skewed" else (
+        algebra.filiform(7) if name == "filiform7" else getattr(algebra, name)())
+    law, n = group_law(alg), alg.dim
+    gen = np.random.default_rng(23)
+    batch = np.concatenate([gen.uniform(-4.0, 4.0, (n, 300)), edge_points(n, gen)], axis=1)
+    edges = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e200, -1e-310]
+    with np.errstate(all="ignore"):
+        for point in (gen.uniform(-4.0, 4.0, n), np.full(n, -0.0), np.resize(edges, n)):
+            for column in (point, point[:, None]):
+                for a, b in ((column, batch), (batch, column)):
+                    wide_a, wide_b = np.broadcast_arrays(np.reshape(a, (n, -1)),
+                                                         np.reshape(b, (n, -1)))
+                    want = np.empty(wide_a.shape)
+                    dsl.evaluate(law.product_tape, list(wide_a) + list(wide_b), want)
+                    got = law.multiply_batch(a, b)
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        two = law.multiply_batch(point, point)
+        assert two.shape == (n, 1)
+
+
+def test_broadcast_product_refuses_widths_that_do_not_broadcast():
+    law = group_law(algebra.heisenberg3())
+    with pytest.raises(ValueError, match=r"shapes \(3, 4\) and \(3, 5\) do not broadcast"):
+        law.multiply_batch(np.zeros((3, 4)), np.zeros((3, 5)))
+    with pytest.raises(ValueError, match=r"shapes \(3, 2\) and \(3, 7\) do not broadcast"):
+        law.multiply_batch(np.zeros((3, 2)), np.zeros((3, 7)))
 
 
 def test_group_law_refuses_non_unipotent_frames():

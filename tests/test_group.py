@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from conftest import corpus, skewed_heisenberg3
+from oracles import cloud_mean_cases, reference_chunked_sums, reference_cloud_mean
 
 from nilcoh import algebra, rng
 from nilcoh.algebra import AlgebraError
@@ -231,6 +232,50 @@ def test_cloud_mean_leaves_blocks_it_does_not_own_as_they_are(case):
     ref = ref.astype(np.float64)
     assert mean == pytest.approx(np.mean(ref), rel=1e-6 if case == "float32" else 1e-12)
     assert stderr == pytest.approx(np.std(ref, ddof=1) / np.sqrt(ref.size), rel=1e-6)
+
+
+@pytest.mark.parametrize("case", sorted(cloud_mean_cases()))
+def test_lean_cloud_mean_has_the_bytes_of_the_reference_loop(case):
+    # the stacked sums, np.add.reduce and one Kahan step per chunk must give
+    # the type, shape and bytes of per-block np.sum calls with their own
+    # Kahan sums, over 1, 2 and 3 chunks; the values are drawn twice, as
+    # each loop centres its blocks in place
+    cloud, values = cloud_mean_cases()[case]
+    before = cloud.copy()
+    with np.errstate(invalid="ignore"):
+        want = reference_cloud_mean(cloud, values)
+        got = cloud_mean(cloud, values)
+    assert np.array_equal(cloud, before)
+    for a, b in zip(got, want):
+        assert type(a) is type(b) and np.shape(a) == np.shape(b)
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def test_chunked_sums_keeps_the_sequence_form():
+    # a sequence of sample-axis arrays of several shapes is summed as the
+    # reference loop sums it, each sum in its own shape
+    gen = np.random.default_rng(5)
+    data = [gen.standard_normal((3, 20000)), gen.standard_normal(20000) * 1e6,
+            gen.standard_normal((2, 2, 20000))]
+    data[0][1, ::7] = -0.0
+
+    def evaluate(start, stop):
+        return [d[..., start:stop] for d in data]
+
+    want = reference_chunked_sums(evaluate, 20000, rng.CHUNK)
+    got = rng.chunked_sums(evaluate, 20000)
+    assert isinstance(got, list) and len(got) == 3
+    for a, b in zip(got, want):
+        assert type(a) is type(b) and np.shape(a) == np.shape(b)
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    with pytest.raises(ValueError, match="sample count must be at least 1"):
+        rng.chunked_sums(evaluate, 0)
+
+
+def test_a_cloud_of_fewer_than_two_samples_is_refused():
+    for count in (0, 1):
+        with pytest.raises(ValueError, match="at least"):
+            cloud_mean(np.zeros((3, count)), lambda c: c[0] + 1.0)
 
 
 def test_a_basis_not_adapted_to_the_lower_central_series_is_refused():

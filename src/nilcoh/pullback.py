@@ -820,6 +820,17 @@ def induced_cohomology_map(
         mult_residuals = dict(zip(product_keys, worst.tolist()))
 
     chain_final = {k: (trace[-1] if trace else 0.0) for k, trace in chain_trace.items()}
+    # a comparison with NaN is False: without these, NaN read as no warning
+    for k in range(n_dom + 1):
+        if not np.isfinite([*(v for row in matrices[k] for v in row), stderrs[k],
+                            chain_final[k]]).all():
+            warnings.append(f"degree {k}: a matrix entry, the stderr maximum or the chain "
+                            "residual is not finite, so the induced map there cannot be read")
+    unread = [key for key, r in mult_residuals.items() if not math.isfinite(r)]
+    if unread:
+        warnings.append(f"products {', '.join(map(str, unread))} (k, i, l, j): the "
+                        "multiplicativity residual is not finite, so the cup product "
+                        "cannot be compared there")
     return HomomorphismReport(
         radii=list(radii),
         matrices=matrices,

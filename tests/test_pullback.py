@@ -844,6 +844,32 @@ def test_nan_stderrs_increments_and_residuals_read_nan():
     assert rep.chain_residuals[0] == rep.chain_residuals[2] == 0.0
 
 
+def test_non_finite_matrices_stderrs_and_residuals_are_warned():
+    # x2 + exp(800)*x3^2 read NaN stderrs, NaN matrix entries, a NaN chain
+    # residual and NaN multiplicativity residuals with warnings == []
+    m = map_from_texts(H3, H3, ["x1", "x2 + exp(800)*x3^2", "x3"])
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = homomorphism_check(m, radii=(2.0, 4.0), samples=4000, seed=0)
+    assert math.isnan(rep.stderrs[1]) and math.isnan(rep.chain_residuals[1])
+    assert math.isnan(rep.matrices[1][0][1])
+    bad = [k for k in rep.matrices
+           if not np.isfinite([*np.ravel(rep.matrices[k]), rep.stderrs[k],
+                               rep.chain_residuals[k]]).all()]
+    assert bad == [1, 2, 3]
+    degrees = [w for w in rep.warnings if w.startswith("degree ")]
+    assert [w.split(":")[0] for w in degrees] == [f"degree {k}" for k in bad]
+    assert all("not finite" in w for w in degrees)
+    unread = [key for key, r in rep.mult_residuals.items() if not math.isfinite(r)]
+    products = [w for w in rep.warnings if w.startswith("products ")]
+    assert len(unread) == 10 and len(products) == 1
+    assert all(str(key) in products[0] for key in unread)
+    assert not any(str(key) in products[0] for key in rep.mult_residuals if key not in unread)
+    # finite reports warn of none of it
+    m = map_from_texts(H3, H3, ["x1 + 0.3*sin(x2)", "x2", "x3"])
+    rep = homomorphism_check(m, radii=(2.0, 4.0), samples=4000, seed=0)
+    assert not any("not finite" in w for w in rep.warnings)
+
+
 def test_nan_increments_read_as_nonconvergent():
     # the convergence test compared increments with >, which is False for
     # NaN: increments [nan, nan] read nonconvergent False, with no warning

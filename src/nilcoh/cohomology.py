@@ -143,8 +143,15 @@ class CohomologySpace:
 
     def closed_residual(self, vec) -> float:
         """max |v - A A^+ v|: the size of the part of v off ker d_k."""
+        return self._class_fit(vec)[1]
+
+    def _class_fit(self, vec) -> tuple[list[float], float]:
+        """``project_float`` and ``closed_residual`` of one vector from one
+        fit: the class coordinates and max |v - A A^+ v|, both read from the
+        one A^+ v."""
         v, coords = self._fit(vec)
-        return float(np.max(np.abs(v - self._least_squares[0] @ coords)))
+        return (coords[: self.betti].tolist(),
+                float(np.max(np.abs(v - self._least_squares[0] @ coords))))
 
 
 class CupTable(Mapping):

@@ -106,7 +106,7 @@ import numpy as np
 
 from . import dsl, rng
 from .algebra import DerivedCache, LieAlgebra
-from .cohomology import CohomologyRing, CohomologySpace, cohomology
+from .cohomology import CohomologyRing, cohomology
 from .forms import KForm, basis_tuples, ce_differential, sort_with_sign, wedge
 from .group import BallSpec, check_radii, cloud_mean, sample_ball_coords
 from .maps import (SmoothMap, _at_point, differential_batch, differential_constants,
@@ -800,9 +800,9 @@ def induced_cohomology_map(
     for (k, i), (mean, se) in zip(owners, final):
         se = float(se.max(initial=0.0))
         owner_stderrs[k].append(se)
-        coords = ring_dom.spaces[k].project_float(mean)
+        coords, resid = ring_dom.spaces[k]._class_fit(mean)  # one fit for both
         class_vectors[(k, i)] = coords
-        _projection_warning(ring_dom.spaces[k], mean, se, warnings)
+        _projection_warning(k, resid, se, warnings)
         for a, c in enumerate(coords):
             matrices[k][a][i] = c
 
@@ -883,11 +883,12 @@ def _cup_combination(ring: CohomologyRing, k: int, l: int, vi, vj) -> list[float
     return out
 
 
-def _projection_warning(space: CohomologySpace, vec, se: float, warnings: list[str]):
-    resid = space.closed_residual(vec)
+def _projection_warning(degree: int, resid: float, se: float, warnings: list[str]):
+    """Warn where a degree-``degree`` average's non-closed part, ``resid``
+    (``CohomologySpace.closed_residual``), exceeds 10 stderrs."""
     if resid > 10.0 * se and resid > 1e-12:
         warnings.append(
-            f"projection warning: degree-{space.degree} average has non-closed component "
+            f"projection warning: degree-{degree} average has non-closed component "
             f"{resid:.3e} exceeding 10 x stderr ({se:.3e})"
         )
 

@@ -299,13 +299,29 @@ def test_projection_warning_reads_the_non_closed_residual():
     space = cohomology(H3).spaces[1]
     assert space.closed_residual([0.0, 0.0, 1.0]) == 1.0
     assert space.closed_residual([1.0, -2.0, 0.0]) == 0.0
+    assert space._class_fit([0.3, 0.7, 1.0]) == (space.project_float([0.3, 0.7, 1.0]),
+                                                 space.closed_residual([0.3, 0.7, 1.0]))
     warnings = []
-    _projection_warning(space, [0.0, 0.0, 1.0], 0.01, warnings)
+    _projection_warning(1, space.closed_residual([0.0, 0.0, 1.0]), 0.01, warnings)
     assert warnings == ["projection warning: degree-1 average has non-closed component "
                         "1.000e+00 exceeding 10 x stderr (1.000e-02)"]
-    _projection_warning(space, [1.0, -2.0, 0.0], 0.01, warnings)
-    _projection_warning(space, [0.0, 0.0, 1.0], 0.2, warnings)
+    _projection_warning(1, space.closed_residual([1.0, -2.0, 0.0]), 0.01, warnings)
+    _projection_warning(1, space.closed_residual([0.0, 0.0, 1.0]), 0.2, warnings)
     assert len(warnings) == 1
+
+
+def test_one_least_squares_fit_per_class(monkeypatch):
+    # the class coordinates and the projection warning's residual of each
+    # representative come from one fit, A^+ v, not from two
+    from nilcoh.cohomology import CohomologySpace
+
+    fits = []
+    fit = CohomologySpace._fit
+    monkeypatch.setattr(CohomologySpace, "_fit", lambda self, vec: fits.append(1) or fit(self, vec))
+    m = map_from_texts(H3, H3, ["x1 + 0.3*sin(x2)", "x2", "x3"])
+    rep = homomorphism_check(m, radii=(2.0,), samples=500, seed=0)
+    owners = sum(len(matrix[0]) for matrix in rep.matrices.values())  # a column each
+    assert owners == 6 and len(fits) == owners + len(rep.mult_residuals)
 
 
 def test_schedule_must_increase():

@@ -226,15 +226,14 @@ def _measure(m: SmoothMap, observables: list[Observable], cloud: np.ndarray, war
     law = group_law(m.domain)
     base = None if basepoint is None else np.array(basepoint)
     chunk = min(cloud.shape[1], rng.CHUNK)
-    size = m.codomain.dim * m.domain.dim * chunk
-    if all(obs.kind == "coordinate" for obs in observables):
-        size = 0
+    reads_d = any(obs.kind != "coordinate" for obs in observables)
+    size = m.codomain.dim * m.domain.dim * chunk if reads_d else 0
     jac, rows = np.split(np.empty(size + len(observables) * chunk), [size])
 
     def observe(coords: np.ndarray) -> np.ndarray:
         if base is not None:
             coords = law.multiply_batch(base, coords)
-        ctx = _ChunkContext(m, coords, warn, jac if size else None)
+        ctx = _ChunkContext(m, coords, warn, jac if reads_d else None)
         out = rows[:len(observables) * coords.shape[1]].reshape(len(observables), -1)
         for k, obs in enumerate(observables):
             out[k] = obs.evaluate_chunk(ctx)

@@ -820,7 +820,7 @@ def induced_cohomology_map(
         mult_residuals = dict(zip(product_keys, worst.tolist()))
 
     chain_final = {k: (trace[-1] if trace else 0.0) for k, trace in chain_trace.items()}
-    # a comparison with NaN is False: without these, NaN read as no warning
+    # NaN passes every comparison unwarned, so the non-finite results are named here
     for k in range(n_dom + 1):
         if not np.isfinite([*(v for row in matrices[k] for v in row), stderrs[k],
                             chain_final[k]]).all():

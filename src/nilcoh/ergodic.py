@@ -233,7 +233,7 @@ def _measure(m: SmoothMap, observables: list[Observable], cloud: np.ndarray, war
     def observe(coords: np.ndarray) -> np.ndarray:
         if base is not None:
             coords = law.multiply_batch(base, coords)
-        ctx = _ChunkContext(m, coords, warn, jac if reads_d else None)
+        ctx = _ChunkContext(m, coords, warn, jac)  # empty when no observable reads D
         out = rows[:len(observables) * coords.shape[1]].reshape(len(observables), -1)
         for k, obs in enumerate(observables):
             out[k] = obs.evaluate_chunk(ctx)

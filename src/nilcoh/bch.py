@@ -391,17 +391,12 @@ class GroupLaw:
         """Product of coordinate batches shaped (n, N); an (n,) or (n, 1)
         operand broadcasts inside the tape's elementwise ops, so each entry
         comes from the same scalars in the same order as from a broadcast
-        copy.  Batches whose widths do not broadcast are refused
-        (``ValueError``)."""
+        copy.  Batches whose widths do not broadcast are refused with
+        numpy's ``ValueError``, which names both shapes."""
         a, b = _as_batch(a), _as_batch(b)
         _check_length("a", a.shape[0], self.algebra.dim)
         _check_length("b", b.shape[0], self.algebra.dim)
-        try:
-            shape = np.broadcast_shapes(a.shape, b.shape)
-        except ValueError:
-            raise ValueError(f"batches of shapes {a.shape} and {b.shape} do not broadcast "
-                             "to one batch") from None
-        out = np.empty(shape)
+        out = np.empty(np.broadcast_shapes(a.shape, b.shape))
         dsl.evaluate(self.product_tape, list(a) + list(b), out)
         return out
 

@@ -21,8 +21,8 @@ several basepoints and report 'consistent-with-ergodic',
 
 Evaluation is serial.  Each measurement (one cloud, one basepoint)
 allocates one buffer, sized for a chunk, that holds the frame differential
-(``differential_batch``'s ``out``, passed through ``_ChunkContext``) where
-an observable reads it, and the observables' rows, written row by row;
+(``differential_batch``'s ``out``, passed through ``_ChunkContext``) and
+the observables' rows, written row by row;
 every chunk reuses it, and ``group.cloud_mean`` centres and squares the
 rows in place.  The basepoint array is built once per measurement.
 """
@@ -221,19 +221,18 @@ def _measure(m: SmoothMap, observables: list[Observable], cloud: np.ndarray, war
              basepoint=None) -> list[dict]:
     """The observables' means and stderrs over the cloud, each chunk moved to
     basepoint . x first when a basepoint is given.  One buffer, sized for a
-    chunk, holds the frame differential (where an observable reads it) and
-    the observables' rows for every chunk (module docstring)."""
+    chunk, holds the frame differential and the observables' rows for every
+    chunk (module docstring)."""
     law = group_law(m.domain)
     base = None if basepoint is None else np.array(basepoint)
     chunk = min(cloud.shape[1], rng.CHUNK)
-    reads_d = any(obs.kind != "coordinate" for obs in observables)
-    size = m.codomain.dim * m.domain.dim * chunk if reads_d else 0
+    size = m.codomain.dim * m.domain.dim * chunk
     jac, rows = np.split(np.empty(size + len(observables) * chunk), [size])
 
     def observe(coords: np.ndarray) -> np.ndarray:
         if base is not None:
             coords = law.multiply_batch(base, coords)
-        ctx = _ChunkContext(m, coords, warn, jac)  # empty when no observable reads D
+        ctx = _ChunkContext(m, coords, warn, jac)
         out = rows[:len(observables) * coords.shape[1]].reshape(len(observables), -1)
         for k, obs in enumerate(observables):
             out[k] = obs.evaluate_chunk(ctx)

@@ -199,10 +199,11 @@ def cloud_mean(cloud: np.ndarray, values):
     ``rng.chunked_sums``: ``np.add.reduce`` is the reduction ``np.sum``
     wraps, a sum over one entry is the entry itself (``np.add.reduce``
     never returns -0.0, so no zero sign is lost), and a Kahan step is
-    elementwise.  A float32 block is summed in float32, as ``np.sum`` sums
-    it, and only then widened: reduced straight into the float64 rows it
-    would be summed in float64.  The first chunk's shift stays ``np.mean``,
-    whose float32 division is not ``total / n``.
+    elementwise.  The total is reduced in the block's dtype and then
+    assigned into its row, so a float32 block is summed in float32, as
+    ``np.sum`` sums it, and only then widened: reduced straight into the
+    float64 rows it would be summed in float64.  The first chunk's shift
+    stays ``np.mean``, whose float32 division is not ``total / n``.
     """
     shifts: list[np.ndarray] = []  # per block, its mean over the first chunk
     views: list[np.ndarray] = []  # per block, its columns of ``stack``
@@ -219,12 +220,8 @@ def cloud_mean(cloud: np.ndarray, values):
                 parts.append(part := np.empty((3,) + v.shape[:-1]))
             else:
                 part = views[b]
-            own = v.dtype == np.float64
-            if own:
-                np.add.reduce(v, axis=-1, out=part[0, ...])
-            else:
-                part[0] = np.add.reduce(v, axis=-1)
-            own = own and v.flags.writeable and not np.may_share_memory(v, cloud)
+            part[0] = np.add.reduce(v, axis=-1)
+            own = v.flags.writeable and v.dtype == np.float64 and not np.may_share_memory(v, cloud)
             d = np.subtract(v, shifts[b], out=v if own else np.empty(v.shape))
             np.add.reduce(d, axis=-1, out=part[1, ...])
             np.add.reduce(np.square(d, out=d), axis=-1, out=part[2, ...])

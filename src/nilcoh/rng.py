@@ -10,7 +10,6 @@ pay on small hosts, and the fixed partition keeps sums bit-identical anyway.
 from __future__ import annotations
 
 import hashlib
-import math
 from numbers import Integral
 
 import numpy as np
@@ -40,33 +39,24 @@ def stream(seed: int, *tags) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def chunked_sums(evaluate, count: int):
+def chunked_sums(evaluate, count: int) -> np.ndarray:
     """Sum evaluate(start, stop) over the chunks of [0, count) deterministically.
 
-    ``evaluate`` hands back either one float64 array of the chunk's partial
-    sums, which are added as they are (``group.cloud_mean`` stacks its three
-    sums in one), or a sequence of float arrays whose last axis is the
-    sample axis, each summed over that axis here.  The first form returns
-    the array of sums, the second a list of them.  The chunk size is the
+    ``evaluate`` hands back one float64 array of the chunk's partial sums
+    (``group.cloud_mean`` stacks its three sums in one), and the array of
+    their totals over all chunks is returned.  The chunk size is the
     constant ``CHUNK``, so the partition (and therefore the float rounding)
     depends only on ``count``.
 
     Chunks are combined with Kahan compensation in chunk order: four
     elementwise ufunc calls per chunk on the whole array, which give every
-    entry the operations, and so the bits, of a sum kept on its own.  A
-    sequence is summed, raveled and joined into one array for that; its
-    sums come back in their own shapes.  An array handed back is read
-    before the next call, and the first one is copied, so ``evaluate`` may
-    write every chunk's sums into one buffer.
+    entry the operations, and so the bits, of a sum kept on its own.  An
+    array handed back is read before the next call, and the first one is
+    copied, so ``evaluate`` may write every chunk's sums into one buffer.
     """
     _check_integer("sample count", count, 1)
-    shapes = None
     for start in range(0, count, CHUNK):
         part = evaluate(start, min(start + CHUNK, count))
-        if not isinstance(part, np.ndarray):
-            sums = [np.add.reduce(np.asarray(p, dtype=float), axis=-1) for p in part]
-            shapes = [np.shape(p) for p in sums]
-            part = np.concatenate([np.ravel(p) for p in sums])
         if not start:
             total, comp = part.copy(), np.zeros_like(part)
             continue
@@ -74,11 +64,7 @@ def chunked_sums(evaluate, count: int):
         t = total + y
         comp = (t - total) - y
         total = t
-    if shapes is None:
-        return total
-    ends = np.cumsum([math.prod(shape) for shape in shapes])
-    # [()] hands a sum over a 1-D array back as a scalar, as np.sum does
-    return [p.reshape(shape)[()] for p, shape in zip(np.split(total, ends[:-1]), shapes)]
+    return total
 
 
 def mean_and_stderr(total: np.ndarray, total_sq: np.ndarray, count: int):

@@ -745,7 +745,7 @@ def whole_array_averages(m, omegas, radius, samples, seed, shape):
         return [v, sum_d, np.square(d, out=d)]
 
     count = cloud.shape[1]
-    total, total_d, total_dd = rng.chunked_sums(evaluate, count)
+    total, total_d, total_dd = reference_chunked_sums(evaluate, count, rng.CHUNK)
     _, stderr = rng.mean_and_stderr(total_d, total_dd, count)
     mean = total / count
     rows = iter(range(len(pairs)))

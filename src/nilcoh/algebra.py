@@ -240,7 +240,7 @@ def _lower_central_series(alg: LieAlgebra) -> tuple[list[int], list[int]]:
         nxt = [xl._reduced(w, d * den) for i in range(dim) for v, d in layer
                if (w := alg._bracket_into({}, {i: 1}, v))]
         span = xl.Echelon()
-        basis = [w for w in nxt if span._insert(*w)]
+        basis = [w for w in nxt if span.insert(*w)]
         d = len(basis)
         dims.append(d)
         if d == 0:
@@ -250,7 +250,7 @@ def _lower_central_series(alg: LieAlgebra) -> tuple[list[int], list[int]]:
             break
         depth += 1
         for i in range(dim):
-            if not span._reduce({i: 1}, 1)[0][0]:  # e_i lies in g^depth
+            if not span.reduce({i: 1}, 1)[0][0]:  # e_i lies in g^depth
                 weights[i] = depth
         layer = basis
         if depth > dim:

@@ -2,8 +2,9 @@
 
 Everything but the float projection is exact rational linear algebra.  It
 runs on ``exactlinalg``'s integer pairs (a dict of int numerators over one
-denominator) and hands out sparse ``{key: Fraction}`` dicts: the
-representatives, the closed basis and the cup entries.  Each degree k is
+denominator), the one format ``Echelon`` takes, gives and holds, and
+converts to sparse ``{key: Fraction}`` dicts only where it hands them out:
+the representatives, the closed basis and the cup entries.  Each degree k is
 eliminated once: d_k comes as integer rows from ``forms`` (the rows
 ``ce_differential`` applies, as Fractions), and its reduced row echelon form
 gives both ker d_k (one basis vector per free column, over the
@@ -70,7 +71,7 @@ class CohomologySpace:
     betti: int
     representatives: tuple[KForm, ...]
     closed_basis: list[xl.Sparse]  # sparse columns spanning ker d_k: reps then coboundaries
-    echelon: xl.Echelon = field(repr=False, compare=False)  # rows tagged by rep coordinates
+    echelon: xl.Echelon = field(repr=False, compare=False)  # pair rows tagged by rep coordinates
 
     def _coordinates(self, form: KForm) -> xl.Sparse:
         """Sparse class coordinates {representative index: Fraction} of a
@@ -88,7 +89,7 @@ class CohomologySpace:
     def _reduce(self, terms: dict, den: int) -> xl.Pair:
         """Class coordinates, as a pair, of the closed form of this degree
         with coefficients terms / den."""
-        residual, coords = self.echelon._reduce(terms, den)
+        residual, coords = self.echelon.reduce(terms, den)
         if residual[0]:
             self._not_closed(self.degree)
         return coords
@@ -267,9 +268,9 @@ def cohomology(alg: LieAlgebra) -> CohomologyRing:
         rows, den = _integer_differential_rows(alg, k)  # empty at the top degree
         d_k = xl.Echelon()
         for row in rows.values():
-            d_k._insert(row, den)
-        cocycles = d_k._kernel(basis)
-        next_coboundaries: dict = {s: {} for s in sorted(d_k._rows)}  # in rows order
+            d_k.insert(row, den)
+        cocycles = d_k.kernel(basis)
+        next_coboundaries: dict = {s: {} for s in sorted(d_k.rows)}  # in rows order
         for t, row in rows.items():
             for s, c in row.items():
                 if s in next_coboundaries:
@@ -277,10 +278,10 @@ def cohomology(alg: LieAlgebra) -> CohomologyRing:
 
         closed = xl.Echelon()
         for z in coboundaries:
-            closed._insert(z, den)
+            closed.insert(z, den)
         reps: list[KForm] = []
         for z, dz in cocycles:
-            if closed._insert(z, dz, ({len(reps): 1}, 1)):
+            if closed.insert(z, dz, ({len(reps): 1}, 1)):
                 reps.append(KForm(alg, k, xl._fractions({t: z[t] for t in sorted(z)}, dz)))
 
         spaces.append(
@@ -353,7 +354,7 @@ def cup_pairing_rank(ring: CohomologyRing, k: int, l: int) -> int:
             if not room.get(w):  # no class of weight w, or its block is full
                 continue
             coords, den = ring.cup._pair((k, l, i, j))
-            if coords and blocks[w]._insert(coords, den):  # a zero class adds no rank
+            if coords and blocks[w].insert(coords, den):  # a zero class adds no rank
                 room[w] -= 1
                 rank += 1
                 if rank == target:  # the rank cannot exceed the target Betti number

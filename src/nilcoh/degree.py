@@ -444,8 +444,10 @@ def local_degree(
     """Signed preimage count of a regular target over the window box.
 
     A target with a NaN or infinite coordinate is refused: no preimage
-    search can find it, and degree 0 would read as "stable".  A window
-    whose shape is not a box is refused (``_box_window``)."""
+    search can find it, and degree 0 would read as "stable".  A boundary
+    image with a NaN, whose margin cannot be read, is refused like a target
+    too close to it (``BoundaryTooClose``).  A window whose shape is not a
+    box is refused (``_box_window``)."""
     rng._check_integer("grid density", grid_density, 1)
     set_up = _SET_UP.get(m) or _SET_UP.setdefault(m, _SetUp(m))
     m = set_up.map
@@ -462,6 +464,11 @@ def local_degree(
     for attempt in range(4):
         column = target_now[:, None]
         margin = float(_boundary_margin(boundary_vals, column)[0])
+        if np.isnan(margin):
+            raise BoundaryTooClose(
+                f"the sampled boundary image is not finite: no margin of target {requested} "
+                f"can be read"
+            )
         if margin <= BOUNDARY_MARGIN:
             raise BoundaryTooClose(
                 f"target {tuple(target_now)} lies within {BOUNDARY_MARGIN:g} of the sampled "
@@ -519,7 +526,8 @@ def area_formula_check(
     the unbounded one, where every point outside the box lies.  In 1-D the
     box is exact, as each face is one point; in n-D it is the box of the
     sampled faces that set the boundary margin.  Targets too close to the
-    sampled boundary image, or landing on near-singular preimages, are
+    sampled boundary image (every target, when a NaN in the image leaves
+    no margin to read), or landing on near-singular preimages, are
     skipped and counted; fewer than 2 counted targets are refused
     (ValueError), as one has no spread to estimate.
     ``threads`` is checked as a count and otherwise ignored (evaluation is
@@ -560,7 +568,8 @@ def area_formula_check(
     for start in range(0, samples, chunk):
         t = targets[:, start : start + chunk]
         ((degrees, singular, _, _),) = _preimages(m, t, scales, grids[:1])
-        parts.append((degrees, singular, _boundary_margin(boundary_vals, t) <= BOUNDARY_MARGIN))
+        # a NaN margin, from a boundary image that is not finite, is no clearance
+        parts.append((degrees, singular, ~(_boundary_margin(boundary_vals, t) > BOUNDARY_MARGIN)))
     degs, singular, near = (np.concatenate(p) for p in zip(*parts))
     valid = ~near & ~singular
 

@@ -1,8 +1,16 @@
 """Exact linear algebra over the rationals.
 
-Vectors handed in and out are sparse dicts from a key (a column index or a
-form-basis tuple) to a nonzero ``fractions.Fraction``, the exact layer's one
-vector format.
+The exact layer hands vectors out as sparse dicts from a key (a column
+index or a form-basis tuple) to a nonzero ``fractions.Fraction``, its one
+vector format.  Inside, a vector is a pair (terms, den): a dict from the
+same keys to nonzero int numerators over one positive int denominator,
+reduced by a single ``math.gcd`` over the vector after each operation
+(``_reduced``, shared with the group law's kernel in ``bch``), so an
+elimination runs without a gcd per entry (cf. Bareiss, Math. Comp. 22,
+1968).  ``_exact`` and ``_fractions`` convert between the two at the edge
+where a vector is taken in or handed out; ``_exact`` takes Fraction entries
+only and refuses any other by method and key (``LieAlgebra.bracket``,
+``CohomologySpace.project``).
 Everything here is deterministic: a row's pivot is its smallest key, never
 chosen by magnitude, so repeated runs (and cohomology bases) reproduce.
 
@@ -10,26 +18,15 @@ chosen by magnitude, so repeated runs (and cohomology bases) reproduce.
 form of a growing set of sparse vectors, which makes the rank, the kernel,
 the pivot columns, span membership and coordinates over the inserted vectors
 (an inverse, for the rows of an invertible matrix) all fall out of one
-elimination.  Callers use it directly.
-
-Inside ``Echelon`` a vector is a pair (terms, den): a dict from the same
-keys to nonzero int numerators over one positive int denominator, reduced
-by a single ``math.gcd`` over the vector after each operation (``_reduced``,
-shared with the group law's kernel in ``bch``), so an elimination runs
-without a gcd per entry (cf. Bareiss, Math. Comp. 22, 1968).  Every row,
-tag, residual and kernel vector is such a pair, and Fractions are built
-only where a result is handed out: ``reduce``'s residual and tag,
-``kernel``'s vectors and the read-only ``rows`` and ``tags`` views.  The
-library's own callers pass pairs straight through the pair methods
-``_reduce``, ``_insert`` and ``_kernel``: ``cohomology`` eliminates d_k's
-integer rows and builds Fractions only for representatives, the closed
-basis and cup entries handed out; the cup pairings insert the cup table's
-pairs, ``pullback`` reads them as floats, and the lower central series
-inserts and probes its brackets as pairs.  ``insert`` and ``reduce`` take
-only Fraction entries, and refuse any other by method and key: float
-vectors are projected by least squares (``CohomologySpace.project_float``),
-never eliminated.  An echelon that has never been given a tag holds only
-empty tags and skips their arithmetic.
+elimination.  Its one interface is on pairs: ``insert``, ``reduce`` and
+``kernel`` take and give pairs, and ``rows`` and ``tags`` hold them.
+``cohomology`` eliminates d_k's integer rows and builds Fractions only for
+the representatives, the closed basis and the cup entries it hands out; the
+cup pairings insert the cup table's pairs, and the lower central series
+inserts and probes its brackets as pairs.  Float vectors are projected by
+least squares (``CohomologySpace.project_float``), never eliminated.  An
+echelon that has never been given a tag holds only empty tags and skips
+their arithmetic.
 
 One accumulation serves the whole exact layer: ``_addmul`` adds a multiple
 of one numerator dict to another, for the echelon, the bracket and the
@@ -46,7 +43,6 @@ same order.  A pivot of 1 is not rescaled.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -57,58 +53,35 @@ ZERO = Fraction(0)
 
 
 class Echelon:
-    """Reduced row echelon form of a growing set of sparse rational vectors.
+    """Reduced row echelon form of a growing set of sparse rational vectors,
+    each given as a pair (terms, den).
 
-    ``rows`` maps each pivot column to its row: the pivot is the row's
-    smallest key, with coefficient 1, and no other row has an entry in that
-    column.  That form is unique, so whatever order vectors are inserted in,
-    ``rows`` is the RREF of their span, ``len(rows)`` its rank, and
-    ``kernel`` the right nullspace of the matrix they are the rows of, one
-    vector per free column as in the usual RREF construction.
+    ``rows`` maps each pivot column to its row, a pair: the pivot is the
+    row's smallest key, with coefficient 1, and no other row has an entry in
+    that column.  That form is unique, so whatever order vectors are
+    inserted in, ``rows`` is the RREF of their span, ``len(rows)`` its rank,
+    and ``kernel`` the right nullspace of the matrix they are the rows of,
+    one vector per free column as in the usual RREF construction.
 
-    Each row also carries a *tag*: a sparse combination of the tags given to
-    the inserted vectors, equal to the row as they combine the vectors.
-    Reducing a vector of the span then yields its coordinates over the
-    tagged vectors (untagged vectors contribute no coordinate).
-
-    ``rows`` and ``tags`` are read-only views that build each Fraction dict
-    when it is read; the pairs behind them are kept in ``_rows`` and ``_tags``.
+    Each row also carries a *tag* in ``tags``, a pair: a sparse combination
+    of the tags given to the inserted vectors, equal to the row as they
+    combine the vectors.  Reducing a vector of the span then yields its
+    coordinates over the tagged vectors (untagged vectors contribute no
+    coordinate).  ``rows`` and ``tags`` are read, never written, by callers.
     """
 
     def __init__(self):
-        self._rows: dict = {}  # pivot -> (terms, den), terms[pivot] == den
-        self._tags: dict = {}  # pivot -> (terms, den)
+        self.rows: dict = {}  # pivot -> (terms, den), terms[pivot] == den
+        self.tags: dict = {}  # pivot -> (terms, den)
         self._tagged = False  # until a tag is given, every tag is empty
-        self.rows = _Fractions(self._rows)
-        self.tags = _Fractions(self._tags)
 
-    def reduce(self, v: Sparse) -> tuple[Sparse, Sparse]:
-        """(residual, tag): v minus a combination of the rows, and that
-        combination as a combination of tags.  The residual has no entry in a
-        pivot column, and it is empty exactly when v lies in the span.
-
-        v takes Fraction entries only; TypeError names the first other."""
-        residual, tag = self._reduce(*_exact(v, "Echelon.reduce", "vector"))
-        return _fractions(*residual), _fractions(*tag)
-
-    def insert(self, v: Sparse, tag: Sparse | None = None) -> bool:
-        """Add v (tagged ``tag``) unless it lies in the span; True if added.
-
-        Both take Fraction entries only; TypeError names the first other."""
-        return self._insert(*_exact(v, "Echelon.insert", "vector"),
-                            _exact(tag, "Echelon.insert", "tag") if tag else None)
-
-    def kernel(self, columns) -> list[Sparse]:
-        """Basis of the vectors x with row . x = 0 for every row: one per
-        non-pivot column f of ``columns``, in their order, with x[f] = 1."""
-        return [_fractions(*pair) for pair in self._kernel(columns)]
-
-    # -- the same on (terms, den) pairs --------------------------------------
-
-    def _reduce(self, terms: dict, den: int) -> tuple[Pair, Pair]:
-        """``reduce`` of the pair (terms, den), left as it is; the residual
-        and the tag come as pairs."""
-        rows = self._rows
+    def reduce(self, terms: dict, den: int) -> tuple[Pair, Pair]:
+        """(residual, tag) of the vector terms / den, left as it is: the
+        vector minus a combination of the rows, and that combination as a
+        combination of tags, both pairs.  The residual has no entry in a
+        pivot column, and it is empty exactly when the vector lies in the
+        span."""
+        rows = self.rows
         # rows vanish on each other's pivots, so v's own entries there are
         # the coefficients, whatever the order of elimination
         hits = [(p, c) for p, c in terms.items() if p in rows]
@@ -125,7 +98,7 @@ class Echelon:
             _addmul(out, -c * (m // d), row)
         if not self._tagged:
             return _reduced(out, den * m), ({}, 1)
-        tags = self._tags
+        tags = self.tags
         m_tag = lcm(*[tags[p][1] for p, _ in hits])
         tag: dict = {}
         for p, c in hits:
@@ -133,9 +106,10 @@ class Echelon:
             _addmul(tag, c * (m_tag // dt), t)
         return _reduced(out, den * m), _reduced(tag, den * m_tag)
 
-    def _insert(self, terms: dict, den: int, tag: Pair | None = None) -> bool:
-        """``insert`` of the pair (terms, den), tagged by the pair ``tag``."""
-        (row, d), (used, du) = self._reduce(terms, den)
+    def insert(self, terms: dict, den: int, tag: Pair | None = None) -> bool:
+        """Add the vector terms / den, tagged by the pair ``tag``, unless it
+        lies in the span; True if added."""
+        (row, d), (used, du) = self.reduce(terms, den)
         if not row:
             return False
         # the row's tag: tag - used
@@ -157,7 +131,7 @@ class Echelon:
             row, d = _reduced(row, lead)
             dt *= lead
         row_tag, dt = _reduced(row_tag, dt)
-        rows, tags = self._rows, self._tags
+        rows, tags = self.rows, self.tags
         for p, (other, do) in [(p, pair) for p, pair in rows.items() if pivot in pair[0]]:
             # other/do - (c/do) row/d = (d other - c row) / (do d)
             c = other[pivot]
@@ -179,10 +153,12 @@ class Echelon:
         tags[pivot] = (row_tag, dt)
         return True
 
-    def _kernel(self, columns) -> list[Pair]:
-        """``kernel`` as pairs."""
+    def kernel(self, columns) -> list[Pair]:
+        """Basis of the vectors x with row . x = 0 for every row, as pairs:
+        one per non-pivot column f of ``columns``, in their order, with
+        x[f] = 1."""
         basis = []
-        rows = self._rows
+        rows = self.rows
         for free in columns:
             if free in rows:
                 continue
@@ -193,27 +169,6 @@ class Echelon:
                 v[p] = -c * (den // d)
             basis.append(_reduced(v, den))
         return basis
-
-
-class _Fractions(Mapping):
-    """Read-only view of a dict of pairs, each read as a Fraction dict."""
-
-    __slots__ = ("_pairs",)
-
-    def __init__(self, pairs: dict):
-        self._pairs = pairs
-
-    def __getitem__(self, key) -> Sparse:
-        return _fractions(*self._pairs[key])
-
-    def __contains__(self, key) -> bool:
-        return key in self._pairs
-
-    def __iter__(self):
-        return iter(self._pairs)
-
-    def __len__(self) -> int:
-        return len(self._pairs)
 
 
 def _reduced(terms: dict, den: int) -> Pair:

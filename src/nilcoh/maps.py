@@ -312,7 +312,7 @@ def is_group_homomorphism(m: SmoothMap, seed: int = 0, trials: int = 8, tol: flo
         lhs = evaluate_batch(mm, dom_law.multiply_batch(a, b))[:, 0]
         fa = evaluate_batch(mm, a[:, None])
         rhs = cod_law.multiply_batch(fa, evaluate_batch(mm, b[:, None]))[:, 0]
-        if np.max(np.abs(lhs - rhs)) > tol:
+        if not np.max(np.abs(lhs - rhs)) <= tol:  # a NaN difference is no agreement
             return False
     return True
 

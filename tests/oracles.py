@@ -140,7 +140,7 @@ def cup_pairing_rank(ring, k: int, l: int) -> int:
     rank = 0
     for i in range(bk):
         for j in range(bl):
-            rank += span.insert(ring.cup._coordinates((k, l, i, j)))
+            rank += span.insert(*ring.cup._pair((k, l, i, j)))
             if rank == target:
                 return rank
     return rank
@@ -1117,7 +1117,8 @@ def naive_differential_rows(alg, k: int) -> dict:
 
 
 class NaiveEchelon:
-    """``exactlinalg.Echelon``'s reduce, insert and kernel on ``naive_axpy``."""
+    """``exactlinalg.Echelon``'s reduce, insert and kernel on Fraction dicts
+    and ``naive_axpy``."""
 
     def __init__(self):
         self.rows = {}

@@ -129,6 +129,7 @@ import nilcoh  # noqa: E402
 from bench.workloads import (  # noqa: E402
     BUILDERS, REPRO_STEPS, RING_ALGEBRAS, Average, Degree, dense_twin, heisenberg)
 from nilcoh import algebra, bch, cli, degree, group, maps, pullback  # noqa: E402
+from nilcoh import exactlinalg as xl  # noqa: E402
 from nilcoh.forms import basis_form, volume_form, wedge  # noqa: E402
 from nilcoh.report import render_stable  # noqa: E402
 from conftest import rational_filiform5, skewed_heisenberg3  # noqa: E402
@@ -546,7 +547,8 @@ def ring_terms(name: str, alg, rng) -> dict:
     coords = [space.project_float(rng.standard_normal(math.comb(alg.dim, k)))
               for k, space in enumerate(nilcoh.cohomology(alg).spaces)]
     out[f"exact/project_float-{name}"] = digest(repr(coords))
-    echelons = [[(p, list(row.items()), list(space.echelon.tags[p].items()))
+    echelons = [[(p, list(xl._fractions(*row).items()),
+                  list(xl._fractions(*space.echelon.tags[p]).items()))
                  for p, row in space.echelon.rows.items()]
                 for space in nilcoh.cohomology(alg).spaces]
     out[f"exact/echelon-{name}"] = digest(repr(echelons))

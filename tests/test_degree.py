@@ -81,6 +81,22 @@ def test_boundary_too_close():
         local_degree(ident, 2.0, (2.0,))
 
 
+def test_a_boundary_image_that_is_not_finite_is_refused():
+    # 0*exp(800*x1) is NaN where exp overflows, on the face x1 = 10 of the
+    # window; nan <= margin is False, so target 5 read degree 0, "stable",
+    # with no preimages, and the area check counted every target
+    m = map_from_texts(R1, R1, ["x1 + 0*exp(800*x1)"])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for target in (5.0, -5.0):
+            with pytest.raises(BoundaryTooClose, match=re.escape(
+                    f"the sampled boundary image is not finite: no margin of target {(target,)} ")):
+                local_degree(m, 10.0, (target,))
+        with pytest.raises(ValueError, match=r"got 0 \(4000 skipped at the boundary, 0 singular, "):
+            area_formula_check(m, 10.0, samples=4000, seed=1)
+    # a finite image keeps its degree
+    assert local_degree(map_from_texts(R1, R1, ["x1"]), 10.0, (5.0,)).value == 1
+
+
 def test_grid_density_below_one_refused():
     # a zero grid has no Newton starts: it read degree 0, "stable", for x + sin(x)
     m = map_from_texts(R1, R1, ["x1 + sin(x1)"])

@@ -13,6 +13,11 @@ only with a reason.
 The public names of ``nilcoh`` and of ``nilcoh.group``: points travel as
 (dim, N) coordinate batches, and a name joins the interface only with a
 caller that needs it.
+
+The methods of ``exactlinalg.Echelon``: one interface, on the (terms, den)
+pairs the library runs, with ``rows`` and ``tags`` dicts of pairs.  A
+second entry into the same elimination (a Fraction facade beside the pair
+methods) would have no caller in the library.
 """
 
 import inspect
@@ -21,6 +26,7 @@ import pytest
 
 import nilcoh
 from nilcoh import cli, group
+from nilcoh import exactlinalg as xl
 from nilcoh.dsl import DomainError
 from nilcoh.ergodic import derivative_entry, parse_observable
 from nilcoh.forms import basis_form
@@ -113,6 +119,15 @@ def test_the_public_names_are_pinned():
     defined = {name for name, value in vars(group).items()
                if not name.startswith("_") and getattr(value, "__module__", None) == group.__name__}
     assert {"nilcoh": exported, "nilcoh.group": defined} == PUBLIC
+
+
+def test_echelon_has_one_interface():
+    methods = {name for name, value in vars(xl.Echelon).items() if inspect.isfunction(value)}
+    assert methods == {"__init__", "reduce", "insert", "kernel"}
+    ech = xl.Echelon()
+    assert ech.insert({0: 2, 1: 1}, 3, ({0: 1}, 1))
+    assert {name: value for name, value in vars(ech).items() if not name.startswith("_")} == {
+        "rows": {0: ({0: 2, 1: 1}, 2)}, "tags": {0: ({0: 3}, 2)}}
 
 
 def _coord(m):

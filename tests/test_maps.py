@@ -223,6 +223,16 @@ def test_homomorphism_probe():
     assert not is_group_homomorphism(not_auto)
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_homomorphism_probe_reads_a_nan_difference_as_disagreement(seed):
+    # 0*exp(80000*x1^2) is 0 * inf = NaN on the probe box, and nan > tol is
+    # False: x1^2 plus it passed every trial where x1^2 alone fails
+    assert not is_group_homomorphism(map_from_texts(R1, R1, ["x1^2"]), seed=seed)
+    nan = map_from_texts(R1, R1, ["x1^2 + 0*exp(80000*x1^2)"])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not is_group_homomorphism(nan, seed=seed)
+
+
 @pytest.mark.parametrize("kwargs, message", [
     ({"trials": 0}, "trials must be at least 1, got 0"),
     ({"trials": -2}, "trials must be at least 1, got -2"),

@@ -2,9 +2,10 @@
 
 Everything but the float projection is exact rational linear algebra.  It
 runs on ``exactlinalg``'s integer pairs (a dict of int numerators over one
-denominator), the one format ``Echelon`` takes, gives and holds, and
-converts to sparse ``{key: Fraction}`` dicts only where it hands them out:
-the representatives, the closed basis and the cup entries.  Each degree k is
+denominator), the one format ``Echelon`` takes, gives and holds.  Each
+space keeps its representatives and coboundaries as those pairs and builds
+the ``{key: Fraction}`` dicts of ``representatives`` and ``closed_basis``
+on first read, as the cup table does its entries.  Each degree k is
 eliminated once: d_k comes as integer rows from ``forms`` (the rows
 ``ce_differential`` applies, as Fractions), and its reduced row echelon form
 gives both ker d_k (one basis vector per free column, over the
@@ -69,9 +70,20 @@ class CohomologySpace:
     algebra: LieAlgebra = field(repr=False)
     degree: int
     betti: int
-    representatives: tuple[KForm, ...]
-    closed_basis: list[xl.Sparse]  # sparse columns spanning ker d_k: reps then coboundaries
+    rep_pairs: tuple[xl.Pair, ...]  # the representatives, keys in basis order
+    coboundary_pairs: tuple[xl.Pair, ...]  # with rep_pairs, spanning ker d_k
     echelon: xl.Echelon = field(repr=False, compare=False)  # pair rows tagged by rep coordinates
+
+    @cached_property
+    def representatives(self) -> tuple[KForm, ...]:
+        """The representative forms, with Fraction coefficients."""
+        return tuple(KForm(self.algebra, self.degree, xl._fractions(*p)) for p in self.rep_pairs)
+
+    @cached_property
+    def closed_basis(self) -> list[xl.Sparse]:
+        """Sparse columns spanning ker d_k: representatives then coboundaries."""
+        return ([rep.coeffs for rep in self.representatives]
+                + [xl._fractions(*p) for p in self.coboundary_pairs])
 
     def _coordinates(self, form: KForm) -> xl.Sparse:
         """Sparse class coordinates {representative index: Fraction} of a
@@ -96,12 +108,6 @@ class CohomologySpace:
 
     def _not_closed(self, degree: int):
         raise ValueError(f"form of degree {degree} is not a closed degree-{self.degree} form")
-
-    @cached_property
-    def _rep_pairs(self) -> tuple[xl.Pair, ...]:
-        """The representatives' coefficients as (terms, den) pairs."""
-        return tuple(xl._exact(rep.coeffs, "CohomologySpace._rep_pairs", "representative")
-                     for rep in self.representatives)
 
     def _dense(self, coords: xl.Sparse) -> list[Fraction]:
         return [coords.get(i, xl.ZERO) for i in range(self.betti)]
@@ -175,8 +181,8 @@ class CupTable(Mapping):
             if key not in self:
                 raise KeyError(key)
             k, l, i, j = key
-            a, da = self._spaces[k]._rep_pairs[i]
-            b, db = self._spaces[l]._rep_pairs[j]
+            a, da = self._spaces[k].rep_pairs[i]
+            b, db = self._spaces[l].rep_pairs[j]
             wedge = _wedge_coeffs(a, b)
             # a zero wedge has no coordinates: nothing to reduce
             value = self._spaces[k + l]._reduce(wedge, da * db) if wedge else ({}, 1)
@@ -236,11 +242,12 @@ class CohomologyRing:
         """Per degree, the weight of each representative.  On a graded basis
         d_k preserves weight, so its echelon rows, kernel vectors and so the
         representatives each lie in one weight, the sum of the weights of
-        any of its keys.  On any other basis every class gets weight 0."""
+        any of its keys, read from its pair.  On any other basis every class
+        gets weight 0."""
         if not self.algebra.is_graded:
             return tuple((0,) * space.betti for space in self.spaces)
         w = self.algebra.weights
-        return tuple(tuple(sum(w[i] for i in next(iter(rep.coeffs))) for rep in space.representatives)
+        return tuple(tuple(sum(w[i] for i in next(iter(terms))) for terms, _ in space.rep_pairs)
                      for space in self.spaces)
 
     def space(self, k: int) -> CohomologySpace:
@@ -279,22 +286,14 @@ def cohomology(alg: LieAlgebra) -> CohomologyRing:
         closed = xl.Echelon()
         for z in coboundaries:
             closed.insert(z, den)
-        reps: list[KForm] = []
+        reps: list[xl.Pair] = []
         for z, dz in cocycles:
             if closed.insert(z, dz, ({len(reps): 1}, 1)):
-                reps.append(KForm(alg, k, xl._fractions({t: z[t] for t in sorted(z)}, dz)))
+                reps.append(({t: z[t] for t in sorted(z)}, dz))
 
-        spaces.append(
-            CohomologySpace(
-                algebra=alg,
-                degree=k,
-                betti=len(reps),
-                representatives=tuple(reps),
-                closed_basis=[rep.coeffs for rep in reps]
-                + [xl._fractions(z, den) for z in coboundaries],
-                echelon=closed,
-            )
-        )
+        spaces.append(CohomologySpace(algebra=alg, degree=k, betti=len(reps), rep_pairs=tuple(reps),
+                                      coboundary_pairs=tuple((z, den) for z in coboundaries),
+                                      echelon=closed))
         coboundaries = list(next_coboundaries.values())
 
     spaces = tuple(spaces)

@@ -471,8 +471,8 @@ def local_degree(
             )
         if margin <= BOUNDARY_MARGIN:
             raise BoundaryTooClose(
-                f"target {tuple(target_now)} lies within {BOUNDARY_MARGIN:g} of the sampled "
-                f"boundary image (margin {margin:.3e})"
+                f"target {tuple(float(v) for v in target_now)} lies within {BOUNDARY_MARGIN:g} "
+                f"of the sampled boundary image (margin {margin:.3e})"
             )
         try:
             first, refined = _preimages(m, column, scales, grids)
@@ -526,10 +526,10 @@ def area_formula_check(
     the unbounded one, where every point outside the box lies.  In 1-D the
     box is exact, as each face is one point; in n-D it is the box of the
     sampled faces that set the boundary margin.  Targets too close to the
-    sampled boundary image (every target, when a NaN in the image leaves
-    no margin to read), or landing on near-singular preimages, are
-    skipped and counted; fewer than 2 counted targets are refused
-    (ValueError), as one has no spread to estimate.
+    sampled boundary image (every target, with no Newton batch run, when a
+    NaN in the image leaves no margin to read), or landing on near-singular
+    preimages, are skipped and counted; fewer than 2 counted targets are
+    refused (ValueError), as one has no spread to estimate.
     ``threads`` is checked as a count and otherwise ignored (evaluation is
     serial), because the benchmark harness passes it.  A window whose shape
     is not a box is refused (``_box_window``).
@@ -563,14 +563,19 @@ def area_formula_check(
     gen = rng.stream(seed, "area-rhs", float(window.radius))
     targets = gen.uniform(0.0, 1.0, size=(m.codomain.dim, samples)) * (hi - lo)[:, None] + lo[:, None]
 
-    chunk = max(1, rng.CHUNK // grid_density ** m.domain.dim)
-    parts = []
-    for start in range(0, samples, chunk):
-        t = targets[:, start : start + chunk]
-        ((degrees, singular, _, _),) = _preimages(m, t, scales, grids[:1])
-        # a NaN margin, from a boundary image that is not finite, is no clearance
-        parts.append((degrees, singular, ~(_boundary_margin(boundary_vals, t) > BOUNDARY_MARGIN)))
-    degs, singular, near = (np.concatenate(p) for p in zip(*parts))
+    if np.isnan(boundary_vals).any():
+        # every margin is NaN, no clearance: every target is skipped, and no Newton runs
+        degs, singular = np.zeros(samples, int), np.zeros(samples, bool)
+        near = np.ones(samples, bool)
+    else:
+        chunk = max(1, rng.CHUNK // grid_density ** m.domain.dim)
+        parts = []
+        for start in range(0, samples, chunk):
+            t = targets[:, start : start + chunk]
+            ((degrees, singular, _, _),) = _preimages(m, t, scales, grids[:1])
+            near = ~(_boundary_margin(boundary_vals, t) > BOUNDARY_MARGIN)
+            parts.append((degrees, singular, near))
+        degs, singular, near = (np.concatenate(p) for p in zip(*parts))
     valid = ~near & ~singular
 
     n_valid = int(np.sum(valid))

@@ -20,10 +20,11 @@ the pivot columns, span membership and coordinates over the inserted vectors
 (an inverse, for the rows of an invertible matrix) all fall out of one
 elimination.  Its one interface is on pairs: ``insert``, ``reduce`` and
 ``kernel`` take and give pairs, and ``rows`` and ``tags`` hold them.
-``cohomology`` eliminates d_k's integer rows and builds Fractions only for
-the representatives, the closed basis and the cup entries it hands out; the
-cup pairings insert the cup table's pairs, and the lower central series
-inserts and probes its brackets as pairs.  Float vectors are projected by
+``cohomology`` eliminates d_k's integer rows and keeps the representatives,
+the coboundaries and the cup entries as pairs, building Fractions only when
+``representatives``, ``closed_basis`` or a cup entry is first read; the cup
+pairings insert the cup table's pairs, and the lower central series inserts
+and probes its brackets as pairs.  Float vectors are projected by
 least squares (``CohomologySpace.project_float``), never eliminated.  An
 echelon that has never been given a tag holds only empty tags and skips
 their arithmetic.

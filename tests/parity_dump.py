@@ -89,6 +89,10 @@ digests for each of the nine exact-layer algebras above: ``lcs`` and
 vectors (terms in dict order), and what validation says of six seeded
 tables with one constant changed (the ``JacobiViolation`` or
 ``NotNilpotent`` message, or the series of a table that stays valid).
+Each ``conftest.corpus()`` ring's representatives and closed basis are
+digested term by term in key order, value types too (``corpus_rings``):
+the spaces keep them as integer pairs and build the Fractions on first
+read, so a change to that conversion shows here.
 The Monte Carlo reduction is digested on its own: the type, shape and
 bytes of ``group.cloud_mean`` over 1, 2 and 3 chunks on each of
 ``oracles.cloud_mean_cases`` (a 1-D array, row blocks in one reused buffer,
@@ -103,7 +107,7 @@ The package is imported from ``PYTHONPATH``, so the same script dumps any checko
     PYTHONPATH=../old/src python tests/parity_dump.py old.json
     diff old.json new.json
 
-The file holds 268 digests, keyed and sorted, so ``diff`` lists exactly
+The file holds 286 digests, keyed and sorted, so ``diff`` lists exactly
 the cases that moved.  The name keeps pytest from collecting it; a run takes 8-13 s on a
 2-core host.
 """
@@ -132,7 +136,7 @@ from nilcoh import algebra, bch, cli, degree, group, maps, pullback  # noqa: E40
 from nilcoh import exactlinalg as xl  # noqa: E402
 from nilcoh.forms import basis_form, volume_form, wedge  # noqa: E402
 from nilcoh.report import render_stable  # noqa: E402
-from conftest import rational_filiform5, skewed_heisenberg3  # noqa: E402
+from conftest import corpus, rational_filiform5, skewed_heisenberg3  # noqa: E402
 from oracles import cloud_mean_cases, edge_points, fused_differential_maps  # noqa: E402
 from test_degree import HARD_COLUMNS  # noqa: E402
 from test_golden import CASES, stable_report  # noqa: E402
@@ -614,6 +618,19 @@ def exact_layer() -> dict:
     return out
 
 
+def corpus_rings() -> dict:
+    """Each ``conftest.corpus()`` ring's representatives and closed basis,
+    (key, type, value) per term in key order."""
+    out = {}
+    for name, alg in corpus().items():
+        spaces = nilcoh.cohomology(alg).spaces
+        for field, vectors in (("representatives", lambda s: [r.coeffs for r in s.representatives]),
+                               ("closed_basis", lambda s: s.closed_basis)):
+            terms = [[[(t, type(c), c) for t, c in v.items()] for v in vectors(s)] for s in spaces]
+            out[f"exact/{field}-{name}"] = digest(repr(terms))
+    return out
+
+
 def ring_invariants() -> dict:
     out = {}
     for seed, (name, (family, size)) in enumerate(sorted(RING_ALGEBRAS.items())):
@@ -635,8 +652,8 @@ def main(argv: list[str]) -> int:
     dump = {**golden_cases(), **repro_reports(20000), **repro_reports(None),
             **homomorphism_checks(), **warm_repeats(), **library_calls(), **one_map_degrees(),
             **one_map_area(), **tripling(), **newton_roots(), **layer_digests(),
-            **degree_cycles(), **exact_layer(), **ring_invariants(), **cloud_means(),
-            **broadcast_products(), **coordinate_probe()}
+            **degree_cycles(), **exact_layer(), **corpus_rings(), **ring_invariants(),
+            **cloud_means(), **broadcast_products(), **coordinate_probe()}
     with open(argv[0], "w", encoding="utf-8") as fh:
         json.dump(dump, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -2,6 +2,7 @@ import gc
 import random
 import time
 import weakref
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -241,6 +242,41 @@ def test_non_integral_constants_match_the_naive_echelon_item_for_item(name):
     for k, l, i, j in ring.cup:
         want = naive_cup_entry(ref, k, l, i, j)
         assert [(type(c), c) for c in ring.cup[(k, l, i, j)]] == [(type(c), c) for c in want]
+
+
+def test_the_ring_pipeline_builds_no_form_and_no_fraction(monkeypatch):
+    # cohomology built a KForm of Fractions per representative and a Fraction
+    # dict per coboundary, and the cup table turned each representative back
+    # into a pair; the spaces now keep the pairs and convert on first read
+    cases = dict(corpus(), dense_filiform6=dense_twin(algebra.filiform(6), random.Random(5)))
+    calls = Counter()
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr(KForm, "__post_init__", counted("KForm", KForm.__post_init__))
+    for name in ("_fractions", "_exact"):
+        monkeypatch.setattr(xl, name, counted(name, getattr(xl, name)))
+    rings = []
+    for a in cases.values():
+        alg = algebra.validate_algebra(a.structure, a.dim)
+        group_law(alg)
+        rings.append(cohomology(alg))
+        ring_invariants(rings[-1])
+    assert not calls, dict(calls)
+    monkeypatch.undo()
+    for ring in rings:
+        for space in ring.spaces:
+            reps = [ordered_items(xl._fractions(*p)) for p in space.rep_pairs]
+            assert [ordered_items(rep.coeffs) for rep in space.representatives] == reps
+            assert [ordered_items(c) for c in space.closed_basis] == reps + [
+                ordered_items(xl._fractions(*p)) for p in space.coboundary_pairs]
+            for rep, (terms, den) in zip(space.representatives, space.rep_pairs):
+                back, back_den = xl._exact(rep.coeffs, "test", "representative")
+                assert (list(back.items()), back_den) == (list(terms.items()), den)
 
 
 def test_project_refuses_a_float_form_and_points_to_project_float():

@@ -76,8 +76,10 @@ def test_dimension_mismatch_rejected():
 
 
 def test_boundary_too_close():
+    # the target was printed as numpy scalars: "target (np.float64(2.0),)"
     ident = map_from_texts(R1, R1, ["x1"])
-    with pytest.raises(BoundaryTooClose):
+    with pytest.raises(BoundaryTooClose, match=re.escape(
+            "target (2.0,) lies within 1e-06 of the sampled boundary image (margin ")):
         local_degree(ident, 2.0, (2.0,))
 
 
@@ -95,6 +97,26 @@ def test_a_boundary_image_that_is_not_finite_is_refused():
             area_formula_check(m, 10.0, samples=4000, seed=1)
     # a finite image keeps its degree
     assert local_degree(map_from_texts(R1, R1, ["x1"]), 10.0, (5.0,)).value == 1
+
+
+def test_a_boundary_image_that_is_not_finite_runs_no_newton_batch(monkeypatch):
+    # every margin is NaN, so every target is skipped: the area check ran 4
+    # Newton batches on NaN targets before it refused
+    m = map_from_texts(R1, R1, ["x1 + 0*exp(800*x1)"])
+    calls = []
+    preimages = degree._preimages
+    monkeypatch.setattr(degree, "_preimages", lambda *args: calls.append(1) or preimages(*args))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=re.escape(
+                "the degree integral needs at least 2 counted targets, got 0 "
+                "(4000 skipped at the boundary, 0 singular, of 4000)")):
+            area_formula_check(m, 10.0, samples=4000, seed=1)
+        # the sample cloud still refuses a bad count or seed first
+        with pytest.raises(ValueError, match="sample count must be at least 1, got 0"):
+            area_formula_check(m, 10.0, samples=0, seed=1)
+        with pytest.raises(TypeError, match="seed must be an integer, got 1.5"):
+            area_formula_check(m, 10.0, samples=4000, seed=1.5)
+    assert calls == []
 
 
 def test_grid_density_below_one_refused():

@@ -55,7 +55,9 @@ of +-0, +-inf, NaN, +-1e200 and +-1e-310 in every coordinate.  So are the group 
 products, ``multiply_batch``, ``frame_batch``, ``inv_frame_batch`` and
 ``translation_jacobian_batch``, on H3, H5, filiform7 and the skewed H3
 (``conftest.skewed_heisenberg3``) at 4000 seeded points plus the origin,
-with zero signs kept.  So are the coefficient rows'
+with zero signs kept, and on those four laws and filiform9 at the edge
+grid, on a stack with +-0, +-inf, NaN and +-1e200 entries, with zero
+signs and NaN bits kept.  So are the coefficient rows'
 generated code: the rows of the ``average`` maps' plans on one chunk of
 seeded points for seeds 1 and 2, and one-shot ``_coefficient_rows`` on a
 stack with +-0.0, +-inf and NaN entries, each NaN written as one NaN.  Exact-layer digests cover the
@@ -107,7 +109,7 @@ The package is imported from ``PYTHONPATH``, so the same script dumps any checko
     PYTHONPATH=../old/src python tests/parity_dump.py old.json
     diff old.json new.json
 
-The file holds 286 digests, keyed and sorted, so ``diff`` lists exactly
+The file holds 306 digests, keyed and sorted, so ``diff`` lists exactly
 the cases that moved.  The name keeps pytest from collecting it; a run takes 8-13 s on a
 2-core host.
 """
@@ -418,23 +420,44 @@ def signed_differentials() -> dict:
     return out
 
 
+def _law_products(law, x, y, stack) -> list:
+    """(method, result) of the product and the three frame products, each
+    frame product on a fresh copy of ``stack``."""
+    return [("multiply_batch", law.multiply_batch(x, y)),
+            ("frame_batch", law.frame_batch(x, stack.copy())),
+            ("inv_frame_batch", law.inv_frame_batch(x, stack.copy())),
+            ("translation_jacobian_batch", law.translation_jacobian_batch(x, y, stack.copy()))]
+
+
 def group_law_batches() -> dict:
     """The product and the three frame products of four laws at 4000 seeded
-    points plus the origin, each frame product on a fresh copy of one seeded
-    stack; zero signs count."""
+    points plus the origin, on one seeded stack; then of five laws (those
+    four and filiform9) at ``oracles.edge_points`` and a permutation of them,
+    on a stack that holds +-0, +-inf, NaN and +-1e200 entries, where the
+    products' exact-zero rule masks terms.  Zero signs and NaN bits count."""
     out = {}
     gen = np.random.default_rng(13)
-    for name, alg in (("H3", algebra.heisenberg3()), ("H5", algebra.heisenberg5()),
-                      ("filiform7", algebra.filiform(7)), ("skewed-H3", skewed_heisenberg3())):
+    laws = [("H3", algebra.heisenberg3()), ("H5", algebra.heisenberg5()),
+            ("filiform7", algebra.filiform(7)), ("skewed-H3", skewed_heisenberg3())]
+    for name, alg in laws:
         law, n = bch.group_law(alg), alg.dim
         x, y = np.concatenate([np.zeros((2, n, 1)), gen.uniform(-4.0, 4.0, (2, n, 4000))], axis=2)
         stack = gen.uniform(-1.0, 1.0, (n, n, 4001))
-        for method, result in (
-                ("multiply_batch", law.multiply_batch(x, y)),
-                ("frame_batch", law.frame_batch(x, stack.copy())),
-                ("inv_frame_batch", law.inv_frame_batch(x, stack.copy())),
-                ("translation_jacobian_batch", law.translation_jacobian_batch(x, y, stack.copy()))):
+        for method, result in _law_products(law, x, y, stack):
             out[f"layer/{method}-{name}"] = hashlib.sha256(result.tobytes()).hexdigest()
+    gen = np.random.default_rng(29)
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e200, -1e200]
+    for name, alg in laws + [("filiform9", algebra.filiform(9))]:
+        law, n = bch.group_law(alg), alg.dim
+        x = edge_points(n, gen)
+        y = x[:, gen.permutation(x.shape[1])]
+        stack = gen.uniform(-4.0, 4.0, (n, n, x.shape[1]))
+        special = gen.random(stack.shape) < 0.2
+        stack[special] = gen.choice(specials, size=special.sum())
+        with np.errstate(all="ignore"):
+            results = _law_products(law, x, y, stack)
+        for method, result in results:
+            out[f"layer/{method}-edges-{name}"] = hashlib.sha256(result.tobytes()).hexdigest()
     return out
 
 

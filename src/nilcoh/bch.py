@@ -44,12 +44,12 @@ sparse: H3's frame has 5 nonzero entries of 9, most of them the constant 1,
 and every matrix of an abelian group is the identity.  So each law records
 once where the nonzero entries and the constant 1s of its translation
 Jacobian, frame and inverse frame lie, with one tape of the other entries
-(``SparsePattern``), and ``GroupLaw._product`` multiplies a sample-last
-stack of matrices (a, b, N) by one of them in place, on either side,
-skipping the zeros, the multiplications by 1 and the identity lines: a
-product by an identity pattern runs no tape.  The frame differential of a
-map multiplies by the frames' patterns in generated code instead
-(``dsl.differential``), entry by entry under the same rules.
+(``SparsePattern``).  Every product by one of them is the DSL's generated
+code, which skips the zeros, the multiplications by 1 and the identity
+lines: ``dsl.product`` multiplies a sample-last stack of matrices (a, b, N)
+in place, on either side, and runs nothing for an identity pattern, and
+the frame differential of a map multiplies entry by entry
+(``dsl.differential``).
 
 Term order is the float summation order: a polynomial's tree adds its terms
 to 0.0 in dict order, so the kernels' term order fixes the bits of every
@@ -73,7 +73,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
-from math import comb, factorial, isfinite, lcm
+from math import comb, factorial, lcm
 
 import numpy as np
 
@@ -400,82 +400,27 @@ class GroupLaw:
         dsl.evaluate(self.product_tape, list(a) + list(b), out)
         return out
 
-    def _product(self, pattern: SparsePattern, vals: list, stack: np.ndarray, left: bool):
-        """P(vals) @ stack (``left``) or stack @ P(vals) for the polynomial matrix
-        P of ``pattern`` and a sample-last stack (n, b, N) or (a, n, N) of
-        matrices, computed in place: ``stack`` is overwritten with the result
-        and returned.
-
-        The pattern's tape evaluates each entry of P that is not the constant
-        1 once per call, into a list; an identity P runs no tape.  Each result
-        line adds its terms in k order, skipping the structural zeros of P and
-        the multiplications by its constant 1s.  A line of P that is the
-        identity line leaves its line of ``stack`` as it is.  Every other line
-        is computed from the unmodified stack into a temporary, and the
-        temporaries are written back only after the last line, so no line
-        reads a value already overwritten, in whatever order the lines of P
-        read each other.  P is invertible, so no line of it is empty.
-
-        Where an evaluated entry of P is infinite or NaN, a term whose stack
-        entry is exactly 0.0 is 0.0, not 0 * inf = NaN: the rule of a call's
-        partials in the DSL (``dsl._Writer.call``).  Terms of finite entries
-        keep their bits.  The test is the dot product v . v, finite only if
-        every value is and cheaper than ``np.isfinite(v).all()``; a square
-        that overflows only takes the masking path, which changes nothing
-        there.
-
-        It serves the dense public products: ``frame_batch``,
-        ``inv_frame_batch`` and ``translation_jacobian_batch``, the last for
-        the shift of ``maps.jacobian_batch`` and so Newton's.  The frame
-        differential of ``maps.differential_batch`` runs the same rules
-        entry by entry in generated code (``dsl.differential``), with these
-        products as its reference in the tests.
-        """
-        if not pattern.tape.components:
-            return stack
-        entries = [None] * len(pattern.tape.components)
-        dsl.evaluate(pattern.tape, vals, entries)
-        view = stack if left else stack.swapaxes(0, 1)  # view[k] is line k
-        done = []
-        for i, terms in enumerate(pattern.rows if left else pattern.cols):
-            if terms == ((i, None),):
-                continue
-            for t, (k, e) in enumerate(terms):
-                s = view[k]
-                if e is None:
-                    term = s if t else s.copy()
-                else:
-                    v = entries[e]
-                    term = s * v
-                    if not isfinite(v.dot(v)):  # an exact 0 stays 0, not 0 * inf = NaN
-                        term[(s == 0.0) & ~np.isfinite(v)] = 0.0
-                if t:
-                    line += term
-                else:
-                    line = term
-            done.append((i, line))
-        for i, line in done:
-            view[i] = line
-        return stack
-
     def frame_batch(self, coords: np.ndarray, stack: np.ndarray) -> np.ndarray:
         """stack @ F(x) for the frames F at a coordinate batch (n, N) and a
         sample-last stack (a, n, N), written over ``stack``, which is returned
-        (unchanged for an identity frame); see ``_product``."""
-        return self._product(self.frame_pattern, list(_as_batch(coords)), stack, left=False)
+        (unchanged for an identity frame); see ``dsl.product``."""
+        run = dsl.product(self.frame_pattern, self.algebra.dim, left=False)
+        return run(list(_as_batch(coords)), stack)
 
     def inv_frame_batch(self, coords: np.ndarray, stack: np.ndarray) -> np.ndarray:
         """F(x)^-1 @ stack for the inverse frames at a coordinate batch (n, N)
         and a sample-last stack (n, b, N), written over ``stack``, which is
-        returned (unchanged for an identity frame); see ``_product``."""
-        return self._product(self.inv_frame_pattern, list(_as_batch(coords)), stack, left=True)
+        returned (unchanged for an identity frame); see ``dsl.product``."""
+        run = dsl.product(self.inv_frame_pattern, self.algebra.dim, left=True)
+        return run(list(_as_batch(coords)), stack)
 
     def translation_jacobian_batch(self, a, b, stack: np.ndarray) -> np.ndarray:
         """d(a·y)/dy at y = b times a sample-last stack, on the left, written
         over ``stack``, which is returned (unchanged for an abelian law); (n,)
-        points broadcast against (n, N) batches.  See ``_product``."""
+        points broadcast against (n, N) batches.  See ``dsl.product``."""
         a, b = np.broadcast_arrays(_as_batch(a), _as_batch(b))
-        return self._product(self.trans_pattern, list(a) + list(b), stack, left=True)
+        run = dsl.product(self.trans_pattern, 2 * self.algebra.dim, left=True)
+        return run(list(a) + list(b), stack)
 
 
 _LAW_CACHE = DerivedCache("group_law")

@@ -33,10 +33,11 @@ that no line reads is dropped like any other line; they are within a
 relative γ_{k-1} of the exact power and the same bits as ``**`` for
 k = 2.  Constant (Python float) bases and exponents below 2 keep ``**``.
 
-One writer, ``Code``, builds the generated code of these tapes and of the
-coefficient plans of ``pullback``, as ``dataclasses`` builds ``__init__``,
-with the builtin ``compile``.  Constants and functions are bound in the
-function's namespace by name, so no input text reaches the code.  Each
+One writer, ``Code``, builds the generated code of these tapes, of the
+group laws' sparse products and of the coefficient plans of ``pullback``,
+as ``dataclasses`` builds ``__init__``, with the builtin ``compile``.
+Constants and functions are bound in the function's namespace by name, so
+no input text reaches the code.  Each
 line names what it defines and reads; a backward liveness pass keeps the
 root lines and every line that defines a name a kept line reads, and each
 defined name is deleted after the line of its last use.  The functions
@@ -48,8 +49,10 @@ trees, domain dimension and frame patterns, which ``maps.differential_batch``
 runs: the tape's values and partials, then the products by the inverse
 codomain frame and the domain frame entry by entry, without the terms that
 round-to-nearest makes exact (``maps``); it is kept with the entries it
-writes as constants, which the plans fold.  Tapes of equal trees are equal,
-so a map and algebras reloaded from files find the functions of the first.
+writes as constants, which the plans fold.  The same writer runs the group
+laws' products (``product``) on whole lines of a stack of matrices.  Tapes
+of equal trees are equal, so a map and algebras reloaded from files find
+the functions of the first.
 """
 
 from __future__ import annotations
@@ -685,7 +688,7 @@ class _Differential(_Writer):
     """The code of a tape's frame differential L(F(x)) @ J_F(x) @ R(x): the
     values and partials of the tape, then the product by L, the inverse
     codomain frame, and the product by R, the domain frame, entry by entry
-    (``differential``)."""
+    (``differential``), or of a group law's product (``product``)."""
 
     def __init__(self, n: int):
         super().__init__(n, True)
@@ -727,8 +730,8 @@ class _Differential(_Writer):
         return e.name
 
     def masked(self, s: str, v: str) -> str:
-        """s * v under the exact-zero rule of ``GroupLaw._product``: 0.0
-        where s is exactly 0 and v is not finite, tested once per v."""
+        """s * v under the products' exact-zero rule: 0.0 where s is exactly
+        0 and v is not finite, tested once per v (v . v is finite or not)."""
         t = self.emit("{} * {}", s, v)
         if v not in self.tests:
             self.tests[v] = self.emit("_finite({}.dot({}))", v, v)
@@ -799,6 +802,24 @@ def _generate_differential(exprs: tuple, n: int, inverse: tuple, frame: tuple):
     return writer.build("env, jac, warn", _unpack(n), "<dsl differential>")[0], constants
 
 
+def _generate_product(lines: tuple, trees: tuple, n: int, left: bool):
+    """The function run(env, stack) of ``product``: ``lines`` are the rows
+    (``left``) or the columns of P's pattern, ``trees`` its entry trees."""
+    writer = _Differential(n)  # every entry tree of P reads a coordinate: none is broadcast
+    view = "stack[{}]" if left else "stack[:, {}]"
+    given = [_Entry(writer.emit(view, str(k))) for k in range(len(lines))]
+    stack = [[g] for g in given] if left else [given]
+    done = [e for row in writer.frame_product(lines, writer.entries(trees, writer.coords),
+                                              stack, left) for e in row]
+    # an identity line stays; a bare stack line is copied, as a later write may overwrite it
+    written = [(i, writer.emit("{}.copy()", e.name) if e in given else e.name)
+               for i, e in enumerate(done) if e is not given[i]]
+    for i, name in written:  # every line is computed before the first is written
+        writer.line(f"{view.format(i)} = {name}", reads=(name,), root=True)
+    writer.line("return stack", root=True)
+    return writer.build("env, stack", _unpack(n), "<dsl product>")[0]
+
+
 def _signature(exprs: tuple) -> tuple:
     """The trees in prefix order, one entry per node, with each number by
     its repr: unlike ==, it tells 0.0 from -0.0.  Refuses what is not an
@@ -832,8 +853,8 @@ def _signature(exprs: tuple) -> tuple:
 # key) -> the function and width of a coefficient plan (``pullback``);
 # ("differential", tape, n, rows, tape, cols, tape) -> the frame
 # differential of a map's tape and the entries it writes as constants
-# (``differential``).  Two threads may generate the same function at once;
-# either result is kept.
+# (``differential``); ("product", tape, n, lines, left) -> a product by a
+# group law's polynomial matrix (``product``).
 _RUNS: dict[tuple, object] = {}
 
 
@@ -890,6 +911,32 @@ def differential(tape: Tape, n: int, inverse, frame):
         got = _RUNS[key] = _generate_differential(
             tape.components, n, (inverse.rows, inverse.tape.components),
             (frame.cols, frame.tape.components))
+    return got
+
+
+def _unchanged(env, stack):
+    return stack
+
+
+def product(pattern, nvars: int, left: bool):
+    """The function run(env, stack) that writes P(env) @ stack (``left``) or
+    stack @ P(env) over a sample-last stack of matrices (n, b, N) or
+    (a, n, N), and returns it, for the polynomial matrix P of ``pattern``
+    (``bch.SparsePattern``) at the ``nvars`` coordinate arrays of ``env``.
+    Each line of the result adds its terms in k order, skipping P's zeros
+    and its multiplications by 1, and a term of an exactly 0 stack entry
+    and a non-finite entry of P is 0.0, not 0 * inf = NaN, as in
+    ``differential``.  Every line is computed from the unmodified stack
+    before any is written, and an identity line of P is left as it is.  An
+    identity P returns before any lookup; any other is generated once for
+    equal patterns, ``nvars`` and sides (``_RUNS``)."""
+    if not pattern.tape.components:
+        return _unchanged
+    lines = pattern.rows if left else pattern.cols
+    key = ("product", pattern.tape, nvars, lines, left)
+    got = _RUNS.get(key)
+    if got is None:
+        got = _RUNS[key] = _generate_product(lines, pattern.tape.components, nvars, left)
     return got
 
 

@@ -36,7 +36,7 @@ entries straight into the array it returns.  The function computes the
 tape's values and partials, then the inverse-frame product and the frame
 product entry by entry: each entry adds its terms in k order, skipping the
 structural zeros of the frames, as the group laws' sparse products
-(``GroupLaw._product``) do, and a term of an exact-zero stack entry and a
+(``dsl.product``) do, and a term of an exact-zero stack entry and a
 non-finite frame entry is 0.0, not 0 * inf = NaN.  Of F(x) it computes
 only the coordinates that the inverse frame's entries read (none on an
 abelian codomain, F1 and F2 on H3), and of the other components the values
@@ -218,7 +218,7 @@ def differential_batch(m: SmoothMap, coords: np.ndarray, warn=None, *, out=None)
     by ``evaluate_batch``.
 
     Each entry adds its terms in k order, as the group laws' sparse
-    products (``GroupLaw._product``) do: structural zeros of the frames are
+    products (``dsl.product``) do: structural zeros of the frames are
     skipped, so an infinite Jacobian entry spreads only into the entries it
     enters, not as NaN (0 * inf) into the other entries of its row and
     column.  An infinite inverse-frame entry meets the exact-zero Jacobian
@@ -330,11 +330,14 @@ def load_map(path: str) -> SmoothMap:
         except json.JSONDecodeError as e:
             raise ValueError(f"{path}: line {e.lineno}, column {e.colno}: {e.msg}") from None
     base = os.path.dirname(os.path.abspath(path))
+    loaded: dict[str, LieAlgebra] = {}  # one algebra per file: a self-map's sides are one
 
     def resolve(spec, field):
         if isinstance(spec, str):
-            ref = spec if os.path.isabs(spec) else os.path.join(base, spec)
-            return load_algebra(ref)
+            ref = os.path.normpath(spec if os.path.isabs(spec) else os.path.join(base, spec))
+            if ref not in loaded:
+                loaded[ref] = load_algebra(ref)
+            return loaded[ref]
         if isinstance(spec, dict):
             return algebra_from_dict(spec)
         raise ValueError(f"{path}: field {field!r} must be a file path or algebra record")

@@ -181,7 +181,7 @@ def _coefficient_rows(mats: np.ndarray, pairs: list[tuple[KForm, tuple[int, ...]
     """
     out = np.empty((len(pairs), mats.shape[0]))
     pattern = np.ones(mats.shape[1:], dtype=bool)
-    live = _live_minors(pattern)
+    live = _Minors(pattern, {})
     sorted_lams = [sort_with_sign(lam) for _, lam in pairs]  # None for a repeated index
     recipes = [s and _recipe(omega, *s, live) for (omega, _), s in zip(pairs, sorted_lams)]
     _plan_coefficient_rows(recipes, pattern)(_entries(mats), out)
@@ -206,15 +206,10 @@ _OPS = {"+": "_add", "-": "_subtract", "*": "_multiply"}  # op -> its numpy func
 _TEMP = re.compile(r"\bm\d+\b")  # the temporaries of the rows' generated code
 
 
-def _live_minors(pattern: np.ndarray, constants: dict[int, float] | None = None) -> _Minors:
+class _Minors:
     """The minors of D under the (m, n) boolean ``pattern`` of the entries
     that can be nonzero and the entries ``constants`` (``_entries`` row ->
-    float) that are the same at every point, as a ``_Minors``."""
-    return _Minors(pattern, constants or {})
-
-
-class _Minors:
-    """The minors of D under a pattern and constants (``_live_minors``).
+    float) that are the same at every point.
 
     Called as ``live(R, C)``, it gives the positions j of the live terms of
     the first-row expansion of det D[R, C], for increasing C.  A term is
@@ -346,7 +341,7 @@ def _recipe(omega: KForm, cols: tuple[int, ...], sign: int, live):
     """The recipe of the row of omega on the frame columns C = ``cols``
     (increasing), times ``sign``: ``(C, kept)`` with ``kept`` the terms
     ``(sign * c_R, R)`` of omega, in ``omega.coeffs`` order, whose minor
-    det D[R, C] is live under ``live`` (``_live_minors``); the constant of
+    det D[R, C] is live under ``live`` (``_Minors``); the constant of
     a 0-form (R = C = ()) is always kept.  None for a row of zeros: a zero
     form or no live term."""
     kept = tuple((sign * float(c), r) for r, c in omega.coeffs.items() if not r or live(r, cols))
@@ -369,7 +364,7 @@ def _plan_coefficient_rows(recipes: list, pattern: np.ndarray,
 
         det D[R, C] = sum_j (-1)^j D[R_0, C_j] det D[R_1.., C without C_j],
 
-    so the plan holds only the live minors (``_live_minors``) some recipe
+    so the plan holds only the live minors (``_Minors``) some recipe
     needs, directly or through a live term of a higher degree; a recipe
     keeps only its terms on live minors, a minor only its live terms, and a
     None recipe is a row of zeros.  Each live minor is one sample vector,
@@ -409,13 +404,13 @@ def _plan_coefficient_rows(recipes: list, pattern: np.ndarray,
     so any split of the samples does too: ``rows`` runs the code on blocks
     of samples that keep the live minors within ``_WORK_ITEMS`` floats.
     """
-    minors = _live_minors(pattern, constants)
+    minors = _Minors(pattern, constants or {})
     nodes, roots = minors.graph([minors.row(r) for r in recipes])
     # each constant by its repr: unlike ==, it tells 0.0 from -0.0
     key = ("rows", nodes, roots)
     got = dsl._RUNS.get(key)
     if got is None:
-        got = dsl._RUNS.setdefault(key, _generate_rows(nodes, roots))
+        got = dsl._RUNS[key] = _generate_rows(nodes, roots)
     run, width = got
     return _Rows(run, max(1, _WORK_ITEMS // width))
 
@@ -531,7 +526,7 @@ def _average_plan(omegas: list[KForm], pattern: np.ndarray, constants: dict[int,
     (``_Minors.row``), the rows sorted by the (degree, lambda) of their
     first recipe and cut into blocks of at most ``_BLOCK_ITEMS`` floats per
     ``chunk`` of samples, each block planned by ``_plan_coefficient_rows``."""
-    minors = _live_minors(pattern, constants)
+    minors = _Minors(pattern, constants)
     keys, negated, forms = [], [], []  # per pair: recipe up to sign (None for a zero row), sign
     for w in omegas:
         start = len(keys)

@@ -895,6 +895,20 @@ def edge_points(n: int, gen, count: int = 2000) -> np.ndarray:
     return np.concatenate([grid, single], axis=1)
 
 
+def product_edge_inputs(n: int, gen) -> tuple:
+    """(x, y, stack) for the group law's products: x the ``edge_points``, y
+    a seeded permutation of them, and a sample-last (n, n, N) stack of
+    seeded values in [-4, 4] of which about a fifth are +-0, +-inf, NaN or
+    +-1e200, so the products' exact-zero rule masks terms."""
+    x = edge_points(n, gen)
+    y = x[:, gen.permutation(x.shape[1])]
+    stack = gen.uniform(-4.0, 4.0, (n, n, x.shape[1]))
+    special = gen.random(stack.shape) < 0.2
+    stack[special] = gen.choice([0.0, -0.0, np.inf, -np.inf, np.nan, 1e200, -1e200],
+                                size=special.sum())
+    return x, y, stack
+
+
 def fused_differential_maps() -> list:
     """(name, map) pairs on which ``differential_batch``'s generated function
     is held to the frame products of a full tape run: the ``average``
@@ -969,6 +983,53 @@ def stacked_differential(m, coords):
     frames = dense_poly_matrix(dom.frame, list(coords), count)
     inv_frames = dense_poly_matrix(cod.inv_frame, list(values), count)
     return values, jac, inv_frames @ jac @ frames
+
+
+def reference_product(pattern, vals: list, stack: np.ndarray, left: bool) -> np.ndarray:
+    """P(vals) @ stack (``left``) or stack @ P(vals) for the polynomial matrix
+    P of a ``bch.SparsePattern`` and a sample-last stack (n, b, N) or
+    (a, n, N), interpreted line by line and written over ``stack``, which is
+    returned: the byte reference of the generated products (``dsl.product``)
+    and of the frame differential (``dsl.differential``).
+
+    The pattern's tape evaluates each entry of P that is not the constant 1
+    once; an identity P runs no tape.  Each result line adds its terms in k
+    order, skipping the structural zeros of P and the multiplications by its
+    constant 1s; an identity line leaves its line of ``stack`` as it is.
+    Every other line is computed from the unmodified stack, and written back
+    only after the last line.  Where an entry v of P is infinite or NaN, a
+    term whose stack entry is exactly 0.0 is 0.0, not 0 * inf = NaN; the test
+    is whether v . v is finite."""
+    from math import isfinite
+
+    from nilcoh import dsl
+
+    if not pattern.tape.components:
+        return stack
+    entries = [None] * len(pattern.tape.components)
+    dsl.evaluate(pattern.tape, vals, entries)
+    view = stack if left else stack.swapaxes(0, 1)  # view[k] is line k
+    done = []
+    for i, terms in enumerate(pattern.rows if left else pattern.cols):
+        if terms == ((i, None),):
+            continue
+        for t, (k, e) in enumerate(terms):
+            s = view[k]
+            if e is None:
+                term = s if t else s.copy()
+            else:
+                v = entries[e]
+                term = s * v
+                if not isfinite(v.dot(v)):  # an exact 0 stays 0, not 0 * inf = NaN
+                    term[(s == 0.0) & ~np.isfinite(v)] = 0.0
+            if t:
+                line += term
+            else:
+                line = term
+        done.append((i, line))
+    for i, line in done:
+        view[i] = line
+    return stack
 
 
 # -- reference exact kernels -------------------------------------------------

@@ -139,7 +139,8 @@ from nilcoh import exactlinalg as xl  # noqa: E402
 from nilcoh.forms import basis_form, volume_form, wedge  # noqa: E402
 from nilcoh.report import render_stable  # noqa: E402
 from conftest import corpus, rational_filiform5, skewed_heisenberg3  # noqa: E402
-from oracles import cloud_mean_cases, edge_points, fused_differential_maps  # noqa: E402
+from oracles import (  # noqa: E402
+    cloud_mean_cases, edge_points, fused_differential_maps, product_edge_inputs)
 from test_degree import HARD_COLUMNS  # noqa: E402
 from test_golden import CASES, stable_report  # noqa: E402
 
@@ -432,9 +433,9 @@ def _law_products(law, x, y, stack) -> list:
 def group_law_batches() -> dict:
     """The product and the three frame products of four laws at 4000 seeded
     points plus the origin, on one seeded stack; then of five laws (those
-    four and filiform9) at ``oracles.edge_points`` and a permutation of them,
-    on a stack that holds +-0, +-inf, NaN and +-1e200 entries, where the
-    products' exact-zero rule masks terms.  Zero signs and NaN bits count."""
+    four and filiform9) on ``oracles.product_edge_inputs``, whose stack
+    holds +-0, +-inf, NaN and +-1e200 entries, where the products'
+    exact-zero rule masks terms.  Zero signs and NaN bits count."""
     out = {}
     gen = np.random.default_rng(13)
     laws = [("H3", algebra.heisenberg3()), ("H5", algebra.heisenberg5()),
@@ -446,16 +447,10 @@ def group_law_batches() -> dict:
         for method, result in _law_products(law, x, y, stack):
             out[f"layer/{method}-{name}"] = hashlib.sha256(result.tobytes()).hexdigest()
     gen = np.random.default_rng(29)
-    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e200, -1e200]
     for name, alg in laws + [("filiform9", algebra.filiform(9))]:
-        law, n = bch.group_law(alg), alg.dim
-        x = edge_points(n, gen)
-        y = x[:, gen.permutation(x.shape[1])]
-        stack = gen.uniform(-4.0, 4.0, (n, n, x.shape[1]))
-        special = gen.random(stack.shape) < 0.2
-        stack[special] = gen.choice(specials, size=special.sum())
+        law = bch.group_law(alg)
         with np.errstate(all="ignore"):
-            results = _law_products(law, x, y, stack)
+            results = _law_products(law, *product_edge_inputs(alg.dim, gen))
         for method, result in results:
             out[f"layer/{method}-edges-{name}"] = hashlib.sha256(result.tobytes()).hexdigest()
     return out

@@ -22,6 +22,8 @@ from oracles import (
     neumann_inverse_frame,
     ordered_items,
     powers,
+    product_edge_inputs,
+    reference_product,
 )
 
 import nilcoh
@@ -211,6 +213,31 @@ def test_frame_products_add_their_terms_in_k_order(alg):
     for product, points, want in cases:
         given = stack.copy()
         got = product(*points, given)
+        assert got is given and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("alg", [algebra.heisenberg3(), algebra.heisenberg5(), algebra.filiform(7),
+                                 skewed_heisenberg3(), algebra.filiform(9), algebra.abelian(3)],
+                         ids=["h3", "h5", "filiform7", "skewed-h3", "filiform9", "r3"])
+def test_products_are_bytewise_the_reference_product(alg):
+    # the generated products against the interpreted ones they replace, at
+    # edge points on a stack of +-0, +-inf, NaN and +-1e200: zero signs and
+    # NaN bits included, where the exact-zero rule masks terms; a (n,) point
+    # broadcasts against the batch
+    law, n = group_law(alg), alg.dim
+    x, y, stack = product_edge_inputs(n, np.random.default_rng(31))
+    a, b = np.broadcast_arrays(y[:, :1], x)
+    cases = [
+        (law.frame_batch, (x,), law.frame_pattern, list(x), False),
+        (law.inv_frame_batch, (x,), law.inv_frame_pattern, list(x), True),
+        (law.translation_jacobian_batch, (x, y), law.trans_pattern, list(x) + list(y), True),
+        (law.translation_jacobian_batch, (y[:, 0], x), law.trans_pattern, list(a) + list(b), True),
+    ]
+    for product, points, pattern, vals, left in cases:
+        given, want = stack.copy(), stack.copy()
+        with np.errstate(all="ignore"):
+            got = product(*points, given)
+            reference_product(pattern, vals, want, left)
         assert got is given and got.tobytes() == want.tobytes()
 
 

@@ -418,6 +418,32 @@ def test_tapes_and_coefficient_plans_share_one_table(monkeypatch):
     assert len(dsl._RUNS) == 2
 
 
+def test_products_of_equal_patterns_share_one_kernel(monkeypatch):
+    # two loads of one algebra are two laws with equal patterns: the second
+    # law's products generate nothing.  Each side of a pattern is a kernel of
+    # its own, and an identity pattern is none
+    from nilcoh.bch import group_law
+
+    monkeypatch.setattr(dsl, "_RUNS", {})
+    x = np.random.default_rng(2).uniform(-2.0, 2.0, size=(3, 10))
+    first, second = (group_law(algebra.heisenberg3()) for _ in range(2))
+    assert first is not second
+    for law in (first, second):
+        law.frame_batch(x, np.ones((3, 3, 10)))
+        law.inv_frame_batch(x, np.ones((3, 3, 10)))
+        law.translation_jacobian_batch(x, x, np.ones((3, 3, 10)))
+    def products():
+        return [key for key in dsl._RUNS if key[0] == "product"]
+
+    assert len(products()) == 3
+    left = dsl.product(first.frame_pattern, 3, left=True)
+    assert left is not dsl.product(first.frame_pattern, 3, left=False)
+    assert len(products()) == 4
+    identity = group_law(algebra.abelian(3)).frame_pattern
+    assert dsl.product(identity, 3, left=True) is dsl.product(identity, 3, left=False)
+    assert len(products()) == 4
+
+
 BENCH_TEXTS = [
     ["x1^3 - 0.9123*x1"],
     ["x1^3 - 3*x1*x2^2 + 0.1234*x1", "3*x1^2*x2 - x2^3 + 0.1234*x2"],

@@ -18,6 +18,11 @@ The methods of ``exactlinalg.Echelon``: one interface, on the (terms, den)
 pairs the library runs, with ``rows`` and ``tags`` dicts of pairs.  A
 second entry into the same elimination (a Fraction facade beside the pair
 methods) would have no caller in the library.
+
+The group law's sparse products: one writer, ``dsl``'s generated code
+(``dsl.product`` and ``dsl.differential``).  The interpreted loop that
+served the three public products is the tests' byte reference
+(``oracles.reference_product``), not a second path of the library.
 """
 
 import inspect
@@ -27,6 +32,7 @@ import pytest
 import nilcoh
 from nilcoh import cli, group
 from nilcoh import exactlinalg as xl
+from nilcoh.bch import GroupLaw
 from nilcoh.dsl import DomainError
 from nilcoh.ergodic import derivative_entry, parse_observable
 from nilcoh.forms import basis_form
@@ -128,6 +134,10 @@ def test_echelon_has_one_interface():
     assert ech.insert({0: 2, 1: 1}, 3, ({0: 1}, 1))
     assert {name: value for name, value in vars(ech).items() if not name.startswith("_")} == {
         "rows": {0: ({0: 2, 1: 1}, 2)}, "tags": {0: ({0: 3}, 2)}}
+
+
+def test_the_group_law_has_no_interpreted_product():
+    assert not hasattr(GroupLaw, "_product")
 
 
 def _coord(m):

@@ -1,13 +1,12 @@
 import json
 import re
-import sys
 
 import numpy as np
 import pytest
 from conftest import skewed_heisenberg3
 from hypothesis import given, settings, strategies as st
 from oracles import (dense_poly_matrix, dense_twin, edge_points, fused_differential_maps,
-                     stacked_differential)
+                     reference_product, stacked_differential)
 from test_dsl import expr_strategy
 
 from nilcoh import algebra, dsl, local_degree, maps, pullback
@@ -270,6 +269,23 @@ def test_map_file_with_algebra_reference(tmp_path):
     assert evaluate(m, [3.0]) == (3.0, 9.0)
 
 
+def test_a_map_file_loads_an_algebra_file_named_twice_once(tmp_path):
+    # a self-map's domain and codomain name one file: loaded twice, they were
+    # two algebras, so a form on the domain was refused as a form on the
+    # codomain
+    from nilcoh import amenable_average, volume_form
+    from nilcoh.algebra import save_algebra
+
+    save_algebra(H3, str(tmp_path / "h3.json"))
+    record = {"domain": "h3.json", "codomain": "./h3.json", "components": ["2*x1", "2*x2", "4*x3"]}
+    path = tmp_path / "m.map.json"
+    path.write_text(json.dumps(record))
+    m = load_map(str(path))
+    assert m.domain is m.codomain
+    average = amenable_average(m, volume_form(m.domain), (2.0,), samples=64, seed=0)
+    assert average.extrapolated.coeffs == {(0, 1, 2): 16.0}
+
+
 def test_ill_conditioned_frame_guard():
     # bypass validation to fake non-nilpotent structure constants: the frame
     # determinant then collapses at x2 = 2 and the guard must fire
@@ -384,14 +400,16 @@ def test_differential_is_bitwise_invariant_under_shifts_and_actions(alg):
 
 
 def _full_differential(m, x, warn=None):
-    """The frame products of ``differential_batch`` on a tape run that
-    computes every value, as it ran before unread values were skipped and
-    before the partials and both products became one generated function."""
+    """The interpreted frame products (``oracles.reference_product``) of
+    ``differential_batch`` on a tape run that computes every value, as it
+    ran before unread values were skipped and before the partials and both
+    products became one generated function."""
     law_cod, law_dom = group_law(m.codomain), group_law(m.domain)
     values = np.empty((m.codomain.dim, x.shape[1]))
     jac = np.empty((m.codomain.dim, m.domain.dim, x.shape[1]))
     dsl.evaluate(m.tape, list(x), values, warn, jac)
-    return law_dom.frame_batch(x, law_cod.inv_frame_batch(values, jac)).transpose(2, 0, 1)
+    reference_product(law_cod.inv_frame_pattern, list(values), jac, left=True)
+    return reference_product(law_dom.frame_pattern, list(x), jac, left=False).transpose(2, 0, 1)
 
 
 # and a map whose constant component the inverse frame reads (F2 = 3 on H3)
@@ -664,31 +682,38 @@ def test_frame_products_run_in_place_on_the_tapes_jacobian(monkeypatch):
         assert jacobian_batch(m, x)[1].base is jacs[-1] is not None
 
 
-def test_frame_products_on_an_abelian_law_evaluate_no_polynomial(monkeypatch):
-    callers = []
-    evaluate = dsl.evaluate
+def test_frame_products_on_an_abelian_law_run_no_generated_product(monkeypatch):
+    # on H3 each product runs its pattern's generated function once; on an
+    # abelian law every pattern is the identity: nothing is generated or
+    # run, and the stack is returned as it is.  No product runs a tape
+    # through ``evaluate``
+    monkeypatch.setattr(dsl, "_RUNS", {})
+    runs, evaluated = [], []
+    generate, evaluate = dsl._generate_product, dsl.evaluate
 
-    def counted(*args, **kwargs):
-        callers.append(sys._getframe(1).f_globals["__name__"])
-        return evaluate(*args, **kwargs)
+    def generated(*args):
+        run = generate(*args)
+        return lambda env, stack: runs.append(run) or run(env, stack)
 
-    monkeypatch.setattr(dsl, "evaluate", counted)
+    monkeypatch.setattr(dsl, "_generate_product", generated)
+    monkeypatch.setattr(dsl, "evaluate", lambda *a, **k: evaluated.append(a) or evaluate(*a, **k))
     x = np.random.default_rng(6).uniform(-2.0, 2.0, size=(3, 20))
     stack = np.random.default_rng(7).uniform(-1.0, 1.0, size=(3, 3, 20))
-    for alg, tapes in ((algebra.heisenberg3(), 3), (algebra.abelian(3), 0)):
-        callers.clear()
+    for alg, count in ((algebra.heisenberg3(), 3), (algebra.abelian(3), 0)):
+        runs.clear()
         law = group_law(alg)
+        before = stack.copy()
         assert law.frame_batch(x, stack) is stack
         assert law.inv_frame_batch(x, stack) is stack
         assert law.translation_jacobian_batch(x[:, 0], x, stack) is stack
-        assert callers.count("nilcoh.bch") == tapes == len(callers)
+        assert len(set(runs)) == len(runs) == count and not evaluated
+        assert (stack.tobytes() == before.tobytes()) == (count == 0)
     # the frame differential runs no tape through ``evaluate``, and on
     # abelian laws its function evaluates no frame entry: D is J_F
     r3 = algebra.abelian(3)
     m = map_from_texts(r3, r3, ["x1 + sin(x2)", "x2*x3", "x3"])
-    callers.clear()
     mats = differential_batch(m, x)
-    assert not callers
+    assert not evaluated
     run, _ = dsl.differential(m.tape, 3, group_law(r3).inv_frame_pattern,
                               group_law(r3).frame_pattern)
     assert "_finite" not in run.__code__.co_names

@@ -689,7 +689,7 @@ def _assert_folded_rows_are_the_unfolded_ones(m, forms, x):
     # bit, signed zeros included, each NaN written as one NaN
     pattern = differential_pattern(m)
     plan = pullback._average_plan(forms, pattern, pullback._constants(m), x.shape[1])
-    live = pullback._live_minors(pattern)
+    live = pullback._Minors(pattern, {})
     recipes = [pullback._recipe(w, lam, 1, live)
                for w in forms for lam in basis_tuples(m.domain.dim, w.degree)]
     with np.errstate(all="ignore"):
@@ -934,7 +934,7 @@ def test_nan_at_a_structural_zero_no_longer_reaches_dead_rows():
     assert pattern.tolist() == [[True, True, False], [False, True, False], [True, True, True]]
     omegas = _average_forms(H3)
     pairs = [(w, lam) for w in omegas for lam in basis_tuples(3, w.degree)]
-    live = pullback._live_minors(pattern)
+    live = pullback._Minors(pattern, {})
     x = np.random.default_rng(4).uniform(-2.0, 2.0, size=(3, 64))
     overflow = x[1] > 800 ** -1 * np.log(np.finfo(float).max)
     assert 0 < overflow.sum() < 64

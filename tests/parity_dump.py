@@ -1,6 +1,6 @@
 """Write sha256 digests of the outputs a numeric change must not move.
 
-    python tests/parity_dump.py OUT.json
+    python tests/parity_dump.py OUT.json [BASE.json]
 
 The digests cover the 9 golden CLI cases (``test_golden.CASES``), the 7
 ``nilcoh repro`` reports at ``--samples 20000`` and at the default (the
@@ -102,16 +102,21 @@ blocks it does not own, rows of +-0, +-inf and NaN, a 1e8 offset), then
 ``multiply_batch`` of (n,) left operands against a (n, N) batch with edge
 entries on H3, H5, filiform7 and the skewed H3, zero signs kept, and an
 ``ergodicity_probe`` with a coordinate observable at 2 basepoints over 3
-chunks.
+chunks.  Last, ``amenable_norm`` on a derivative (of a frame differential
+with inf and NaN), a coordinate and an expression observable, and
+``empirical_measure`` and ``convergence_report`` with their warnings,
+which pin the order in which a chunk's observables run
+(``orbit_statistics``).
 The package is imported from ``PYTHONPATH``, so the same script dumps any checkout:
 
-    PYTHONPATH=src python tests/parity_dump.py new.json
     PYTHONPATH=../old/src python tests/parity_dump.py old.json
-    diff old.json new.json
+    PYTHONPATH=src python tests/parity_dump.py new.json old.json
 
-The file holds 306 digests, keyed and sorted, so ``diff`` lists exactly
-the cases that moved.  The name keeps pytest from collecting it; a run takes 8-13 s on a
-2-core host.
+Given a base dump as its second argument, the script prints each of the
+base's keys whose digest moved (or that the new dump lacks) and exits 1
+if there is one.  The file holds 311 digests, keyed and sorted, so
+``diff`` lists exactly the cases that moved as well.  The name keeps
+pytest from collecting it; a run takes 8-13 s on a 2-core host.
 """
 
 import contextlib
@@ -544,6 +549,37 @@ def coordinate_probe() -> dict:
     return {"ergodicity_probe/h3-coordinate": digest(repr(probe))}
 
 
+def orbit_statistics() -> dict:
+    """``amenable_norm`` over 3 chunks on a derivative observable of an H3
+    map whose frame differential holds inf and NaN, and on a coordinate and
+    an expression observable; then ``empirical_measure`` and
+    ``convergence_report``, warnings included, with a coordinate observable
+    listed before a derivative one and an expression, on an H3 map whose
+    ``abs`` of 1e-10 * x1 is within 1e-9 of its kink where |x1| <= 10.
+    The coordinate observable warns of the kink at y and at y . p, the
+    expression of a kink at every sample, so the warnings pin the order in
+    which each chunk's observables run."""
+    h3 = algebra.heisenberg3()
+    overflow = nilcoh.map_from_texts(h3, h3, ["x1 + exp(800*x2)", "x2", "x3"])
+    wavy = nilcoh.map_from_texts(h3, h3, ["x1 + 0.3*sin(x2)", "x2 - 0.2*cos(x1)",
+                                          "x3 + 0.2*sin(x1) - cos(x2)"])
+    norms = {"derivative-overflow": (overflow, nilcoh.derivative_entry(2, 3)),
+             "coordinate": (wavy, nilcoh.parse_observable("coord3@0.5:-0.25:1", 3, 3)),
+             "expression": (wavy, nilcoh.parse_observable("d11*d22 - d12*d21 + d33", 3, 3))}
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = {f"amenable_norm/h3-{name}": digest(repr(nilcoh.amenable_norm(
+            m, obs, radii=(1.0, 2.0), samples=20000, seed=3))) for name, (m, obs) in norms.items()}
+    kinked = nilcoh.map_from_texts(h3, h3, ["x1", "x2 + abs(1e-10*x1)", "x3 + 0.1*x1*x2"])
+    observables = [nilcoh.parse_observable(t, 3, 3)
+                   for t in ("coord2@15:0:0", "d12", "abs(d11 - 1) + d22")]
+    warnings: list[str] = []
+    measure = nilcoh.empirical_measure(kinked, observables, 20.0, 20000, 4, warnings=warnings)
+    out["empirical_measure/h3-kink-warnings"] = digest(repr((measure, warnings)))
+    report = nilcoh.convergence_report(kinked, observables, (10.0, 20.0), 20000, 4)
+    out["convergence_report/h3-kink-warnings"] = digest(repr(report))
+    return out
+
+
 def degree_cycles() -> dict:
     out = {}
     for seed in (1, 2):
@@ -664,19 +700,28 @@ def ring_invariants() -> dict:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
+    if len(argv) not in (1, 2):
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
         return 2
     dump = {**golden_cases(), **repro_reports(20000), **repro_reports(None),
             **homomorphism_checks(), **warm_repeats(), **library_calls(), **one_map_degrees(),
             **one_map_area(), **tripling(), **newton_roots(), **layer_digests(),
             **degree_cycles(), **exact_layer(), **corpus_rings(), **ring_invariants(),
-            **cloud_means(), **broadcast_products(), **coordinate_probe()}
+            **cloud_means(), **broadcast_products(), **coordinate_probe(), **orbit_statistics()}
     with open(argv[0], "w", encoding="utf-8") as fh:
         json.dump(dump, fh, indent=1, sort_keys=True)
         fh.write("\n")
     print(f"{len(dump)} digests written to {argv[0]}")
-    return 0
+    if len(argv) == 1:
+        return 0
+    with open(argv[1], encoding="utf-8") as fh:
+        base = json.load(fh)
+    moved = sorted(k for k in base if dump.get(k) != base[k])
+    for key in moved:
+        print(f"moved: {key}" if key in dump else f"missing: {key}")
+    print(f"{len(moved)} of the {len(base)} digests of {argv[1]} moved; "
+          f"{len(dump.keys() - base.keys())} new")
+    return 1 if moved else 0
 
 
 if __name__ == "__main__":

@@ -43,6 +43,7 @@ from .ergodic import (
     ErgodicityProbe,
     Observable,
     OrbitTrace,
+    amenable_norm,
     convergence_report,
     derivative_entry,
     empirical_measure,
@@ -77,7 +78,6 @@ from .pullback import (
     AverageEstimate,
     HomomorphismReport,
     amenable_average,
-    amenable_norm,
     exact_homomorphism_pullback,
     homomorphism_check,
     induced_cohomology_map,

@@ -76,8 +76,9 @@ from . import rng
 from .algebra import DerivedCache
 from .dsl import DomainError
 from .forms import volume_form
-from .group import BallSpec, _check_point, box_volume, check_adapted, cloud_mean, sample_ball_coords
-from .maps import SmoothMap, differential_batch, evaluate_batch, jacobian_batch, normalize_to_y0
+from .group import BallSpec, _check_point, box_volume, check_adapted, sample_ball_coords
+from .maps import (SmoothMap, _ball_means, differential_batch, evaluate_batch, jacobian_batch,
+                   normalize_to_y0)
 from .pullback import amenable_average
 
 NEWTON_TOL = 1e-10
@@ -544,14 +545,13 @@ def area_formula_check(
     check_adapted(m.domain)  # a basis that is not adapted is refused before a bad count
     vol_u = box_volume(m.domain, window.radius)
 
-    cloud = sample_ball_coords(m.domain, window, samples, seed, tags=("area-lhs",))
+    def dets(coords: np.ndarray, jac: np.ndarray, rows: np.ndarray, warn) -> np.ndarray:
+        rows[0] = _det(differential_batch(m, coords, warn, out=jac))
+        np.abs(rows[0], out=rows[1])
+        return rows
 
-    def dets(coords: np.ndarray) -> np.ndarray:
-        mats = differential_batch(m, coords)
-        d = _det(mats)
-        return np.stack([d, np.abs(d)])
-
-    (mean_det, mean_abs), (se_det, _) = cloud_mean(cloud, dets)
+    [((mean_det, mean_abs), (se_det, _))] = _ball_means(
+        m, [window.radius], window.shape, samples, seed, ("area-lhs",), 2, dets, [None])
     lhs = float(mean_det) * vol_u
     lhs_se = float(se_det) * vol_u
     unsigned = float(mean_abs) * vol_u

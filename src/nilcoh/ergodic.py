@@ -7,7 +7,8 @@ derivative entries.  For the translated map, a derivative entry at the
 identity is the entry of the base map's differential at g, so whole clouds
 evaluate in one vectorized pass of ``maps.differential_batch``.  A
 coordinate observable reads F(y)^-1 . F(y . p), in which a shift cancels,
-so no statistic here normalizes the map.
+so no statistic here normalizes the map; neither does ``amenable_norm``,
+the root mean square of one observable over a ball.
 
 The probe from a basepoint g averages the right translate x -> F(g . x):
 it moves each chunk of the shared cloud to y = g . x and reads the
@@ -19,12 +20,10 @@ several basepoints and report 'consistent-with-ergodic',
 'non-ergodic-evidence' or, where a limit, spread or stderr is not finite,
 'inconclusive', against explicit thresholds.
 
-Evaluation is serial.  Each measurement (one cloud, one basepoint)
-allocates one buffer, sized for a chunk, that holds the frame differential
-(``differential_batch``'s ``out``, passed through ``_ChunkContext``) and
-the observables' rows, written row by row;
-every chunk reuses it, and ``group.cloud_mean`` centres and squares the
-rows in place.  The basepoint array is built once per measurement.
+Evaluation is serial.  Every statistic runs the sampling loop
+``maps._ball_means``, which states the buffer policy, with one row writer
+(``_observer``): each chunk writes the observables' rows in their order,
+and computes the frame differential at the first observable that reads it.
 """
 
 from __future__ import annotations
@@ -38,26 +37,11 @@ import numpy as np
 
 from . import dsl, rng
 from .bch import group_law
-from .group import BallSpec, _check_point, _check_tol, check_radii, cloud_mean, sample_ball_coords
-from .maps import SmoothMap, differential_batch, evaluate_batch, warn_once
+from .group import _check_point, _check_tol, check_radii
+from .maps import SmoothMap, _ball_means, differential_batch, evaluate_batch, warn_once
+from .pullback import DEFAULT_RADII
 
 DEFAULT_TOL = 1e-2
-
-
-class _ChunkContext:
-    """Shares the differential computation among observables on one chunk."""
-
-    def __init__(self, m: SmoothMap, coords: np.ndarray, warn=None, out=None):
-        self.map = m
-        self.coords = coords
-        self.warn = warn
-        self.out = out  # ``differential_batch``'s buffer, or None for a fresh array
-        self._mats = None
-
-    def differentials(self) -> np.ndarray:
-        if self._mats is None:
-            self._mats = differential_batch(self.map, self.coords, self.warn, out=self.out)
-        return self._mats
 
 
 @dataclass(frozen=True)
@@ -102,32 +86,38 @@ class Observable:
         if self.expr is not None and stale:
             object.__setattr__(self, "tape", dsl.compile([self.expr]))
 
-    def evaluate_chunk(self, ctx: _ChunkContext) -> np.ndarray:
-        if self.kind == "derivative":
-            vals = ctx.differentials()[:, self.j - 1, self.i - 1]
-            return vals ** self.power if self.power != 1 else vals
-        if self.kind == "coordinate":
-            m = ctx.map
-            law = group_law(m.domain)
-            probe = np.array(self.probe, dtype=float)
-            moved = law.multiply_batch(ctx.coords, probe)
-            at_g = evaluate_batch(m, ctx.coords, ctx.warn)
-            at_moved = evaluate_batch(m, moved, ctx.warn)
-            translated = group_law(m.codomain).multiply_batch(-at_g, at_moved)
-            return translated[self.j - 1]
-        mats = ctx.differentials()
-        n_dom = ctx.map.domain.dim
-        env = [
-            mats[:, j, i]
-            for i in range(n_dom)
-            for j in range(ctx.map.codomain.dim)
-        ]
-        values = np.empty((1, ctx.coords.shape[1]))
-        dsl.evaluate(self.tape, env, values, ctx.warn)
-        return values[0]
-
     def evaluate_batch(self, m: SmoothMap, coords: np.ndarray, warn=None) -> np.ndarray:
-        return self.evaluate_chunk(_ChunkContext(m, coords, warn))
+        """The observable at the (n, N) points ``coords``: one batch of its row writer."""
+        return _observer(m, [self])(coords, None, np.empty((1, coords.shape[1])), warn)[0]
+
+
+def _observer(m: SmoothMap, observables: list[Observable]):
+    """The orbit statistics' row writer (``maps._ball_means``): row k is
+    observables[k] at the chunk's points, written in order.  The frame
+    differential is computed into ``jac`` (None allocates) at the first
+    observable that reads it, so the warnings and the first ``DomainError``
+    come in the observables' order."""
+
+    def observe(coords: np.ndarray, jac, rows: np.ndarray, warn) -> np.ndarray:
+        mats = None
+        for row, obs in zip(rows, observables):
+            if obs.kind == "coordinate":
+                probe = np.array(obs.probe, dtype=float)
+                at_g = evaluate_batch(m, coords, warn)
+                at_moved = evaluate_batch(m, group_law(m.domain).multiply_batch(coords, probe), warn)
+                row[...] = group_law(m.codomain).multiply_batch(-at_g, at_moved)[obs.j - 1]
+                continue
+            if mats is None:
+                mats = differential_batch(m, coords, warn, out=jac)
+            if obs.kind == "derivative":
+                vals = mats[:, obs.j - 1, obs.i - 1]
+                row[...] = vals ** obs.power if obs.power != 1 else vals
+            else:
+                env = [mats[:, j, i] for i in range(m.domain.dim) for j in range(m.codomain.dim)]
+                dsl.evaluate(obs.tape, env, row[None], warn)
+        return rows
+
+    return observe
 
 
 def derivative_entry(i: int, j: int, squared: bool = False) -> Observable:
@@ -178,8 +168,9 @@ def empirical_measure(
     """Monte Carlo estimate of each observable against the empirical measure
     mu_R of the orbit; returns {'name', 'mean', 'stderr'} per observable."""
     _check_observables(m, observables)
-    cloud = _orbit_cloud(m.domain, radius, samples, seed, shape)
-    return _measure(m, observables, cloud, warn_once(warnings if warnings is not None else []))
+    sink = warnings if warnings is not None else []
+    (measure,) = _orbit_means(m, observables, [radius], samples, seed, shape, [None], [sink])
+    return measure
 
 
 def _check_observables(m: SmoothMap, observables: list[Observable]) -> None:
@@ -211,38 +202,15 @@ def _check_observables(m: SmoothMap, observables: list[Observable]) -> None:
                                  f"{obs.dims[1]} differential, but the map's is {n_dom} x {n_cod}")
 
 
-def _orbit_cloud(domain, radius: float, samples: int, seed: int, shape: str) -> np.ndarray:
-    """The sample cloud of B_R; its stream key (seed, shape, radius, 'orbit')
-    holds no basepoint, so every basepoint on one domain shares it."""
-    return sample_ball_coords(domain, BallSpec(radius, shape), samples, seed, tags=("orbit",))
-
-
-def _measure(m: SmoothMap, observables: list[Observable], cloud: np.ndarray, warn,
-             basepoint=None) -> list[dict]:
-    """The observables' means and stderrs over the cloud, each chunk moved to
-    basepoint . x first when a basepoint is given.  One buffer, sized for a
-    chunk, holds the frame differential and the observables' rows for every
-    chunk (module docstring)."""
-    law = group_law(m.domain)
-    base = None if basepoint is None else np.array(basepoint)
-    chunk = min(cloud.shape[1], rng.CHUNK)
-    size = m.codomain.dim * m.domain.dim * chunk
-    jac, rows = np.split(np.empty(size + len(observables) * chunk), [size])
-
-    def observe(coords: np.ndarray) -> np.ndarray:
-        if base is not None:
-            coords = law.multiply_batch(base, coords)
-        ctx = _ChunkContext(m, coords, warn, jac)
-        out = rows[:len(observables) * coords.shape[1]].reshape(len(observables), -1)
-        for k, obs in enumerate(observables):
-            out[k] = obs.evaluate_chunk(ctx)
-        return out
-
-    mean, stderr = cloud_mean(cloud, observe)
-    return [
-        {"name": obs.name, "mean": float(mean[k]), "stderr": float(stderr[k])}
-        for k, obs in enumerate(observables)
-    ]
+def _orbit_means(m: SmoothMap, observables: list[Observable], radii, samples: int, seed: int,
+                 shape: str, basepoints, sinks) -> list[list[dict]]:
+    """The observables' records per radius and basepoint, in the order of
+    ``maps._ball_means``, each basepoint's warnings kept once in its sink.
+    The stream key (seed, shape, radius, 'orbit') holds no basepoint."""
+    means = _ball_means(m, radii, shape, samples, seed, ("orbit",), len(observables),
+                        _observer(m, observables), [warn_once(sink) for sink in sinks], basepoints)
+    return [[{"name": obs.name, "mean": float(mean[k]), "stderr": float(stderr[k])}
+             for k, obs in enumerate(observables)] for mean, stderr in means]
 
 
 @dataclass
@@ -291,13 +259,9 @@ def _convergence_reports(m, basepoints, observables, radii, samples, seed, shape
     _check_tol(tol)
     radii = check_radii(radii)
     warnings: list[list[str]] = [[] for _ in basepoints]
-    rows: list[list[list[dict]]] = [[] for _ in basepoints]
-    for r in radii:
-        cloud = _orbit_cloud(m.domain, r, samples, seed, shape)
-        for g, sink, out in zip(basepoints, warnings, rows):
-            out.append(_measure(m, observables, cloud, warn_once(sink), g))
-    return [_report(observables, radii, per_radius, tol, sink)
-            for per_radius, sink in zip(rows, warnings)]
+    rows = _orbit_means(m, observables, radii, samples, seed, shape, basepoints, warnings)
+    return [_report(observables, radii, rows[b::len(basepoints)], tol, sink)
+            for b, sink in enumerate(warnings)]
 
 
 def _report(observables, radii, rows, tol, warnings) -> ConvergenceReport:
@@ -385,3 +349,32 @@ def ergodicity_probe(
         verdict=verdict,
         warnings=list(dict.fromkeys(warnings)),
     )
+
+
+def amenable_norm(
+    m: SmoothMap,
+    observable: Observable,
+    radii=DEFAULT_RADII,
+    samples: int = 20000,
+    seed: int = 0,
+    shape: str = "box",
+) -> list[dict]:
+    """Square root of the ball average of |observable on the orbit|^2, for
+    an ``Observable``, which is checked against the map before sampling as
+    by every statistic here.  Returns one record per radius."""
+    radii = check_radii(radii)
+    _check_observables(m, [observable])
+
+    observe = _observer(m, [observable])
+
+    def squares(coords: np.ndarray, jac: np.ndarray, rows: np.ndarray, warn) -> np.ndarray:
+        observe(coords, jac, rows, warn)
+        return np.multiply(rows, rows, out=rows)
+
+    out = []
+    means = _ball_means(m, radii, shape, samples, seed, ("avg",), 1, squares, [None])
+    for r, ((mean_sq,), (se_sq,)) in zip(radii, means):
+        value = float(np.sqrt(max(mean_sq, 0.0)))
+        stderr = float(se_sq / (2.0 * value)) if value > 0 else float(np.sqrt(max(se_sq, 0.0)))
+        out.append({"radius": r, "value": value, "stderr": stderr})
+    return out

@@ -89,13 +89,15 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, replace
+from functools import partial, wraps
 
 import numpy as np
 
 from . import dsl, rng
 from .algebra import LieAlgebra, algebra_from_dict, load_algebra
 from .bch import IllConditionedFrame, group_law  # IllConditionedFrame is re-exported
-from .group import _check_length, _check_point, _check_tol
+from .group import (BallSpec, _check_length, _check_point, _check_tol, cloud_mean,
+                    sample_ball_coords)
 
 
 @dataclass(frozen=True)
@@ -281,6 +283,61 @@ def differential(m: SmoothMap, g, warn=None) -> list[list[float]]:
     """The frame differential at the point g, refused as by ``evaluate``."""
     mats = _at_point(differential_batch, m, g, warn)
     return [[float(x) for x in row] for row in mats[0]]
+
+
+def _chunk(samples: int) -> int:
+    """Samples per chunk of a ``samples``-point ball average (``rng.CHUNK``
+    at most); a sample count that is no integer of at least 1 is refused."""
+    rng._check_integer("sample count", samples, 1)
+    return min(samples, rng.CHUNK)
+
+
+def _ball_means(m: SmoothMap, radii, shape: str, samples: int, seed: int, tags: tuple,
+                width: int, write, warns, basepoints=(None,)) -> list:
+    """The one sampling loop: ``group.cloud_mean`` over each radius's ball
+    cloud, read from each basepoint g (None reads the map itself); the
+    (mean, stderr) pairs come radius by radius, basepoint by basepoint.
+
+    Radii run outside: a radius's cloud (``sample_ball_coords`` under the
+    stream ``tags``) serves every basepoint, so one cloud is alive at a
+    time, and each chunk is moved to g . x.  ``write(coords, jac, rows,
+    warn)`` is the caller's row writer: it writes the chunk's rows into
+    ``rows`` (width, N) and, where it reads D, D into ``jac``
+    (``differential_batch``'s ``out``), and hands back its row blocks as
+    ``cloud_mean`` takes them: ``rows``, or views of its head in turn.
+    ``warns`` holds one ``warn`` (or None) per basepoint.  The chunk
+    function carries ``write``'s module, to which tracers credit its work.
+
+    The buffer policy: ``jac`` and ``rows`` share one float64 buffer, sized
+    for a chunk and allocated once per call, after the sample count is
+    checked and before the first cloud; every chunk writes into it, and
+    ``cloud_mean`` centres and squares the rows in place.  A chunk-sized
+    array freed after each chunk would be mapped afresh, as glibc hands a
+    freed heap top above its trim threshold back to the kernel (a fault
+    costs about 2.4 µs per 4 KB page on the reference host).  It is one
+    block, as that threshold is twice the largest mmapped block freed so
+    far: with three, the H5 op of the ``average`` benchmark trimmed the
+    heap the H3 ops had grown, and the next H3 op faulted about 690 pages
+    back in.
+    """
+    chunk = _chunk(samples)
+    size = m.codomain.dim * m.domain.dim * chunk
+    jac, buffer = np.split(np.empty(size + width * chunk), [size])
+    means = []
+    for r in radii:
+        cloud = sample_ball_coords(m.domain, BallSpec(r, shape), samples, seed, tags=tags)
+        for g, warn in zip(basepoints, warns):
+            move = None if g is None else partial(group_law(m.domain).multiply_batch, np.array(g))
+
+            @wraps(write)
+            def rows(coords: np.ndarray):
+                if move is not None:
+                    coords = move(coords)
+                out = buffer[:width * coords.shape[1]].reshape(width, coords.shape[1])
+                return write(coords, jac, out, warn)
+
+            means.append(cloud_mean(cloud, rows))
+    return means
 
 
 def normalize_to_y0(m: SmoothMap) -> SmoothMap:

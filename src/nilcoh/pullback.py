@@ -12,9 +12,7 @@ homomorphism property.
 A left translation of the codomain changes no pullback, (L_s o psi)* omega
 = psi* L_s* omega = psi* omega, and ``maps.differential_batch`` computes the
 frame differential as F_cod(F(x))^-1 J_F(x) F_dom(x), without the shift.
-So the averages here take the map as it is and never normalize it, and
-neither does ``amenable_norm``: its observable reads the differential or
-F(x)^-1 . F(x . p), in which a shift cancels.
+So the averages here take the map as it is and never normalize it.
 
 Every coefficient of every form is a sum of k x k minors of the frame
 differential D, that is of entries of its compound matrices (Cauchy-Binet;
@@ -41,12 +39,12 @@ order, so a folded plan gives every row the bits of the unfolded one and
 only runs fewer ops (``_Minors``).
 
 One point cloud is drawn per (seed, radius) and shared by every coefficient,
-so linearity of the estimator holds exactly; ``group.cloud_mean`` averages
-over it.  ``_average_plan`` builds each (form, lambda) pair's row recipe
-(``_recipe``: its terms on live minors), drops the pairs with
-none, whose rows are zero (on the benchmark's H5 map 720 of 910), and
-points them at one zero slot after the last row, which reads mean 0.0 with
-stderr 0.0, what summing their zero rows gave.  It keys the other recipes
+so linearity of the estimator holds exactly; the sampling loop
+``maps._ball_means`` averages over it.  ``_average_plan`` builds each
+(form, lambda) pair's row recipe (``_recipe``: its terms on live minors),
+drops the pairs with none, whose rows are zero (on the benchmark's H5
+map 720 of 910), and points them at one zero slot after the last row,
+which reads mean 0.0 with stderr 0.0, what summing their zero rows gave.  It keys the other recipes
 up to sign, negating every coefficient when the first is negative:
 graded commutativity (1 ^ w = w, w_j ^ w_i = +-w_i ^ w_j) leaves 63
 distinct keys of the 190 live H5 pairs.  It then evaluates one row per
@@ -70,15 +68,9 @@ floats per chunk of samples, each planned by ``_plan_coefficient_rows``;
 ``_ball_averages`` reuses the plan at every radius and chunk, and
 ``cloud_mean`` reduces a block before the next one is evaluated, so memory
 is bounded whatever the number of pairs.  Every row keeps its own
-per-chunk sums, so the blocks move no bit.  The chunk loop touches only
-memory the call already owns: ``_ball_averages`` allocates one buffer,
-sized for one chunk, for the frame differential
-(``differential_batch``'s ``out``) and the rows of the largest block;
-every chunk at every radius writes into it, and ``cloud_mean`` centres and
-squares each block in place.  A short-lived chunk-sized array would be
-mapped afresh on every chunk, since glibc hands a freed heap top above its
-trim threshold back to the kernel, and every page mapped again costs a
-fault (about 2.4 µs per 4 KB page on the reference host).
+per-chunk sums, so the blocks move no bit.  Each block is written into
+the head of the loop's one buffer, which holds the rows of the largest
+block (``maps._ball_means`` states the buffer policy).
 
 ``amenable_average`` (and through it ``degree.asymptotic_degree``) averages
 its caller's form and plans on every call.  ``induced_cohomology_map``
@@ -108,9 +100,9 @@ from . import dsl, rng
 from .algebra import DerivedCache, LieAlgebra
 from .cohomology import CohomologyRing, cohomology
 from .forms import KForm, basis_tuples, ce_differential, sort_with_sign, wedge
-from .group import BallSpec, check_radii, cloud_mean, sample_ball_coords
-from .maps import (SmoothMap, _at_point, differential_batch, differential_constants,
-                   differential_pattern, warn_once)
+from .group import check_radii
+from .maps import (SmoothMap, _at_point, _ball_means, _chunk, differential_batch,
+                   differential_constants, differential_pattern, warn_once)
 
 DEFAULT_RADII = tuple(4.0 * 2 ** k for k in range(6))
 # floats of the sample vectors alive at once in a plan's generated code
@@ -511,12 +503,6 @@ class _AveragePlan:
     bound: float  # the largest |c| of D's constants (NaN if one is NaN), -inf for none
 
 
-def _chunk(samples: int) -> int:
-    """Samples per chunk of a ``samples``-point ball average (``rng.CHUNK`` at most)."""
-    rng._check_integer("sample count", samples, 1)
-    return max(1, min(samples, rng.CHUNK))
-
-
 def _average_plan(omegas: list[KForm], pattern: np.ndarray, constants: dict[int, float],
                   chunk: int) -> _AveragePlan:
     """Plan ``_ball_averages`` of every coefficient of these codomain forms
@@ -593,41 +579,30 @@ def _ball_averages(
     (mean, stderr), a negated one (0.0 - mean, stderr).  Keys whose rows
     fold to one op sequence, up to sign, share one row.
 
-    One buffer, sized for a chunk, holds the frame differential
-    (``differential_batch``'s ``out``) and the rows, for every chunk at
-    every radius (module docstring); a chunk's derivative bound is
-    ``_abs_max`` of its D's variable entries and of its constants.
+    Its row writer computes D into the loop's buffer (``maps._ball_means``)
+    and writes each block's rows into the head of the loop's rows; a
+    chunk's derivative bound is ``_abs_max`` of its D's variable entries
+    and of its constants.
 
     Returns, per radius and per input form, a (mean, stderr) pair of float64
     arrays over ``basis_tuples(n_dom, degree)``, and the largest sampled
     |frame differential| entry over all radii: NaN if any chunk's bound is.
     """
     _check_on_codomain(m, omegas)
-    chunk = _chunk(samples)
     if plan is None:
-        plan = _average_plan(omegas, differential_pattern(m), _constants(m), chunk)
-    # one block, not one per array: glibc's trim threshold is twice the largest
-    # mmapped block freed so far, and with three blocks the H5 op of the
-    # `average` benchmark trimmed the heap the H3 ops had grown, which the
-    # next H3 op faulted back in (about 690 pages) in most processes
-    jac, row_buffer = np.split(np.empty((m.codomain.dim * m.domain.dim + plan.width) * chunk),
-                               [m.codomain.dim * m.domain.dim * chunk])
-    warn = warn_once(warnings)
+        plan = _average_plan(omegas, differential_pattern(m), _constants(m), _chunk(samples))
     chunk_bounds: list[float] = []
 
-    def coefficients(coords: np.ndarray):
+    def coefficients(coords: np.ndarray, jac: np.ndarray, rows: np.ndarray, warn):
         entries = _entries(differential_batch(m, coords, warn, out=jac))
         chunk_bounds.append(_abs_max(entries, plan.variable, plan.bound))
-        count = entries.shape[1]
-        for size, rows in plan.blocks:
-            out = row_buffer[:size * count].reshape(size, count)
-            rows(entries, out)
-            yield out
+        for size, block in plan.blocks:
+            block(entries, rows[:size])
+            yield rows[:size]
 
     per_radius = []
-    for r in radii:
-        cloud = sample_ball_coords(m.domain, BallSpec(r, shape), samples, seed, tags=("avg",))
-        mean, stderr = cloud_mean(cloud, coefficients)
+    for mean, stderr in _ball_means(m, radii, shape, samples, seed, ("avg",), plan.width,
+                                    coefficients, [warn_once(warnings)]):
         mean = np.append(mean, 0.0)[plan.rows]
         # 0.0 - mean is what the negated row averages to, +0.0 for a zero mean
         np.subtract(0.0, mean, out=mean, where=plan.negated)
@@ -900,32 +875,3 @@ def exact_homomorphism_pullback(m: SmoothMap, omega: KForm) -> KForm:
     values = _coefficient_rows(mats, [(omega, lam) for lam in lambdas])[:, 0]
     out = {lam: float(v) for lam, v in zip(lambdas, values) if v != 0.0}
     return KForm(m.domain, omega.degree, out)
-
-
-def amenable_norm(
-    m: SmoothMap,
-    observable,
-    radii=DEFAULT_RADII,
-    samples: int = 20000,
-    seed: int = 0,
-    shape: str = "box",
-) -> list[dict]:
-    """Square root of the ball average of |observable on the orbit|^2.
-
-    ``observable`` needs an ``evaluate_batch(map, coords) -> values`` method;
-    see ergodic.Observable.  Returns one record per radius.
-    """
-    radii = check_radii(radii)
-
-    def squares(coords: np.ndarray) -> np.ndarray:
-        vals = observable.evaluate_batch(m, coords)
-        return vals * vals
-
-    out = []
-    for r in radii:
-        cloud = sample_ball_coords(m.domain, BallSpec(r, shape), samples, seed, tags=("avg",))
-        mean_sq, se_sq = cloud_mean(cloud, squares)
-        value = float(np.sqrt(max(mean_sq, 0.0)))
-        stderr = float(se_sq / (2.0 * value)) if value > 0 else float(np.sqrt(max(se_sq, 0.0)))
-        out.append({"radius": r, "value": value, "stderr": stderr})
-    return out

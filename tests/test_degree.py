@@ -198,8 +198,8 @@ def test_the_area_check_has_no_set_up_of_its_own(monkeypatch):
         real = getattr(degree, name)
         monkeypatch.setattr(degree, name,
                             lambda *args, name=name, real=real: calls.append(name) or real(*args))
-    sample, evaluate = degree.sample_ball_coords, degree.evaluate_batch
-    monkeypatch.setattr(degree, "sample_ball_coords",
+    sample, evaluate = maps.sample_ball_coords, degree.evaluate_batch
+    monkeypatch.setattr(maps, "sample_ball_coords",  # the sampling loop draws the cloud
                         lambda *args, **kw: clouds.append(sample(*args, **kw)) or clouds[-1])
     monkeypatch.setattr(degree, "evaluate_batch",
                         lambda m, x: calls.append("cloud") if x is clouds[0] else evaluate(m, x))

@@ -5,13 +5,14 @@ import pytest
 
 from test_golden import MAPS
 
-from nilcoh import algebra, ergodic
+from nilcoh import algebra, ergodic, maps
 from nilcoh.bch import group_law
 from nilcoh.degree import qi_distortion_probe
 from nilcoh.dsl import UnknownSymbolError
 from nilcoh.group import BallSpec, cloud_mean, sample_ball_coords
 from nilcoh.ergodic import (
     Observable,
+    amenable_norm,
     convergence_report,
     derivative_entry,
     empirical_measure,
@@ -19,7 +20,6 @@ from nilcoh.ergodic import (
     parse_observable,
 )
 from nilcoh.maps import map_from_texts, normalize_to_y0
-from nilcoh.pullback import amenable_norm
 from nilcoh.report import to_jsonable
 
 R1 = algebra.abelian(1)
@@ -61,7 +61,8 @@ def test_an_observable_beyond_the_map_is_refused_before_sampling(monkeypatch):
     m = map_from_texts(R1, R1, ["x1 + sin(x1)"])
     calls = (lambda obs: empirical_measure(m, [obs], 2.0, 64, 0),
              lambda obs: convergence_report(m, [obs], [2.0, 4.0], 64, 0),
-             lambda obs: ergodicity_probe(m, [obs], [(0.0,), (1.0,)], [2.0, 4.0], 64, 0))
+             lambda obs: ergodicity_probe(m, [obs], [(0.0,), (1.0,)], [2.0, 4.0], 64, 0),
+             lambda obs: amenable_norm(m, obs, [2.0, 4.0], 64, 0))
     cases = [
         (derivative_entry(5, 5), "observable 'd55': index i = 5 exceeds the domain dimension 1"),
         (derivative_entry(1, 2), "observable 'd12': index j = 2 exceeds the codomain dimension 1"),
@@ -96,7 +97,8 @@ def test_an_expression_parsed_for_other_dimensions_is_refused_before_sampling(mo
     message = "observable 'd22 + 0' was parsed for a 2 x 2 differential, but the map's is 3 x 3"
     for call in (lambda: empirical_measure(m, [obs], 2.0, 64, 0),
                  lambda: convergence_report(m, [obs], [2.0, 4.0], 64, 0),
-                 lambda: ergodicity_probe(m, [obs], [(0.0,) * 3, (1.0,) * 3], [2.0, 4.0], 64, 0)):
+                 lambda: ergodicity_probe(m, [obs], [(0.0,) * 3, (1.0,) * 3], [2.0, 4.0], 64, 0),
+                 lambda: amenable_norm(m, obs, [2.0, 4.0], 64, 0)):
         with pytest.raises(ValueError, match=re.escape(message)):
             call()
     assert opened == []
@@ -417,8 +419,8 @@ def test_ergodicity_probe_draws_each_radius_cloud_once(monkeypatch):
     want = [ergodic._convergence_reports(f1(), [(p,)], obs, radii, 3000, 7, "box",
                                          ergodic.DEFAULT_TOL)[0] for p in pts]
     draws = []
-    sample = ergodic.sample_ball_coords
-    monkeypatch.setattr(ergodic, "sample_ball_coords",
+    sample = maps.sample_ball_coords  # the sampling loop draws every cloud
+    monkeypatch.setattr(maps, "sample_ball_coords",
                         lambda alg, spec, *a, **k: draws.append(spec.radius) or sample(alg, spec, *a, **k))
     probe = ergodicity_probe(f1(), obs, pts, radii, samples=3000, seed=7)
     assert draws == radii

@@ -12,11 +12,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from test_dsl import expr_strategy
 
-from nilcoh import algebra, pullback, rng
+from nilcoh import algebra, degree, ergodic, maps, pullback, rng
 from nilcoh.cohomology import cohomology
 from nilcoh.dsl import DomainError
 from nilcoh.degree import area_formula_check, asymptotic_degree
-from nilcoh.ergodic import derivative_entry
+from nilcoh.ergodic import amenable_norm, derivative_entry, ergodicity_probe
 from nilcoh.forms import (KForm, basis_covector, basis_form, basis_tuples, unit_form,
                           volume_form, wedge)
 from nilcoh.dsl import Bin, Coord, Num
@@ -26,7 +26,6 @@ from nilcoh.pullback import (
     _coefficient_rows,
     _projection_warning,
     amenable_average,
-    amenable_norm,
     exact_homomorphism_pullback,
     homomorphism_check,
     induced_cohomology_map,
@@ -900,9 +899,28 @@ def test_nan_increments_read_as_nonconvergent():
     assert not pullback._nonconvergent([0.5, 0.25], [0.0, 0.0, 0.0])
 
 
-def test_ball_averages_pass_one_buffer_to_every_chunk(monkeypatch):
+# every caller of the sampling loop (maps._ball_means): its module, a call on
+# n samples, and the clouds it averages (radii times basepoints)
+BALL_MEANS_CALLERS = [
+    pytest.param(pullback, lambda n: homomorphism_check(
+        map_from_texts(H3, H3, H3_MAP), radii=(2.0, 4.0, 8.0), samples=n, seed=1), 3, id="averages"),
+    pytest.param(ergodic, lambda n: ergodicity_probe(
+        map_from_texts(H3, H3, H3_MAP), [derivative_entry(1, 2)],
+        [(0.0, 0.0, 0.0), (1.0, -0.5, 0.25), (-2.0, 1.0, 3.0)], (2.0, 4.0), n, 1), 6, id="probe"),
+    pytest.param(ergodic, lambda n: amenable_norm(
+        map_from_texts(H3, H3, H3_MAP), derivative_entry(1, 2), (2.0, 4.0), n, 1), 2, id="norm"),
+    pytest.param(degree, lambda n: area_formula_check(
+        map_from_texts(R1, R1, ["x1^3 - x1"]), 2.0, samples=n, seed=1, grid_density=2), 1,
+        id="area"),
+]
+
+
+@pytest.mark.parametrize("module, call, clouds", BALL_MEANS_CALLERS)
+def test_ball_averages_pass_one_buffer_to_every_chunk(monkeypatch, module, call, clouds):
     # each chunk's short-lived Jacobian was mapped afresh; one buffer per
-    # call serves every chunk (3 here, the last ragged) at every radius
+    # call serves every chunk (3 here, the last ragged) at every radius and
+    # basepoint.  The probe allocated one per radius and basepoint, and the
+    # norm and the area check passed none
     calls = []
 
     def spy(m, coords, warn=None, *, out=None):
@@ -910,15 +928,28 @@ def test_ball_averages_pass_one_buffer_to_every_chunk(monkeypatch):
         calls.append((out, coords.shape[1], mats))
         return mats
 
-    monkeypatch.setattr(pullback, "differential_batch", spy)
-    m = map_from_texts(H3, H3, H3_MAP)
-    homomorphism_check(m, radii=(2.0, 4.0, 8.0), samples=2 * rng.CHUNK + 100, seed=1)
-    assert [count for _, count, _ in calls] == [rng.CHUNK, rng.CHUNK, 100] * 3
+    monkeypatch.setattr(module, "differential_batch", spy)
+    call(2 * rng.CHUNK + 100)
+    assert [count for _, count, _ in calls] == [rng.CHUNK, rng.CHUNK, 100] * clouds
     first = calls[0][0]
-    assert first is not None and first.size == 3 * 3 * rng.CHUNK
+    dims = calls[0][2].shape[1] * calls[0][2].shape[2]
+    assert first is not None and first.size == dims * rng.CHUNK
     for out, _, mats in calls:
         assert out is first
         assert np.shares_memory(mats, first)
+
+
+@pytest.mark.parametrize("module, call, clouds", BALL_MEANS_CALLERS)
+def test_chunk_work_is_credited_to_the_row_writers_module(monkeypatch, module, call, clouds):
+    # bench/tracer.py names chunk spans by the __module__ of the function
+    # that cloud_mean hands rng.chunked_sums, which wraps the loop's chunk
+    # function, which wraps the caller's row writer
+    seen = []
+    real = maps.cloud_mean
+    monkeypatch.setattr(maps, "cloud_mean",
+                        lambda cloud, values: seen.append(values.__module__) or real(cloud, values))
+    call(100)
+    assert seen == [module.__name__] * clouds
 
 
 def test_nan_at_a_structural_zero_no_longer_reaches_dead_rows():
